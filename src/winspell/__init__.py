@@ -24,6 +24,7 @@ from .features import (
     collect_stats,
     extract_active,
     generate_features,
+    prepare_set,
     prune,
 )
 from .bayes import (

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -31,13 +32,7 @@ from .evaluation import (
     run_experiment,
     train_system_model,
 )
-from .features import (
-    ExtractionParams,
-    PruningPolicy,
-    collect_stats,
-    extract_active,
-    prune,
-)
+from .features import ExtractionParams, PruningPolicy, extract_active, prepare_set
 from .winnow import WinnowNetwork, WinnowParams, classify_winnow
 
 MODES = ("pruned", "unpruned")
@@ -178,15 +173,9 @@ def cmd_train(args) -> int:
     tagdict = load_tag_dictionary(args.tagdict)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    policy = PruningPolicy(mode=args.mode)
     for cset in load_confusion_sets(args.confusion_sets):
-        stats = collect_stats(corpus, cset, extraction, tagdict)
-        policy = PruningPolicy(mode=args.mode)
-        retained = prune(stats, policy)
-        learned = set(retained)
-        stream = [
-            (extract_active(o.sentence, o, learned, extraction, tagdict), o.member_index)
-            for o in find_occurrences(corpus, cset)
-        ]
+        stats, retained, stream = prepare_set(corpus, cset, extraction, tagdict, policy)
         model = train_system_model(
             args.system, stats, retained, policy, stream, extraction, wparams
         )
@@ -202,10 +191,13 @@ def cmd_train(args) -> int:
 def _load_any_model(path: Path):
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
-    if header == "BAYES v1":
-        return bayes_mod.load_model(path)
-    if header == "WINNOW v1":
-        return winnow_mod.load_network(path)
+    try:
+        if header == "BAYES v1":
+            return bayes_mod.load_model(path)
+        if header == "WINNOW v1":
+            return winnow_mod.load_network(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     raise ValueError(f"{path}: unrecognized model format")
 
 
@@ -223,15 +215,15 @@ def cmd_classify(args) -> int:
     else:
         lines = Path(args.input).read_text(encoding="utf-8").splitlines()
     sentences = [tokenize(line, i) for i, line in enumerate(lines, start=1) if line.strip()]
+    lookups = []
+    for model in models:
+        if isinstance(model, WinnowNetwork):
+            learned, extraction = model.feature_universe, model.extraction
+        else:
+            learned, extraction = model.features, model.params
+        lookups.append((model, model.confusion_set, set(learned), extraction))
     for sentence in sentences:
-        for model in models:
-            if isinstance(model, WinnowNetwork):
-                cset, learned, extraction = (
-                    model.confusion_set, model.feature_universe, model.extraction,
-                )
-            else:
-                cset, learned, extraction = model.confusion_set, model.features, model.params
-            learned = set(learned)
+        for model, cset, learned, extraction in lookups:
             for occ in find_occurrences([sentence], cset):
                 active = extract_active(sentence, occ, learned, extraction, tagdict)
                 if isinstance(model, WinnowNetwork):
@@ -319,10 +311,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _merge_config(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `| head`): stop quietly. Point stdout
+        # at devnull so the interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (CorpusError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,8 +6,10 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import count
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 UNKNOWN_TAG = "UNK"
 
@@ -24,8 +26,7 @@ class CorpusError(Exception):
     """Raised for unreadable or malformed corpus inputs."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     position: int
 
@@ -35,7 +36,7 @@ class Sentence:
     tokens: tuple[Token, ...]
     source_line: int = 0
 
-    @property
+    @cached_property
     def surfaces(self) -> tuple[str, ...]:
         return tuple(t.surface for t in self.tokens)
 
@@ -44,7 +45,7 @@ class Sentence:
 
 
 def sentence_from_surfaces(surfaces: Iterable[str], source_line: int = 0) -> Sentence:
-    return Sentence(tuple(Token(s, i) for i, s in enumerate(surfaces)), source_line)
+    return Sentence(tuple(map(Token, surfaces, count())), source_line)
 
 
 def tokenize(text: str, source_line: int = 0) -> Sentence:
@@ -205,19 +206,33 @@ class Occurrence:
         return self.span_start + self.span_len
 
 
-def _match_sentence(surfaces: Sequence[str], confusion_set: ConfusionSet):
-    """Yield (start, length, member_index) for maximal non-overlapping
-    matches, scanning left to right with longest member preferred."""
+_MatchIndex = dict[str, list[tuple[tuple[str, ...], int]]]
+
+
+def _match_index(confusion_set: ConfusionSet) -> _MatchIndex:
+    """First token -> (member, member_index) pairs starting with it, longest
+    member first, ties in member order."""
+    index: _MatchIndex = {}
     by_length = sorted(
         range(len(confusion_set.members)),
         key=lambda i: -len(confusion_set.members[i]),
     )
+    for mi in by_length:
+        member = confusion_set.members[mi]
+        index.setdefault(member[0], []).append((member, mi))
+    return index
+
+
+def _match_sentence(surfaces: tuple[str, ...], index: _MatchIndex):
+    """Yield (start, length, member_index) for maximal non-overlapping
+    matches, scanning left to right with longest member preferred."""
+    if index.keys().isdisjoint(surfaces):
+        return
     i = 0
     n = len(surfaces)
     while i < n:
-        for mi in by_length:
-            member = confusion_set.members[mi]
-            if tuple(surfaces[i : i + len(member)]) == member:
+        for member, mi in index.get(surfaces[i], ()):
+            if surfaces[i : i + len(member)] == member:
                 yield i, len(member), mi
                 i += len(member)
                 break
@@ -229,9 +244,10 @@ def find_occurrences(
     sentences: Sequence[Sentence], confusion_set: ConfusionSet
 ) -> list[Occurrence]:
     """All confusion-set occurrences, in corpus order."""
+    index = _match_index(confusion_set)
     out = []
     for sent in sentences:
-        for start, length, mi in _match_sentence(sent.surfaces, confusion_set):
+        for start, length, mi in _match_sentence(sent.surfaces, index):
             out.append(Occurrence(sent, start, length, mi))
     return out
 
@@ -265,10 +281,11 @@ def corrupt(
         raise ValueError("corruption needs a confusion set with >= 2 members")
     rng = random.Random(seed)
     probability = pct / 100.0
+    index = _match_index(confusion_set)
     corrupted: list[Sentence] = []
     log: list[CorruptionEntry] = []
     for si, sent in enumerate(sentences):
-        matches = list(_match_sentence(sent.surfaces, confusion_set))
+        matches = list(_match_sentence(sent.surfaces, index))
         if not matches:
             corrupted.append(sent)
             continue

@@ -25,9 +25,8 @@ from .features import (
     FeatureStats,
     PruningPolicy,
     chi2_sf,
-    collect_stats,
     extract_active,
-    prune,
+    prepare_set,
 )
 from .winnow import (
     FULL,
@@ -226,18 +225,14 @@ def evaluate_systems(
     extraction = extraction or ExtractionParams()
     winnow_params = winnow_params or WinnowParams()
     policy = PruningPolicy(mode=mode)
-    stats = collect_stats(train_sentences, confusion_set, extraction, tagdict)
-    retained = prune(stats, policy)
+    stats, retained, train_stream = prepare_set(
+        train_sentences, confusion_set, extraction, tagdict, policy
+    )
     learned = set(retained)
-
-    def actives(sentences):
-        return [
-            (extract_active(o.sentence, o, learned, extraction, tagdict), o.member_index)
-            for o in find_occurrences(sentences, confusion_set)
-        ]
-
-    train_stream = actives(train_sentences)
-    test_cases = actives(test_sentences)
+    test_cases = [
+        (extract_active(o.sentence, o, learned, extraction, tagdict), o.member_index)
+        for o in find_occurrences(test_sentences, confusion_set)
+    ]
     outcomes = {}
     for name in systems:
         predict = build_system(

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import (
     ConfusionSet,
@@ -27,12 +27,12 @@ PRUNED = "pruned"
 UNPRUNED = "unpruned"
 
 
-@dataclass(frozen=True, order=True)
-class Feature:
+class Feature(NamedTuple):
     """A context-word test or a collocation pattern around the target gap.
 
     Field order defines the canonical total ordering used everywhere a
-    deterministic iteration order matters.
+    deterministic iteration order matters. A named tuple, so hashing,
+    equality and ordering run at C speed on every dict and set hit.
     """
 
     kind: str
@@ -201,6 +201,27 @@ class FeatureStats:
         )
 
 
+def _count_features(
+    corpus: Sequence[Sentence],
+    confusion_set: ConfusionSet,
+    params: ExtractionParams,
+    tagdict: TagDictionary,
+) -> tuple[FeatureStats, list[tuple[set[Feature], int]]]:
+    """Generate the features of every occurrence in the corpus once, count
+    them, and return the counts with the (generated set, member) pairs."""
+    stats = FeatureStats(confusion_set, params)
+    generated = []
+    for occ in find_occurrences(corpus, confusion_set):
+        features = generate_features(occ.sentence, occ, params, tagdict)
+        stats.add(features, occ.member_index)
+        generated.append((features, occ.member_index))
+    if stats.total_occurrences == 0:
+        raise ValueError(
+            f"no occurrences of {{{confusion_set.label}}} in corpus; cannot train"
+        )
+    return stats, generated
+
+
 def collect_stats(
     corpus: Sequence[Sentence],
     confusion_set: ConfusionSet,
@@ -208,14 +229,7 @@ def collect_stats(
     tagdict: TagDictionary,
 ) -> FeatureStats:
     """Accumulate feature statistics over every occurrence in the corpus."""
-    stats = FeatureStats(confusion_set, params)
-    for occ in find_occurrences(corpus, confusion_set):
-        stats.add(generate_features(occ.sentence, occ, params, tagdict), occ.member_index)
-    if stats.total_occurrences == 0:
-        raise ValueError(
-            f"no occurrences of {{{confusion_set.label}}} in corpus; cannot train"
-        )
-    return stats
+    return _count_features(corpus, confusion_set, params, tagdict)[0]
 
 
 def chi2_sf(statistic: float) -> float:
@@ -289,3 +303,21 @@ def extract_active(
         else set(learned_features)
     )
     return tuple(sorted(generate_features(sentence, occurrence, params, tagdict) & learned))
+
+
+def prepare_set(
+    corpus: Sequence[Sentence],
+    confusion_set: ConfusionSet,
+    params: ExtractionParams,
+    tagdict: TagDictionary,
+    policy: PruningPolicy,
+) -> tuple[FeatureStats, tuple[Feature, ...], list[tuple[tuple[Feature, ...], int]]]:
+    """Counts, retained features and the (active set, member) training
+    stream of one confusion set, from one pass over the corpus. Equal to
+    ``collect_stats``, then ``prune``, then ``extract_active`` over
+    ``find_occurrences``, but each occurrence's features are generated once."""
+    stats, generated = _count_features(corpus, confusion_set, params, tagdict)
+    retained = prune(stats, policy)
+    learned = set(retained)
+    stream = [(tuple(sorted(features & learned)), member) for features, member in generated]
+    return stats, retained, stream

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -93,7 +94,7 @@ class WinnowClassifier:
 def weighted_sum(classifier: WinnowClassifier, active_set: Iterable[Feature]) -> float:
     # Exactly-rounded sum: clouds holding permutations of the same weights
     # produce bit-identical totals, so comparator ties are real ties.
-    return math.fsum(classifier.weights.get(f, 0.0) for f in active_set)
+    return math.fsum(map(classifier.weights.get, active_set, repeat(0.0)))
 
 
 def winnow_predict(
@@ -263,7 +264,7 @@ def train_network(
     replayed in order for the configured number of cycles, and the vote
     schedule horizon is fixed at the total number of presentations.
     """
-    examples = list(stream)
+    examples = [(_with_bias(active_set), member) for active_set, member in stream]
     if cycles is None:
         cycles = network.params.cycles
     if not examples:
@@ -272,8 +273,7 @@ def train_network(
         network.schedule.start, network.schedule.end, cycles * len(examples)
     )
     for _ in range(cycles):
-        for active_set, member in examples:
-            active = _with_bias(active_set)
+        for active, member in examples:
             for cloud in network.clouds:
                 label = 1 if cloud.member_index == member else 0
                 for classifier in cloud.classifiers:
@@ -374,6 +374,12 @@ def network_to_text(network: WinnowNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
+_HEAD_FIELDS = (
+    "members", "extraction", "winnow", "betas", "layer", "architecture", "init",
+    "schedule", "priors", "features",
+)
+
+
 def network_from_text(text: str) -> WinnowNetwork:
     lines = text.splitlines()
     if not lines or lines[0] != _HEADER:
@@ -382,23 +388,30 @@ def network_from_text(text: str) -> WinnowNetwork:
     for line in lines[1:11]:
         name, *values = line.split("\t")
         head[name] = values
-    confusion_set = confusion_set_from_text(", ".join(head["members"]))
-    k, l = (int(v.split("=", 1)[1]) for v in head["extraction"])
-    wfields = dict(v.split("=", 1) for v in head["winnow"])
-    params = WinnowParams(
-        theta=float(wfields["theta"]),
-        alpha=float(wfields["alpha"]),
-        betas=tuple(float(b) for b in head["betas"]),
-        default_weight=float(wfields["default_weight"]),
-        cycles=int(wfields["cycles"]),
-    )
-    sfields = dict(v.split("=", 1) for v in head["schedule"])
-    schedule = GammaSchedule(
-        float(sfields["start"]), float(sfields["end"]), int(sfields["horizon"])
-    )
-    n_features = int(head["features"][0])
+    if set(head) != set(_HEAD_FIELDS):
+        raise ValueError("malformed or truncated model file header")
+    try:
+        confusion_set = confusion_set_from_text(", ".join(head["members"]))
+        k, l = (int(v.split("=", 1)[1]) for v in head["extraction"])
+        wfields = dict(v.split("=", 1) for v in head["winnow"])
+        params = WinnowParams(
+            theta=float(wfields["theta"]),
+            alpha=float(wfields["alpha"]),
+            betas=tuple(float(b) for b in head["betas"]),
+            default_weight=float(wfields["default_weight"]),
+            cycles=int(wfields["cycles"]),
+        )
+        sfields = dict(v.split("=", 1) for v in head["schedule"])
+        schedule = GammaSchedule(
+            float(sfields["start"]), float(sfields["end"]), int(sfields["horizon"])
+        )
+        n_features = int(head["features"][0])
+    except (KeyError, IndexError) as exc:
+        raise ValueError("malformed model file header") from exc
     feature_lines = lines[11 : 11 + n_features]
     features = [parse_feature_key(key) for key in feature_lines]
+    if len(set(features)) != n_features:
+        raise ValueError("model file truncated or has duplicate features")
     network = WinnowNetwork(
         confusion_set,
         features,
@@ -415,12 +428,17 @@ def network_from_text(text: str) -> WinnowNetwork:
     cloud = None
     classifier = None
     architecture = head["architecture"][0]
+    loaded = set()
     for line in lines[11 + n_features :]:
         fields = line.split("\t")
         if fields[0] == "cloud":
-            cloud = network.clouds[int(fields[1])]
+            member_index = int(fields[1])
+            if not 0 <= member_index < network.n_members:
+                raise ValueError(f"cloud {member_index} is out of range")
+            cloud = network.clouds[member_index]
             cloud.examples_seen = int(fields[2].split("=", 1)[1])
             cloud.classifiers = []
+            loaded.add(member_index)
         elif fields[0] == "classifier":
             if cloud is None:
                 raise ValueError("classifier outside any cloud")
@@ -433,7 +451,14 @@ def network_from_text(text: str) -> WinnowNetwork:
         else:
             if classifier is None:
                 raise ValueError("weight row outside any classifier")
-            classifier.weights[by_index[int(fields[0])]] = float(fields[1])
+            if len(fields) != 2:
+                raise ValueError(f"malformed weight row: {line!r}")
+            feature = by_index.get(int(fields[0]))
+            if feature is None:
+                raise ValueError(f"weight row for feature {fields[0]} is out of range")
+            classifier.weights[feature] = float(fields[1])
+    if len(loaded) != network.n_members or not all(c.classifiers for c in network.clouds):
+        raise ValueError("model file truncated: a cloud or its classifiers are missing")
     return network
 
 

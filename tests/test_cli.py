@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import winspell
 from winspell.cli import main
 from winspell.winnow import load_network
 
@@ -145,6 +150,42 @@ class TestClassify:
                   "--tagdict", workspace / "tags.tsv", text])
         assert rc == 1
         assert "no bayes models" in capsys.readouterr().err
+
+    def test_truncated_model_one_line_error(self, workspace, capsys, tmp_path):
+        out = self.train_first(workspace, capsys, system="winnow")
+        model = out / "peace+piece.winnow.model"
+        model.write_text("".join(model.read_text().splitlines(keepends=True)[:5]))
+        text = tmp_path / "input.txt"
+        text.write_text("a piece of cake\n")
+        rc = run(["classify", "--out", out, "--system", "winnow",
+                  "--tagdict", workspace / "tags.tsv", text])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {model}: ") and err.count("\n") == 1
+
+    def test_closed_stdout_exits_quietly(self, workspace, capsys, tmp_path):
+        out = self.train_first(workspace, capsys)
+        text = tmp_path / "input.txt"
+        # Far more output than a pipe buffers, so writes fail once the reader
+        # has gone.
+        text.write_text("a piece of cake\n" * 5000)
+        package_root = str(Path(winspell.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "winspell", "classify", "--out", str(out),
+             "--system", "bayes", "--tagdict", str(workspace / "tags.tsv"), str(text)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0, stderr.decode()
+        assert first.split(b"\t")[4] == b"ok"
+        assert stderr == b""
 
 
 def write_eval_workspace(tmp_path, seed=0):

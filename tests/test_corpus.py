@@ -168,6 +168,75 @@ class TestFindOccurrences:
             assert tuple(tokens[occ.span_start : previous_end]) == member
 
 
+def reference_matches(tokens, cset):
+    """Brute-force scan: at each position try every member, longest first
+    (ties in member order); on a match take it and jump past it."""
+    by_length = sorted(range(len(cset.members)), key=lambda i: -len(cset.members[i]))
+    out = []
+    i = 0
+    while i < len(tokens):
+        for mi in by_length:
+            member = cset.members[mi]
+            if tuple(tokens[i : i + len(member)]) == member:
+                out.append((i, len(member), mi))
+                i += len(member)
+                break
+        else:
+            i += 1
+    return out
+
+
+SHARED_FIRST_TOKEN_SETS = ("may, may be", "may be, may", "may, may be, may not be")
+
+
+class TestSharedFirstToken:
+    """Members that start with the same token: the longest must win."""
+
+    def test_longest_member_with_shared_first_token(self):
+        cset = confusion_set_from_text("may, may be")
+        sent = sentence_from_surfaces(["may", "be", "may", "it", "may"])
+        occs = find_occurrences([sent], cset)
+        assert [(o.span_start, o.span_len, o.member_index) for o in occs] == [
+            (0, 2, 1),
+            (2, 1, 0),
+            (4, 1, 0),
+        ]
+
+    @given(
+        st.sampled_from(SHARED_FIRST_TOKEN_SETS),
+        st.lists(
+            st.lists(st.sampled_from(["may", "be", "not", "maybe", "x"]), max_size=10),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_reference(self, set_text, token_lists):
+        cset = confusion_set_from_text(set_text)
+        corpus = [sentence_from_surfaces(tokens) for tokens in token_lists]
+        got = [
+            (id(o.sentence), o.span_start, o.span_len, o.member_index)
+            for o in find_occurrences(corpus, cset)
+        ]
+        want = [
+            (id(sent), *match)
+            for sent in corpus
+            for match in reference_matches(sent.surfaces, cset)
+        ]
+        assert got == want
+
+    @given(st.integers(0, 2**32), st.integers(0, 100))
+    @settings(max_examples=50, deadline=None)
+    def test_corrupt_restore_round_trip(self, seed, pct):
+        rng = random.Random(seed)
+        cset = confusion_set_from_text("may, may be")
+        corpus = [
+            sentence_from_surfaces(rng.choices(["may", "be", "it", "x"], k=rng.randint(0, 8)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        corrupted, log = corrupt(corpus, cset, pct, seed)
+        assert restore(corrupted, cset, log) == corpus
+
+
 class TestCorrupt:
     def setup_method(self):
         self.cset = confusion_set_from_text("hear, here")

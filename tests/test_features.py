@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,10 +23,18 @@ from winspell.features import (
     extract_active,
     generate_features,
     parse_feature_key,
+    prepare_set,
     prune,
 )
 
-from helpers import CHI2_ORACLE, corpus_of
+from helpers import (
+    CHI2_ORACLE,
+    corpus_of,
+    random_tiny_corpus,
+    separable_corpus,
+    small_disjunct_corpus,
+    two_domain_pair,
+)
 
 EMPTY_TAGS = TagDictionary()
 
@@ -290,3 +300,41 @@ class TestExtractActive:
         active = extract_active(sent, occ, generated, self.params, EMPTY_TAGS)
         assert list(active) == sorted(active)
         assert set(active) <= generated
+
+
+HELPER_CORPORA = {
+    "separable": lambda: separable_corpus(seed=3),
+    "small-disjunct": lambda: small_disjunct_corpus(seed=1),
+    "two-domain": lambda: two_domain_pair(seed=2),
+    "random-tiny": lambda: random_tiny_corpus(random.Random(5)),
+}
+
+
+class TestPrepareSet:
+    """The single pass equals collect_stats -> prune -> extract_active."""
+
+    @pytest.mark.parametrize("mode", [PRUNED, UNPRUNED])
+    @pytest.mark.parametrize("name", sorted(HELPER_CORPORA))
+    def test_matches_separate_passes(self, name, mode):
+        corpus, _other, cset = HELPER_CORPORA[name]()
+        params = ExtractionParams(k=3)
+        tags = TagDictionary({"the": {"DET"}, "on": {"PREP", "ADV"}, "old": {"ADJ"}})
+        policy = PruningPolicy(mode=mode)
+
+        stats, retained, stream = prepare_set(corpus, cset, params, tags, policy)
+
+        expected_stats = collect_stats(corpus, cset, params, tags)
+        assert list(stats.counts.items()) == list(expected_stats.counts.items())
+        assert stats.occurrences == expected_stats.occurrences
+        assert retained == prune(expected_stats, policy)
+        learned = set(retained)
+        assert stream == [
+            (extract_active(o.sentence, o, learned, params, tags), o.member_index)
+            for o in find_occurrences(corpus, cset)
+        ]
+
+    def test_zero_occurrences_error(self):
+        cset = confusion_set_from_text("peace, piece")
+        with pytest.raises(ValueError, match="no occurrences"):
+            prepare_set(corpus_of("nothing here"), cset, ExtractionParams(),
+                        EMPTY_TAGS, PruningPolicy())

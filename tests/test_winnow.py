@@ -443,3 +443,37 @@ class TestSerialization:
     def test_rejects_foreign_text(self):
         with pytest.raises(ValueError):
             network_from_text("BAYES v1\n")
+
+    def test_every_prefix_cut_in_header_or_features_rejected(self):
+        network, *_ = self.trained_network()
+        lines = network_to_text(network).splitlines(keepends=True)
+        # Header line, ten header fields, the feature list, then the first
+        # cloud line: every prefix that stops before that line is truncated.
+        first_cloud = 11 + len(network.feature_universe)
+        assert lines[first_cloud].startswith("cloud\t")
+        for n in range(1, first_cloud + 1):
+            with pytest.raises(ValueError):
+                network_from_text("".join(lines[:n]))
+
+    def test_cut_after_cloud_line_rejected(self):
+        network, *_ = self.trained_network()
+        lines = network_to_text(network).splitlines(keepends=True)
+        last_cloud = max(i for i, line in enumerate(lines) if line.startswith("cloud\t"))
+        with pytest.raises(ValueError, match="truncated"):
+            network_from_text("".join(lines[: last_cloud + 1]))
+
+    def test_missing_header_field_rejected(self):
+        network, *_ = self.trained_network()
+        text = network_to_text(network)
+        schedule_line = next(l for l in text.splitlines() if l.startswith("schedule\t"))
+        with pytest.raises(ValueError, match="header"):
+            network_from_text(text.replace(schedule_line, "schedule\tstart=1.0"))
+
+    @pytest.mark.parametrize("bad_row", ["{n_features}\t0.5", "-2\t0.5", "0"])
+    def test_bad_weight_row_rejected(self, bad_row):
+        network, *_ = self.trained_network()
+        lines = network_to_text(network).splitlines()
+        row = next(i for i, l in enumerate(lines) if l.startswith("0\t"))
+        lines[row] = bad_row.format(n_features=len(network.feature_universe))
+        with pytest.raises(ValueError, match="weight row"):
+            network_from_text("\n".join(lines) + "\n")
