@@ -6,7 +6,6 @@ from .corpus import (
     Occurrence,
     Sentence,
     TagDictionary,
-    Token,
     corrupt,
     find_occurrences,
     load_confusion_sets,

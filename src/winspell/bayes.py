@@ -9,15 +9,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import ConfusionSet, confusion_set_from_text
+from .corpus import ConfusionSet
 from .features import (
     COLLOCATION,
     ExtractionParams,
     Feature,
     FeatureStats,
     PruningPolicy,
+    association_table,
     chi_square_2x2,
     parse_feature_key,
+    parse_model_head,
     prune,
 )
 
@@ -44,7 +46,7 @@ class BayesModel:
     def __init__(
         self,
         confusion_set: ConfusionSet,
-        params: ExtractionParams,
+        extraction: ExtractionParams,
         counts: dict[Feature, Sequence[int]],
         occurrences: Sequence[int],
         smoothing: str = INTERPOLATIVE,
@@ -55,7 +57,7 @@ class BayesModel:
         if len(occurrences) != len(confusion_set.members):
             raise ValueError("occurrence counts do not match the confusion set")
         self.confusion_set = confusion_set
-        self.params = params
+        self.extraction = extraction
         self.features = tuple(sorted(counts))
         self.counts = {f: tuple(counts[f]) for f in self.features}
         self.occurrences = tuple(occurrences)
@@ -64,7 +66,6 @@ class BayesModel:
             raise ValueError("model needs at least one training occurrence")
         self.smoothing = smoothing
         self.dependency_resolution = dependency_resolution
-        self._feature_set = frozenset(self.features)
 
         self.priors = tuple(n / self.total for n in self.occurrences)
         self.p_ml: dict[Feature, tuple[float, ...]] = {}
@@ -78,23 +79,14 @@ class BayesModel:
             )
             self.p_unigram[f] = sum(row) / self.total
             self.lam[f] = tuple(
-                chi_square_2x2(*self._table(f, i))[1] for i in range(self.n_members)
+                chi_square_2x2(*association_table(row, self.occurrences, i))[1]
+                for i in range(self.n_members)
             )
             self.mean_lambda[f] = sum(self.lam[f]) / self.n_members
 
     @property
     def n_members(self) -> int:
         return len(self.confusion_set.members)
-
-    def _table(self, feature: Feature, member_index: int):
-        a = self.counts[feature][member_index]
-        b = sum(self.counts[feature]) - a
-        c = self.occurrences[member_index] - a
-        d = (self.total - self.occurrences[member_index]) - b
-        return a, b, c, d
-
-    def is_retained(self, feature: Feature) -> bool:
-        return feature in self._feature_set
 
 
 def train_bayes(
@@ -130,9 +122,10 @@ def smoothed_likelihood(model: BayesModel, feature: Feature, member_index: int) 
     """(1 - lambda) * P_ML(f|Wi) + lambda * P_ML(f), where lambda is the
     chi-square probability that the f/Wi association is due to chance;
     MLE-only mode returns the raw likelihood."""
-    if not model.is_retained(feature):
+    p_ml = model.p_ml.get(feature)
+    if p_ml is None:
         raise ValueError(f"feature not retained by this model: {feature.key()}")
-    ml = model.p_ml[feature][member_index]
+    ml = p_ml[member_index]
     if model.smoothing == MLE_ONLY:
         return ml
     lam = model.lam[feature][member_index]
@@ -221,7 +214,7 @@ def model_to_text(model: BayesModel) -> str:
     lines.append("members\t" + "\t".join(
         model.confusion_set.member_text(i) for i in range(model.n_members)
     ))
-    lines.append(f"extraction\tk={model.params.k}\tl={model.params.l}")
+    lines.append(f"extraction\tk={model.extraction.k}\tl={model.extraction.l}")
     lines.append(f"smoothing\t{model.smoothing}")
     lines.append(
         "dependency_resolution\t" + ("on" if model.dependency_resolution else "off")
@@ -234,48 +227,43 @@ def model_to_text(model: BayesModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+_HEAD_FIELDS = (
+    "members", "extraction", "smoothing", "dependency_resolution", "occurrences",
+    "priors", "features",
+)
+
+
 def model_from_text(text: str) -> BayesModel:
     lines = text.splitlines()
     if not lines or lines[0] != _HEADER:
         raise ValueError("not a BAYES v1 model file")
-    fields = _parse_sections(lines[1:8])
-    confusion_set = confusion_set_from_text(", ".join(fields["members"]))
-    k, l = (int(v.split("=", 1)[1]) for v in fields["extraction"])
-    occurrences = [int(n) for n in fields["occurrences"]]
-    n_features = int(fields["features"][0])
+    head, confusion_set, extraction = parse_model_head(lines[1:8], _HEAD_FIELDS)
+    try:
+        occurrences = [int(n) for n in head["occurrences"]]
+        (n_features,) = (int(n) for n in head["features"])
+        if head["dependency_resolution"] not in (["on"], ["off"]):
+            raise ValueError("dependency_resolution must be on or off")
+    except ValueError as exc:
+        raise ValueError(f"malformed model file header: {exc}") from exc
+    n_members = len(confusion_set.members)
     counts: dict[Feature, list[int]] = {}
     for line in lines[8 : 8 + n_features]:
         key, *row = line.split("\t")
+        if len(row) != n_members:
+            raise ValueError(
+                f"count row for {key!r} has {len(row)} counts, not {n_members}"
+            )
         counts[parse_feature_key(key)] = [int(c) for c in row]
     if len(counts) != n_features:
         raise ValueError("model file truncated or has duplicate features")
     return BayesModel(
         confusion_set,
-        ExtractionParams(k, l),
+        extraction,
         counts,
         occurrences,
-        smoothing=fields["smoothing"][0],
-        dependency_resolution=fields["dependency_resolution"][0] == "on",
+        smoothing=head["smoothing"][0],
+        dependency_resolution=head["dependency_resolution"] == ["on"],
     )
-
-
-def _parse_sections(lines: Sequence[str]) -> dict[str, list[str]]:
-    fields = {}
-    for line in lines:
-        name, *values = line.split("\t")
-        fields[name] = values
-    expected = {
-        "members",
-        "extraction",
-        "smoothing",
-        "dependency_resolution",
-        "occurrences",
-        "priors",
-        "features",
-    }
-    if set(fields) != expected:
-        raise ValueError("malformed model file header")
-    return fields
 
 
 def save_model(model: BayesModel, path: str | Path):

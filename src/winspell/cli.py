@@ -12,9 +12,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import bayes as bayes_mod
-from . import winnow as winnow_mod
-from .bayes import classify_bayes
 from .corpus import (
     CorpusError,
     corrupt,
@@ -29,11 +26,14 @@ from .evaluation import (
     PROTOCOLS,
     SYSTEMS,
     ExperimentConfig,
+    decide,
+    load_system_model,
     run_experiment,
+    save_system_model,
     train_system_model,
 )
 from .features import ExtractionParams, PruningPolicy, extract_active, prepare_set
-from .winnow import WinnowNetwork, WinnowParams, classify_winnow
+from .winnow import WinnowParams
 
 MODES = ("pruned", "unpruned")
 TRAINABLE_SYSTEMS = tuple(s for s in SYSTEMS if s != "baseline")
@@ -151,24 +151,12 @@ def _validate_choice(value: str, choices, what: str):
         raise UsageError(f"unknown {what}: {value!r} (choose from {', '.join(choices)})")
 
 
-def _extraction(args) -> ExtractionParams:
-    return ExtractionParams(args.k, args.l)
-
-
-def _winnow_params(args) -> WinnowParams:
-    return WinnowParams(cycles=args.cycles)
-
-
-def _model_path(out: str, slug: str, system: str) -> Path:
-    return Path(out) / f"{slug}.{system}.model"
-
-
 def cmd_train(args) -> int:
     _require(args, "corpus", "confusion_sets", "tagdict", "system", "out")
     _validate_choice(args.system, TRAINABLE_SYSTEMS, "system")
     _validate_choice(args.mode, MODES, "mode")
-    extraction = _extraction(args)
-    wparams = _winnow_params(args)
+    extraction = ExtractionParams(args.k, args.l)
+    wparams = WinnowParams(cycles=args.cycles)
     corpus = load_corpus(args.corpus)
     tagdict = load_tag_dictionary(args.tagdict)
     outdir = Path(args.out)
@@ -179,26 +167,10 @@ def cmd_train(args) -> int:
         model = train_system_model(
             args.system, stats, retained, policy, stream, extraction, wparams
         )
-        path = _model_path(args.out, cset.slug, args.system)
-        if isinstance(model, WinnowNetwork):
-            winnow_mod.save_network(model, path)
-        else:
-            bayes_mod.save_model(model, path)
+        path = outdir / f"{cset.slug}.{args.system}.model"
+        save_system_model(model, path)
         print(f"wrote {path}")
     return 0
-
-
-def _load_any_model(path: Path):
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-    try:
-        if header == "BAYES v1":
-            return bayes_mod.load_model(path)
-        if header == "WINNOW v1":
-            return winnow_mod.load_network(path)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    raise ValueError(f"{path}: unrecognized model format")
 
 
 def cmd_classify(args) -> int:
@@ -208,40 +180,33 @@ def cmd_classify(args) -> int:
     if not paths:
         print(f"error: no {args.system} models under {args.out}", file=sys.stderr)
         return 1
-    models = [_load_any_model(p) for p in paths]
+    models = [load_system_model(p) for p in paths]
     tagdict = load_tag_dictionary(args.tagdict)
     if args.input == "-":
         lines = sys.stdin.read().splitlines()
     else:
         lines = Path(args.input).read_text(encoding="utf-8").splitlines()
     sentences = [tokenize(line, i) for i, line in enumerate(lines, start=1) if line.strip()]
-    lookups = []
+    rows = []
     for model in models:
-        if isinstance(model, WinnowNetwork):
-            learned, extraction = model.feature_universe, model.extraction
-        else:
-            learned, extraction = model.features, model.params
-        lookups.append((model, model.confusion_set, set(learned), extraction))
-    for sentence in sentences:
-        for model, cset, learned, extraction in lookups:
-            for occ in find_occurrences([sentence], cset):
-                active = extract_active(sentence, occ, learned, extraction, tagdict)
-                if isinstance(model, WinnowNetwork):
-                    decision = classify_winnow(model, active)
-                    chosen, scores = decision.chosen, decision.activations
-                else:
-                    posterior = classify_bayes(model, active)
-                    chosen, scores = posterior.chosen, posterior.scores
-                observed = cset.member_text(occ.member_index)
-                suggested = cset.member_text(chosen)
-                flag = "ok" if chosen == occ.member_index else "fix"
-                score_text = ",".join(
-                    f"{cset.member_text(i)}={scores[i]:.6g}" for i in range(len(scores))
-                )
-                print(
-                    f"{sentence.source_line}\t{occ.span_start}:{occ.span_len}"
-                    f"\t{observed}\t{suggested}\t{flag}\t{score_text}"
-                )
+        cset, learned = model.confusion_set, set(model.features)
+        for occ in find_occurrences(sentences, cset):
+            active = extract_active(occ.sentence, occ, learned, model.extraction, tagdict)
+            chosen, scores = decide(model, active)
+            observed = cset.member_text(occ.member_index)
+            suggested = cset.member_text(chosen)
+            flag = "ok" if chosen == occ.member_index else "fix"
+            score_text = ",".join(
+                f"{cset.member_text(i)}={scores[i]:.6g}" for i in range(len(scores))
+            )
+            line = occ.sentence.source_line
+            rows.append((line, f"{line}\t{occ.span_start}:{occ.span_len}"
+                               f"\t{observed}\t{suggested}\t{flag}\t{score_text}"))
+    # Models were matched one after another; the stable sort by source line
+    # gives (line, model path, span start) order.
+    rows.sort(key=lambda row: row[0])
+    for _, row in rows:
+        print(row)
     return 0
 
 
@@ -256,8 +221,8 @@ def _experiment_config(args, systems) -> ExperimentConfig:
         test_corpus=args.test_corpus,
         seed=args.seed,
         corrupt_pct=args.corrupt_pct,
-        extraction=_extraction(args),
-        winnow=_winnow_params(args),
+        extraction=ExtractionParams(args.k, args.l),
+        winnow=WinnowParams(cycles=args.cycles),
     )
 
 

@@ -6,10 +6,8 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import count
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 UNKNOWN_TAG = "UNK"
 
@@ -26,26 +24,17 @@ class CorpusError(Exception):
     """Raised for unreadable or malformed corpus inputs."""
 
 
-class Token(NamedTuple):
-    surface: str
-    position: int
-
-
 @dataclass(frozen=True)
 class Sentence:
-    tokens: tuple[Token, ...]
+    surfaces: tuple[str, ...]
     source_line: int = 0
 
-    @cached_property
-    def surfaces(self) -> tuple[str, ...]:
-        return tuple(t.surface for t in self.tokens)
-
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.surfaces)
 
 
 def sentence_from_surfaces(surfaces: Iterable[str], source_line: int = 0) -> Sentence:
-    return Sentence(tuple(map(Token, surfaces, count())), source_line)
+    return Sentence(tuple(surfaces), source_line)
 
 
 def tokenize(text: str, source_line: int = 0) -> Sentence:
@@ -134,10 +123,6 @@ class TagDictionary:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-def tagset_lookup(dictionary: TagDictionary, word: str) -> frozenset[str]:
-    return dictionary.lookup(word)
 
 
 def load_tag_dictionary(path: str | Path) -> TagDictionary:

@@ -9,7 +9,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .bayes import INTERPOLATIVE, classify_bayes, train_bayes
+from .bayes import (
+    INTERPOLATIVE,
+    BayesModel,
+    classify_bayes,
+    load_model,
+    save_model,
+    train_bayes,
+)
 from .corpus import (
     ConfusionSet,
     Sentence,
@@ -37,6 +44,8 @@ from .winnow import (
     WinnowParams,
     classify_winnow,
     init_bayesian,
+    load_network,
+    save_network,
     sparsify,
     train_network,
 )
@@ -45,6 +54,10 @@ WITHIN = "within"
 ACROSS = "across"
 SUPUNSUP = "supunsup"
 PROTOCOLS = (WITHIN, ACROSS, SUPUNSUP)
+
+# Training share of the corpus; share of the test corpus kept out of testing.
+TRAIN_FRACTION = 0.8
+UNSUP_FRACTION = 0.6
 
 SYSTEMS = (
     "baseline",
@@ -130,7 +143,7 @@ def two_proportion_test(correct1: int, n1: int, correct2: int, n2: int) -> float
 
 
 # ---------------------------------------------------------------------------
-# System builders
+# Trained systems: the one place that tells a BayesModel from a WinnowNetwork
 # ---------------------------------------------------------------------------
 
 
@@ -176,24 +189,36 @@ def train_system_model(
     return network
 
 
-def build_system(
-    name: str,
-    stats: FeatureStats,
-    retained,
-    policy: PruningPolicy,
-    train_stream: Sequence[tuple[tuple, int]],
-    extraction: ExtractionParams,
-    winnow_params: WinnowParams,
-) -> Callable[[Iterable], int]:
-    """Train one system and return its predictor (active set -> member)."""
-    if name == "baseline":
-        return baseline_classify(stats)
-    model = train_system_model(
-        name, stats, retained, policy, train_stream, extraction, winnow_params
-    )
+def decide(model: BayesModel | WinnowNetwork, active) -> tuple[int, tuple[float, ...]]:
+    """The chosen member and the per-member scores (Bayes log posteriors or
+    Winnow cloud outputs) of a trained model for one active set."""
     if isinstance(model, WinnowNetwork):
-        return lambda active: classify_winnow(model, active).chosen
-    return lambda active: classify_bayes(model, active).chosen
+        decision = classify_winnow(model, active)
+        return decision.chosen, decision.activations
+    posterior = classify_bayes(model, active)
+    return posterior.chosen, posterior.scores
+
+
+def save_system_model(model: BayesModel | WinnowNetwork, path: str | Path):
+    if isinstance(model, WinnowNetwork):
+        save_network(model, path)
+    else:
+        save_model(model, path)
+
+
+def load_system_model(path: str | Path) -> BayesModel | WinnowNetwork:
+    """Load a ``BAYES v1`` or ``WINNOW v1`` file, told apart by its first
+    line. Every ValueError names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip()
+        if header == "BAYES v1":
+            return load_model(path)
+        if header == "WINNOW v1":
+            return load_network(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    raise ValueError(f"{path}: unrecognized model format")
 
 
 @dataclass
@@ -235,10 +260,15 @@ def evaluate_systems(
     ]
     outcomes = {}
     for name in systems:
-        predict = build_system(
-            name, stats, retained, policy, train_stream, extraction, winnow_params
-        )
-        outcomes[name] = [predict(active) == member for active, member in test_cases]
+        if name == "baseline":
+            predict = baseline_classify(stats)
+            chosen = [predict(active) for active, _ in test_cases]
+        else:
+            model = train_system_model(
+                name, stats, retained, policy, train_stream, extraction, winnow_params
+            )
+            chosen = [decide(model, active)[0] for active, _ in test_cases]
+        outcomes[name] = [c == member for c, (_, member) in zip(chosen, test_cases)]
     return SetResult(confusion_set.label, len(test_cases), outcomes)
 
 
@@ -327,8 +357,6 @@ class ExperimentConfig:
     test_corpus: str | Path | None = None
     seed: int = 0
     corrupt_pct: float = 5.0
-    train_fraction: float = 0.8
-    unsup_fraction: float = 0.6
     extraction: ExtractionParams = field(default_factory=ExtractionParams)
     winnow: WinnowParams = field(default_factory=WinnowParams)
 
@@ -351,16 +379,14 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     confusion_sets = load_confusion_sets(config.confusion_sets)
     tagdict = load_tag_dictionary(config.tagdict)
     if config.protocol == WITHIN:
-        train, test = split_corpus(corpus, SplitSpec(config.train_fraction, config.seed))
+        train, test = split_corpus(corpus, SplitSpec(TRAIN_FRACTION, config.seed))
         plans = [(cs, train, test) for cs in confusion_sets]
     else:
         if config.test_corpus is None:
             raise ValueError(f"protocol {config.protocol!r} needs a test corpus")
         test_corpus = load_corpus(config.test_corpus)
-        train, _ = split_corpus(corpus, SplitSpec(config.train_fraction, config.seed))
-        unsup, test = split_corpus(
-            test_corpus, SplitSpec(config.unsup_fraction, config.seed)
-        )
+        train, _ = split_corpus(corpus, SplitSpec(TRAIN_FRACTION, config.seed))
+        unsup, test = split_corpus(test_corpus, SplitSpec(UNSUP_FRACTION, config.seed))
         plans = []
         for cs in confusion_sets:
             if config.protocol == ACROSS:

@@ -13,6 +13,7 @@ from .corpus import (
     Occurrence,
     Sentence,
     TagDictionary,
+    confusion_set_from_text,
     find_occurrences,
 )
 
@@ -174,9 +175,6 @@ class FeatureStats:
     def total_occurrences(self) -> int:
         return sum(self.occurrences)
 
-    def feature_total(self, feature: Feature) -> int:
-        return sum(self.counts[feature])
-
     def add(self, feature_set: Iterable[Feature], member_index: int):
         self.occurrences[member_index] += 1
         for feature in sorted(feature_set):
@@ -186,12 +184,7 @@ class FeatureStats:
             row[member_index] += 1
 
     def table(self, feature: Feature, member_index: int) -> tuple[int, int, int, int]:
-        """2x2 association table: feature present/absent x member vs rest."""
-        a = self.counts[feature][member_index]
-        b = self.feature_total(feature) - a
-        c = self.occurrences[member_index] - a
-        d = (self.total_occurrences - self.occurrences[member_index]) - b
-        return a, b, c, d
+        return association_table(self.counts[feature], self.occurrences, member_index)
 
     def max_association(self, feature: Feature) -> float:
         """Largest chi-square statistic over members (for >2-member sets the
@@ -199,6 +192,17 @@ class FeatureStats:
         return max(
             chi_square_2x2(*self.table(feature, i))[0] for i in range(self.n_members)
         )
+
+
+def association_table(
+    row: Sequence[int], occurrences: Sequence[int], member_index: int
+) -> tuple[int, int, int, int]:
+    """2x2 table of one feature's count row: feature present/absent x member vs rest."""
+    a = row[member_index]
+    b = sum(row) - a
+    c = occurrences[member_index] - a
+    d = (sum(occurrences) - occurrences[member_index]) - b
+    return a, b, c, d
 
 
 def _count_features(
@@ -273,7 +277,7 @@ def prune(stats: FeatureStats, policy: PruningPolicy) -> tuple[Feature, ...]:
     retained = []
     n_total = stats.total_occurrences
     for feature in sorted(stats.counts):
-        total = stats.feature_total(feature)
+        total = sum(stats.counts[feature])
         if policy.mode == UNPRUNED:
             if total != 1:
                 retained.append(feature)
@@ -297,12 +301,8 @@ def extract_active(
 ) -> tuple[Feature, ...]:
     """Active features for one occurrence: generated set intersected with the
     learned set, in canonical order."""
-    learned = (
-        learned_features
-        if isinstance(learned_features, (set, frozenset))
-        else set(learned_features)
-    )
-    return tuple(sorted(generate_features(sentence, occurrence, params, tagdict) & learned))
+    generated = generate_features(sentence, occurrence, params, tagdict)
+    return tuple(sorted(generated.intersection(learned_features)))
 
 
 def prepare_set(
@@ -321,3 +321,35 @@ def prepare_set(
     learned = set(retained)
     stream = [(tuple(sorted(features & learned)), member) for features, member in generated]
     return stats, retained, stream
+
+
+def parse_assignments(values: Sequence[str], names: Sequence[str]) -> list[str]:
+    """The values of the fields ``name=value`` for ``names``, in order."""
+    if len(values) != len(names) or not all(
+        v.startswith(name + "=") for v, name in zip(values, names)
+    ):
+        expected = " ".join(f"{name}=..." for name in names)
+        raise ValueError(f"expected {expected}, got {' '.join(values)!r}")
+    return [v[len(name) + 1 :] for v, name in zip(values, names)]
+
+
+def parse_model_head(
+    lines: Sequence[str], names: Sequence[str]
+) -> tuple[dict[str, list[str]], ConfusionSet, ExtractionParams]:
+    """The values of each model file header line ``name<TAB>value...`` by
+    name (exactly ``names``, any order), and the ``members`` and ``extraction``
+    every model format declares. ValueError for anything else."""
+    fields: dict[str, list[str]] = {}
+    for line in lines[: len(names)]:
+        name, *values = line.split("\t")
+        if name not in names or name in fields or not values:
+            raise ValueError(f"malformed model file header line: {line!r}")
+        fields[name] = values
+    if len(fields) != len(names):
+        raise ValueError("truncated model file header")
+    try:
+        confusion_set = confusion_set_from_text(", ".join(fields["members"]))
+        k, l = (int(v) for v in parse_assignments(fields["extraction"], ("k", "l")))
+        return fields, confusion_set, ExtractionParams(k, l)
+    except ValueError as exc:
+        raise ValueError(f"malformed model file header: {exc}") from exc

@@ -15,8 +15,15 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .bayes import BayesModel, smoothed_likelihood
-from .corpus import ConfusionSet, confusion_set_from_text
-from .features import BIAS, ExtractionParams, Feature, parse_feature_key
+from .corpus import ConfusionSet
+from .features import (
+    BIAS,
+    ExtractionParams,
+    Feature,
+    parse_assignments,
+    parse_feature_key,
+    parse_model_head,
+)
 
 SPARSE = "sparse"
 FULL = "full"
@@ -177,7 +184,7 @@ class WinnowNetwork:
     def __init__(
         self,
         confusion_set: ConfusionSet,
-        feature_universe: Iterable[Feature],
+        features: Iterable[Feature],
         params: WinnowParams | None = None,
         extraction: ExtractionParams | None = None,
         layer_mode: str = TWO_LAYER,
@@ -188,7 +195,7 @@ class WinnowNetwork:
         if layer_mode not in (ONE_LAYER, TWO_LAYER):
             raise ValueError(f"unknown layer mode: {layer_mode!r}")
         self.confusion_set = confusion_set
-        self.feature_universe = tuple(sorted(feature_universe))
+        self.features = tuple(sorted(features))
         self.params = params or WinnowParams()
         self.extraction = extraction or ExtractionParams()
         self.layer_mode = layer_mode
@@ -212,7 +219,7 @@ class WinnowNetwork:
     def _fresh_classifier(self, beta: float, architecture: str) -> WinnowClassifier:
         weights = {BIAS_FEATURE: self.params.default_weight}
         if architecture == FULL:
-            for f in self.feature_universe:
+            for f in self.features:
                 weights[f] = self.params.default_weight
         return WinnowClassifier(beta, architecture, weights)
 
@@ -291,12 +298,12 @@ def init_bayesian(network: WinnowNetwork, model: BayesModel):
     """
     if network.architecture != FULL:
         raise ValueError("Bayesian initialization requires a full network")
-    if set(network.feature_universe) != set(model.features):
+    if set(network.features) != set(model.features):
         raise ValueError("network and model feature sets differ")
     raw: list[dict[Feature, float]] = []
     for i in range(network.n_members):
         weights = {BIAS_FEATURE: _floored_log(model.priors[i])}
-        for f in network.feature_universe:
+        for f in network.features:
             weights[f] = _floored_log(smoothed_likelihood(model, f, i))
         raw.append(weights)
     shift = -min(w for weights in raw for w in weights.values())
@@ -357,10 +364,10 @@ def network_to_text(network: WinnowNetwork) -> str:
     s = network.schedule
     lines.append(f"schedule\tstart={s.start!r}\tend={s.end!r}\thorizon={s.horizon}")
     lines.append("priors\t" + "\t".join(repr(pr) for pr in network.priors))
-    lines.append(f"features\t{len(network.feature_universe)}")
-    index = {f: i for i, f in enumerate(network.feature_universe)}
+    lines.append(f"features\t{len(network.features)}")
+    index = {f: i for i, f in enumerate(network.features)}
     index[BIAS_FEATURE] = -1
-    for f in network.feature_universe:
+    for f in network.features:
         lines.append(f.key())
     for cloud in network.clouds:
         lines.append(f"cloud\t{cloud.member_index}\texamples_seen={cloud.examples_seen}")
@@ -384,30 +391,25 @@ def network_from_text(text: str) -> WinnowNetwork:
     lines = text.splitlines()
     if not lines or lines[0] != _HEADER:
         raise ValueError("not a WINNOW v1 model file")
-    head = {}
-    for line in lines[1:11]:
-        name, *values = line.split("\t")
-        head[name] = values
-    if set(head) != set(_HEAD_FIELDS):
-        raise ValueError("malformed or truncated model file header")
+    head, confusion_set, extraction = parse_model_head(lines[1:11], _HEAD_FIELDS)
     try:
-        confusion_set = confusion_set_from_text(", ".join(head["members"]))
-        k, l = (int(v.split("=", 1)[1]) for v in head["extraction"])
-        wfields = dict(v.split("=", 1) for v in head["winnow"])
+        theta, alpha, default_weight, cycles = parse_assignments(
+            head["winnow"], ("theta", "alpha", "default_weight", "cycles")
+        )
         params = WinnowParams(
-            theta=float(wfields["theta"]),
-            alpha=float(wfields["alpha"]),
+            theta=float(theta),
+            alpha=float(alpha),
             betas=tuple(float(b) for b in head["betas"]),
-            default_weight=float(wfields["default_weight"]),
-            cycles=int(wfields["cycles"]),
+            default_weight=float(default_weight),
+            cycles=int(cycles),
         )
-        sfields = dict(v.split("=", 1) for v in head["schedule"])
-        schedule = GammaSchedule(
-            float(sfields["start"]), float(sfields["end"]), int(sfields["horizon"])
+        start, end, horizon = parse_assignments(
+            head["schedule"], ("start", "end", "horizon")
         )
-        n_features = int(head["features"][0])
-    except (KeyError, IndexError) as exc:
-        raise ValueError("malformed model file header") from exc
+        schedule = GammaSchedule(float(start), float(end), int(horizon))
+        (n_features,) = (int(n) for n in head["features"])
+    except ValueError as exc:
+        raise ValueError(f"malformed model file header: {exc}") from exc
     feature_lines = lines[11 : 11 + n_features]
     features = [parse_feature_key(key) for key in feature_lines]
     if len(set(features)) != n_features:
@@ -416,7 +418,7 @@ def network_from_text(text: str) -> WinnowNetwork:
         confusion_set,
         features,
         params,
-        ExtractionParams(k, l),
+        extraction,
         layer_mode=head["layer"][0],
         architecture=head["architecture"][0],
         priors=[float(pr) for pr in head["priors"]],
@@ -432,20 +434,20 @@ def network_from_text(text: str) -> WinnowNetwork:
     for line in lines[11 + n_features :]:
         fields = line.split("\t")
         if fields[0] == "cloud":
+            (examples_seen,) = parse_assignments(fields[2:], ("examples_seen",))
             member_index = int(fields[1])
             if not 0 <= member_index < network.n_members:
                 raise ValueError(f"cloud {member_index} is out of range")
             cloud = network.clouds[member_index]
-            cloud.examples_seen = int(fields[2].split("=", 1)[1])
+            cloud.examples_seen = int(examples_seen)
             cloud.classifiers = []
             loaded.add(member_index)
         elif fields[0] == "classifier":
             if cloud is None:
                 raise ValueError("classifier outside any cloud")
+            beta, mistakes = parse_assignments(fields[1:], ("beta", "mistakes"))
             classifier = WinnowClassifier(
-                beta=float(fields[1].split("=", 1)[1]),
-                architecture=architecture,
-                mistakes=int(fields[2].split("=", 1)[1]),
+                beta=float(beta), architecture=architecture, mistakes=int(mistakes)
             )
             cloud.classifiers.append(classifier)
         else:

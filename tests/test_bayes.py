@@ -15,6 +15,7 @@ from winspell.bayes import (
     smoothed_likelihood,
     train_bayes,
 )
+from winspell.cli import main
 from winspell.corpus import TagDictionary, confusion_set_from_text, find_occurrences
 from winspell.features import (
     ExtractionParams,
@@ -206,7 +207,7 @@ class TestClassifyBayes:
         test_sentence = corpus_of("i'd like a peace of cake")[0]
         occ = find_occurrences([test_sentence], cset)[0]
         active = extract_active(
-            test_sentence, occ, set(model.features), model.params, EMPTY_TAGS
+            test_sentence, occ, set(model.features), model.extraction, EMPTY_TAGS
         )
         posterior = classify_bayes(model, active)
         expected = oracle_bayes_scores(stats, active, 2)
@@ -257,7 +258,7 @@ class TestSerialization:
         for text in ("a peace of cake", "one piece of pie", "peace talks now"):
             sent = corpus_of(text)[0]
             occ = find_occurrences([sent], cset)[0]
-            active = extract_active(sent, occ, set(model.features), model.params, EMPTY_TAGS)
+            active = extract_active(sent, occ, set(model.features), model.extraction, EMPTY_TAGS)
             assert classify_bayes(loaded, active) == classify_bayes(model, active)
 
     def test_round_trip_preserves_tables(self):
@@ -273,6 +274,33 @@ class TestSerialization:
     def test_rejects_foreign_text(self):
         with pytest.raises(ValueError):
             model_from_text("WINNOW v1\n")
+
+    @pytest.mark.parametrize(
+        "case", ["extraction-field", "bare-features-line", "short-count-row", "long-count-row"]
+    )
+    def test_malformed_file_one_line_error(self, case, tmp_path, capsys):
+        model, _ = toy_model()
+        lines = model_to_text(model).splitlines()
+        assert lines[2].startswith("extraction\t") and lines[7].startswith("features\t")
+        count_row = lines[8]
+        index, new_line = {
+            "extraction-field": (2, "extraction\tk10\tl=2"),
+            "bare-features-line": (7, "features"),
+            "short-count-row": (8, count_row.rsplit("\t", 1)[0]),
+            "long-count-row": (8, count_row + "\t0"),
+        }[case]
+        lines[index] = new_line
+        path = tmp_path / "models" / f"{model.confusion_set.slug}.bayes.model"
+        path.parent.mkdir()
+        path.write_text("\n".join(lines) + "\n")
+        (tmp_path / "tags.tsv").write_text("of\tPREP\n")
+        (tmp_path / "draft.txt").write_text("a peace of cake\n")
+        rc = main(["classify", "--out", str(path.parent), "--system", "bayes",
+                   "--tagdict", str(tmp_path / "tags.tsv"), str(tmp_path / "draft.txt")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
 
 
 class TestOracleEquivalenceSample:

@@ -187,6 +187,47 @@ class TestClassify:
         assert first.split(b"\t")[4] == b"ok"
         assert stderr == b""
 
+    @pytest.mark.parametrize("system", ["bayes", "winnow"])
+    def test_rows_ordered_by_line_then_model_then_span(self, tmp_path, capsys, system):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(
+            "a piece of cake is easy\nanother piece of cake for you\n"
+            "world peace is the goal\nthe peace treaty was signed\n"
+            "their house is big\ntheir dog barks\n"
+            "over there it is\nput it there now\n"
+        )
+        sets = tmp_path / "sets.txt"
+        sets.write_text("their, there\npeace, piece\n")
+        tags = tmp_path / "tags.tsv"
+        tags.write_text("of\tPREP\n")
+        out = tmp_path / "models"
+        assert run(["train", "--corpus", corpus, "--confusion-sets", sets,
+                    "--tagdict", tags, "--mode", "unpruned", "--system", system,
+                    "--out", out]) == 0
+        capsys.readouterr()
+        draft = tmp_path / "draft.txt"
+        draft.write_text(
+            "there is a piece of their cake\n"
+            "\n"
+            "peace and piece over there and their peace\n"
+            "nothing here\n"
+        )
+        assert run(["classify", "--out", out, "--system", system,
+                    "--tagdict", tags, draft]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert all(len(row) == 6 for row in rows)
+        # Model files sort as peace+piece before their+there.
+        assert [row[:3] for row in rows] == [
+            ["1", "3:1", "piece"],
+            ["1", "0:1", "there"],
+            ["1", "5:1", "their"],
+            ["3", "0:1", "peace"],
+            ["3", "2:1", "piece"],
+            ["3", "7:1", "peace"],
+            ["3", "4:1", "there"],
+            ["3", "6:1", "their"],
+        ]
+
 
 def write_eval_workspace(tmp_path, seed=0):
     train, test, _ = separable_corpus(seed=seed)

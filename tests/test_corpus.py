@@ -16,7 +16,6 @@ from winspell.corpus import (
     load_tag_dictionary,
     restore,
     sentence_from_surfaces,
-    tagset_lookup,
     tokenize,
 )
 
@@ -39,10 +38,6 @@ class TestTokenize:
 
     def test_its_apostrophe_forms(self):
         assert tokenize("it's its").surfaces == ("it's", "its")
-
-    def test_positions_consecutive(self):
-        sent = tokenize("a b, c")
-        assert [t.position for t in sent.tokens] == list(range(len(sent)))
 
     @given(st.text(max_size=80))
     @settings(max_examples=200, deadline=None)
@@ -117,11 +112,11 @@ class TestTagDictionary:
         path = tmp_path / "tags.tsv"
         path.write_text("to\tPREP,TO\ncake\tNOUN_sing\n")
         tagdict = load_tag_dictionary(path)
-        assert tagset_lookup(tagdict, "to") == {"PREP", "TO"}
-        assert tagset_lookup(tagdict, "cake") == {"NOUN_sing"}
+        assert tagdict.lookup("to") == {"PREP", "TO"}
+        assert tagdict.lookup("cake") == {"NOUN_sing"}
 
     def test_lookup_unknown_falls_back(self):
-        assert tagset_lookup(TagDictionary(), "zzxq") == {"UNK"}
+        assert TagDictionary().lookup("zzxq") == {"UNK"}
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "tags.tsv"

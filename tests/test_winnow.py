@@ -449,7 +449,7 @@ class TestSerialization:
         lines = network_to_text(network).splitlines(keepends=True)
         # Header line, ten header fields, the feature list, then the first
         # cloud line: every prefix that stops before that line is truncated.
-        first_cloud = 11 + len(network.feature_universe)
+        first_cloud = 11 + len(network.features)
         assert lines[first_cloud].startswith("cloud\t")
         for n in range(1, first_cloud + 1):
             with pytest.raises(ValueError):
@@ -469,11 +469,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match="header"):
             network_from_text(text.replace(schedule_line, "schedule\tstart=1.0"))
 
+    @pytest.mark.parametrize(
+        "prefix, bad_row",
+        [("cloud\t", "cloud\t0"), ("classifier\t", "classifier\tbeta=0.5"),
+         ("classifier\t", "classifier\t0.5\tmistakes=0")],
+    )
+    def test_bad_cloud_or_classifier_row_rejected(self, prefix, bad_row):
+        network, *_ = self.trained_network()
+        lines = network_to_text(network).splitlines()
+        row = next(i for i, l in enumerate(lines) if l.startswith(prefix))
+        lines[row] = bad_row
+        with pytest.raises(ValueError, match="expected"):
+            network_from_text("\n".join(lines) + "\n")
+
     @pytest.mark.parametrize("bad_row", ["{n_features}\t0.5", "-2\t0.5", "0"])
     def test_bad_weight_row_rejected(self, bad_row):
         network, *_ = self.trained_network()
         lines = network_to_text(network).splitlines()
         row = next(i for i, l in enumerate(lines) if l.startswith("0\t"))
-        lines[row] = bad_row.format(n_features=len(network.feature_universe))
+        lines[row] = bad_row.format(n_features=len(network.features))
         with pytest.raises(ValueError, match="weight row"):
             network_from_text("\n".join(lines) + "\n")
