@@ -28,7 +28,8 @@ from .features import (
 )
 from .bayes import (
     BayesModel,
-    Posterior,
+    Decision,
+    choose,
     classify_bayes,
     resolve_dependencies,
     smoothed_likelihood,

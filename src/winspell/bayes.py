@@ -28,11 +28,19 @@ MLE_ONLY = "mle"
 
 
 @dataclass(frozen=True)
-class Posterior:
-    """Per-member log scores and the chosen member index."""
+class Decision:
+    """Per-member scores (Bayes log posteriors or Winnow cloud outputs) and
+    the chosen member index."""
 
     scores: tuple[float, ...]
     chosen: int
+
+
+def choose(scores: Sequence[float], priors: Sequence[float]) -> int:
+    """The member with the highest score; ties go to the larger training
+    prior, then the lower member index. Both learners decide by this rule,
+    so equal scores give equal decisions."""
+    return max(range(len(scores)), key=lambda i: (scores[i], priors[i], -i))
 
 
 class BayesModel:
@@ -173,12 +181,12 @@ def resolve_dependencies(
     )
 
 
-def classify_bayes(model: BayesModel, active_set: Iterable[Feature]) -> Posterior:
+def classify_bayes(model: BayesModel, active_set: Iterable[Feature]) -> Decision:
     """Log-space posterior over members; the normalizing constant is omitted.
 
-    Ties break toward the larger prior, then the lower member index. If every
-    member scores -inf (possible with MLE likelihoods), the prior alone
-    decides.
+    The member is picked by :func:`choose`. If every member scores -inf
+    (possible with MLE likelihoods), the equal scores leave the prior to
+    decide.
     """
     reduced = resolve_dependencies(model, active_set)
     scores = []
@@ -188,13 +196,7 @@ def classify_bayes(model: BayesModel, active_set: Iterable[Feature]) -> Posterio
         # fsum is exactly rounded, so members with identical term multisets
         # tie exactly and fall through to the prior rule.
         scores.append(math.fsum(terms))
-    if all(s == float("-inf") for s in scores):
-        chosen = max(range(model.n_members), key=lambda i: (model.priors[i], -i))
-    else:
-        chosen = max(
-            range(model.n_members), key=lambda i: (scores[i], model.priors[i], -i)
-        )
-    return Posterior(tuple(scores), chosen)
+    return Decision(tuple(scores), choose(scores, model.priors))
 
 
 def _log(x: float) -> float:
@@ -256,7 +258,9 @@ def model_from_text(text: str) -> BayesModel:
         counts[parse_feature_key(key)] = [int(c) for c in row]
     if len(counts) != n_features:
         raise ValueError("model file truncated or has duplicate features")
-    return BayesModel(
+    if len(lines) > 8 + n_features:
+        raise ValueError(f"line {9 + n_features}: text after the last count row")
+    model = BayesModel(
         confusion_set,
         extraction,
         counts,
@@ -264,6 +268,11 @@ def model_from_text(text: str) -> BayesModel:
         smoothing=head["smoothing"][0],
         dependency_resolution=head["dependency_resolution"] == ["on"],
     )
+    # Priors are recomputed from the occurrence counts; the stored line must
+    # be what saving them writes.
+    if head["priors"] != [repr(p) for p in model.priors]:
+        raise ValueError("priors line does not match the occurrence counts")
+    return model
 
 
 def save_model(model: BayesModel, path: str | Path):

@@ -164,9 +164,7 @@ def cmd_train(args) -> int:
     policy = PruningPolicy(mode=args.mode)
     for cset in load_confusion_sets(args.confusion_sets):
         stats, retained, stream = prepare_set(corpus, cset, extraction, tagdict, policy)
-        model = train_system_model(
-            args.system, stats, retained, policy, stream, extraction, wparams
-        )
+        model = train_system_model(args.system, stats, retained, policy, stream, wparams)
         path = outdir / f"{cset.slug}.{args.system}.model"
         save_system_model(model, path)
         print(f"wrote {path}")
@@ -192,12 +190,13 @@ def cmd_classify(args) -> int:
         cset, learned = model.confusion_set, set(model.features)
         for occ in find_occurrences(sentences, cset):
             active = extract_active(occ.sentence, occ, learned, model.extraction, tagdict)
-            chosen, scores = decide(model, active)
+            decision = decide(model, active)
             observed = cset.member_text(occ.member_index)
-            suggested = cset.member_text(chosen)
-            flag = "ok" if chosen == occ.member_index else "fix"
+            suggested = cset.member_text(decision.chosen)
+            flag = "ok" if decision.chosen == occ.member_index else "fix"
             score_text = ",".join(
-                f"{cset.member_text(i)}={scores[i]:.6g}" for i in range(len(scores))
+                f"{cset.member_text(i)}={score:.6g}"
+                for i, score in enumerate(decision.scores)
             )
             line = occ.sentence.source_line
             rows.append((line, f"{line}\t{occ.span_start}:{occ.span_len}"

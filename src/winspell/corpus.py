@@ -136,6 +136,10 @@ def load_tag_dictionary(path: str | Path) -> TagDictionary:
             entries[word] = frozenset(t.strip() for t in tags.split(",") if t.strip())
             if not entries[word]:
                 raise ValueError("entry has no tags")
+            # A tag is written into feature keys, which split on whitespace.
+            for tag in sorted(entries[word]):
+                if any(c.isspace() for c in tag):
+                    raise ValueError(f"tag {tag!r} contains whitespace")
         except ValueError as exc:
             raise CorpusError(f"{path}: line {lineno}: malformed tag entry: {exc}") from exc
     return TagDictionary(entries)

@@ -12,6 +12,7 @@ from typing import Callable, Iterable, Sequence
 from .bayes import (
     INTERPOLATIVE,
     BayesModel,
+    Decision,
     classify_bayes,
     load_model,
     save_model,
@@ -153,10 +154,10 @@ def train_system_model(
     retained,
     policy: PruningPolicy,
     train_stream: Sequence[tuple[tuple, int]],
-    extraction: ExtractionParams,
     winnow_params: WinnowParams,
 ):
-    """Train one persistable system; returns a BayesModel or WinnowNetwork."""
+    """Train one persistable system; returns a BayesModel or WinnowNetwork
+    that extracts features with the parameters ``stats`` were counted with."""
     if name == "bayes":
         return train_bayes(stats, policy, INTERPOLATIVE, True, retained)
     if name == "simplified-bayes":
@@ -165,7 +166,7 @@ def train_system_model(
     priors = tuple(n / stats.total_occurrences for n in stats.occurrences)
     if name == "winnow":
         network = WinnowNetwork(
-            stats.confusion_set, retained, winnow_params, extraction,
+            stats.confusion_set, retained, winnow_params, stats.params,
             layer_mode=TWO_LAYER, architecture=SPARSE, priors=priors,
         )
         train_network(network, train_stream)
@@ -178,7 +179,7 @@ def train_system_model(
     model = train_bayes(stats, policy, INTERPOLATIVE, False, retained)
     layer = ONE_LAYER if name in ("simplified-winnow", "winnow-1layer") else TWO_LAYER
     network = WinnowNetwork(
-        stats.confusion_set, retained, winnow_params, extraction,
+        stats.confusion_set, retained, winnow_params, stats.params,
         layer_mode=layer, architecture=FULL, priors=priors,
     )
     init_bayesian(network, model)
@@ -189,14 +190,11 @@ def train_system_model(
     return network
 
 
-def decide(model: BayesModel | WinnowNetwork, active) -> tuple[int, tuple[float, ...]]:
-    """The chosen member and the per-member scores (Bayes log posteriors or
-    Winnow cloud outputs) of a trained model for one active set."""
+def decide(model: BayesModel | WinnowNetwork, active) -> Decision:
+    """The decision of a trained model for one active set."""
     if isinstance(model, WinnowNetwork):
-        decision = classify_winnow(model, active)
-        return decision.chosen, decision.activations
-    posterior = classify_bayes(model, active)
-    return posterior.chosen, posterior.scores
+        return classify_winnow(model, active)
+    return classify_bayes(model, active)
 
 
 def save_system_model(model: BayesModel | WinnowNetwork, path: str | Path):
@@ -265,9 +263,9 @@ def evaluate_systems(
             chosen = [predict(active) for active, _ in test_cases]
         else:
             model = train_system_model(
-                name, stats, retained, policy, train_stream, extraction, winnow_params
+                name, stats, retained, policy, train_stream, winnow_params
             )
-            chosen = [decide(model, active)[0] for active, _ in test_cases]
+            chosen = [decide(model, active).chosen for active, _ in test_cases]
         outcomes[name] = [c == member for c, (_, member) in zip(chosen, test_cases)]
     return SetResult(confusion_set.label, len(test_cases), outcomes)
 
@@ -279,27 +277,18 @@ class EvalReport:
     systems: tuple[str, ...]
     results: list[SetResult]
 
-    @property
-    def total_cases(self) -> int:
-        return sum(r.cases for r in self.results)
-
-    def pooled_outcomes(self, system: str) -> list[bool]:
-        pooled: list[bool] = []
-        for r in self.results:
-            pooled.extend(r.outcomes[system])
-        return pooled
+    def pooled(self) -> SetResult:
+        """Every set's cases as one result: the OVERALL row."""
+        outcomes = {
+            s: [o for r in self.results for o in r.outcomes[s]] for s in self.systems
+        }
+        return SetResult("OVERALL", sum(r.cases for r in self.results), outcomes)
 
     def overall_percent(self, system: str) -> float:
-        total = self.total_cases
-        if total == 0:
-            return 0.0
-        return 100.0 * sum(self.pooled_outcomes(system)) / total
+        return self.pooled().percent(system)
 
     def adjacent_pairs(self) -> list[tuple[str, str]]:
         return list(zip(self.systems, self.systems[1:]))
-
-    def mcnemar_overall(self, system_a: str, system_b: str) -> float:
-        return mcnemar_test(self.pooled_outcomes(system_a), self.pooled_outcomes(system_b))
 
     def _header(self) -> list[str]:
         columns = ["confusion_set", "cases", *self.systems]
@@ -308,7 +297,7 @@ class EvalReport:
 
     def _rows(self) -> list[list[str]]:
         rows = []
-        for r in self.results:
+        for r in [*self.results, self.pooled()]:
             row = [r.label, str(r.cases)]
             row += [f"{r.percent(s):.1f}" for s in self.systems]
             row += [
@@ -316,12 +305,6 @@ class EvalReport:
                 for a, b in self.adjacent_pairs()
             ]
             rows.append(row)
-        overall = ["OVERALL", str(self.total_cases)]
-        overall += [f"{self.overall_percent(s):.1f}" for s in self.systems]
-        overall += [
-            f"{self.mcnemar_overall(a, b):.4g}" for a, b in self.adjacent_pairs()
-        ]
-        rows.append(overall)
         return rows
 
     def to_tsv(self) -> str:

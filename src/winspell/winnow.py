@@ -14,7 +14,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .bayes import BayesModel, smoothed_likelihood
+from .bayes import BayesModel, Decision, choose, smoothed_likelihood
 from .corpus import ConfusionSet
 from .features import (
     BIAS,
@@ -79,21 +79,17 @@ def gamma_at(schedule: GammaSchedule, t: int) -> float:
 class WinnowClassifier:
     """One Winnow unit: sparse weight map, demotion parameter, mistake count.
 
-    Sparse classifiers only hold weights for features connected by the
-    positive-example rule; unconnected features contribute 0.
+    A classifier only holds weights for features it is connected to;
+    unconnected features contribute 0.
     """
 
     def __init__(
         self,
         beta: float,
-        architecture: str = SPARSE,
         weights: Mapping[Feature, float] | None = None,
         mistakes: int = 0,
     ):
-        if architecture not in (SPARSE, FULL):
-            raise ValueError(f"unknown architecture: {architecture!r}")
         self.beta = beta
-        self.architecture = architecture
         self.weights: dict[Feature, float] = dict(weights or {})
         self.mistakes = mistakes
 
@@ -119,12 +115,13 @@ def winnow_train_example(
 ) -> int:
     """One online step; returns the pre-update prediction.
 
-    A positive example first connects any unconnected active features (sparse
-    mode) at the default weight; a mistaken prediction then promotes (missed
-    positive) or demotes (false positive) every connected active weight.
-    Negative examples never create connections.
+    A positive example first connects any unconnected active features at the
+    default weight; a mistaken prediction then promotes (missed positive) or
+    demotes (false positive) every connected active weight. Negative examples
+    never create connections. A full network is already connected to every
+    feature it can see, so only sparse networks grow.
     """
-    if label == 1 and classifier.architecture == SPARSE:
+    if label == 1:
         for f in active_set:
             if f not in classifier.weights:
                 classifier.weights[f] = params.default_weight
@@ -172,12 +169,6 @@ def cloud_activation(
     return numerator / denominator
 
 
-@dataclass(frozen=True)
-class WinnowDecision:
-    activations: tuple[float, ...]
-    chosen: int
-
-
 class WinnowNetwork:
     """Clouds for every confusion-set member plus the comparator state."""
 
@@ -194,11 +185,14 @@ class WinnowNetwork:
     ):
         if layer_mode not in (ONE_LAYER, TWO_LAYER):
             raise ValueError(f"unknown layer mode: {layer_mode!r}")
+        if architecture not in (SPARSE, FULL):
+            raise ValueError(f"unknown architecture: {architecture!r}")
         self.confusion_set = confusion_set
         self.features = tuple(sorted(features))
         self.params = params or WinnowParams()
         self.extraction = extraction or ExtractionParams()
         self.layer_mode = layer_mode
+        self.architecture = architecture
         self.init_mode = UNIFORM
         self.schedule = schedule or GammaSchedule()
         n = len(confusion_set.members)
@@ -212,20 +206,15 @@ class WinnowNetwork:
         else:
             betas = self.params.betas
         self.clouds = [
-            Cloud(i, [self._fresh_classifier(b, architecture) for b in betas])
-            for i in range(n)
+            Cloud(i, [self._fresh_classifier(b) for b in betas]) for i in range(n)
         ]
 
-    def _fresh_classifier(self, beta: float, architecture: str) -> WinnowClassifier:
+    def _fresh_classifier(self, beta: float) -> WinnowClassifier:
         weights = {BIAS_FEATURE: self.params.default_weight}
-        if architecture == FULL:
+        if self.architecture == FULL:
             for f in self.features:
                 weights[f] = self.params.default_weight
-        return WinnowClassifier(beta, architecture, weights)
-
-    @property
-    def architecture(self) -> str:
-        return self.clouds[0].classifiers[0].architecture
+        return WinnowClassifier(beta, weights)
 
     @property
     def n_members(self) -> int:
@@ -244,19 +233,13 @@ def cloud_output(network: WinnowNetwork, cloud: Cloud, active: Sequence[Feature]
     return cloud_activation(cloud, active, network.params, network.schedule)
 
 
-def classify_winnow(
-    network: WinnowNetwork, active_set: Iterable[Feature]
-) -> WinnowDecision:
-    """Pick the member with the highest cloud output; ties go to the larger
-    training prior, then the lower member index. The bias pseudo-feature is
-    added to the active set automatically."""
+def classify_winnow(network: WinnowNetwork, active_set: Iterable[Feature]) -> Decision:
+    """Score every member by its cloud output and pick one by
+    :func:`~winspell.bayes.choose`. The bias pseudo-feature is added to the
+    active set automatically."""
     active = _with_bias(active_set)
-    activations = tuple(cloud_output(network, cloud, active) for cloud in network.clouds)
-    chosen = max(
-        range(network.n_members),
-        key=lambda i: (activations[i], network.priors[i], -i),
-    )
-    return WinnowDecision(activations, chosen)
+    scores = tuple(cloud_output(network, cloud, active) for cloud in network.clouds)
+    return Decision(scores, choose(scores, network.priors))
 
 
 def train_network(
@@ -334,7 +317,7 @@ def sparsify(network: WinnowNetwork, counts: Mapping[Feature, Sequence[int]]):
                 for f, w in classifier.weights.items()
                 if f.kind == BIAS or demonstrated(f, cloud.member_index)
             }
-            classifier.architecture = SPARSE
+    network.architecture = SPARSE
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +391,8 @@ def network_from_text(text: str) -> WinnowNetwork:
         )
         schedule = GammaSchedule(float(start), float(end), int(horizon))
         (n_features,) = (int(n) for n in head["features"])
+        if head["init"] not in ([UNIFORM], [BAYESIAN]):
+            raise ValueError(f"init must be {UNIFORM} or {BAYESIAN}")
     except ValueError as exc:
         raise ValueError(f"malformed model file header: {exc}") from exc
     feature_lines = lines[11 : 11 + n_features]
@@ -429,7 +414,6 @@ def network_from_text(text: str) -> WinnowNetwork:
     by_index[-1] = BIAS_FEATURE
     cloud = None
     classifier = None
-    architecture = head["architecture"][0]
     loaded = set()
     for line in lines[11 + n_features :]:
         fields = line.split("\t")
@@ -446,9 +430,7 @@ def network_from_text(text: str) -> WinnowNetwork:
             if cloud is None:
                 raise ValueError("classifier outside any cloud")
             beta, mistakes = parse_assignments(fields[1:], ("beta", "mistakes"))
-            classifier = WinnowClassifier(
-                beta=float(beta), architecture=architecture, mistakes=int(mistakes)
-            )
+            classifier = WinnowClassifier(beta=float(beta), mistakes=int(mistakes))
             cloud.classifiers.append(classifier)
         else:
             if classifier is None:

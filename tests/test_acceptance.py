@@ -46,7 +46,6 @@ from winspell.features import (
 from winspell.winnow import (
     FULL,
     ONE_LAYER,
-    SPARSE,
     WinnowClassifier,
     WinnowNetwork,
     WinnowParams,
@@ -158,7 +157,7 @@ def _disjunction_mistakes(r, n, seed, n_examples=400, background=8):
     rng = random.Random(seed)
     pool = [context_word(f"f{i}") for i in range(n)]
     relevant = pool[:r]
-    classifier = WinnowClassifier(beta=0.5, architecture=SPARSE)
+    classifier = WinnowClassifier(beta=0.5)
     params = WinnowParams()
     for _ in range(n_examples):
         active = set()

@@ -276,18 +276,23 @@ class TestSerialization:
             model_from_text("WINNOW v1\n")
 
     @pytest.mark.parametrize(
-        "case", ["extraction-field", "bare-features-line", "short-count-row", "long-count-row"]
+        "case",
+        ["extraction-field", "bare-features-line", "short-count-row", "long-count-row",
+         "edited-priors", "row-after-last"],
     )
     def test_malformed_file_one_line_error(self, case, tmp_path, capsys):
         model, _ = toy_model()
         lines = model_to_text(model).splitlines()
         assert lines[2].startswith("extraction\t") and lines[7].startswith("features\t")
+        assert lines[6].startswith("priors\t") and lines[6] != "priors\t0.9\t0.1"
         count_row = lines[8]
         index, new_line = {
             "extraction-field": (2, "extraction\tk10\tl=2"),
             "bare-features-line": (7, "features"),
             "short-count-row": (8, count_row.rsplit("\t", 1)[0]),
             "long-count-row": (8, count_row + "\t0"),
+            "edited-priors": (6, "priors\t0.9\t0.1"),
+            "row-after-last": (len(lines) - 1, lines[-1] + "\nCW zzz\t9\t9"),
         }[case]
         lines[index] = new_line
         path = tmp_path / "models" / f"{model.confusion_set.slug}.bayes.model"

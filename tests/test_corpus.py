@@ -124,6 +124,16 @@ class TestTagDictionary:
         with pytest.raises(CorpusError, match="line 1"):
             load_tag_dictionary(path)
 
+    def test_whitespace_in_tag_rejected(self, tmp_path):
+        # A tag lands in collocation keys, which split on spaces; any other
+        # character, as in NOUN_sing or PRP$, reads back.
+        path = tmp_path / "tags.tsv"
+        path.write_text("to\tPREP, TO\nhis\tPRP$\nof\tPR EP\n")
+        with pytest.raises(CorpusError, match="line 3: malformed tag entry: .*whitespace"):
+            load_tag_dictionary(path)
+        path.write_text("to\tPREP, TO\nhis\tPRP$\n")
+        assert load_tag_dictionary(path).lookup("his") == {"PRP$"}
+
     def test_empty_tagset_rejected(self):
         with pytest.raises(ValueError):
             TagDictionary({"to": frozenset()})

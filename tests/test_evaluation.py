@@ -186,6 +186,18 @@ class TestEvalReport:
         assert lines[0].split("\t") == ["confusion_set", "cases", "s1", "s2", "p_s1_vs_s2"]
         assert len(lines) == 4
         assert lines[-1].startswith("OVERALL\t5\t80.0\t60.0")
+        pooled_s1 = [True] * 4 + [False]
+        pooled_s2 = [True, True, False, False, True]
+        p = mcnemar_test(pooled_s1, pooled_s2)
+        assert lines[-1] == f"OVERALL\t5\t80.0\t60.0\t{p:.4g}"
+        # A third set whose pooled McNemar p-value differs from every
+        # per-set one and from 1.
+        report.results.append(SetResult("e, f", 3, {"s1": [True] * 3, "s2": [False] * 3}))
+        p = mcnemar_test(pooled_s1 + [True] * 3, pooled_s2 + [False] * 3)
+        assert f"{p:.4g}" == "0.2207"
+        assert report.to_tsv().splitlines()[-1] == f"OVERALL\t8\t87.5\t37.5\t{p:.4g}"
+        empty = EvalReport(("s1", "s2"), []).to_tsv().splitlines()
+        assert empty == [lines[0], "OVERALL\t0\t0.0\t0.0\t1"]
 
     def test_table_aligned(self):
         table = self.build_report().to_table()

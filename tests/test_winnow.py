@@ -97,11 +97,6 @@ class TestTrainExample:
         winnow_train_example(clf, (F1,), 1, PARAMS)
         assert clf.weights[F3] == 2.0
 
-    def test_full_architecture_never_grows(self):
-        clf = WinnowClassifier(0.5, architecture=FULL, weights={F1: 0.4})
-        winnow_train_example(clf, (F1, F2), 1, PARAMS)
-        assert F2 not in clf.weights
-
     @given(st.lists(st.tuples(st.sets(st.sampled_from([F1, F2, F3])),
                               st.integers(0, 1)), max_size=40))
     @settings(max_examples=100, deadline=None)
@@ -211,12 +206,12 @@ class TestClassify:
         network.clouds[1].classifiers = cloud_with([0] * 5, [0] * 5).classifiers
         decision = classify_winnow(network, (F1,))
         assert decision.chosen == 0
-        assert decision.activations == (1.0, 0.0)
+        assert decision.scores == (1.0, 0.0)
 
     def test_tie_breaks_by_prior(self):
         network = toy_network(priors=(0.4, 0.6))
         decision = classify_winnow(network, ())
-        assert decision.activations[0] == decision.activations[1]
+        assert decision.scores[0] == decision.scores[1]
         assert decision.chosen == 1
 
     def test_tie_breaks_by_index_on_equal_priors(self):
@@ -468,6 +463,13 @@ class TestSerialization:
         schedule_line = next(l for l in text.splitlines() if l.startswith("schedule\t"))
         with pytest.raises(ValueError, match="header"):
             network_from_text(text.replace(schedule_line, "schedule\tstart=1.0"))
+
+    def test_unknown_init_rejected(self):
+        network, *_ = self.trained_network()
+        text = network_to_text(network)
+        assert "\ninit\tuniform\n" in text
+        with pytest.raises(ValueError, match="header: init must be"):
+            network_from_text(text.replace("\ninit\tuniform\n", "\ninit\tbogus\n"))
 
     @pytest.mark.parametrize(
         "prefix, bad_row",
