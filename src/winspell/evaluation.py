@@ -37,9 +37,7 @@ from .features import (
     prepare_set,
 )
 from .winnow import (
-    FULL,
     ONE_LAYER,
-    SPARSE,
     TWO_LAYER,
     WinnowNetwork,
     WinnowParams,
@@ -167,7 +165,7 @@ def train_system_model(
     if name == "winnow":
         network = WinnowNetwork(
             stats.confusion_set, retained, winnow_params, stats.params,
-            layer_mode=TWO_LAYER, architecture=SPARSE, priors=priors,
+            layer_mode=TWO_LAYER, priors=priors,
         )
         train_network(network, train_stream)
         return network
@@ -180,7 +178,7 @@ def train_system_model(
     layer = ONE_LAYER if name in ("simplified-winnow", "winnow-1layer") else TWO_LAYER
     network = WinnowNetwork(
         stats.confusion_set, retained, winnow_params, stats.params,
-        layer_mode=layer, architecture=FULL, priors=priors,
+        layer_mode=layer, priors=priors,
     )
     init_bayesian(network, model)
     if name == "winnow-bayes-init":

@@ -183,14 +183,13 @@ class FeatureStats:
                 row = self.counts[feature] = [0] * self.n_members
             row[member_index] += 1
 
-    def table(self, feature: Feature, member_index: int) -> tuple[int, int, int, int]:
-        return association_table(self.counts[feature], self.occurrences, member_index)
-
     def max_association(self, feature: Feature) -> float:
         """Largest chi-square statistic over members (for >2-member sets the
         member with the strongest association decides)."""
+        row = self.counts[feature]
         return max(
-            chi_square_2x2(*self.table(feature, i))[0] for i in range(self.n_members)
+            chi_square_2x2(*association_table(row, self.occurrences, i))[0]
+            for i in range(self.n_members)
         )
 
 

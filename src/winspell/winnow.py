@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -77,73 +76,83 @@ def gamma_at(schedule: GammaSchedule, t: int) -> float:
 
 
 class WinnowClassifier:
-    """One Winnow unit: sparse weight map, demotion parameter, mistake count.
+    """One Winnow unit: demotion parameter, weights, mistake count.
 
-    A classifier only holds weights for features it is connected to;
-    unconnected features contribute 0.
+    ``weights[i]`` is the weight of the feature in slot ``i`` of the owning
+    cloud's connection table; unconnected features contribute 0.
     """
 
-    def __init__(
-        self,
-        beta: float,
-        weights: Mapping[Feature, float] | None = None,
-        mistakes: int = 0,
-    ):
+    def __init__(self, beta: float, mistakes: int = 0):
         self.beta = beta
-        self.weights: dict[Feature, float] = dict(weights or {})
+        self.weights: list[float] = []
         self.mistakes = mistakes
 
 
-def weighted_sum(classifier: WinnowClassifier, active_set: Iterable[Feature]) -> float:
+def weighted_sum(classifier: WinnowClassifier, slots: Iterable[int]) -> float:
     # Exactly-rounded sum: clouds holding permutations of the same weights
     # produce bit-identical totals, so comparator ties are real ties.
-    return math.fsum(map(classifier.weights.get, active_set, repeat(0.0)))
+    return math.fsum(map(classifier.weights.__getitem__, slots))
 
 
-def winnow_predict(
-    classifier: WinnowClassifier, active_set: Iterable[Feature], theta: float
-) -> int:
-    """1 iff the summed weights of connected active features exceed theta."""
-    return 1 if weighted_sum(classifier, active_set) > theta else 0
-
-
-def winnow_train_example(
-    classifier: WinnowClassifier,
-    active_set: Sequence[Feature],
-    label: int,
-    params: WinnowParams,
-) -> int:
-    """One online step; returns the pre-update prediction.
-
-    A positive example first connects any unconnected active features at the
-    default weight; a mistaken prediction then promotes (missed positive) or
-    demotes (false positive) every connected active weight. Negative examples
-    never create connections. A full network is already connected to every
-    feature it can see, so only sparse networks grow.
-    """
-    if label == 1:
-        for f in active_set:
-            if f not in classifier.weights:
-                classifier.weights[f] = params.default_weight
-    prediction = winnow_predict(classifier, active_set, params.theta)
-    if prediction != label:
-        factor = params.alpha if label == 1 else classifier.beta
-        for f in active_set:
-            if f in classifier.weights:
-                classifier.weights[f] *= factor
-        classifier.mistakes += 1
-    return prediction
+def winnow_predict(classifier: WinnowClassifier, slots: Iterable[int], theta: float) -> int:
+    """1 iff the summed weights in the given slots (the connected active
+    features) exceed theta."""
+    return 1 if weighted_sum(classifier, slots) > theta else 0
 
 
 class Cloud:
-    """The ensemble of classifiers representing one confusion-set member."""
+    """The ensemble of classifiers representing one confusion-set member.
+
+    Every classifier of a cloud sees the same examples with the same label,
+    so all are connected to the same features: the cloud keeps one
+    connection table, ``slots``, mapping each connected feature to its index
+    in every classifier's ``weights``. A feature stays connected even if its
+    weights underflow to 0.0.
+    """
 
     def __init__(self, member_index: int, classifiers: Sequence[WinnowClassifier]):
         if not classifiers:
             raise ValueError("cloud needs at least one classifier")
         self.member_index = member_index
         self.classifiers = list(classifiers)
+        self.slots: dict[Feature, int] = {}
         self.examples_seen = 0
+
+    def connect(self, feature: Feature, weight: float):
+        """Connect ``feature`` at ``weight`` in every classifier."""
+        self.slots[feature] = len(self.slots)
+        for classifier in self.classifiers:
+            classifier.weights.append(weight)
+
+    def connected(self, active_set: Iterable[Feature]) -> list[int]:
+        """The slots of the connected features among ``active_set``."""
+        slots = self.slots
+        return [slots[f] for f in active_set if f in slots]
+
+
+def winnow_train_example(
+    cloud: Cloud, active_set: Sequence[Feature], label: int, params: WinnowParams
+):
+    """One online step for every classifier of the cloud.
+
+    A positive example first connects any unconnected active features at the
+    default weight; each classifier whose prediction is mistaken then
+    promotes (missed positive) or demotes (false positive) every connected
+    active weight. Negative examples never create connections.
+    """
+    if label == 1:
+        for f in active_set:
+            if f not in cloud.slots:
+                cloud.connect(f, params.default_weight)
+    slots = cloud.connected(active_set)
+    for classifier in cloud.classifiers:
+        if winnow_predict(classifier, slots, params.theta) != label:
+            factor = params.alpha if label == 1 else classifier.beta
+            weights = classifier.weights
+            for i in slots:
+                weights[i] *= factor
+            classifier.mistakes += 1
+    cloud.examples_seen += 1
 
 
 def cloud_activation(
@@ -154,23 +163,24 @@ def cloud_activation(
 ) -> float:
     """Weighted-majority activation: votes weighted by gamma**mistakes and
     normalized, so the result lies in [0, 1]."""
-    active = tuple(active_set)
+    slots = cloud.connected(active_set)
     gamma = gamma_at(schedule, cloud.examples_seen)
     numerator = 0.0
     denominator = 0.0
     for classifier in cloud.classifiers:
         weight = gamma**classifier.mistakes
-        numerator += weight * winnow_predict(classifier, active, params.theta)
+        numerator += weight * winnow_predict(classifier, slots, params.theta)
         denominator += weight
     if denominator == 0.0:
         # All gamma**m underflowed; fall back to the plain vote fraction.
-        votes = [winnow_predict(c, active, params.theta) for c in cloud.classifiers]
+        votes = [winnow_predict(c, slots, params.theta) for c in cloud.classifiers]
         return sum(votes) / len(votes)
     return numerator / denominator
 
 
 class WinnowNetwork:
-    """Clouds for every confusion-set member plus the comparator state."""
+    """Clouds for every confusion-set member plus the comparator state. A new
+    network is sparse, connected to the bias only."""
 
     def __init__(
         self,
@@ -179,20 +189,17 @@ class WinnowNetwork:
         params: WinnowParams | None = None,
         extraction: ExtractionParams | None = None,
         layer_mode: str = TWO_LAYER,
-        architecture: str = SPARSE,
         priors: Sequence[float] | None = None,
         schedule: GammaSchedule | None = None,
     ):
         if layer_mode not in (ONE_LAYER, TWO_LAYER):
             raise ValueError(f"unknown layer mode: {layer_mode!r}")
-        if architecture not in (SPARSE, FULL):
-            raise ValueError(f"unknown architecture: {architecture!r}")
         self.confusion_set = confusion_set
         self.features = tuple(sorted(features))
         self.params = params or WinnowParams()
         self.extraction = extraction or ExtractionParams()
         self.layer_mode = layer_mode
-        self.architecture = architecture
+        self.architecture = SPARSE
         self.init_mode = UNIFORM
         self.schedule = schedule or GammaSchedule()
         n = len(confusion_set.members)
@@ -205,16 +212,9 @@ class WinnowNetwork:
             betas: tuple[float, ...] = (statistics.median(self.params.betas),)
         else:
             betas = self.params.betas
-        self.clouds = [
-            Cloud(i, [self._fresh_classifier(b) for b in betas]) for i in range(n)
-        ]
-
-    def _fresh_classifier(self, beta: float) -> WinnowClassifier:
-        weights = {BIAS_FEATURE: self.params.default_weight}
-        if self.architecture == FULL:
-            for f in self.features:
-                weights[f] = self.params.default_weight
-        return WinnowClassifier(beta, weights)
+        self.clouds = [Cloud(i, [WinnowClassifier(b) for b in betas]) for i in range(n)]
+        for cloud in self.clouds:
+            cloud.connect(BIAS_FEATURE, self.params.default_weight)
 
     @property
     def n_members(self) -> int:
@@ -229,7 +229,7 @@ def cloud_output(network: WinnowNetwork, cloud: Cloud, active: Sequence[Feature]
     """What the comparator sees: the raw weighted sum in one-layer mode, the
     weighted-majority activation in two-layer mode."""
     if network.layer_mode == ONE_LAYER:
-        return weighted_sum(cloud.classifiers[0], active)
+        return weighted_sum(cloud.classifiers[0], cloud.connected(active))
     return cloud_activation(cloud, active, network.params, network.schedule)
 
 
@@ -242,11 +242,7 @@ def classify_winnow(network: WinnowNetwork, active_set: Iterable[Feature]) -> De
     return Decision(scores, choose(scores, network.priors))
 
 
-def train_network(
-    network: WinnowNetwork,
-    stream: Iterable[tuple[Sequence[Feature], int]],
-    cycles: int | None = None,
-):
+def train_network(network: WinnowNetwork, stream: Iterable[tuple[Sequence[Feature], int]]):
     """Online training over (active set, correct member) examples.
 
     Each example is positive for the correct member's cloud and negative for
@@ -255,10 +251,9 @@ def train_network(
     schedule horizon is fixed at the total number of presentations.
     """
     examples = [(_with_bias(active_set), member) for active_set, member in stream]
-    if cycles is None:
-        cycles = network.params.cycles
     if not examples:
         return
+    cycles = network.params.cycles
     network.schedule = GammaSchedule(
         network.schedule.start, network.schedule.end, cycles * len(examples)
     )
@@ -266,36 +261,33 @@ def train_network(
         for active, member in examples:
             for cloud in network.clouds:
                 label = 1 if cloud.member_index == member else 0
-                for classifier in cloud.classifiers:
-                    winnow_train_example(classifier, active, label, network.params)
-                cloud.examples_seen += 1
+                winnow_train_example(cloud, active, label, network.params)
 
 
 def init_bayesian(network: WinnowNetwork, model: BayesModel):
-    """Seed a full network with log-likelihood weights.
+    """Connect every cloud to every feature (a full network) with
+    log-likelihood weights.
 
     Cloud i's weight for feature f is log(smoothed likelihood) plus one
     global constant chosen so every weight is non-negative; log(0) is floored
     at -500. The bias pseudo-feature carries the log prior. An untrained
     one-layer network initialized this way reproduces the Bayesian decision.
     """
-    if network.architecture != FULL:
-        raise ValueError("Bayesian initialization requires a full network")
     if set(network.features) != set(model.features):
         raise ValueError("network and model feature sets differ")
-    raw: list[dict[Feature, float]] = []
-    for i in range(network.n_members):
-        weights = {BIAS_FEATURE: _floored_log(model.priors[i])}
-        for f in network.features:
-            weights[f] = _floored_log(smoothed_likelihood(model, f, i))
-        raw.append(weights)
-    shift = -min(w for weights in raw for w in weights.values())
+    raw = [
+        [_floored_log(model.priors[i])]
+        + [_floored_log(smoothed_likelihood(model, f, i)) for f in network.features]
+        for i in range(network.n_members)
+    ]
+    shift = -min(w for weights in raw for w in weights)
+    table = (BIAS_FEATURE, *network.features)
     for cloud in network.clouds:
+        cloud.slots = {f: i for i, f in enumerate(table)}
         for classifier in cloud.classifiers:
-            classifier.weights = {
-                f: w + shift for f, w in raw[cloud.member_index].items()
-            }
+            classifier.weights = [w + shift for w in raw[cloud.member_index]]
     network.priors = model.priors
+    network.architecture = FULL
     network.init_mode = BAYESIAN
 
 
@@ -306,17 +298,15 @@ def _floored_log(x: float) -> float:
 def sparsify(network: WinnowNetwork, counts: Mapping[Feature, Sequence[int]]):
     """Switch to the sparse architecture, dropping every link whose feature
     never co-occurred with the cloud's member during training."""
-    def demonstrated(f: Feature, member_index: int) -> bool:
-        row = counts.get(f)
-        return row is not None and row[member_index] > 0
-
     for cloud in network.clouds:
+        kept = [
+            (f, slot)
+            for f, slot in cloud.slots.items()
+            if f.kind == BIAS or (f in counts and counts[f][cloud.member_index] > 0)
+        ]
+        cloud.slots = {f: i for i, (f, _) in enumerate(kept)}
         for classifier in cloud.classifiers:
-            classifier.weights = {
-                f: w
-                for f, w in classifier.weights.items()
-                if f.kind == BIAS or demonstrated(f, cloud.member_index)
-            }
+            classifier.weights = [classifier.weights[slot] for _, slot in kept]
     network.architecture = SPARSE
 
 
@@ -354,13 +344,13 @@ def network_to_text(network: WinnowNetwork) -> str:
         lines.append(f.key())
     for cloud in network.clouds:
         lines.append(f"cloud\t{cloud.member_index}\texamples_seen={cloud.examples_seen}")
+        rows = sorted((index[f], slot) for f, slot in cloud.slots.items())
         for classifier in cloud.classifiers:
             lines.append(
                 f"classifier\tbeta={classifier.beta!r}\tmistakes={classifier.mistakes}"
             )
-            rows = sorted((index[f], w) for f, w in classifier.weights.items())
-            for fi, w in rows:
-                lines.append(f"{fi}\t{w!r}")
+            for fi, slot in rows:
+                lines.append(f"{fi}\t{classifier.weights[slot]!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -393,6 +383,8 @@ def network_from_text(text: str) -> WinnowNetwork:
         (n_features,) = (int(n) for n in head["features"])
         if head["init"] not in ([UNIFORM], [BAYESIAN]):
             raise ValueError(f"init must be {UNIFORM} or {BAYESIAN}")
+        if head["architecture"] not in ([SPARSE], [FULL]):
+            raise ValueError(f"architecture must be {SPARSE} or {FULL}")
     except ValueError as exc:
         raise ValueError(f"malformed model file header: {exc}") from exc
     feature_lines = lines[11 : 11 + n_features]
@@ -405,16 +397,17 @@ def network_from_text(text: str) -> WinnowNetwork:
         params,
         extraction,
         layer_mode=head["layer"][0],
-        architecture=head["architecture"][0],
         priors=[float(pr) for pr in head["priors"]],
         schedule=schedule,
     )
+    network.architecture = head["architecture"][0]
     network.init_mode = head["init"][0]
+    betas = [c.beta for c in network.clouds[0].classifiers]
     by_index = dict(enumerate(features))
     by_index[-1] = BIAS_FEATURE
     cloud = None
     classifier = None
-    loaded = set()
+    rows: dict[int, list[list[Feature]]] = {}  # cloud -> features of each classifier
     for line in lines[11 + n_features :]:
         fields = line.split("\t")
         if fields[0] == "cloud":
@@ -422,16 +415,21 @@ def network_from_text(text: str) -> WinnowNetwork:
             member_index = int(fields[1])
             if not 0 <= member_index < network.n_members:
                 raise ValueError(f"cloud {member_index} is out of range")
+            if member_index in rows:
+                raise ValueError(f"cloud {member_index} is repeated")
             cloud = network.clouds[member_index]
             cloud.examples_seen = int(examples_seen)
             cloud.classifiers = []
-            loaded.add(member_index)
+            classifier = None
+            rows[member_index] = []
         elif fields[0] == "classifier":
             if cloud is None:
                 raise ValueError("classifier outside any cloud")
             beta, mistakes = parse_assignments(fields[1:], ("beta", "mistakes"))
             classifier = WinnowClassifier(beta=float(beta), mistakes=int(mistakes))
             cloud.classifiers.append(classifier)
+            names: list[Feature] = []
+            rows[cloud.member_index].append(names)
         else:
             if classifier is None:
                 raise ValueError("weight row outside any classifier")
@@ -440,9 +438,23 @@ def network_from_text(text: str) -> WinnowNetwork:
             feature = by_index.get(int(fields[0]))
             if feature is None:
                 raise ValueError(f"weight row for feature {fields[0]} is out of range")
-            classifier.weights[feature] = float(fields[1])
-    if len(loaded) != network.n_members or not all(c.classifiers for c in network.clouds):
+            names.append(feature)
+            classifier.weights.append(float(fields[1]))
+    if len(rows) != network.n_members or not all(c.classifiers for c in network.clouds):
         raise ValueError("model file truncated: a cloud or its classifiers are missing")
+    for cloud in network.clouds:
+        first, *others = rows[cloud.member_index]
+        cloud.slots = {f: i for i, f in enumerate(first)}
+        if len(cloud.slots) != len(first) or any(other != first for other in others):
+            raise ValueError(
+                f"model file truncated or damaged: cloud {cloud.member_index} weight"
+                " rows repeat a feature or differ from the first classifier's"
+            )
+        if [c.beta for c in cloud.classifiers] != betas:
+            raise ValueError(
+                f"model file truncated or damaged: cloud {cloud.member_index}"
+                " classifier betas differ from the header's"
+            )
     return network
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 
-from winspell.corpus import ConfusionSet, Sentence, tokenize
+from winspell.corpus import ConfusionSet, Sentence, corrupt, tokenize
 from winspell.features import FeatureStats
 
 CONTEXT_POOL = (
@@ -135,6 +135,16 @@ def small_disjunct_corpus(seed: int = 0):
     rng.shuffle(train)
     test = test + [rare_sentence() for _ in range(5)]
     return train, test, cset
+
+
+def noisy_disjunct_corpus(seed: int = 0, pct: float = 10.0):
+    """The small-disjunct corpus, train and test parts joined, with ~pct% of
+    its occurrences flipped to the other member. The flipped labels make
+    every trained Winnow variant both promote and demote, from uniform and
+    from Bayesian weights alike."""
+    train, test, cset = small_disjunct_corpus(seed)
+    noisy, _ = corrupt(train + test, cset, pct, seed)
+    return noisy, cset
 
 
 def two_domain_pair(seed: int = 0, a_counts=(60, 40), b_count: int = 100):

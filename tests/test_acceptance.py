@@ -44,8 +44,8 @@ from winspell.features import (
     prune,
 )
 from winspell.winnow import (
-    FULL,
     ONE_LAYER,
+    Cloud,
     WinnowClassifier,
     WinnowNetwork,
     WinnowParams,
@@ -142,7 +142,7 @@ def test_c02_simplified_winnow_equals_simplified_bayes(tiny_corpora):
         model = train_bayes(stats, UNPRUNED_POLICY, dependency_resolution=False,
                             retained=retained)
         network = WinnowNetwork(cset, retained, WinnowParams(), TINY_PARAMS,
-                                layer_mode=ONE_LAYER, architecture=FULL)
+                                layer_mode=ONE_LAYER)
         init_bayesian(network, model)
         for active in cases:
             assert classify_winnow(network, active).chosen == \
@@ -157,7 +157,7 @@ def _disjunction_mistakes(r, n, seed, n_examples=400, background=8):
     rng = random.Random(seed)
     pool = [context_word(f"f{i}") for i in range(n)]
     relevant = pool[:r]
-    classifier = WinnowClassifier(beta=0.5)
+    cloud = Cloud(0, [WinnowClassifier(beta=0.5)])
     params = WinnowParams()
     for _ in range(n_examples):
         active = set()
@@ -169,8 +169,8 @@ def _disjunction_mistakes(r, n, seed, n_examples=400, background=8):
             if f not in relevant:
                 active.add(f)
         label = 1 if active & set(relevant) else 0
-        winnow_train_example(classifier, tuple(sorted(active)), label, params)
-    return classifier.mistakes
+        winnow_train_example(cloud, tuple(sorted(active)), label, params)
+    return cloud.classifiers[0].mistakes
 
 
 def test_c03_winnow_mistake_bound():

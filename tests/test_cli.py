@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import winspell
-from winspell.cli import main
+from winspell.cli import TRAINABLE_SYSTEMS, main
 from winspell.winnow import load_network
 
-from helpers import separable_corpus
+from helpers import noisy_disjunct_corpus, separable_corpus
 
 
 @pytest.fixture
@@ -372,3 +373,89 @@ class TestUsage:
                   "--out", workspace / "m"])
         assert rc == 2
         assert "unknown mode" in capsys.readouterr().err
+
+
+# SHA-256 of every file and stdout the commands in TestGoldenBytes produce.
+GOLDEN_DIGESTS = {
+    "<stdout of train bayes>":
+        "030934efc5a6106a4403f0ba666a188995508cd1943c1b1f10b9ca7df8560b89",
+    "<stdout of train simplified-bayes>":
+        "fad11e03626ceb3a9c31bf7fdb9072ce61a4799bbbd2a91785039c32dce3b805",
+    "<stdout of train winnow>":
+        "b2678ca1e49ee6eff9e79c24ff6175dd6ba16f8e70b8f911acf7f57c5f5b8ea2",
+    "<stdout of train simplified-winnow>":
+        "6b231438c610a5fb374f0e74365116ee437c817172c5fdce938345e56098513a",
+    "<stdout of train winnow-1layer>":
+        "1262c3d647029986110eb1e7afa1e23f5eee8f5bc84c04ef3a72904439af1a84",
+    "<stdout of train winnow-2layer>":
+        "0af2d06801fc4f5185c06c6e6e2a5b757b1e87ad695218c97c7436b5f91da0e7",
+    "<stdout of train winnow-bayes-init>":
+        "0d8df16cfb43c03df107226da89d24c8b4f24c9d866c845e4f520589c091cfaa",
+    "<stdout of ablate>":
+        "c80a694ddd623bfc428efbb22b0ff5afdba3f35a0b1d9ec1d082bacb18d281e9",
+    "<stdout of classify bayes>":
+        "23f56ec83b9543b0cb20edfda770802f7def09f09d5c0b8b7f0d8de72821fe29",
+    "<stdout of classify simplified-bayes>":
+        "b11c25bf8844f769b73db333c13932d669f4c5ae065b03c5995299c3b0b0bfba",
+    "<stdout of classify winnow>":
+        "5c45627fbda179c09d5020447529baad3839a95ff5fe98cd6ea899754ab34f80",
+    "<stdout of classify simplified-winnow>":
+        "9e4da6600a6fc47f11de278a258c663d332c99ba74f8acb2ca80795ecab6086b",
+    "<stdout of classify winnow-1layer>":
+        "40246800f405da4781b4727c2a8740bf7e1a13d7362f7e3be18f171b2daef9d6",
+    "<stdout of classify winnow-2layer>":
+        "914d6c94c0d086ac488b9ec615cdff5881390a94a75d63a1366a813e3cf8a96c",
+    "<stdout of classify winnow-bayes-init>":
+        "f1119621eedc519229ac1a546fcdff2eedb79556b824a598fabaa3b51a875ac5",
+    "out/dax+fep.bayes.model":
+        "62b180a7e65475646e2ce9158ebc229fb7f7ea4b877507ec3fa1792b879e462a",
+    "out/dax+fep.simplified-bayes.model":
+        "f67aa863f14ce601c75841cc2fe1a11b8eaaddd8104a1cb02f8f86bdcdba7dff",
+    "out/dax+fep.simplified-winnow.model":
+        "d0626265f7d6d5e35eaf40650977e3c89a4661abfa554b32fbc8cc92e7ae38c3",
+    "out/dax+fep.winnow-1layer.model":
+        "8a453994e3e3bc662159d8420ee2c83c8f0c4eaece05c92b4604a83d7f57718c",
+    "out/dax+fep.winnow-2layer.model":
+        "b1d3f23caaa34f33986630fc967d9b7997c377447fd98704035ba556c565e33e",
+    "out/dax+fep.winnow-bayes-init.model":
+        "b782d3e088beb6e9d3b406cc8247b6aadccf8f54311d3d8c56bd928275c0c6ea",
+    "out/dax+fep.winnow.model":
+        "b98c20d935e85e4339a56dfcd7015713209b7cfc522c99bc5f93648c52093cac",
+    "report/ablation.tsv":
+        "7c0f1cfa0948179d28b53a6c652b3969a3cf2ab34a3bb28cd4a3bafd4476421f",
+    "report/ablation.txt":
+        "c80a694ddd623bfc428efbb22b0ff5afdba3f35a0b1d9ec1d082bacb18d281e9",
+}
+
+
+class TestGoldenBytes:
+    def test_outputs_match_recorded_digests(self, tmp_path, capsys, monkeypatch):
+        """Every trainable system's model file, the ablation report and every
+        system's classify output keep their recorded bytes. The corpus has
+        flipped labels, so each trained Winnow variant promotes and demotes."""
+        sentences, _ = noisy_disjunct_corpus(seed=0)
+        text = "\n".join(" ".join(s.surfaces) for s in sentences) + "\n"
+        (tmp_path / "corpus.txt").write_text(text)
+        (tmp_path / "sets.txt").write_text("dax, fep\n")
+        (tmp_path / "tags.tsv").write_text("rix\tMARK\nzor\tMARK\nquom\tMARK\n")
+        monkeypatch.chdir(tmp_path)
+        common = ["--corpus", "corpus.txt", "--confusion-sets", "sets.txt",
+                  "--tagdict", "tags.tsv", "--mode", "unpruned", "--k", "3"]
+        commands = {f"train {s}": ["train", *common, "--system", s, "--out", "out"]
+                    for s in TRAINABLE_SYSTEMS}
+        commands["ablate"] = ["ablate", *common, "--out", "report"]
+        commands.update(
+            (f"classify {s}", ["classify", "--out", "out", "--system", s,
+                               "--tagdict", "tags.tsv", "corpus.txt"])
+            for s in TRAINABLE_SYSTEMS
+        )
+        digests = {}
+        for name, args in commands.items():
+            assert main(args) == 0, name
+            digests[f"<stdout of {name}>"] = capsys.readouterr().out.encode()
+        for path in sorted((tmp_path / "out").iterdir()) + sorted(
+            (tmp_path / "report").iterdir()
+        ):
+            digests[path.relative_to(tmp_path).as_posix()] = path.read_bytes()
+        digests = {k: hashlib.sha256(v).hexdigest() for k, v in digests.items()}
+        assert digests == GOLDEN_DIGESTS

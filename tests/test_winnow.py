@@ -22,6 +22,7 @@ from winspell.winnow import (
     FULL,
     ONE_LAYER,
     SPARSE,
+    TWO_LAYER,
     Cloud,
     GammaSchedule,
     WinnowClassifier,
@@ -49,75 +50,104 @@ PARAMS = WinnowParams()
 F1, F2, F3 = context_word("f1"), context_word("f2"), context_word("f3")
 
 
+def unit(weights=None):
+    """A cloud of one classifier (beta 0.5) connected to ``weights``
+    (feature -> weight)."""
+    cloud = Cloud(0, [WinnowClassifier(0.5)])
+    for f, w in (weights or {}).items():
+        cloud.connect(f, w)
+    return cloud
+
+
+def weights_of(cloud, k=0):
+    """Classifier k's weights, keyed by feature through the cloud's slots."""
+    weights = cloud.classifiers[k].weights
+    return {f: weights[slot] for f, slot in cloud.slots.items()}
+
+
+def predict(cloud, active):
+    return winnow_predict(cloud.classifiers[0], cloud.connected(active), theta=1.0)
+
+
 class TestPredict:
     def test_empty_active_set(self):
-        clf = WinnowClassifier(0.5, weights={F1: 5.0})
-        assert winnow_predict(clf, (), theta=1.0) == 0
+        assert predict(unit({F1: 5.0}), ()) == 0
 
     def test_sum_above_threshold(self):
-        clf = WinnowClassifier(0.5, weights={F1: 0.6, F2: 0.5})
-        assert winnow_predict(clf, (F1, F2), theta=1.0) == 1
+        assert predict(unit({F1: 0.6, F2: 0.5}), (F1, F2)) == 1
 
     def test_unconnected_contributes_zero(self):
-        clf = WinnowClassifier(0.5, weights={F1: 0.6})
-        assert winnow_predict(clf, (F1, F3), theta=1.0) == 0
+        cloud = unit({F1: 0.6})
+        assert cloud.connected((F1, F3)) == [cloud.slots[F1]]
+        assert predict(cloud, (F1, F3)) == 0
 
     def test_sum_equal_to_threshold_is_negative(self):
-        clf = WinnowClassifier(0.5, weights={F1: 1.0})
-        assert winnow_predict(clf, (F1,), theta=1.0) == 0
+        assert predict(unit({F1: 1.0}), (F1,)) == 0
 
 
 class TestTrainExample:
     def test_positive_example_connects_then_promotes(self):
-        clf = WinnowClassifier(0.5)
-        winnow_train_example(clf, (F1, F2), 1, PARAMS)
-        assert clf.weights[F1] == pytest.approx(0.15)
-        assert clf.weights[F2] == pytest.approx(0.15)
-        assert clf.mistakes == 1
+        cloud = unit()
+        winnow_train_example(cloud, (F1, F2), 1, PARAMS)
+        assert weights_of(cloud)[F1] == pytest.approx(0.15)
+        assert weights_of(cloud)[F2] == pytest.approx(0.15)
+        assert cloud.classifiers[0].mistakes == 1
 
     def test_correct_negative_changes_nothing(self):
-        clf = WinnowClassifier(0.5, weights={F1: 0.8})
-        winnow_train_example(clf, (F1,), 0, PARAMS)
-        assert clf.weights == {F1: 0.8}
-        assert clf.mistakes == 0
+        cloud = unit({F1: 0.8})
+        winnow_train_example(cloud, (F1,), 0, PARAMS)
+        assert weights_of(cloud) == {F1: 0.8}
+        assert cloud.classifiers[0].mistakes == 0
 
     def test_false_positive_demotes(self):
-        clf = WinnowClassifier(0.5, weights={F1: 1.2})
-        winnow_train_example(clf, (F1,), 0, PARAMS)
-        assert clf.weights[F1] == pytest.approx(0.6)
-        assert clf.mistakes == 1
+        cloud = unit({F1: 1.2})
+        winnow_train_example(cloud, (F1,), 0, PARAMS)
+        assert weights_of(cloud)[F1] == pytest.approx(0.6)
+        assert cloud.classifiers[0].mistakes == 1
 
     def test_negative_example_never_connects(self):
-        clf = WinnowClassifier(0.5)
-        winnow_train_example(clf, (F1, F2), 0, PARAMS)
-        assert clf.weights == {}
+        cloud = unit()
+        winnow_train_example(cloud, (F1, F2), 0, PARAMS)
+        assert weights_of(cloud) == {}
 
     def test_inactive_weights_untouched(self):
-        clf = WinnowClassifier(0.5, weights={F1: 0.4, F3: 2.0})
-        winnow_train_example(clf, (F1,), 1, PARAMS)
-        assert clf.weights[F3] == 2.0
+        cloud = unit({F1: 0.4, F3: 2.0})
+        winnow_train_example(cloud, (F1,), 1, PARAMS)
+        assert weights_of(cloud)[F3] == 2.0
+
+    def test_each_classifier_decides_for_itself(self):
+        # One shared table, two classifiers: only the one whose sum exceeds
+        # theta on a negative example is demoted, by its own beta.
+        cloud = Cloud(0, [WinnowClassifier(0.5), WinnowClassifier(0.9)])
+        cloud.connect(F1, 0.4)
+        cloud.classifiers[1].weights[cloud.slots[F1]] = 2.0
+        winnow_train_example(cloud, (F1, F2), 0, PARAMS)
+        assert weights_of(cloud, 0) == {F1: 0.4}
+        assert weights_of(cloud, 1) == {F1: pytest.approx(1.8)}
+        assert [c.mistakes for c in cloud.classifiers] == [0, 1]
+        assert cloud.examples_seen == 1
 
     @given(st.lists(st.tuples(st.sets(st.sampled_from([F1, F2, F3])),
                               st.integers(0, 1)), max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_weights_stay_non_negative(self, stream):
-        clf = WinnowClassifier(0.5)
+        cloud = unit()
         for active, label in stream:
-            winnow_train_example(clf, tuple(sorted(active)), label, PARAMS)
-        assert all(w >= 0 for w in clf.weights.values())
+            winnow_train_example(cloud, tuple(sorted(active)), label, PARAMS)
+        assert all(w >= 0 for w in cloud.classifiers[0].weights)
 
     @given(st.lists(st.tuples(st.sets(st.sampled_from([F1, F2, F3])),
                               st.integers(0, 1)), max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_no_update_on_correct_prediction(self, stream):
-        clf = WinnowClassifier(0.5)
+        cloud = unit()
         for active, label in stream:
             active = tuple(sorted(active))
-            predicted = winnow_predict(clf, active, PARAMS.theta)
-            before = (dict(clf.weights), clf.mistakes)
-            winnow_train_example(clf, active, label, PARAMS)
+            predicted = predict(cloud, active)
+            before = (weights_of(cloud), cloud.classifiers[0].mistakes)
+            winnow_train_example(cloud, active, label, PARAMS)
             if predicted == label and label == 0:
-                assert (clf.weights, clf.mistakes) == before
+                assert (weights_of(cloud), cloud.classifiers[0].mistakes) == before
 
 
 class TestGamma:
@@ -144,14 +174,13 @@ class TestGamma:
         assert 0.67 <= gamma_at(schedule, t1) <= 1.0
 
 
-def cloud_with(mistakes, votes):
+def cloud_with(mistakes, votes, member_index=0):
     """Cloud whose classifiers have the given mistake counts and whose votes
     are forced via a single feature weight."""
-    classifiers = []
-    for m, vote in zip(mistakes, votes):
-        weight = 2.0 if vote else 0.0
-        classifiers.append(WinnowClassifier(0.5, weights={F1: weight}, mistakes=m))
-    cloud = Cloud(0, classifiers)
+    cloud = Cloud(member_index, [WinnowClassifier(0.5, mistakes=m) for m in mistakes])
+    cloud.connect(F1, 0.0)
+    for classifier, vote in zip(cloud.classifiers, votes):
+        classifier.weights[cloud.slots[F1]] = 2.0 if vote else 0.0
     return cloud
 
 
@@ -193,17 +222,16 @@ class TestCloudActivation:
         assert 0.0 <= activation <= 1.0
 
 
-def toy_network(**kwargs):
+def toy_network(params=PARAMS, **kwargs):
     cset = confusion_set_from_text("dax, fep")
     universe = (F1, F2, F3)
-    return WinnowNetwork(cset, universe, PARAMS, ExtractionParams(), **kwargs)
+    return WinnowNetwork(cset, universe, params, ExtractionParams(), **kwargs)
 
 
 class TestClassify:
     def test_argmax_activation(self):
         network = toy_network()
-        network.clouds[0].classifiers = cloud_with([0] * 5, [1] * 5).classifiers
-        network.clouds[1].classifiers = cloud_with([0] * 5, [0] * 5).classifiers
+        network.clouds = [cloud_with([0] * 5, [1] * 5, 0), cloud_with([0] * 5, [0] * 5, 1)]
         decision = classify_winnow(network, (F1,))
         assert decision.chosen == 0
         assert decision.scores == (1.0, 0.0)
@@ -228,19 +256,19 @@ class TestTrainNetwork:
         assert network.schedule.horizon == 50
 
     def test_positive_for_correct_member_only(self):
-        network = toy_network()
-        train_network(network, [((F1,), 0)], cycles=1)
+        network = toy_network(WinnowParams(cycles=1))
+        train_network(network, [((F1,), 0)])
         # Member 0's cloud connected the active features; member 1's did not.
-        assert F1 in network.clouds[0].classifiers[0].weights
-        assert F1 not in network.clouds[1].classifiers[0].weights
+        assert F1 in network.clouds[0].slots
+        assert F1 not in network.clouds[1].slots
 
     def test_wrongly_firing_negative_cloud_demoted(self):
-        network = toy_network()
-        for clf in network.clouds[1].classifiers:
-            clf.weights[F1] = 2.0
-        train_network(network, [((F1,), 0)], cycles=1)
-        for clf in network.clouds[1].classifiers:
-            assert clf.weights[F1] == pytest.approx(2.0 * clf.beta)
+        network = toy_network(WinnowParams(cycles=1))
+        cloud = network.clouds[1]
+        cloud.connect(F1, 2.0)
+        train_network(network, [((F1,), 0)])
+        for k, clf in enumerate(cloud.classifiers):
+            assert weights_of(cloud, k)[F1] == pytest.approx(2.0 * clf.beta)
             assert clf.mistakes == 1
 
     def test_training_deterministic(self):
@@ -258,9 +286,7 @@ class TestTrainNetwork:
         train_network(network, stream)
         for cloud in network.clouds:
             positives = {F1, F2} if cloud.member_index == 0 else {F2, F3}
-            for clf in cloud.classifiers:
-                connected = set(clf.weights) - {BIAS_FEATURE}
-                assert connected <= positives
+            assert set(cloud.slots) - {BIAS_FEATURE} <= positives
 
     def test_disjunction_mistakes_scale_with_relevant_features(self):
         # Planted 3-of-1000 disjunction: the concept cloud's classifiers stay
@@ -270,7 +296,7 @@ class TestTrainNetwork:
         pool = [context_word(f"g{i}") for i in range(n)]
         relevant = pool[:r]
         cset = confusion_set_from_text("dax, fep")
-        network = WinnowNetwork(cset, pool, PARAMS, ExtractionParams())
+        network = WinnowNetwork(cset, pool, WinnowParams(cycles=1), ExtractionParams())
         stream = []
         for _ in range(400):
             active = set()
@@ -283,7 +309,7 @@ class TestTrainNetwork:
                     active.add(f)
             member = 0 if active & set(relevant) else 1
             stream.append((tuple(sorted(active)), member))
-        train_network(network, stream, cycles=1)
+        train_network(network, stream)
         bound = 2.5 * r * (1 + math.log2(n))
         for clf in network.clouds[0].classifiers:
             assert clf.mistakes <= bound
@@ -297,10 +323,19 @@ class TestInitBayesian:
         stats.counts = {context_word(k): list(v) for k, v in counts.items()}
         model = train_bayes(stats, PruningPolicy(mode=UNPRUNED), smoothing, False)
         network = WinnowNetwork(
-            cset, model.features, PARAMS, ExtractionParams(),
-            layer_mode=ONE_LAYER, architecture=FULL,
+            cset, model.features, PARAMS, ExtractionParams(), layer_mode=ONE_LAYER
         )
         return model, network
+
+    def test_connects_every_feature_and_makes_network_full(self):
+        model, network = self.build_pair({"f": [2, 1], "g": [0, 1]}, [3, 1])
+        assert network.architecture == SPARSE
+        assert all(set(cloud.slots) == {BIAS_FEATURE} for cloud in network.clouds)
+        init_bayesian(network, model)
+        assert network.architecture == FULL
+        for cloud in network.clouds:
+            assert set(cloud.slots) == {BIAS_FEATURE, *model.features}
+            assert all(len(c.weights) == len(cloud.slots) for c in cloud.classifiers)
 
     def test_zero_likelihood_floor_and_shift(self):
         # MLE likelihoods (0.5, 0.0): raw logs (-0.693..., -500), so the
@@ -308,8 +343,8 @@ class TestInitBayesian:
         model, network = self.build_pair({"f": [2, 0]}, [4, 2])
         init_bayesian(network, model)
         f = context_word("f")
-        w0 = network.clouds[0].classifiers[0].weights[f]
-        w1 = network.clouds[1].classifiers[0].weights[f]
+        w0 = weights_of(network.clouds[0])[f]
+        w1 = weights_of(network.clouds[1])[f]
         assert w0 == pytest.approx(math.log(0.5) + 500, abs=1e-9)
         assert w0 == pytest.approx(499.3068528, abs=1e-6)
         assert w1 == 0.0
@@ -322,31 +357,22 @@ class TestInitBayesian:
         f = context_word("f")
         shift = -math.log(0.5)
         for cloud in network.clouds:
-            weights = cloud.classifiers[0].weights
+            weights = weights_of(cloud)
             assert weights[f] == pytest.approx(shift)
             assert weights[BIAS_FEATURE] == pytest.approx(0.0)
 
     def test_bias_carries_prior(self):
         model, network = self.build_pair({"f": [2, 1]}, [3, 1])
         init_bayesian(network, model)
-        b0 = network.clouds[0].classifiers[0].weights[BIAS_FEATURE]
-        b1 = network.clouds[1].classifiers[0].weights[BIAS_FEATURE]
+        b0 = weights_of(network.clouds[0])[BIAS_FEATURE]
+        b1 = weights_of(network.clouds[1])[BIAS_FEATURE]
         assert b0 - b1 == pytest.approx(math.log(0.75) - math.log(0.25))
-
-    def test_requires_full_network(self):
-        model, _ = self.build_pair({"f": [1, 0]}, [2, 2])
-        sparse_net = WinnowNetwork(
-            model.confusion_set, model.features, PARAMS, ExtractionParams(),
-            layer_mode=ONE_LAYER, architecture=SPARSE,
-        )
-        with pytest.raises(ValueError, match="full network"):
-            init_bayesian(sparse_net, model)
 
     def test_requires_matching_features(self):
         model, _ = self.build_pair({"f": [1, 0]}, [2, 2])
         other = WinnowNetwork(
             model.confusion_set, (context_word("g"),), PARAMS, ExtractionParams(),
-            layer_mode=ONE_LAYER, architecture=FULL,
+            layer_mode=ONE_LAYER,
         )
         with pytest.raises(ValueError, match="feature sets"):
             init_bayesian(other, model)
@@ -361,10 +387,7 @@ class TestInitBayesian:
             retained = prune(stats, policy)
             model = train_bayes(stats, policy, dependency_resolution=False,
                                 retained=retained)
-            network = WinnowNetwork(
-                cset, retained, PARAMS, params,
-                layer_mode=ONE_LAYER, architecture=FULL,
-            )
+            network = WinnowNetwork(cset, retained, PARAMS, params, layer_mode=ONE_LAYER)
             init_bayesian(network, model)
             for occ in find_occurrences(test, cset):
                 active = extract_active(occ.sentence, occ, set(retained), params, EMPTY_TAGS)
@@ -379,15 +402,50 @@ class TestSparsify:
         stats.occurrences = [2, 2]
         stats.counts = {F1: [2, 0], F2: [1, 2]}
         model = train_bayes(stats, PruningPolicy(mode=UNPRUNED), dependency_resolution=False)
-        network = WinnowNetwork(cset, model.features, PARAMS, ExtractionParams(),
-                                architecture=FULL)
+        network = WinnowNetwork(cset, model.features, PARAMS, ExtractionParams())
         init_bayesian(network, model)
+        full = [[weights_of(cloud, k) for k in range(len(cloud.classifiers))]
+                for cloud in network.clouds]
         sparsify(network, model.counts)
         assert network.architecture == SPARSE
-        for clf in network.clouds[0].classifiers:
-            assert set(clf.weights) == {BIAS_FEATURE, F1, F2}
-        for clf in network.clouds[1].classifiers:
-            assert set(clf.weights) == {BIAS_FEATURE, F2}
+        assert set(network.clouds[0].slots) == {BIAS_FEATURE, F1, F2}
+        assert set(network.clouds[1].slots) == {BIAS_FEATURE, F2}
+        for cloud, before in zip(network.clouds, full):
+            for k, clf in enumerate(cloud.classifiers):
+                assert len(clf.weights) == len(cloud.slots)
+                assert weights_of(cloud, k).items() <= before[k].items()
+
+
+class TestConnectionTable:
+    @given(
+        st.lists(st.tuples(st.sets(st.sampled_from([F1, F2, F3])), st.integers(0, 1)),
+                 min_size=1, max_size=30),
+        st.sampled_from(["uniform", "bayesian", "bayesian+sparsify"]),
+        st.sampled_from([ONE_LAYER, TWO_LAYER]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_table_survives_training_and_reload(self, stream, start, layer_mode):
+        cset = confusion_set_from_text("dax, fep")
+        network = WinnowNetwork(cset, (F1, F2, F3), WinnowParams(cycles=2),
+                                ExtractionParams(), layer_mode=layer_mode)
+        if start != "uniform":
+            stats = FeatureStats(cset, ExtractionParams())
+            stats.occurrences = [2, 2]
+            stats.counts = {F1: [2, 0], F2: [1, 2], F3: [1, 1]}
+            model = train_bayes(stats, PruningPolicy(mode=UNPRUNED),
+                                dependency_resolution=False)
+            init_bayesian(network, model)
+            if start == "bayesian+sparsify":
+                sparsify(network, model.counts)
+        examples = [(tuple(sorted(active)), member) for active, member in stream]
+        train_network(network, examples)
+        for cloud in network.clouds:
+            assert all(len(c.weights) == len(cloud.slots) for c in cloud.classifiers)
+        text = network_to_text(network)
+        loaded = network_from_text(text)
+        assert network_to_text(loaded) == text
+        for active, _ in examples + [((), 0)]:
+            assert classify_winnow(loaded, active) == classify_winnow(network, active)
 
 
 class TestSerialization:
@@ -428,12 +486,18 @@ class TestSerialization:
 
     def test_one_layer_full_round_trip(self):
         cset = confusion_set_from_text("dax, fep")
+        stats = FeatureStats(cset, ExtractionParams())
+        stats.occurrences = [2, 2]
+        stats.counts = {F1: [2, 0], F2: [1, 2]}
+        model = train_bayes(stats, PruningPolicy(mode=UNPRUNED), dependency_resolution=False)
         network = WinnowNetwork(cset, (F1, F2), PARAMS, ExtractionParams(),
-                                layer_mode=ONE_LAYER, architecture=FULL)
+                                layer_mode=ONE_LAYER)
+        init_bayesian(network, model)
         text = network_to_text(network)
         again = network_to_text(network_from_text(text))
         assert again == text
         assert network_from_text(text).layer_mode == ONE_LAYER
+        assert network_from_text(text).architecture == FULL
 
     def test_rejects_foreign_text(self):
         with pytest.raises(ValueError):
@@ -470,6 +534,69 @@ class TestSerialization:
         assert "\ninit\tuniform\n" in text
         with pytest.raises(ValueError, match="header: init must be"):
             network_from_text(text.replace("\ninit\tuniform\n", "\ninit\tbogus\n"))
+
+    def test_unknown_architecture_rejected(self):
+        network, *_ = self.trained_network()
+        text = network_to_text(network)
+        assert "\narchitecture\tsparse\n" in text
+        with pytest.raises(ValueError, match="header: architecture must be"):
+            network_from_text(text.replace("\narchitecture\tsparse\n",
+                                           "\narchitecture\tdense\n"))
+
+    @pytest.mark.parametrize("repeated", ["cloud-block", "first-classifier-row",
+                                          "later-classifier-row"])
+    def test_repeated_cloud_or_weight_row_rejected(self, repeated):
+        network, *_ = self.trained_network()
+        lines = network_to_text(network).splitlines()
+        clouds = [i for i, l in enumerate(lines) if l.startswith("cloud\t")]
+        classifiers = [i for i, l in enumerate(lines) if l.startswith("classifier\t")]
+        if repeated == "cloud-block":
+            lines += lines[clouds[0] : clouds[1]]
+        else:
+            row = classifiers[0 if repeated == "first-classifier-row" else 1] + 2
+            lines.insert(row + 1, lines[row])
+        with pytest.raises(ValueError, match="repeat"):
+            network_from_text("\n".join(lines) + "\n")
+
+    def test_weight_row_before_first_classifier_rejected(self):
+        network, *_ = self.trained_network()
+        lines = network_to_text(network).splitlines()
+        last_cloud = max(i for i, l in enumerate(lines) if l.startswith("cloud\t"))
+        lines.insert(last_cloud + 1, "0\t0.5")
+        with pytest.raises(ValueError, match="outside any classifier"):
+            network_from_text("\n".join(lines) + "\n")
+
+    def test_weight_rows_out_of_first_classifiers_order_rejected(self):
+        network, *_ = self.trained_network()
+        lines = network_to_text(network).splitlines()
+        second = [i for i, l in enumerate(lines) if l.startswith("classifier\t")][1]
+        lines[second + 2], lines[second + 3] = lines[second + 3], lines[second + 2]
+        with pytest.raises(ValueError, match="differ from the first classifier's"):
+            network_from_text("\n".join(lines) + "\n")
+
+    def test_cut_between_weight_rows_rejected(self):
+        network, *_ = self.trained_network()
+        lines = network_to_text(network).splitlines(keepends=True)
+        assert not lines[-4].startswith(("cloud\t", "classifier\t"))
+        with pytest.raises(ValueError, match="truncated"):
+            network_from_text("".join(lines[:-3]))
+
+    def test_cut_after_first_classifier_of_last_cloud_rejected(self):
+        network, *_ = self.trained_network()
+        lines = network_to_text(network).splitlines(keepends=True)
+        last_cloud = max(i for i, l in enumerate(lines) if l.startswith("cloud\t"))
+        second = [i for i, l in enumerate(lines)
+                  if i > last_cloud and l.startswith("classifier\t")][1]
+        with pytest.raises(ValueError, match="truncated"):
+            network_from_text("".join(lines[:second]))
+
+    def test_classifier_beta_other_than_header_rejected(self):
+        network, *_ = self.trained_network()
+        text = network_to_text(network)
+        assert "\nclassifier\tbeta=0.6\t" in text
+        with pytest.raises(ValueError, match="betas differ from the header's"):
+            network_from_text(text.replace("\nclassifier\tbeta=0.6\t",
+                                           "\nclassifier\tbeta=0.65\t", 1))
 
     @pytest.mark.parametrize(
         "prefix, bad_row",
