@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -46,8 +47,9 @@ def choose(scores: Sequence[float], priors: Sequence[float]) -> int:
 class BayesModel:
     """Priors, likelihood tables, and smoothing state for one confusion set.
 
-    All derived tables (priors, MLE likelihoods, unigrams, mixing weights)
-    are recomputed from the raw counts, so a serialized model reloads
+    All derived tables (priors, MLE likelihoods, unigrams, mixing weights,
+    and the logs of the priors and smoothed likelihoods that classification
+    sums) are recomputed from the raw counts, so a serialized model reloads
     exactly.
     """
 
@@ -91,6 +93,18 @@ class BayesModel:
                 for i in range(self.n_members)
             )
             self.mean_lambda[f] = sum(self.lam[f]) / self.n_members
+        self.log_priors = tuple(_log(p) for p in self.priors)
+
+    @cached_property
+    def log_likelihoods(self) -> dict[Feature, tuple[float, ...]]:
+        """log(smoothed likelihood) per feature and member, -inf for 0: the
+        terms classification sums. Built on first use, so training alone
+        never pays for it."""
+        members = range(self.n_members)
+        return {
+            f: tuple(_log(smoothed_likelihood(self, f, i)) for i in members)
+            for f in self.features
+        }
 
     @property
     def n_members(self) -> int:
@@ -149,36 +163,32 @@ def resolve_dependencies(
     dependent; within each overlap-connected group only the feature with the
     lowest mean mixing weight (the strongest association) survives, ties
     going to canonical order. Context-word features are never deleted. With
-    dependency resolution off, the input is returned unchanged.
+    dependency resolution off, the active set is returned in canonical order.
     """
     active = tuple(sorted(active_set))
     if not model.dependency_resolution:
         return active
-    collocations = [f for f in active if f.kind == COLLOCATION]
-    if len(collocations) <= 1:
-        return active
-    # Connected components under span overlap.
-    component_of = list(range(len(collocations)))
-
-    def find(i: int) -> int:
-        while component_of[i] != i:
-            component_of[i] = component_of[component_of[i]]
-            i = component_of[i]
-        return i
-
-    for i, fi in enumerate(collocations):
-        for j in range(i + 1, len(collocations)):
-            if set(fi.offsets) & set(collocations[j].offsets):
-                component_of[find(i)] = find(j)
-    groups: dict[int, list[Feature]] = {}
-    for i, f in enumerate(collocations):
-        groups.setdefault(find(i), []).append(f)
-    survivors = {
-        min(group, key=lambda f: (model.mean_lambda[f], f)) for group in groups.values()
-    }
-    return tuple(
-        f for f in active if f.kind != COLLOCATION or f in survivors
-    )
+    mean_lambda = model.mean_lambda
+    # Collocations with one offset span all overlap, so only each span's
+    # strongest can survive; active is sorted, so ties keep the first.
+    strongest: dict[tuple[int, ...], Feature] = {}
+    for f in active:
+        if f.kind == COLLOCATION:
+            best = strongest.get(f.offsets)
+            if best is None or mean_lambda[f] < mean_lambda[best]:
+                strongest[f.offsets] = f
+    # Components of the few distinct spans under overlap, each as the union
+    # of its offsets and its strongest collocation.
+    groups: list[tuple[set[int], Feature]] = []
+    for span, f in strongest.items():
+        offsets = set(span)
+        for group in [g for g in groups if g[0] & offsets]:
+            groups.remove(group)
+            offsets |= group[0]
+            f = min(f, group[1], key=lambda c: (mean_lambda[c], c))
+        groups.append((offsets, f))
+    survivors = {f for _, f in groups}
+    return tuple(f for f in active if f.kind != COLLOCATION or f in survivors)
 
 
 def classify_bayes(model: BayesModel, active_set: Iterable[Feature]) -> Decision:
@@ -188,15 +198,20 @@ def classify_bayes(model: BayesModel, active_set: Iterable[Feature]) -> Decision
     (possible with MLE likelihoods), the equal scores leave the prior to
     decide.
     """
-    reduced = resolve_dependencies(model, active_set)
-    scores = []
-    for i in range(model.n_members):
-        terms = [_log(model.priors[i])]
-        terms.extend(_log(smoothed_likelihood(model, f, i)) for f in reduced)
-        # fsum is exactly rounded, so members with identical term multisets
-        # tie exactly and fall through to the prior rule.
-        scores.append(math.fsum(terms))
-    return Decision(tuple(scores), choose(scores, model.priors))
+    table = model.log_likelihoods
+    rows = []
+    for f in resolve_dependencies(model, active_set):
+        row = table.get(f)
+        if row is None:
+            raise ValueError(f"feature not retained by this model: {f.key()}")
+        rows.append(row)
+    # fsum is exactly rounded, so members with identical term multisets tie
+    # exactly and fall through to the prior rule.
+    scores = tuple(
+        math.fsum([log_prior, *(row[i] for row in rows)])
+        for i, log_prior in enumerate(model.log_priors)
+    )
+    return Decision(scores, choose(scores, model.priors))
 
 
 def _log(x: float) -> float:

@@ -151,11 +151,13 @@ def train_system_model(
     stats: FeatureStats,
     retained,
     policy: PruningPolicy,
-    train_stream: Sequence[tuple[tuple, int]],
+    train_stream: Sequence[tuple[tuple[int, ...], int]],
     winnow_params: WinnowParams,
 ):
     """Train one persistable system; returns a BayesModel or WinnowNetwork
-    that extracts features with the parameters ``stats`` were counted with."""
+    that extracts features with the parameters ``stats`` were counted with.
+    ``retained`` and ``train_stream`` are what ``prepare_set`` returns: the
+    stream's feature ids are positions in ``retained``."""
     if name == "bayes":
         return train_bayes(stats, policy, INTERPOLATIVE, True, retained)
     if name == "simplified-bayes":

@@ -17,7 +17,6 @@ from .corpus import (
     find_occurrences,
 )
 
-BIAS = "BIAS"
 COLLOCATION = "COLL"
 CONTEXT_WORD = "CW"
 
@@ -47,8 +46,6 @@ class Feature(NamedTuple):
         ``t=<TAG>``."""
         if self.kind == CONTEXT_WORD:
             return f"CW {self.word}"
-        if self.kind == BIAS:
-            return BIAS
         parts = [
             f"{off:+d}:{slot_kind}={value}"
             for off, (slot_kind, value) in zip(self.offsets, self.slots)
@@ -70,8 +67,6 @@ def collocation(
 
 def parse_feature_key(key: str) -> Feature:
     """Inverse of :meth:`Feature.key`."""
-    if key == BIAS:
-        return Feature(BIAS)
     if key.startswith("CW "):
         return context_word(key[3:])
     if not key.startswith("COLL "):
@@ -310,15 +305,22 @@ def prepare_set(
     params: ExtractionParams,
     tagdict: TagDictionary,
     policy: PruningPolicy,
-) -> tuple[FeatureStats, tuple[Feature, ...], list[tuple[tuple[Feature, ...], int]]]:
-    """Counts, retained features and the (active set, member) training
-    stream of one confusion set, from one pass over the corpus. Equal to
+) -> tuple[FeatureStats, tuple[Feature, ...], list[tuple[tuple[int, ...], int]]]:
+    """Counts, retained features and the (active feature ids, member)
+    training stream of one confusion set, from one pass over the corpus.
+    A feature's id is its position in the retained tuple. Equal to
     ``collect_stats``, then ``prune``, then ``extract_active`` over
-    ``find_occurrences``, but each occurrence's features are generated once."""
+    ``find_occurrences`` with each active feature replaced by its id, but
+    each occurrence's features are generated once."""
     stats, generated = _count_features(corpus, confusion_set, params, tagdict)
     retained = prune(stats, policy)
+    ids = {f: i for i, f in enumerate(retained)}
+    # Intersecting sets runs in C; only the surviving features are mapped.
     learned = set(retained)
-    stream = [(tuple(sorted(features & learned)), member) for features, member in generated]
+    stream = [
+        (tuple(sorted(map(ids.__getitem__, features & learned))), member)
+        for features, member in generated
+    ]
     return stats, retained, stream
 
 

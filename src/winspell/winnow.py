@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .bayes import BayesModel, Decision, choose, smoothed_likelihood
+from .bayes import BayesModel, Decision, choose
 from .corpus import ConfusionSet
 from .features import (
-    BIAS,
     ExtractionParams,
     Feature,
     parse_assignments,
@@ -31,9 +30,11 @@ TWO_LAYER = "two_layer"
 UNIFORM = "uniform"
 BAYESIAN = "bayesian"
 
-# Pseudo-feature active on every example; carries the prior under Bayesian
-# initialization and otherwise trains like any connected feature.
-BIAS_FEATURE = Feature(BIAS)
+# Feature id of the bias, a pseudo-feature active on every example; it
+# carries the prior under Bayesian initialization and otherwise trains like
+# any connected feature. Every other feature's id is its position in the
+# network's sorted feature tuple, so ids are also WINNOW v1 row indexes.
+BIAS_ID = -1
 
 # Stand-in for log(0) when mapping likelihoods to weights.
 ZERO_LIKELIHOOD_LOG = -500.0
@@ -66,6 +67,10 @@ class GammaSchedule:
     start: float = 1.0
     end: float = 0.67
     horizon: int = 1000
+
+    def __post_init__(self):
+        if self.horizon < 1:
+            raise ValueError("schedule horizon must be >= 1")
 
 
 def gamma_at(schedule: GammaSchedule, t: int) -> float:
@@ -105,9 +110,10 @@ class Cloud:
 
     Every classifier of a cloud sees the same examples with the same label,
     so all are connected to the same features: the cloud keeps one
-    connection table, ``slots``, mapping each connected feature to its index
-    in every classifier's ``weights``. A feature stays connected even if its
-    weights underflow to 0.0.
+    connection table, ``slots``, mapping each connected feature id to its
+    index in every classifier's ``weights``. A feature stays connected even if
+    its weights underflow to 0.0. Once connected, the bias (id -1) counts as
+    active on every example.
     """
 
     def __init__(self, member_index: int, classifiers: Sequence[WinnowClassifier]):
@@ -115,23 +121,27 @@ class Cloud:
             raise ValueError("cloud needs at least one classifier")
         self.member_index = member_index
         self.classifiers = list(classifiers)
-        self.slots: dict[Feature, int] = {}
+        self.slots: dict[int, int] = {}
         self.examples_seen = 0
 
-    def connect(self, feature: Feature, weight: float):
+    def connect(self, feature: int, weight: float):
         """Connect ``feature`` at ``weight`` in every classifier."""
         self.slots[feature] = len(self.slots)
         for classifier in self.classifiers:
             classifier.weights.append(weight)
 
-    def connected(self, active_set: Iterable[Feature]) -> list[int]:
-        """The slots of the connected features among ``active_set``."""
+    def connected(self, active_set: Iterable[int]) -> list[int]:
+        """The slots of the connected features among ``active_set``, then the
+        bias's slot if the bias is connected."""
         slots = self.slots
-        return [slots[f] for f in active_set if f in slots]
+        found = [slots[f] for f in active_set if f in slots]
+        if BIAS_ID in slots:
+            found.append(slots[BIAS_ID])
+        return found
 
 
 def winnow_train_example(
-    cloud: Cloud, active_set: Sequence[Feature], label: int, params: WinnowParams
+    cloud: Cloud, active_set: Sequence[int], label: int, params: WinnowParams
 ):
     """One online step for every classifier of the cloud.
 
@@ -140,24 +150,50 @@ def winnow_train_example(
     promotes (missed positive) or demotes (false positive) every connected
     active weight. Negative examples never create connections.
     """
+    presentation = [_presentation(cloud, active_set, label, params)]
+    for classifier in cloud.classifiers:
+        _learn(classifier, presentation, params)
+    cloud.examples_seen += 1
+
+
+def _presentation(
+    cloud: Cloud, active_set: Sequence[int], label: int, params: WinnowParams
+) -> tuple[list[int], int]:
+    """Connect the unconnected active features of a positive example at the
+    default weight; return the slots of the connected active features and
+    the label."""
     if label == 1:
         for f in active_set:
             if f not in cloud.slots:
                 cloud.connect(f, params.default_weight)
-    slots = cloud.connected(active_set)
-    for classifier in cloud.classifiers:
-        if winnow_predict(classifier, slots, params.theta) != label:
-            factor = params.alpha if label == 1 else classifier.beta
-            weights = classifier.weights
+    return cloud.connected(active_set), label
+
+
+def _learn(
+    classifier: WinnowClassifier,
+    presentations: Iterable[tuple[Sequence[int], int]],
+    params: WinnowParams,
+):
+    """Mistake-driven updates of one classifier over (slots, label)
+    presentations, in order: a missed positive promotes, a false positive
+    demotes, the weights in the presented slots."""
+    weights = classifier.weights
+    weight_of = weights.__getitem__
+    theta, alpha, beta = params.theta, params.alpha, classifier.beta
+    mistakes = 0
+    for slots, label in presentations:
+        # The exactly-rounded sum of winnow_predict, inlined on the hot path.
+        if (math.fsum(map(weight_of, slots)) > theta) != label:
+            factor = alpha if label == 1 else beta
             for i in slots:
                 weights[i] *= factor
-            classifier.mistakes += 1
-    cloud.examples_seen += 1
+            mistakes += 1
+    classifier.mistakes += mistakes
 
 
 def cloud_activation(
     cloud: Cloud,
-    active_set: Iterable[Feature],
+    active_set: Iterable[int],
     params: WinnowParams,
     schedule: GammaSchedule,
 ) -> float:
@@ -180,7 +216,12 @@ def cloud_activation(
 
 class WinnowNetwork:
     """Clouds for every confusion-set member plus the comparator state. A new
-    network is sparse, connected to the bias only."""
+    network is sparse, connected to the bias only.
+
+    A feature's id is its position in the sorted ``features`` tuple, which is
+    the one a ``BayesModel`` of the same retained set holds; ``feature_ids``
+    maps each feature to its id.
+    """
 
     def __init__(
         self,
@@ -196,6 +237,7 @@ class WinnowNetwork:
             raise ValueError(f"unknown layer mode: {layer_mode!r}")
         self.confusion_set = confusion_set
         self.features = tuple(sorted(features))
+        self.feature_ids = {f: i for i, f in enumerate(self.features)}
         self.params = params or WinnowParams()
         self.extraction = extraction or ExtractionParams()
         self.layer_mode = layer_mode
@@ -214,18 +256,14 @@ class WinnowNetwork:
             betas = self.params.betas
         self.clouds = [Cloud(i, [WinnowClassifier(b) for b in betas]) for i in range(n)]
         for cloud in self.clouds:
-            cloud.connect(BIAS_FEATURE, self.params.default_weight)
+            cloud.connect(BIAS_ID, self.params.default_weight)
 
     @property
     def n_members(self) -> int:
         return len(self.confusion_set.members)
 
 
-def _with_bias(active_set: Iterable[Feature]) -> tuple[Feature, ...]:
-    return (BIAS_FEATURE,) + tuple(f for f in active_set if f.kind != BIAS)
-
-
-def cloud_output(network: WinnowNetwork, cloud: Cloud, active: Sequence[Feature]) -> float:
+def cloud_output(network: WinnowNetwork, cloud: Cloud, active: Sequence[int]) -> float:
     """What the comparator sees: the raw weighted sum in one-layer mode, the
     weighted-majority activation in two-layer mode."""
     if network.layer_mode == ONE_LAYER:
@@ -235,33 +273,48 @@ def cloud_output(network: WinnowNetwork, cloud: Cloud, active: Sequence[Feature]
 
 def classify_winnow(network: WinnowNetwork, active_set: Iterable[Feature]) -> Decision:
     """Score every member by its cloud output and pick one by
-    :func:`~winspell.bayes.choose`. The bias pseudo-feature is added to the
-    active set automatically."""
-    active = _with_bias(active_set)
+    :func:`~winspell.bayes.choose`. Features the network does not hold are
+    ignored; the bias is active on every example."""
+    ids = network.feature_ids
+    active = [i for i in map(ids.get, active_set) if i is not None]
     scores = tuple(cloud_output(network, cloud, active) for cloud in network.clouds)
     return Decision(scores, choose(scores, network.priors))
 
 
-def train_network(network: WinnowNetwork, stream: Iterable[tuple[Sequence[Feature], int]]):
-    """Online training over (active set, correct member) examples.
+def train_network(network: WinnowNetwork, stream: Iterable[tuple[Sequence[int], int]]):
+    """Online training over (active feature ids, correct member) examples.
 
     Each example is positive for the correct member's cloud and negative for
     every other cloud; all classifiers in a cloud see it. The stream is
     replayed in order for the configured number of cycles, and the vote
     schedule horizon is fixed at the total number of presentations.
+
+    Clouds share no state, so each is trained on its own. Its connections
+    depend on the labels alone, and every positive example comes in the
+    first cycle, so the slots each presentation touches are all known after
+    one pass over the stream: the first cycle's as the cloud connects, then
+    one fixed list for every later cycle. A weight is read only once its
+    feature is connected, so connecting ahead of learning changes nothing,
+    and the classifiers, which share nothing but the connections, then
+    learn one after another.
     """
-    examples = [(_with_bias(active_set), member) for active_set, member in stream]
+    examples = list(stream)
     if not examples:
         return
-    cycles = network.params.cycles
+    params = network.params
     network.schedule = GammaSchedule(
-        network.schedule.start, network.schedule.end, cycles * len(examples)
+        network.schedule.start, network.schedule.end, params.cycles * len(examples)
     )
-    for _ in range(cycles):
-        for active, member in examples:
-            for cloud in network.clouds:
-                label = 1 if cloud.member_index == member else 0
-                winnow_train_example(cloud, active, label, network.params)
+    for cloud in network.clouds:
+        labelled = [
+            (active, 1 if member == cloud.member_index else 0) for active, member in examples
+        ]
+        first = [_presentation(cloud, active, label, params) for active, label in labelled]
+        later = [(cloud.connected(active), label) for active, label in labelled]
+        presentations = first + later * (params.cycles - 1)
+        for classifier in cloud.classifiers:
+            _learn(classifier, presentations, params)
+        cloud.examples_seen += len(presentations)
 
 
 def init_bayesian(network: WinnowNetwork, model: BayesModel):
@@ -275,15 +328,16 @@ def init_bayesian(network: WinnowNetwork, model: BayesModel):
     """
     if set(network.features) != set(model.features):
         raise ValueError("network and model feature sets differ")
+    logs = model.log_likelihoods
     raw = [
-        [_floored_log(model.priors[i])]
-        + [_floored_log(smoothed_likelihood(model, f, i)) for f in network.features]
+        [_floored(model.log_priors[i])]
+        + [_floored(logs[f][i]) for f in network.features]
         for i in range(network.n_members)
     ]
     shift = -min(w for weights in raw for w in weights)
-    table = (BIAS_FEATURE, *network.features)
     for cloud in network.clouds:
-        cloud.slots = {f: i for i, f in enumerate(table)}
+        # Slot k holds feature id k - 1: the bias first, then every feature.
+        cloud.slots = {f: f + 1 for f in range(BIAS_ID, len(network.features))}
         for classifier in cloud.classifiers:
             classifier.weights = [w + shift for w in raw[cloud.member_index]]
     network.priors = model.priors
@@ -291,18 +345,21 @@ def init_bayesian(network: WinnowNetwork, model: BayesModel):
     network.init_mode = BAYESIAN
 
 
-def _floored_log(x: float) -> float:
-    return math.log(x) if x > 0.0 else ZERO_LIKELIHOOD_LOG
+def _floored(log_value: float) -> float:
+    # The only log that is -inf is log(0).
+    return ZERO_LIKELIHOOD_LOG if log_value == -math.inf else log_value
 
 
 def sparsify(network: WinnowNetwork, counts: Mapping[Feature, Sequence[int]]):
     """Switch to the sparse architecture, dropping every link whose feature
     never co-occurred with the cloud's member during training."""
+    rows = [counts.get(f) for f in network.features]
     for cloud in network.clouds:
+        member = cloud.member_index
         kept = [
             (f, slot)
             for f, slot in cloud.slots.items()
-            if f.kind == BIAS or (f in counts and counts[f][cloud.member_index] > 0)
+            if f == BIAS_ID or (rows[f] is not None and rows[f][member] > 0)
         ]
         cloud.slots = {f: i for i, (f, _) in enumerate(kept)}
         for classifier in cloud.classifiers:
@@ -338,13 +395,11 @@ def network_to_text(network: WinnowNetwork) -> str:
     lines.append(f"schedule\tstart={s.start!r}\tend={s.end!r}\thorizon={s.horizon}")
     lines.append("priors\t" + "\t".join(repr(pr) for pr in network.priors))
     lines.append(f"features\t{len(network.features)}")
-    index = {f: i for i, f in enumerate(network.features)}
-    index[BIAS_FEATURE] = -1
     for f in network.features:
         lines.append(f.key())
     for cloud in network.clouds:
         lines.append(f"cloud\t{cloud.member_index}\texamples_seen={cloud.examples_seen}")
-        rows = sorted((index[f], slot) for f, slot in cloud.slots.items())
+        rows = sorted(cloud.slots.items())
         for classifier in cloud.classifiers:
             lines.append(
                 f"classifier\tbeta={classifier.beta!r}\tmistakes={classifier.mistakes}"
@@ -403,11 +458,9 @@ def network_from_text(text: str) -> WinnowNetwork:
     network.architecture = head["architecture"][0]
     network.init_mode = head["init"][0]
     betas = [c.beta for c in network.clouds[0].classifiers]
-    by_index = dict(enumerate(features))
-    by_index[-1] = BIAS_FEATURE
     cloud = None
     classifier = None
-    rows: dict[int, list[list[Feature]]] = {}  # cloud -> features of each classifier
+    rows: dict[int, list[list[int]]] = {}  # cloud -> feature ids of each classifier
     for line in lines[11 + n_features :]:
         fields = line.split("\t")
         if fields[0] == "cloud":
@@ -418,7 +471,7 @@ def network_from_text(text: str) -> WinnowNetwork:
             if member_index in rows:
                 raise ValueError(f"cloud {member_index} is repeated")
             cloud = network.clouds[member_index]
-            cloud.examples_seen = int(examples_seen)
+            cloud.examples_seen = _count(examples_seen, "examples_seen")
             cloud.classifiers = []
             classifier = None
             rows[member_index] = []
@@ -426,17 +479,17 @@ def network_from_text(text: str) -> WinnowNetwork:
             if cloud is None:
                 raise ValueError("classifier outside any cloud")
             beta, mistakes = parse_assignments(fields[1:], ("beta", "mistakes"))
-            classifier = WinnowClassifier(beta=float(beta), mistakes=int(mistakes))
+            classifier = WinnowClassifier(float(beta), _count(mistakes, "mistakes"))
             cloud.classifiers.append(classifier)
-            names: list[Feature] = []
+            names: list[int] = []
             rows[cloud.member_index].append(names)
         else:
             if classifier is None:
                 raise ValueError("weight row outside any classifier")
             if len(fields) != 2:
                 raise ValueError(f"malformed weight row: {line!r}")
-            feature = by_index.get(int(fields[0]))
-            if feature is None:
+            feature = int(fields[0])
+            if not BIAS_ID <= feature < n_features:
                 raise ValueError(f"weight row for feature {fields[0]} is out of range")
             names.append(feature)
             classifier.weights.append(float(fields[1]))
@@ -456,6 +509,13 @@ def network_from_text(text: str) -> WinnowNetwork:
                 " classifier betas differ from the header's"
             )
     return network
+
+
+def _count(text: str, name: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{name}={value} is negative")
+    return value
 
 
 def save_network(network: WinnowNetwork, path: str | Path):

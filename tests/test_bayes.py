@@ -1,7 +1,10 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from winspell.bayes import (
     INTERPOLATIVE,
@@ -18,6 +21,7 @@ from winspell.bayes import (
 from winspell.cli import main
 from winspell.corpus import TagDictionary, confusion_set_from_text, find_occurrences
 from winspell.features import (
+    COLLOCATION,
     ExtractionParams,
     FeatureStats,
     PruningPolicy,
@@ -183,6 +187,65 @@ class TestResolveDependencies:
         first = resolve_dependencies(model, active)
         assert set(first) <= set(active)
         assert resolve_dependencies(model, active) == first
+
+
+def pairwise_resolve(model, active_set):
+    """Reference dependency resolution: union-find over every pair of
+    collocations, joining those whose offset spans overlap."""
+    active = tuple(sorted(active_set))
+    if not model.dependency_resolution:
+        return active
+    collocations = [f for f in active if f.kind == COLLOCATION]
+    if len(collocations) <= 1:
+        return active
+    component_of = list(range(len(collocations)))
+
+    def find(i):
+        while component_of[i] != i:
+            component_of[i] = component_of[component_of[i]]
+            i = component_of[i]
+        return i
+
+    for i, fi in enumerate(collocations):
+        for j in range(i + 1, len(collocations)):
+            if set(fi.offsets) & set(collocations[j].offsets):
+                component_of[find(i)] = find(j)
+    groups = {}
+    for i, f in enumerate(collocations):
+        groups.setdefault(find(i), []).append(f)
+    survivors = {
+        min(group, key=lambda f: (model.mean_lambda[f], f)) for group in groups.values()
+    }
+    return tuple(f for f in active if f.kind != COLLOCATION or f in survivors)
+
+
+# Offset spans: the generated ones (l=1 and l=2) and arbitrary ones.
+SPANS = st.one_of(
+    st.sampled_from([(-1,), (1,), (-2, -1), (-1, 1), (1, 2)]),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=3, unique=True).map(
+        lambda offsets: tuple(sorted(offsets))
+    ),
+)
+COLLOCATIONS = st.builds(
+    lambda span, kind, value: collocation(span, [(kind, value)] * len(span)),
+    SPANS, st.sampled_from("wt"), st.sampled_from("ab"),
+)
+
+
+class TestResolveDependenciesMatchesPairwise:
+    @given(st.lists(COLLOCATIONS, max_size=14),
+           st.lists(st.sampled_from("xy").map(context_word), max_size=3),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_oracle(self, collocations, words, data):
+        # Few distinct mixing weights, so ties are common.
+        mean_lambda = {
+            f: data.draw(st.sampled_from([0.0, 0.25, 1.0]))
+            for f in sorted(set(collocations))
+        }
+        model = SimpleNamespace(dependency_resolution=True, mean_lambda=mean_lambda)
+        active = data.draw(st.permutations(collocations + words))
+        assert resolve_dependencies(model, active) == pairwise_resolve(model, active)
 
 
 class TestClassifyBayes:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -163,6 +164,24 @@ class TestClassify:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: {model}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "field, bad", [("mistakes", "-3000"), ("examples_seen", "-5"), ("horizon", "0")]
+    )
+    def test_bad_count_one_line_error(self, workspace, capsys, tmp_path, field, bad):
+        out = self.train_first(workspace, capsys, system="winnow")
+        model = out / "peace+piece.winnow.model"
+        edited, edits = re.subn(rf"\b{field}=\d+", f"{field}={bad}", model.read_text(), 1)
+        assert edits == 1
+        model.write_text(edited)
+        text = tmp_path / "input.txt"
+        text.write_text("a piece of cake\n")
+        rc = run(["classify", "--out", out, "--system", "winnow",
+                  "--tagdict", workspace / "tags.tsv", text])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {model}: ") and err.count("\n") == 1
+        assert field in err
 
     def test_closed_stdout_exits_quietly(self, workspace, capsys, tmp_path):
         out = self.train_first(workspace, capsys)

@@ -11,7 +11,6 @@ from winspell.features import (
     PRUNED,
     UNPRUNED,
     ExtractionParams,
-    Feature,
     FeatureStats,
     PruningPolicy,
     chi2_sf,
@@ -128,10 +127,14 @@ class TestFeatureKeys:
         collocation((1, 2), (("w", "to"), ("t", "VERB"))),
         collocation((-2, -1), (("t", "DET"), ("w", "x"))),
         collocation((-1, 1), (("w", "a"), ("w", "of"))),
-        Feature("BIAS"),
     ]))
     def test_key_round_trip(self, feature):
         assert parse_feature_key(feature.key()) == feature
+
+    @pytest.mark.parametrize("key", ["BIAS", "XX y", "COLL _ +1:q=a"])
+    def test_malformed_key_rejected(self, key):
+        with pytest.raises(ValueError, match="malformed feature key"):
+            parse_feature_key(key)
 
     def test_dump_is_sorted_and_parseable(self):
         feats = {context_word("b"), context_word("a"),
@@ -311,7 +314,8 @@ HELPER_CORPORA = {
 
 
 class TestPrepareSet:
-    """The single pass equals collect_stats -> prune -> extract_active."""
+    """The single pass equals collect_stats -> prune -> extract_active, with
+    active features as ids."""
 
     @pytest.mark.parametrize("mode", [PRUNED, UNPRUNED])
     @pytest.mark.parametrize("name", sorted(HELPER_CORPORA))
@@ -327,9 +331,12 @@ class TestPrepareSet:
         assert list(stats.counts.items()) == list(expected_stats.counts.items())
         assert stats.occurrences == expected_stats.occurrences
         assert retained == prune(expected_stats, policy)
+        # A feature's id in the stream is its position in the retained tuple.
         learned = set(retained)
+        ids = {f: i for i, f in enumerate(retained)}
         assert stream == [
-            (extract_active(o.sentence, o, learned, params, tags), o.member_index)
+            (tuple(ids[f] for f in extract_active(o.sentence, o, learned, params, tags)),
+             o.member_index)
             for o in find_occurrences(corpus, cset)
         ]
 

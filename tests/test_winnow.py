@@ -15,10 +15,11 @@ from winspell.features import (
     collect_stats,
     context_word,
     extract_active,
+    prepare_set,
     prune,
 )
 from winspell.winnow import (
-    BIAS_FEATURE,
+    BIAS_ID,
     FULL,
     ONE_LAYER,
     SPARSE,
@@ -48,11 +49,13 @@ EMPTY_TAGS = TagDictionary()
 PARAMS = WinnowParams()
 
 F1, F2, F3 = context_word("f1"), context_word("f2"), context_word("f3")
+# Their feature ids in a network over them: positions in sorted order.
+I1, I2, I3 = 0, 1, 2
 
 
 def unit(weights=None):
     """A cloud of one classifier (beta 0.5) connected to ``weights``
-    (feature -> weight)."""
+    (feature id -> weight)."""
     cloud = Cloud(0, [WinnowClassifier(0.5)])
     for f, w in (weights or {}).items():
         cloud.connect(f, w)
@@ -60,7 +63,7 @@ def unit(weights=None):
 
 
 def weights_of(cloud, k=0):
-    """Classifier k's weights, keyed by feature through the cloud's slots."""
+    """Classifier k's weights, keyed by feature id through the cloud's slots."""
     weights = cloud.classifiers[k].weights
     return {f: weights[slot] for f, slot in cloud.slots.items()}
 
@@ -71,63 +74,68 @@ def predict(cloud, active):
 
 class TestPredict:
     def test_empty_active_set(self):
-        assert predict(unit({F1: 5.0}), ()) == 0
+        assert predict(unit({I1: 5.0}), ()) == 0
 
     def test_sum_above_threshold(self):
-        assert predict(unit({F1: 0.6, F2: 0.5}), (F1, F2)) == 1
+        assert predict(unit({I1: 0.6, I2: 0.5}), (I1, I2)) == 1
 
     def test_unconnected_contributes_zero(self):
-        cloud = unit({F1: 0.6})
-        assert cloud.connected((F1, F3)) == [cloud.slots[F1]]
-        assert predict(cloud, (F1, F3)) == 0
+        cloud = unit({I1: 0.6})
+        assert cloud.connected((I1, I3)) == [cloud.slots[I1]]
+        assert predict(cloud, (I1, I3)) == 0
 
     def test_sum_equal_to_threshold_is_negative(self):
-        assert predict(unit({F1: 1.0}), (F1,)) == 0
+        assert predict(unit({I1: 1.0}), (I1,)) == 0
+
+    def test_connected_bias_is_active_on_every_example(self):
+        cloud = unit({I1: 0.6, BIAS_ID: 0.5})
+        assert cloud.connected(()) == [cloud.slots[BIAS_ID]]
+        assert predict(cloud, (I1,)) == 1
 
 
 class TestTrainExample:
     def test_positive_example_connects_then_promotes(self):
         cloud = unit()
-        winnow_train_example(cloud, (F1, F2), 1, PARAMS)
-        assert weights_of(cloud)[F1] == pytest.approx(0.15)
-        assert weights_of(cloud)[F2] == pytest.approx(0.15)
+        winnow_train_example(cloud, (I1, I2), 1, PARAMS)
+        assert weights_of(cloud)[I1] == pytest.approx(0.15)
+        assert weights_of(cloud)[I2] == pytest.approx(0.15)
         assert cloud.classifiers[0].mistakes == 1
 
     def test_correct_negative_changes_nothing(self):
-        cloud = unit({F1: 0.8})
-        winnow_train_example(cloud, (F1,), 0, PARAMS)
-        assert weights_of(cloud) == {F1: 0.8}
+        cloud = unit({I1: 0.8})
+        winnow_train_example(cloud, (I1,), 0, PARAMS)
+        assert weights_of(cloud) == {I1: 0.8}
         assert cloud.classifiers[0].mistakes == 0
 
     def test_false_positive_demotes(self):
-        cloud = unit({F1: 1.2})
-        winnow_train_example(cloud, (F1,), 0, PARAMS)
-        assert weights_of(cloud)[F1] == pytest.approx(0.6)
+        cloud = unit({I1: 1.2})
+        winnow_train_example(cloud, (I1,), 0, PARAMS)
+        assert weights_of(cloud)[I1] == pytest.approx(0.6)
         assert cloud.classifiers[0].mistakes == 1
 
     def test_negative_example_never_connects(self):
         cloud = unit()
-        winnow_train_example(cloud, (F1, F2), 0, PARAMS)
+        winnow_train_example(cloud, (I1, I2), 0, PARAMS)
         assert weights_of(cloud) == {}
 
     def test_inactive_weights_untouched(self):
-        cloud = unit({F1: 0.4, F3: 2.0})
-        winnow_train_example(cloud, (F1,), 1, PARAMS)
-        assert weights_of(cloud)[F3] == 2.0
+        cloud = unit({I1: 0.4, I3: 2.0})
+        winnow_train_example(cloud, (I1,), 1, PARAMS)
+        assert weights_of(cloud)[I3] == 2.0
 
     def test_each_classifier_decides_for_itself(self):
         # One shared table, two classifiers: only the one whose sum exceeds
         # theta on a negative example is demoted, by its own beta.
         cloud = Cloud(0, [WinnowClassifier(0.5), WinnowClassifier(0.9)])
-        cloud.connect(F1, 0.4)
-        cloud.classifiers[1].weights[cloud.slots[F1]] = 2.0
-        winnow_train_example(cloud, (F1, F2), 0, PARAMS)
-        assert weights_of(cloud, 0) == {F1: 0.4}
-        assert weights_of(cloud, 1) == {F1: pytest.approx(1.8)}
+        cloud.connect(I1, 0.4)
+        cloud.classifiers[1].weights[cloud.slots[I1]] = 2.0
+        winnow_train_example(cloud, (I1, I2), 0, PARAMS)
+        assert weights_of(cloud, 0) == {I1: 0.4}
+        assert weights_of(cloud, 1) == {I1: pytest.approx(1.8)}
         assert [c.mistakes for c in cloud.classifiers] == [0, 1]
         assert cloud.examples_seen == 1
 
-    @given(st.lists(st.tuples(st.sets(st.sampled_from([F1, F2, F3])),
+    @given(st.lists(st.tuples(st.sets(st.sampled_from([I1, I2, I3])),
                               st.integers(0, 1)), max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_weights_stay_non_negative(self, stream):
@@ -136,7 +144,7 @@ class TestTrainExample:
             winnow_train_example(cloud, tuple(sorted(active)), label, PARAMS)
         assert all(w >= 0 for w in cloud.classifiers[0].weights)
 
-    @given(st.lists(st.tuples(st.sets(st.sampled_from([F1, F2, F3])),
+    @given(st.lists(st.tuples(st.sets(st.sampled_from([I1, I2, I3])),
                               st.integers(0, 1)), max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_no_update_on_correct_prediction(self, stream):
@@ -165,6 +173,10 @@ class TestGamma:
         with pytest.raises(ValueError):
             gamma_at(GammaSchedule(), -1)
 
+    def test_zero_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon"):
+            GammaSchedule(horizon=0)
+
     @given(st.integers(0, 2000), st.integers(0, 2000))
     @settings(max_examples=100, deadline=None)
     def test_non_increasing(self, t1, t2):
@@ -178,9 +190,9 @@ def cloud_with(mistakes, votes, member_index=0):
     """Cloud whose classifiers have the given mistake counts and whose votes
     are forced via a single feature weight."""
     cloud = Cloud(member_index, [WinnowClassifier(0.5, mistakes=m) for m in mistakes])
-    cloud.connect(F1, 0.0)
+    cloud.connect(I1, 0.0)
     for classifier, vote in zip(cloud.classifiers, votes):
-        classifier.weights[cloud.slots[F1]] = 2.0 if vote else 0.0
+        classifier.weights[cloud.slots[I1]] = 2.0 if vote else 0.0
     return cloud
 
 
@@ -189,9 +201,9 @@ class TestCloudActivation:
         schedule = GammaSchedule(horizon=10)
         cloud = cloud_with([1, 2, 3, 4, 5], [1, 1, 1, 1, 1])
         cloud.examples_seen = 10
-        assert cloud_activation(cloud, (F1,), PARAMS, schedule) == 1.0
+        assert cloud_activation(cloud, (I1,), PARAMS, schedule) == 1.0
         cloud = cloud_with([1, 2, 3, 4, 5], [0, 0, 0, 0, 0])
-        assert cloud_activation(cloud, (F1,), PARAMS, schedule) == 0.0
+        assert cloud_activation(cloud, (I1,), PARAMS, schedule) == 0.0
 
     def test_mistake_weighted_vote(self):
         # gamma fixed at 0.9 by a schedule evaluated mid-course:
@@ -202,14 +214,14 @@ class TestCloudActivation:
         cloud.examples_seen = t
         gamma = gamma_at(schedule, t)
         assert gamma == pytest.approx(0.9, abs=1e-9)
-        activation = cloud_activation(cloud, (F1,), PARAMS, schedule)
+        activation = cloud_activation(cloud, (I1,), PARAMS, schedule)
         assert activation == pytest.approx(2 / (2 + 3 * 0.9**10), abs=1e-6)
         assert activation == pytest.approx(0.6565926, abs=1e-4)
 
     def test_equal_mistakes_is_plain_fraction(self):
         cloud = cloud_with([7, 7, 7, 7], [1, 0, 1, 0])
         cloud.examples_seen = 3
-        assert cloud_activation(cloud, (F1,), PARAMS, GammaSchedule()) == pytest.approx(0.5)
+        assert cloud_activation(cloud, (I1,), PARAMS, GammaSchedule()) == pytest.approx(0.5)
 
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 1)),
                     min_size=1, max_size=8),
@@ -218,8 +230,13 @@ class TestCloudActivation:
     def test_bounded(self, spec, seen):
         cloud = cloud_with([m for m, _ in spec], [v for _, v in spec])
         cloud.examples_seen = seen
-        activation = cloud_activation(cloud, (F1,), PARAMS, GammaSchedule())
+        activation = cloud_activation(cloud, (I1,), PARAMS, GammaSchedule())
         assert 0.0 <= activation <= 1.0
+
+
+def ids_of(network, active):
+    """The sorted feature ids of ``active`` in ``network``."""
+    return tuple(sorted(network.feature_ids[f] for f in active))
 
 
 def toy_network(params=PARAMS, **kwargs):
@@ -250,31 +267,31 @@ class TestClassify:
 class TestTrainNetwork:
     def test_examples_seen_counts_cycles(self):
         network = toy_network()
-        stream = [((F1,), 0)] * 10
+        stream = [((I1,), 0)] * 10
         train_network(network, stream)
         assert all(cloud.examples_seen == 50 for cloud in network.clouds)
         assert network.schedule.horizon == 50
 
     def test_positive_for_correct_member_only(self):
         network = toy_network(WinnowParams(cycles=1))
-        train_network(network, [((F1,), 0)])
+        train_network(network, [((I1,), 0)])
         # Member 0's cloud connected the active features; member 1's did not.
-        assert F1 in network.clouds[0].slots
-        assert F1 not in network.clouds[1].slots
+        assert I1 in network.clouds[0].slots
+        assert I1 not in network.clouds[1].slots
 
     def test_wrongly_firing_negative_cloud_demoted(self):
         network = toy_network(WinnowParams(cycles=1))
         cloud = network.clouds[1]
-        cloud.connect(F1, 2.0)
-        train_network(network, [((F1,), 0)])
+        cloud.connect(I1, 2.0)
+        train_network(network, [((I1,), 0)])
         for k, clf in enumerate(cloud.classifiers):
-            assert weights_of(cloud, k)[F1] == pytest.approx(2.0 * clf.beta)
+            assert weights_of(cloud, k)[I1] == pytest.approx(2.0 * clf.beta)
             assert clf.mistakes == 1
 
     def test_training_deterministic(self):
         def run():
             network = toy_network()
-            stream = [((F1, F2), 0), ((F2, F3), 1), ((F1,), 0), ((F3,), 1)]
+            stream = [((I1, I2), 0), ((I2, I3), 1), ((I1,), 0), ((I3,), 1)]
             train_network(network, stream)
             return network_to_text(network)
 
@@ -282,21 +299,21 @@ class TestTrainNetwork:
 
     def test_sparse_connections_only_from_positive_examples(self):
         network = toy_network()
-        stream = [((F1, F2), 0), ((F2, F3), 1)]
+        stream = [((I1, I2), 0), ((I2, I3), 1)]
         train_network(network, stream)
         for cloud in network.clouds:
-            positives = {F1, F2} if cloud.member_index == 0 else {F2, F3}
-            assert set(cloud.slots) - {BIAS_FEATURE} <= positives
+            positives = {I1, I2} if cloud.member_index == 0 else {I2, I3}
+            assert set(cloud.slots) - {BIAS_ID} <= positives
 
     def test_disjunction_mistakes_scale_with_relevant_features(self):
         # Planted 3-of-1000 disjunction: the concept cloud's classifiers stay
         # within 2.5 * r * (1 + log2 n) mistakes while learning it.
         rng = random.Random(7)
         n, r = 1000, 3
-        pool = [context_word(f"g{i}") for i in range(n)]
-        relevant = pool[:r]
+        features = [context_word(f"g{i}") for i in range(n)]
+        relevant = range(r)  # feature ids
         cset = confusion_set_from_text("dax, fep")
-        network = WinnowNetwork(cset, pool, WinnowParams(cycles=1), ExtractionParams())
+        network = WinnowNetwork(cset, features, WinnowParams(cycles=1), ExtractionParams())
         stream = []
         for _ in range(400):
             active = set()
@@ -304,7 +321,7 @@ class TestTrainNetwork:
                 chosen = [f for f in relevant if rng.random() < 0.5]
                 active.update(chosen or [rng.choice(relevant)])
             for _ in range(8):
-                f = pool[rng.randrange(n)]
+                f = rng.randrange(n)
                 if f not in relevant:
                     active.add(f)
             member = 0 if active & set(relevant) else 1
@@ -313,6 +330,104 @@ class TestTrainNetwork:
         bound = 2.5 * r * (1 + math.log2(n))
         for clf in network.clouds[0].classifiers:
             assert clf.mistakes <= bound
+
+
+def reference_train(network, stream):
+    """Plain example-major training: every presentation connects, then looks
+    up, the active features of each cloud, the bias (id -1) among them."""
+    examples = [((BIAS_ID, *active), member) for active, member in stream]
+    if not examples:
+        return
+    params = network.params
+    network.schedule = GammaSchedule(
+        network.schedule.start, network.schedule.end, params.cycles * len(examples)
+    )
+    for _ in range(params.cycles):
+        for active, member in examples:
+            for cloud in network.clouds:
+                label = 1 if cloud.member_index == member else 0
+                if label:
+                    for f in active:
+                        if f not in cloud.slots:
+                            cloud.slots[f] = len(cloud.slots)
+                            for clf in cloud.classifiers:
+                                clf.weights.append(params.default_weight)
+                slots = [cloud.slots[f] for f in active if f in cloud.slots]
+                for clf in cloud.classifiers:
+                    total = math.fsum(clf.weights[i] for i in slots)
+                    if (1 if total > params.theta else 0) != label:
+                        factor = params.alpha if label else clf.beta
+                        for i in slots:
+                            clf.weights[i] *= factor
+                        clf.mistakes += 1
+                cloud.examples_seen += 1
+
+
+def network_state(network):
+    return (
+        network.schedule,
+        [
+            (cloud.slots, cloud.examples_seen,
+             [(clf.beta, clf.weights, clf.mistakes) for clf in cloud.classifiers])
+            for cloud in network.clouds
+        ],
+    )
+
+
+class TestTrainNetworkMatchesReference:
+    @given(
+        st.integers(1, 6),
+        st.integers(2, 3),
+        st.data(),
+        st.sampled_from([ONE_LAYER, TWO_LAYER]),
+        st.sampled_from(["uniform", "bayesian+sparsify"]),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_example_major_reference(self, n, members, data, layer_mode, start,
+                                            cycles):
+        stream = data.draw(st.lists(
+            st.tuples(st.sets(st.integers(0, n - 1)).map(lambda a: tuple(sorted(a))),
+                      st.integers(0, members - 1)),
+            max_size=25,
+        ))
+        counts = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=members,
+                                             max_size=members),
+                                    min_size=n, max_size=n))
+        cset = confusion_set_from_text(", ".join(f"m{i}" for i in range(members)))
+        features = [context_word(f"f{i}") for i in range(n)]
+
+        def build():
+            network = WinnowNetwork(cset, features, WinnowParams(cycles=cycles),
+                                    ExtractionParams(), layer_mode=layer_mode)
+            if start != "uniform":
+                stats = FeatureStats(cset, ExtractionParams())
+                stats.occurrences = [4] * members
+                stats.counts = dict(zip(features, counts))
+                model = train_bayes(stats, PruningPolicy(mode=UNPRUNED),
+                                    dependency_resolution=False, retained=features)
+                init_bayesian(network, model)
+                sparsify(network, model.counts)
+            return network
+
+        trained, reference = build(), build()
+        train_network(trained, stream)
+        reference_train(reference, stream)
+        assert network_state(trained) == network_state(reference)
+
+    def test_underflowed_weight_stays_connected(self):
+        network = toy_network(WinnowParams(betas=(0.5,), cycles=1))
+        cloud = network.clouds[1]
+        cloud.connect(I1, 2.0)
+        cloud.connect(I2, 5e-324)  # the smallest subnormal
+        # The first example is negative for cloud 1, which fires: demoting by
+        # 0.5 rounds the smallest subnormal to 0.0. The second, positive
+        # example is missed and promotes that 0.0; I2 is not reconnected at
+        # the default weight.
+        train_network(network, [((I1, I2), 0), ((I2,), 1)])
+        assert weights_of(cloud)[I2] == 0.0
+        assert cloud.classifiers[0].mistakes == 2
+        assert f"\n{I2}\t0.0\n" in network_to_text(network)
 
 
 class TestInitBayesian:
@@ -330,11 +445,11 @@ class TestInitBayesian:
     def test_connects_every_feature_and_makes_network_full(self):
         model, network = self.build_pair({"f": [2, 1], "g": [0, 1]}, [3, 1])
         assert network.architecture == SPARSE
-        assert all(set(cloud.slots) == {BIAS_FEATURE} for cloud in network.clouds)
+        assert all(set(cloud.slots) == {BIAS_ID} for cloud in network.clouds)
         init_bayesian(network, model)
         assert network.architecture == FULL
         for cloud in network.clouds:
-            assert set(cloud.slots) == {BIAS_FEATURE, *model.features}
+            assert set(cloud.slots) == {BIAS_ID, *range(len(model.features))}
             assert all(len(c.weights) == len(cloud.slots) for c in cloud.classifiers)
 
     def test_zero_likelihood_floor_and_shift(self):
@@ -342,7 +457,7 @@ class TestInitBayesian:
         # shift is 500 and the weights (499.3068..., 0).
         model, network = self.build_pair({"f": [2, 0]}, [4, 2])
         init_bayesian(network, model)
-        f = context_word("f")
+        f = network.feature_ids[context_word("f")]
         w0 = weights_of(network.clouds[0])[f]
         w1 = weights_of(network.clouds[1])[f]
         assert w0 == pytest.approx(math.log(0.5) + 500, abs=1e-9)
@@ -354,18 +469,18 @@ class TestInitBayesian:
         # everywhere, so feature logs are 0 and only the prior shifts.
         model, network = self.build_pair({"f": [2, 2]}, [2, 2])
         init_bayesian(network, model)
-        f = context_word("f")
+        f = network.feature_ids[context_word("f")]
         shift = -math.log(0.5)
         for cloud in network.clouds:
             weights = weights_of(cloud)
             assert weights[f] == pytest.approx(shift)
-            assert weights[BIAS_FEATURE] == pytest.approx(0.0)
+            assert weights[BIAS_ID] == pytest.approx(0.0)
 
     def test_bias_carries_prior(self):
         model, network = self.build_pair({"f": [2, 1]}, [3, 1])
         init_bayesian(network, model)
-        b0 = weights_of(network.clouds[0])[BIAS_FEATURE]
-        b1 = weights_of(network.clouds[1])[BIAS_FEATURE]
+        b0 = weights_of(network.clouds[0])[BIAS_ID]
+        b1 = weights_of(network.clouds[1])[BIAS_ID]
         assert b0 - b1 == pytest.approx(math.log(0.75) - math.log(0.25))
 
     def test_requires_matching_features(self):
@@ -408,8 +523,8 @@ class TestSparsify:
                 for cloud in network.clouds]
         sparsify(network, model.counts)
         assert network.architecture == SPARSE
-        assert set(network.clouds[0].slots) == {BIAS_FEATURE, F1, F2}
-        assert set(network.clouds[1].slots) == {BIAS_FEATURE, F2}
+        assert set(network.clouds[0].slots) == {BIAS_ID, I1, I2}
+        assert set(network.clouds[1].slots) == {BIAS_ID, I2}
         for cloud, before in zip(network.clouds, full):
             for k, clf in enumerate(cloud.classifiers):
                 assert len(clf.weights) == len(cloud.slots)
@@ -438,7 +553,7 @@ class TestConnectionTable:
             if start == "bayesian+sparsify":
                 sparsify(network, model.counts)
         examples = [(tuple(sorted(active)), member) for active, member in stream]
-        train_network(network, examples)
+        train_network(network, [(ids_of(network, active), m) for active, m in examples])
         for cloud in network.clouds:
             assert all(len(c.weights) == len(cloud.slots) for c in cloud.classifiers)
         text = network_to_text(network)
@@ -455,13 +570,9 @@ class TestSerialization:
         )
         cset = confusion_set_from_text("dax, fep")
         params = ExtractionParams(k=3)
-        stats = collect_stats(corpus, cset, params, EMPTY_TAGS)
-        retained = prune(stats, PruningPolicy(mode=UNPRUNED))
+        _, retained, stream = prepare_set(corpus, cset, params, EMPTY_TAGS,
+                                          PruningPolicy(mode=UNPRUNED))
         learned = set(retained)
-        stream = [
-            (extract_active(o.sentence, o, learned, params, EMPTY_TAGS), o.member_index)
-            for o in find_occurrences(corpus, cset)
-        ]
         network = WinnowNetwork(cset, retained, PARAMS, params,
                                 priors=(0.5, 0.5))
         train_network(network, stream)
