@@ -11,6 +11,7 @@ from .corpus import (
     load_confusion_sets,
     load_corpus,
     load_tag_dictionary,
+    occurrences_by_set,
     restore,
     tokenize,
 )

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -94,17 +93,20 @@ class BayesModel:
             )
             self.mean_lambda[f] = sum(self.lam[f]) / self.n_members
         self.log_priors = tuple(_log(p) for p in self.priors)
+        self.log_likelihoods: dict[Feature, tuple[float, ...]] = {}
 
-    @cached_property
-    def log_likelihoods(self) -> dict[Feature, tuple[float, ...]]:
-        """log(smoothed likelihood) per feature and member, -inf for 0: the
-        terms classification sums. Built on first use, so training alone
-        never pays for it."""
-        members = range(self.n_members)
-        return {
-            f: tuple(_log(smoothed_likelihood(self, f, i)) for i in members)
-            for f in self.features
-        }
+    def log_likelihood_row(self, feature: Feature) -> tuple[float, ...]:
+        """log(smoothed likelihood) of ``feature`` per member, -inf for 0:
+        the terms classification sums. A row is computed the first time it
+        is read and kept in ``log_likelihoods``, so a model pays only for
+        the features it is asked about. ValueError for a feature the model
+        did not retain."""
+        row = self.log_likelihoods.get(feature)
+        if row is None:
+            row = self.log_likelihoods[feature] = tuple(
+                _log(smoothed_likelihood(self, feature, i)) for i in range(self.n_members)
+            )
+        return row
 
     @property
     def n_members(self) -> int:
@@ -198,13 +200,7 @@ def classify_bayes(model: BayesModel, active_set: Iterable[Feature]) -> Decision
     (possible with MLE likelihoods), the equal scores leave the prior to
     decide.
     """
-    table = model.log_likelihoods
-    rows = []
-    for f in resolve_dependencies(model, active_set):
-        row = table.get(f)
-        if row is None:
-            raise ValueError(f"feature not retained by this model: {f.key()}")
-        rows.append(row)
+    rows = [model.log_likelihood_row(f) for f in resolve_dependencies(model, active_set)]
     # fsum is exactly rounded, so members with identical term multisets tie
     # exactly and fall through to the prior rule.
     scores = tuple(

@@ -15,10 +15,10 @@ from pathlib import Path
 from .corpus import (
     CorpusError,
     corrupt,
-    find_occurrences,
     load_confusion_sets,
     load_corpus,
     load_tag_dictionary,
+    occurrences_by_set,
     tokenize,
 )
 from .evaluation import (
@@ -162,8 +162,11 @@ def cmd_train(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     policy = PruningPolicy(mode=args.mode)
-    for cset in load_confusion_sets(args.confusion_sets):
-        stats, retained, stream = prepare_set(corpus, cset, extraction, tagdict, policy)
+    confusion_sets = load_confusion_sets(args.confusion_sets)
+    # One corpus scan finds every set's occurrences; the sets are then
+    # prepared and trained one at a time.
+    for cset, occurrences in zip(confusion_sets, occurrences_by_set(corpus, confusion_sets)):
+        stats, retained, stream = prepare_set(occurrences, cset, extraction, tagdict, policy)
         model = train_system_model(args.system, stats, retained, policy, stream, wparams)
         path = outdir / f"{cset.slug}.{args.system}.model"
         save_system_model(model, path)
@@ -186,9 +189,10 @@ def cmd_classify(args) -> int:
         lines = Path(args.input).read_text(encoding="utf-8").splitlines()
     sentences = [tokenize(line, i) for i, line in enumerate(lines, start=1) if line.strip()]
     rows = []
-    for model in models:
+    occurrence_lists = occurrences_by_set(sentences, [m.confusion_set for m in models])
+    for model, occurrences in zip(models, occurrence_lists):
         cset, learned = model.confusion_set, set(model.features)
-        for occ in find_occurrences(sentences, cset):
+        for occ in occurrences:
             active = extract_active(occ.sentence, occ, learned, model.extraction, tagdict)
             decision = decide(model, active)
             observed = cset.member_text(occ.member_index)
@@ -201,8 +205,8 @@ def cmd_classify(args) -> int:
             line = occ.sentence.source_line
             rows.append((line, f"{line}\t{occ.span_start}:{occ.span_len}"
                                f"\t{observed}\t{suggested}\t{flag}\t{score_text}"))
-    # Models were matched one after another; the stable sort by source line
-    # gives (line, model path, span start) order.
+    # Rows were built model by model; the stable sort by source line gives
+    # (line, model path, span start) order.
     rows.sort(key=lambda row: row[0])
     for _, row in rows:
         print(row)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -42,9 +43,11 @@ def tokenize(text: str, source_line: int = 0) -> Sentence:
 
     Punctuation marks become standalone tokens; internal apostrophes are kept
     so contractions ("don't", "it's") remain single tokens. Empty or
-    whitespace-only input yields an empty sentence.
+    whitespace-only input yields an empty sentence. Tokens are interned, so
+    a corpus holds one string per distinct word however often it occurs.
     """
-    return sentence_from_surfaces(_TOKEN_RE.findall(text.lower()), source_line)
+    tokens = _TOKEN_RE.findall(text.lower())
+    return sentence_from_surfaces(map(sys.intern, tokens), source_line)
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,8 @@ def confusion_set_from_text(line: str) -> ConfusionSet:
 
 
 def load_confusion_sets(path: str | Path) -> list[ConfusionSet]:
-    """One confusion set per line; '#' starts a comment line."""
+    """One confusion set per line; '#' starts a comment line. A file with no
+    sets is refused."""
     sets = []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.strip()
@@ -101,6 +105,8 @@ def load_confusion_sets(path: str | Path) -> list[ConfusionSet]:
             sets.append(confusion_set_from_text(stripped))
         except ValueError as exc:
             raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
+    if not sets:
+        raise CorpusError(f"{path}: no confusion sets")
     return sets
 
 
@@ -195,50 +201,53 @@ class Occurrence:
         return self.span_start + self.span_len
 
 
-_MatchIndex = dict[str, list[tuple[tuple[str, ...], int]]]
+# First token -> (member, set index, member index) of every member that
+# starts with it.
+_MatchIndex = dict[str, list[tuple[tuple[str, ...], int, int]]]
 
 
-def _match_index(confusion_set: ConfusionSet) -> _MatchIndex:
-    """First token -> (member, member_index) pairs starting with it, longest
-    member first, ties in member order."""
+def _match_index(confusion_sets: Sequence[ConfusionSet]) -> _MatchIndex:
+    """One index over every set; within a set, longest member first, ties in
+    member order."""
     index: _MatchIndex = {}
-    by_length = sorted(
-        range(len(confusion_set.members)),
-        key=lambda i: -len(confusion_set.members[i]),
-    )
-    for mi in by_length:
-        member = confusion_set.members[mi]
-        index.setdefault(member[0], []).append((member, mi))
+    for si, confusion_set in enumerate(confusion_sets):
+        members = confusion_set.members
+        for mi in sorted(range(len(members)), key=lambda i: -len(members[i])):
+            index.setdefault(members[mi][0], []).append((members[mi], si, mi))
     return index
 
 
 def _match_sentence(surfaces: tuple[str, ...], index: _MatchIndex):
-    """Yield (start, length, member_index) for maximal non-overlapping
-    matches, scanning left to right with longest member preferred."""
+    """Yield (start, length, set index, member index) for each set's maximal
+    non-overlapping matches, left to right. Every set scans on its own: from
+    the end of its last match, longest member preferred."""
     if index.keys().isdisjoint(surfaces):
         return
-    i = 0
-    n = len(surfaces)
-    while i < n:
-        for member, mi in index.get(surfaces[i], ()):
-            if surfaces[i : i + len(member)] == member:
-                yield i, len(member), mi
-                i += len(member)
-                break
-        else:
-            i += 1
+    ends: dict[int, int] = {}
+    for i, token in enumerate(surfaces):
+        for member, si, mi in index.get(token, ()):
+            if ends.get(si, 0) <= i and surfaces[i : i + len(member)] == member:
+                ends[si] = i + len(member)
+                yield i, len(member), si, mi
+
+
+def occurrences_by_set(
+    sentences: Sequence[Sentence], confusion_sets: Sequence[ConfusionSet]
+) -> list[list[Occurrence]]:
+    """Each set's occurrences, in corpus order, from one scan of the corpus."""
+    index = _match_index(confusion_sets)
+    out: list[list[Occurrence]] = [[] for _ in confusion_sets]
+    for sent in sentences:
+        for start, length, si, mi in _match_sentence(sent.surfaces, index):
+            out[si].append(Occurrence(sent, start, length, mi))
+    return out
 
 
 def find_occurrences(
     sentences: Sequence[Sentence], confusion_set: ConfusionSet
 ) -> list[Occurrence]:
     """All confusion-set occurrences, in corpus order."""
-    index = _match_index(confusion_set)
-    out = []
-    for sent in sentences:
-        for start, length, mi in _match_sentence(sent.surfaces, index):
-            out.append(Occurrence(sent, start, length, mi))
-    return out
+    return occurrences_by_set(sentences, [confusion_set])[0]
 
 
 @dataclass(frozen=True)
@@ -270,7 +279,7 @@ def corrupt(
         raise ValueError("corruption needs a confusion set with >= 2 members")
     rng = random.Random(seed)
     probability = pct / 100.0
-    index = _match_index(confusion_set)
+    index = _match_index([confusion_set])
     corrupted: list[Sentence] = []
     log: list[CorruptionEntry] = []
     for si, sent in enumerate(sentences):
@@ -280,7 +289,7 @@ def corrupt(
             continue
         new_surfaces: list[str] = []
         cursor = 0
-        for start, length, mi in matches:
+        for start, length, _, mi in matches:
             new_surfaces.extend(sent.surfaces[cursor:start])
             if rng.random() < probability:
                 other = rng.randrange(len(confusion_set.members) - 1)

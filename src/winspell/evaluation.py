@@ -249,7 +249,8 @@ def evaluate_systems(
     winnow_params = winnow_params or WinnowParams()
     policy = PruningPolicy(mode=mode)
     stats, retained, train_stream = prepare_set(
-        train_sentences, confusion_set, extraction, tagdict, policy
+        find_occurrences(train_sentences, confusion_set),
+        confusion_set, extraction, tagdict, policy,
     )
     learned = set(retained)
     test_cases = [

@@ -132,24 +132,22 @@ def generate_features(
     start, end = occurrence.span_start, occurrence.span_end
     if not (0 <= start <= end <= len(surfaces)):
         raise ValueError("occurrence lies outside its sentence")
-    features: set[Feature] = set()
-    window_start = max(0, start - params.k)
-    for surface in surfaces[window_start:start]:
-        features.add(context_word(surface))
-    for surface in surfaces[end : end + params.k]:
-        features.add(context_word(surface))
-    for span in _collocation_spans(params.l):
-        positions = [start + off if off < 0 else end + off - 1 for off in span]
-        if not all(0 <= p < len(surfaces) for p in positions):
-            continue
-        slot_choices = []
-        for position in positions:
+    window = {*surfaces[max(0, start - params.k) : start], *surfaces[end : end + params.k]}
+    features = {Feature(CONTEXT_WORD, word) for word in window}
+    # Each neighbouring slot's choices (the word, then each of its tags),
+    # built once and shared by every span through that slot.
+    choices = {}
+    for offset, position in ((-2, start - 2), (-1, start - 1), (1, end), (2, end + 1)):
+        if 0 <= position < len(surfaces):
             word = surfaces[position]
-            choices = [(WORD_SLOT, word)]
-            choices.extend((TAG_SLOT, tag) for tag in sorted(tagdict.lookup(word)))
-            slot_choices.append(choices)
-        for combo in product(*slot_choices):
-            features.add(collocation(span, combo))
+            choices[offset] = [(WORD_SLOT, word)]
+            choices[offset].extend((TAG_SLOT, tag) for tag in sorted(tagdict.lookup(word)))
+    for span in _collocation_spans(params.l):
+        if all(offset in choices for offset in span):
+            features.update(
+                Feature(COLLOCATION, "", span, combo)
+                for combo in product(*(choices[offset] for offset in span))
+            )
     return features
 
 
@@ -172,10 +170,11 @@ class FeatureStats:
 
     def add(self, feature_set: Iterable[Feature], member_index: int):
         self.occurrences[member_index] += 1
-        for feature in sorted(feature_set):
-            row = self.counts.get(feature)
+        counts, n_members = self.counts, self.n_members
+        for feature in feature_set:
+            row = counts.get(feature)
             if row is None:
-                row = self.counts[feature] = [0] * self.n_members
+                row = counts[feature] = [0] * n_members
             row[member_index] += 1
 
     def max_association(self, feature: Feature) -> float:
@@ -200,16 +199,16 @@ def association_table(
 
 
 def _count_features(
-    corpus: Sequence[Sentence],
+    occurrences: Sequence[Occurrence],
     confusion_set: ConfusionSet,
     params: ExtractionParams,
     tagdict: TagDictionary,
 ) -> tuple[FeatureStats, list[tuple[set[Feature], int]]]:
-    """Generate the features of every occurrence in the corpus once, count
-    them, and return the counts with the (generated set, member) pairs."""
+    """Generate the features of every occurrence once, count them, and
+    return the counts with the (generated set, member) pairs."""
     stats = FeatureStats(confusion_set, params)
     generated = []
-    for occ in find_occurrences(corpus, confusion_set):
+    for occ in occurrences:
         features = generate_features(occ.sentence, occ, params, tagdict)
         stats.add(features, occ.member_index)
         generated.append((features, occ.member_index))
@@ -227,7 +226,8 @@ def collect_stats(
     tagdict: TagDictionary,
 ) -> FeatureStats:
     """Accumulate feature statistics over every occurrence in the corpus."""
-    return _count_features(corpus, confusion_set, params, tagdict)[0]
+    occurrences = find_occurrences(corpus, confusion_set)
+    return _count_features(occurrences, confusion_set, params, tagdict)[0]
 
 
 def chi2_sf(statistic: float) -> float:
@@ -270,8 +270,8 @@ def prune(stats: FeatureStats, policy: PruningPolicy) -> tuple[Feature, ...]:
     """The retained feature set, in canonical order."""
     retained = []
     n_total = stats.total_occurrences
-    for feature in sorted(stats.counts):
-        total = sum(stats.counts[feature])
+    for feature, row in stats.counts.items():
+        total = sum(row)
         if policy.mode == UNPRUNED:
             if total != 1:
                 retained.append(feature)
@@ -283,7 +283,7 @@ def prune(stats: FeatureStats, policy: PruningPolicy) -> tuple[Feature, ...]:
         if chi2_sf(stats.max_association(feature)) >= policy.alpha:
             continue
         retained.append(feature)
-    return tuple(retained)
+    return tuple(sorted(retained))
 
 
 def extract_active(
@@ -300,19 +300,19 @@ def extract_active(
 
 
 def prepare_set(
-    corpus: Sequence[Sentence],
+    occurrences: Sequence[Occurrence],
     confusion_set: ConfusionSet,
     params: ExtractionParams,
     tagdict: TagDictionary,
     policy: PruningPolicy,
 ) -> tuple[FeatureStats, tuple[Feature, ...], list[tuple[tuple[int, ...], int]]]:
     """Counts, retained features and the (active feature ids, member)
-    training stream of one confusion set, from one pass over the corpus.
+    training stream of one confusion set, from its training occurrences.
     A feature's id is its position in the retained tuple. Equal to
-    ``collect_stats``, then ``prune``, then ``extract_active`` over
-    ``find_occurrences`` with each active feature replaced by its id, but
-    each occurrence's features are generated once."""
-    stats, generated = _count_features(corpus, confusion_set, params, tagdict)
+    ``collect_stats``, then ``prune``, then ``extract_active`` over the
+    occurrences with each active feature replaced by its id, but each
+    occurrence's features are generated once."""
+    stats, generated = _count_features(occurrences, confusion_set, params, tagdict)
     retained = prune(stats, policy)
     ids = {f: i for i, f in enumerate(retained)}
     # Intersecting sets runs in C; only the surviving features are mapped.

@@ -328,10 +328,9 @@ def init_bayesian(network: WinnowNetwork, model: BayesModel):
     """
     if set(network.features) != set(model.features):
         raise ValueError("network and model feature sets differ")
-    logs = model.log_likelihoods
+    rows = [model.log_likelihood_row(f) for f in network.features]
     raw = [
-        [_floored(model.log_priors[i])]
-        + [_floored(logs[f][i]) for f in network.features]
+        [_floored(model.log_priors[i])] + [_floored(row[i]) for row in rows]
         for i in range(network.n_members)
     ]
     shift = -min(w for weights in raw for w in weights)

@@ -135,6 +135,37 @@ class TestSmoothedLikelihood:
             smoothed_likelihood(model, context_word("zzxq"), 0)
 
 
+class TestLogLikelihoods:
+    """The per-model table of log smoothed likelihoods fills a feature's row
+    the first time it is read."""
+
+    @pytest.mark.parametrize("smoothing", [INTERPOLATIVE, MLE_ONLY])
+    def test_lazy_rows_equal_log_of_smoothed_likelihood(self, smoothing):
+        stats = stats_from_counts({"f": [5, 0], "g": [3, 4], "h": [0, 7]}, [10, 10])
+        model = train_bayes(stats, UNPRUNED_POLICY, smoothing)
+        table = model.log_likelihoods
+        assert len(table) == 0
+        read = model.features[0]
+        classify_bayes(model, (read,))
+        assert list(table) == [read]
+        for f in model.features:
+            row = model.log_likelihood_row(f)
+            assert table[f] is row
+            for i in range(model.n_members):
+                likelihood = smoothed_likelihood(model, f, i)
+                want = math.log(likelihood) if likelihood > 0 else -math.inf
+                assert row[i] == want
+        assert len(table) == len(model.features)
+        if smoothing == MLE_ONLY:
+            assert any(-math.inf in row for row in table.values())
+
+    def test_unretained_feature_rejected_and_not_filled(self):
+        model, _ = toy_model()
+        with pytest.raises(ValueError, match="not retained"):
+            classify_bayes(model, (context_word("zzxq"),))
+        assert context_word("zzxq") not in model.log_likelihoods
+
+
 class TestResolveDependencies:
     def overlap_model(self, strong_counts, weak_counts):
         """Two overlapping collocations with controllable association."""

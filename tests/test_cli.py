@@ -93,6 +93,31 @@ class TestTrain:
         assert rc == 1
         assert "no occurrences" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("system", ["bayes", "winnow"])
+    def test_sets_sharing_tokens_train_as_if_alone(self, tmp_path, system):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(
+            "it may be a bee\nmaybe the bee may fly\nto be or not to be\n"
+            "may be later , maybe not\nthe bee may be here\nlet it be may\n"
+        )
+        sets = ["may, may be", "be, bee", "maybe, may be"]
+        (tmp_path / "all.txt").write_text("\n".join(sets) + "\n")
+        (tmp_path / "tags.tsv").write_text("bee\tNOUN\nmay\tMD,NOUN\n")
+
+        def train(sets_file, out):
+            assert run(["train", "--corpus", corpus, "--confusion-sets", sets_file,
+                        "--tagdict", tmp_path / "tags.tsv", "--mode", "unpruned",
+                        "--system", system, "--k", 3, "--out", out]) == 0
+
+        train(tmp_path / "all.txt", tmp_path / "together")
+        for i, text in enumerate(sets):
+            alone = tmp_path / f"alone{i}"
+            (tmp_path / f"set{i}.txt").write_text(text + "\n")
+            train(tmp_path / f"set{i}.txt", alone)
+            (path,) = alone.iterdir()
+            assert (tmp_path / "together" / path.name).read_bytes() == path.read_bytes()
+        assert len(list((tmp_path / "together").iterdir())) == len(sets)
+
 
 class TestClassify:
     def train_first(self, workspace, capsys, system="bayes"):
@@ -347,6 +372,25 @@ class TestCorrupt:
                  "--corrupt-pct", 30, "--seed", 9, "--out", out])
         assert (out1 / "corrupted.txt").read_bytes() == (out2 / "corrupted.txt").read_bytes()
         assert (out1 / "changes.tsv").read_bytes() == (out2 / "changes.tsv").read_bytes()
+
+
+class TestEmptyConfusionSets:
+    """A confusion-set file without a set is an error, not an empty run."""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate", "corrupt"])
+    def test_one_line_error(self, workspace, capsys, command):
+        (workspace / "sets.txt").write_text("# no sets here\n\n")
+        out = workspace / "out"
+        args = [command, "--corpus", workspace / "corpus.txt",
+                "--confusion-sets", workspace / "sets.txt",
+                "--tagdict", workspace / "tags.tsv", "--out", out]
+        if command == "train":
+            args += ["--system", "bayes"]
+        rc = run(args)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {workspace / 'sets.txt'}: no confusion sets\n"
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestConfigFile:

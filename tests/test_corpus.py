@@ -14,6 +14,7 @@ from winspell.corpus import (
     load_confusion_sets,
     load_corpus,
     load_tag_dictionary,
+    occurrences_by_set,
     restore,
     sentence_from_surfaces,
     tokenize,
@@ -105,6 +106,13 @@ class TestConfusionSets:
         path.write_text("# homophones\npeace, piece\n\nmaybe, may be\n")
         sets = load_confusion_sets(path)
         assert [cs.label for cs in sets] == ["peace, piece", "maybe, may be"]
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"], ids=["empty", "comment-only"])
+    def test_file_without_sets_refused(self, tmp_path, text):
+        path = tmp_path / "sets.txt"
+        path.write_text(text)
+        with pytest.raises(CorpusError, match="no confusion sets"):
+            load_confusion_sets(path)
 
 
 class TestTagDictionary:
@@ -240,6 +248,61 @@ class TestSharedFirstToken:
         ]
         corrupted, log = corrupt(corpus, cset, pct, seed)
         assert restore(corrupted, cset, log) == corpus
+
+
+# Sets that share first tokens (may, be, maybe) and members (may be) with
+# one another.
+OVERLAPPING_SET_POOL = (
+    "may, may be",
+    "be, bee",
+    "maybe, may be",
+    "may be, may",
+    "may, may be, may not be",
+    "bee, be, b",
+    "not, knot",
+)
+
+
+class TestOccurrencesBySet:
+    """One scan for many sets gives each set exactly its own scan."""
+
+    def test_overlapping_sets_scan_independently(self):
+        sets = [confusion_set_from_text(t) for t in ("may, may be", "be, bee", "maybe, may be")]
+        sent = sentence_from_surfaces(["may", "be", "maybe", "bee", "may"])
+        got = [
+            [(o.span_start, o.span_len, o.member_index) for o in occs]
+            for occs in occurrences_by_set([sent], sets)
+        ]
+        assert got == [
+            [(0, 2, 1), (4, 1, 0)],
+            [(1, 1, 0), (3, 1, 1)],
+            [(0, 2, 1), (2, 1, 0)],
+        ]
+
+    @given(
+        st.lists(st.sampled_from(OVERLAPPING_SET_POOL), min_size=1, max_size=5),
+        st.lists(
+            st.lists(st.sampled_from(["may", "be", "bee", "b", "not", "knot", "maybe", "x"]),
+                     max_size=10),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_reference_per_set(self, set_texts, token_lists):
+        sets = [confusion_set_from_text(text) for text in set_texts]
+        corpus = [sentence_from_surfaces(tokens) for tokens in token_lists]
+        got = occurrences_by_set(corpus, sets)
+        assert len(got) == len(sets)
+        for cset, occurrences in zip(sets, got):
+            assert [
+                (id(o.sentence), o.span_start, o.span_len, o.member_index)
+                for o in occurrences
+            ] == [
+                (id(sent), *match)
+                for sent in corpus
+                for match in reference_matches(sent.surfaces, cset)
+            ]
+            assert occurrences == find_occurrences(corpus, cset)
 
 
 class TestCorrupt:

@@ -1,10 +1,16 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from winspell.corpus import TagDictionary, confusion_set_from_text, find_occurrences
+from winspell.corpus import (
+    TagDictionary,
+    confusion_set_from_text,
+    find_occurrences,
+    sentence_from_surfaces,
+)
 from winspell.features import (
     COLLOCATION,
     CONTEXT_WORD,
@@ -109,6 +115,74 @@ class TestGenerateFeatures:
         first = generate_features(sent, occ, ExtractionParams(), EMPTY_TAGS)
         second = generate_features(sent, occ, ExtractionParams(), EMPTY_TAGS)
         assert first == second
+
+
+def reference_generate_features(sentence, occurrence, params, tagdict):
+    """The feature pass written out span by span: each span's slot choices
+    built anew, every feature through ``context_word``/``collocation``."""
+    surfaces = sentence.surfaces
+    start, end = occurrence.span_start, occurrence.span_end
+    features = set()
+    for surface in surfaces[max(0, start - params.k) : start]:
+        features.add(context_word(surface))
+    for surface in surfaces[end : end + params.k]:
+        features.add(context_word(surface))
+    spans = [(-1,), (1,)] + ([(-2, -1), (-1, 1), (1, 2)] if params.l == 2 else [])
+    for span in spans:
+        positions = [start + off if off < 0 else end + off - 1 for off in span]
+        if not all(0 <= p < len(surfaces) for p in positions):
+            continue
+        slot_choices = []
+        for position in positions:
+            word = surfaces[position]
+            choices = [("w", word)]
+            choices.extend(("t", tag) for tag in sorted(tagdict.lookup(word)))
+            slot_choices.append(choices)
+        for combo in product(*slot_choices):
+            features.add(collocation(span, combo))
+    return features
+
+
+# Words with no entry (so the single tag UNK), one tag and two tags.
+ORACLE_TAGS = TagDictionary({
+    "to": frozenset({"PREP", "TO"}),
+    "cake": frozenset({"NOUN"}),
+    "may": frozenset({"MD"}),
+    "be": frozenset({"VB", "AUX"}),
+})
+
+
+class TestGenerateFeaturesMatchesReference:
+    @given(
+        st.lists(st.sampled_from(["a", "to", "cake", "may", "be", "x", "maybe"]),
+                 min_size=1, max_size=9),
+        st.integers(1, 3),
+        st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_set_as_reference(self, tokens, k, l):
+        cset = confusion_set_from_text("maybe, may be")
+        sent = sentence_from_surfaces(tokens)
+        params = ExtractionParams(k=k, l=l)
+        for occ in find_occurrences([sent], cset):
+            got = generate_features(sent, occ, params, ORACLE_TAGS)
+            assert got == reference_generate_features(sent, occ, params, ORACLE_TAGS)
+
+    @pytest.mark.parametrize("l", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("text", [
+        "may be", "maybe", "may be to cake", "cake to maybe", "be may be x",
+        "to cake maybe be may", "a maybe a",
+    ])
+    def test_sentence_edges_and_two_token_members(self, text, k, l):
+        cset = confusion_set_from_text("maybe, may be")
+        sent = corpus_of(text)[0]
+        params = ExtractionParams(k=k, l=l)
+        occurrences = find_occurrences([sent], cset)
+        assert occurrences
+        for occ in occurrences:
+            got = generate_features(sent, occ, params, ORACLE_TAGS)
+            assert got == reference_generate_features(sent, occ, params, ORACLE_TAGS)
 
 
 class TestFeatureKeys:
@@ -263,6 +337,21 @@ class TestPrune:
         stats = make_stats({"rare": [2, 0]}, [100, 100])
         assert context_word("rare") in prune(stats, PruningPolicy(mode=UNPRUNED))
 
+    @pytest.mark.parametrize("mode", [PRUNED, UNPRUNED])
+    def test_independent_of_count_order(self, mode):
+        rng = random.Random(7)
+        counts = {f"f{i}": [rng.randint(0, 40), rng.randint(0, 40)] for i in range(60)}
+        counts = {name: row for name, row in counts.items() if sum(row) > 0}
+        stats = make_stats(counts, [60, 60])
+        policy = PruningPolicy(mode=mode)
+        want = prune(stats, policy)
+        assert want and list(want) == sorted(want)
+        items = list(stats.counts.items())
+        for _ in range(5):
+            rng.shuffle(items)
+            stats.counts = dict(items)
+            assert prune(stats, policy) == want
+
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_pruned_subset_of_unpruned(self, rows):
@@ -325,7 +414,9 @@ class TestPrepareSet:
         tags = TagDictionary({"the": {"DET"}, "on": {"PREP", "ADV"}, "old": {"ADJ"}})
         policy = PruningPolicy(mode=mode)
 
-        stats, retained, stream = prepare_set(corpus, cset, params, tags, policy)
+        stats, retained, stream = prepare_set(
+            find_occurrences(corpus, cset), cset, params, tags, policy
+        )
 
         expected_stats = collect_stats(corpus, cset, params, tags)
         assert list(stats.counts.items()) == list(expected_stats.counts.items())
@@ -343,5 +434,5 @@ class TestPrepareSet:
     def test_zero_occurrences_error(self):
         cset = confusion_set_from_text("peace, piece")
         with pytest.raises(ValueError, match="no occurrences"):
-            prepare_set(corpus_of("nothing here"), cset, ExtractionParams(),
-                        EMPTY_TAGS, PruningPolicy())
+            prepare_set(find_occurrences(corpus_of("nothing here"), cset), cset,
+                        ExtractionParams(), EMPTY_TAGS, PruningPolicy())

@@ -570,8 +570,8 @@ class TestSerialization:
         )
         cset = confusion_set_from_text("dax, fep")
         params = ExtractionParams(k=3)
-        _, retained, stream = prepare_set(corpus, cset, params, EMPTY_TAGS,
-                                          PruningPolicy(mode=UNPRUNED))
+        _, retained, stream = prepare_set(find_occurrences(corpus, cset), cset, params,
+                                          EMPTY_TAGS, PruningPolicy(mode=UNPRUNED))
         learned = set(retained)
         network = WinnowNetwork(cset, retained, PARAMS, params,
                                 priors=(0.5, 0.5))
