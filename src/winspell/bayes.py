@@ -7,7 +7,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import ConfusionSet
 from .features import (
@@ -18,6 +18,7 @@ from .features import (
     PruningPolicy,
     association_table,
     chi_square_2x2,
+    index_features,
     parse_feature_key,
     parse_model_head,
     prune,
@@ -49,14 +50,14 @@ class BayesModel:
     All derived tables (priors, MLE likelihoods, unigrams, mixing weights,
     and the logs of the priors and smoothed likelihoods that classification
     sums) are recomputed from the raw counts, so a serialized model reloads
-    exactly.
+    exactly. Per-feature tables are lists indexed by feature id.
     """
 
     def __init__(
         self,
         confusion_set: ConfusionSet,
         extraction: ExtractionParams,
-        counts: dict[Feature, Sequence[int]],
+        counts: Mapping[Feature, Sequence[int]],
         occurrences: Sequence[int],
         smoothing: str = INTERPOLATIVE,
         dependency_resolution: bool = True,
@@ -67,8 +68,8 @@ class BayesModel:
             raise ValueError("occurrence counts do not match the confusion set")
         self.confusion_set = confusion_set
         self.extraction = extraction
-        self.features = tuple(sorted(counts))
-        self.counts = {f: tuple(counts[f]) for f in self.features}
+        self.features, self.feature_ids = index_features(counts)
+        self.counts = [tuple(counts[f]) for f in self.features]
         self.occurrences = tuple(occurrences)
         self.total = sum(occurrences)
         if self.total <= 0:
@@ -77,31 +78,28 @@ class BayesModel:
         self.dependency_resolution = dependency_resolution
 
         self.priors = tuple(n / self.total for n in self.occurrences)
-        self.p_ml: dict[Feature, tuple[float, ...]] = {}
-        self.p_unigram: dict[Feature, float] = {}
-        self.lam: dict[Feature, tuple[float, ...]] = {}
-        self.mean_lambda: dict[Feature, float] = {}
-        for f in self.features:
-            row = self.counts[f]
-            self.p_ml[f] = tuple(
-                row[i] / n if n else 0.0 for i, n in enumerate(self.occurrences)
-            )
-            self.p_unigram[f] = sum(row) / self.total
-            self.lam[f] = tuple(
+        self.p_ml = [
+            tuple(row[i] / n if n else 0.0 for i, n in enumerate(self.occurrences))
+            for row in self.counts
+        ]
+        self.p_unigram = [sum(row) / self.total for row in self.counts]
+        self.lam = [
+            tuple(
                 chi_square_2x2(*association_table(row, self.occurrences, i))[1]
                 for i in range(self.n_members)
             )
-            self.mean_lambda[f] = sum(self.lam[f]) / self.n_members
+            for row in self.counts
+        ]
+        self.mean_lambda = [sum(lam) / self.n_members for lam in self.lam]
         self.log_priors = tuple(_log(p) for p in self.priors)
-        self.log_likelihoods: dict[Feature, tuple[float, ...]] = {}
+        self.log_likelihoods: list[tuple[float, ...] | None] = [None] * len(self.features)
 
-    def log_likelihood_row(self, feature: Feature) -> tuple[float, ...]:
-        """log(smoothed likelihood) of ``feature`` per member, -inf for 0:
-        the terms classification sums. A row is computed the first time it
-        is read and kept in ``log_likelihoods``, so a model pays only for
-        the features it is asked about. ValueError for a feature the model
-        did not retain."""
-        row = self.log_likelihoods.get(feature)
+    def log_likelihood_row(self, feature: int) -> tuple[float, ...]:
+        """log(smoothed likelihood) of feature id ``feature`` per member,
+        -inf for 0: the terms classification sums. A row is computed the
+        first time it is read and kept in ``log_likelihoods``, so a model
+        pays only for the features it is asked about."""
+        row = self.log_likelihoods[feature]
         if row is None:
             row = self.log_likelihoods[feature] = tuple(
                 _log(smoothed_likelihood(self, feature, i)) for i in range(self.n_members)
@@ -115,13 +113,13 @@ class BayesModel:
 
 def train_bayes(
     stats: FeatureStats,
-    policy: PruningPolicy,
+    policy: PruningPolicy | None = None,
     smoothing: str = INTERPOLATIVE,
     dependency_resolution: bool = True,
     retained: Iterable[Feature] | None = None,
 ) -> BayesModel:
     """Build a model from corpus statistics, pruning per ``policy`` unless a
-    retained feature set is supplied."""
+    retained feature set is supplied; one of the two must be given."""
     if retained is None:
         retained = prune(stats, policy)
     counts = {f: stats.counts[f] for f in retained}
@@ -142,46 +140,42 @@ def train_bayes(
     )
 
 
-def smoothed_likelihood(model: BayesModel, feature: Feature, member_index: int) -> float:
-    """(1 - lambda) * P_ML(f|Wi) + lambda * P_ML(f), where lambda is the
-    chi-square probability that the f/Wi association is due to chance;
-    MLE-only mode returns the raw likelihood."""
-    p_ml = model.p_ml.get(feature)
-    if p_ml is None:
-        raise ValueError(f"feature not retained by this model: {feature.key()}")
-    ml = p_ml[member_index]
+def smoothed_likelihood(model: BayesModel, feature: int, member_index: int) -> float:
+    """(1 - lambda) * P_ML(f|Wi) + lambda * P_ML(f) for feature id ``feature``,
+    where lambda is the chi-square probability that the f/Wi association is
+    due to chance; MLE-only mode returns the raw likelihood."""
+    ml = model.p_ml[feature][member_index]
     if model.smoothing == MLE_ONLY:
         return ml
     lam = model.lam[feature][member_index]
     return (1.0 - lam) * ml + lam * model.p_unigram[feature]
 
 
-def resolve_dependencies(
-    model: BayesModel, active_set: Iterable[Feature]
-) -> tuple[Feature, ...]:
-    """Reduce the active set before the naive-Bayes product.
+def resolve_dependencies(model: BayesModel, active_set: Iterable[int]) -> tuple[int, ...]:
+    """Reduce the active set of feature ids before the naive-Bayes product.
 
     Collocations whose offset spans overlap are treated as strongly
     dependent; within each overlap-connected group only the feature with the
     lowest mean mixing weight (the strongest association) survives, ties
-    going to canonical order. Context-word features are never deleted. With
-    dependency resolution off, the active set is returned in canonical order.
+    going to the lower id. Context-word features are never deleted. With
+    dependency resolution off, the active set is returned in id order.
     """
     active = tuple(sorted(active_set))
     if not model.dependency_resolution:
         return active
-    mean_lambda = model.mean_lambda
+    features, mean_lambda = model.features, model.mean_lambda
     # Collocations with one offset span all overlap, so only each span's
     # strongest can survive; active is sorted, so ties keep the first.
-    strongest: dict[tuple[int, ...], Feature] = {}
+    strongest: dict[tuple[int, ...], int] = {}
     for f in active:
-        if f.kind == COLLOCATION:
-            best = strongest.get(f.offsets)
+        feature = features[f]
+        if feature.kind == COLLOCATION:
+            best = strongest.get(feature.offsets)
             if best is None or mean_lambda[f] < mean_lambda[best]:
-                strongest[f.offsets] = f
+                strongest[feature.offsets] = f
     # Components of the few distinct spans under overlap, each as the union
     # of its offsets and its strongest collocation.
-    groups: list[tuple[set[int], Feature]] = []
+    groups: list[tuple[set[int], int]] = []
     for span, f in strongest.items():
         offsets = set(span)
         for group in [g for g in groups if g[0] & offsets]:
@@ -190,10 +184,10 @@ def resolve_dependencies(
             f = min(f, group[1], key=lambda c: (mean_lambda[c], c))
         groups.append((offsets, f))
     survivors = {f for _, f in groups}
-    return tuple(f for f in active if f.kind != COLLOCATION or f in survivors)
+    return tuple(f for f in active if features[f].kind != COLLOCATION or f in survivors)
 
 
-def classify_bayes(model: BayesModel, active_set: Iterable[Feature]) -> Decision:
+def classify_bayes(model: BayesModel, active_set: Iterable[int]) -> Decision:
     """Log-space posterior over members; the normalizing constant is omitted.
 
     The member is picked by :func:`choose`. If every member scores -inf
@@ -235,8 +229,8 @@ def model_to_text(model: BayesModel) -> str:
     lines.append("occurrences\t" + "\t".join(str(n) for n in model.occurrences))
     lines.append("priors\t" + "\t".join(repr(p) for p in model.priors))
     lines.append(f"features\t{len(model.features)}")
-    for f in model.features:
-        lines.append(f.key() + "\t" + "\t".join(str(c) for c in model.counts[f]))
+    for f, row in zip(model.features, model.counts):
+        lines.append(f.key() + "\t" + "\t".join(str(c) for c in row))
     return "\n".join(lines) + "\n"
 
 

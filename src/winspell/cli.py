@@ -167,7 +167,7 @@ def cmd_train(args) -> int:
     # prepared and trained one at a time.
     for cset, occurrences in zip(confusion_sets, occurrences_by_set(corpus, confusion_sets)):
         stats, retained, stream = prepare_set(occurrences, cset, extraction, tagdict, policy)
-        model = train_system_model(args.system, stats, retained, policy, stream, wparams)
+        model = train_system_model(args.system, stats, retained, stream, wparams)
         path = outdir / f"{cset.slug}.{args.system}.model"
         save_system_model(model, path)
         print(f"wrote {path}")
@@ -191,9 +191,9 @@ def cmd_classify(args) -> int:
     rows = []
     occurrence_lists = occurrences_by_set(sentences, [m.confusion_set for m in models])
     for model, occurrences in zip(models, occurrence_lists):
-        cset, learned = model.confusion_set, set(model.features)
+        cset, feature_ids = model.confusion_set, model.feature_ids
         for occ in occurrences:
-            active = extract_active(occ.sentence, occ, learned, model.extraction, tagdict)
+            active = extract_active(occ.sentence, occ, feature_ids, model.extraction, tagdict)
             decision = decide(model, active)
             observed = cset.member_text(occ.member_index)
             suggested = cset.member_text(decision.chosen)

@@ -10,7 +10,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .bayes import (
-    INTERPOLATIVE,
     BayesModel,
     Decision,
     classify_bayes,
@@ -20,6 +19,7 @@ from .bayes import (
 )
 from .corpus import (
     ConfusionSet,
+    Occurrence,
     Sentence,
     TagDictionary,
     corrupt,
@@ -27,6 +27,7 @@ from .corpus import (
     load_confusion_sets,
     load_corpus,
     load_tag_dictionary,
+    occurrences_by_set,
 )
 from .features import (
     ExtractionParams,
@@ -34,6 +35,7 @@ from .features import (
     PruningPolicy,
     chi2_sf,
     extract_active,
+    index_features,
     prepare_set,
 )
 from .winnow import (
@@ -150,7 +152,6 @@ def train_system_model(
     name: str,
     stats: FeatureStats,
     retained,
-    policy: PruningPolicy,
     train_stream: Sequence[tuple[tuple[int, ...], int]],
     winnow_params: WinnowParams,
 ):
@@ -159,9 +160,9 @@ def train_system_model(
     ``retained`` and ``train_stream`` are what ``prepare_set`` returns: the
     stream's feature ids are positions in ``retained``."""
     if name == "bayes":
-        return train_bayes(stats, policy, INTERPOLATIVE, True, retained)
+        return train_bayes(stats, retained=retained)
     if name == "simplified-bayes":
-        return train_bayes(stats, policy, INTERPOLATIVE, False, retained)
+        return train_bayes(stats, dependency_resolution=False, retained=retained)
 
     priors = tuple(n / stats.total_occurrences for n in stats.occurrences)
     if name == "winnow":
@@ -176,7 +177,7 @@ def train_system_model(
 
     # The remaining variants start from Bayesian weights derived from the
     # dependency-resolution-free model.
-    model = train_bayes(stats, policy, INTERPOLATIVE, False, retained)
+    model = train_bayes(stats, dependency_resolution=False, retained=retained)
     layer = ONE_LAYER if name in ("simplified-winnow", "winnow-1layer") else TWO_LAYER
     network = WinnowNetwork(
         stats.confusion_set, retained, winnow_params, stats.params,
@@ -234,8 +235,8 @@ class SetResult:
 
 
 def evaluate_systems(
-    train_sentences: Sequence[Sentence],
-    test_sentences: Sequence[Sentence],
+    train_occurrences: Sequence[Occurrence],
+    test_occurrences: Sequence[Occurrence],
     confusion_set: ConfusionSet,
     tagdict: TagDictionary,
     systems: Sequence[str],
@@ -243,19 +244,17 @@ def evaluate_systems(
     extraction: ExtractionParams | None = None,
     winnow_params: WinnowParams | None = None,
 ) -> SetResult:
-    """Train every requested system on the training corpus and score it on
-    the test corpus, for one confusion set."""
+    """Train every requested system on one confusion set's training
+    occurrences and score it on its test occurrences."""
     extraction = extraction or ExtractionParams()
     winnow_params = winnow_params or WinnowParams()
-    policy = PruningPolicy(mode=mode)
     stats, retained, train_stream = prepare_set(
-        find_occurrences(train_sentences, confusion_set),
-        confusion_set, extraction, tagdict, policy,
+        train_occurrences, confusion_set, extraction, tagdict, PruningPolicy(mode=mode)
     )
-    learned = set(retained)
+    _, feature_ids = index_features(retained)
     test_cases = [
-        (extract_active(o.sentence, o, learned, extraction, tagdict), o.member_index)
-        for o in find_occurrences(test_sentences, confusion_set)
+        (extract_active(o.sentence, o, feature_ids, extraction, tagdict), o.member_index)
+        for o in test_occurrences
     ]
     outcomes = {}
     for name in systems:
@@ -263,9 +262,7 @@ def evaluate_systems(
             predict = baseline_classify(stats)
             chosen = [predict(active) for active, _ in test_cases]
         else:
-            model = train_system_model(
-                name, stats, retained, policy, train_stream, winnow_params
-            )
+            model = train_system_model(name, stats, retained, train_stream, winnow_params)
             chosen = [decide(model, active).chosen for active, _ in test_cases]
         outcomes[name] = [c == member for c, (_, member) in zip(chosen, test_cases)]
     return SetResult(confusion_set.label, len(test_cases), outcomes)
@@ -364,25 +361,23 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     tagdict = load_tag_dictionary(config.tagdict)
     if config.protocol == WITHIN:
         train, test = split_corpus(corpus, SplitSpec(TRAIN_FRACTION, config.seed))
-        plans = [(cs, train, test) for cs in confusion_sets]
     else:
         if config.test_corpus is None:
             raise ValueError(f"protocol {config.protocol!r} needs a test corpus")
         test_corpus = load_corpus(config.test_corpus)
         train, _ = split_corpus(corpus, SplitSpec(TRAIN_FRACTION, config.seed))
         unsup, test = split_corpus(test_corpus, SplitSpec(UNSUP_FRACTION, config.seed))
-        plans = []
-        for cs in confusion_sets:
-            if config.protocol == ACROSS:
-                plans.append((cs, train, test))
-            else:
-                noisy, _log = corrupt(unsup, cs, config.corrupt_pct, config.seed)
-                plans.append((cs, list(train) + noisy, test))
+    train_occurrences = occurrences_by_set(train, confusion_sets)
+    test_occurrences = occurrences_by_set(test, confusion_sets)
+    if config.protocol == SUPUNSUP:
+        for cs, occurrences in zip(confusion_sets, train_occurrences):
+            noisy, _log = corrupt(unsup, cs, config.corrupt_pct, config.seed)
+            occurrences.extend(find_occurrences(noisy, cs))
     results = [
         evaluate_systems(
             cs_train, cs_test, cs, tagdict, config.systems,
             config.mode, config.extraction, config.winnow,
         )
-        for cs, cs_train, cs_test in plans
+        for cs, cs_train, cs_test in zip(confusion_sets, train_occurrences, test_occurrences)
     ]
     return EvalReport(tuple(config.systems), results)

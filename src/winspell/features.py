@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import (
     ConfusionSet,
@@ -83,6 +83,14 @@ def parse_feature_key(key: str) -> Feature:
         offsets.append(int(offset_text))
         slots.append((slot_kind, value))
     return collocation(offsets, slots)
+
+
+def index_features(features: Iterable[Feature]) -> tuple[tuple[Feature, ...], dict[Feature, int]]:
+    """The features in canonical order, and each one's id: its position in
+    that order. Both learners, the training stream and the ``WINNOW v1``
+    weight rows number features by this one rule."""
+    ordered = tuple(sorted(features))
+    return ordered, {f: i for i, f in enumerate(ordered)}
 
 
 def dump_features(features: Iterable[Feature]) -> str:
@@ -251,15 +259,19 @@ def chi_square_2x2(a: float, b: float, c: float, d: float) -> tuple[float, float
     return statistic, chi2_sf(statistic)
 
 
+# Pruned mode: least count, least count of occurrences without the feature,
+# and the significance level of its strongest member association.
+MIN_OCCURRENCES = 10
+MIN_NONOCCURRENCES = 10
+ALPHA = 0.05
+
+
 @dataclass(frozen=True)
 class PruningPolicy:
     """Pruned mode drops rare, near-universal, and uncorrelated features;
     unpruned mode drops only singletons."""
 
     mode: str = PRUNED
-    min_occurrences: int = 10
-    min_nonoccurrences: int = 10
-    alpha: float = 0.05
 
     def __post_init__(self):
         if self.mode not in (PRUNED, UNPRUNED):
@@ -276,11 +288,11 @@ def prune(stats: FeatureStats, policy: PruningPolicy) -> tuple[Feature, ...]:
             if total != 1:
                 retained.append(feature)
             continue
-        if total < policy.min_occurrences:
+        if total < MIN_OCCURRENCES:
             continue
-        if n_total - total < policy.min_nonoccurrences:
+        if n_total - total < MIN_NONOCCURRENCES:
             continue
-        if chi2_sf(stats.max_association(feature)) >= policy.alpha:
+        if chi2_sf(stats.max_association(feature)) >= ALPHA:
             continue
         retained.append(feature)
     return tuple(sorted(retained))
@@ -289,14 +301,20 @@ def prune(stats: FeatureStats, policy: PruningPolicy) -> tuple[Feature, ...]:
 def extract_active(
     sentence: Sentence,
     occurrence: Occurrence,
-    learned_features: Iterable[Feature],
+    feature_ids: Mapping[Feature, int],
     params: ExtractionParams,
     tagdict: TagDictionary,
-) -> tuple[Feature, ...]:
-    """Active features for one occurrence: generated set intersected with the
-    learned set, in canonical order."""
-    generated = generate_features(sentence, occurrence, params, tagdict)
-    return tuple(sorted(generated.intersection(learned_features)))
+) -> tuple[int, ...]:
+    """Active features for one occurrence: the sorted ids of the generated
+    features that ``feature_ids`` holds."""
+    return _active_ids(generate_features(sentence, occurrence, params, tagdict), feature_ids)
+
+
+def _active_ids(generated: set[Feature], feature_ids: Mapping[Feature, int]) -> tuple[int, ...]:
+    # Look up from the smaller side: a lookup hashes its Feature anew.
+    if len(feature_ids) < len(generated):
+        return tuple(sorted([i for f, i in feature_ids.items() if f in generated]))
+    return tuple(sorted([i for i in map(feature_ids.get, generated) if i is not None]))
 
 
 def prepare_set(
@@ -308,19 +326,12 @@ def prepare_set(
 ) -> tuple[FeatureStats, tuple[Feature, ...], list[tuple[tuple[int, ...], int]]]:
     """Counts, retained features and the (active feature ids, member)
     training stream of one confusion set, from its training occurrences.
-    A feature's id is its position in the retained tuple. Equal to
-    ``collect_stats``, then ``prune``, then ``extract_active`` over the
-    occurrences with each active feature replaced by its id, but each
-    occurrence's features are generated once."""
+    Equal to ``collect_stats``, then ``prune``, then ``extract_active`` over
+    the occurrences with the retained features' ids, but each occurrence's
+    features are generated once."""
     stats, generated = _count_features(occurrences, confusion_set, params, tagdict)
-    retained = prune(stats, policy)
-    ids = {f: i for i, f in enumerate(retained)}
-    # Intersecting sets runs in C; only the surviving features are mapped.
-    learned = set(retained)
-    stream = [
-        (tuple(sorted(map(ids.__getitem__, features & learned))), member)
-        for features, member in generated
-    ]
+    retained, feature_ids = index_features(prune(stats, policy))
+    stream = [(_active_ids(features, feature_ids), member) for features, member in generated]
     return stats, retained, stream
 
 

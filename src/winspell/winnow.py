@@ -11,13 +11,14 @@ import math
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .bayes import BayesModel, Decision, choose
 from .corpus import ConfusionSet
 from .features import (
     ExtractionParams,
     Feature,
+    index_features,
     parse_assignments,
     parse_feature_key,
     parse_model_head,
@@ -218,9 +219,8 @@ class WinnowNetwork:
     """Clouds for every confusion-set member plus the comparator state. A new
     network is sparse, connected to the bias only.
 
-    A feature's id is its position in the sorted ``features`` tuple, which is
-    the one a ``BayesModel`` of the same retained set holds; ``feature_ids``
-    maps each feature to its id.
+    ``features`` and ``feature_ids`` come from
+    :func:`~winspell.features.index_features`, as a ``BayesModel``'s do.
     """
 
     def __init__(
@@ -236,8 +236,7 @@ class WinnowNetwork:
         if layer_mode not in (ONE_LAYER, TWO_LAYER):
             raise ValueError(f"unknown layer mode: {layer_mode!r}")
         self.confusion_set = confusion_set
-        self.features = tuple(sorted(features))
-        self.feature_ids = {f: i for i, f in enumerate(self.features)}
+        self.features, self.feature_ids = index_features(features)
         self.params = params or WinnowParams()
         self.extraction = extraction or ExtractionParams()
         self.layer_mode = layer_mode
@@ -271,13 +270,11 @@ def cloud_output(network: WinnowNetwork, cloud: Cloud, active: Sequence[int]) ->
     return cloud_activation(cloud, active, network.params, network.schedule)
 
 
-def classify_winnow(network: WinnowNetwork, active_set: Iterable[Feature]) -> Decision:
-    """Score every member by its cloud output and pick one by
-    :func:`~winspell.bayes.choose`. Features the network does not hold are
-    ignored; the bias is active on every example."""
-    ids = network.feature_ids
-    active = [i for i in map(ids.get, active_set) if i is not None]
-    scores = tuple(cloud_output(network, cloud, active) for cloud in network.clouds)
+def classify_winnow(network: WinnowNetwork, active_set: Sequence[int]) -> Decision:
+    """Score every member by its cloud output for the active feature ids and
+    pick one by :func:`~winspell.bayes.choose`. The bias is active on every
+    example."""
+    scores = tuple(cloud_output(network, cloud, active_set) for cloud in network.clouds)
     return Decision(scores, choose(scores, network.priors))
 
 
@@ -326,9 +323,9 @@ def init_bayesian(network: WinnowNetwork, model: BayesModel):
     at -500. The bias pseudo-feature carries the log prior. An untrained
     one-layer network initialized this way reproduces the Bayesian decision.
     """
-    if set(network.features) != set(model.features):
+    if network.features != model.features:
         raise ValueError("network and model feature sets differ")
-    rows = [model.log_likelihood_row(f) for f in network.features]
+    rows = [model.log_likelihood_row(f) for f in range(len(network.features))]
     raw = [
         [_floored(model.log_priors[i])] + [_floored(row[i]) for row in rows]
         for i in range(network.n_members)
@@ -349,16 +346,16 @@ def _floored(log_value: float) -> float:
     return ZERO_LIKELIHOOD_LOG if log_value == -math.inf else log_value
 
 
-def sparsify(network: WinnowNetwork, counts: Mapping[Feature, Sequence[int]]):
+def sparsify(network: WinnowNetwork, counts: Sequence[Sequence[int]]):
     """Switch to the sparse architecture, dropping every link whose feature
-    never co-occurred with the cloud's member during training."""
-    rows = [counts.get(f) for f in network.features]
+    never co-occurred with the cloud's member in ``counts``, the training
+    count rows by feature id of a ``BayesModel``."""
     for cloud in network.clouds:
         member = cloud.member_index
         kept = [
             (f, slot)
             for f, slot in cloud.slots.items()
-            if f == BIAS_ID or (rows[f] is not None and rows[f][member] > 0)
+            if f == BIAS_ID or counts[f][member] > 0
         ]
         cloud.slots = {f: i for i, (f, _) in enumerate(kept)}
         for classifier in cloud.classifiers:
@@ -445,6 +442,8 @@ def network_from_text(text: str) -> WinnowNetwork:
     features = [parse_feature_key(key) for key in feature_lines]
     if len(set(features)) != n_features:
         raise ValueError("model file truncated or has duplicate features")
+    if features != sorted(features):
+        raise ValueError("feature list is not in canonical order")
     network = WinnowNetwork(
         confusion_set,
         features,

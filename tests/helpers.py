@@ -240,5 +240,11 @@ def oracle_bayes_scores(
     return scores
 
 
+def ids_of(model, features) -> tuple[int, ...]:
+    """The sorted ids a BayesModel or WinnowNetwork gives ``features``: what
+    ``extract_active`` returns for an occurrence generating just those."""
+    return tuple(sorted(model.feature_ids[f] for f in features))
+
+
 def oracle_argmax(scores, priors) -> int:
     return max(range(len(scores)), key=lambda i: (scores[i], priors[i], -i))

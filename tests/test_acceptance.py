@@ -41,6 +41,7 @@ from winspell.features import (
     collect_stats,
     context_word,
     extract_active,
+    index_features,
     prune,
 )
 from winspell.winnow import (
@@ -91,7 +92,7 @@ def tiny_corpora():
         retained = prune(stats, UNPRUNED_POLICY)
         assert len(train) <= 20 and len(retained) <= 8
         cases = [
-            extract_active(o.sentence, o, set(retained), TINY_PARAMS, EMPTY_TAGS)
+            extract_active(o.sentence, o, index_features(retained)[1], TINY_PARAMS, EMPTY_TAGS)
             for o in find_occurrences(test, cset)
         ]
         corpora.append((stats, retained, cset, cases))
@@ -109,7 +110,8 @@ def test_c01_bayes_matches_brute_force_oracle(tiny_corpora):
                             retained=retained)
         for active in cases:
             posterior = classify_bayes(model, active)
-            expected = oracle_bayes_scores(_restrict(stats, retained), active, 2)
+            features = [retained[f] for f in active]
+            expected = oracle_bayes_scores(_restrict(stats, retained), features, 2)
             for got, want in zip(posterior.scores, expected):
                 if math.isinf(want):
                     assert math.isinf(got) and got < 0
@@ -200,7 +202,8 @@ def test_c04_separable_convergence():
     for seed in (0, 1, 2):
         train, test, cset = separable_corpus(seed=seed)
         result = evaluate_systems(
-            train, test, cset, EMPTY_TAGS, ["baseline", "winnow"], mode=UNPRUNED,
+            find_occurrences(train, cset), find_occurrences(test, cset), cset, EMPTY_TAGS,
+            ["baseline", "winnow"], mode=UNPRUNED,
         )
         assert result.percent("winnow") == 100.0
         majority_frequency = 100.0 * 20 / 35  # 20 dax cases of 35, dax trained majority
@@ -226,11 +229,13 @@ def test_c05_pruned_subset_and_small_disjuncts():
         stats = collect_stats(train, cset, ExtractionParams(), EMPTY_TAGS)
         assert set(prune(stats, PruningPolicy(mode=PRUNED))) <= \
             set(prune(stats, UNPRUNED_POLICY))
+        train_occurrences = find_occurrences(train, cset)
+        test_occurrences = find_occurrences(test, cset)
         pruned_score = evaluate_systems(
-            train, test, cset, EMPTY_TAGS, ["winnow"], mode=PRUNED
+            train_occurrences, test_occurrences, cset, EMPTY_TAGS, ["winnow"], mode=PRUNED
         ).percent("winnow")
         unpruned_score = evaluate_systems(
-            train, test, cset, EMPTY_TAGS, ["winnow"], mode=UNPRUNED
+            train_occurrences, test_occurrences, cset, EMPTY_TAGS, ["winnow"], mode=UNPRUNED
         ).percent("winnow")
         assert unpruned_score >= pruned_score
         gains.append(unpruned_score - pruned_score)
@@ -285,15 +290,16 @@ def test_c08_supunsup_benefit():
     for seed in range(20):
         corpus_a, corpus_b, cset = two_domain_pair(seed=seed)
         unsup, test_b = split_corpus(corpus_b, SplitSpec(0.6, seed))
+        test_occurrences = find_occurrences(test_b, cset)
         sup_only = evaluate_systems(
-            corpus_a, test_b, cset, EMPTY_TAGS, systems,
+            find_occurrences(corpus_a, cset), test_occurrences, cset, EMPTY_TAGS, systems,
             mode=UNPRUNED, extraction=extraction,
         )
         for p in corruption_levels:
             noisy, _ = corrupt(unsup, cset, p, seed)
             combined = evaluate_systems(
-                list(corpus_a) + noisy, test_b, cset, EMPTY_TAGS, systems,
-                mode=UNPRUNED, extraction=extraction,
+                find_occurrences(list(corpus_a) + noisy, cset), test_occurrences, cset,
+                EMPTY_TAGS, systems, mode=UNPRUNED, extraction=extraction,
             )
             for s in systems:
                 assert combined.percent(s) > sup_only.percent(s), (

@@ -29,10 +29,11 @@ from winspell.features import (
     collocation,
     context_word,
     extract_active,
+    index_features,
     prune,
 )
 
-from helpers import corpus_of, oracle_argmax, oracle_bayes_scores, random_tiny_corpus
+from helpers import corpus_of, ids_of, oracle_argmax, oracle_bayes_scores, random_tiny_corpus
 
 EMPTY_TAGS = TagDictionary()
 UNPRUNED_POLICY = PruningPolicy(mode=UNPRUNED)
@@ -70,22 +71,23 @@ class TestTrainBayes:
     def test_mle_likelihood_is_cooccurrence_ratio(self):
         stats = stats_from_counts({"f": [1, 47]}, [105, 98])
         model = train_bayes(stats, UNPRUNED_POLICY)
-        assert model.p_ml[context_word("f")][1] == pytest.approx(47 / 98)
-        assert model.p_ml[context_word("f")][0] == pytest.approx(1 / 105)
+        (f,) = ids_of(model, [context_word("f")])
+        assert model.p_ml[f][1] == pytest.approx(47 / 98)
+        assert model.p_ml[f][0] == pytest.approx(1 / 105)
 
     def test_lambda_one_for_independent_feature(self):
         # Proportional counts: the feature appears with each member at the
         # same rate, so the chi-square statistic is 0 and lambda 1.
         stats = stats_from_counts({"f": [30, 20]}, [60, 40])
         model = train_bayes(stats, UNPRUNED_POLICY)
-        assert model.lam[context_word("f")] == (1.0, 1.0)
+        assert model.lam[ids_of(model, [context_word("f")])[0]] == (1.0, 1.0)
 
     def test_zero_occurrence_member_warns_and_never_wins(self):
         stats = stats_from_counts({"f": [5, 0]}, [10, 0])
         with pytest.warns(UserWarning, match="prior is 0"):
             model = train_bayes(stats, UNPRUNED_POLICY)
         assert model.priors == (1.0, 0.0)
-        posterior = classify_bayes(model, (context_word("f"),))
+        posterior = classify_bayes(model, ids_of(model, [context_word("f")]))
         assert posterior.chosen == 0
 
     def test_invalid_smoothing_mode(self):
@@ -98,19 +100,19 @@ class TestSmoothedLikelihood:
     def test_full_backoff_at_lambda_one(self):
         stats = stats_from_counts({"f": [30, 20]}, [60, 40])
         model = train_bayes(stats, UNPRUNED_POLICY)
-        f = context_word("f")
+        (f,) = ids_of(model, [context_word("f")])
         assert smoothed_likelihood(model, f, 0) == pytest.approx(model.p_unigram[f])
 
     def test_mle_only_mode_returns_raw_likelihood(self):
         stats = stats_from_counts({"f": [30, 5]}, [60, 40])
         model = train_bayes(stats, UNPRUNED_POLICY, smoothing=MLE_ONLY)
-        assert smoothed_likelihood(model, context_word("f"), 0) == 0.5
+        assert smoothed_likelihood(model, ids_of(model, [context_word("f")])[0], 0) == 0.5
 
     def test_interpolation_arithmetic(self):
         # Pinned mixture: 0.75 * 0.2 + 0.25 * 0.5 = 0.275.
         stats = stats_from_counts({"f": [20, 5]}, [100, 100])
         model = train_bayes(stats, UNPRUNED_POLICY)
-        f = context_word("f")
+        (f,) = ids_of(model, [context_word("f")])
         model.p_ml[f] = (0.2, 0.05)
         model.p_unigram[f] = 0.5
         model.lam[f] = (0.25, 0.25)
@@ -123,16 +125,11 @@ class TestSmoothedLikelihood:
 
     def test_matches_formula_on_real_tables(self):
         model, _ = toy_model(dependency_resolution=False)
-        for f in model.features:
+        for f in ids_of(model, model.features):
             for i in range(2):
                 lam = model.lam[f][i]
                 expected = (1 - lam) * model.p_ml[f][i] + lam * model.p_unigram[f]
                 assert smoothed_likelihood(model, f, i) == pytest.approx(expected)
-
-    def test_unretained_feature_rejected(self):
-        model, _ = toy_model()
-        with pytest.raises(ValueError, match="not retained"):
-            smoothed_likelihood(model, context_word("zzxq"), 0)
 
 
 class TestLogLikelihoods:
@@ -144,26 +141,20 @@ class TestLogLikelihoods:
         stats = stats_from_counts({"f": [5, 0], "g": [3, 4], "h": [0, 7]}, [10, 10])
         model = train_bayes(stats, UNPRUNED_POLICY, smoothing)
         table = model.log_likelihoods
-        assert len(table) == 0
-        read = model.features[0]
+        assert table == [None] * len(model.features)
+        (read,) = ids_of(model, model.features[:1])
         classify_bayes(model, (read,))
-        assert list(table) == [read]
-        for f in model.features:
+        assert [f for f, row in enumerate(table) if row is not None] == [read]
+        for f in ids_of(model, model.features):
             row = model.log_likelihood_row(f)
             assert table[f] is row
             for i in range(model.n_members):
                 likelihood = smoothed_likelihood(model, f, i)
                 want = math.log(likelihood) if likelihood > 0 else -math.inf
                 assert row[i] == want
-        assert len(table) == len(model.features)
+        assert None not in table
         if smoothing == MLE_ONLY:
-            assert any(-math.inf in row for row in table.values())
-
-    def test_unretained_feature_rejected_and_not_filled(self):
-        model, _ = toy_model()
-        with pytest.raises(ValueError, match="not retained"):
-            classify_bayes(model, (context_word("zzxq"),))
-        assert context_word("zzxq") not in model.log_likelihoods
+            assert any(-math.inf in row for row in table)
 
 
 class TestResolveDependencies:
@@ -174,33 +165,34 @@ class TestResolveDependencies:
         stats.occurrences = [50, 50]
         self.strong = collocation((-1,), (("w", "s"),))
         self.weak = collocation((-1, 1), (("w", "s"), ("w", "t")))
-        stats.counts = {self.strong: list(strong_counts), self.weak: list(weak_counts)}
+        stats.counts = {self.strong: list(strong_counts), self.weak: list(weak_counts),
+                        context_word("x"): [5, 5]}
         return train_bayes(stats, UNPRUNED_POLICY)
 
     def test_no_collocations_unchanged(self):
         model, _ = toy_model()
-        active = (context_word("a"), context_word("cake"))
+        active = ids_of(model, [context_word("a"), context_word("cake")])
         assert resolve_dependencies(model, active) == active
 
     def test_stronger_association_survives(self):
         model = self.overlap_model([40, 2], [20, 15])
-        survivors = resolve_dependencies(model, (self.strong, self.weak))
-        assert survivors == (self.strong,)
+        survivors = resolve_dependencies(model, ids_of(model, [self.strong, self.weak]))
+        assert survivors == ids_of(model, [self.strong])
         # Swap the association strengths and the other one survives.
         model = self.overlap_model([20, 15], [40, 2])
-        survivors = resolve_dependencies(model, (self.strong, self.weak))
-        assert survivors == (self.weak,)
+        survivors = resolve_dependencies(model, ids_of(model, [self.strong, self.weak]))
+        assert survivors == ids_of(model, [self.weak])
 
     def test_off_mode_is_identity(self):
         model = self.overlap_model([40, 2], [20, 15])
         model.dependency_resolution = False
-        active = (self.strong, self.weak, context_word("x"))
-        assert resolve_dependencies(model, active) == tuple(sorted(active))
+        active = ids_of(model, [self.strong, self.weak, context_word("x")])
+        assert resolve_dependencies(model, active[::-1]) == active
 
     def test_context_words_never_deleted(self):
         model = self.overlap_model([40, 2], [20, 15])
-        active = (self.strong, self.weak, context_word("x"))
-        assert context_word("x") in resolve_dependencies(model, active)
+        active = ids_of(model, [self.strong, self.weak, context_word("x")])
+        assert ids_of(model, [context_word("x")])[0] in resolve_dependencies(model, active)
 
     def test_non_overlapping_spans_coexist(self):
         cset = confusion_set_from_text("w0, w1")
@@ -210,11 +202,12 @@ class TestResolveDependencies:
         right = collocation((1, 2), (("w", "c"), ("w", "d")))
         stats.counts = {left: [30, 4], right: [5, 25]}
         model = train_bayes(stats, UNPRUNED_POLICY)
-        assert resolve_dependencies(model, (left, right)) == (left, right)
+        active = ids_of(model, [left, right])
+        assert resolve_dependencies(model, active) == active
 
     def test_output_subset_and_deterministic(self):
         model = self.overlap_model([40, 2], [20, 15])
-        active = (self.strong, self.weak, context_word("x"))
+        active = ids_of(model, [self.strong, self.weak, context_word("x")])
         first = resolve_dependencies(model, active)
         assert set(first) <= set(active)
         assert resolve_dependencies(model, active) == first
@@ -274,9 +267,15 @@ class TestResolveDependenciesMatchesPairwise:
             f: data.draw(st.sampled_from([0.0, 0.25, 1.0]))
             for f in sorted(set(collocations))
         }
-        model = SimpleNamespace(dependency_resolution=True, mean_lambda=mean_lambda)
+        oracle = SimpleNamespace(dependency_resolution=True, mean_lambda=mean_lambda)
+        features, feature_ids = index_features(set(collocations + words))
+        model = SimpleNamespace(
+            dependency_resolution=True, features=features, feature_ids=feature_ids,
+            mean_lambda=[mean_lambda.get(f, 1.0) for f in features],
+        )
         active = data.draw(st.permutations(collocations + words))
-        assert resolve_dependencies(model, active) == pairwise_resolve(model, active)
+        assert resolve_dependencies(model, [feature_ids[f] for f in active]) == \
+            ids_of(model, pairwise_resolve(oracle, active))
 
 
 class TestClassifyBayes:
@@ -291,7 +290,7 @@ class TestClassifyBayes:
         # decides.
         stats = stats_from_counts({"f": [0, 0], "g": [30, 20]}, [60, 40])
         model = train_bayes(stats, UNPRUNED_POLICY, smoothing=MLE_ONLY)
-        posterior = classify_bayes(model, (context_word("f"),))
+        posterior = classify_bayes(model, ids_of(model, [context_word("f")]))
         assert all(s == float("-inf") for s in posterior.scores)
         assert posterior.chosen == 0
 
@@ -301,10 +300,10 @@ class TestClassifyBayes:
         test_sentence = corpus_of("i'd like a peace of cake")[0]
         occ = find_occurrences([test_sentence], cset)[0]
         active = extract_active(
-            test_sentence, occ, set(model.features), model.extraction, EMPTY_TAGS
+            test_sentence, occ, model.feature_ids, model.extraction, EMPTY_TAGS
         )
         posterior = classify_bayes(model, active)
-        expected = oracle_bayes_scores(stats, active, 2)
+        expected = oracle_bayes_scores(stats, [model.features[f] for f in active], 2)
         for got, want in zip(posterior.scores, expected):
             assert got == pytest.approx(want, abs=1e-9)
         assert posterior.chosen == oracle_argmax(expected, model.priors)
@@ -320,7 +319,7 @@ class TestClassifyBayes:
 
     def test_argmax_invariant_under_constant_shift(self):
         model, _ = toy_model(dependency_resolution=False)
-        posterior = classify_bayes(model, (context_word("cake"),))
+        posterior = classify_bayes(model, ids_of(model, [context_word("cake")]))
         shifted = [s + 123.456 for s in posterior.scores]
         assert max(range(2), key=lambda i: shifted[i]) == posterior.chosen
 
@@ -352,7 +351,7 @@ class TestSerialization:
         for text in ("a peace of cake", "one piece of pie", "peace talks now"):
             sent = corpus_of(text)[0]
             occ = find_occurrences([sent], cset)[0]
-            active = extract_active(sent, occ, set(model.features), model.extraction, EMPTY_TAGS)
+            active = extract_active(sent, occ, model.feature_ids, model.extraction, EMPTY_TAGS)
             assert classify_bayes(loaded, active) == classify_bayes(model, active)
 
     def test_round_trip_preserves_tables(self):
@@ -417,9 +416,10 @@ class TestOracleEquivalenceSample:
                 stats, UNPRUNED_POLICY, INTERPOLATIVE, False, retained
             )
             for occ in find_occurrences(test, cset):
-                active = extract_active(occ.sentence, occ, set(retained), params, EMPTY_TAGS)
+                active = extract_active(occ.sentence, occ, model.feature_ids, params, EMPTY_TAGS)
                 posterior = classify_bayes(model, active)
-                expected = oracle_bayes_scores(stats_restricted(stats, retained), active, 2)
+                features = [retained[f] for f in active]
+                expected = oracle_bayes_scores(stats_restricted(stats, retained), features, 2)
                 for got, want in zip(posterior.scores, expected):
                     if math.isinf(want):
                         assert math.isinf(got)

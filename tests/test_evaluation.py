@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from winspell.corpus import TagDictionary, confusion_set_from_text
+from winspell.corpus import TagDictionary, confusion_set_from_text, find_occurrences
 from winspell.evaluation import (
     ABLATION_LADDER,
     SYSTEMS,
@@ -138,7 +138,7 @@ class TestEvaluateSystems:
     def test_separable_corpus_scores(self):
         train, test, cset = separable_corpus(seed=0)
         result = evaluate_systems(
-            train, test, cset, EMPTY_TAGS,
+            find_occurrences(train, cset), find_occurrences(test, cset), cset, EMPTY_TAGS,
             ["baseline", "bayes", "winnow"], mode="unpruned",
         )
         assert result.percent("winnow") == 100.0
@@ -150,8 +150,8 @@ class TestEvaluateSystems:
         train, test, cset = separable_corpus(seed=1, train_counts=(30, 20),
                                              test_counts=(6, 6))
         result = evaluate_systems(
-            train, test, cset, EMPTY_TAGS, SYSTEMS, mode="unpruned",
-            extraction=ExtractionParams(k=3),
+            find_occurrences(train, cset), find_occurrences(test, cset), cset, EMPTY_TAGS,
+            SYSTEMS, mode="unpruned", extraction=ExtractionParams(k=3),
         )
         assert set(result.outcomes) == set(SYSTEMS)
         for name in SYSTEMS:
@@ -160,7 +160,7 @@ class TestEvaluateSystems:
     def test_simplified_pair_agree(self):
         train, test, cset = separable_corpus(seed=2)
         result = evaluate_systems(
-            train, test, cset, EMPTY_TAGS,
+            find_occurrences(train, cset), find_occurrences(test, cset), cset, EMPTY_TAGS,
             ["simplified-bayes", "simplified-winnow"], mode="unpruned",
         )
         assert result.outcomes["simplified-bayes"] == result.outcomes["simplified-winnow"]

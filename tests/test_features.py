@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from winspell.bayes import train_bayes
 from winspell.corpus import (
     TagDictionary,
     confusion_set_from_text,
@@ -27,10 +28,12 @@ from winspell.features import (
     dump_features,
     extract_active,
     generate_features,
+    index_features,
     parse_feature_key,
     prepare_set,
     prune,
 )
+from winspell.winnow import WinnowNetwork
 
 from helpers import (
     CHI2_ORACLE,
@@ -371,27 +374,28 @@ class TestExtractActive:
 
     def test_empty_learned_set(self):
         sent, occ = one_occurrence("a peace of cake", self.cset)
-        assert extract_active(sent, occ, set(), self.params, EMPTY_TAGS) == ()
+        assert extract_active(sent, occ, {}, self.params, EMPTY_TAGS) == ()
 
     def test_training_sentence_round_trip(self):
         sent, occ = one_occurrence("a peace of cake", self.cset)
         generated = generate_features(sent, occ, self.params, EMPTY_TAGS)
-        learned = set(list(sorted(generated))[::2])
-        active = extract_active(sent, occ, learned, self.params, EMPTY_TAGS)
-        assert set(active) == generated & learned
+        learned, ids = index_features(list(sorted(generated))[::2])
+        active = extract_active(sent, occ, ids, self.params, EMPTY_TAGS)
+        assert set(active) == {ids[f] for f in generated & set(learned)}
 
     def test_novel_sentence_shares_one_word(self):
-        learned = {context_word("cloudy")}
+        _, ids = index_features({context_word("cloudy"), context_word("rain")})
         sent, occ = one_occurrence("cloudy skies mean peace here", self.cset)
-        active = extract_active(sent, occ, learned, self.params, EMPTY_TAGS)
-        assert active == (context_word("cloudy"),)
+        active = extract_active(sent, occ, ids, self.params, EMPTY_TAGS)
+        assert active == (ids[context_word("cloudy")],)
 
     def test_result_sorted_and_subset(self):
         sent, occ = one_occurrence("john had a peace of cake .", self.cset)
         generated = generate_features(sent, occ, self.params, EMPTY_TAGS)
-        active = extract_active(sent, occ, generated, self.params, EMPTY_TAGS)
+        _, ids = index_features(generated | {context_word("zzxq")})
+        active = extract_active(sent, occ, ids, self.params, EMPTY_TAGS)
         assert list(active) == sorted(active)
-        assert set(active) <= generated
+        assert set(active) <= {ids[f] for f in generated}
 
 
 HELPER_CORPORA = {
@@ -406,30 +410,53 @@ class TestPrepareSet:
     """The single pass equals collect_stats -> prune -> extract_active, with
     active features as ids."""
 
-    @pytest.mark.parametrize("mode", [PRUNED, UNPRUNED])
-    @pytest.mark.parametrize("name", sorted(HELPER_CORPORA))
-    def test_matches_separate_passes(self, name, mode):
-        corpus, _other, cset = HELPER_CORPORA[name]()
-        params = ExtractionParams(k=3)
-        tags = TagDictionary({"the": {"DET"}, "on": {"PREP", "ADV"}, "old": {"ADJ"}})
-        policy = PruningPolicy(mode=mode)
-
-        stats, retained, stream = prepare_set(
-            find_occurrences(corpus, cset), cset, params, tags, policy
-        )
+    @staticmethod
+    def check_matches_separate_passes(corpus, cset, params, tags, policy):
+        occurrences = find_occurrences(corpus, cset)
+        stats, retained, stream = prepare_set(occurrences, cset, params, tags, policy)
 
         expected_stats = collect_stats(corpus, cset, params, tags)
         assert list(stats.counts.items()) == list(expected_stats.counts.items())
         assert stats.occurrences == expected_stats.occurrences
         assert retained == prune(expected_stats, policy)
-        # A feature's id in the stream is its position in the retained tuple.
-        learned = set(retained)
-        ids = {f: i for i, f in enumerate(retained)}
+        # Training and scoring take the active set one way, with the ids both
+        # learners give the retained tuple.
+        _, feature_ids = index_features(retained)
         assert stream == [
-            (tuple(ids[f] for f in extract_active(o.sentence, o, learned, params, tags)),
-             o.member_index)
-            for o in find_occurrences(corpus, cset)
+            (extract_active(o.sentence, o, feature_ids, params, tags), o.member_index)
+            for o in occurrences
         ]
+        model = train_bayes(stats, retained=retained)
+        network = WinnowNetwork(cset, retained, extraction=params)
+        assert model.features == network.features == retained
+        assert model.feature_ids == network.feature_ids == feature_ids
+
+    @pytest.mark.parametrize("mode", [PRUNED, UNPRUNED])
+    @pytest.mark.parametrize("name", sorted(HELPER_CORPORA))
+    def test_matches_separate_passes(self, name, mode):
+        corpus, _other, cset = HELPER_CORPORA[name]()
+        tags = TagDictionary({"the": {"DET"}, "on": {"PREP", "ADV"}, "old": {"ADJ"}})
+        self.check_matches_separate_passes(
+            corpus, cset, ExtractionParams(k=3), tags, PruningPolicy(mode=mode)
+        )
+
+    @given(
+        st.lists(st.lists(st.sampled_from(["a", "to", "cake", "may", "be", "x", "maybe"]),
+                          min_size=1, max_size=8),
+                 max_size=12),
+        st.integers(1, 3),
+        st.sampled_from([1, 2]),
+        st.sampled_from([PRUNED, UNPRUNED]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_corpora_match_separate_passes(self, sentences, k, l, mode):
+        # Both members occur, one of them two tokens long.
+        corpus = [sentence_from_surfaces(tokens)
+                  for tokens in [["a", "maybe", "x"], ["to", "may", "be"], *sentences]]
+        self.check_matches_separate_passes(
+            corpus, confusion_set_from_text("maybe, may be"), ExtractionParams(k=k, l=l),
+            ORACLE_TAGS, PruningPolicy(mode=mode),
+        )
 
     def test_zero_occurrences_error(self):
         cset = confusion_set_from_text("peace, piece")

@@ -91,7 +91,7 @@ class TestClassifyThreeMembers:
 
         for occ in find_occurrences(test, CSET):
             active = extract_active(
-                occ.sentence, occ, set(model.features), ExtractionParams(), EMPTY_TAGS
+                occ.sentence, occ, model.feature_ids, ExtractionParams(), EMPTY_TAGS
             )
             assert classify_bayes(model, active).chosen == occ.member_index
 
@@ -99,7 +99,7 @@ class TestClassifyThreeMembers:
         train = three_way_corpus(5, (60, 50, 40))
         test = three_way_corpus(6, (5, 5, 5))
         result = evaluate_systems(
-            train, test, CSET, EMPTY_TAGS,
+            find_occurrences(train, CSET), find_occurrences(test, CSET), CSET, EMPTY_TAGS,
             ["baseline", "bayes", "winnow", "winnow-bayes-init"],
             mode=UNPRUNED, extraction=ExtractionParams(k=3),
         )

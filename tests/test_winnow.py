@@ -43,7 +43,7 @@ from winspell.winnow import (
     winnow_train_example,
 )
 
-from helpers import corpus_of, random_tiny_corpus
+from helpers import corpus_of, ids_of, random_tiny_corpus
 
 EMPTY_TAGS = TagDictionary()
 PARAMS = WinnowParams()
@@ -234,11 +234,6 @@ class TestCloudActivation:
         assert 0.0 <= activation <= 1.0
 
 
-def ids_of(network, active):
-    """The sorted feature ids of ``active`` in ``network``."""
-    return tuple(sorted(network.feature_ids[f] for f in active))
-
-
 def toy_network(params=PARAMS, **kwargs):
     cset = confusion_set_from_text("dax, fep")
     universe = (F1, F2, F3)
@@ -249,7 +244,7 @@ class TestClassify:
     def test_argmax_activation(self):
         network = toy_network()
         network.clouds = [cloud_with([0] * 5, [1] * 5, 0), cloud_with([0] * 5, [0] * 5, 1)]
-        decision = classify_winnow(network, (F1,))
+        decision = classify_winnow(network, (I1,))
         assert decision.chosen == 0
         assert decision.scores == (1.0, 0.0)
 
@@ -505,7 +500,7 @@ class TestInitBayesian:
             network = WinnowNetwork(cset, retained, PARAMS, params, layer_mode=ONE_LAYER)
             init_bayesian(network, model)
             for occ in find_occurrences(test, cset):
-                active = extract_active(occ.sentence, occ, set(retained), params, EMPTY_TAGS)
+                active = extract_active(occ.sentence, occ, network.feature_ids, params, EMPTY_TAGS)
                 assert classify_winnow(network, active).chosen == \
                     classify_bayes(model, active).chosen
 
@@ -552,8 +547,8 @@ class TestConnectionTable:
             init_bayesian(network, model)
             if start == "bayesian+sparsify":
                 sparsify(network, model.counts)
-        examples = [(tuple(sorted(active)), member) for active, member in stream]
-        train_network(network, [(ids_of(network, active), m) for active, m in examples])
+        examples = [(ids_of(network, active), member) for active, member in stream]
+        train_network(network, examples)
         for cloud in network.clouds:
             assert all(len(c.weights) == len(cloud.slots) for c in cloud.classifiers)
         text = network_to_text(network)
@@ -572,11 +567,10 @@ class TestSerialization:
         params = ExtractionParams(k=3)
         _, retained, stream = prepare_set(find_occurrences(corpus, cset), cset, params,
                                           EMPTY_TAGS, PruningPolicy(mode=UNPRUNED))
-        learned = set(retained)
         network = WinnowNetwork(cset, retained, PARAMS, params,
                                 priors=(0.5, 0.5))
         train_network(network, stream)
-        return network, params, learned, corpus, cset
+        return network, params, network.feature_ids, corpus, cset
 
     def test_save_load_save_byte_identical(self, tmp_path):
         network, *_ = self.trained_network()
@@ -613,6 +607,21 @@ class TestSerialization:
     def test_rejects_foreign_text(self):
         with pytest.raises(ValueError):
             network_from_text("BAYES v1\n")
+
+    def test_feature_list_out_of_canonical_order_rejected(self):
+        # Weight rows name features by their position in the list, so a
+        # reordered list would apply each row to another feature.
+        network = WinnowNetwork(confusion_set_from_text("dax, fep"),
+                                (context_word("aaa"), context_word("bbb")),
+                                WinnowParams(cycles=1), ExtractionParams())
+        train_network(network, [((1,), 0), ((0,), 1)])
+        assert set(network.clouds[0].slots) == {BIAS_ID, 1}  # cloud 0 knows CW bbb only
+        lines = network_to_text(network).splitlines()
+        first = lines.index("CW aaa")
+        assert lines[first + 1] == "CW bbb"
+        lines[first], lines[first + 1] = lines[first + 1], lines[first]
+        with pytest.raises(ValueError, match="not in canonical order"):
+            network_from_text("\n".join(lines) + "\n")
 
     def test_every_prefix_cut_in_header_or_features_rejected(self):
         network, *_ = self.trained_network()
