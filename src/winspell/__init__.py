@@ -19,7 +19,6 @@ from .features import (
     ExtractionParams,
     Feature,
     FeatureStats,
-    PruningPolicy,
     chi_square_2x2,
     collect_stats,
     extract_active,

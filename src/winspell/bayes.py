@@ -15,13 +15,11 @@ from .features import (
     ExtractionParams,
     Feature,
     FeatureStats,
-    PruningPolicy,
     association_table,
     chi_square_2x2,
     index_features,
     parse_feature_key,
     parse_model_head,
-    prune,
 )
 
 INTERPOLATIVE = "interpolative"
@@ -113,15 +111,11 @@ class BayesModel:
 
 def train_bayes(
     stats: FeatureStats,
-    policy: PruningPolicy | None = None,
+    retained: Iterable[Feature],
     smoothing: str = INTERPOLATIVE,
     dependency_resolution: bool = True,
-    retained: Iterable[Feature] | None = None,
 ) -> BayesModel:
-    """Build a model from corpus statistics, pruning per ``policy`` unless a
-    retained feature set is supplied; one of the two must be given."""
-    if retained is None:
-        retained = prune(stats, policy)
+    """Build a model over the ``retained`` features from corpus statistics."""
     counts = {f: stats.counts[f] for f in retained}
     for i, n in enumerate(stats.occurrences):
         if n == 0:

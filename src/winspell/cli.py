@@ -32,22 +32,27 @@ from .evaluation import (
     save_system_model,
     train_system_model,
 )
-from .features import ExtractionParams, PruningPolicy, extract_active, prepare_set
+from .features import MODES, PRUNED, ExtractionParams, extract_active, prepare_set
 from .winnow import WinnowParams
 
-MODES = ("pruned", "unpruned")
 TRAINABLE_SYSTEMS = tuple(s for s in SYSTEMS if s != "baseline")
 
 DEFAULTS = {
-    "mode": "pruned",
+    "mode": PRUNED,
     "protocol": "within",
     "seed": 0,
     "cycles": 5,
     "corrupt_pct": 5.0,
     "k": 10,
     "l": 2,
-    "system": None,
-    "systems": None,
+}
+
+# What a config value must be, by its flag's type (JSON true/false is no integer).
+_CONFIG_TYPES = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    str: ("a string", lambda v: type(v) is str),
+    list: ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v)),
 }
 
 
@@ -74,7 +79,8 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--l", type=int, help="max collocation length (default 2)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="winspell",
         description="Context-sensitive spelling correction toolkit",
@@ -119,11 +125,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_corrupt = sub.add_parser("corrupt", help="write a corrupted corpus plus change log")
     _add_common(p_corrupt)
     p_corrupt.set_defaults(func=cmd_corrupt)
-    return parser
+    return parser, sub.choices
 
 
-def _merge_config(args: argparse.Namespace):
-    """Fill unset flags from the JSON config file, then from defaults."""
+def _merge_config(args: argparse.Namespace, subparsers: dict[str, argparse.ArgumentParser]):
+    """Fill unset flags from the JSON config file, then from defaults. Each
+    key must name a flag of some subcommand and hold a value of its type."""
     if getattr(args, "config", None):
         try:
             overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -131,8 +138,19 @@ def _merge_config(args: argparse.Namespace):
             raise UsageError(f"cannot read config file: {exc}") from exc
         if not isinstance(overrides, dict):
             raise UsageError("config file must hold a JSON object")
+        # Every subcommand's flags by dest; a dest has one type in all of them.
+        flags = {a.dest: a for p in subparsers.values() for a in p._actions
+                 if a.option_strings and a.dest != "help"}
         for key, value in overrides.items():
             attr = key.replace("-", "_")
+            if attr not in flags:
+                raise UsageError(f"config file: unknown key {key!r}")
+            action = flags[attr]
+            kind = list if isinstance(action, argparse._AppendAction) else action.type or str
+            what, fits = _CONFIG_TYPES[kind]
+            if not fits(value):
+                raise UsageError(f"config file: {key!r} must be {what}, not {json.dumps(value)}")
+            # Another subcommand's flag is set too, and nothing reads it.
             if getattr(args, attr, None) is None:
                 setattr(args, attr, value)
     for key, value in DEFAULTS.items():
@@ -161,12 +179,11 @@ def cmd_train(args) -> int:
     tagdict = load_tag_dictionary(args.tagdict)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    policy = PruningPolicy(mode=args.mode)
     confusion_sets = load_confusion_sets(args.confusion_sets)
     # One corpus scan finds every set's occurrences; the sets are then
     # prepared and trained one at a time.
     for cset, occurrences in zip(confusion_sets, occurrences_by_set(corpus, confusion_sets)):
-        stats, retained, stream = prepare_set(occurrences, cset, extraction, tagdict, policy)
+        stats, retained, stream = prepare_set(occurrences, cset, extraction, tagdict, args.mode)
         model = train_system_model(args.system, stats, retained, stream, wparams)
         path = outdir / f"{cset.slug}.{args.system}.model"
         save_system_model(model, path)
@@ -193,7 +210,7 @@ def cmd_classify(args) -> int:
     for model, occurrences in zip(models, occurrence_lists):
         cset, feature_ids = model.confusion_set, model.feature_ids
         for occ in occurrences:
-            active = extract_active(occ.sentence, occ, feature_ids, model.extraction, tagdict)
+            active = extract_active(occ, feature_ids, model.extraction, tagdict)
             decision = decide(model, active)
             observed = cset.member_text(occ.member_index)
             suggested = cset.member_text(decision.chosen)
@@ -213,8 +230,13 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _experiment_config(args, systems) -> ExperimentConfig:
-    return ExperimentConfig(
+def _run_report(args, systems, stem: str) -> int:
+    _require(args, "corpus", "confusion_sets", "tagdict", "out")
+    _validate_choice(args.mode, MODES, "mode")
+    _validate_choice(args.protocol, PROTOCOLS, "protocol")
+    for name in systems:
+        _validate_choice(name, SYSTEMS, "system")
+    report = run_experiment(ExperimentConfig(
         corpus=args.corpus,
         confusion_sets=args.confusion_sets,
         tagdict=args.tagdict,
@@ -226,16 +248,7 @@ def _experiment_config(args, systems) -> ExperimentConfig:
         corrupt_pct=args.corrupt_pct,
         extraction=ExtractionParams(args.k, args.l),
         winnow=WinnowParams(cycles=args.cycles),
-    )
-
-
-def _run_report(args, systems, stem: str) -> int:
-    _require(args, "corpus", "confusion_sets", "tagdict", "out")
-    _validate_choice(args.mode, MODES, "mode")
-    _validate_choice(args.protocol, PROTOCOLS, "protocol")
-    for name in systems:
-        _validate_choice(name, SYSTEMS, "system")
-    report = run_experiment(_experiment_config(args, systems))
+    ))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / f"{stem}.tsv").write_text(report.to_tsv(), encoding="utf-8")
@@ -275,10 +288,10 @@ def cmd_corrupt(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args)
+        _merge_config(args, subparsers)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -16,10 +16,6 @@ UNKNOWN_TAG = "UNK"
 # non-space punctuation characters.
 _TOKEN_RE = re.compile(r"\w+(?:['’]\w+)*|[^\w\s]")
 
-# Naive raw-mode splitter: sentence ends at [.?!] followed by whitespace and
-# a capital letter.
-_SENTENCE_BREAK_RE = re.compile(r"(?<=[.?!])\s+(?=[A-Z])")
-
 
 class CorpusError(Exception):
     """Raised for unreadable or malformed corpus inputs."""
@@ -127,9 +123,6 @@ class TagDictionary:
     def lookup(self, word: str) -> frozenset[str]:
         return self._entries.get(word, frozenset({UNKNOWN_TAG}))
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 def load_tag_dictionary(path: str | Path) -> TagDictionary:
     """One entry per line: ``word<TAB>tag1,tag2,...``."""
@@ -160,33 +153,13 @@ def _read_text(path: str | Path) -> str:
         raise CorpusError(f"{path}: invalid UTF-8 on line {lineno}") from exc
 
 
-def load_corpus(path: str | Path, mode: str = "presplit") -> list[Sentence]:
-    """Load a plain-text corpus.
-
-    ``presplit`` mode treats each non-blank line as one sentence. ``raw``
-    mode splits on [.?!] followed by whitespace and a capital letter.
-    """
-    if mode not in ("presplit", "raw"):
-        raise ValueError(f"unknown corpus mode: {mode!r}")
-    text = _read_text(path)
+def load_corpus(path: str | Path) -> list[Sentence]:
+    """Load a presplit plain-text corpus: each non-blank line is one sentence."""
     sentences = []
-    if mode == "presplit":
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if line.strip():
-                sentences.append(tokenize(line, lineno))
-        return sentences
-    pos = 0
-    for match in _SENTENCE_BREAK_RE.finditer(text):
-        _append_raw_sentence(sentences, text, pos, match.start())
-        pos = match.end()
-    _append_raw_sentence(sentences, text, pos, len(text))
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        if line.strip():
+            sentences.append(tokenize(line, lineno))
     return sentences
-
-
-def _append_raw_sentence(sentences: list[Sentence], text: str, start: int, end: int):
-    chunk = text[start:end]
-    if chunk.strip():
-        sentences.append(tokenize(chunk, text.count("\n", 0, start) + 1))
 
 
 @dataclass(frozen=True)
@@ -275,8 +248,6 @@ def corrupt(
     """
     if not 0 <= pct <= 100:
         raise ValueError(f"corruption percentage out of range: {pct}")
-    if len(confusion_set.members) < 2:
-        raise ValueError("corruption needs a confusion set with >= 2 members")
     rng = random.Random(seed)
     probability = pct / 100.0
     index = _match_index([confusion_set])

@@ -12,6 +12,7 @@ from typing import Callable, Iterable, Sequence
 from .bayes import (
     BayesModel,
     Decision,
+    choose,
     classify_bayes,
     load_model,
     save_model,
@@ -30,9 +31,9 @@ from .corpus import (
     occurrences_by_set,
 )
 from .features import (
+    PRUNED,
     ExtractionParams,
     FeatureStats,
-    PruningPolicy,
     chi2_sf,
     extract_active,
     index_features,
@@ -109,9 +110,8 @@ def split_corpus(
 
 
 def baseline_classify(stats: FeatureStats) -> Callable[[Iterable], int]:
-    """Constant predictor: the most common training member, every time."""
-    occurrences = stats.occurrences
-    majority = max(range(len(occurrences)), key=lambda i: (occurrences[i], -i))
+    """Constant predictor: the most common training member, ties as in :func:`choose`."""
+    majority = choose([0.0] * stats.n_members, stats.occurrences)
     return lambda active_set: majority
 
 
@@ -160,9 +160,9 @@ def train_system_model(
     ``retained`` and ``train_stream`` are what ``prepare_set`` returns: the
     stream's feature ids are positions in ``retained``."""
     if name == "bayes":
-        return train_bayes(stats, retained=retained)
+        return train_bayes(stats, retained)
     if name == "simplified-bayes":
-        return train_bayes(stats, dependency_resolution=False, retained=retained)
+        return train_bayes(stats, retained, dependency_resolution=False)
 
     priors = tuple(n / stats.total_occurrences for n in stats.occurrences)
     if name == "winnow":
@@ -177,7 +177,7 @@ def train_system_model(
 
     # The remaining variants start from Bayesian weights derived from the
     # dependency-resolution-free model.
-    model = train_bayes(stats, dependency_resolution=False, retained=retained)
+    model = train_bayes(stats, retained, dependency_resolution=False)
     layer = ONE_LAYER if name in ("simplified-winnow", "winnow-1layer") else TWO_LAYER
     network = WinnowNetwork(
         stats.confusion_set, retained, winnow_params, stats.params,
@@ -240,7 +240,7 @@ def evaluate_systems(
     confusion_set: ConfusionSet,
     tagdict: TagDictionary,
     systems: Sequence[str],
-    mode: str = "pruned",
+    mode: str = PRUNED,
     extraction: ExtractionParams | None = None,
     winnow_params: WinnowParams | None = None,
 ) -> SetResult:
@@ -249,11 +249,11 @@ def evaluate_systems(
     extraction = extraction or ExtractionParams()
     winnow_params = winnow_params or WinnowParams()
     stats, retained, train_stream = prepare_set(
-        train_occurrences, confusion_set, extraction, tagdict, PruningPolicy(mode=mode)
+        train_occurrences, confusion_set, extraction, tagdict, mode
     )
     _, feature_ids = index_features(retained)
     test_cases = [
-        (extract_active(o.sentence, o, feature_ids, extraction, tagdict), o.member_index)
+        (extract_active(o, feature_ids, extraction, tagdict), o.member_index)
         for o in test_occurrences
     ]
     outcomes = {}
@@ -333,7 +333,7 @@ class ExperimentConfig:
     confusion_sets: str | Path
     tagdict: str | Path
     systems: tuple[str, ...] = ("baseline", "bayes", "winnow")
-    mode: str = "pruned"
+    mode: str = PRUNED
     protocol: str = WITHIN
     test_corpus: str | Path | None = None
     seed: int = 0

@@ -25,6 +25,7 @@ TAG_SLOT = "t"
 
 PRUNED = "pruned"
 UNPRUNED = "unpruned"
+MODES = (PRUNED, UNPRUNED)
 
 
 class Feature(NamedTuple):
@@ -93,11 +94,6 @@ def index_features(features: Iterable[Feature]) -> tuple[tuple[Feature, ...], di
     return ordered, {f: i for i, f in enumerate(ordered)}
 
 
-def dump_features(features: Iterable[Feature]) -> str:
-    """Learned-feature dump: one canonical key per line, canonical order."""
-    return "".join(f.key() + "\n" for f in sorted(features))
-
-
 @dataclass(frozen=True)
 class ExtractionParams:
     """Window half-width k and maximum collocation length l."""
@@ -117,17 +113,12 @@ _SPANS_L1 = ((-1,), (1,))
 _SPANS_L2 = ((-1,), (1,), (-2, -1), (-1, 1), (1, 2))
 
 
-def _collocation_spans(l: int) -> tuple[tuple[int, ...], ...]:
-    return _SPANS_L2 if l == 2 else _SPANS_L1
-
-
 def generate_features(
-    sentence: Sentence,
     occurrence: Occurrence,
     params: ExtractionParams,
     tagdict: TagDictionary,
 ) -> set[Feature]:
-    """All possible features for the context of one occurrence.
+    """All possible features for the context of one occurrence in its sentence.
 
     Context words: one feature per distinct token within k tokens left of the
     span or right of it (the span itself excluded), clipped at the sentence
@@ -136,7 +127,7 @@ def generate_features(
     measured from the span edges (-1 = token before the span, +1 = token
     after it).
     """
-    surfaces = sentence.surfaces
+    surfaces = occurrence.sentence.surfaces
     start, end = occurrence.span_start, occurrence.span_end
     if not (0 <= start <= end <= len(surfaces)):
         raise ValueError("occurrence lies outside its sentence")
@@ -150,7 +141,7 @@ def generate_features(
             word = surfaces[position]
             choices[offset] = [(WORD_SLOT, word)]
             choices[offset].extend((TAG_SLOT, tag) for tag in sorted(tagdict.lookup(word)))
-    for span in _collocation_spans(params.l):
+    for span in _SPANS_L2 if params.l == 2 else _SPANS_L1:
         if all(offset in choices for offset in span):
             features.update(
                 Feature(COLLOCATION, "", span, combo)
@@ -217,7 +208,7 @@ def _count_features(
     stats = FeatureStats(confusion_set, params)
     generated = []
     for occ in occurrences:
-        features = generate_features(occ.sentence, occ, params, tagdict)
+        features = generate_features(occ, params, tagdict)
         stats.add(features, occ.member_index)
         generated.append((features, occ.member_index))
     if stats.total_occurrences == 0:
@@ -266,25 +257,17 @@ MIN_NONOCCURRENCES = 10
 ALPHA = 0.05
 
 
-@dataclass(frozen=True)
-class PruningPolicy:
-    """Pruned mode drops rare, near-universal, and uncorrelated features;
-    unpruned mode drops only singletons."""
-
-    mode: str = PRUNED
-
-    def __post_init__(self):
-        if self.mode not in (PRUNED, UNPRUNED):
-            raise ValueError(f"unknown pruning mode: {self.mode!r}")
-
-
-def prune(stats: FeatureStats, policy: PruningPolicy) -> tuple[Feature, ...]:
-    """The retained feature set, in canonical order."""
+def prune(stats: FeatureStats, mode: str) -> tuple[Feature, ...]:
+    """The retained feature set, in canonical order. Pruned mode drops rare,
+    near-universal, and uncorrelated features; unpruned mode drops only
+    singletons."""
+    if mode not in MODES:
+        raise ValueError(f"unknown pruning mode: {mode!r}")
     retained = []
     n_total = stats.total_occurrences
     for feature, row in stats.counts.items():
         total = sum(row)
-        if policy.mode == UNPRUNED:
+        if mode == UNPRUNED:
             if total != 1:
                 retained.append(feature)
             continue
@@ -299,7 +282,6 @@ def prune(stats: FeatureStats, policy: PruningPolicy) -> tuple[Feature, ...]:
 
 
 def extract_active(
-    sentence: Sentence,
     occurrence: Occurrence,
     feature_ids: Mapping[Feature, int],
     params: ExtractionParams,
@@ -307,7 +289,7 @@ def extract_active(
 ) -> tuple[int, ...]:
     """Active features for one occurrence: the sorted ids of the generated
     features that ``feature_ids`` holds."""
-    return _active_ids(generate_features(sentence, occurrence, params, tagdict), feature_ids)
+    return _active_ids(generate_features(occurrence, params, tagdict), feature_ids)
 
 
 def _active_ids(generated: set[Feature], feature_ids: Mapping[Feature, int]) -> tuple[int, ...]:
@@ -322,7 +304,7 @@ def prepare_set(
     confusion_set: ConfusionSet,
     params: ExtractionParams,
     tagdict: TagDictionary,
-    policy: PruningPolicy,
+    mode: str,
 ) -> tuple[FeatureStats, tuple[Feature, ...], list[tuple[tuple[int, ...], int]]]:
     """Counts, retained features and the (active feature ids, member)
     training stream of one confusion set, from its training occurrences.
@@ -330,7 +312,7 @@ def prepare_set(
     the occurrences with the retained features' ids, but each occurrence's
     features are generated once."""
     stats, generated = _count_features(occurrences, confusion_set, params, tagdict)
-    retained, feature_ids = index_features(prune(stats, policy))
+    retained, feature_ids = index_features(prune(stats, mode))
     stream = [(_active_ids(features, feature_ids), member) for features, member in generated]
     return stats, retained, stream
 

@@ -34,7 +34,6 @@ from winspell.evaluation import (
 )
 from winspell.features import (
     ExtractionParams,
-    PruningPolicy,
     PRUNED,
     UNPRUNED,
     chi_square_2x2,
@@ -73,7 +72,6 @@ from helpers import (
 
 EMPTY_TAGS = TagDictionary()
 TINY_PARAMS = ExtractionParams(k=1, l=1)
-UNPRUNED_POLICY = PruningPolicy(mode=UNPRUNED)
 
 
 def report(name, detail):
@@ -89,10 +87,10 @@ def tiny_corpora():
     for _ in range(100):
         train, test, cset = random_tiny_corpus(rng)
         stats = collect_stats(train, cset, TINY_PARAMS, EMPTY_TAGS)
-        retained = prune(stats, UNPRUNED_POLICY)
+        retained = prune(stats, UNPRUNED)
         assert len(train) <= 20 and len(retained) <= 8
         cases = [
-            extract_active(o.sentence, o, index_features(retained)[1], TINY_PARAMS, EMPTY_TAGS)
+            extract_active(o, index_features(retained)[1], TINY_PARAMS, EMPTY_TAGS)
             for o in find_occurrences(test, cset)
         ]
         corpora.append((stats, retained, cset, cases))
@@ -106,8 +104,7 @@ def test_c01_bayes_matches_brute_force_oracle(tiny_corpora):
     started = time.monotonic()
     checked = 0
     for stats, retained, cset, cases in tiny_corpora:
-        model = train_bayes(stats, UNPRUNED_POLICY, dependency_resolution=False,
-                            retained=retained)
+        model = train_bayes(stats, retained, dependency_resolution=False)
         for active in cases:
             posterior = classify_bayes(model, active)
             features = [retained[f] for f in active]
@@ -141,8 +138,7 @@ def test_c02_simplified_winnow_equals_simplified_bayes(tiny_corpora):
     started = time.monotonic()
     checked = 0
     for stats, retained, cset, cases in tiny_corpora:
-        model = train_bayes(stats, UNPRUNED_POLICY, dependency_resolution=False,
-                            retained=retained)
+        model = train_bayes(stats, retained, dependency_resolution=False)
         network = WinnowNetwork(cset, retained, WinnowParams(), TINY_PARAMS,
                                 layer_mode=ONE_LAYER)
         init_bayesian(network, model)
@@ -220,15 +216,13 @@ def test_c05_pruned_subset_and_small_disjuncts():
     for _ in range(30):
         train, _test, cset = random_tiny_corpus(rng)
         stats = collect_stats(train, cset, TINY_PARAMS, EMPTY_TAGS)
-        assert set(prune(stats, PruningPolicy(mode=PRUNED))) <= \
-            set(prune(stats, UNPRUNED_POLICY))
+        assert set(prune(stats, PRUNED)) <= set(prune(stats, UNPRUNED))
         subset_checks += 1
     gains = []
     for seed in range(5):
         train, test, cset = small_disjunct_corpus(seed=seed)
         stats = collect_stats(train, cset, ExtractionParams(), EMPTY_TAGS)
-        assert set(prune(stats, PruningPolicy(mode=PRUNED))) <= \
-            set(prune(stats, UNPRUNED_POLICY))
+        assert set(prune(stats, PRUNED)) <= set(prune(stats, UNPRUNED))
         train_occurrences = find_occurrences(train, cset)
         test_occurrences = find_occurrences(test, cset)
         pruned_score = evaluate_systems(

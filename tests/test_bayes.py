@@ -24,7 +24,6 @@ from winspell.features import (
     COLLOCATION,
     ExtractionParams,
     FeatureStats,
-    PruningPolicy,
     UNPRUNED,
     collocation,
     context_word,
@@ -36,7 +35,6 @@ from winspell.features import (
 from helpers import corpus_of, ids_of, oracle_argmax, oracle_bayes_scores, random_tiny_corpus
 
 EMPTY_TAGS = TagDictionary()
-UNPRUNED_POLICY = PruningPolicy(mode=UNPRUNED)
 
 
 def stats_from_counts(counts, occurrences):
@@ -58,19 +56,19 @@ def toy_model(**kwargs):
     from winspell.features import collect_stats
 
     stats = collect_stats(corpus, cset, ExtractionParams(), EMPTY_TAGS)
-    return train_bayes(stats, UNPRUNED_POLICY, **kwargs), stats
+    return train_bayes(stats, prune(stats, UNPRUNED), **kwargs), stats
 
 
 class TestTrainBayes:
     def test_priors_are_count_ratios(self):
         stats = stats_from_counts({"f": [30, 20]}, [60, 40])
-        model = train_bayes(stats, UNPRUNED_POLICY)
+        model = train_bayes(stats, prune(stats, UNPRUNED))
         assert model.priors == (0.6, 0.4)
         assert sum(model.priors) == pytest.approx(1.0, abs=1e-12)
 
     def test_mle_likelihood_is_cooccurrence_ratio(self):
         stats = stats_from_counts({"f": [1, 47]}, [105, 98])
-        model = train_bayes(stats, UNPRUNED_POLICY)
+        model = train_bayes(stats, prune(stats, UNPRUNED))
         (f,) = ids_of(model, [context_word("f")])
         assert model.p_ml[f][1] == pytest.approx(47 / 98)
         assert model.p_ml[f][0] == pytest.approx(1 / 105)
@@ -79,13 +77,13 @@ class TestTrainBayes:
         # Proportional counts: the feature appears with each member at the
         # same rate, so the chi-square statistic is 0 and lambda 1.
         stats = stats_from_counts({"f": [30, 20]}, [60, 40])
-        model = train_bayes(stats, UNPRUNED_POLICY)
+        model = train_bayes(stats, prune(stats, UNPRUNED))
         assert model.lam[ids_of(model, [context_word("f")])[0]] == (1.0, 1.0)
 
     def test_zero_occurrence_member_warns_and_never_wins(self):
         stats = stats_from_counts({"f": [5, 0]}, [10, 0])
         with pytest.warns(UserWarning, match="prior is 0"):
-            model = train_bayes(stats, UNPRUNED_POLICY)
+            model = train_bayes(stats, prune(stats, UNPRUNED))
         assert model.priors == (1.0, 0.0)
         posterior = classify_bayes(model, ids_of(model, [context_word("f")]))
         assert posterior.chosen == 0
@@ -93,25 +91,25 @@ class TestTrainBayes:
     def test_invalid_smoothing_mode(self):
         stats = stats_from_counts({"f": [5, 5]}, [10, 10])
         with pytest.raises(ValueError):
-            train_bayes(stats, UNPRUNED_POLICY, smoothing="laplace")
+            train_bayes(stats, prune(stats, UNPRUNED), smoothing="laplace")
 
 
 class TestSmoothedLikelihood:
     def test_full_backoff_at_lambda_one(self):
         stats = stats_from_counts({"f": [30, 20]}, [60, 40])
-        model = train_bayes(stats, UNPRUNED_POLICY)
+        model = train_bayes(stats, prune(stats, UNPRUNED))
         (f,) = ids_of(model, [context_word("f")])
         assert smoothed_likelihood(model, f, 0) == pytest.approx(model.p_unigram[f])
 
     def test_mle_only_mode_returns_raw_likelihood(self):
         stats = stats_from_counts({"f": [30, 5]}, [60, 40])
-        model = train_bayes(stats, UNPRUNED_POLICY, smoothing=MLE_ONLY)
+        model = train_bayes(stats, prune(stats, UNPRUNED), smoothing=MLE_ONLY)
         assert smoothed_likelihood(model, ids_of(model, [context_word("f")])[0], 0) == 0.5
 
     def test_interpolation_arithmetic(self):
         # Pinned mixture: 0.75 * 0.2 + 0.25 * 0.5 = 0.275.
         stats = stats_from_counts({"f": [20, 5]}, [100, 100])
-        model = train_bayes(stats, UNPRUNED_POLICY)
+        model = train_bayes(stats, prune(stats, UNPRUNED))
         (f,) = ids_of(model, [context_word("f")])
         model.p_ml[f] = (0.2, 0.05)
         model.p_unigram[f] = 0.5
@@ -139,7 +137,7 @@ class TestLogLikelihoods:
     @pytest.mark.parametrize("smoothing", [INTERPOLATIVE, MLE_ONLY])
     def test_lazy_rows_equal_log_of_smoothed_likelihood(self, smoothing):
         stats = stats_from_counts({"f": [5, 0], "g": [3, 4], "h": [0, 7]}, [10, 10])
-        model = train_bayes(stats, UNPRUNED_POLICY, smoothing)
+        model = train_bayes(stats, prune(stats, UNPRUNED), smoothing)
         table = model.log_likelihoods
         assert table == [None] * len(model.features)
         (read,) = ids_of(model, model.features[:1])
@@ -167,7 +165,7 @@ class TestResolveDependencies:
         self.weak = collocation((-1, 1), (("w", "s"), ("w", "t")))
         stats.counts = {self.strong: list(strong_counts), self.weak: list(weak_counts),
                         context_word("x"): [5, 5]}
-        return train_bayes(stats, UNPRUNED_POLICY)
+        return train_bayes(stats, prune(stats, UNPRUNED))
 
     def test_no_collocations_unchanged(self):
         model, _ = toy_model()
@@ -201,7 +199,7 @@ class TestResolveDependencies:
         left = collocation((-2, -1), (("w", "a"), ("w", "b")))
         right = collocation((1, 2), (("w", "c"), ("w", "d")))
         stats.counts = {left: [30, 4], right: [5, 25]}
-        model = train_bayes(stats, UNPRUNED_POLICY)
+        model = train_bayes(stats, prune(stats, UNPRUNED))
         active = ids_of(model, [left, right])
         assert resolve_dependencies(model, active) == active
 
@@ -281,7 +279,7 @@ class TestResolveDependenciesMatchesPairwise:
 class TestClassifyBayes:
     def test_empty_active_set_uses_prior(self):
         stats = stats_from_counts({"f": [30, 20]}, [40, 60])
-        model = train_bayes(stats, UNPRUNED_POLICY)
+        model = train_bayes(stats, prune(stats, UNPRUNED))
         assert classify_bayes(model, ()).chosen == 1
 
     def test_mle_zero_probability_falls_back_to_prior(self):
@@ -289,7 +287,7 @@ class TestClassifyBayes:
         # with MLE likelihoods both posteriors are 0, so the larger prior
         # decides.
         stats = stats_from_counts({"f": [0, 0], "g": [30, 20]}, [60, 40])
-        model = train_bayes(stats, UNPRUNED_POLICY, smoothing=MLE_ONLY)
+        model = train_bayes(stats, prune(stats, UNPRUNED), smoothing=MLE_ONLY)
         posterior = classify_bayes(model, ids_of(model, [context_word("f")]))
         assert all(s == float("-inf") for s in posterior.scores)
         assert posterior.chosen == 0
@@ -299,9 +297,7 @@ class TestClassifyBayes:
         cset = model.confusion_set
         test_sentence = corpus_of("i'd like a peace of cake")[0]
         occ = find_occurrences([test_sentence], cset)[0]
-        active = extract_active(
-            test_sentence, occ, model.feature_ids, model.extraction, EMPTY_TAGS
-        )
+        active = extract_active(occ, model.feature_ids, model.extraction, EMPTY_TAGS)
         posterior = classify_bayes(model, active)
         expected = oracle_bayes_scores(stats, [model.features[f] for f in active], 2)
         for got, want in zip(posterior.scores, expected):
@@ -310,10 +306,10 @@ class TestClassifyBayes:
 
     def test_tie_breaks_by_prior_then_index(self):
         stats = stats_from_counts({"f": [30, 20]}, [40, 60])
-        model = train_bayes(stats, UNPRUNED_POLICY)
+        model = train_bayes(stats, prune(stats, UNPRUNED))
         # Empty active set plus equal priors: lower index wins.
         stats_eq = stats_from_counts({"f": [30, 20]}, [50, 50])
-        model_eq = train_bayes(stats_eq, UNPRUNED_POLICY)
+        model_eq = train_bayes(stats_eq, prune(stats_eq, UNPRUNED))
         assert classify_bayes(model_eq, ()).chosen == 0
         assert classify_bayes(model, ()).chosen == 1
 
@@ -351,7 +347,7 @@ class TestSerialization:
         for text in ("a peace of cake", "one piece of pie", "peace talks now"):
             sent = corpus_of(text)[0]
             occ = find_occurrences([sent], cset)[0]
-            active = extract_active(sent, occ, model.feature_ids, model.extraction, EMPTY_TAGS)
+            active = extract_active(occ, model.feature_ids, model.extraction, EMPTY_TAGS)
             assert classify_bayes(loaded, active) == classify_bayes(model, active)
 
     def test_round_trip_preserves_tables(self):
@@ -411,12 +407,10 @@ class TestOracleEquivalenceSample:
             from winspell.features import collect_stats
 
             stats = collect_stats(train, cset, params, EMPTY_TAGS)
-            retained = prune(stats, UNPRUNED_POLICY)
-            model = train_bayes(
-                stats, UNPRUNED_POLICY, INTERPOLATIVE, False, retained
-            )
+            retained = prune(stats, UNPRUNED)
+            model = train_bayes(stats, retained, INTERPOLATIVE, False)
             for occ in find_occurrences(test, cset):
-                active = extract_active(occ.sentence, occ, model.feature_ids, params, EMPTY_TAGS)
+                active = extract_active(occ, model.feature_ids, params, EMPTY_TAGS)
                 posterior = classify_bayes(model, active)
                 features = [retained[f] for f in active]
                 expected = oracle_bayes_scores(stats_restricted(stats, retained), features, 2)

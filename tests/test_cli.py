@@ -416,6 +416,42 @@ class TestConfigFile:
         assert rc == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,entry", [
+        ("train", {"k": "3"}),
+        ("train", {"k": True}),
+        ("train", {"cycles": 2.5}),
+        ("train", {"modes": "unpruned"}),
+        ("train", {"mode": None}),
+        ("eval", {"corrupt_pct": "5"}),
+        ("eval", {"systems": "bayes"}),
+        ("eval", {"systems": [1]}),
+    ])
+    def test_bad_entry_is_usage_error_naming_key(self, workspace, tmp_path, capsys,
+                                                 command, entry):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(entry))
+        rc = run([command, "--config", config, "--corpus", workspace / "corpus.txt",
+                  "--confusion-sets", workspace / "sets.txt",
+                  "--tagdict", workspace / "tags.tsv", "--system", "winnow",
+                  "--out", tmp_path / "out"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        (key,) = entry
+        assert repr(key) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_other_subcommands_keys_ignored(self, workspace, tmp_path):
+        config = tmp_path / "config.json"
+        # systems is eval's flag; corrupt_pct takes any number.
+        config.write_text(json.dumps({"systems": ["baseline"], "corrupt_pct": 5}))
+        rc = run(["train", "--config", config, "--corpus", workspace / "corpus.txt",
+                  "--confusion-sets", workspace / "sets.txt",
+                  "--tagdict", workspace / "tags.tsv", "--system", "bayes",
+                  "--out", tmp_path / "out"])
+        assert rc == 0
+        assert (tmp_path / "out" / "peace+piece.bayes.model").exists()
+
     def test_missing_required_flag_reported(self, workspace, capsys):
         rc = run(["train", "--corpus", workspace / "corpus.txt"])
         assert rc == 2

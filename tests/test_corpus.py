@@ -61,30 +61,11 @@ class TestLoadCorpus:
         path.write_text("")
         assert load_corpus(path) == []
 
-    def test_raw_split(self, tmp_path):
-        path = tmp_path / "c.txt"
-        path.write_text("A b. C d.")
-        sentences = load_corpus(path, mode="raw")
-        assert len(sentences) == 2
-        assert sentences[0].surfaces == ("a", "b", ".")
-        assert sentences[1].surfaces == ("c", "d", ".")
-
-    def test_raw_does_not_split_lowercase(self, tmp_path):
-        path = tmp_path / "c.txt"
-        path.write_text("e.g. lowercase continues. Capital starts.")
-        assert len(load_corpus(path, mode="raw")) == 2
-
     def test_invalid_utf8_reports_line(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_bytes(b"good line\nbad \xff line\n")
         with pytest.raises(CorpusError, match="line 2"):
             load_corpus(path)
-
-    def test_unknown_mode(self, tmp_path):
-        path = tmp_path / "c.txt"
-        path.write_text("x\n")
-        with pytest.raises(ValueError):
-            load_corpus(path, mode="sliced")
 
 
 class TestConfusionSets:

@@ -32,7 +32,8 @@ EMPTY_TAGS = TagDictionary()
 
 
 def stats_with(occurrences):
-    stats = FeatureStats(confusion_set_from_text("w0, w1"), ExtractionParams())
+    members = ", ".join(f"w{i}" for i in range(len(occurrences)))
+    stats = FeatureStats(confusion_set_from_text(members), ExtractionParams())
     stats.occurrences = list(occurrences)
     return stats
 
@@ -80,8 +81,9 @@ class TestBaseline:
         assert predict(()) == 0
         assert predict(("anything",)) == 0
 
-    def test_tie_prefers_lower_index(self):
-        assert baseline_classify(stats_with([50, 50]))(()) == 0
+    @pytest.mark.parametrize("occurrences,majority", [([50, 50], 0), ([30, 50, 50], 1)])
+    def test_tie_prefers_lower_index(self, occurrences, majority):
+        assert baseline_classify(stats_with(occurrences))(()) == majority
 
     def test_score_equals_majority_frequency(self):
         predict = baseline_classify(stats_with([70, 30]))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from winspell.bayes import train_bayes
 from winspell.corpus import (
+    Occurrence,
     TagDictionary,
     confusion_set_from_text,
     find_occurrences,
@@ -19,13 +20,11 @@ from winspell.features import (
     UNPRUNED,
     ExtractionParams,
     FeatureStats,
-    PruningPolicy,
     chi2_sf,
     chi_square_2x2,
     collect_stats,
     collocation,
     context_word,
-    dump_features,
     extract_active,
     generate_features,
     index_features,
@@ -48,8 +47,7 @@ EMPTY_TAGS = TagDictionary()
 
 
 def one_occurrence(text, cset):
-    sent = corpus_of(text)[0]
-    return sent, find_occurrences([sent], cset)[0]
+    return find_occurrences(corpus_of(text), cset)[0]
 
 
 class TestGenerateFeatures:
@@ -57,14 +55,14 @@ class TestGenerateFeatures:
         self.cset = confusion_set_from_text("peace, piece")
 
     def test_clipping_at_sentence_start(self):
-        sent, occ = one_occurrence("peace of cake", self.cset)
-        spans = {f.offsets for f in generate_features(sent, occ, ExtractionParams(), EMPTY_TAGS)
+        occ = one_occurrence("peace of cake", self.cset)
+        spans = {f.offsets for f in generate_features(occ, ExtractionParams(), EMPTY_TAGS)
                  if f.kind == COLLOCATION}
         assert spans == {(1,), (1, 2)}
 
     def test_clipping_at_sentence_end(self):
-        sent, occ = one_occurrence("a fine peace", self.cset)
-        spans = {f.offsets for f in generate_features(sent, occ, ExtractionParams(), EMPTY_TAGS)
+        occ = one_occurrence("a fine peace", self.cset)
+        spans = {f.offsets for f in generate_features(occ, ExtractionParams(), EMPTY_TAGS)
                  if f.kind == COLLOCATION}
         assert spans == {(-1,), (-2, -1)}
 
@@ -74,50 +72,56 @@ class TestGenerateFeatures:
             "laugh": frozenset({"VERB"}),
         })
         cset = confusion_set_from_text("weather, whether")
-        sent, occ = one_occurrence("i don't know whether to laugh or cry", cset)
-        feats = generate_features(sent, occ, ExtractionParams(), tags)
+        occ = one_occurrence("i don't know whether to laugh or cry", cset)
+        feats = generate_features(occ, ExtractionParams(), tags)
         assert collocation((1, 2), (("w", "to"), ("t", "VERB"))) in feats
 
     def test_context_word_hand_enumeration(self):
-        sent, occ = one_occurrence("john had a peace of cake .", self.cset)
-        words = {f.word for f in generate_features(sent, occ, ExtractionParams(), EMPTY_TAGS)
+        occ = one_occurrence("john had a peace of cake .", self.cset)
+        words = {f.word for f in generate_features(occ, ExtractionParams(), EMPTY_TAGS)
                  if f.kind == CONTEXT_WORD}
         assert words == {"john", "had", "a", "of", "cake", "."}
 
     def test_window_half_width_respected(self):
-        sent, occ = one_occurrence("a b c d peace w x y z", self.cset)
-        words = {f.word for f in generate_features(sent, occ, ExtractionParams(k=2), EMPTY_TAGS)
+        occ = one_occurrence("a b c d peace w x y z", self.cset)
+        words = {f.word for f in generate_features(occ, ExtractionParams(k=2), EMPTY_TAGS)
                  if f.kind == CONTEXT_WORD}
         assert words == {"c", "d", "w", "x"}
 
     def test_tag_slots_multiply(self):
         # 2-slot span with tag-set sizes 2 and 1 yields (1+2)*(1+1) features.
         tags = TagDictionary({"to": frozenset({"PREP", "TO"})})
-        sent, occ = one_occurrence("peace to cake", self.cset)
-        feats = generate_features(sent, occ, ExtractionParams(), tags)
+        occ = one_occurrence("peace to cake", self.cset)
+        feats = generate_features(occ, ExtractionParams(), tags)
         plus12 = [f for f in feats if f.offsets == (1, 2)]
         assert len(plus12) == 6
 
     def test_multi_token_span_offsets(self):
         cset = confusion_set_from_text("maybe, may be")
-        sent, occ = one_occurrence("left may be right", cset)
-        feats = generate_features(sent, occ, ExtractionParams(), EMPTY_TAGS)
+        occ = one_occurrence("left may be right", cset)
+        feats = generate_features(occ, ExtractionParams(), EMPTY_TAGS)
         assert collocation((-1,), (("w", "left"),)) in feats
         assert collocation((1,), (("w", "right"),)) in feats
         words = {f.word for f in feats if f.kind == CONTEXT_WORD}
         assert words == {"left", "right"}
 
     def test_l1_only_single_slots(self):
-        sent, occ = one_occurrence("a peace b", self.cset)
-        spans = {f.offsets for f in generate_features(sent, occ, ExtractionParams(l=1), EMPTY_TAGS)
+        occ = one_occurrence("a peace b", self.cset)
+        spans = {f.offsets for f in generate_features(occ, ExtractionParams(l=1), EMPTY_TAGS)
                  if f.kind == COLLOCATION}
         assert spans == {(-1,), (1,)}
 
     def test_deterministic(self):
-        sent, occ = one_occurrence("john had a peace of cake .", self.cset)
-        first = generate_features(sent, occ, ExtractionParams(), EMPTY_TAGS)
-        second = generate_features(sent, occ, ExtractionParams(), EMPTY_TAGS)
+        occ = one_occurrence("john had a peace of cake .", self.cset)
+        first = generate_features(occ, ExtractionParams(), EMPTY_TAGS)
+        second = generate_features(occ, ExtractionParams(), EMPTY_TAGS)
         assert first == second
+
+    @pytest.mark.parametrize("start,length", [(-1, 1), (3, 1), (2, 2)])
+    def test_hand_built_occurrence_outside_sentence_rejected(self, start, length):
+        sent = corpus_of("a peace b")[0]
+        with pytest.raises(ValueError, match="outside its sentence"):
+            generate_features(Occurrence(sent, start, length, 0), ExtractionParams(), EMPTY_TAGS)
 
 
 def reference_generate_features(sentence, occurrence, params, tagdict):
@@ -168,7 +172,7 @@ class TestGenerateFeaturesMatchesReference:
         sent = sentence_from_surfaces(tokens)
         params = ExtractionParams(k=k, l=l)
         for occ in find_occurrences([sent], cset):
-            got = generate_features(sent, occ, params, ORACLE_TAGS)
+            got = generate_features(occ, params, ORACLE_TAGS)
             assert got == reference_generate_features(sent, occ, params, ORACLE_TAGS)
 
     @pytest.mark.parametrize("l", [1, 2])
@@ -184,7 +188,7 @@ class TestGenerateFeaturesMatchesReference:
         occurrences = find_occurrences([sent], cset)
         assert occurrences
         for occ in occurrences:
-            got = generate_features(sent, occ, params, ORACLE_TAGS)
+            got = generate_features(occ, params, ORACLE_TAGS)
             assert got == reference_generate_features(sent, occ, params, ORACLE_TAGS)
 
 
@@ -213,11 +217,10 @@ class TestFeatureKeys:
         with pytest.raises(ValueError, match="malformed feature key"):
             parse_feature_key(key)
 
-    def test_dump_is_sorted_and_parseable(self):
+    def test_canonical_order_keys_are_sorted_and_parseable(self):
         feats = {context_word("b"), context_word("a"),
                  collocation((1,), (("w", "x"),))}
-        dumped = dump_features(feats)
-        lines = dumped.splitlines()
+        lines = [f.key() for f in sorted(feats)]
         assert lines == sorted(lines)
         assert {parse_feature_key(line) for line in lines} == feats
 
@@ -315,30 +318,30 @@ def make_stats(counts, occurrences):
 class TestPrune:
     def test_rare_feature_removed_in_pruned(self):
         stats = make_stats({"rare": [9, 0], "ok": [400, 100]}, [500, 500])
-        retained = prune(stats, PruningPolicy(mode=PRUNED))
+        retained = prune(stats, PRUNED)
         assert context_word("rare") not in retained
         assert context_word("ok") in retained
 
     def test_near_universal_feature_removed(self):
         stats = make_stats({"everywhere": [500, 495], "ok": [400, 100]}, [500, 500])
-        retained = prune(stats, PruningPolicy(mode=PRUNED))
+        retained = prune(stats, PRUNED)
         assert context_word("everywhere") not in retained
 
     def test_uncorrelated_feature_removed(self):
         # Table (20, 20, 80, 80) has chi-square p = 1.0.
         stats = make_stats({"flat": [20, 20], "ok": [80, 10]}, [100, 100])
-        retained = prune(stats, PruningPolicy(mode=PRUNED))
+        retained = prune(stats, PRUNED)
         assert context_word("flat") not in retained
         assert context_word("ok") in retained
 
     def test_singleton_removed_in_both_modes(self):
         stats = make_stats({"once": [1, 0], "ok": [80, 10]}, [100, 100])
         for mode in (PRUNED, UNPRUNED):
-            assert context_word("once") not in prune(stats, PruningPolicy(mode=mode))
+            assert context_word("once") not in prune(stats, mode)
 
     def test_unpruned_keeps_rare_but_repeated(self):
         stats = make_stats({"rare": [2, 0]}, [100, 100])
-        assert context_word("rare") in prune(stats, PruningPolicy(mode=UNPRUNED))
+        assert context_word("rare") in prune(stats, UNPRUNED)
 
     @pytest.mark.parametrize("mode", [PRUNED, UNPRUNED])
     def test_independent_of_count_order(self, mode):
@@ -346,14 +349,13 @@ class TestPrune:
         counts = {f"f{i}": [rng.randint(0, 40), rng.randint(0, 40)] for i in range(60)}
         counts = {name: row for name, row in counts.items() if sum(row) > 0}
         stats = make_stats(counts, [60, 60])
-        policy = PruningPolicy(mode=mode)
-        want = prune(stats, policy)
+        want = prune(stats, mode)
         assert want and list(want) == sorted(want)
         items = list(stats.counts.items())
         for _ in range(5):
             rng.shuffle(items)
             stats.counts = dict(items)
-            assert prune(stats, policy) == want
+            assert prune(stats, mode) == want
 
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)
@@ -362,8 +364,8 @@ class TestPrune:
         n1 = max(r[1] for r in rows) + 5
         counts = {f"f{i}": list(row) for i, row in enumerate(rows) if sum(row) > 0}
         stats = make_stats(counts, [n0, n1])
-        pruned = set(prune(stats, PruningPolicy(mode=PRUNED)))
-        unpruned = set(prune(stats, PruningPolicy(mode=UNPRUNED)))
+        pruned = set(prune(stats, PRUNED))
+        unpruned = set(prune(stats, UNPRUNED))
         assert pruned <= unpruned
 
 
@@ -373,27 +375,27 @@ class TestExtractActive:
         self.params = ExtractionParams()
 
     def test_empty_learned_set(self):
-        sent, occ = one_occurrence("a peace of cake", self.cset)
-        assert extract_active(sent, occ, {}, self.params, EMPTY_TAGS) == ()
+        occ = one_occurrence("a peace of cake", self.cset)
+        assert extract_active(occ, {}, self.params, EMPTY_TAGS) == ()
 
     def test_training_sentence_round_trip(self):
-        sent, occ = one_occurrence("a peace of cake", self.cset)
-        generated = generate_features(sent, occ, self.params, EMPTY_TAGS)
+        occ = one_occurrence("a peace of cake", self.cset)
+        generated = generate_features(occ, self.params, EMPTY_TAGS)
         learned, ids = index_features(list(sorted(generated))[::2])
-        active = extract_active(sent, occ, ids, self.params, EMPTY_TAGS)
+        active = extract_active(occ, ids, self.params, EMPTY_TAGS)
         assert set(active) == {ids[f] for f in generated & set(learned)}
 
     def test_novel_sentence_shares_one_word(self):
         _, ids = index_features({context_word("cloudy"), context_word("rain")})
-        sent, occ = one_occurrence("cloudy skies mean peace here", self.cset)
-        active = extract_active(sent, occ, ids, self.params, EMPTY_TAGS)
+        occ = one_occurrence("cloudy skies mean peace here", self.cset)
+        active = extract_active(occ, ids, self.params, EMPTY_TAGS)
         assert active == (ids[context_word("cloudy")],)
 
     def test_result_sorted_and_subset(self):
-        sent, occ = one_occurrence("john had a peace of cake .", self.cset)
-        generated = generate_features(sent, occ, self.params, EMPTY_TAGS)
+        occ = one_occurrence("john had a peace of cake .", self.cset)
+        generated = generate_features(occ, self.params, EMPTY_TAGS)
         _, ids = index_features(generated | {context_word("zzxq")})
-        active = extract_active(sent, occ, ids, self.params, EMPTY_TAGS)
+        active = extract_active(occ, ids, self.params, EMPTY_TAGS)
         assert list(active) == sorted(active)
         assert set(active) <= {ids[f] for f in generated}
 
@@ -411,22 +413,22 @@ class TestPrepareSet:
     active features as ids."""
 
     @staticmethod
-    def check_matches_separate_passes(corpus, cset, params, tags, policy):
+    def check_matches_separate_passes(corpus, cset, params, tags, mode):
         occurrences = find_occurrences(corpus, cset)
-        stats, retained, stream = prepare_set(occurrences, cset, params, tags, policy)
+        stats, retained, stream = prepare_set(occurrences, cset, params, tags, mode)
 
         expected_stats = collect_stats(corpus, cset, params, tags)
         assert list(stats.counts.items()) == list(expected_stats.counts.items())
         assert stats.occurrences == expected_stats.occurrences
-        assert retained == prune(expected_stats, policy)
+        assert retained == prune(expected_stats, mode)
         # Training and scoring take the active set one way, with the ids both
         # learners give the retained tuple.
         _, feature_ids = index_features(retained)
         assert stream == [
-            (extract_active(o.sentence, o, feature_ids, params, tags), o.member_index)
+            (extract_active(o, feature_ids, params, tags), o.member_index)
             for o in occurrences
         ]
-        model = train_bayes(stats, retained=retained)
+        model = train_bayes(stats, retained)
         network = WinnowNetwork(cset, retained, extraction=params)
         assert model.features == network.features == retained
         assert model.feature_ids == network.feature_ids == feature_ids
@@ -437,7 +439,7 @@ class TestPrepareSet:
         corpus, _other, cset = HELPER_CORPORA[name]()
         tags = TagDictionary({"the": {"DET"}, "on": {"PREP", "ADV"}, "old": {"ADJ"}})
         self.check_matches_separate_passes(
-            corpus, cset, ExtractionParams(k=3), tags, PruningPolicy(mode=mode)
+            corpus, cset, ExtractionParams(k=3), tags, mode
         )
 
     @given(
@@ -455,11 +457,11 @@ class TestPrepareSet:
                   for tokens in [["a", "maybe", "x"], ["to", "may", "be"], *sentences]]
         self.check_matches_separate_passes(
             corpus, confusion_set_from_text("maybe, may be"), ExtractionParams(k=k, l=l),
-            ORACLE_TAGS, PruningPolicy(mode=mode),
+            ORACLE_TAGS, mode,
         )
 
     def test_zero_occurrences_error(self):
         cset = confusion_set_from_text("peace, piece")
         with pytest.raises(ValueError, match="no occurrences"):
             prepare_set(find_occurrences(corpus_of("nothing here"), cset), cset,
-                        ExtractionParams(), EMPTY_TAGS, PruningPolicy())
+                        ExtractionParams(), EMPTY_TAGS, PRUNED)

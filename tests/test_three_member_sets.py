@@ -18,7 +18,6 @@ from winspell.evaluation import evaluate_systems
 from winspell.features import (
     ExtractionParams,
     FeatureStats,
-    PruningPolicy,
     PRUNED,
     UNPRUNED,
     context_word,
@@ -72,7 +71,7 @@ class TestPruneThreeMembers:
             context_word("onlyc"): [0, 0, 60],
             context_word("flat"): [40, 40, 40],
         }
-        retained = prune(stats, PruningPolicy(mode=PRUNED))
+        retained = prune(stats, PRUNED)
         assert context_word("onlyc") in retained
         assert context_word("flat") not in retained
 
@@ -84,15 +83,13 @@ class TestClassifyThreeMembers:
 
         stats = collect_stats(corpus, CSET, ExtractionParams(), EMPTY_TAGS)
         assert stats.occurrences == [60, 50, 40]
-        model = train_bayes(stats, PruningPolicy(mode=UNPRUNED))
+        model = train_bayes(stats, prune(stats, UNPRUNED))
         assert sum(model.priors) == pytest.approx(1.0, abs=1e-12)
         test = three_way_corpus(4, (3, 3, 3))
         from winspell.features import extract_active
 
         for occ in find_occurrences(test, CSET):
-            active = extract_active(
-                occ.sentence, occ, model.feature_ids, ExtractionParams(), EMPTY_TAGS
-            )
+            active = extract_active(occ, model.feature_ids, ExtractionParams(), EMPTY_TAGS)
             assert classify_bayes(model, active).chosen == occ.member_index
 
     def test_all_systems_handle_three_clouds(self):
@@ -125,6 +122,6 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             WinnowParams(cycles=0)
 
-    def test_pruning_policy_mode(self):
+    def test_unknown_pruning_mode(self):
         with pytest.raises(ValueError):
-            PruningPolicy(mode="aggressive")
+            prune(FeatureStats(CSET, ExtractionParams()), "aggressive")

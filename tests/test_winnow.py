@@ -10,7 +10,6 @@ from winspell.corpus import TagDictionary, confusion_set_from_text, find_occurre
 from winspell.features import (
     ExtractionParams,
     FeatureStats,
-    PruningPolicy,
     UNPRUNED,
     collect_stats,
     context_word,
@@ -399,8 +398,7 @@ class TestTrainNetworkMatchesReference:
                 stats = FeatureStats(cset, ExtractionParams())
                 stats.occurrences = [4] * members
                 stats.counts = dict(zip(features, counts))
-                model = train_bayes(stats, PruningPolicy(mode=UNPRUNED),
-                                    dependency_resolution=False, retained=features)
+                model = train_bayes(stats, features, dependency_resolution=False)
                 init_bayesian(network, model)
                 sparsify(network, model.counts)
             return network
@@ -431,7 +429,7 @@ class TestInitBayesian:
         stats = FeatureStats(cset, ExtractionParams())
         stats.occurrences = list(occurrences)
         stats.counts = {context_word(k): list(v) for k, v in counts.items()}
-        model = train_bayes(stats, PruningPolicy(mode=UNPRUNED), smoothing, False)
+        model = train_bayes(stats, prune(stats, UNPRUNED), smoothing, False)
         network = WinnowNetwork(
             cset, model.features, PARAMS, ExtractionParams(), layer_mode=ONE_LAYER
         )
@@ -489,18 +487,16 @@ class TestInitBayesian:
 
     def test_simplified_network_matches_bayes_decisions(self):
         params = ExtractionParams(k=1, l=1)
-        policy = PruningPolicy(mode=UNPRUNED)
         rng = random.Random(99)
         for _ in range(20):
             train, test, cset = random_tiny_corpus(rng)
             stats = collect_stats(train, cset, params, EMPTY_TAGS)
-            retained = prune(stats, policy)
-            model = train_bayes(stats, policy, dependency_resolution=False,
-                                retained=retained)
+            retained = prune(stats, UNPRUNED)
+            model = train_bayes(stats, retained, dependency_resolution=False)
             network = WinnowNetwork(cset, retained, PARAMS, params, layer_mode=ONE_LAYER)
             init_bayesian(network, model)
             for occ in find_occurrences(test, cset):
-                active = extract_active(occ.sentence, occ, network.feature_ids, params, EMPTY_TAGS)
+                active = extract_active(occ, network.feature_ids, params, EMPTY_TAGS)
                 assert classify_winnow(network, active).chosen == \
                     classify_bayes(model, active).chosen
 
@@ -511,7 +507,7 @@ class TestSparsify:
         stats = FeatureStats(cset, ExtractionParams())
         stats.occurrences = [2, 2]
         stats.counts = {F1: [2, 0], F2: [1, 2]}
-        model = train_bayes(stats, PruningPolicy(mode=UNPRUNED), dependency_resolution=False)
+        model = train_bayes(stats, prune(stats, UNPRUNED), dependency_resolution=False)
         network = WinnowNetwork(cset, model.features, PARAMS, ExtractionParams())
         init_bayesian(network, model)
         full = [[weights_of(cloud, k) for k in range(len(cloud.classifiers))]
@@ -542,7 +538,7 @@ class TestConnectionTable:
             stats = FeatureStats(cset, ExtractionParams())
             stats.occurrences = [2, 2]
             stats.counts = {F1: [2, 0], F2: [1, 2], F3: [1, 1]}
-            model = train_bayes(stats, PruningPolicy(mode=UNPRUNED),
+            model = train_bayes(stats, prune(stats, UNPRUNED),
                                 dependency_resolution=False)
             init_bayesian(network, model)
             if start == "bayesian+sparsify":
@@ -566,7 +562,7 @@ class TestSerialization:
         cset = confusion_set_from_text("dax, fep")
         params = ExtractionParams(k=3)
         _, retained, stream = prepare_set(find_occurrences(corpus, cset), cset, params,
-                                          EMPTY_TAGS, PruningPolicy(mode=UNPRUNED))
+                                          EMPTY_TAGS, UNPRUNED)
         network = WinnowNetwork(cset, retained, PARAMS, params,
                                 priors=(0.5, 0.5))
         train_network(network, stream)
@@ -586,7 +582,7 @@ class TestSerialization:
         save_network(network, path)
         loaded = load_network(path)
         for occ in find_occurrences(corpus, cset):
-            active = extract_active(occ.sentence, occ, learned, params, EMPTY_TAGS)
+            active = extract_active(occ, learned, params, EMPTY_TAGS)
             assert classify_winnow(loaded, active) == classify_winnow(network, active)
 
     def test_one_layer_full_round_trip(self):
@@ -594,7 +590,7 @@ class TestSerialization:
         stats = FeatureStats(cset, ExtractionParams())
         stats.occurrences = [2, 2]
         stats.counts = {F1: [2, 0], F2: [1, 2]}
-        model = train_bayes(stats, PruningPolicy(mode=UNPRUNED), dependency_resolution=False)
+        model = train_bayes(stats, prune(stats, UNPRUNED), dependency_resolution=False)
         network = WinnowNetwork(cset, (F1, F2), PARAMS, ExtractionParams(),
                                 layer_mode=ONE_LAYER)
         init_bayesian(network, model)
