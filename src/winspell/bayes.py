@@ -5,9 +5,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import ConfusionSet
 from .features import (
@@ -26,8 +25,7 @@ INTERPOLATIVE = "interpolative"
 MLE_ONLY = "mle"
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """Per-member scores (Bayes log posteriors or Winnow cloud outputs) and
     the chosen member index."""
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -288,6 +289,23 @@ def cmd_corrupt(args) -> int:
 
 
 def main(argv=None) -> int:
+    # A command builds no reference cycles, so reference counting frees all
+    # it drops, and the cyclic collector would only rescan live tuples, lists
+    # and dicts: on the eval-winnow benchmark corpus (Python 3.11, 2-vCPU
+    # Xeon) it ran 58 young and 6 middle collections for ~10 ms. A collection
+    # after any command finds the same argparse garbage whatever the corpus
+    # size. The caller's collector state is restored: tests call main
+    # in-process.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
     try:

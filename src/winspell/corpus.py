@@ -6,9 +6,9 @@ from __future__ import annotations
 import random
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 UNKNOWN_TAG = "UNK"
 
@@ -21,12 +21,12 @@ class CorpusError(Exception):
     """Raised for unreadable or malformed corpus inputs."""
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     surfaces: tuple[str, ...]
     source_line: int = 0
 
     def __len__(self) -> int:
+        # The number of tokens, not of fields.
         return len(self.surfaces)
 
 
@@ -46,25 +46,25 @@ def tokenize(text: str, source_line: int = 0) -> Sentence:
     return sentence_from_surfaces(map(sys.intern, tokens), source_line)
 
 
-@dataclass(frozen=True)
-class ConfusionSet:
+class ConfusionSet(namedtuple("ConfusionSet", "members")):
     """An ordered set of mutually confusable word forms.
 
     Each member is a tuple of one or more tokens ("may be" is two tokens).
     """
 
-    members: tuple[tuple[str, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.members) < 2:
+    def __new__(cls, members: tuple[tuple[str, ...], ...]):
+        if len(members) < 2:
             raise ValueError("confusion set needs at least 2 members")
-        if len(set(self.members)) != len(self.members):
+        if len(set(members)) != len(members):
             raise ValueError("confusion-set members must be distinct")
-        for member in self.members:
+        for member in members:
             if not member or any(not tok for tok in member):
                 raise ValueError("confusion-set members must be non-empty")
             if any(tok != tok.lower() for tok in member):
                 raise ValueError("confusion-set members must be lowercase")
+        return super().__new__(cls, members)
 
     def member_text(self, index: int) -> str:
         return " ".join(self.members[index])
@@ -91,16 +91,25 @@ def confusion_set_from_text(line: str) -> ConfusionSet:
 
 def load_confusion_sets(path: str | Path) -> list[ConfusionSet]:
     """One confusion set per line; '#' starts a comment line. A file with no
-    sets is refused."""
+    sets, or with one set on two lines (in any member order), is refused."""
     sets = []
+    first_line: dict[frozenset[tuple[str, ...]], int] = {}
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            sets.append(confusion_set_from_text(stripped))
+            cset = confusion_set_from_text(stripped)
         except ValueError as exc:
             raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
+        key = frozenset(cset.members)
+        if key in first_line:
+            raise CorpusError(
+                f"{path}: line {lineno}: confusion set {{{cset.label}}} "
+                f"repeats line {first_line[key]}"
+            )
+        first_line[key] = lineno
+        sets.append(cset)
     if not sets:
         raise CorpusError(f"{path}: no confusion sets")
     return sets
@@ -125,22 +134,30 @@ class TagDictionary:
 
 
 def load_tag_dictionary(path: str | Path) -> TagDictionary:
-    """One entry per line: ``word<TAB>tag1,tag2,...``."""
+    """One entry per line: ``word<TAB>tag1,tag2,...``. A word on two lines is
+    refused."""
     entries: dict[str, frozenset[str]] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         try:
             word, tags = line.split("\t")
-            entries[word] = frozenset(t.strip() for t in tags.split(",") if t.strip())
-            if not entries[word]:
+            tagset = frozenset(t.strip() for t in tags.split(",") if t.strip())
+            if not tagset:
                 raise ValueError("entry has no tags")
             # A tag is written into feature keys, which split on whitespace.
-            for tag in sorted(entries[word]):
+            for tag in sorted(tagset):
                 if any(c.isspace() for c in tag):
                     raise ValueError(f"tag {tag!r} contains whitespace")
         except ValueError as exc:
             raise CorpusError(f"{path}: line {lineno}: malformed tag entry: {exc}") from exc
+        if word in first_line:
+            raise CorpusError(
+                f"{path}: line {lineno}: tag entry {word!r} first listed on line {first_line[word]}"
+            )
+        first_line[word] = lineno
+        entries[word] = tagset
     return TagDictionary(entries)
 
 
@@ -162,8 +179,7 @@ def load_corpus(path: str | Path) -> list[Sentence]:
     return sentences
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     sentence: Sentence
     span_start: int
     span_len: int
@@ -223,8 +239,7 @@ def find_occurrences(
     return occurrences_by_set(sentences, [confusion_set])[0]
 
 
-@dataclass(frozen=True)
-class CorruptionEntry:
+class CorruptionEntry(NamedTuple):
     """One flipped occurrence; span_start indexes into the corrupted corpus."""
 
     sentence_index: int

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bayes import (
     BayesModel,
@@ -83,14 +83,13 @@ ABLATION_LADDER = (
 )
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    fraction: float = 0.8
-    seed: int = 0
+class SplitSpec(namedtuple("SplitSpec", "fraction seed")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.fraction < 1:
+    def __new__(cls, fraction: float = 0.8, seed: int = 0):
+        if not 0 < fraction < 1:
             raise ValueError("split fraction must be strictly between 0 and 1")
+        return super().__new__(cls, fraction, seed)
 
 
 def split_corpus(
@@ -220,8 +219,7 @@ def load_system_model(path: str | Path) -> BayesModel | WinnowNetwork:
     raise ValueError(f"{path}: unrecognized model format")
 
 
-@dataclass
-class SetResult:
+class SetResult(NamedTuple):
     """Per-case outcomes of every system on one confusion set's test cases."""
 
     label: str
@@ -268,8 +266,7 @@ def evaluate_systems(
     return SetResult(confusion_set.label, len(test_cases), outcomes)
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     """Per-set and pooled scores plus pairwise McNemar verdicts."""
 
     systems: tuple[str, ...]
@@ -325,8 +322,7 @@ class EvalReport:
         return "\n".join(out) + "\n"
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Everything one experiment needs: file paths plus protocol knobs."""
 
     corpus: str | Path
@@ -338,8 +334,8 @@ class ExperimentConfig:
     test_corpus: str | Path | None = None
     seed: int = 0
     corrupt_pct: float = 5.0
-    extraction: ExtractionParams = field(default_factory=ExtractionParams)
-    winnow: WinnowParams = field(default_factory=WinnowParams)
+    extraction: ExtractionParams = ExtractionParams()
+    winnow: WinnowParams = WinnowParams()
 
 
 def run_experiment(config: ExperimentConfig) -> EvalReport:

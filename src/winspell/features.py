@@ -4,7 +4,7 @@ association, and pruning."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -94,18 +94,17 @@ def index_features(features: Iterable[Feature]) -> tuple[tuple[Feature, ...], di
     return ordered, {f: i for i, f in enumerate(ordered)}
 
 
-@dataclass(frozen=True)
-class ExtractionParams:
+class ExtractionParams(namedtuple("ExtractionParams", "k l")):
     """Window half-width k and maximum collocation length l."""
 
-    k: int = 10
-    l: int = 2
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __new__(cls, k: int = 10, l: int = 2):
+        if k < 1:
             raise ValueError("context window k must be >= 1")
-        if self.l not in (1, 2):
+        if l not in (1, 2):
             raise ValueError("collocation length l must be 1 or 2")
+        return super().__new__(cls, k, l)
 
 
 # Contiguous offset spans of length <= 2 adjacent to or straddling the gap.

@@ -8,8 +8,7 @@ whose cloud responds most strongly.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -41,37 +40,38 @@ BIAS_ID = -1
 ZERO_LIKELIHOOD_LOG = -500.0
 
 
-@dataclass(frozen=True)
-class WinnowParams:
-    theta: float = 1.0
-    alpha: float = 1.5
-    betas: tuple[float, ...] = (0.5, 0.6, 0.7, 0.8, 0.9)
-    default_weight: float = 0.1
-    cycles: int = 5
+class WinnowParams(namedtuple("WinnowParams", "theta alpha betas default_weight cycles")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.theta <= 0:
+    def __new__(
+        cls,
+        theta: float = 1.0,
+        alpha: float = 1.5,
+        betas: tuple[float, ...] = (0.5, 0.6, 0.7, 0.8, 0.9),
+        default_weight: float = 0.1,
+        cycles: int = 5,
+    ):
+        if theta <= 0:
             raise ValueError("theta must be positive")
-        if self.alpha <= 1:
+        if alpha <= 1:
             raise ValueError("promotion parameter alpha must exceed 1")
-        if not self.betas or any(not 0 < b < 1 for b in self.betas):
+        if not betas or any(not 0 < b < 1 for b in betas):
             raise ValueError("demotion parameters must lie in (0, 1)")
-        if self.cycles < 1:
+        if cycles < 1:
             raise ValueError("cycles must be >= 1")
+        return super().__new__(cls, theta, alpha, betas, default_weight, cycles)
 
 
-@dataclass(frozen=True)
-class GammaSchedule:
+class GammaSchedule(namedtuple("GammaSchedule", "start end horizon")):
     """Vote-weight base, interpolated quadratically from start down to end
     over `horizon` examples."""
 
-    start: float = 1.0
-    end: float = 0.67
-    horizon: int = 1000
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.horizon < 1:
+    def __new__(cls, start: float = 1.0, end: float = 0.67, horizon: int = 1000):
+        if horizon < 1:
             raise ValueError("schedule horizon must be >= 1")
+        return super().__new__(cls, start, end, horizon)
 
 
 def gamma_at(schedule: GammaSchedule, t: int) -> float:
@@ -250,7 +250,11 @@ class WinnowNetwork:
             raise ValueError("priors do not match the confusion set")
         self.priors = tuple(priors)
         if layer_mode == ONE_LAYER:
-            betas: tuple[float, ...] = (statistics.median(self.params.betas),)
+            # The median beta, by statistics.median's arithmetic.
+            ordered = sorted(self.params.betas)
+            mid = len(ordered) // 2
+            median = ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+            betas: tuple[float, ...] = (median,)
         else:
             betas = self.params.betas
         self.clouds = [Cloud(i, [WinnowClassifier(b) for b in betas]) for i in range(n)]

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ import winspell
 from winspell.cli import TRAINABLE_SYSTEMS, main
 from winspell.winnow import load_network
 
-from helpers import noisy_disjunct_corpus, separable_corpus
+from helpers import noisy_disjunct_corpus, separable_corpus, two_domain_pair
 
 
 @pytest.fixture
@@ -312,8 +313,6 @@ class TestEvalAndAblate:
                                "winnow-2layer", "winnow-bayes-init"]
 
     def test_eval_supunsup_protocol(self, tmp_path):
-        from helpers import two_domain_pair
-
         corpus_a, corpus_b, _ = two_domain_pair(seed=0)
         corpus = tmp_path / "a.txt"
         corpus.write_text("\n".join(" ".join(s.surfaces) for s in corpus_a) + "\n")
@@ -391,6 +390,132 @@ class TestEmptyConfusionSets:
         assert rc == 1
         assert err == f"error: {workspace / 'sets.txt'}: no confusion sets\n"
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestRepeatedInputs:
+    """A set or a tag-dictionary word listed twice is an error. A repeated
+    set would give classify two lines with opposite verdicts for one span; a
+    repeated word would drop one line's tags without a word."""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate", "corrupt"])
+    def test_repeated_set_one_line_error(self, workspace, capsys, command):
+        (workspace / "sets.txt").write_text("peace, piece\npiece, peace\n")
+        out = workspace / "out"
+        args = [command, "--corpus", workspace / "corpus.txt",
+                "--confusion-sets", workspace / "sets.txt",
+                "--tagdict", workspace / "tags.tsv", "--out", out]
+        if command == "train":
+            args += ["--system", "bayes"]
+        rc = run(args)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == (f"error: {workspace / 'sets.txt'}: line 2: "
+                       "confusion set {piece, peace} repeats line 1\n")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_repeated_tag_word_one_line_error(self, workspace, capsys):
+        (workspace / "tags.tsv").write_text("of\tPREP\ncake\tNOUN_sing\nof\tADP\n")
+        rc = run(["train", "--corpus", workspace / "corpus.txt",
+                  "--confusion-sets", workspace / "sets.txt",
+                  "--tagdict", workspace / "tags.tsv",
+                  "--system", "bayes", "--out", workspace / "out"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {workspace / 'tags.tsv'}: line 3: tag entry 'of' first listed on line 1\n"
+        )
+
+
+class TestCollector:
+    """``main`` runs a command with the cyclic collector off and leaves it as
+    it found it. That is safe because a command builds no reference cycles:
+    what a collection finds after it does not grow with the input."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("outcome", ["ok", "error", "usage", "argparse-exit"])
+    def test_collector_state_restored(self, workspace, capsys, enabled, outcome):
+        args = {
+            "ok": ["corrupt", "--corpus", workspace / "corpus.txt",
+                   "--confusion-sets", workspace / "sets.txt", "--out", workspace / "out"],
+            "error": ["corrupt", "--corpus", workspace / "nope.txt",
+                      "--confusion-sets", workspace / "sets.txt", "--out", workspace / "out"],
+            "usage": ["corrupt", "--corpus", workspace / "corpus.txt"],
+            "argparse-exit": ["transmogrify"],
+        }[outcome]
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if outcome == "argparse-exit":
+                with pytest.raises(SystemExit) as exc:
+                    run(args)
+                code = exc.value.code
+            else:
+                code = run(args)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert code == {"ok": 0, "error": 1, "usage": 2, "argparse-exit": 2}[outcome]
+
+    @pytest.mark.parametrize(
+        "command", ["train", "eval", "eval-supunsup", "ablate", "classify", "corrupt"]
+    )
+    def test_garbage_does_not_grow_with_corpus(self, tmp_path, capsys, command):
+        train, test, _ = separable_corpus(seed=0)
+        corpus_a, corpus_b, _ = two_domain_pair(seed=0)
+        text = corpus_text(corpus_a if command == "eval-supunsup" else train + test)
+        sets = write(tmp_path / "sets.txt", "dax, fep\n")
+        tags = write(tmp_path / "tags.tsv", "rix\tMARK\nzor\tMARK\nbrix\tMARK\n")
+        models = tmp_path / "models"
+        common = ["--confusion-sets", sets, "--tagdict", tags, "--mode", "unpruned", "--k", 3]
+        if command == "classify":
+            assert run(["train", "--corpus", write(tmp_path / "c.txt", text),
+                        "--system", "winnow", "--out", models, *common]) == 0
+        unreachable = []
+        for repeat in (1, 4):
+            corpus = write(tmp_path / f"corpus{repeat}.txt", text * repeat)
+            test_corpus = write(tmp_path / f"test{repeat}.txt", corpus_text(corpus_b) * repeat)
+            out = tmp_path / f"out{repeat}"
+            args = {
+                "train": ["train", "--corpus", corpus, "--system", "winnow", "--out", out],
+                "eval": ["eval", "--corpus", corpus, "--out", out],
+                "eval-supunsup": ["eval", "--corpus", corpus, "--test-corpus", test_corpus,
+                                  "--protocol", "supunsup", "--system", "winnow", "--out", out],
+                "ablate": ["ablate", "--corpus", corpus, "--out", out],
+                "classify": ["classify", "--system", "winnow", "--out", models, corpus],
+                "corrupt": ["corrupt", "--corpus", corpus, "--corrupt-pct", 30, "--out", out],
+            }[command] + common
+            was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                gc.collect()
+                assert run(args) == 0
+                unreachable.append(gc.collect())
+            finally:
+                (gc.enable if was_enabled else gc.disable)()
+            capsys.readouterr()
+        assert unreachable[0] == unreachable[1]
+
+
+def corpus_text(sentences) -> str:
+    return "\n".join(" ".join(s.surfaces) for s in sentences) + "\n"
+
+
+def write(path, text):
+    path.write_text(text)
+    return path
+
+
+def test_cli_import_skips_dataclasses_and_statistics():
+    """Generating dataclass code and importing ``statistics`` (with
+    ``fractions`` and ``decimal``) cost every command ~20 ms at start-up."""
+    package_root = str(Path(winspell.__file__).resolve().parent.parent)
+    probe = (
+        "import sys; before = set(sys.modules); import winspell.cli; "
+        "print(sorted({'dataclasses', 'statistics'} & (set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=package_root)
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env=env, check=True)
+    assert result.stdout == "[]\n"
 
 
 class TestConfigFile:

@@ -95,6 +95,20 @@ class TestConfusionSets:
         with pytest.raises(CorpusError, match="no confusion sets"):
             load_confusion_sets(path)
 
+    @pytest.mark.parametrize("repeat", ["peace, piece", "piece ,peace"], ids=["same-order", "reordered"])
+    def test_repeated_set_refused(self, tmp_path, repeat):
+        path = tmp_path / "sets.txt"
+        path.write_text(f"peace, piece\nmaybe, may be\n# again\n{repeat}\n")
+        with pytest.raises(CorpusError) as exc:
+            load_confusion_sets(path)
+        label = ", ".join(part.strip() for part in repeat.split(","))
+        assert str(exc.value) == f"{path}: line 4: confusion set {{{label}}} repeats line 1"
+
+    def test_overlapping_sets_are_distinct(self, tmp_path):
+        path = tmp_path / "sets.txt"
+        path.write_text("peace, piece\npeace, piece, pieces\n")
+        assert len(load_confusion_sets(path)) == 2
+
 
 class TestTagDictionary:
     def test_lookup_known(self, tmp_path):
@@ -122,6 +136,13 @@ class TestTagDictionary:
             load_tag_dictionary(path)
         path.write_text("to\tPREP, TO\nhis\tPRP$\n")
         assert load_tag_dictionary(path).lookup("his") == {"PRP$"}
+
+    def test_repeated_word_refused(self, tmp_path):
+        path = tmp_path / "tags.tsv"
+        path.write_text("to\tPREP\ncake\tNOUN_sing\n\nto\tTO\n")
+        with pytest.raises(CorpusError) as exc:
+            load_tag_dictionary(path)
+        assert str(exc.value) == f"{path}: line 4: tag entry 'to' first listed on line 1"
 
     def test_empty_tagset_rejected(self):
         with pytest.raises(ValueError):

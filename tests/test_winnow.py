@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -735,3 +736,14 @@ class TestSerialization:
         lines[row] = bad_row.format(n_features=len(network.features))
         with pytest.raises(ValueError, match="weight row"):
             network_from_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "betas", [(0.5,), (0.9, 0.5, 0.7), (0.5, 0.6, 0.7, 0.8), (0.8, 0.55, 0.6, 0.3, 0.9, 0.65)]
+)
+def test_one_layer_classifier_takes_the_median_beta(betas):
+    network = WinnowNetwork(confusion_set_from_text("dax, fep"), (), WinnowParams(betas=betas),
+                            layer_mode=ONE_LAYER)
+    assert [c.beta for cloud in network.clouds for c in cloud.classifiers] == (
+        [statistics.median(betas)] * 2
+    )
