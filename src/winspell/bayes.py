@@ -12,12 +12,11 @@ from .corpus import ConfusionSet
 from .features import (
     COLLOCATION,
     ExtractionParams,
-    Feature,
+    FeatureIndex,
     FeatureStats,
     association_table,
     chi_square_2x2,
     index_features,
-    parse_feature_key,
     parse_model_head,
 )
 
@@ -46,14 +45,17 @@ class BayesModel:
     All derived tables (priors, MLE likelihoods, unigrams, mixing weights,
     and the logs of the priors and smoothed likelihoods that classification
     sums) are recomputed from the raw counts, so a serialized model reloads
-    exactly. Per-feature tables are lists indexed by feature id.
+    exactly. ``feature_ids`` is the index of the retained features and
+    ``features`` its Feature tuples; per-feature tables are lists indexed by
+    feature id, and ``counts`` gives each retained key's count row.
     """
 
     def __init__(
         self,
         confusion_set: ConfusionSet,
         extraction: ExtractionParams,
-        counts: Mapping[Feature, Sequence[int]],
+        retained: FeatureIndex,
+        counts: Mapping[str, Sequence[int]],
         occurrences: Sequence[int],
         smoothing: str = INTERPOLATIVE,
         dependency_resolution: bool = True,
@@ -64,8 +66,8 @@ class BayesModel:
             raise ValueError("occurrence counts do not match the confusion set")
         self.confusion_set = confusion_set
         self.extraction = extraction
-        self.features, self.feature_ids = index_features(counts)
-        self.counts = [tuple(counts[f]) for f in self.features]
+        self.features, self.feature_ids = retained.features, retained
+        self.counts = [tuple(counts[key]) for key in retained]
         self.occurrences = tuple(occurrences)
         self.total = sum(occurrences)
         if self.total <= 0:
@@ -109,12 +111,11 @@ class BayesModel:
 
 def train_bayes(
     stats: FeatureStats,
-    retained: Iterable[Feature],
+    retained: FeatureIndex,
     smoothing: str = INTERPOLATIVE,
     dependency_resolution: bool = True,
 ) -> BayesModel:
     """Build a model over the ``retained`` features from corpus statistics."""
-    counts = {f: stats.counts[f] for f in retained}
     for i, n in enumerate(stats.occurrences):
         if n == 0:
             warnings.warn(
@@ -125,11 +126,20 @@ def train_bayes(
     return BayesModel(
         stats.confusion_set,
         stats.params,
-        counts,
+        retained,
+        stats.counts,
         stats.occurrences,
         smoothing,
         dependency_resolution,
     )
+
+
+def with_dependency_resolution(model: BayesModel) -> BayesModel:
+    """``model`` with dependency resolution on. The two share every table,
+    the log rows either of them fills included."""
+    clone = object.__new__(BayesModel)
+    clone.__dict__.update(model.__dict__, dependency_resolution=True)
+    return clone
 
 
 def smoothed_likelihood(model: BayesModel, feature: int, member_index: int) -> float:
@@ -221,8 +231,8 @@ def model_to_text(model: BayesModel) -> str:
     lines.append("occurrences\t" + "\t".join(str(n) for n in model.occurrences))
     lines.append("priors\t" + "\t".join(repr(p) for p in model.priors))
     lines.append(f"features\t{len(model.features)}")
-    for f, row in zip(model.features, model.counts):
-        lines.append(f.key() + "\t" + "\t".join(str(c) for c in row))
+    for key, row in zip(model.feature_ids, model.counts):
+        lines.append(key + "\t" + "\t".join(str(c) for c in row))
     return "\n".join(lines) + "\n"
 
 
@@ -245,22 +255,25 @@ def model_from_text(text: str) -> BayesModel:
     except ValueError as exc:
         raise ValueError(f"malformed model file header: {exc}") from exc
     n_members = len(confusion_set.members)
-    counts: dict[Feature, list[int]] = {}
-    for line in lines[8 : 8 + n_features]:
+    keys, rows = [], []
+    for number, line in enumerate(lines[8 : 8 + n_features], 9):
         key, *row = line.split("\t")
         if len(row) != n_members:
             raise ValueError(
-                f"count row for {key!r} has {len(row)} counts, not {n_members}"
+                f"line {number}: count row for {key!r} has {len(row)} counts, not {n_members}"
             )
-        counts[parse_feature_key(key)] = [int(c) for c in row]
-    if len(counts) != n_features:
+        keys.append(key)
+        rows.append([int(c) for c in row])
+    retained = index_features(keys, 9)
+    if len(retained) != n_features:
         raise ValueError("model file truncated or has duplicate features")
     if len(lines) > 8 + n_features:
         raise ValueError(f"line {9 + n_features}: text after the last count row")
     model = BayesModel(
         confusion_set,
         extraction,
-        counts,
+        retained,
+        dict(zip(keys, rows)),
         occurrences,
         smoothing=head["smoothing"][0],
         dependency_resolution=head["dependency_resolution"] == ["on"],

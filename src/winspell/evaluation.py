@@ -17,6 +17,7 @@ from .bayes import (
     load_model,
     save_model,
     train_bayes,
+    with_dependency_resolution,
 )
 from .corpus import (
     ConfusionSet,
@@ -33,10 +34,10 @@ from .corpus import (
 from .features import (
     PRUNED,
     ExtractionParams,
+    FeatureIndex,
     FeatureStats,
     chi2_sf,
     extract_active,
-    index_features,
     prepare_set,
 )
 from .winnow import (
@@ -150,37 +151,45 @@ def two_proportion_test(correct1: int, n1: int, correct2: int, n2: int) -> float
 def train_system_model(
     name: str,
     stats: FeatureStats,
-    retained,
+    retained: FeatureIndex,
     train_stream: Sequence[tuple[tuple[int, ...], int]],
     winnow_params: WinnowParams,
+    bayes: BayesModel | None = None,
 ):
     """Train one persistable system; returns a BayesModel or WinnowNetwork
     that extracts features with the parameters ``stats`` were counted with.
     ``retained`` and ``train_stream`` are what ``prepare_set`` returns: the
-    stream's feature ids are positions in ``retained``."""
-    if name == "bayes":
-        return train_bayes(stats, retained)
-    if name == "simplified-bayes":
-        return train_bayes(stats, retained, dependency_resolution=False)
+    stream's feature ids are ids of ``retained``.
 
-    priors = tuple(n / stats.total_occurrences for n in stats.occurrences)
+    Every system but ``winnow`` reads the tables of the set's
+    dependency-resolution-free Bayes model. ``bayes`` is that model if the
+    caller has it (``train_bayes(stats, retained,
+    dependency_resolution=False)``), so the systems of one set can share
+    one build; otherwise it is built here."""
+    if name not in SYSTEMS or name == "baseline":
+        raise ValueError(f"unknown system: {name!r}")
     if name == "winnow":
+        priors = tuple(n / stats.total_occurrences for n in stats.occurrences)
         network = WinnowNetwork(
             stats.confusion_set, retained, winnow_params, stats.params,
             layer_mode=TWO_LAYER, priors=priors,
         )
         train_network(network, train_stream)
         return network
-    if name not in SYSTEMS or name == "baseline":
-        raise ValueError(f"unknown system: {name!r}")
 
+    model = bayes if bayes is not None else train_bayes(
+        stats, retained, dependency_resolution=False
+    )
+    if name == "bayes":
+        return with_dependency_resolution(model)
+    if name == "simplified-bayes":
+        return model
     # The remaining variants start from Bayesian weights derived from the
     # dependency-resolution-free model.
-    model = train_bayes(stats, retained, dependency_resolution=False)
     layer = ONE_LAYER if name in ("simplified-winnow", "winnow-1layer") else TWO_LAYER
     network = WinnowNetwork(
         stats.confusion_set, retained, winnow_params, stats.params,
-        layer_mode=layer, priors=priors,
+        layer_mode=layer, priors=model.priors,
     )
     init_bayesian(network, model)
     if name == "winnow-bayes-init":
@@ -249,18 +258,23 @@ def evaluate_systems(
     stats, retained, train_stream = prepare_set(
         train_occurrences, confusion_set, extraction, tagdict, mode
     )
-    _, feature_ids = index_features(retained)
     test_cases = [
-        (extract_active(o, feature_ids, extraction, tagdict), o.member_index)
+        (extract_active(o, retained, extraction, tagdict), o.member_index)
         for o in test_occurrences
     ]
+    # The systems that read Bayes tables share one dependency-free model.
+    bayes = None
+    if any(name not in ("baseline", "winnow") for name in systems):
+        bayes = train_bayes(stats, retained, dependency_resolution=False)
     outcomes = {}
     for name in systems:
         if name == "baseline":
             predict = baseline_classify(stats)
             chosen = [predict(active) for active, _ in test_cases]
         else:
-            model = train_system_model(name, stats, retained, train_stream, winnow_params)
+            model = train_system_model(
+                name, stats, retained, train_stream, winnow_params, bayes
+            )
             chosen = [decide(model, active).chosen for active, _ in test_cases]
         outcomes[name] = [c == member for c, (_, member) in zip(chosen, test_cases)]
     return SetResult(confusion_set.label, len(test_cases), outcomes)

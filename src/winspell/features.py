@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import (
@@ -31,9 +30,10 @@ MODES = (PRUNED, UNPRUNED)
 class Feature(NamedTuple):
     """A context-word test or a collocation pattern around the target gap.
 
-    Field order defines the canonical total ordering used everywhere a
-    deterministic iteration order matters. A named tuple, so hashing,
-    equality and ordering run at C speed on every dict and set hit.
+    Field order defines the canonical total ordering, which numbers feature
+    ids. The feature pass, the counts and every id lookup handle a feature
+    by its canonical key string (:meth:`key`), whose hash Python caches;
+    Feature tuples are built only for retained and loaded features.
     """
 
     kind: str
@@ -67,31 +67,75 @@ def collocation(
 
 
 def parse_feature_key(key: str) -> Feature:
-    """Inverse of :meth:`Feature.key`."""
-    if key.startswith("CW "):
-        return context_word(key[3:])
-    if not key.startswith("COLL "):
+    """Inverse of :meth:`Feature.key`: the feature whose canonical key is
+    ``key``. ValueError for any other string; for one that spells a feature
+    another way, the message gives the canonical key."""
+    kind, space, body = key.partition(" ")
+    if kind == CONTEXT_WORD and space:
+        return Feature(CONTEXT_WORD, body)
+    if kind != COLLOCATION or not space:
         raise ValueError(f"malformed feature key: {key!r}")
+    parts = body.split(" ")
     offsets = []
     slots = []
-    for part in key[5:].split(" "):
+    canonical = parts.count("_") == 1
+    negatives = 0
+    for part in parts:
         if part == "_":
             continue
-        offset_text, slot = part.split(":", 1)
-        slot_kind, value = slot.split("=", 1)
-        if slot_kind not in (WORD_SLOT, TAG_SLOT):
+        offset_text, _, slot = part.partition(":")
+        slot_kind, equals, value = slot.partition("=")
+        if slot_kind not in (WORD_SLOT, TAG_SLOT) or not equals:
             raise ValueError(f"malformed feature key: {key!r}")
-        offsets.append(int(offset_text))
+        try:
+            offset = int(offset_text)
+        except ValueError:
+            raise ValueError(f"malformed feature key: {key!r}") from None
+        if offset < 0:
+            negatives += 1
+        if offset_text != f"{offset:+d}":
+            canonical = False
+        offsets.append(offset)
         slots.append((slot_kind, value))
-    return collocation(offsets, slots)
+    feature = Feature(COLLOCATION, "", tuple(offsets), tuple(slots))
+    # The gap sits after the negative offsets, as key() puts it.
+    if not canonical or parts.index("_") != negatives:
+        raise ValueError(
+            f"feature {key!r} is not in canonical form; expected {feature.key()!r}"
+        )
+    return feature
 
 
-def index_features(features: Iterable[Feature]) -> tuple[tuple[Feature, ...], dict[Feature, int]]:
-    """The features in canonical order, and each one's id: its position in
-    that order. Both learners, the training stream and the ``WINNOW v1``
-    weight rows number features by this one rule."""
-    ordered = tuple(sorted(features))
-    return ordered, {f: i for i, f in enumerate(ordered)}
+class FeatureIndex(dict):
+    """Feature ids by canonical key (:meth:`Feature.key`), in id order, and
+    ``features``, the Feature of each id.
+
+    Ids number features in canonical order, that of the sorted Feature
+    tuples: both learners, the training stream and the ``WINNOW v1`` weight
+    rows number features by this one rule. Built from sorted (Feature, key)
+    pairs.
+    """
+
+    __slots__ = ("features",)
+
+    def __init__(self, pairs: Sequence[tuple[Feature, str]]):
+        super().__init__(zip([key for _, key in pairs], range(len(pairs))))
+        self.features = tuple([feature for feature, _ in pairs])
+
+
+def index_features(keys: Iterable[str], first_line: int = 1) -> FeatureIndex:
+    """The index of the features with these canonical keys, each parsed
+    once. ValueError for a key that is not canonical, naming its line when
+    the first key is line ``first_line``: a model loader passes the file
+    line of its first feature line."""
+    pairs = []
+    for number, key in enumerate(keys, first_line):
+        try:
+            pairs.append((parse_feature_key(key), key))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+    pairs.sort()
+    return FeatureIndex(pairs)
 
 
 class ExtractionParams(namedtuple("ExtractionParams", "k l")):
@@ -107,46 +151,53 @@ class ExtractionParams(namedtuple("ExtractionParams", "k l")):
         return super().__new__(cls, k, l)
 
 
-# Contiguous offset spans of length <= 2 adjacent to or straddling the gap.
-_SPANS_L1 = ((-1,), (1,))
-_SPANS_L2 = ((-1,), (1,), (-2, -1), (-1, 1), (1, 2))
+# The neighbouring slots (-2 and -1 before the span, +1 and +2 after it), each
+# with the prefixes of its word part and its tag parts in collocation keys.
+_SLOTS = tuple(
+    (offset, f"{offset:+d}:{WORD_SLOT}=", f"{offset:+d}:{TAG_SLOT}=")
+    for offset in (-2, -1, 1, 2)
+)
 
 
 def generate_features(
     occurrence: Occurrence,
     params: ExtractionParams,
     tagdict: TagDictionary,
-) -> set[Feature]:
-    """All possible features for the context of one occurrence in its sentence.
+) -> set[str]:
+    """The canonical keys (:meth:`Feature.key`) of all possible features for
+    the context of one occurrence in its sentence.
 
     Context words: one feature per distinct token within k tokens left of the
     span or right of it (the span itself excluded), clipped at the sentence
-    edges. Collocations: every in-bounds offset span, with each slot realized
-    as either the literal word or each tag in the word's tag set; offsets are
-    measured from the span edges (-1 = token before the span, +1 = token
-    after it).
+    edges. Collocations: every in-bounds offset span of length at most l
+    adjacent to or straddling the gap, with each slot realized as either the
+    literal word or each tag in the word's tag set; offsets are measured from
+    the span edges (-1 = token before the span, +1 = token after it).
     """
     surfaces = occurrence.sentence.surfaces
     start, end = occurrence.span_start, occurrence.span_end
     if not (0 <= start <= end <= len(surfaces)):
         raise ValueError("occurrence lies outside its sentence")
     window = {*surfaces[max(0, start - params.k) : start], *surfaces[end : end + params.k]}
-    features = {Feature(CONTEXT_WORD, word) for word in window}
-    # Each neighbouring slot's choices (the word, then each of its tags),
-    # built once and shared by every span through that slot.
-    choices = {}
-    for offset, position in ((-2, start - 2), (-1, start - 1), (1, end), (2, end + 1)):
+    keys = {"CW " + word for word in window}
+    # Each neighbouring slot's parts (the word, then each of its tags), made
+    # once and joined into the key of every span through that slot. Slot -2
+    # exists only if -1 does, and +2 only if +1 does.
+    parts: dict[int, list[str]] = {}
+    for offset, word_prefix, tag_prefix in _SLOTS:
+        position = start + offset if offset < 0 else end + offset - 1
         if 0 <= position < len(surfaces):
             word = surfaces[position]
-            choices[offset] = [(WORD_SLOT, word)]
-            choices[offset].extend((TAG_SLOT, tag) for tag in sorted(tagdict.lookup(word)))
-    for span in _SPANS_L2 if params.l == 2 else _SPANS_L1:
-        if all(offset in choices for offset in span):
-            features.update(
-                Feature(COLLOCATION, "", span, combo)
-                for combo in product(*(choices[offset] for offset in span))
-            )
-    return features
+            parts[offset] = [word_prefix + word]
+            parts[offset].extend(tag_prefix + tag for tag in sorted(tagdict.lookup(word)))
+    before, after = parts.get(-1, ()), parts.get(1, ())
+    keys.update([f"COLL {p} _" for p in before])
+    keys.update([f"COLL _ {p}" for p in after])
+    if params.l == 2:
+        keys.update([f"COLL {p} {q} _" for p in parts.get(-2, ()) for q in before])
+        keys.update([f"COLL {p} _ {q}" for p in before for q in after])
+        keys.update([f"COLL _ {p} {q}" for p in after for q in parts.get(2, ())])
+    return keys
 
 
 class FeatureStats:
@@ -155,7 +206,7 @@ class FeatureStats:
     def __init__(self, confusion_set: ConfusionSet, params: ExtractionParams):
         self.confusion_set = confusion_set
         self.params = params
-        self.counts: dict[Feature, list[int]] = {}
+        self.counts: dict[str, list[int]] = {}  # by canonical key
         self.occurrences = [0] * len(confusion_set.members)
 
     @property
@@ -166,19 +217,19 @@ class FeatureStats:
     def total_occurrences(self) -> int:
         return sum(self.occurrences)
 
-    def add(self, feature_set: Iterable[Feature], member_index: int):
+    def add(self, keys: Iterable[str], member_index: int):
         self.occurrences[member_index] += 1
         counts, n_members = self.counts, self.n_members
-        for feature in feature_set:
-            row = counts.get(feature)
+        for key in keys:
+            row = counts.get(key)
             if row is None:
-                row = counts[feature] = [0] * n_members
+                row = counts[key] = [0] * n_members
             row[member_index] += 1
 
-    def max_association(self, feature: Feature) -> float:
+    def max_association(self, key: str) -> float:
         """Largest chi-square statistic over members (for >2-member sets the
         member with the strongest association decides)."""
-        row = self.counts[feature]
+        row = self.counts[key]
         return max(
             chi_square_2x2(*association_table(row, self.occurrences, i))[0]
             for i in range(self.n_members)
@@ -201,15 +252,15 @@ def _count_features(
     confusion_set: ConfusionSet,
     params: ExtractionParams,
     tagdict: TagDictionary,
-) -> tuple[FeatureStats, list[tuple[set[Feature], int]]]:
+) -> tuple[FeatureStats, list[tuple[set[str], int]]]:
     """Generate the features of every occurrence once, count them, and
-    return the counts with the (generated set, member) pairs."""
+    return the counts with the (generated keys, member) pairs."""
     stats = FeatureStats(confusion_set, params)
     generated = []
     for occ in occurrences:
-        features = generate_features(occ, params, tagdict)
-        stats.add(features, occ.member_index)
-        generated.append((features, occ.member_index))
+        keys = generate_features(occ, params, tagdict)
+        stats.add(keys, occ.member_index)
+        generated.append((keys, occ.member_index))
     if stats.total_occurrences == 0:
         raise ValueError(
             f"no occurrences of {{{confusion_set.label}}} in corpus; cannot train"
@@ -256,43 +307,43 @@ MIN_NONOCCURRENCES = 10
 ALPHA = 0.05
 
 
-def prune(stats: FeatureStats, mode: str) -> tuple[Feature, ...]:
-    """The retained feature set, in canonical order. Pruned mode drops rare,
+def prune(stats: FeatureStats, mode: str) -> FeatureIndex:
+    """The retained features, indexed. Pruned mode drops rare,
     near-universal, and uncorrelated features; unpruned mode drops only
-    singletons."""
+    singletons. Only the retained keys are parsed into Features."""
     if mode not in MODES:
         raise ValueError(f"unknown pruning mode: {mode!r}")
     retained = []
     n_total = stats.total_occurrences
-    for feature, row in stats.counts.items():
+    for key, row in stats.counts.items():
         total = sum(row)
         if mode == UNPRUNED:
             if total != 1:
-                retained.append(feature)
+                retained.append(key)
             continue
         if total < MIN_OCCURRENCES:
             continue
         if n_total - total < MIN_NONOCCURRENCES:
             continue
-        if chi2_sf(stats.max_association(feature)) >= ALPHA:
+        if chi2_sf(stats.max_association(key)) >= ALPHA:
             continue
-        retained.append(feature)
-    return tuple(sorted(retained))
+        retained.append(key)
+    return index_features(retained)
 
 
 def extract_active(
     occurrence: Occurrence,
-    feature_ids: Mapping[Feature, int],
+    feature_ids: Mapping[str, int],
     params: ExtractionParams,
     tagdict: TagDictionary,
 ) -> tuple[int, ...]:
     """Active features for one occurrence: the sorted ids of the generated
-    features that ``feature_ids`` holds."""
+    features whose keys ``feature_ids`` holds."""
     return _active_ids(generate_features(occurrence, params, tagdict), feature_ids)
 
 
-def _active_ids(generated: set[Feature], feature_ids: Mapping[Feature, int]) -> tuple[int, ...]:
-    # Look up from the smaller side: a lookup hashes its Feature anew.
+def _active_ids(generated: set[str], feature_ids: Mapping[str, int]) -> tuple[int, ...]:
+    # Look up from the smaller side.
     if len(feature_ids) < len(generated):
         return tuple(sorted([i for f, i in feature_ids.items() if f in generated]))
     return tuple(sorted([i for i in map(feature_ids.get, generated) if i is not None]))
@@ -304,15 +355,16 @@ def prepare_set(
     params: ExtractionParams,
     tagdict: TagDictionary,
     mode: str,
-) -> tuple[FeatureStats, tuple[Feature, ...], list[tuple[tuple[int, ...], int]]]:
+) -> tuple[FeatureStats, FeatureIndex, list[tuple[tuple[int, ...], int]]]:
     """Counts, retained features and the (active feature ids, member)
     training stream of one confusion set, from its training occurrences.
     Equal to ``collect_stats``, then ``prune``, then ``extract_active`` over
     the occurrences with the retained features' ids, but each occurrence's
-    features are generated once."""
+    features are generated once. The retained index is the one both
+    learners of the set number features by."""
     stats, generated = _count_features(occurrences, confusion_set, params, tagdict)
-    retained, feature_ids = index_features(prune(stats, mode))
-    stream = [(_active_ids(features, feature_ids), member) for features, member in generated]
+    retained = prune(stats, mode)
+    stream = [(_active_ids(keys, retained), member) for keys, member in generated]
     return stats, retained, stream
 
 

@@ -16,10 +16,9 @@ from .bayes import BayesModel, Decision, choose
 from .corpus import ConfusionSet
 from .features import (
     ExtractionParams,
-    Feature,
+    FeatureIndex,
     index_features,
     parse_assignments,
-    parse_feature_key,
     parse_model_head,
 )
 
@@ -219,14 +218,14 @@ class WinnowNetwork:
     """Clouds for every confusion-set member plus the comparator state. A new
     network is sparse, connected to the bias only.
 
-    ``features`` and ``feature_ids`` come from
-    :func:`~winspell.features.index_features`, as a ``BayesModel``'s do.
+    ``feature_ids`` is the index of the retained features and ``features``
+    its Feature tuples, as in a ``BayesModel``.
     """
 
     def __init__(
         self,
         confusion_set: ConfusionSet,
-        features: Iterable[Feature],
+        retained: FeatureIndex,
         params: WinnowParams | None = None,
         extraction: ExtractionParams | None = None,
         layer_mode: str = TWO_LAYER,
@@ -236,7 +235,7 @@ class WinnowNetwork:
         if layer_mode not in (ONE_LAYER, TWO_LAYER):
             raise ValueError(f"unknown layer mode: {layer_mode!r}")
         self.confusion_set = confusion_set
-        self.features, self.feature_ids = index_features(features)
+        self.features, self.feature_ids = retained.features, retained
         self.params = params or WinnowParams()
         self.extraction = extraction or ExtractionParams()
         self.layer_mode = layer_mode
@@ -395,8 +394,7 @@ def network_to_text(network: WinnowNetwork) -> str:
     lines.append(f"schedule\tstart={s.start!r}\tend={s.end!r}\thorizon={s.horizon}")
     lines.append("priors\t" + "\t".join(repr(pr) for pr in network.priors))
     lines.append(f"features\t{len(network.features)}")
-    for f in network.features:
-        lines.append(f.key())
+    lines.extend(network.feature_ids)
     for cloud in network.clouds:
         lines.append(f"cloud\t{cloud.member_index}\texamples_seen={cloud.examples_seen}")
         rows = sorted(cloud.slots.items())
@@ -443,14 +441,14 @@ def network_from_text(text: str) -> WinnowNetwork:
     except ValueError as exc:
         raise ValueError(f"malformed model file header: {exc}") from exc
     feature_lines = lines[11 : 11 + n_features]
-    features = [parse_feature_key(key) for key in feature_lines]
-    if len(set(features)) != n_features:
+    retained = index_features(feature_lines, 12)
+    if len(retained) != n_features:
         raise ValueError("model file truncated or has duplicate features")
-    if features != sorted(features):
+    if list(retained) != feature_lines:
         raise ValueError("feature list is not in canonical order")
     network = WinnowNetwork(
         confusion_set,
-        features,
+        retained,
         params,
         extraction,
         layer_mode=head["layer"][0],

@@ -6,7 +6,7 @@ import math
 import random
 
 from winspell.corpus import ConfusionSet, Sentence, corrupt, tokenize
-from winspell.features import FeatureStats
+from winspell.features import FeatureStats, index_features
 
 CONTEXT_POOL = (
     "the", "on", "by", "it", "was", "went", "every", "time", "day", "road",
@@ -243,7 +243,12 @@ def oracle_bayes_scores(
 def ids_of(model, features) -> tuple[int, ...]:
     """The sorted ids a BayesModel or WinnowNetwork gives ``features``: what
     ``extract_active`` returns for an occurrence generating just those."""
-    return tuple(sorted(model.feature_ids[f] for f in features))
+    return tuple(sorted(model.feature_ids[f.key()] for f in features))
+
+
+def index_of(features):
+    """The index a model over just these Feature tuples numbers them by."""
+    return index_features(f.key() for f in features)
 
 
 def oracle_argmax(scores, priors) -> int:

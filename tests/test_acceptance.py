@@ -40,7 +40,6 @@ from winspell.features import (
     collect_stats,
     context_word,
     extract_active,
-    index_features,
     prune,
 )
 from winspell.winnow import (
@@ -90,7 +89,7 @@ def tiny_corpora():
         retained = prune(stats, UNPRUNED)
         assert len(train) <= 20 and len(retained) <= 8
         cases = [
-            extract_active(o, index_features(retained)[1], TINY_PARAMS, EMPTY_TAGS)
+            extract_active(o, retained, TINY_PARAMS, EMPTY_TAGS)
             for o in find_occurrences(test, cset)
         ]
         corpora.append((stats, retained, cset, cases))
@@ -107,7 +106,7 @@ def test_c01_bayes_matches_brute_force_oracle(tiny_corpora):
         model = train_bayes(stats, retained, dependency_resolution=False)
         for active in cases:
             posterior = classify_bayes(model, active)
-            features = [retained[f] for f in active]
+            features = [retained.features[f].key() for f in active]
             expected = oracle_bayes_scores(_restrict(stats, retained), features, 2)
             for got, want in zip(posterior.scores, expected):
                 if math.isinf(want):

@@ -28,11 +28,17 @@ from winspell.features import (
     collocation,
     context_word,
     extract_active,
-    index_features,
     prune,
 )
 
-from helpers import corpus_of, ids_of, oracle_argmax, oracle_bayes_scores, random_tiny_corpus
+from helpers import (
+    corpus_of,
+    ids_of,
+    index_of,
+    oracle_argmax,
+    oracle_bayes_scores,
+    random_tiny_corpus,
+)
 
 EMPTY_TAGS = TagDictionary()
 
@@ -40,7 +46,7 @@ EMPTY_TAGS = TagDictionary()
 def stats_from_counts(counts, occurrences):
     stats = FeatureStats(confusion_set_from_text("w0, w1"), ExtractionParams())
     stats.occurrences = list(occurrences)
-    stats.counts = {context_word(name): list(row) for name, row in counts.items()}
+    stats.counts = {context_word(name).key(): list(row) for name, row in counts.items()}
     return stats
 
 
@@ -163,8 +169,8 @@ class TestResolveDependencies:
         stats.occurrences = [50, 50]
         self.strong = collocation((-1,), (("w", "s"),))
         self.weak = collocation((-1, 1), (("w", "s"), ("w", "t")))
-        stats.counts = {self.strong: list(strong_counts), self.weak: list(weak_counts),
-                        context_word("x"): [5, 5]}
+        stats.counts = {self.strong.key(): list(strong_counts),
+                        self.weak.key(): list(weak_counts), "CW x": [5, 5]}
         return train_bayes(stats, prune(stats, UNPRUNED))
 
     def test_no_collocations_unchanged(self):
@@ -198,7 +204,7 @@ class TestResolveDependencies:
         stats.occurrences = [50, 50]
         left = collocation((-2, -1), (("w", "a"), ("w", "b")))
         right = collocation((1, 2), (("w", "c"), ("w", "d")))
-        stats.counts = {left: [30, 4], right: [5, 25]}
+        stats.counts = {left.key(): [30, 4], right.key(): [5, 25]}
         model = train_bayes(stats, prune(stats, UNPRUNED))
         active = ids_of(model, [left, right])
         assert resolve_dependencies(model, active) == active
@@ -266,13 +272,13 @@ class TestResolveDependenciesMatchesPairwise:
             for f in sorted(set(collocations))
         }
         oracle = SimpleNamespace(dependency_resolution=True, mean_lambda=mean_lambda)
-        features, feature_ids = index_features(set(collocations + words))
+        retained = index_of(set(collocations + words))
         model = SimpleNamespace(
-            dependency_resolution=True, features=features, feature_ids=feature_ids,
-            mean_lambda=[mean_lambda.get(f, 1.0) for f in features],
+            dependency_resolution=True, features=retained.features, feature_ids=retained,
+            mean_lambda=[mean_lambda.get(f, 1.0) for f in retained.features],
         )
         active = data.draw(st.permutations(collocations + words))
-        assert resolve_dependencies(model, [feature_ids[f] for f in active]) == \
+        assert resolve_dependencies(model, [retained[f.key()] for f in active]) == \
             ids_of(model, pairwise_resolve(oracle, active))
 
 
@@ -299,7 +305,7 @@ class TestClassifyBayes:
         occ = find_occurrences([test_sentence], cset)[0]
         active = extract_active(occ, model.feature_ids, model.extraction, EMPTY_TAGS)
         posterior = classify_bayes(model, active)
-        expected = oracle_bayes_scores(stats, [model.features[f] for f in active], 2)
+        expected = oracle_bayes_scores(stats, [model.features[f].key() for f in active], 2)
         for got, want in zip(posterior.scores, expected):
             assert got == pytest.approx(want, abs=1e-9)
         assert posterior.chosen == oracle_argmax(expected, model.priors)
@@ -412,7 +418,7 @@ class TestOracleEquivalenceSample:
             for occ in find_occurrences(test, cset):
                 active = extract_active(occ, model.feature_ids, params, EMPTY_TAGS)
                 posterior = classify_bayes(model, active)
-                features = [retained[f] for f in active]
+                features = [retained.features[f].key() for f in active]
                 expected = oracle_bayes_scores(stats_restricted(stats, retained), features, 2)
                 for got, want in zip(posterior.scores, expected):
                     if math.isinf(want):

@@ -191,6 +191,31 @@ class TestClassify:
         assert rc == 1
         assert err.startswith(f"error: {model}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("system", ["bayes", "winnow"])
+    def test_non_canonical_feature_line_one_line_error(self, workspace, capsys, tmp_path,
+                                                       system):
+        # Another spelling of a feature's key parses to the same feature, but
+        # no generated key would ever match it: the loader refuses the line.
+        out = self.train_first(workspace, capsys, system=system)
+        model = out / f"peace+piece.{system}.model"
+        lines = model.read_text().splitlines(keepends=True)
+        canonical, other = "COLL -1:t=UNK _", "COLL _ -1:t=UNK"
+        number = next(n for n, line in enumerate(lines, 1)
+                      if line.split("\t")[0].rstrip("\n") == canonical)
+        lines[number - 1] = lines[number - 1].replace(canonical, other)
+        model.write_text("".join(lines))
+        text = tmp_path / "input.txt"
+        text.write_text("a piece of cake\n")
+        rc = run(["classify", "--out", out, "--system", system,
+                  "--tagdict", workspace / "tags.tsv", text])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {model}: line {number}: feature {other!r} is not in canonical"
+            f" form; expected {canonical!r}\n"
+        )
+
     @pytest.mark.parametrize(
         "field, bad", [("mistakes", "-3000"), ("examples_seen", "-5"), ("horizon", "0")]
     )

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from winspell import bayes
+from winspell.bayes import model_to_text, train_bayes
 from winspell.corpus import TagDictionary, confusion_set_from_text, find_occurrences
 from winspell.evaluation import (
     ABLATION_LADDER,
@@ -15,9 +17,11 @@ from winspell.evaluation import (
     mcnemar_test,
     run_experiment,
     split_corpus,
+    train_system_model,
     two_proportion_test,
 )
-from winspell.features import ExtractionParams, FeatureStats
+from winspell.features import ExtractionParams, FeatureStats, prepare_set
+from winspell.winnow import WinnowNetwork, WinnowParams, network_to_text
 
 from helpers import (
     MCNEMAR_ORACLE,
@@ -158,6 +162,45 @@ class TestEvaluateSystems:
         assert set(result.outcomes) == set(SYSTEMS)
         for name in SYSTEMS:
             assert len(result.outcomes[name]) == result.cases
+
+    @pytest.mark.parametrize("systems, builds", [
+        (ABLATION_LADDER, 1), (SYSTEMS, 1), (("bayes",), 1), (("baseline", "winnow"), 0),
+    ])
+    def test_bayes_tables_built_once_per_set(self, monkeypatch, systems, builds):
+        built = []
+        build = bayes.BayesModel.__init__
+
+        def counting(model, *args, **kwargs):
+            built.append(model)
+            build(model, *args, **kwargs)
+
+        monkeypatch.setattr(bayes.BayesModel, "__init__", counting)
+        train, test, cset = separable_corpus(seed=1, train_counts=(30, 20),
+                                             test_counts=(6, 6))
+        evaluate_systems(
+            find_occurrences(train, cset), find_occurrences(test, cset), cset, EMPTY_TAGS,
+            systems, mode="unpruned", extraction=ExtractionParams(k=3),
+        )
+        assert len(built) == builds
+
+    def test_shared_bayes_model_trains_what_separate_builds_train(self):
+        train, _, cset = separable_corpus(seed=1, train_counts=(30, 20), test_counts=(6, 6))
+        stats, retained, stream = prepare_set(
+            find_occurrences(train, cset), cset, ExtractionParams(k=3), EMPTY_TAGS, "unpruned"
+        )
+        shared = train_bayes(stats, retained, dependency_resolution=False)
+
+        def text(model):
+            if isinstance(model, WinnowNetwork):
+                return network_to_text(model)
+            return model_to_text(model)
+
+        for name in SYSTEMS[1:]:
+            together = train_system_model(name, stats, retained, stream, WinnowParams(), shared)
+            alone = train_system_model(name, stats, retained, stream, WinnowParams())
+            assert text(together) == text(alone), name
+        # The Bayesian initializations read every row of the shared log table.
+        assert None not in shared.log_likelihoods
 
     def test_simplified_pair_agree(self):
         train, test, cset = separable_corpus(seed=2)

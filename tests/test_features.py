@@ -37,6 +37,7 @@ from winspell.winnow import WinnowNetwork
 from helpers import (
     CHI2_ORACLE,
     corpus_of,
+    index_of,
     random_tiny_corpus,
     separable_corpus,
     small_disjunct_corpus,
@@ -50,19 +51,24 @@ def one_occurrence(text, cset):
     return find_occurrences(corpus_of(text), cset)[0]
 
 
+def features_of(occurrence, params, tagdict):
+    """The generated features of one occurrence, as Feature tuples."""
+    return {parse_feature_key(key) for key in generate_features(occurrence, params, tagdict)}
+
+
 class TestGenerateFeatures:
     def setup_method(self):
         self.cset = confusion_set_from_text("peace, piece")
 
     def test_clipping_at_sentence_start(self):
         occ = one_occurrence("peace of cake", self.cset)
-        spans = {f.offsets for f in generate_features(occ, ExtractionParams(), EMPTY_TAGS)
+        spans = {f.offsets for f in features_of(occ, ExtractionParams(), EMPTY_TAGS)
                  if f.kind == COLLOCATION}
         assert spans == {(1,), (1, 2)}
 
     def test_clipping_at_sentence_end(self):
         occ = one_occurrence("a fine peace", self.cset)
-        spans = {f.offsets for f in generate_features(occ, ExtractionParams(), EMPTY_TAGS)
+        spans = {f.offsets for f in features_of(occ, ExtractionParams(), EMPTY_TAGS)
                  if f.kind == COLLOCATION}
         assert spans == {(-1,), (-2, -1)}
 
@@ -73,18 +79,18 @@ class TestGenerateFeatures:
         })
         cset = confusion_set_from_text("weather, whether")
         occ = one_occurrence("i don't know whether to laugh or cry", cset)
-        feats = generate_features(occ, ExtractionParams(), tags)
+        feats = features_of(occ, ExtractionParams(), tags)
         assert collocation((1, 2), (("w", "to"), ("t", "VERB"))) in feats
 
     def test_context_word_hand_enumeration(self):
         occ = one_occurrence("john had a peace of cake .", self.cset)
-        words = {f.word for f in generate_features(occ, ExtractionParams(), EMPTY_TAGS)
+        words = {f.word for f in features_of(occ, ExtractionParams(), EMPTY_TAGS)
                  if f.kind == CONTEXT_WORD}
         assert words == {"john", "had", "a", "of", "cake", "."}
 
     def test_window_half_width_respected(self):
         occ = one_occurrence("a b c d peace w x y z", self.cset)
-        words = {f.word for f in generate_features(occ, ExtractionParams(k=2), EMPTY_TAGS)
+        words = {f.word for f in features_of(occ, ExtractionParams(k=2), EMPTY_TAGS)
                  if f.kind == CONTEXT_WORD}
         assert words == {"c", "d", "w", "x"}
 
@@ -92,14 +98,14 @@ class TestGenerateFeatures:
         # 2-slot span with tag-set sizes 2 and 1 yields (1+2)*(1+1) features.
         tags = TagDictionary({"to": frozenset({"PREP", "TO"})})
         occ = one_occurrence("peace to cake", self.cset)
-        feats = generate_features(occ, ExtractionParams(), tags)
+        feats = features_of(occ, ExtractionParams(), tags)
         plus12 = [f for f in feats if f.offsets == (1, 2)]
         assert len(plus12) == 6
 
     def test_multi_token_span_offsets(self):
         cset = confusion_set_from_text("maybe, may be")
         occ = one_occurrence("left may be right", cset)
-        feats = generate_features(occ, ExtractionParams(), EMPTY_TAGS)
+        feats = features_of(occ, ExtractionParams(), EMPTY_TAGS)
         assert collocation((-1,), (("w", "left"),)) in feats
         assert collocation((1,), (("w", "right"),)) in feats
         words = {f.word for f in feats if f.kind == CONTEXT_WORD}
@@ -107,7 +113,7 @@ class TestGenerateFeatures:
 
     def test_l1_only_single_slots(self):
         occ = one_occurrence("a peace b", self.cset)
-        spans = {f.offsets for f in generate_features(occ, ExtractionParams(l=1), EMPTY_TAGS)
+        spans = {f.offsets for f in features_of(occ, ExtractionParams(l=1), EMPTY_TAGS)
                  if f.kind == COLLOCATION}
         assert spans == {(-1,), (1,)}
 
@@ -150,46 +156,65 @@ def reference_generate_features(sentence, occurrence, params, tagdict):
     return features
 
 
-# Words with no entry (so the single tag UNK), one tag and two tags.
+# Words with no entry (so the single tag UNK), one tag and two tags; a tag
+# holding the key syntax's ":" and "=".
 ORACLE_TAGS = TagDictionary({
     "to": frozenset({"PREP", "TO"}),
     "cake": frozenset({"NOUN"}),
     "may": frozenset({"MD"}),
     "be": frozenset({"VB", "AUX"}),
+    ":": frozenset({"PUNCT"}),
+    "n't": frozenset({"NEG", "A:B=C"}),
 })
+
+# Tokens of the key syntax (the gap mark "_", ":" and "=") and contractions
+# among ordinary words and both members.
+ORACLE_TOKENS = st.sampled_from(
+    ["a", "to", "cake", "may", "be", "x", "maybe", "_", ":", "=", "n't", "don't", "'s"]
+)
+
+# Sentences around a one- or two-token member; either side may be empty, so
+# the member often sits at a sentence edge.
+ORACLE_SENTENCES = st.tuples(
+    st.lists(ORACLE_TOKENS, max_size=4),
+    st.sampled_from([["maybe"], ["may", "be"]]),
+    st.lists(ORACLE_TOKENS, max_size=4),
+).map(lambda parts: parts[0] + parts[1] + parts[2])
+
+
+def check_generator_against_reference(sent, params):
+    """The generated keys are the canonical keys of the reference features;
+    each parses back to itself; ``index_features`` numbers them in sorted
+    Feature order."""
+    cset = confusion_set_from_text("maybe, may be")
+    occurrences = find_occurrences([sent], cset)
+    assert occurrences
+    for occ in occurrences:
+        reference = reference_generate_features(sent, occ, params, ORACLE_TAGS)
+        got = generate_features(occ, params, ORACLE_TAGS)
+        assert got == {f.key() for f in reference}
+        assert all(parse_feature_key(key).key() == key for key in got)
+        index = index_features(got)
+        assert index.features == tuple(sorted(reference))
+        assert [index[f.key()] for f in sorted(reference)] == list(range(len(reference)))
 
 
 class TestGenerateFeaturesMatchesReference:
-    @given(
-        st.lists(st.sampled_from(["a", "to", "cake", "may", "be", "x", "maybe"]),
-                 min_size=1, max_size=9),
-        st.integers(1, 3),
-        st.sampled_from([1, 2]),
-    )
+    @given(ORACLE_SENTENCES, st.integers(1, 3), st.sampled_from([1, 2]))
     @settings(max_examples=300, deadline=None)
     def test_same_set_as_reference(self, tokens, k, l):
-        cset = confusion_set_from_text("maybe, may be")
-        sent = sentence_from_surfaces(tokens)
-        params = ExtractionParams(k=k, l=l)
-        for occ in find_occurrences([sent], cset):
-            got = generate_features(occ, params, ORACLE_TAGS)
-            assert got == reference_generate_features(sent, occ, params, ORACLE_TAGS)
+        check_generator_against_reference(
+            sentence_from_surfaces(tokens), ExtractionParams(k=k, l=l)
+        )
 
     @pytest.mark.parametrize("l", [1, 2])
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("text", [
         "may be", "maybe", "may be to cake", "cake to maybe", "be may be x",
-        "to cake maybe be may", "a maybe a",
+        "to cake maybe be may", "a maybe a", "_ may be :", "= maybe n't _",
     ])
     def test_sentence_edges_and_two_token_members(self, text, k, l):
-        cset = confusion_set_from_text("maybe, may be")
-        sent = corpus_of(text)[0]
-        params = ExtractionParams(k=k, l=l)
-        occurrences = find_occurrences([sent], cset)
-        assert occurrences
-        for occ in occurrences:
-            got = generate_features(occ, params, ORACLE_TAGS)
-            assert got == reference_generate_features(sent, occ, params, ORACLE_TAGS)
+        check_generator_against_reference(corpus_of(text)[0], ExtractionParams(k=k, l=l))
 
 
 class TestFeatureKeys:
@@ -212,10 +237,46 @@ class TestFeatureKeys:
     def test_key_round_trip(self, feature):
         assert parse_feature_key(feature.key()) == feature
 
-    @pytest.mark.parametrize("key", ["BIAS", "XX y", "COLL _ +1:q=a"])
+    @pytest.mark.parametrize("key", ["BIAS", "XX y", "COLL _ +1:q=a", "COLL x:w=a _", "COLL _ +1:w"])
     def test_malformed_key_rejected(self, key):
         with pytest.raises(ValueError, match="malformed feature key"):
             parse_feature_key(key)
+
+    @pytest.mark.parametrize("line, canonical", [
+        ("COLL _ -1:t=CC", "COLL -1:t=CC _"),
+        ("COLL _ 1:w=of", "COLL _ +1:w=of"),
+        ("COLL -2:w=a _ -1:w=b", "COLL -2:w=a -1:w=b _"),
+        ("COLL +01:w=of _", "COLL _ +1:w=of"),
+    ])
+    def test_other_spelling_of_a_key_refused(self, line, canonical):
+        with pytest.raises(ValueError) as excinfo:
+            parse_feature_key(line)
+        assert str(excinfo.value) == (
+            f"feature {line!r} is not in canonical form; expected {canonical!r}"
+        )
+        assert parse_feature_key(canonical).key() == canonical
+
+    @pytest.mark.parametrize("line, canonical", [
+        ("COLL _ -1:t=CC", "COLL -1:t=CC _"),
+        ("COLL _ 1:w=of", "COLL _ +1:w=of"),
+    ])
+    def test_model_line_other_than_canonical_key_refused(self, line, canonical):
+        with pytest.raises(ValueError) as excinfo:
+            index_features(["CW a", line], 12)
+        assert str(excinfo.value) == (
+            f"line 13: feature {line!r} is not in canonical form; expected {canonical!r}"
+        )
+
+    def test_model_line_malformed_key_names_line(self):
+        with pytest.raises(ValueError, match=r"^line 9: malformed feature key: 'BIAS'$"):
+            index_features(["BIAS"], 9)
+
+    def test_keys_indexed_in_canonical_order(self):
+        keys = ["CW b", "COLL _ +1:w=x", "CW a", "COLL -1:w=x _"]
+        index = index_features(keys)
+        assert index.features == tuple(sorted(parse_feature_key(k) for k in keys))
+        assert list(index) == [f.key() for f in index.features]
+        assert list(index.values()) == [0, 1, 2, 3]
 
     def test_canonical_order_keys_are_sorted_and_parseable(self):
         feats = {context_word("b"), context_word("a"),
@@ -254,11 +315,11 @@ class TestCollectStats:
         )
         stats = collect_stats(corpus, self.cset, self.params, EMPTY_TAGS)
         assert stats.occurrences == [3, 2]
-        assert stats.counts[context_word("of")] == [2, 2]
-        assert stats.counts[context_word("a")] == [1, 1]
-        assert stats.counts[context_word("cake")] == [1, 1]
-        assert stats.counts[collocation((1,), (("w", "of"),))] == [2, 2]
-        assert stats.counts[context_word("talks")] == [1, 0]
+        assert stats.counts[context_word("of").key()] == [2, 2]
+        assert stats.counts[context_word("a").key()] == [1, 1]
+        assert stats.counts[context_word("cake").key()] == [1, 1]
+        assert stats.counts[collocation((1,), (("w", "of"),)).key()] == [2, 2]
+        assert stats.counts[context_word("talks").key()] == [1, 0]
 
     def test_zero_occurrences_error(self):
         with pytest.raises(ValueError, match="no occurrences"):
@@ -311,7 +372,7 @@ def make_stats(counts, occurrences):
     cset = confusion_set_from_text("w0, w1")
     stats = FeatureStats(cset, ExtractionParams())
     stats.occurrences = list(occurrences)
-    stats.counts = {context_word(name): list(row) for name, row in counts.items()}
+    stats.counts = {context_word(name).key(): list(row) for name, row in counts.items()}
     return stats
 
 
@@ -319,29 +380,29 @@ class TestPrune:
     def test_rare_feature_removed_in_pruned(self):
         stats = make_stats({"rare": [9, 0], "ok": [400, 100]}, [500, 500])
         retained = prune(stats, PRUNED)
-        assert context_word("rare") not in retained
-        assert context_word("ok") in retained
+        assert context_word("rare") not in retained.features
+        assert context_word("ok") in retained.features
 
     def test_near_universal_feature_removed(self):
         stats = make_stats({"everywhere": [500, 495], "ok": [400, 100]}, [500, 500])
         retained = prune(stats, PRUNED)
-        assert context_word("everywhere") not in retained
+        assert context_word("everywhere") not in retained.features
 
     def test_uncorrelated_feature_removed(self):
         # Table (20, 20, 80, 80) has chi-square p = 1.0.
         stats = make_stats({"flat": [20, 20], "ok": [80, 10]}, [100, 100])
         retained = prune(stats, PRUNED)
-        assert context_word("flat") not in retained
-        assert context_word("ok") in retained
+        assert context_word("flat") not in retained.features
+        assert context_word("ok") in retained.features
 
     def test_singleton_removed_in_both_modes(self):
         stats = make_stats({"once": [1, 0], "ok": [80, 10]}, [100, 100])
         for mode in (PRUNED, UNPRUNED):
-            assert context_word("once") not in prune(stats, mode)
+            assert context_word("once") not in prune(stats, mode).features
 
     def test_unpruned_keeps_rare_but_repeated(self):
         stats = make_stats({"rare": [2, 0]}, [100, 100])
-        assert context_word("rare") in prune(stats, UNPRUNED)
+        assert context_word("rare") in prune(stats, UNPRUNED).features
 
     @pytest.mark.parametrize("mode", [PRUNED, UNPRUNED])
     def test_independent_of_count_order(self, mode):
@@ -381,23 +442,23 @@ class TestExtractActive:
     def test_training_sentence_round_trip(self):
         occ = one_occurrence("a peace of cake", self.cset)
         generated = generate_features(occ, self.params, EMPTY_TAGS)
-        learned, ids = index_features(list(sorted(generated))[::2])
+        ids = index_features(sorted(generated)[::2])
         active = extract_active(occ, ids, self.params, EMPTY_TAGS)
-        assert set(active) == {ids[f] for f in generated & set(learned)}
+        assert set(active) == {ids[key] for key in generated & ids.keys()}
 
     def test_novel_sentence_shares_one_word(self):
-        _, ids = index_features({context_word("cloudy"), context_word("rain")})
+        ids = index_of({context_word("cloudy"), context_word("rain")})
         occ = one_occurrence("cloudy skies mean peace here", self.cset)
         active = extract_active(occ, ids, self.params, EMPTY_TAGS)
-        assert active == (ids[context_word("cloudy")],)
+        assert active == (ids[context_word("cloudy").key()],)
 
     def test_result_sorted_and_subset(self):
         occ = one_occurrence("john had a peace of cake .", self.cset)
         generated = generate_features(occ, self.params, EMPTY_TAGS)
-        _, ids = index_features(generated | {context_word("zzxq")})
+        ids = index_features(generated | {context_word("zzxq").key()})
         active = extract_active(occ, ids, self.params, EMPTY_TAGS)
         assert list(active) == sorted(active)
-        assert set(active) <= {ids[f] for f in generated}
+        assert set(active) <= {ids[key] for key in generated}
 
 
 HELPER_CORPORA = {
@@ -422,16 +483,16 @@ class TestPrepareSet:
         assert stats.occurrences == expected_stats.occurrences
         assert retained == prune(expected_stats, mode)
         # Training and scoring take the active set one way, with the ids both
-        # learners give the retained tuple.
-        _, feature_ids = index_features(retained)
+        # learners give the retained features.
+        feature_ids = index_features(retained)
         assert stream == [
             (extract_active(o, feature_ids, params, tags), o.member_index)
             for o in occurrences
         ]
         model = train_bayes(stats, retained)
         network = WinnowNetwork(cset, retained, extraction=params)
-        assert model.features == network.features == retained
-        assert model.feature_ids == network.feature_ids == feature_ids
+        assert model.features == network.features == retained.features == feature_ids.features
+        assert model.feature_ids == network.feature_ids == retained == feature_ids
 
     @pytest.mark.parametrize("mode", [PRUNED, UNPRUNED])
     @pytest.mark.parametrize("name", sorted(HELPER_CORPORA))

@@ -68,12 +68,12 @@ class TestPruneThreeMembers:
         stats = FeatureStats(CSET, ExtractionParams())
         stats.occurrences = [100, 100, 100]
         stats.counts = {
-            context_word("onlyc"): [0, 0, 60],
-            context_word("flat"): [40, 40, 40],
+            context_word("onlyc").key(): [0, 0, 60],
+            context_word("flat").key(): [40, 40, 40],
         }
         retained = prune(stats, PRUNED)
-        assert context_word("onlyc") in retained
-        assert context_word("flat") not in retained
+        assert context_word("onlyc") in retained.features
+        assert context_word("flat") not in retained.features
 
 
 class TestClassifyThreeMembers:

@@ -43,7 +43,7 @@ from winspell.winnow import (
     winnow_train_example,
 )
 
-from helpers import corpus_of, ids_of, random_tiny_corpus
+from helpers import corpus_of, ids_of, index_of, random_tiny_corpus
 
 EMPTY_TAGS = TagDictionary()
 PARAMS = WinnowParams()
@@ -236,7 +236,7 @@ class TestCloudActivation:
 
 def toy_network(params=PARAMS, **kwargs):
     cset = confusion_set_from_text("dax, fep")
-    universe = (F1, F2, F3)
+    universe = index_of((F1, F2, F3))
     return WinnowNetwork(cset, universe, params, ExtractionParams(), **kwargs)
 
 
@@ -308,7 +308,8 @@ class TestTrainNetwork:
         features = [context_word(f"g{i}") for i in range(n)]
         relevant = range(r)  # feature ids
         cset = confusion_set_from_text("dax, fep")
-        network = WinnowNetwork(cset, features, WinnowParams(cycles=1), ExtractionParams())
+        network = WinnowNetwork(cset, index_of(features), WinnowParams(cycles=1),
+                                ExtractionParams())
         stream = []
         for _ in range(400):
             active = set()
@@ -393,13 +394,13 @@ class TestTrainNetworkMatchesReference:
         features = [context_word(f"f{i}") for i in range(n)]
 
         def build():
-            network = WinnowNetwork(cset, features, WinnowParams(cycles=cycles),
+            network = WinnowNetwork(cset, index_of(features), WinnowParams(cycles=cycles),
                                     ExtractionParams(), layer_mode=layer_mode)
             if start != "uniform":
                 stats = FeatureStats(cset, ExtractionParams())
                 stats.occurrences = [4] * members
-                stats.counts = dict(zip(features, counts))
-                model = train_bayes(stats, features, dependency_resolution=False)
+                stats.counts = dict(zip((f.key() for f in features), counts))
+                model = train_bayes(stats, index_of(features), dependency_resolution=False)
                 init_bayesian(network, model)
                 sparsify(network, model.counts)
             return network
@@ -429,10 +430,10 @@ class TestInitBayesian:
         cset = confusion_set_from_text("dax, fep")
         stats = FeatureStats(cset, ExtractionParams())
         stats.occurrences = list(occurrences)
-        stats.counts = {context_word(k): list(v) for k, v in counts.items()}
+        stats.counts = {context_word(k).key(): list(v) for k, v in counts.items()}
         model = train_bayes(stats, prune(stats, UNPRUNED), smoothing, False)
         network = WinnowNetwork(
-            cset, model.features, PARAMS, ExtractionParams(), layer_mode=ONE_LAYER
+            cset, model.feature_ids, PARAMS, ExtractionParams(), layer_mode=ONE_LAYER
         )
         return model, network
 
@@ -451,7 +452,7 @@ class TestInitBayesian:
         # shift is 500 and the weights (499.3068..., 0).
         model, network = self.build_pair({"f": [2, 0]}, [4, 2])
         init_bayesian(network, model)
-        f = network.feature_ids[context_word("f")]
+        f = network.feature_ids[context_word("f").key()]
         w0 = weights_of(network.clouds[0])[f]
         w1 = weights_of(network.clouds[1])[f]
         assert w0 == pytest.approx(math.log(0.5) + 500, abs=1e-9)
@@ -463,7 +464,7 @@ class TestInitBayesian:
         # everywhere, so feature logs are 0 and only the prior shifts.
         model, network = self.build_pair({"f": [2, 2]}, [2, 2])
         init_bayesian(network, model)
-        f = network.feature_ids[context_word("f")]
+        f = network.feature_ids[context_word("f").key()]
         shift = -math.log(0.5)
         for cloud in network.clouds:
             weights = weights_of(cloud)
@@ -480,7 +481,7 @@ class TestInitBayesian:
     def test_requires_matching_features(self):
         model, _ = self.build_pair({"f": [1, 0]}, [2, 2])
         other = WinnowNetwork(
-            model.confusion_set, (context_word("g"),), PARAMS, ExtractionParams(),
+            model.confusion_set, index_of([context_word("g")]), PARAMS, ExtractionParams(),
             layer_mode=ONE_LAYER,
         )
         with pytest.raises(ValueError, match="feature sets"):
@@ -507,9 +508,9 @@ class TestSparsify:
         cset = confusion_set_from_text("dax, fep")
         stats = FeatureStats(cset, ExtractionParams())
         stats.occurrences = [2, 2]
-        stats.counts = {F1: [2, 0], F2: [1, 2]}
+        stats.counts = {F1.key(): [2, 0], F2.key(): [1, 2]}
         model = train_bayes(stats, prune(stats, UNPRUNED), dependency_resolution=False)
-        network = WinnowNetwork(cset, model.features, PARAMS, ExtractionParams())
+        network = WinnowNetwork(cset, model.feature_ids, PARAMS, ExtractionParams())
         init_bayesian(network, model)
         full = [[weights_of(cloud, k) for k in range(len(cloud.classifiers))]
                 for cloud in network.clouds]
@@ -533,12 +534,12 @@ class TestConnectionTable:
     @settings(max_examples=100, deadline=None)
     def test_table_survives_training_and_reload(self, stream, start, layer_mode):
         cset = confusion_set_from_text("dax, fep")
-        network = WinnowNetwork(cset, (F1, F2, F3), WinnowParams(cycles=2),
+        network = WinnowNetwork(cset, index_of((F1, F2, F3)), WinnowParams(cycles=2),
                                 ExtractionParams(), layer_mode=layer_mode)
         if start != "uniform":
             stats = FeatureStats(cset, ExtractionParams())
             stats.occurrences = [2, 2]
-            stats.counts = {F1: [2, 0], F2: [1, 2], F3: [1, 1]}
+            stats.counts = {F1.key(): [2, 0], F2.key(): [1, 2], F3.key(): [1, 1]}
             model = train_bayes(stats, prune(stats, UNPRUNED),
                                 dependency_resolution=False)
             init_bayesian(network, model)
@@ -590,9 +591,9 @@ class TestSerialization:
         cset = confusion_set_from_text("dax, fep")
         stats = FeatureStats(cset, ExtractionParams())
         stats.occurrences = [2, 2]
-        stats.counts = {F1: [2, 0], F2: [1, 2]}
+        stats.counts = {F1.key(): [2, 0], F2.key(): [1, 2]}
         model = train_bayes(stats, prune(stats, UNPRUNED), dependency_resolution=False)
-        network = WinnowNetwork(cset, (F1, F2), PARAMS, ExtractionParams(),
+        network = WinnowNetwork(cset, index_of((F1, F2)), PARAMS, ExtractionParams(),
                                 layer_mode=ONE_LAYER)
         init_bayesian(network, model)
         text = network_to_text(network)
@@ -609,7 +610,7 @@ class TestSerialization:
         # Weight rows name features by their position in the list, so a
         # reordered list would apply each row to another feature.
         network = WinnowNetwork(confusion_set_from_text("dax, fep"),
-                                (context_word("aaa"), context_word("bbb")),
+                                index_of((context_word("aaa"), context_word("bbb"))),
                                 WinnowParams(cycles=1), ExtractionParams())
         train_network(network, [((1,), 0), ((0,), 1)])
         assert set(network.clouds[0].slots) == {BIAS_ID, 1}  # cloud 0 knows CW bbb only
@@ -742,8 +743,8 @@ class TestSerialization:
     "betas", [(0.5,), (0.9, 0.5, 0.7), (0.5, 0.6, 0.7, 0.8), (0.8, 0.55, 0.6, 0.3, 0.9, 0.65)]
 )
 def test_one_layer_classifier_takes_the_median_beta(betas):
-    network = WinnowNetwork(confusion_set_from_text("dax, fep"), (), WinnowParams(betas=betas),
-                            layer_mode=ONE_LAYER)
+    network = WinnowNetwork(confusion_set_from_text("dax, fep"), index_of(()),
+                            WinnowParams(betas=betas), layer_mode=ONE_LAYER)
     assert [c.beta for cloud in network.clouds for c in cloud.classifiers] == (
         [statistics.median(betas)] * 2
     )
