@@ -215,11 +215,11 @@ def _log(x: float) -> float:
 # recomputed on load; save -> load -> save is byte-identical.
 # ---------------------------------------------------------------------------
 
-_HEADER = "BAYES v1"
+HEADER = "BAYES v1"
 
 
 def model_to_text(model: BayesModel) -> str:
-    lines = [_HEADER]
+    lines = [HEADER]
     lines.append("members\t" + "\t".join(
         model.confusion_set.member_text(i) for i in range(model.n_members)
     ))
@@ -244,8 +244,8 @@ _HEAD_FIELDS = (
 
 def model_from_text(text: str) -> BayesModel:
     lines = text.splitlines()
-    if not lines or lines[0] != _HEADER:
-        raise ValueError("not a BAYES v1 model file")
+    if not lines or lines[0] != HEADER:
+        raise ValueError(f"not a {HEADER} model file")
     head, confusion_set, extraction = parse_model_head(lines[1:8], _HEAD_FIELDS)
     try:
         occurrences = [int(n) for n in head["occurrences"]]
@@ -262,8 +262,15 @@ def model_from_text(text: str) -> BayesModel:
             raise ValueError(
                 f"line {number}: count row for {key!r} has {len(row)} counts, not {n_members}"
             )
+        # A count that is not a plain decimal reads as -1, out of range.
+        counts = [int(c) if c.isdecimal() else -1 for c in row]
+        if not all(0 <= c <= n for c, n in zip(counts, occurrences)):
+            raise ValueError(
+                f"line {number}: count row for {key!r} holds a count that is not an "
+                "integer from 0 to its member's occurrences"
+            )
         keys.append(key)
-        rows.append([int(c) for c in row])
+        rows.append(counts)
     retained = index_features(keys, 9)
     if len(retained) != n_features:
         raise ValueError("model file truncated or has duplicate features")

@@ -27,13 +27,14 @@ from .evaluation import (
     PROTOCOLS,
     SYSTEMS,
     ExperimentConfig,
+    TrainingSet,
     decide,
     load_system_model,
     run_experiment,
     save_system_model,
     train_system_model,
 )
-from .features import MODES, PRUNED, ExtractionParams, extract_active, prepare_set
+from .features import MODES, PRUNED, ExtractionParams, extract_active
 from .winnow import WinnowParams
 
 TRAINABLE_SYSTEMS = tuple(s for s in SYSTEMS if s != "baseline")
@@ -184,8 +185,8 @@ def cmd_train(args) -> int:
     # One corpus scan finds every set's occurrences; the sets are then
     # prepared and trained one at a time.
     for cset, occurrences in zip(confusion_sets, occurrences_by_set(corpus, confusion_sets)):
-        stats, retained, stream = prepare_set(occurrences, cset, extraction, tagdict, args.mode)
-        model = train_system_model(args.system, stats, retained, stream, wparams)
+        training = TrainingSet(occurrences, cset, extraction, tagdict, args.mode)
+        model = train_system_model(args.system, training, wparams)
         path = outdir / f"{cset.slug}.{args.system}.model"
         save_system_model(model, path)
         print(f"wrote {path}")

@@ -6,10 +6,12 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bayes import (
+    HEADER as BAYES_HEADER,
     BayesModel,
     Decision,
     choose,
@@ -34,13 +36,14 @@ from .corpus import (
 from .features import (
     PRUNED,
     ExtractionParams,
-    FeatureIndex,
     FeatureStats,
+    active_ids,
     chi2_sf,
     extract_active,
     prepare_set,
 )
 from .winnow import (
+    HEADER as WINNOW_HEADER,
     ONE_LAYER,
     TWO_LAYER,
     WinnowNetwork,
@@ -148,38 +151,47 @@ def two_proportion_test(correct1: int, n1: int, correct2: int, n2: int) -> float
 # ---------------------------------------------------------------------------
 
 
-def train_system_model(
-    name: str,
-    stats: FeatureStats,
-    retained: FeatureIndex,
-    train_stream: Sequence[tuple[tuple[int, ...], int]],
-    winnow_params: WinnowParams,
-    bayes: BayesModel | None = None,
-):
-    """Train one persistable system; returns a BayesModel or WinnowNetwork
-    that extracts features with the parameters ``stats`` were counted with.
-    ``retained`` and ``train_stream`` are what ``prepare_set`` returns: the
-    stream's feature ids are ids of ``retained``.
+class TrainingSet:
+    """One confusion set's training data from one feature pass over its
+    occurrences (``prepare_set``): the counts ``stats`` and the ``retained``
+    index. The Winnow ``stream`` and the dependency-free Bayes model ``bayes``
+    are built the first time a system reads them, at most once per set."""
 
-    Every system but ``winnow`` reads the tables of the set's
-    dependency-resolution-free Bayes model. ``bayes`` is that model if the
-    caller has it (``train_bayes(stats, retained,
-    dependency_resolution=False)``), so the systems of one set can share
-    one build; otherwise it is built here."""
+    def __init__(self, occurrences: Sequence[Occurrence], confusion_set: ConfusionSet,
+                 extraction: ExtractionParams, tagdict: TagDictionary, mode: str):
+        self.stats, self.retained, self._generated = prepare_set(
+            occurrences, confusion_set, extraction, tagdict, mode
+        )
+
+    @cached_property
+    def stream(self) -> list[tuple[tuple[int, ...], int]]:
+        """Each occurrence's (active ids in ``retained``, member) pair."""
+        return [(active_ids(keys, self.retained), member) for keys, member in self._generated]
+
+    @cached_property
+    def bayes(self) -> BayesModel:
+        """The Bayes model without dependency resolution, whose tables and
+        log rows every system but ``winnow`` reads."""
+        return train_bayes(self.stats, self.retained, dependency_resolution=False)
+
+
+def train_system_model(name: str, training: TrainingSet, winnow_params: WinnowParams):
+    """Train one persistable system on one confusion set; returns a
+    BayesModel or WinnowNetwork that extracts features with the parameters
+    the set's features were generated with."""
     if name not in SYSTEMS or name == "baseline":
         raise ValueError(f"unknown system: {name!r}")
+    stats, retained = training.stats, training.retained
     if name == "winnow":
         priors = tuple(n / stats.total_occurrences for n in stats.occurrences)
         network = WinnowNetwork(
             stats.confusion_set, retained, winnow_params, stats.params,
             layer_mode=TWO_LAYER, priors=priors,
         )
-        train_network(network, train_stream)
+        train_network(network, training.stream)
         return network
 
-    model = bayes if bayes is not None else train_bayes(
-        stats, retained, dependency_resolution=False
-    )
+    model = training.bayes
     if name == "bayes":
         return with_dependency_resolution(model)
     if name == "simplified-bayes":
@@ -195,7 +207,7 @@ def train_system_model(
     if name == "winnow-bayes-init":
         sparsify(network, model.counts)
     if name != "simplified-winnow":
-        train_network(network, train_stream)
+        train_network(network, training.stream)
     return network
 
 
@@ -219,9 +231,9 @@ def load_system_model(path: str | Path) -> BayesModel | WinnowNetwork:
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip()
-        if header == "BAYES v1":
+        if header == BAYES_HEADER:
             return load_model(path)
-        if header == "WINNOW v1":
+        if header == WINNOW_HEADER:
             return load_network(path)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
@@ -255,26 +267,18 @@ def evaluate_systems(
     occurrences and score it on its test occurrences."""
     extraction = extraction or ExtractionParams()
     winnow_params = winnow_params or WinnowParams()
-    stats, retained, train_stream = prepare_set(
-        train_occurrences, confusion_set, extraction, tagdict, mode
-    )
+    training = TrainingSet(train_occurrences, confusion_set, extraction, tagdict, mode)
     test_cases = [
-        (extract_active(o, retained, extraction, tagdict), o.member_index)
+        (extract_active(o, training.retained, extraction, tagdict), o.member_index)
         for o in test_occurrences
     ]
-    # The systems that read Bayes tables share one dependency-free model.
-    bayes = None
-    if any(name not in ("baseline", "winnow") for name in systems):
-        bayes = train_bayes(stats, retained, dependency_resolution=False)
     outcomes = {}
     for name in systems:
         if name == "baseline":
-            predict = baseline_classify(stats)
+            predict = baseline_classify(training.stats)
             chosen = [predict(active) for active, _ in test_cases]
         else:
-            model = train_system_model(
-                name, stats, retained, train_stream, winnow_params, bayes
-            )
+            model = train_system_model(name, training, winnow_params)
             chosen = [decide(model, active).chosen for active, _ in test_cases]
         outcomes[name] = [c == member for c, (_, member) in zip(chosen, test_cases)]
     return SetResult(confusion_set.label, len(test_cases), outcomes)

@@ -56,16 +56,6 @@ class Feature(NamedTuple):
         return "COLL " + " ".join(parts)
 
 
-def context_word(word: str) -> Feature:
-    return Feature(CONTEXT_WORD, word=word)
-
-
-def collocation(
-    offsets: Sequence[int], slots: Sequence[tuple[str, str]]
-) -> Feature:
-    return Feature(COLLOCATION, offsets=tuple(offsets), slots=tuple(slots))
-
-
 def parse_feature_key(key: str) -> Feature:
     """Inverse of :meth:`Feature.key`: the feature whose canonical key is
     ``key``. ValueError for any other string; for one that spells a feature
@@ -339,11 +329,12 @@ def extract_active(
 ) -> tuple[int, ...]:
     """Active features for one occurrence: the sorted ids of the generated
     features whose keys ``feature_ids`` holds."""
-    return _active_ids(generate_features(occurrence, params, tagdict), feature_ids)
+    return active_ids(generate_features(occurrence, params, tagdict), feature_ids)
 
 
-def _active_ids(generated: set[str], feature_ids: Mapping[str, int]) -> tuple[int, ...]:
-    # Look up from the smaller side.
+def active_ids(generated: set[str], feature_ids: Mapping[str, int]) -> tuple[int, ...]:
+    """The sorted ids of the ``generated`` keys that ``feature_ids`` holds,
+    looked up from the smaller side."""
     if len(feature_ids) < len(generated):
         return tuple(sorted([i for f, i in feature_ids.items() if f in generated]))
     return tuple(sorted([i for i in map(feature_ids.get, generated) if i is not None]))
@@ -355,17 +346,14 @@ def prepare_set(
     params: ExtractionParams,
     tagdict: TagDictionary,
     mode: str,
-) -> tuple[FeatureStats, FeatureIndex, list[tuple[tuple[int, ...], int]]]:
-    """Counts, retained features and the (active feature ids, member)
-    training stream of one confusion set, from its training occurrences.
-    Equal to ``collect_stats``, then ``prune``, then ``extract_active`` over
-    the occurrences with the retained features' ids, but each occurrence's
-    features are generated once. The retained index is the one both
-    learners of the set number features by."""
+) -> tuple[FeatureStats, FeatureIndex, list[tuple[set[str], int]]]:
+    """Counts, retained features and each occurrence's (generated keys,
+    member) pair of one confusion set, from its training occurrences and one
+    feature pass over them. ``active_ids(keys, retained)`` of an occurrence's
+    keys is what ``extract_active`` gives it. The retained index is the one
+    both learners of the set number features by."""
     stats, generated = _count_features(occurrences, confusion_set, params, tagdict)
-    retained = prune(stats, mode)
-    stream = [(_active_ids(keys, retained), member) for keys, member in generated]
-    return stats, retained, stream
+    return stats, prune(stats, mode), generated
 
 
 def parse_assignments(values: Sequence[str], names: Sequence[str]) -> list[str]:

@@ -372,12 +372,12 @@ def sparsify(network: WinnowNetwork, counts: Sequence[Sequence[int]]):
 # as shortest round-trip decimals; save -> load -> save is byte-identical.
 # ---------------------------------------------------------------------------
 
-_HEADER = "WINNOW v1"
+HEADER = "WINNOW v1"
 
 
 def network_to_text(network: WinnowNetwork) -> str:
     p = network.params
-    lines = [_HEADER]
+    lines = [HEADER]
     lines.append("members\t" + "\t".join(
         network.confusion_set.member_text(i) for i in range(network.n_members)
     ))
@@ -415,8 +415,8 @@ _HEAD_FIELDS = (
 
 def network_from_text(text: str) -> WinnowNetwork:
     lines = text.splitlines()
-    if not lines or lines[0] != _HEADER:
-        raise ValueError("not a WINNOW v1 model file")
+    if not lines or lines[0] != HEADER:
+        raise ValueError(f"not a {HEADER} model file")
     head, confusion_set, extraction = parse_model_head(lines[1:11], _HEAD_FIELDS)
     try:
         theta, alpha, default_weight, cycles = parse_assignments(

@@ -6,7 +6,13 @@ import math
 import random
 
 from winspell.corpus import ConfusionSet, Sentence, corrupt, tokenize
-from winspell.features import FeatureStats, index_features
+from winspell.features import (
+    COLLOCATION,
+    CONTEXT_WORD,
+    Feature,
+    FeatureStats,
+    index_features,
+)
 
 CONTEXT_POOL = (
     "the", "on", "by", "it", "was", "went", "every", "time", "day", "road",
@@ -238,6 +244,14 @@ def oracle_bayes_scores(
             value *= factor
         scores.append(math.log(value) if value > 0 else float("-inf"))
     return scores
+
+
+def context_word(word: str) -> Feature:
+    return Feature(CONTEXT_WORD, word=word)
+
+
+def collocation(offsets, slots) -> Feature:
+    return Feature(COLLOCATION, offsets=tuple(offsets), slots=tuple(slots))
 
 
 def ids_of(model, features) -> tuple[int, ...]:

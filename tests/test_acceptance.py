@@ -38,7 +38,6 @@ from winspell.features import (
     UNPRUNED,
     chi_square_2x2,
     collect_stats,
-    context_word,
     extract_active,
     prune,
 )
@@ -59,6 +58,7 @@ from helpers import (
     CHI2_ORACLE,
     MCNEMAR_ORACLE,
     TWO_PROPORTION_ORACLE,
+    context_word,
     corpus_of,
     mcnemar_outcome_pair,
     oracle_argmax,

@@ -25,13 +25,13 @@ from winspell.features import (
     ExtractionParams,
     FeatureStats,
     UNPRUNED,
-    collocation,
-    context_word,
     extract_active,
     prune,
 )
 
 from helpers import (
+    collocation,
+    context_word,
     corpus_of,
     ids_of,
     index_of,

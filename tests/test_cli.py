@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import winspell
+from winspell import bayes
 from winspell.cli import TRAINABLE_SYSTEMS, main
+from winspell.evaluation import TrainingSet
 from winspell.winnow import load_network
 
 from helpers import noisy_disjunct_corpus, separable_corpus, two_domain_pair
@@ -68,6 +70,30 @@ class TestTrain:
         network = load_network(out / "peace+piece.winnow.model")
         # 8 occurrences x 5 cycles.
         assert all(c.examples_seen == 40 for c in network.clouds)
+
+    @pytest.mark.parametrize("system, streams, bayes_models", [("bayes", 0, 1), ("winnow", 1, 0)])
+    def test_builds_only_what_the_system_reads(self, workspace, monkeypatch, system, streams,
+                                               bayes_models):
+        built = []
+        build_stream = TrainingSet.stream.func
+        build_model = bayes.BayesModel.__init__
+
+        def counting_stream(training):
+            built.append("stream")
+            return build_stream(training)
+
+        def counting_model(model, *args, **kwargs):
+            built.append("bayes")
+            build_model(model, *args, **kwargs)
+
+        monkeypatch.setattr(TrainingSet.stream, "func", counting_stream)
+        monkeypatch.setattr(bayes.BayesModel, "__init__", counting_model)
+        rc = run(["train", "--corpus", workspace / "corpus.txt",
+                  "--confusion-sets", workspace / "sets.txt",
+                  "--tagdict", workspace / "tags.tsv",
+                  "--mode", "unpruned", "--system", system, "--out", workspace / "m"])
+        assert rc == 0
+        assert (built.count("stream"), built.count("bayes")) == (streams, bayes_models)
 
     def test_unknown_system_is_usage_error(self, workspace, capsys):
         rc = run(["train", "--corpus", workspace / "corpus.txt",
@@ -233,6 +259,29 @@ class TestClassify:
         assert rc == 1
         assert err.startswith(f"error: {model}: ") and err.count("\n") == 1
         assert field in err
+
+    @pytest.mark.parametrize("bad", ["-4", "40", "x"])
+    def test_count_outside_occurrences_one_line_error(self, workspace, capsys, tmp_path, bad):
+        # Each member occurs 4 times in the workspace corpus; a count row
+        # holds integers from 0 to its member's occurrences.
+        out = self.train_first(workspace, capsys)
+        model = out / "peace+piece.bayes.model"
+        lines = model.read_text().splitlines(keepends=True)
+        assert lines[5] == "occurrences\t4\t4\n"
+        key, first, _ = lines[8].split("\t")
+        lines[8] = f"{key}\t{first}\t{bad}\n"
+        model.write_text("".join(lines))
+        text = tmp_path / "input.txt"
+        text.write_text("a piece of cake\n")
+        rc = run(["classify", "--out", out, "--system", "bayes",
+                  "--tagdict", workspace / "tags.tsv", text])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {model}: line 9: count row for {key!r} holds a count that is not an"
+            " integer from 0 to its member's occurrences\n"
+        )
 
     def test_closed_stdout_exits_quietly(self, workspace, capsys, tmp_path):
         out = self.train_first(workspace, capsys)

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from winspell import bayes
-from winspell.bayes import model_to_text, train_bayes
 from winspell.corpus import TagDictionary, confusion_set_from_text, find_occurrences
 from winspell.evaluation import (
     ABLATION_LADDER,
@@ -12,6 +11,7 @@ from winspell.evaluation import (
     ExperimentConfig,
     SetResult,
     SplitSpec,
+    TrainingSet,
     baseline_classify,
     evaluate_systems,
     mcnemar_test,
@@ -20,8 +20,8 @@ from winspell.evaluation import (
     train_system_model,
     two_proportion_test,
 )
-from winspell.features import ExtractionParams, FeatureStats, prepare_set
-from winspell.winnow import WinnowNetwork, WinnowParams, network_to_text
+from winspell.features import ExtractionParams, FeatureStats
+from winspell.winnow import WinnowParams
 
 from helpers import (
     MCNEMAR_ORACLE,
@@ -183,24 +183,15 @@ class TestEvaluateSystems:
         )
         assert len(built) == builds
 
-    def test_shared_bayes_model_trains_what_separate_builds_train(self):
+    def test_bayes_init_variants_share_the_sets_bayes_model(self):
         train, _, cset = separable_corpus(seed=1, train_counts=(30, 20), test_counts=(6, 6))
-        stats, retained, stream = prepare_set(
-            find_occurrences(train, cset), cset, ExtractionParams(k=3), EMPTY_TAGS, "unpruned"
-        )
-        shared = train_bayes(stats, retained, dependency_resolution=False)
-
-        def text(model):
-            if isinstance(model, WinnowNetwork):
-                return network_to_text(model)
-            return model_to_text(model)
-
-        for name in SYSTEMS[1:]:
-            together = train_system_model(name, stats, retained, stream, WinnowParams(), shared)
-            alone = train_system_model(name, stats, retained, stream, WinnowParams())
-            assert text(together) == text(alone), name
+        training = TrainingSet(find_occurrences(train, cset), cset, ExtractionParams(k=3),
+                               EMPTY_TAGS, "unpruned")
+        assert train_system_model("simplified-bayes", training, WinnowParams()) is training.bayes
+        for name in ("simplified-winnow", "winnow-1layer", "winnow-2layer", "winnow-bayes-init"):
+            train_system_model(name, training, WinnowParams())
         # The Bayesian initializations read every row of the shared log table.
-        assert None not in shared.log_likelihoods
+        assert None not in training.bayes.log_likelihoods
 
     def test_simplified_pair_agree(self):
         train, test, cset = separable_corpus(seed=2)

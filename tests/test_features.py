@@ -13,6 +13,7 @@ from winspell.corpus import (
     find_occurrences,
     sentence_from_surfaces,
 )
+from winspell.evaluation import TrainingSet
 from winspell.features import (
     COLLOCATION,
     CONTEXT_WORD,
@@ -23,8 +24,6 @@ from winspell.features import (
     chi2_sf,
     chi_square_2x2,
     collect_stats,
-    collocation,
-    context_word,
     extract_active,
     generate_features,
     index_features,
@@ -36,6 +35,8 @@ from winspell.winnow import WinnowNetwork
 
 from helpers import (
     CHI2_ORACLE,
+    collocation,
+    context_word,
     corpus_of,
     index_of,
     random_tiny_corpus,
@@ -476,16 +477,21 @@ class TestPrepareSet:
     @staticmethod
     def check_matches_separate_passes(corpus, cset, params, tags, mode):
         occurrences = find_occurrences(corpus, cset)
-        stats, retained, stream = prepare_set(occurrences, cset, params, tags, mode)
+        stats, retained, generated = prepare_set(occurrences, cset, params, tags, mode)
 
         expected_stats = collect_stats(corpus, cset, params, tags)
         assert list(stats.counts.items()) == list(expected_stats.counts.items())
         assert stats.occurrences == expected_stats.occurrences
         assert retained == prune(expected_stats, mode)
+        assert generated == [
+            (generate_features(o, params, tags), o.member_index) for o in occurrences
+        ]
         # Training and scoring take the active set one way, with the ids both
         # learners give the retained features.
         feature_ids = index_features(retained)
-        assert stream == [
+        training = TrainingSet(occurrences, cset, params, tags, mode)
+        assert training.retained == retained
+        assert training.stream == [
             (extract_active(o, feature_ids, params, tags), o.member_index)
             for o in occurrences
         ]

@@ -20,10 +20,11 @@ from winspell.features import (
     FeatureStats,
     PRUNED,
     UNPRUNED,
-    context_word,
     prune,
 )
 from winspell.winnow import WinnowParams
+
+from helpers import context_word
 
 EMPTY_TAGS = TagDictionary()
 CSET = confusion_set_from_text("cite, sight, site")

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from winspell.bayes import MLE_ONLY, classify_bayes, train_bayes
 from winspell.corpus import TagDictionary, confusion_set_from_text, find_occurrences
+from winspell.evaluation import TrainingSet
 from winspell.features import (
     ExtractionParams,
     FeatureStats,
     UNPRUNED,
     collect_stats,
-    context_word,
     extract_active,
-    prepare_set,
     prune,
 )
 from winspell.winnow import (
@@ -43,7 +42,7 @@ from winspell.winnow import (
     winnow_train_example,
 )
 
-from helpers import corpus_of, ids_of, index_of, random_tiny_corpus
+from helpers import context_word, corpus_of, ids_of, index_of, random_tiny_corpus
 
 EMPTY_TAGS = TagDictionary()
 PARAMS = WinnowParams()
@@ -563,11 +562,11 @@ class TestSerialization:
         )
         cset = confusion_set_from_text("dax, fep")
         params = ExtractionParams(k=3)
-        _, retained, stream = prepare_set(find_occurrences(corpus, cset), cset, params,
-                                          EMPTY_TAGS, UNPRUNED)
-        network = WinnowNetwork(cset, retained, PARAMS, params,
+        training = TrainingSet(find_occurrences(corpus, cset), cset, params,
+                               EMPTY_TAGS, UNPRUNED)
+        network = WinnowNetwork(cset, training.retained, PARAMS, params,
                                 priors=(0.5, 0.5))
-        train_network(network, stream)
+        train_network(network, training.stream)
         return network, params, network.feature_ids, corpus, cset
 
     def test_save_load_save_byte_identical(self, tmp_path):
