@@ -44,10 +44,11 @@ class BayesModel:
 
     All derived tables (priors, MLE likelihoods, unigrams, mixing weights,
     and the logs of the priors and smoothed likelihoods that classification
-    sums) are recomputed from the raw counts, so a serialized model reloads
+    sums) are computed from the raw counts, so a serialized model reloads
     exactly. ``feature_ids`` is the index of the retained features and
     ``features`` its Feature tuples; per-feature tables are lists indexed by
-    feature id, and ``counts`` gives each retained key's count row.
+    feature id, filled per feature on first read, and ``counts`` gives each
+    retained key's count row.
     """
 
     def __init__(
@@ -76,27 +77,37 @@ class BayesModel:
         self.dependency_resolution = dependency_resolution
 
         self.priors = tuple(n / self.total for n in self.occurrences)
-        self.p_ml = [
-            tuple(row[i] / n if n else 0.0 for i, n in enumerate(self.occurrences))
-            for row in self.counts
-        ]
-        self.p_unigram = [sum(row) / self.total for row in self.counts]
-        self.lam = [
-            tuple(
-                chi_square_2x2(*association_table(row, self.occurrences, i))[1]
-                for i in range(self.n_members)
-            )
-            for row in self.counts
-        ]
-        self.mean_lambda = [sum(lam) / self.n_members for lam in self.lam]
         self.log_priors = tuple(_log(p) for p in self.priors)
-        self.log_likelihoods: list[tuple[float, ...] | None] = [None] * len(self.features)
+        # Per-feature tables, by feature id, None until the feature is first
+        # read: derive() fills the first four, log_likelihood_row the last.
+        n_features = len(self.features)
+        self.p_ml: list[tuple[float, ...] | None] = [None] * n_features
+        self.p_unigram: list[float | None] = [None] * n_features
+        self.lam: list[tuple[float, ...] | None] = [None] * n_features
+        self.mean_lambda: list[float | None] = [None] * n_features
+        self.log_likelihoods: list[tuple[float, ...] | None] = [None] * n_features
+
+    def derive(self, feature: int):
+        """Fill feature id ``feature``'s entries of ``p_ml``, ``p_unigram``,
+        ``lam`` and ``mean_lambda`` from its count row, unless they are
+        filled. Reading a feature's smoothed likelihood or resolving
+        dependencies derives it first, so a model pays only for the features
+        it is asked about."""
+        if self.lam[feature] is not None:
+            return
+        row, occurrences = self.counts[feature], self.occurrences
+        self.p_ml[feature] = tuple([c / n if n else 0.0 for c, n in zip(row, occurrences)])
+        self.p_unigram[feature] = sum(row) / self.total
+        lam = self.lam[feature] = tuple([
+            chi_square_2x2(*association_table(row, occurrences, i))[1]
+            for i in range(len(occurrences))
+        ])
+        self.mean_lambda[feature] = sum(lam) / len(occurrences)
 
     def log_likelihood_row(self, feature: int) -> tuple[float, ...]:
         """log(smoothed likelihood) of feature id ``feature`` per member,
         -inf for 0: the terms classification sums. A row is computed the
-        first time it is read and kept in ``log_likelihoods``, so a model
-        pays only for the features it is asked about."""
+        first time it is read and kept in ``log_likelihoods``."""
         row = self.log_likelihoods[feature]
         if row is None:
             row = self.log_likelihoods[feature] = tuple(
@@ -146,6 +157,7 @@ def smoothed_likelihood(model: BayesModel, feature: int, member_index: int) -> f
     """(1 - lambda) * P_ML(f|Wi) + lambda * P_ML(f) for feature id ``feature``,
     where lambda is the chi-square probability that the f/Wi association is
     due to chance; MLE-only mode returns the raw likelihood."""
+    model.derive(feature)
     ml = model.p_ml[feature][member_index]
     if model.smoothing == MLE_ONLY:
         return ml
@@ -172,6 +184,8 @@ def resolve_dependencies(model: BayesModel, active_set: Iterable[int]) -> tuple[
     for f in active:
         feature = features[f]
         if feature.kind == COLLOCATION:
+            if mean_lambda[f] is None:
+                model.derive(f)
             best = strongest.get(feature.offsets)
             if best is None or mean_lambda[f] < mean_lambda[best]:
                 strongest[feature.offsets] = f
@@ -212,7 +226,7 @@ def _log(x: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Serialization: "BAYES v1", line-based, tab-separated. Derived tables are
-# recomputed on load; save -> load -> save is byte-identical.
+# derived again after load; save -> load -> save is byte-identical.
 # ---------------------------------------------------------------------------
 
 HEADER = "BAYES v1"

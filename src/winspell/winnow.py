@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -37,6 +38,14 @@ BIAS_ID = -1
 
 # Stand-in for log(0) when mapping likelihoods to weights.
 ZERO_LIKELIHOOD_LOG = -500.0
+
+# Per-slot relative margin of the filtered threshold test. Every weight is
+# non-negative, so a plain float sum of n weights is off by at most
+# (n - 1) * 2**-53 times the total (recursive summation, Higham 2002, sec.
+# 4.2); a total farther than n * 2**-50 of itself from theta is therefore on
+# the same side of theta as the exactly rounded sum, and only totals inside
+# that margin are summed again with math.fsum (a Shewchuk-style filter).
+SLOT_MARGIN = 2.0**-50
 
 
 class WinnowParams(namedtuple("WinnowParams", "theta alpha betas default_weight cycles")):
@@ -99,10 +108,20 @@ def weighted_sum(classifier: WinnowClassifier, slots: Iterable[int]) -> float:
     return math.fsum(map(classifier.weights.__getitem__, slots))
 
 
+def exceeds(weights: Sequence[float], theta: float) -> bool:
+    """Whether the exactly rounded sum of the non-negative ``weights`` exceeds
+    theta, summing exactly only when the plain sum is too near theta to
+    decide."""
+    total = sum(weights)
+    if abs(total - theta) <= len(weights) * SLOT_MARGIN * total:
+        total = math.fsum(weights)
+    return total > theta
+
+
 def winnow_predict(classifier: WinnowClassifier, slots: Iterable[int], theta: float) -> int:
     """1 iff the summed weights in the given slots (the connected active
     features) exceed theta."""
-    return 1 if weighted_sum(classifier, slots) > theta else 0
+    return 1 if exceeds([classifier.weights[i] for i in slots], theta) else 0
 
 
 class Cloud:
@@ -150,40 +169,52 @@ def winnow_train_example(
     promotes (missed positive) or demotes (false positive) every connected
     active weight. Negative examples never create connections.
     """
-    presentation = [_presentation(cloud, active_set, label, params)]
+    presentation = [_presentation(_connect_positive(cloud, active_set, label, params), label)]
     for classifier in cloud.classifiers:
         _learn(classifier, presentation, params)
     cloud.examples_seen += 1
 
 
-def _presentation(
+def _connect_positive(
     cloud: Cloud, active_set: Sequence[int], label: int, params: WinnowParams
-) -> tuple[list[int], int]:
+) -> list[int]:
     """Connect the unconnected active features of a positive example at the
-    default weight; return the slots of the connected active features and
-    the label."""
+    default weight; return the slots of the connected active features."""
     if label == 1:
         for f in active_set:
             if f not in cloud.slots:
                 cloud.connect(f, params.default_weight)
-    return cloud.connected(active_set), label
+    return cloud.connected(active_set)
+
+
+def _presentation(slots: list[int], label: int) -> tuple:
+    """What a classifier is shown: a reader of the weights in ``slots``, the
+    slots of the connected active features; the threshold filter's margin
+    for that many weights; the slots; the label."""
+    # itemgetter of one index returns the bare weight, so one slot or none
+    # gets a reader that still returns a sequence.
+    read = itemgetter(*slots) if len(slots) > 1 else lambda weights: [weights[i] for i in slots]
+    return read, len(slots) * SLOT_MARGIN, slots, label
 
 
 def _learn(
     classifier: WinnowClassifier,
-    presentations: Iterable[tuple[Sequence[int], int]],
+    presentations: Iterable[tuple],
     params: WinnowParams,
 ):
-    """Mistake-driven updates of one classifier over (slots, label)
-    presentations, in order: a missed positive promotes, a false positive
-    demotes, the weights in the presented slots."""
+    """Mistake-driven updates of one classifier over presentations, in
+    order: a missed positive promotes, a false positive demotes, the weights
+    in the presented slots."""
     weights = classifier.weights
-    weight_of = weights.__getitem__
     theta, alpha, beta = params.theta, params.alpha, classifier.beta
     mistakes = 0
-    for slots, label in presentations:
-        # The exactly-rounded sum of winnow_predict, inlined on the hot path.
-        if (math.fsum(map(weight_of, slots)) > theta) != label:
+    for read, margin, slots, label in presentations:
+        # The filtered test of exceeds, inlined on the hot path.
+        chosen = read(weights)
+        total = sum(chosen)
+        if abs(total - theta) <= margin * total:
+            total = math.fsum(chosen)
+        if (total > theta) != label:
             factor = alpha if label == 1 else beta
             for i in slots:
                 weights[i] *= factor
@@ -309,8 +340,11 @@ def train_network(network: WinnowNetwork, stream: Iterable[tuple[Sequence[int], 
         labelled = [
             (active, 1 if member == cloud.member_index else 0) for active, member in examples
         ]
-        first = [_presentation(cloud, active, label, params) for active, label in labelled]
-        later = [(cloud.connected(active), label) for active, label in labelled]
+        first = [
+            _presentation(_connect_positive(cloud, active, label, params), label)
+            for active, label in labelled
+        ]
+        later = [_presentation(cloud.connected(active), label) for active, label in labelled]
         presentations = first + later * (params.cycles - 1)
         for classifier in cloud.classifiers:
             _learn(classifier, presentations, params)
@@ -461,7 +495,7 @@ def network_from_text(text: str) -> WinnowNetwork:
     cloud = None
     classifier = None
     rows: dict[int, list[list[int]]] = {}  # cloud -> feature ids of each classifier
-    for line in lines[11 + n_features :]:
+    for number, line in enumerate(lines[11 + n_features :], 12 + n_features):
         fields = line.split("\t")
         if fields[0] == "cloud":
             (examples_seen,) = parse_assignments(fields[2:], ("examples_seen",))
@@ -491,8 +525,13 @@ def network_from_text(text: str) -> WinnowNetwork:
             feature = int(fields[0])
             if not BIAS_ID <= feature < n_features:
                 raise ValueError(f"weight row for feature {fields[0]} is out of range")
+            weight = float(fields[1])
+            # The threshold test's error bound holds for finite non-negative
+            # weights only; init_bayesian's shift writes 0.0 for the smallest.
+            if not 0.0 <= weight < math.inf:
+                raise ValueError(f"line {number}: weight {fields[1]} is negative or not finite")
             names.append(feature)
-            classifier.weights.append(float(fields[1]))
+            classifier.weights.append(weight)
     if len(rows) != network.n_members or not all(c.classifiers for c in network.clouds):
         raise ValueError("model file truncated: a cloud or its classifiers are missing")
     for cloud in network.clouds:

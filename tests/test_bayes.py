@@ -25,6 +25,8 @@ from winspell.features import (
     ExtractionParams,
     FeatureStats,
     UNPRUNED,
+    association_table,
+    chi_square_2x2,
     extract_active,
     prune,
 )
@@ -76,6 +78,7 @@ class TestTrainBayes:
         stats = stats_from_counts({"f": [1, 47]}, [105, 98])
         model = train_bayes(stats, prune(stats, UNPRUNED))
         (f,) = ids_of(model, [context_word("f")])
+        model.derive(f)
         assert model.p_ml[f][1] == pytest.approx(47 / 98)
         assert model.p_ml[f][0] == pytest.approx(1 / 105)
 
@@ -84,7 +87,9 @@ class TestTrainBayes:
         # same rate, so the chi-square statistic is 0 and lambda 1.
         stats = stats_from_counts({"f": [30, 20]}, [60, 40])
         model = train_bayes(stats, prune(stats, UNPRUNED))
-        assert model.lam[ids_of(model, [context_word("f")])[0]] == (1.0, 1.0)
+        (f,) = ids_of(model, [context_word("f")])
+        model.derive(f)
+        assert model.lam[f] == (1.0, 1.0)
 
     def test_zero_occurrence_member_warns_and_never_wins(self):
         stats = stats_from_counts({"f": [5, 0]}, [10, 0])
@@ -105,6 +110,7 @@ class TestSmoothedLikelihood:
         stats = stats_from_counts({"f": [30, 20]}, [60, 40])
         model = train_bayes(stats, prune(stats, UNPRUNED))
         (f,) = ids_of(model, [context_word("f")])
+        model.derive(f)
         assert smoothed_likelihood(model, f, 0) == pytest.approx(model.p_unigram[f])
 
     def test_mle_only_mode_returns_raw_likelihood(self):
@@ -117,6 +123,7 @@ class TestSmoothedLikelihood:
         stats = stats_from_counts({"f": [20, 5]}, [100, 100])
         model = train_bayes(stats, prune(stats, UNPRUNED))
         (f,) = ids_of(model, [context_word("f")])
+        model.derive(f)
         model.p_ml[f] = (0.2, 0.05)
         model.p_unigram[f] = 0.5
         model.lam[f] = (0.25, 0.25)
@@ -130,6 +137,7 @@ class TestSmoothedLikelihood:
     def test_matches_formula_on_real_tables(self):
         model, _ = toy_model(dependency_resolution=False)
         for f in ids_of(model, model.features):
+            model.derive(f)
             for i in range(2):
                 lam = model.lam[f][i]
                 expected = (1 - lam) * model.p_ml[f][i] + lam * model.p_unigram[f]
@@ -159,6 +167,46 @@ class TestLogLikelihoods:
         assert None not in table
         if smoothing == MLE_ONLY:
             assert any(-math.inf in row for row in table)
+
+
+class TestPerFeatureDerivation:
+    """A feature's p_ml, p_unigram, lam and mean_lambda are derived from its
+    count row the first time the model reads it."""
+
+    @pytest.mark.parametrize("smoothing", [INTERPOLATIVE, MLE_ONLY])
+    def test_derived_rows_equal_eager_formula(self, smoothing):
+        model, _ = toy_model(smoothing=smoothing)
+        tables = (model.p_ml, model.p_unigram, model.lam, model.mean_lambda)
+        assert all(table == [None] * len(model.features) for table in tables)
+        occurrences, total = model.occurrences, sum(model.occurrences)
+        for f, row in enumerate(model.counts):
+            model.derive(f)
+            lam = tuple(
+                chi_square_2x2(*association_table(row, occurrences, i))[1]
+                for i in range(len(occurrences))
+            )
+            assert model.p_ml[f] == tuple(
+                row[i] / n if n else 0.0 for i, n in enumerate(occurrences)
+            )
+            assert model.p_unigram[f] == sum(row) / total
+            assert model.lam[f] == lam
+            assert model.mean_lambda[f] == sum(lam) / len(lam)
+
+    def test_classify_derives_only_the_features_it_reads(self):
+        stats = FeatureStats(confusion_set_from_text("w0, w1"), ExtractionParams())
+        stats.occurrences = [50, 50]
+        strong = collocation((-1,), (("w", "s"),))
+        weak = collocation((-1, 1), (("w", "s"), ("w", "t")))
+        stats.counts = {strong.key(): [40, 2], weak.key(): [20, 15], "CW x": [5, 5],
+                        "CW y": [9, 1]}
+        model = train_bayes(stats, prune(stats, UNPRUNED))
+        classify_bayes(model, ids_of(model, [strong, weak]))
+        # Dependency resolution reads both collocations; only the survivor's
+        # log row is read.
+        assert {f for f, lam in enumerate(model.lam) if lam is not None} == \
+            set(ids_of(model, [strong, weak]))
+        assert [f for f, row in enumerate(model.log_likelihoods) if row is not None] == \
+            list(ids_of(model, [strong]))
 
 
 class TestResolveDependencies:
@@ -359,6 +407,11 @@ class TestSerialization:
     def test_round_trip_preserves_tables(self):
         model, _ = toy_model()
         loaded = model_from_text(model_to_text(model))
+        # Compare derived rows: two tables of None would compare equal.
+        for derived in (model, loaded):
+            for f in range(len(derived.features)):
+                derived.derive(f)
+            assert None not in derived.lam and None not in derived.p_ml
         assert loaded.features == model.features
         assert loaded.priors == model.priors
         assert loaded.lam == model.lam

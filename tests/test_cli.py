@@ -95,6 +95,20 @@ class TestTrain:
         assert rc == 0
         assert (built.count("stream"), built.count("bayes")) == (streams, bayes_models)
 
+    def test_bayes_train_derives_no_feature(self, workspace, monkeypatch):
+        # Training a Bayes model only counts: no feature's tables are derived
+        # before the model is saved.
+        saved = []
+        monkeypatch.setattr(winspell.cli, "save_system_model",
+                            lambda model, path: saved.append(model))
+        rc = run(["train", "--corpus", workspace / "corpus.txt",
+                  "--confusion-sets", workspace / "sets.txt",
+                  "--tagdict", workspace / "tags.tsv",
+                  "--mode", "unpruned", "--system", "bayes", "--out", workspace / "m"])
+        assert rc == 0
+        (model,) = saved
+        assert model.features and model.lam == [None] * len(model.features)
+
     def test_unknown_system_is_usage_error(self, workspace, capsys):
         rc = run(["train", "--corpus", workspace / "corpus.txt",
                   "--confusion-sets", workspace / "sets.txt",
@@ -259,6 +273,31 @@ class TestClassify:
         assert rc == 1
         assert err.startswith(f"error: {model}: ") and err.count("\n") == 1
         assert field in err
+
+    @pytest.mark.parametrize("weight", ["-5", "nan", "inf", "-0.5", "0.0"])
+    def test_weight_outside_filter_range_one_line_error(self, workspace, capsys, tmp_path,
+                                                        weight):
+        # The threshold test's error bound needs finite non-negative weights;
+        # 0.0, the shifted minimum of a Bayesian initialization, still loads.
+        out = self.train_first(workspace, capsys, system="winnow")
+        model = out / "peace+piece.winnow.model"
+        lines = model.read_text().splitlines(keepends=True)
+        number = next(n for n, line in enumerate(lines, 1) if line.startswith("-1\t"))
+        lines[number - 1] = f"-1\t{weight}\n"
+        model.write_text("".join(lines))
+        text = tmp_path / "input.txt"
+        text.write_text("a piece of cake\n")
+        rc = run(["classify", "--out", out, "--system", "winnow",
+                  "--tagdict", workspace / "tags.tsv", text])
+        captured = capsys.readouterr()
+        if weight == "0.0":
+            assert rc == 0 and captured.err == ""
+            return
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {model}: line {number}: weight {weight} is negative or not finite\n"
+        )
 
     @pytest.mark.parametrize("bad", ["-4", "40", "x"])
     def test_count_outside_occurrences_one_line_error(self, workspace, capsys, tmp_path, bad):

@@ -3,7 +3,7 @@ import random
 import statistics
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from winspell.bayes import MLE_ONLY, classify_bayes, train_bayes
@@ -90,6 +90,61 @@ class TestPredict:
         cloud = unit({I1: 0.6, BIAS_ID: 0.5})
         assert cloud.connected(()) == [cloud.slots[BIAS_ID]]
         assert predict(cloud, (I1,)) == 1
+
+
+# Non-negative weights over many magnitudes, so plain sums of them round.
+WEIGHTS = st.lists(
+    st.one_of(
+        st.floats(0.0, 2.0),
+        st.floats(0.0, 1e-12),
+        st.sampled_from([0.0, 0.1, 0.1 * 1.5**7, 0.1 * 0.5**9, 1 / 3]),
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+
+def nudged(x, ulps):
+    """``x`` moved ``ulps`` representable floats up (negative: down)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else -math.inf)
+    return x
+
+
+class TestFilteredThreshold:
+    """The threshold test sums plainly and calls math.fsum only near theta;
+    it must decide as the exactly rounded sum does. Python 3.12 made sum()
+    compensated, so the CI matrix (3.10-3.13) checks both summation rules."""
+
+    @given(WEIGHTS, st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_decides_as_fsum_does(self, weights, data):
+        center = data.draw(st.sampled_from([math.fsum(weights), sum(weights)]))
+        theta = data.draw(st.one_of(
+            st.integers(-4, 4).map(lambda ulps: nudged(center, ulps)),
+            st.floats(0.01, 100.0).map(lambda factor: center * factor),
+            st.floats(1e-300, 1e3),
+        ))
+        assume(theta > 0)
+        want = math.fsum(weights) > theta
+        cloud = unit(dict(enumerate(weights)))
+        active = tuple(range(len(weights)))
+        assert predict_at(cloud, active, theta) == want
+        # A negative example is a mistake exactly when the weights exceed
+        # theta; training decides by its own inlined copy of the test.
+        winnow_train_example(cloud, active, 0, WinnowParams(theta=theta))
+        assert cloud.classifiers[0].mistakes == want
+
+    def test_plain_sum_an_ulp_short_is_resummed(self):
+        # Before Python 3.12, sum() of ten 0.1s is the float just below 1.0,
+        # theta here; their exactly rounded sum is 1.0, above it.
+        weights = [0.1] * 10
+        theta = nudged(1.0, -1)
+        assert predict_at(unit(dict(enumerate(weights))), tuple(range(10)), theta) == 1
+
+
+def predict_at(cloud, active, theta):
+    return winnow_predict(cloud.classifiers[0], cloud.connected(active), theta)
 
 
 class TestTrainExample:
