@@ -17,6 +17,7 @@ from .features import (
     association_table,
     chi_square_2x2,
     index_features,
+    model_lines,
     parse_model_head,
 )
 
@@ -257,9 +258,7 @@ _HEAD_FIELDS = (
 
 
 def model_from_text(text: str) -> BayesModel:
-    lines = text.splitlines()
-    if not lines or lines[0] != HEADER:
-        raise ValueError(f"not a {HEADER} model file")
+    lines = model_lines(text, HEADER)
     head, confusion_set, extraction = parse_model_head(lines[1:8], _HEAD_FIELDS)
     try:
         occurrences = [int(n) for n in head["occurrences"]]

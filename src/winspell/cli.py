@@ -20,6 +20,7 @@ from .corpus import (
     load_corpus,
     load_tag_dictionary,
     occurrences_by_set,
+    read_text,
     tokenize,
 )
 from .evaluation import (
@@ -39,14 +40,41 @@ from .winnow import WinnowParams
 
 TRAINABLE_SYSTEMS = tuple(s for s in SYSTEMS if s != "baseline")
 
-DEFAULTS = {
-    "mode": PRUNED,
-    "protocol": "within",
-    "seed": 0,
-    "cycles": 5,
-    "corrupt_pct": 5.0,
-    "k": 10,
-    "l": 2,
+# Every flag, by the attribute it sets: (type, default, choices, help). The
+# type parses the command line and checks a config value; a list flag
+# repeats, each value a string. ``systems`` is eval's repeatable --system.
+FLAGS = {
+    "config": (str, None, (), "JSON config file; flags override it"),
+    "corpus": (str, None, (), "training corpus (presplit text)"),
+    "test_corpus": (str, None, (), "second corpus for across/supunsup protocols"),
+    "confusion_sets": (str, None, (), "confusion-set file, one comma-separated set per line"),
+    "tagdict": (str, None, (), "tag dictionary file (word<TAB>tags)"),
+    "out": (str, None, (), "output/model directory"),
+    "system": (str, None, TRAINABLE_SYSTEMS, "system to train, or whose models to load"),
+    "systems": (list, None, SYSTEMS,
+                "system to evaluate (repeatable; default baseline, bayes and winnow)"),
+    "mode": (str, PRUNED, MODES, "feature regime"),
+    "protocol": (str, "within", PROTOCOLS, "experiment protocol"),
+    "seed": (int, 0, (), "PRNG seed"),
+    "cycles": (int, 5, (), "training passes"),
+    "corrupt_pct": (float, 5.0, (), "corruption percentage"),
+    "k": (int, 10, (), "context window half-width"),
+    "l": (int, 2, (), "max collocation length"),
+}
+
+_EXPERIMENT = ("mode", "protocol", "test_corpus", "seed", "corrupt_pct", "cycles", "k", "l")
+
+# The flags each subcommand takes besides --config: those it requires, in the
+# order a missing one is reported, then the others. Choices are checked in
+# this order too. train draws nothing at random but takes --seed, so that a
+# script can pass train the seed it passes eval, as acceptance check c09 does.
+COMMANDS = {
+    "train": (("corpus", "confusion_sets", "tagdict", "system", "out"),
+              ("mode", "cycles", "k", "l", "seed")),
+    "classify": (("out", "system", "tagdict"), ()),
+    "eval": (("corpus", "confusion_sets", "tagdict", "out"), (*_EXPERIMENT, "systems")),
+    "ablate": (("corpus", "confusion_sets", "tagdict", "out"), _EXPERIMENT),
+    "corrupt": (("corpus", "confusion_sets", "out"), ("seed", "corrupt_pct")),
 }
 
 # What a config value must be, by its flag's type (JSON true/false is no integer).
@@ -62,119 +90,93 @@ class UsageError(Exception):
     pass
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--corpus", help="training corpus (presplit text)")
-    parser.add_argument("--test-corpus", dest="test_corpus",
-                        help="second corpus for across/supunsup protocols")
-    parser.add_argument("--confusion-sets", dest="confusion_sets",
-                        help="confusion-set file, one comma-separated set per line")
-    parser.add_argument("--tagdict", help="tag dictionary file (word<TAB>tags)")
-    parser.add_argument("--mode", help="feature regime: pruned|unpruned")
-    parser.add_argument("--seed", type=int, help="PRNG seed (default 0)")
-    parser.add_argument("--cycles", type=int, help="training passes (default 5)")
-    parser.add_argument("--corrupt-pct", dest="corrupt_pct", type=float,
-                        help="corruption percentage (default 5)")
-    parser.add_argument("--protocol", help="within|across|supunsup")
-    parser.add_argument("--out", help="output/model directory")
-    parser.add_argument("--k", type=int, help="context window half-width (default 10)")
-    parser.add_argument("--l", type=int, help="max collocation length (default 2)")
+def _option(dest: str) -> str:
+    return "--system" if dest == "systems" else "--" + dest.replace("_", "-")
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser, and each subcommand's parser by name."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="winspell",
         description="Context-sensitive spelling correction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="train models, one file per set per system")
-    _add_common(p_train)
-    p_train.add_argument("--system", help="system to train: " + "|".join(TRAINABLE_SYSTEMS))
-    p_train.set_defaults(func=cmd_train)
-
-    p_classify = sub.add_parser("classify", help="suggest members for occurrences in text")
-    _add_common(p_classify)
-    p_classify.add_argument("--system", help="system whose models to load")
-    p_classify.add_argument("input", nargs="?", default="-",
-                            help="input text file, '-' for stdin")
-    p_classify.set_defaults(func=cmd_classify)
-
     report_columns = (
         "Report columns: confusion_set; cases (test occurrences); one "
         "percent-correct column per system; one McNemar p-value column per "
         "adjacent system pair. The OVERALL row pools cases across sets."
     )
-    p_eval = sub.add_parser(
-        "eval", help="run an experiment and write reports",
-        description="Writes report.tsv and an aligned report.txt under --out. "
-        + report_columns,
+    for name, func, texts in (
+        ("train", cmd_train, {"help": "train models, one file per set per system"}),
+        ("classify", cmd_classify, {"help": "suggest members for occurrences in text"}),
+        ("eval", cmd_eval, {
+            "help": "run an experiment and write reports",
+            "description": "Writes report.tsv and an aligned report.txt under --out. "
+            + report_columns,
+        }),
+        ("ablate", cmd_ablate, {
+            "help": "run the ablation ladder",
+            "description": "Runs the fixed ladder (" + ", ".join(ABLATION_LADDER)
+            + ") and writes ablation.tsv/.txt under --out. " + report_columns,
+        }),
+        ("corrupt", cmd_corrupt, {"help": "write a corrupted corpus plus change log"}),
+    ):
+        p = sub.add_parser(name, **texts)
+        required, optional = COMMANDS[name]
+        for dest in ("config", *required, *optional):
+            kind, default, choices, text = FLAGS[dest]
+            if choices:
+                text += ": " + "|".join(choices)
+            if default is not None:
+                text += f" (default {default})"
+            parse = {"action": "append"} if kind is list else {"type": kind}
+            p.add_argument(_option(dest), dest=dest, help=text, **parse)
+        p.set_defaults(func=func)
+    sub.choices["classify"].add_argument(
+        "input", nargs="?", default="-", help="input text file, '-' for stdin"
     )
-    _add_common(p_eval)
-    p_eval.add_argument("--system", action="append", dest="systems",
-                        help="system to evaluate (repeatable)")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_ablate = sub.add_parser(
-        "ablate", help="run the ablation ladder",
-        description="Runs the fixed ladder (" + ", ".join(ABLATION_LADDER)
-        + ") and writes ablation.tsv/.txt under --out. " + report_columns,
-    )
-    _add_common(p_ablate)
-    p_ablate.set_defaults(func=cmd_ablate)
-
-    p_corrupt = sub.add_parser("corrupt", help="write a corrupted corpus plus change log")
-    _add_common(p_corrupt)
-    p_corrupt.set_defaults(func=cmd_corrupt)
-    return parser, sub.choices
+    return parser
 
 
-def _merge_config(args: argparse.Namespace, subparsers: dict[str, argparse.ArgumentParser]):
-    """Fill unset flags from the JSON config file, then from defaults. Each
-    key must name a flag of some subcommand and hold a value of its type."""
-    if getattr(args, "config", None):
+def _resolve_flags(args: argparse.Namespace):
+    """Fill the subcommand's unset flags from the JSON config file, then from
+    the defaults, and check them. Each config key must name a flag of some
+    subcommand and hold a value of its type; one this subcommand does not
+    take is checked and then ignored."""
+    required, optional = COMMANDS[args.command]
+    dests = (*required, *optional)
+    if args.config:
         try:
             overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
         if not isinstance(overrides, dict):
             raise UsageError("config file must hold a JSON object")
-        # Every subcommand's flags by dest; a dest has one type in all of them.
-        flags = {a.dest: a for p in subparsers.values() for a in p._actions
-                 if a.option_strings and a.dest != "help"}
         for key, value in overrides.items():
-            attr = key.replace("-", "_")
-            if attr not in flags:
+            dest = key.replace("-", "_")
+            if dest not in FLAGS:
                 raise UsageError(f"config file: unknown key {key!r}")
-            action = flags[attr]
-            kind = list if isinstance(action, argparse._AppendAction) else action.type or str
-            what, fits = _CONFIG_TYPES[kind]
+            what, fits = _CONFIG_TYPES[FLAGS[dest][0]]
             if not fits(value):
                 raise UsageError(f"config file: {key!r} must be {what}, not {json.dumps(value)}")
-            # Another subcommand's flag is set too, and nothing reads it.
-            if getattr(args, attr, None) is None:
-                setattr(args, attr, value)
-    for key, value in DEFAULTS.items():
-        if getattr(args, key, None) is None and hasattr(args, key):
-            setattr(args, key, value)
-
-
-def _require(args: argparse.Namespace, *names: str):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise UsageError(f"missing required option --{name.replace('_', '-')}")
-
-
-def _validate_choice(value: str, choices, what: str):
-    if value not in choices:
-        raise UsageError(f"unknown {what}: {value!r} (choose from {', '.join(choices)})")
+            if dest in dests and getattr(args, dest) is None:
+                setattr(args, dest, value)
+    for dest in dests:
+        if getattr(args, dest) is None:
+            setattr(args, dest, FLAGS[dest][1])
+    for dest in required:
+        if getattr(args, dest) is None:
+            raise UsageError(f"missing required option {_option(dest)}")
+    for dest in dests:
+        kind, _, choices, _ = FLAGS[dest]
+        value = getattr(args, dest)
+        if choices and value is not None:
+            for v in value if kind is list else [value]:
+                if v not in choices:
+                    raise UsageError(f"unknown {_option(dest)[2:]}: {v!r}"
+                                     f" (choose from {', '.join(choices)})")
 
 
 def cmd_train(args) -> int:
-    _require(args, "corpus", "confusion_sets", "tagdict", "system", "out")
-    _validate_choice(args.system, TRAINABLE_SYSTEMS, "system")
-    _validate_choice(args.mode, MODES, "mode")
     extraction = ExtractionParams(args.k, args.l)
     wparams = WinnowParams(cycles=args.cycles)
     corpus = load_corpus(args.corpus)
@@ -194,8 +196,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    _require(args, "out", "system", "tagdict")
-    _validate_choice(args.system, TRAINABLE_SYSTEMS, "system")
     paths = sorted(Path(args.out).glob(f"*.{args.system}.model"))
     if not paths:
         print(f"error: no {args.system} models under {args.out}", file=sys.stderr)
@@ -203,10 +203,11 @@ def cmd_classify(args) -> int:
     models = [load_system_model(p) for p in paths]
     tagdict = load_tag_dictionary(args.tagdict)
     if args.input == "-":
-        lines = sys.stdin.read().splitlines()
+        text = read_text("<stdin>", sys.stdin.buffer.read())
     else:
-        lines = Path(args.input).read_text(encoding="utf-8").splitlines()
-    sentences = [tokenize(line, i) for i, line in enumerate(lines, start=1) if line.strip()]
+        text = read_text(args.input)
+    sentences = [tokenize(line, i) for i, line in enumerate(text.splitlines(), start=1)
+                 if line.strip()]
     rows = []
     occurrence_lists = occurrences_by_set(sentences, [m.confusion_set for m in models])
     for model, occurrences in zip(models, occurrence_lists):
@@ -233,11 +234,6 @@ def cmd_classify(args) -> int:
 
 
 def _run_report(args, systems, stem: str) -> int:
-    _require(args, "corpus", "confusion_sets", "tagdict", "out")
-    _validate_choice(args.mode, MODES, "mode")
-    _validate_choice(args.protocol, PROTOCOLS, "protocol")
-    for name in systems:
-        _validate_choice(name, SYSTEMS, "system")
     report = run_experiment(ExperimentConfig(
         corpus=args.corpus,
         confusion_sets=args.confusion_sets,
@@ -260,8 +256,7 @@ def _run_report(args, systems, stem: str) -> int:
 
 
 def cmd_eval(args) -> int:
-    systems = args.systems or ["baseline", "bayes", "winnow"]
-    return _run_report(args, systems, "report")
+    return _run_report(args, args.systems or ["baseline", "bayes", "winnow"], "report")
 
 
 def cmd_ablate(args) -> int:
@@ -269,7 +264,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_corrupt(args) -> int:
-    _require(args, "corpus", "confusion_sets", "out")
     sentences = load_corpus(args.corpus)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -307,10 +301,9 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser, subparsers = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        _merge_config(args, subparsers)
+        _resolve_flags(args)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -94,7 +94,7 @@ def load_confusion_sets(path: str | Path) -> list[ConfusionSet]:
     sets, or with one set on two lines (in any member order), is refused."""
     sets = []
     first_line: dict[frozenset[tuple[str, ...]], int] = {}
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -138,7 +138,7 @@ def load_tag_dictionary(path: str | Path) -> TagDictionary:
     refused."""
     entries: dict[str, frozenset[str]] = {}
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         try:
@@ -161,8 +161,12 @@ def load_tag_dictionary(path: str | Path) -> TagDictionary:
     return TagDictionary(entries)
 
 
-def _read_text(path: str | Path) -> str:
-    data = Path(path).read_bytes()
+def read_text(path: str | Path, data: bytes | None = None) -> str:
+    """The UTF-8 text of the file at ``path``, or of ``data`` if given (then
+    ``path`` only names the source). CorpusError naming ``path`` and the
+    line of the first invalid byte."""
+    if data is None:
+        data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -173,7 +177,7 @@ def _read_text(path: str | Path) -> str:
 def load_corpus(path: str | Path) -> list[Sentence]:
     """Load a presplit plain-text corpus: each non-blank line is one sentence."""
     sentences = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if line.strip():
             sentences.append(tokenize(line, lineno))
     return sentences

@@ -366,6 +366,18 @@ def parse_assignments(values: Sequence[str], names: Sequence[str]) -> list[str]:
     return [v[len(name) + 1 :] for v, name in zip(values, names)]
 
 
+def model_lines(text: str, header: str) -> list[str]:
+    """The lines of a model file whose first line is ``header``. ValueError
+    for another format, and for a text that does not end in a newline, as
+    every saved model does: such a file was cut short."""
+    lines = text.splitlines()
+    if not lines or lines[0] != header:
+        raise ValueError(f"not a {header} model file")
+    if not text.endswith("\n"):
+        raise ValueError(f"line {len(lines)}: model file truncated: no newline at its end")
+    return lines
+
+
 def parse_model_head(
     lines: Sequence[str], names: Sequence[str]
 ) -> tuple[dict[str, list[str]], ConfusionSet, ExtractionParams]:

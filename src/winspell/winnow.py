@@ -19,6 +19,7 @@ from .features import (
     ExtractionParams,
     FeatureIndex,
     index_features,
+    model_lines,
     parse_assignments,
     parse_model_head,
 )
@@ -448,9 +449,7 @@ _HEAD_FIELDS = (
 
 
 def network_from_text(text: str) -> WinnowNetwork:
-    lines = text.splitlines()
-    if not lines or lines[0] != HEADER:
-        raise ValueError(f"not a {HEADER} model file")
+    lines = model_lines(text, HEADER)
     head, confusion_set, extraction = parse_model_head(lines[1:11], _HEAD_FIELDS)
     try:
         theta, alpha, default_weight, cycles = parse_assignments(
@@ -495,43 +494,48 @@ def network_from_text(text: str) -> WinnowNetwork:
     cloud = None
     classifier = None
     rows: dict[int, list[list[int]]] = {}  # cloud -> feature ids of each classifier
-    for number, line in enumerate(lines[11 + n_features :], 12 + n_features):
-        fields = line.split("\t")
-        if fields[0] == "cloud":
-            (examples_seen,) = parse_assignments(fields[2:], ("examples_seen",))
-            member_index = int(fields[1])
-            if not 0 <= member_index < network.n_members:
-                raise ValueError(f"cloud {member_index} is out of range")
-            if member_index in rows:
-                raise ValueError(f"cloud {member_index} is repeated")
-            cloud = network.clouds[member_index]
-            cloud.examples_seen = _count(examples_seen, "examples_seen")
-            cloud.classifiers = []
-            classifier = None
-            rows[member_index] = []
-        elif fields[0] == "classifier":
-            if cloud is None:
-                raise ValueError("classifier outside any cloud")
-            beta, mistakes = parse_assignments(fields[1:], ("beta", "mistakes"))
-            classifier = WinnowClassifier(float(beta), _count(mistakes, "mistakes"))
-            cloud.classifiers.append(classifier)
-            names: list[int] = []
-            rows[cloud.member_index].append(names)
-        else:
-            if classifier is None:
-                raise ValueError("weight row outside any classifier")
-            if len(fields) != 2:
-                raise ValueError(f"malformed weight row: {line!r}")
-            feature = int(fields[0])
-            if not BIAS_ID <= feature < n_features:
-                raise ValueError(f"weight row for feature {fields[0]} is out of range")
-            weight = float(fields[1])
-            # The threshold test's error bound holds for finite non-negative
-            # weights only; init_bayesian's shift writes 0.0 for the smallest.
-            if not 0.0 <= weight < math.inf:
-                raise ValueError(f"line {number}: weight {fields[1]} is negative or not finite")
-            names.append(feature)
-            classifier.weights.append(weight)
+    cloud_lines: dict[int, int] = {}
+    try:
+        for number, line in enumerate(lines[11 + n_features :], 12 + n_features):
+            fields = line.split("\t")
+            if fields[0] == "cloud":
+                (examples_seen,) = parse_assignments(fields[2:], ("examples_seen",))
+                member_index = int(fields[1])
+                if not 0 <= member_index < network.n_members:
+                    raise ValueError(f"cloud {member_index} is out of range")
+                if member_index in rows:
+                    raise ValueError(f"cloud {member_index} is repeated")
+                cloud = network.clouds[member_index]
+                cloud.examples_seen = _count(examples_seen, "examples_seen")
+                cloud.classifiers = []
+                classifier = None
+                rows[member_index] = []
+                cloud_lines[member_index] = number
+            elif fields[0] == "classifier":
+                if cloud is None:
+                    raise ValueError("classifier outside any cloud")
+                beta, mistakes = parse_assignments(fields[1:], ("beta", "mistakes"))
+                classifier = WinnowClassifier(float(beta), _count(mistakes, "mistakes"))
+                cloud.classifiers.append(classifier)
+                names: list[int] = []
+                rows[cloud.member_index].append(names)
+            else:
+                if classifier is None:
+                    raise ValueError("weight row outside any classifier")
+                if len(fields) != 2:
+                    raise ValueError(f"malformed weight row: {line!r}")
+                feature = int(fields[0])
+                if not BIAS_ID <= feature < n_features:
+                    raise ValueError(f"weight row for feature {fields[0]} is out of range")
+                weight = float(fields[1])
+                # The threshold test's error bound holds for finite non-negative
+                # weights only; init_bayesian's shift writes 0.0 for the smallest.
+                if not 0.0 <= weight < math.inf:
+                    raise ValueError(f"weight {fields[1]} is negative or not finite")
+                names.append(feature)
+                classifier.weights.append(weight)
+    except ValueError as exc:
+        raise ValueError(f"line {number}: {exc}") from None
     if len(rows) != network.n_members or not all(c.classifiers for c in network.clouds):
         raise ValueError("model file truncated: a cloud or its classifiers are missing")
     for cloud in network.clouds:
@@ -541,6 +545,13 @@ def network_from_text(text: str) -> WinnowNetwork:
             raise ValueError(
                 f"model file truncated or damaged: cloud {cloud.member_index} weight"
                 " rows repeat a feature or differ from the first classifier's"
+            )
+        # A full network links every feature and the bias to every classifier.
+        if network.architecture == FULL and len(first) != n_features + 1:
+            raise ValueError(
+                f"line {cloud_lines[cloud.member_index]}: model file truncated or damaged:"
+                f" cloud {cloud.member_index} of a full network has {len(first)} weight"
+                f" rows per classifier, not {n_features + 1}"
             )
         if [c.beta for c in cloud.classifiers] != betas:
             raise ValueError(

@@ -423,6 +423,16 @@ class TestSerialization:
         with pytest.raises(ValueError):
             model_from_text("WINNOW v1\n")
 
+    @pytest.mark.parametrize("cut", [1, 2], ids=["final-newline", "mid-line"])
+    def test_text_without_final_newline_rejected(self, cut):
+        # The writer ends the file in a newline; a text without one was cut,
+        # perhaps inside a count that still parses.
+        text = model_to_text(toy_model()[0])
+        with pytest.raises(ValueError, match=(
+            rf"^line {len(text.splitlines())}: model file truncated: no newline at its end$"
+        )):
+            model_from_text(text[:-cut])
+
     @pytest.mark.parametrize(
         "case",
         ["extraction-field", "bare-features-line", "short-count-row", "long-count-row",

@@ -1,8 +1,10 @@
 import gc
 import hashlib
+import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 
 import winspell
 from winspell import bayes
-from winspell.cli import TRAINABLE_SYSTEMS, main
+from winspell.cli import COMMANDS, TRAINABLE_SYSTEMS, _build_parser, _option, main
 from winspell.evaluation import TrainingSet
 from winspell.winnow import load_network
 
@@ -299,6 +301,58 @@ class TestClassify:
             f"error: {model}: line {number}: weight {weight} is negative or not finite\n"
         )
 
+    @pytest.mark.parametrize("row, message", [
+        ("-1\tabc", "could not convert string to float: 'abc'"),
+        ("x\t0.1", "invalid literal for int() with base 10: 'x'"),
+        ("3\t0.1\t7", "malformed weight row: '3\\t0.1\\t7'"),
+    ])
+    def test_bad_weight_row_names_its_line(self, workspace, capsys, tmp_path, row, message):
+        out = self.train_first(workspace, capsys, system="winnow")
+        model = out / "peace+piece.winnow.model"
+        lines = model.read_text().splitlines(keepends=True)
+        number = next(n for n, line in enumerate(lines, 1) if line.startswith("-1\t"))
+        lines[number - 1] = row + "\n"
+        model.write_text("".join(lines))
+        text = tmp_path / "input.txt"
+        text.write_text("a piece of cake\n")
+        rc = run(["classify", "--out", out, "--system", "winnow",
+                  "--tagdict", workspace / "tags.tsv", text])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {model}: line {number}: {message}\n"
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_invalid_utf8_input_names_source_and_line(self, workspace, capsys, tmp_path,
+                                                      monkeypatch, source):
+        out = self.train_first(workspace, capsys)
+        data = b"a piece of cake\nworld \xff piece\n"
+        text = tmp_path / "input.txt"
+        text.write_bytes(data)
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        rc = run(["classify", "--out", out, "--system", "bayes",
+                  "--tagdict", workspace / "tags.tsv", text if source == "file" else "-"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        name = text if source == "file" else "<stdin>"
+        assert captured.err == f"error: {name}: invalid UTF-8 on line 2\n"
+
+    def test_stdin_input_reads_as_the_file_does(self, workspace, capsys, tmp_path,
+                                                monkeypatch):
+        out = self.train_first(workspace, capsys)
+        data = "a peace of cake\r\nworld piece is near\n\nno match here\n".encode()
+        text = tmp_path / "input.txt"
+        text.write_bytes(data)
+        args = ["classify", "--out", out, "--system", "bayes", "--tagdict", workspace / "tags.tsv"]
+        assert run([*args, text]) == 0
+        from_file = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert run(args) == 0
+        assert capsys.readouterr().out == from_file
+        assert from_file.count("\n") == 2
+
     @pytest.mark.parametrize("bad", ["-4", "40", "x"])
     def test_count_outside_occurrences_one_line_error(self, workspace, capsys, tmp_path, bad):
         # Each member occurs 4 times in the workspace corpus; a count row
@@ -494,8 +548,9 @@ class TestEmptyConfusionSets:
         (workspace / "sets.txt").write_text("# no sets here\n\n")
         out = workspace / "out"
         args = [command, "--corpus", workspace / "corpus.txt",
-                "--confusion-sets", workspace / "sets.txt",
-                "--tagdict", workspace / "tags.tsv", "--out", out]
+                "--confusion-sets", workspace / "sets.txt", "--out", out]
+        if command != "corrupt":
+            args += ["--tagdict", workspace / "tags.tsv"]
         if command == "train":
             args += ["--system", "bayes"]
         rc = run(args)
@@ -515,8 +570,9 @@ class TestRepeatedInputs:
         (workspace / "sets.txt").write_text("peace, piece\npiece, peace\n")
         out = workspace / "out"
         args = [command, "--corpus", workspace / "corpus.txt",
-                "--confusion-sets", workspace / "sets.txt",
-                "--tagdict", workspace / "tags.tsv", "--out", out]
+                "--confusion-sets", workspace / "sets.txt", "--out", out]
+        if command != "corrupt":
+            args += ["--tagdict", workspace / "tags.tsv"]
         if command == "train":
             args += ["--system", "bayes"]
         rc = run(args)
@@ -579,6 +635,8 @@ class TestCollector:
         tags = write(tmp_path / "tags.tsv", "rix\tMARK\nzor\tMARK\nbrix\tMARK\n")
         models = tmp_path / "models"
         common = ["--confusion-sets", sets, "--tagdict", tags, "--mode", "unpruned", "--k", 3]
+        # classify and corrupt take only some of the common flags.
+        common_read = {"classify": ["--tagdict", tags], "corrupt": ["--confusion-sets", sets]}
         if command == "classify":
             assert run(["train", "--corpus", write(tmp_path / "c.txt", text),
                         "--system", "winnow", "--out", models, *common]) == 0
@@ -595,7 +653,7 @@ class TestCollector:
                 "ablate": ["ablate", "--corpus", corpus, "--out", out],
                 "classify": ["classify", "--system", "winnow", "--out", models, corpus],
                 "corrupt": ["corrupt", "--corpus", corpus, "--corrupt-pct", 30, "--out", out],
-            }[command] + common
+            }[command] + common_read.get(command, common)
             was_enabled = gc.isenabled()
             gc.disable()
             try:
@@ -696,7 +754,41 @@ class TestConfigFile:
         assert "--confusion-sets" in capsys.readouterr().err
 
 
+# The 20 (subcommand, flag) pairs of flags a subcommand does not read and
+# does not take. train takes --seed without reading it (see cli.COMMANDS).
+UNREAD_FLAGS = [
+    *(("train", f) for f in ("--test-corpus", "--corrupt-pct", "--protocol")),
+    *(("classify", f) for f in ("--corpus", "--test-corpus", "--confusion-sets", "--mode",
+                                "--seed", "--cycles", "--corrupt-pct", "--protocol", "--k",
+                                "--l")),
+    *(("corrupt", f) for f in ("--test-corpus", "--tagdict", "--mode", "--cycles",
+                               "--protocol", "--k", "--l")),
+]
+
+
 class TestUsage:
+    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+    def test_flag_the_subcommand_does_not_read_is_refused(self, workspace, capsys,
+                                                          command, flag):
+        # Accepted and ignored, the flag would record a run other than the
+        # one asked for.
+        args = {
+            "train": ["train", "--corpus", workspace / "corpus.txt",
+                      "--confusion-sets", workspace / "sets.txt",
+                      "--tagdict", workspace / "tags.tsv", "--system", "bayes"],
+            "classify": ["classify", "--system", "bayes", "--tagdict", workspace / "tags.tsv",
+                         workspace / "corpus.txt"],
+            "corrupt": ["corrupt", "--corpus", workspace / "corpus.txt",
+                        "--confusion-sets", workspace / "sets.txt"],
+        }[command] + ["--out", workspace / "out", flag, "1"]
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: winspell ") and err.count("\n") == 2
+        assert err.endswith(f"error: unrecognized arguments: {flag} 1\n")
+        assert not (workspace / "out").exists()
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
@@ -710,6 +802,43 @@ class TestUsage:
                   "--out", workspace / "m"])
         assert rc == 2
         assert "unknown mode" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_command_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text[text.index("## Command line\n") : text.index("\n## File formats\n")]
+
+
+def test_readme_command_lines_parse():
+    """Every ``winspell`` line of README's example block parses as it stands."""
+    section = readme_command_section()
+    block = section[section.index("```sh\n") + 6 :]
+    block = block[: block.index("```")].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("winspell ")]
+    assert sorted({argv[0] for argv in commands}) == sorted(COMMANDS)
+    for argv in commands:
+        args = _build_parser().parse_args(argv)
+        assert args.command == argv[0]
+
+
+def test_readme_lists_each_subcommands_flags():
+    """README's bullet per subcommand names its flags, required ones first."""
+    section = readme_command_section()
+    listed = {}
+    for bullet in re.findall(r"^- `(\w+)`: (.*?)\.$", section, re.M | re.S):
+        name, text = bullet
+        required, _, optional = text.partition(";")
+        listed[name] = (re.findall(r"`(--[\w-]+)`", required),
+                        re.findall(r"`(--[\w-]+)`", optional))
+    expected = {
+        name: ([_option(d) for d in required], [_option(d) for d in optional])
+        for name, (required, optional) in COMMANDS.items()
+    }
+    assert listed == expected
 
 
 # SHA-256 of every file and stdout the commands in TestGoldenBytes produce.

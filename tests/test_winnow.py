@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import statistics
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from winspell.bayes import MLE_ONLY, classify_bayes, train_bayes
 from winspell.corpus import TagDictionary, confusion_set_from_text, find_occurrences
-from winspell.evaluation import TrainingSet
+from winspell.evaluation import TrainingSet, train_system_model
 from winspell.features import (
     ExtractionParams,
     FeatureStats,
@@ -624,6 +625,16 @@ class TestSerialization:
         train_network(network, training.stream)
         return network, params, network.feature_ids, corpus, cset
 
+    def one_layer_full_network(self):
+        """A ``winnow-1layer`` network: full, one classifier per cloud."""
+        network, params, _, corpus, cset = self.trained_network()
+        training = TrainingSet(find_occurrences(corpus, cset), cset, params,
+                               EMPTY_TAGS, UNPRUNED)
+        network = train_system_model("winnow-1layer", training, PARAMS)
+        assert network.architecture == FULL
+        assert [len(cloud.classifiers) for cloud in network.clouds] == [1, 1]
+        return network
+
     def test_save_load_save_byte_identical(self, tmp_path):
         network, *_ = self.trained_network()
         path = tmp_path / "n.model"
@@ -761,6 +772,56 @@ class TestSerialization:
                   if i > last_cloud and l.startswith("classifier\t")][1]
         with pytest.raises(ValueError, match="truncated"):
             network_from_text("".join(lines[:second]))
+
+    def test_every_cut_inside_last_cloud_of_full_network_rejected(self):
+        # One classifier per cloud: no other classifier's rows show the cut.
+        network = self.one_layer_full_network()
+        lines = network_to_text(network).splitlines(keepends=True)
+        last_cloud = max(i for i, l in enumerate(lines) if l.startswith("cloud\t"))
+        assert len(lines) - last_cloud - 2 == len(network.features) + 1
+        for n in range(last_cloud, len(lines)):
+            with pytest.raises(ValueError, match="truncated"):
+                network_from_text("".join(lines[:n]))
+
+    def test_short_cloud_of_full_network_names_its_line(self):
+        network = self.one_layer_full_network()
+        lines = network_to_text(network).splitlines(keepends=True)
+        last_cloud = max(i for i, l in enumerate(lines) if l.startswith("cloud\t"))
+        rows = len(network.features) + 1
+        with pytest.raises(ValueError, match=(
+            rf"^line {last_cloud + 1}: model file truncated or damaged: cloud 1 of a full"
+            rf" network has {rows - 1} weight rows per classifier, not {rows}$"
+        )):
+            network_from_text("".join(lines[:-1]))
+
+    @pytest.mark.parametrize("layer", ["two-layer", "one-layer"])
+    @pytest.mark.parametrize("cut", [1, 3], ids=["final-newline", "mid-line"])
+    def test_text_without_final_newline_rejected(self, layer, cut):
+        # Both writers end the file in a newline; a text without one was cut,
+        # perhaps inside a weight that still parses.
+        if layer == "two-layer":
+            network, *_ = self.trained_network()
+        else:
+            network = self.one_layer_full_network()
+        text = network_to_text(network)
+        assert "\t" not in text[-4:]  # the cut stays inside the last weight
+        with pytest.raises(ValueError, match=(
+            rf"^line {len(text.splitlines())}: model file truncated: no newline at its end$"
+        )):
+            network_from_text(text[:-cut])
+
+    # Bad weight rows: tests/test_cli.py TestClassify::test_bad_weight_row_names_its_line.
+    @pytest.mark.parametrize("row, message", [
+        ("cloud\t5\texamples_seen=0", "cloud 5 is out of range"),
+        ("classifier\tbeta=0.5", "expected beta=... mistakes=..."),
+    ])
+    def test_bad_cloud_or_classifier_row_names_its_line(self, row, message):
+        network, *_ = self.trained_network()
+        lines = network_to_text(network).splitlines()
+        number = next(n for n, l in enumerate(lines, 1) if l.startswith("-1\t"))
+        lines[number - 1] = row
+        with pytest.raises(ValueError, match=rf"^line {number}: {re.escape(message)}"):
+            network_from_text("\n".join(lines) + "\n")
 
     def test_classifier_beta_other_than_header_rejected(self):
         network, *_ = self.trained_network()
