@@ -22,7 +22,6 @@ from .features import (
 )
 
 INTERPOLATIVE = "interpolative"
-MLE_ONLY = "mle"
 
 
 class Decision(NamedTuple):
@@ -41,15 +40,14 @@ def choose(scores: Sequence[float], priors: Sequence[float]) -> int:
 
 
 class BayesModel:
-    """Priors, likelihood tables, and smoothing state for one confusion set.
+    """Count rows, and the tables derived from them, for one confusion set.
 
-    All derived tables (priors, MLE likelihoods, unigrams, mixing weights,
-    and the logs of the priors and smoothed likelihoods that classification
-    sums) are computed from the raw counts, so a serialized model reloads
-    exactly. ``feature_ids`` is the index of the retained features and
-    ``features`` its Feature tuples; per-feature tables are lists indexed by
-    feature id, filled per feature on first read, and ``counts`` gives each
-    retained key's count row.
+    Everything derived (priors, mixing weights, and the logs of the priors and
+    smoothed likelihoods that classification sums) is computed from the raw
+    counts, so a serialized model reloads exactly. ``feature_ids`` is the
+    index of the retained features and ``features`` its Feature tuples;
+    ``counts`` gives each retained key's count row, and the two per-feature
+    tables are lists indexed by feature id, filled per feature on first read.
     """
 
     def __init__(
@@ -59,11 +57,8 @@ class BayesModel:
         retained: FeatureIndex,
         counts: Mapping[str, Sequence[int]],
         occurrences: Sequence[int],
-        smoothing: str = INTERPOLATIVE,
         dependency_resolution: bool = True,
     ):
-        if smoothing not in (INTERPOLATIVE, MLE_ONLY):
-            raise ValueError(f"unknown smoothing mode: {smoothing!r}")
         if len(occurrences) != len(confusion_set.members):
             raise ValueError("occurrence counts do not match the confusion set")
         self.confusion_set = confusion_set
@@ -74,36 +69,15 @@ class BayesModel:
         self.total = sum(occurrences)
         if self.total <= 0:
             raise ValueError("model needs at least one training occurrence")
-        self.smoothing = smoothing
         self.dependency_resolution = dependency_resolution
 
         self.priors = tuple(n / self.total for n in self.occurrences)
         self.log_priors = tuple(_log(p) for p in self.priors)
-        # Per-feature tables, by feature id, None until the feature is first
-        # read: derive() fills the first four, log_likelihood_row the last.
+        # Per-feature tables by feature id, None until first read: filled by
+        # resolve_dependencies (mean_lambda) and log_likelihood_row.
         n_features = len(self.features)
-        self.p_ml: list[tuple[float, ...] | None] = [None] * n_features
-        self.p_unigram: list[float | None] = [None] * n_features
-        self.lam: list[tuple[float, ...] | None] = [None] * n_features
         self.mean_lambda: list[float | None] = [None] * n_features
         self.log_likelihoods: list[tuple[float, ...] | None] = [None] * n_features
-
-    def derive(self, feature: int):
-        """Fill feature id ``feature``'s entries of ``p_ml``, ``p_unigram``,
-        ``lam`` and ``mean_lambda`` from its count row, unless they are
-        filled. Reading a feature's smoothed likelihood or resolving
-        dependencies derives it first, so a model pays only for the features
-        it is asked about."""
-        if self.lam[feature] is not None:
-            return
-        row, occurrences = self.counts[feature], self.occurrences
-        self.p_ml[feature] = tuple([c / n if n else 0.0 for c, n in zip(row, occurrences)])
-        self.p_unigram[feature] = sum(row) / self.total
-        lam = self.lam[feature] = tuple([
-            chi_square_2x2(*association_table(row, occurrences, i))[1]
-            for i in range(len(occurrences))
-        ])
-        self.mean_lambda[feature] = sum(lam) / len(occurrences)
 
     def log_likelihood_row(self, feature: int) -> tuple[float, ...]:
         """log(smoothed likelihood) of feature id ``feature`` per member,
@@ -124,7 +98,6 @@ class BayesModel:
 def train_bayes(
     stats: FeatureStats,
     retained: FeatureIndex,
-    smoothing: str = INTERPOLATIVE,
     dependency_resolution: bool = True,
 ) -> BayesModel:
     """Build a model over the ``retained`` features from corpus statistics."""
@@ -141,7 +114,6 @@ def train_bayes(
         retained,
         stats.counts,
         stats.occurrences,
-        smoothing,
         dependency_resolution,
     )
 
@@ -154,16 +126,20 @@ def with_dependency_resolution(model: BayesModel) -> BayesModel:
     return clone
 
 
+def mixing_weight(model: BayesModel, feature: int, member_index: int) -> float:
+    """lambda: the chi-square probability that the association of feature id
+    ``feature`` with member ``member_index`` is due to chance."""
+    table = association_table(model.counts[feature], model.occurrences, member_index)
+    return chi_square_2x2(*table)[1]
+
+
 def smoothed_likelihood(model: BayesModel, feature: int, member_index: int) -> float:
     """(1 - lambda) * P_ML(f|Wi) + lambda * P_ML(f) for feature id ``feature``,
-    where lambda is the chi-square probability that the f/Wi association is
-    due to chance; MLE-only mode returns the raw likelihood."""
-    model.derive(feature)
-    ml = model.p_ml[feature][member_index]
-    if model.smoothing == MLE_ONLY:
-        return ml
-    lam = model.lam[feature][member_index]
-    return (1.0 - lam) * ml + lam * model.p_unigram[feature]
+    from its count row, where lambda is :func:`mixing_weight`."""
+    row, n = model.counts[feature], model.occurrences[member_index]
+    ml = row[member_index] / n if n else 0.0
+    lam = mixing_weight(model, feature, member_index)
+    return (1.0 - lam) * ml + lam * (sum(row) / model.total)
 
 
 def resolve_dependencies(model: BayesModel, active_set: Iterable[int]) -> tuple[int, ...]:
@@ -173,7 +149,8 @@ def resolve_dependencies(model: BayesModel, active_set: Iterable[int]) -> tuple[
     dependent; within each overlap-connected group only the feature with the
     lowest mean mixing weight (the strongest association) survives, ties
     going to the lower id. Context-word features are never deleted. With
-    dependency resolution off, the active set is returned in id order.
+    dependency resolution off, the active set is returned in id order. A
+    collocation's mean mixing weight is computed the first time it is read.
     """
     active = tuple(sorted(active_set))
     if not model.dependency_resolution:
@@ -186,7 +163,8 @@ def resolve_dependencies(model: BayesModel, active_set: Iterable[int]) -> tuple[
         feature = features[f]
         if feature.kind == COLLOCATION:
             if mean_lambda[f] is None:
-                model.derive(f)
+                n = len(model.occurrences)
+                mean_lambda[f] = sum([mixing_weight(model, f, i) for i in range(n)]) / n
             best = strongest.get(feature.offsets)
             if best is None or mean_lambda[f] < mean_lambda[best]:
                 strongest[feature.offsets] = f
@@ -208,8 +186,8 @@ def classify_bayes(model: BayesModel, active_set: Iterable[int]) -> Decision:
     """Log-space posterior over members; the normalizing constant is omitted.
 
     The member is picked by :func:`choose`. If every member scores -inf
-    (possible with MLE likelihoods), the equal scores leave the prior to
-    decide.
+    (as for a feature whose count row is all zero, whose smoothed likelihood
+    is 0), the equal scores leave the prior to decide.
     """
     rows = [model.log_likelihood_row(f) for f in resolve_dependencies(model, active_set)]
     # fsum is exactly rounded, so members with identical term multisets tie
@@ -227,7 +205,8 @@ def _log(x: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Serialization: "BAYES v1", line-based, tab-separated. Derived tables are
-# derived again after load; save -> load -> save is byte-identical.
+# derived again after load; save -> load -> save is byte-identical. The
+# smoothing line names the one smoothing rule, interpolative.
 # ---------------------------------------------------------------------------
 
 HEADER = "BAYES v1"
@@ -239,7 +218,7 @@ def model_to_text(model: BayesModel) -> str:
         model.confusion_set.member_text(i) for i in range(model.n_members)
     ))
     lines.append(f"extraction\tk={model.extraction.k}\tl={model.extraction.l}")
-    lines.append(f"smoothing\t{model.smoothing}")
+    lines.append(f"smoothing\t{INTERPOLATIVE}")
     lines.append(
         "dependency_resolution\t" + ("on" if model.dependency_resolution else "off")
     )
@@ -263,6 +242,8 @@ def model_from_text(text: str) -> BayesModel:
     try:
         occurrences = [int(n) for n in head["occurrences"]]
         (n_features,) = (int(n) for n in head["features"])
+        if head["smoothing"] != [INTERPOLATIVE]:
+            raise ValueError(f"smoothing must be {INTERPOLATIVE}")
         if head["dependency_resolution"] not in (["on"], ["off"]):
             raise ValueError("dependency_resolution must be on or off")
     except ValueError as exc:
@@ -295,7 +276,6 @@ def model_from_text(text: str) -> BayesModel:
         retained,
         dict(zip(keys, rows)),
         occurrences,
-        smoothing=head["smoothing"][0],
         dependency_resolution=head["dependency_resolution"] == ["on"],
     )
     # Priors are recomputed from the occurrence counts; the stored line must

@@ -130,7 +130,13 @@ def _build_parser() -> argparse.ArgumentParser:
                 text += f" (default {default})"
             parse = {"action": "append"} if kind is list else {"type": kind}
             p.add_argument(_option(dest), dest=dest, help=text, **parse)
-        p.set_defaults(func=func)
+        # Flags the subcommand does not take are taken, hidden, with their value
+        # for the usage error to name; else classify's input would take it.
+        taken = {_option(dest) for dest in ("config", *required, *optional)}
+        for option in sorted({_option(dest) for dest in FLAGS} - taken):
+            p.add_argument(option, dest="refused", action="append", help=argparse.SUPPRESS,
+                           type=lambda value, option=option: f"{option} {value}")
+        p.set_defaults(func=func, refused=None)
     sub.choices["classify"].add_argument(
         "input", nargs="?", default="-", help="input text file, '-' for stdin"
     )
@@ -301,7 +307,10 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.refused:
+        parser.error("unrecognized arguments: " + " ".join(args.refused))
     try:
         _resolve_flags(args)
         code = args.func(args)

@@ -39,8 +39,9 @@ from .features import (
     FeatureStats,
     active_ids,
     chi2_sf,
+    count_features,
     extract_active,
-    prepare_set,
+    prune,
 )
 from .winnow import (
     HEADER as WINNOW_HEADER,
@@ -153,15 +154,16 @@ def two_proportion_test(correct1: int, n1: int, correct2: int, n2: int) -> float
 
 class TrainingSet:
     """One confusion set's training data from one feature pass over its
-    occurrences (``prepare_set``): the counts ``stats`` and the ``retained``
-    index. The Winnow ``stream`` and the dependency-free Bayes model ``bayes``
-    are built the first time a system reads them, at most once per set."""
+    occurrences: the counts ``stats`` and the ``retained`` index. The Winnow
+    ``stream`` and the dependency-free Bayes model ``bayes`` are built the
+    first time a system reads them, at most once per set."""
 
     def __init__(self, occurrences: Sequence[Occurrence], confusion_set: ConfusionSet,
                  extraction: ExtractionParams, tagdict: TagDictionary, mode: str):
-        self.stats, self.retained, self._generated = prepare_set(
-            occurrences, confusion_set, extraction, tagdict, mode
+        self.stats, self._generated = count_features(
+            occurrences, confusion_set, extraction, tagdict
         )
+        self.retained = prune(self.stats, mode)
 
     @cached_property
     def stream(self) -> list[tuple[tuple[int, ...], int]]:

@@ -237,14 +237,15 @@ def association_table(
     return a, b, c, d
 
 
-def _count_features(
+def count_features(
     occurrences: Sequence[Occurrence],
     confusion_set: ConfusionSet,
     params: ExtractionParams,
     tagdict: TagDictionary,
 ) -> tuple[FeatureStats, list[tuple[set[str], int]]]:
-    """Generate the features of every occurrence once, count them, and
-    return the counts with the (generated keys, member) pairs."""
+    """One feature pass over a set's training occurrences: the counts, and
+    each occurrence's (generated keys, member) pair, whose ``active_ids`` in
+    an index are what ``extract_active`` gives the occurrence."""
     stats = FeatureStats(confusion_set, params)
     generated = []
     for occ in occurrences:
@@ -266,7 +267,7 @@ def collect_stats(
 ) -> FeatureStats:
     """Accumulate feature statistics over every occurrence in the corpus."""
     occurrences = find_occurrences(corpus, confusion_set)
-    return _count_features(occurrences, confusion_set, params, tagdict)[0]
+    return count_features(occurrences, confusion_set, params, tagdict)[0]
 
 
 def chi2_sf(statistic: float) -> float:
@@ -338,22 +339,6 @@ def active_ids(generated: set[str], feature_ids: Mapping[str, int]) -> tuple[int
     if len(feature_ids) < len(generated):
         return tuple(sorted([i for f, i in feature_ids.items() if f in generated]))
     return tuple(sorted([i for i in map(feature_ids.get, generated) if i is not None]))
-
-
-def prepare_set(
-    occurrences: Sequence[Occurrence],
-    confusion_set: ConfusionSet,
-    params: ExtractionParams,
-    tagdict: TagDictionary,
-    mode: str,
-) -> tuple[FeatureStats, FeatureIndex, list[tuple[set[str], int]]]:
-    """Counts, retained features and each occurrence's (generated keys,
-    member) pair of one confusion set, from its training occurrences and one
-    feature pass over them. ``active_ids(keys, retained)`` of an occurrence's
-    keys is what ``extract_active`` gives it. The retained index is the one
-    both learners of the set number features by."""
-    stats, generated = _count_features(occurrences, confusion_set, params, tagdict)
-    return stats, prune(stats, mode), generated
 
 
 def parse_assignments(values: Sequence[str], names: Sequence[str]) -> list[str]:

@@ -103,26 +103,15 @@ class WinnowClassifier:
         self.mistakes = mistakes
 
 
-def weighted_sum(classifier: WinnowClassifier, slots: Iterable[int]) -> float:
-    # Exactly-rounded sum: clouds holding permutations of the same weights
-    # produce bit-identical totals, so comparator ties are real ties.
-    return math.fsum(map(classifier.weights.__getitem__, slots))
-
-
-def exceeds(weights: Sequence[float], theta: float) -> bool:
-    """Whether the exactly rounded sum of the non-negative ``weights`` exceeds
-    theta, summing exactly only when the plain sum is too near theta to
-    decide."""
+def winnow_predict(classifier: WinnowClassifier, slots: Iterable[int], theta: float) -> int:
+    """1 iff the exactly rounded sum of the weights in the given slots (the
+    connected active features) is above theta, summing exactly only when the
+    plain sum is too near theta to decide."""
+    weights = [classifier.weights[i] for i in slots]
     total = sum(weights)
     if abs(total - theta) <= len(weights) * SLOT_MARGIN * total:
         total = math.fsum(weights)
-    return total > theta
-
-
-def winnow_predict(classifier: WinnowClassifier, slots: Iterable[int], theta: float) -> int:
-    """1 iff the summed weights in the given slots (the connected active
-    features) exceed theta."""
-    return 1 if exceeds([classifier.weights[i] for i in slots], theta) else 0
+    return 1 if total > theta else 0
 
 
 class Cloud:
@@ -160,22 +149,6 @@ class Cloud:
         return found
 
 
-def winnow_train_example(
-    cloud: Cloud, active_set: Sequence[int], label: int, params: WinnowParams
-):
-    """One online step for every classifier of the cloud.
-
-    A positive example first connects any unconnected active features at the
-    default weight; each classifier whose prediction is mistaken then
-    promotes (missed positive) or demotes (false positive) every connected
-    active weight. Negative examples never create connections.
-    """
-    presentation = [_presentation(_connect_positive(cloud, active_set, label, params), label)]
-    for classifier in cloud.classifiers:
-        _learn(classifier, presentation, params)
-    cloud.examples_seen += 1
-
-
 def _connect_positive(
     cloud: Cloud, active_set: Sequence[int], label: int, params: WinnowParams
 ) -> list[int]:
@@ -210,7 +183,7 @@ def _learn(
     theta, alpha, beta = params.theta, params.alpha, classifier.beta
     mistakes = 0
     for read, margin, slots, label in presentations:
-        # The filtered test of exceeds, inlined on the hot path.
+        # The filtered test of winnow_predict, inlined on the hot path.
         chosen = read(weights)
         total = sum(chosen)
         if abs(total - theta) <= margin * total:
@@ -301,7 +274,10 @@ def cloud_output(network: WinnowNetwork, cloud: Cloud, active: Sequence[int]) ->
     """What the comparator sees: the raw weighted sum in one-layer mode, the
     weighted-majority activation in two-layer mode."""
     if network.layer_mode == ONE_LAYER:
-        return weighted_sum(cloud.classifiers[0], cloud.connected(active))
+        # Exactly rounded sum: clouds holding permutations of the same weights
+        # produce bit-identical totals, so comparator ties are real ties.
+        weights = cloud.classifiers[0].weights
+        return math.fsum(map(weights.__getitem__, cloud.connected(active)))
     return cloud_activation(cloud, active, network.params, network.schedule)
 
 

@@ -13,6 +13,7 @@ from winspell.features import (
     FeatureStats,
     index_features,
 )
+from winspell.winnow import _connect_positive, _learn, _presentation
 
 CONTEXT_POOL = (
     "the", "on", "by", "it", "was", "went", "every", "time", "day", "road",
@@ -252,6 +253,18 @@ def context_word(word: str) -> Feature:
 
 def collocation(offsets, slots) -> Feature:
     return Feature(COLLOCATION, offsets=tuple(offsets), slots=tuple(slots))
+
+
+def winnow_train_example(cloud, active_set, label, params):
+    """One online step for every classifier of the cloud, as training takes
+    it: a positive example first connects any unconnected active features at
+    the default weight; each classifier whose prediction is mistaken then
+    promotes (missed positive) or demotes (false positive) every connected
+    active weight. Negative examples never create connections."""
+    presentation = [_presentation(_connect_positive(cloud, active_set, label, params), label)]
+    for classifier in cloud.classifiers:
+        _learn(classifier, presentation, params)
+    cloud.examples_seen += 1
 
 
 def ids_of(model, features) -> tuple[int, ...]:

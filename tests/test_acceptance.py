@@ -51,7 +51,6 @@ from winspell.winnow import (
     init_bayesian,
     load_network,
     save_network,
-    winnow_train_example,
 )
 
 from helpers import (
@@ -67,6 +66,7 @@ from helpers import (
     separable_corpus,
     small_disjunct_corpus,
     two_domain_pair,
+    winnow_train_example,
 )
 
 EMPTY_TAGS = TagDictionary()

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from winspell import bayes
 from winspell.bayes import (
-    INTERPOLATIVE,
-    MLE_ONLY,
     classify_bayes,
     load_model,
+    mixing_weight,
     model_from_text,
     model_to_text,
     resolve_dependencies,
@@ -74,13 +74,14 @@ class TestTrainBayes:
         assert model.priors == (0.6, 0.4)
         assert sum(model.priors) == pytest.approx(1.0, abs=1e-12)
 
-    def test_mle_likelihood_is_cooccurrence_ratio(self):
+    def test_mle_likelihood_is_cooccurrence_ratio(self, monkeypatch):
+        # At mixing weight 0 the smoothed likelihood is the MLE one.
         stats = stats_from_counts({"f": [1, 47]}, [105, 98])
         model = train_bayes(stats, prune(stats, UNPRUNED))
         (f,) = ids_of(model, [context_word("f")])
-        model.derive(f)
-        assert model.p_ml[f][1] == pytest.approx(47 / 98)
-        assert model.p_ml[f][0] == pytest.approx(1 / 105)
+        monkeypatch.setattr(bayes, "mixing_weight", lambda model, f, i: 0.0)
+        assert smoothed_likelihood(model, f, 1) == pytest.approx(47 / 98)
+        assert smoothed_likelihood(model, f, 0) == pytest.approx(1 / 105)
 
     def test_lambda_one_for_independent_feature(self):
         # Proportional counts: the feature appears with each member at the
@@ -88,8 +89,7 @@ class TestTrainBayes:
         stats = stats_from_counts({"f": [30, 20]}, [60, 40])
         model = train_bayes(stats, prune(stats, UNPRUNED))
         (f,) = ids_of(model, [context_word("f")])
-        model.derive(f)
-        assert model.lam[f] == (1.0, 1.0)
+        assert [mixing_weight(model, f, i) for i in range(2)] == [1.0, 1.0]
 
     def test_zero_occurrence_member_warns_and_never_wins(self):
         stats = stats_from_counts({"f": [5, 0]}, [10, 0])
@@ -99,48 +99,37 @@ class TestTrainBayes:
         posterior = classify_bayes(model, ids_of(model, [context_word("f")]))
         assert posterior.chosen == 0
 
-    def test_invalid_smoothing_mode(self):
-        stats = stats_from_counts({"f": [5, 5]}, [10, 10])
-        with pytest.raises(ValueError):
-            train_bayes(stats, prune(stats, UNPRUNED), smoothing="laplace")
-
 
 class TestSmoothedLikelihood:
     def test_full_backoff_at_lambda_one(self):
+        # lambda is 1 (see above), so the likelihood is the unigram 50/100.
         stats = stats_from_counts({"f": [30, 20]}, [60, 40])
         model = train_bayes(stats, prune(stats, UNPRUNED))
         (f,) = ids_of(model, [context_word("f")])
-        model.derive(f)
-        assert smoothed_likelihood(model, f, 0) == pytest.approx(model.p_unigram[f])
+        assert smoothed_likelihood(model, f, 0) == pytest.approx(0.5)
 
-    def test_mle_only_mode_returns_raw_likelihood(self):
-        stats = stats_from_counts({"f": [30, 5]}, [60, 40])
-        model = train_bayes(stats, prune(stats, UNPRUNED), smoothing=MLE_ONLY)
-        assert smoothed_likelihood(model, ids_of(model, [context_word("f")])[0], 0) == 0.5
-
-    def test_interpolation_arithmetic(self):
-        # Pinned mixture: 0.75 * 0.2 + 0.25 * 0.5 = 0.275.
-        stats = stats_from_counts({"f": [20, 5]}, [100, 100])
+    def test_interpolation_arithmetic(self, monkeypatch):
+        # MLE likelihood 20/100 = 0.2 and unigram 100/200 = 0.5; pinned
+        # mixture: 0.75 * 0.2 + 0.25 * 0.5 = 0.275.
+        stats = stats_from_counts({"f": [20, 80]}, [100, 100])
         model = train_bayes(stats, prune(stats, UNPRUNED))
         (f,) = ids_of(model, [context_word("f")])
-        model.derive(f)
-        model.p_ml[f] = (0.2, 0.05)
-        model.p_unigram[f] = 0.5
-        model.lam[f] = (0.25, 0.25)
+        monkeypatch.setattr(bayes, "mixing_weight", lambda model, f, i: 0.25)
         assert smoothed_likelihood(model, f, 0) == pytest.approx(0.275)
         # Mixing-weight endpoints: 0 is pure MLE, 1 is full backoff.
-        model.lam[f] = (0.0, 0.0)
+        monkeypatch.setattr(bayes, "mixing_weight", lambda model, f, i: 0.0)
         assert smoothed_likelihood(model, f, 0) == 0.2
-        model.lam[f] = (1.0, 1.0)
+        monkeypatch.setattr(bayes, "mixing_weight", lambda model, f, i: 1.0)
         assert smoothed_likelihood(model, f, 0) == 0.5
 
     def test_matches_formula_on_real_tables(self):
         model, _ = toy_model(dependency_resolution=False)
-        for f in ids_of(model, model.features):
-            model.derive(f)
+        occurrences = model.occurrences
+        for f, row in enumerate(model.counts):
             for i in range(2):
-                lam = model.lam[f][i]
-                expected = (1 - lam) * model.p_ml[f][i] + lam * model.p_unigram[f]
+                lam = mixing_weight(model, f, i)
+                ml = row[i] / occurrences[i]
+                expected = (1 - lam) * ml + lam * sum(row) / sum(occurrences)
                 assert smoothed_likelihood(model, f, i) == pytest.approx(expected)
 
 
@@ -148,10 +137,12 @@ class TestLogLikelihoods:
     """The per-model table of log smoothed likelihoods fills a feature's row
     the first time it is read."""
 
-    @pytest.mark.parametrize("smoothing", [INTERPOLATIVE, MLE_ONLY])
-    def test_lazy_rows_equal_log_of_smoothed_likelihood(self, smoothing):
-        stats = stats_from_counts({"f": [5, 0], "g": [3, 4], "h": [0, 7]}, [10, 10])
-        model = train_bayes(stats, prune(stats, UNPRUNED), smoothing)
+    def test_lazy_rows_equal_log_of_smoothed_likelihood(self):
+        # z's all-zero count row has unigram, and so smoothed likelihood, 0.
+        stats = stats_from_counts(
+            {"f": [5, 0], "g": [3, 4], "h": [0, 7], "z": [0, 0]}, [10, 10]
+        )
+        model = train_bayes(stats, prune(stats, UNPRUNED))
         table = model.log_likelihoods
         assert table == [None] * len(model.features)
         (read,) = ids_of(model, model.features[:1])
@@ -165,32 +156,30 @@ class TestLogLikelihoods:
                 want = math.log(likelihood) if likelihood > 0 else -math.inf
                 assert row[i] == want
         assert None not in table
-        if smoothing == MLE_ONLY:
-            assert any(-math.inf in row for row in table)
+        (z,) = ids_of(model, [context_word("z")])
+        assert table[z] == (-math.inf, -math.inf)
 
 
 class TestPerFeatureDerivation:
-    """A feature's p_ml, p_unigram, lam and mean_lambda are derived from its
-    count row the first time the model reads it."""
+    """A feature's mixing weights come from its count row; its mean mixing
+    weight is filled the first time dependency resolution reads it."""
 
-    @pytest.mark.parametrize("smoothing", [INTERPOLATIVE, MLE_ONLY])
-    def test_derived_rows_equal_eager_formula(self, smoothing):
-        model, _ = toy_model(smoothing=smoothing)
-        tables = (model.p_ml, model.p_unigram, model.lam, model.mean_lambda)
-        assert all(table == [None] * len(model.features) for table in tables)
-        occurrences, total = model.occurrences, sum(model.occurrences)
+    def test_derived_rows_equal_eager_formula(self):
+        model, _ = toy_model()
+        assert model.mean_lambda == model.log_likelihoods == [None] * len(model.features)
+        occurrences = model.occurrences
+        resolve_dependencies(model, range(len(model.features)))
         for f, row in enumerate(model.counts):
-            model.derive(f)
-            lam = tuple(
+            lam = [
                 chi_square_2x2(*association_table(row, occurrences, i))[1]
                 for i in range(len(occurrences))
-            )
-            assert model.p_ml[f] == tuple(
-                row[i] / n if n else 0.0 for i, n in enumerate(occurrences)
-            )
-            assert model.p_unigram[f] == sum(row) / total
-            assert model.lam[f] == lam
-            assert model.mean_lambda[f] == sum(lam) / len(lam)
+            ]
+            assert [mixing_weight(model, f, i) for i in range(len(occurrences))] == lam
+            if model.features[f].kind == COLLOCATION:
+                assert model.mean_lambda[f] == sum(lam) / len(lam)
+            else:
+                assert model.mean_lambda[f] is None
+        assert any(m is not None for m in model.mean_lambda)
 
     def test_classify_derives_only_the_features_it_reads(self):
         stats = FeatureStats(confusion_set_from_text("w0, w1"), ExtractionParams())
@@ -203,7 +192,7 @@ class TestPerFeatureDerivation:
         classify_bayes(model, ids_of(model, [strong, weak]))
         # Dependency resolution reads both collocations; only the survivor's
         # log row is read.
-        assert {f for f, lam in enumerate(model.lam) if lam is not None} == \
+        assert {f for f, lam in enumerate(model.mean_lambda) if lam is not None} == \
             set(ids_of(model, [strong, weak]))
         assert [f for f, row in enumerate(model.log_likelihoods) if row is not None] == \
             list(ids_of(model, [strong]))
@@ -336,12 +325,12 @@ class TestClassifyBayes:
         model = train_bayes(stats, prune(stats, UNPRUNED))
         assert classify_bayes(model, ()).chosen == 1
 
-    def test_mle_zero_probability_falls_back_to_prior(self):
-        # The feature never co-occurred with either member's other cases:
-        # with MLE likelihoods both posteriors are 0, so the larger prior
-        # decides.
+    def test_zero_probability_falls_back_to_prior(self):
+        # The feature never co-occurred with either member: its unigram, and
+        # so its smoothed likelihood, is 0, both posteriors are 0, and the
+        # larger prior decides.
         stats = stats_from_counts({"f": [0, 0], "g": [30, 20]}, [60, 40])
-        model = train_bayes(stats, prune(stats, UNPRUNED), smoothing=MLE_ONLY)
+        model = train_bayes(stats, prune(stats, UNPRUNED))
         posterior = classify_bayes(model, ids_of(model, [context_word("f")]))
         assert all(s == float("-inf") for s in posterior.scores)
         assert posterior.chosen == 0
@@ -407,17 +396,28 @@ class TestSerialization:
     def test_round_trip_preserves_tables(self):
         model, _ = toy_model()
         loaded = model_from_text(model_to_text(model))
-        # Compare derived rows: two tables of None would compare equal.
+        # Compare filled tables: two tables of None would compare equal.
         for derived in (model, loaded):
-            for f in range(len(derived.features)):
-                derived.derive(f)
-            assert None not in derived.lam and None not in derived.p_ml
+            every = range(len(derived.features))
+            resolve_dependencies(derived, every)
+            for f in every:
+                derived.log_likelihood_row(f)
+            assert None not in derived.log_likelihoods
+            assert any(m is not None for m in derived.mean_lambda)
         assert loaded.features == model.features
         assert loaded.priors == model.priors
-        assert loaded.lam == model.lam
-        assert loaded.p_ml == model.p_ml
-        assert loaded.smoothing == model.smoothing
+        assert loaded.counts == model.counts
+        assert loaded.log_likelihoods == model.log_likelihoods
+        assert loaded.mean_lambda == model.mean_lambda
         assert loaded.dependency_resolution == model.dependency_resolution
+
+    def test_other_smoothing_refused(self):
+        text = model_to_text(toy_model()[0])
+        assert "\nsmoothing\tinterpolative\n" in text
+        with pytest.raises(ValueError, match=(
+            "^malformed model file header: smoothing must be interpolative$"
+        )):
+            model_from_text(text.replace("\nsmoothing\tinterpolative\n", "\nsmoothing\tmle\n"))
 
     def test_rejects_foreign_text(self):
         with pytest.raises(ValueError):
@@ -477,7 +477,7 @@ class TestOracleEquivalenceSample:
 
             stats = collect_stats(train, cset, params, EMPTY_TAGS)
             retained = prune(stats, UNPRUNED)
-            model = train_bayes(stats, retained, INTERPOLATIVE, False)
+            model = train_bayes(stats, retained, dependency_resolution=False)
             for occ in find_occurrences(test, cset):
                 active = extract_active(occ, model.feature_ids, params, EMPTY_TAGS)
                 posterior = classify_bayes(model, active)

@@ -109,7 +109,8 @@ class TestTrain:
                   "--mode", "unpruned", "--system", "bayes", "--out", workspace / "m"])
         assert rc == 0
         (model,) = saved
-        assert model.features and model.lam == [None] * len(model.features)
+        empty = [None] * len(model.features)
+        assert model.features and model.log_likelihoods == model.mean_lambda == empty
 
     def test_unknown_system_is_usage_error(self, workspace, capsys):
         rc = run(["train", "--corpus", workspace / "corpus.txt",
@@ -788,6 +789,19 @@ class TestUsage:
         assert err.startswith("usage: winspell ") and err.count("\n") == 2
         assert err.endswith(f"error: unrecognized arguments: {flag} 1\n")
         assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("flag", [f for command, f in UNREAD_FLAGS if command == "classify"])
+    def test_refused_flag_before_the_input_is_named_with_its_value(self, workspace, capsys,
+                                                                   flag):
+        # classify's input is optional, yet the refused flag's value must not
+        # be taken for it.
+        with pytest.raises(SystemExit) as exc:
+            run(["classify", flag, "pruned", "--system", "bayes", "--out", workspace / "out",
+                 "--tagdict", workspace / "tags.tsv", "-"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: winspell ") and err.count("\n") == 2
+        assert err.endswith(f"error: unrecognized arguments: {flag} pruned\n")
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

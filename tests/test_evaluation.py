@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from winspell import bayes
+from winspell.bayes import model_from_text, model_to_text
 from winspell.corpus import TagDictionary, confusion_set_from_text, find_occurrences
 from winspell.evaluation import (
     ABLATION_LADDER,
@@ -21,7 +22,7 @@ from winspell.evaluation import (
     two_proportion_test,
 )
 from winspell.features import ExtractionParams, FeatureStats
-from winspell.winnow import WinnowParams
+from winspell.winnow import WinnowNetwork, WinnowParams, network_from_text, network_to_text
 
 from helpers import (
     MCNEMAR_ORACLE,
@@ -200,6 +201,38 @@ class TestEvaluateSystems:
             ["simplified-bayes", "simplified-winnow"], mode="unpruned",
         )
         assert result.outcomes["simplified-bayes"] == result.outcomes["simplified-winnow"]
+
+
+class TestModelPrefixes:
+    def test_every_proper_prefix_of_every_systems_model_refused(self):
+        # The toy peace/piece corpus of the stdlib CI smoke, every trainable
+        # system: a file cut after any line or any byte fails to load.
+        corpus = corpus_of(
+            "a piece of cake is easy", "another piece of cake for you",
+            "they cut a piece of bread", "peace talks began today", "world peace is the goal",
+            "the peace treaty was signed",
+        )
+        cset = confusion_set_from_text("peace, piece")
+        tags = TagDictionary({"of": {"PREP"}, "cake": {"NOUN"}})
+        training = TrainingSet(find_occurrences(corpus, cset), cset, ExtractionParams(),
+                               tags, "unpruned")
+        cuts = 0
+        for name in SYSTEMS[1:]:
+            model = train_system_model(name, training, WinnowParams())
+            if isinstance(model, WinnowNetwork):
+                to_text, from_text = network_to_text, network_from_text
+            else:
+                to_text, from_text = model_to_text, model_from_text
+            text = to_text(model)
+            assert text.isascii() and to_text(from_text(text)) == text
+            lines = text.splitlines(keepends=True)
+            prefixes = ["".join(lines[:n]) for n in range(len(lines))]
+            prefixes += [text[:n] for n in range(len(text))]
+            for prefix in prefixes:
+                with pytest.raises(ValueError):
+                    from_text(prefix)
+            cuts += len(prefixes)
+        assert cuts > 10_000
 
 
 class TestEvalReport:

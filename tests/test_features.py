@@ -24,11 +24,11 @@ from winspell.features import (
     chi2_sf,
     chi_square_2x2,
     collect_stats,
+    count_features,
     extract_active,
     generate_features,
     index_features,
     parse_feature_key,
-    prepare_set,
     prune,
 )
 from winspell.winnow import WinnowNetwork
@@ -470,14 +470,15 @@ HELPER_CORPORA = {
 }
 
 
-class TestPrepareSet:
+class TestOneFeaturePass:
     """The single pass equals collect_stats -> prune -> extract_active, with
     active features as ids."""
 
     @staticmethod
     def check_matches_separate_passes(corpus, cset, params, tags, mode):
         occurrences = find_occurrences(corpus, cset)
-        stats, retained, generated = prepare_set(occurrences, cset, params, tags, mode)
+        stats, generated = count_features(occurrences, cset, params, tags)
+        retained = prune(stats, mode)
 
         expected_stats = collect_stats(corpus, cset, params, tags)
         assert list(stats.counts.items()) == list(expected_stats.counts.items())
@@ -530,5 +531,5 @@ class TestPrepareSet:
     def test_zero_occurrences_error(self):
         cset = confusion_set_from_text("peace, piece")
         with pytest.raises(ValueError, match="no occurrences"):
-            prepare_set(find_occurrences(corpus_of("nothing here"), cset), cset,
-                        ExtractionParams(), EMPTY_TAGS, PRUNED)
+            count_features(find_occurrences(corpus_of("nothing here"), cset), cset,
+                           ExtractionParams(), EMPTY_TAGS)

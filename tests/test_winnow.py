@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from winspell.bayes import MLE_ONLY, classify_bayes, train_bayes
+from winspell.bayes import classify_bayes, train_bayes
 from winspell.corpus import TagDictionary, confusion_set_from_text, find_occurrences
 from winspell.evaluation import TrainingSet, train_system_model
 from winspell.features import (
@@ -40,10 +40,16 @@ from winspell.winnow import (
     sparsify,
     train_network,
     winnow_predict,
-    winnow_train_example,
 )
 
-from helpers import context_word, corpus_of, ids_of, index_of, random_tiny_corpus
+from helpers import (
+    context_word,
+    corpus_of,
+    ids_of,
+    index_of,
+    random_tiny_corpus,
+    winnow_train_example,
+)
 
 EMPTY_TAGS = TagDictionary()
 PARAMS = WinnowParams()
@@ -278,6 +284,17 @@ class TestCloudActivation:
         cloud.examples_seen = 3
         assert cloud_activation(cloud, (I1,), PARAMS, GammaSchedule()) == pytest.approx(0.5)
 
+    def test_all_vote_weights_underflow_to_plain_fraction(self):
+        # Past the horizon gamma is 0.67, and 0.67**m is 0.0 from m = 1,861.
+        # With every classifier past that, all vote weights underflow and the
+        # activation falls back to the plain vote fraction: 1/3 here, where
+        # weights rescaled by the least mistakes (1, 1, 0.67**600) give 1/2.
+        assert 0.67**1860 == 5e-324 and 0.67**1861 == 0.0
+        cloud = cloud_with([1900, 1900, 2500], [1, 0, 0])
+        cloud.examples_seen = 10**6
+        assert gamma_at(GammaSchedule(), cloud.examples_seen) == 0.67
+        assert cloud_activation(cloud, (I1,), PARAMS, GammaSchedule()) == 1 / 3
+
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 1)),
                     min_size=1, max_size=8),
            st.integers(0, 2000))
@@ -481,12 +498,12 @@ class TestTrainNetworkMatchesReference:
 
 
 class TestInitBayesian:
-    def build_pair(self, counts, occurrences, smoothing=MLE_ONLY):
+    def build_pair(self, counts, occurrences):
         cset = confusion_set_from_text("dax, fep")
         stats = FeatureStats(cset, ExtractionParams())
         stats.occurrences = list(occurrences)
         stats.counts = {context_word(k).key(): list(v) for k, v in counts.items()}
-        model = train_bayes(stats, prune(stats, UNPRUNED), smoothing, False)
+        model = train_bayes(stats, prune(stats, UNPRUNED), dependency_resolution=False)
         network = WinnowNetwork(
             cset, model.feature_ids, PARAMS, ExtractionParams(), layer_mode=ONE_LAYER
         )
@@ -503,20 +520,23 @@ class TestInitBayesian:
             assert all(len(c.weights) == len(cloud.slots) for c in cloud.classifiers)
 
     def test_zero_likelihood_floor_and_shift(self):
-        # MLE likelihoods (0.5, 0.0): raw logs (-0.693..., -500), so the
-        # shift is 500 and the weights (499.3068..., 0).
-        model, network = self.build_pair({"f": [2, 0]}, [4, 2])
+        # An all-zero count row has unigram 0, so its smoothed likelihood is
+        # 0 for both members: raw logs -500, so the shift is 500, f's weights
+        # 0 and the biases log(prior) + 500, 499.5945... and 498.9013....
+        model, network = self.build_pair({"f": [0, 0]}, [4, 2])
         init_bayesian(network, model)
         f = network.feature_ids[context_word("f").key()]
-        w0 = weights_of(network.clouds[0])[f]
-        w1 = weights_of(network.clouds[1])[f]
-        assert w0 == pytest.approx(math.log(0.5) + 500, abs=1e-9)
-        assert w0 == pytest.approx(499.3068528, abs=1e-6)
-        assert w1 == 0.0
+        assert [weights_of(cloud)[f] for cloud in network.clouds] == [0.0, 0.0]
+        b0 = weights_of(network.clouds[0])[BIAS_ID]
+        b1 = weights_of(network.clouds[1])[BIAS_ID]
+        assert b0 == pytest.approx(math.log(4 / 6) + 500, abs=1e-9)
+        assert b0 == pytest.approx(499.5945349, abs=1e-6)
+        assert b1 == pytest.approx(math.log(2 / 6) + 500, abs=1e-9)
 
     def test_unit_likelihoods_map_to_zero_logs(self):
-        # Counts equal to the member occurrence totals give MLE likelihood 1
-        # everywhere, so feature logs are 0 and only the prior shifts.
+        # Counts equal to the member occurrence totals give MLE and unigram
+        # likelihood 1 everywhere, so feature logs are 0 and only the prior
+        # shifts.
         model, network = self.build_pair({"f": [2, 2]}, [2, 2])
         init_bayesian(network, model)
         f = network.feature_ids[context_word("f").key()]
