@@ -36,7 +36,7 @@ from .evaluation import (
     train_system_model,
 )
 from .features import MODES, PRUNED, ExtractionParams, extract_active
-from .winnow import WinnowParams
+from .winnow import CYCLES
 
 TRAINABLE_SYSTEMS = tuple(s for s in SYSTEMS if s != "baseline")
 
@@ -56,7 +56,7 @@ FLAGS = {
     "mode": (str, PRUNED, MODES, "feature regime"),
     "protocol": (str, "within", PROTOCOLS, "experiment protocol"),
     "seed": (int, 0, (), "PRNG seed"),
-    "cycles": (int, 5, (), "training passes"),
+    "cycles": (int, CYCLES, (), "training passes"),
     "corrupt_pct": (float, 5.0, (), "corruption percentage"),
     "k": (int, 10, (), "context window half-width"),
     "l": (int, 2, (), "max collocation length"),
@@ -182,9 +182,16 @@ def _resolve_flags(args: argparse.Namespace):
                                      f" (choose from {', '.join(choices)})")
 
 
-def cmd_train(args) -> int:
+def _extraction(args) -> ExtractionParams:
+    # train, eval and ablate check --k and --l, then --cycles, before any input.
     extraction = ExtractionParams(args.k, args.l)
-    wparams = WinnowParams(cycles=args.cycles)
+    if args.cycles < 1:
+        raise ValueError("cycles must be >= 1")
+    return extraction
+
+
+def cmd_train(args) -> int:
+    extraction = _extraction(args)
     corpus = load_corpus(args.corpus)
     tagdict = load_tag_dictionary(args.tagdict)
     outdir = Path(args.out)
@@ -194,7 +201,7 @@ def cmd_train(args) -> int:
     # prepared and trained one at a time.
     for cset, occurrences in zip(confusion_sets, occurrences_by_set(corpus, confusion_sets)):
         training = TrainingSet(occurrences, cset, extraction, tagdict, args.mode)
-        model = train_system_model(args.system, training, wparams)
+        model = train_system_model(args.system, training, args.cycles)
         path = outdir / f"{cset.slug}.{args.system}.model"
         save_system_model(model, path)
         print(f"wrote {path}")
@@ -250,8 +257,8 @@ def _run_report(args, systems, stem: str) -> int:
         test_corpus=args.test_corpus,
         seed=args.seed,
         corrupt_pct=args.corrupt_pct,
-        extraction=ExtractionParams(args.k, args.l),
-        winnow=WinnowParams(cycles=args.cycles),
+        extraction=_extraction(args),
+        cycles=args.cycles,
     ))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -44,11 +44,11 @@ from .features import (
     prune,
 )
 from .winnow import (
+    CYCLES,
     HEADER as WINNOW_HEADER,
     ONE_LAYER,
     TWO_LAYER,
     WinnowNetwork,
-    WinnowParams,
     classify_winnow,
     init_bayesian,
     load_network,
@@ -177,37 +177,29 @@ class TrainingSet:
         return train_bayes(self.stats, self.retained, dependency_resolution=False)
 
 
-def train_system_model(name: str, training: TrainingSet, winnow_params: WinnowParams):
+def train_system_model(name: str, training: TrainingSet, cycles: int):
     """Train one persistable system on one confusion set; returns a
     BayesModel or WinnowNetwork that extracts features with the parameters
-    the set's features were generated with."""
+    the set's features were generated with. A Winnow network trains for
+    ``cycles`` passes."""
     if name not in SYSTEMS or name == "baseline":
         raise ValueError(f"unknown system: {name!r}")
-    stats, retained = training.stats, training.retained
-    if name == "winnow":
-        priors = tuple(n / stats.total_occurrences for n in stats.occurrences)
-        network = WinnowNetwork(
-            stats.confusion_set, retained, winnow_params, stats.params,
-            layer_mode=TWO_LAYER, priors=priors,
-        )
-        train_network(network, training.stream)
-        return network
-
-    model = training.bayes
     if name == "bayes":
-        return with_dependency_resolution(model)
+        return with_dependency_resolution(training.bayes)
     if name == "simplified-bayes":
-        return model
-    # The remaining variants start from Bayesian weights derived from the
-    # dependency-resolution-free model.
-    layer = ONE_LAYER if name in ("simplified-winnow", "winnow-1layer") else TWO_LAYER
+        return training.bayes
+    stats = training.stats
     network = WinnowNetwork(
-        stats.confusion_set, retained, winnow_params, stats.params,
-        layer_mode=layer, priors=model.priors,
+        stats.confusion_set, training.retained, cycles, stats.params,
+        layer_mode=ONE_LAYER if name in ("simplified-winnow", "winnow-1layer") else TWO_LAYER,
+        priors=[n / stats.total_occurrences for n in stats.occurrences],
     )
-    init_bayesian(network, model)
+    # The other variants start from Bayesian weights derived from the
+    # dependency-resolution-free model.
+    if name != "winnow":
+        init_bayesian(network, training.bayes)
     if name == "winnow-bayes-init":
-        sparsify(network, model.counts)
+        sparsify(network, training.bayes.counts)
     if name != "simplified-winnow":
         train_network(network, training.stream)
     return network
@@ -263,12 +255,11 @@ def evaluate_systems(
     systems: Sequence[str],
     mode: str = PRUNED,
     extraction: ExtractionParams | None = None,
-    winnow_params: WinnowParams | None = None,
+    cycles: int = CYCLES,
 ) -> SetResult:
     """Train every requested system on one confusion set's training
     occurrences and score it on its test occurrences."""
     extraction = extraction or ExtractionParams()
-    winnow_params = winnow_params or WinnowParams()
     training = TrainingSet(train_occurrences, confusion_set, extraction, tagdict, mode)
     test_cases = [
         (extract_active(o, training.retained, extraction, tagdict), o.member_index)
@@ -280,7 +271,7 @@ def evaluate_systems(
             predict = baseline_classify(training.stats)
             chosen = [predict(active) for active, _ in test_cases]
         else:
-            model = train_system_model(name, training, winnow_params)
+            model = train_system_model(name, training, cycles)
             chosen = [decide(model, active).chosen for active, _ in test_cases]
         outcomes[name] = [c == member for c, (_, member) in zip(chosen, test_cases)]
     return SetResult(confusion_set.label, len(test_cases), outcomes)
@@ -355,7 +346,7 @@ class ExperimentConfig(NamedTuple):
     seed: int = 0
     corrupt_pct: float = 5.0
     extraction: ExtractionParams = ExtractionParams()
-    winnow: WinnowParams = WinnowParams()
+    cycles: int = CYCLES
 
 
 def run_experiment(config: ExperimentConfig) -> EvalReport:
@@ -392,7 +383,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     results = [
         evaluate_systems(
             cs_train, cs_test, cs, tagdict, config.systems,
-            config.mode, config.extraction, config.winnow,
+            config.mode, config.extraction, config.cycles,
         )
         for cs, cs_train, cs_test in zip(confusion_sets, train_occurrences, test_occurrences)
     ]

@@ -8,7 +8,6 @@ whose cloud responds most strongly.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -48,46 +47,27 @@ ZERO_LIKELIHOOD_LOG = -500.0
 # that margin are summed again with math.fsum (a Shewchuk-style filter).
 SLOT_MARGIN = 2.0**-50
 
-
-class WinnowParams(namedtuple("WinnowParams", "theta alpha betas default_weight cycles")):
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        theta: float = 1.0,
-        alpha: float = 1.5,
-        betas: tuple[float, ...] = (0.5, 0.6, 0.7, 0.8, 0.9),
-        default_weight: float = 0.1,
-        cycles: int = 5,
-    ):
-        if theta <= 0:
-            raise ValueError("theta must be positive")
-        if alpha <= 1:
-            raise ValueError("promotion parameter alpha must exceed 1")
-        if not betas or any(not 0 < b < 1 for b in betas):
-            raise ValueError("demotion parameters must lie in (0, 1)")
-        if cycles < 1:
-            raise ValueError("cycles must be >= 1")
-        return super().__new__(cls, theta, alpha, betas, default_weight, cycles)
+# The one Winnow setting: threshold, promotion, one classifier per demotion
+# beta (a one-layer cloud keeps the middle one), the weight of a new link, and
+# the vote-weight base gamma, falling from GAMMA_START to GAMMA_END over the
+# horizon that training sets. Only the number of training cycles varies.
+THETA = 1.0
+ALPHA = 1.5
+BETAS = (0.5, 0.6, 0.7, 0.8, 0.9)
+DEFAULT_WEIGHT = 0.1
+GAMMA_START = 1.0
+GAMMA_END = 0.67
+CYCLES = 5
+UNTRAINED_HORIZON = 1000
 
 
-class GammaSchedule(namedtuple("GammaSchedule", "start end horizon")):
-    """Vote-weight base, interpolated quadratically from start down to end
-    over `horizon` examples."""
-
-    __slots__ = ()
-
-    def __new__(cls, start: float = 1.0, end: float = 0.67, horizon: int = 1000):
-        if horizon < 1:
-            raise ValueError("schedule horizon must be >= 1")
-        return super().__new__(cls, start, end, horizon)
-
-
-def gamma_at(schedule: GammaSchedule, t: int) -> float:
+def gamma_at(horizon: int, t: int) -> float:
+    """The vote-weight base after ``t`` examples, interpolated quadratically
+    from GAMMA_START down to GAMMA_END over ``horizon`` examples."""
     if t < 0:
         raise ValueError("example count must be non-negative")
-    remaining = 1.0 - min(t / schedule.horizon, 1.0)
-    return schedule.end + (schedule.start - schedule.end) * remaining * remaining
+    remaining = 1.0 - min(t / horizon, 1.0)
+    return GAMMA_END + (GAMMA_START - GAMMA_END) * remaining * remaining
 
 
 class WinnowClassifier:
@@ -103,15 +83,15 @@ class WinnowClassifier:
         self.mistakes = mistakes
 
 
-def winnow_predict(classifier: WinnowClassifier, slots: Iterable[int], theta: float) -> int:
+def winnow_predict(classifier: WinnowClassifier, slots: Iterable[int]) -> int:
     """1 iff the exactly rounded sum of the weights in the given slots (the
-    connected active features) is above theta, summing exactly only when the
-    plain sum is too near theta to decide."""
+    connected active features) is above THETA, summing exactly only when the
+    plain sum is too near THETA to decide."""
     weights = [classifier.weights[i] for i in slots]
     total = sum(weights)
-    if abs(total - theta) <= len(weights) * SLOT_MARGIN * total:
+    if abs(total - THETA) <= len(weights) * SLOT_MARGIN * total:
         total = math.fsum(weights)
-    return 1 if total > theta else 0
+    return 1 if total > THETA else 0
 
 
 class Cloud:
@@ -149,15 +129,13 @@ class Cloud:
         return found
 
 
-def _connect_positive(
-    cloud: Cloud, active_set: Sequence[int], label: int, params: WinnowParams
-) -> list[int]:
+def _connect_positive(cloud: Cloud, active_set: Sequence[int], label: int) -> list[int]:
     """Connect the unconnected active features of a positive example at the
     default weight; return the slots of the connected active features."""
     if label == 1:
         for f in active_set:
             if f not in cloud.slots:
-                cloud.connect(f, params.default_weight)
+                cloud.connect(f, DEFAULT_WEIGHT)
     return cloud.connected(active_set)
 
 
@@ -171,16 +149,12 @@ def _presentation(slots: list[int], label: int) -> tuple:
     return read, len(slots) * SLOT_MARGIN, slots, label
 
 
-def _learn(
-    classifier: WinnowClassifier,
-    presentations: Iterable[tuple],
-    params: WinnowParams,
-):
+def _learn(classifier: WinnowClassifier, presentations: Iterable[tuple]):
     """Mistake-driven updates of one classifier over presentations, in
     order: a missed positive promotes, a false positive demotes, the weights
     in the presented slots."""
     weights = classifier.weights
-    theta, alpha, beta = params.theta, params.alpha, classifier.beta
+    theta, alpha, beta = THETA, ALPHA, classifier.beta
     mistakes = 0
     for read, margin, slots, label in presentations:
         # The filtered test of winnow_predict, inlined on the hot path.
@@ -196,25 +170,20 @@ def _learn(
     classifier.mistakes += mistakes
 
 
-def cloud_activation(
-    cloud: Cloud,
-    active_set: Iterable[int],
-    params: WinnowParams,
-    schedule: GammaSchedule,
-) -> float:
+def cloud_activation(cloud: Cloud, active_set: Iterable[int], horizon: int) -> float:
     """Weighted-majority activation: votes weighted by gamma**mistakes and
     normalized, so the result lies in [0, 1]."""
     slots = cloud.connected(active_set)
-    gamma = gamma_at(schedule, cloud.examples_seen)
+    gamma = gamma_at(horizon, cloud.examples_seen)
     numerator = 0.0
     denominator = 0.0
     for classifier in cloud.classifiers:
         weight = gamma**classifier.mistakes
-        numerator += weight * winnow_predict(classifier, slots, params.theta)
+        numerator += weight * winnow_predict(classifier, slots)
         denominator += weight
     if denominator == 0.0:
         # All gamma**m underflowed; fall back to the plain vote fraction.
-        votes = [winnow_predict(c, slots, params.theta) for c in cloud.classifiers]
+        votes = [winnow_predict(c, slots) for c in cloud.classifiers]
         return sum(votes) / len(votes)
     return numerator / denominator
 
@@ -224,68 +193,61 @@ class WinnowNetwork:
     network is sparse, connected to the bias only.
 
     ``feature_ids`` is the index of the retained features and ``features``
-    its Feature tuples, as in a ``BayesModel``.
+    its Feature tuples, as in a ``BayesModel``; ``train_network`` makes
+    ``cycles`` passes over its stream and sets the vote's gamma ``horizon``.
     """
 
     def __init__(
         self,
         confusion_set: ConfusionSet,
         retained: FeatureIndex,
-        params: WinnowParams | None = None,
+        cycles: int = CYCLES,
         extraction: ExtractionParams | None = None,
         layer_mode: str = TWO_LAYER,
         priors: Sequence[float] | None = None,
-        schedule: GammaSchedule | None = None,
     ):
+        if cycles < 1:
+            raise ValueError("cycles must be >= 1")
         if layer_mode not in (ONE_LAYER, TWO_LAYER):
             raise ValueError(f"unknown layer mode: {layer_mode!r}")
         self.confusion_set = confusion_set
         self.features, self.feature_ids = retained.features, retained
-        self.params = params or WinnowParams()
+        self.cycles = cycles
         self.extraction = extraction or ExtractionParams()
         self.layer_mode = layer_mode
         self.architecture = SPARSE
         self.init_mode = UNIFORM
-        self.schedule = schedule or GammaSchedule()
+        self.horizon = UNTRAINED_HORIZON
         n = len(confusion_set.members)
         if priors is None:
             priors = [1.0 / n] * n
         if len(priors) != n:
             raise ValueError("priors do not match the confusion set")
         self.priors = tuple(priors)
-        if layer_mode == ONE_LAYER:
-            # The median beta, by statistics.median's arithmetic.
-            ordered = sorted(self.params.betas)
-            mid = len(ordered) // 2
-            median = ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
-            betas: tuple[float, ...] = (median,)
-        else:
-            betas = self.params.betas
+        betas = (BETAS[len(BETAS) // 2],) if layer_mode == ONE_LAYER else BETAS
         self.clouds = [Cloud(i, [WinnowClassifier(b) for b in betas]) for i in range(n)]
         for cloud in self.clouds:
-            cloud.connect(BIAS_ID, self.params.default_weight)
+            cloud.connect(BIAS_ID, DEFAULT_WEIGHT)
 
     @property
     def n_members(self) -> int:
         return len(self.confusion_set.members)
 
 
-def cloud_output(network: WinnowNetwork, cloud: Cloud, active: Sequence[int]) -> float:
-    """What the comparator sees: the raw weighted sum in one-layer mode, the
-    weighted-majority activation in two-layer mode."""
+def classify_winnow(network: WinnowNetwork, active_set: Sequence[int]) -> Decision:
+    """Score every member by its cloud for the active feature ids and pick
+    one by :func:`~winspell.bayes.choose`. A cloud's score is its raw
+    weighted sum in one-layer mode, its weighted-majority activation in
+    two-layer mode. The bias is active on every example."""
     if network.layer_mode == ONE_LAYER:
         # Exactly rounded sum: clouds holding permutations of the same weights
         # produce bit-identical totals, so comparator ties are real ties.
-        weights = cloud.classifiers[0].weights
-        return math.fsum(map(weights.__getitem__, cloud.connected(active)))
-    return cloud_activation(cloud, active, network.params, network.schedule)
-
-
-def classify_winnow(network: WinnowNetwork, active_set: Sequence[int]) -> Decision:
-    """Score every member by its cloud output for the active feature ids and
-    pick one by :func:`~winspell.bayes.choose`. The bias is active on every
-    example."""
-    scores = tuple(cloud_output(network, cloud, active_set) for cloud in network.clouds)
+        scores = tuple(
+            math.fsum(map(cloud.classifiers[0].weights.__getitem__, cloud.connected(active_set)))
+            for cloud in network.clouds
+        )
+    else:
+        scores = tuple(cloud_activation(c, active_set, network.horizon) for c in network.clouds)
     return Decision(scores, choose(scores, network.priors))
 
 
@@ -294,8 +256,8 @@ def train_network(network: WinnowNetwork, stream: Iterable[tuple[Sequence[int], 
 
     Each example is positive for the correct member's cloud and negative for
     every other cloud; all classifiers in a cloud see it. The stream is
-    replayed in order for the configured number of cycles, and the vote
-    schedule horizon is fixed at the total number of presentations.
+    replayed in order for the network's number of cycles, and the vote
+    horizon is fixed at the total number of presentations.
 
     Clouds share no state, so each is trained on its own. Its connections
     depend on the labels alone, and every positive example comes in the
@@ -309,22 +271,19 @@ def train_network(network: WinnowNetwork, stream: Iterable[tuple[Sequence[int], 
     examples = list(stream)
     if not examples:
         return
-    params = network.params
-    network.schedule = GammaSchedule(
-        network.schedule.start, network.schedule.end, params.cycles * len(examples)
-    )
+    network.horizon = network.cycles * len(examples)
     for cloud in network.clouds:
         labelled = [
             (active, 1 if member == cloud.member_index else 0) for active, member in examples
         ]
         first = [
-            _presentation(_connect_positive(cloud, active, label, params), label)
+            _presentation(_connect_positive(cloud, active, label), label)
             for active, label in labelled
         ]
         later = [_presentation(cloud.connected(active), label) for active, label in labelled]
-        presentations = first + later * (params.cycles - 1)
+        presentations = first + later * (network.cycles - 1)
         for classifier in cloud.classifiers:
-            _learn(classifier, presentations, params)
+            _learn(classifier, presentations)
         cloud.examples_seen += len(presentations)
 
 
@@ -387,22 +346,22 @@ HEADER = "WINNOW v1"
 
 
 def network_to_text(network: WinnowNetwork) -> str:
-    p = network.params
     lines = [HEADER]
     lines.append("members\t" + "\t".join(
         network.confusion_set.member_text(i) for i in range(network.n_members)
     ))
     lines.append(f"extraction\tk={network.extraction.k}\tl={network.extraction.l}")
     lines.append(
-        f"winnow\ttheta={p.theta!r}\talpha={p.alpha!r}"
-        f"\tdefault_weight={p.default_weight!r}\tcycles={p.cycles}"
+        f"winnow\ttheta={THETA!r}\talpha={ALPHA!r}"
+        f"\tdefault_weight={DEFAULT_WEIGHT!r}\tcycles={network.cycles}"
     )
-    lines.append("betas\t" + "\t".join(repr(b) for b in p.betas))
+    lines.append("betas\t" + "\t".join(repr(b) for b in BETAS))
     lines.append(f"layer\t{network.layer_mode}")
     lines.append(f"architecture\t{network.architecture}")
     lines.append(f"init\t{network.init_mode}")
-    s = network.schedule
-    lines.append(f"schedule\tstart={s.start!r}\tend={s.end!r}\thorizon={s.horizon}")
+    lines.append(
+        f"schedule\tstart={GAMMA_START!r}\tend={GAMMA_END!r}\thorizon={network.horizon}"
+    )
     lines.append("priors\t" + "\t".join(repr(pr) for pr in network.priors))
     lines.append(f"features\t{len(network.features)}")
     lines.extend(network.feature_ids)
@@ -431,17 +390,24 @@ def network_from_text(text: str) -> WinnowNetwork:
         theta, alpha, default_weight, cycles = parse_assignments(
             head["winnow"], ("theta", "alpha", "default_weight", "cycles")
         )
-        params = WinnowParams(
-            theta=float(theta),
-            alpha=float(alpha),
-            betas=tuple(float(b) for b in head["betas"]),
-            default_weight=float(default_weight),
-            cycles=int(cycles),
-        )
         start, end, horizon = parse_assignments(
             head["schedule"], ("start", "end", "horizon")
         )
-        schedule = GammaSchedule(float(start), float(end), int(horizon))
+        # A file records the one parameter set; it may not name another.
+        for name, text, value in (
+            ("theta", theta, THETA), ("alpha", alpha, ALPHA),
+            ("default_weight", default_weight, DEFAULT_WEIGHT),
+            ("start", start, GAMMA_START), ("end", end, GAMMA_END),
+        ):
+            if float(text) != value:
+                raise ValueError(f"{name} must be {value!r}")
+        if tuple(float(b) for b in head["betas"]) != BETAS:
+            raise ValueError("betas must be " + " ".join(map(repr, BETAS)))
+        cycles, horizon = int(cycles), int(horizon)
+        if cycles < 1:
+            raise ValueError("cycles must be >= 1")
+        if horizon < 1:
+            raise ValueError("schedule horizon must be >= 1")
         (n_features,) = (int(n) for n in head["features"])
         if head["init"] not in ([UNIFORM], [BAYESIAN]):
             raise ValueError(f"init must be {UNIFORM} or {BAYESIAN}")
@@ -456,14 +422,10 @@ def network_from_text(text: str) -> WinnowNetwork:
     if list(retained) != feature_lines:
         raise ValueError("feature list is not in canonical order")
     network = WinnowNetwork(
-        confusion_set,
-        retained,
-        params,
-        extraction,
-        layer_mode=head["layer"][0],
-        priors=[float(pr) for pr in head["priors"]],
-        schedule=schedule,
+        confusion_set, retained, cycles, extraction,
+        layer_mode=head["layer"][0], priors=[float(pr) for pr in head["priors"]],
     )
+    network.horizon = horizon
     network.architecture = head["architecture"][0]
     network.init_mode = head["init"][0]
     betas = [c.beta for c in network.clouds[0].classifiers]

@@ -255,15 +255,15 @@ def collocation(offsets, slots) -> Feature:
     return Feature(COLLOCATION, offsets=tuple(offsets), slots=tuple(slots))
 
 
-def winnow_train_example(cloud, active_set, label, params):
+def winnow_train_example(cloud, active_set, label):
     """One online step for every classifier of the cloud, as training takes
     it: a positive example first connects any unconnected active features at
     the default weight; each classifier whose prediction is mistaken then
     promotes (missed positive) or demotes (false positive) every connected
     active weight. Negative examples never create connections."""
-    presentation = [_presentation(_connect_positive(cloud, active_set, label, params), label)]
+    presentation = [_presentation(_connect_positive(cloud, active_set, label), label)]
     for classifier in cloud.classifiers:
-        _learn(classifier, presentation, params)
+        _learn(classifier, presentation)
     cloud.examples_seen += 1
 
 

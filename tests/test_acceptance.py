@@ -42,11 +42,11 @@ from winspell.features import (
     prune,
 )
 from winspell.winnow import (
+    CYCLES,
     ONE_LAYER,
     Cloud,
     WinnowClassifier,
     WinnowNetwork,
-    WinnowParams,
     classify_winnow,
     init_bayesian,
     load_network,
@@ -138,7 +138,7 @@ def test_c02_simplified_winnow_equals_simplified_bayes(tiny_corpora):
     checked = 0
     for stats, retained, cset, cases in tiny_corpora:
         model = train_bayes(stats, retained, dependency_resolution=False)
-        network = WinnowNetwork(cset, retained, WinnowParams(), TINY_PARAMS,
+        network = WinnowNetwork(cset, retained, CYCLES, TINY_PARAMS,
                                 layer_mode=ONE_LAYER)
         init_bayesian(network, model)
         for active in cases:
@@ -155,7 +155,6 @@ def _disjunction_mistakes(r, n, seed, n_examples=400, background=8):
     pool = [context_word(f"f{i}") for i in range(n)]
     relevant = pool[:r]
     cloud = Cloud(0, [WinnowClassifier(beta=0.5)])
-    params = WinnowParams()
     for _ in range(n_examples):
         active = set()
         if rng.random() < 0.5:
@@ -166,7 +165,7 @@ def _disjunction_mistakes(r, n, seed, n_examples=400, background=8):
             if f not in relevant:
                 active.add(f)
         label = 1 if active & set(relevant) else 0
-        winnow_train_example(cloud, tuple(sorted(active)), label, params)
+        winnow_train_example(cloud, tuple(sorted(active)), label)
     return cloud.classifiers[0].mistakes
 
 

@@ -112,6 +112,22 @@ class TestTrain:
         empty = [None] * len(model.features)
         assert model.features and model.log_likelihoods == model.mean_lambda == empty
 
+    @pytest.mark.parametrize("command", [["train", "--system", "bayes"],
+                                         ["train", "--system", "winnow"], ["eval"], ["ablate"]])
+    @pytest.mark.parametrize("corpus", ["corpus.txt", "missing.txt"])
+    def test_zero_cycles_refused_before_any_input(self, workspace, capsys, command, corpus):
+        # Every system of train refuses it, Bayes ones too, and so do eval
+        # and ablate; a missing corpus shows the check comes before the load.
+        out = workspace / "out"
+        rc = run([*command, "--corpus", workspace / corpus,
+                  "--confusion-sets", workspace / "sets.txt",
+                  "--tagdict", workspace / "tags.tsv", "--cycles", 0, "--out", out])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: cycles must be >= 1\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_unknown_system_is_usage_error(self, workspace, capsys):
         rc = run(["train", "--corpus", workspace / "corpus.txt",
                   "--confusion-sets", workspace / "sets.txt",
@@ -259,9 +275,11 @@ class TestClassify:
             f" form; expected {canonical!r}\n"
         )
 
-    @pytest.mark.parametrize(
-        "field, bad", [("mistakes", "-3000"), ("examples_seen", "-5"), ("horizon", "0")]
-    )
+    @pytest.mark.parametrize("field, bad", [
+        ("mistakes", "-3000"), ("examples_seen", "-5"), ("horizon", "0"),
+        # The one parameter set: a file naming another is refused.
+        ("theta", "2"), ("alpha", "2"), ("default_weight", "5"), ("start", "2"), ("end", "1"),
+    ])
     def test_bad_count_one_line_error(self, workspace, capsys, tmp_path, field, bad):
         out = self.train_first(workspace, capsys, system="winnow")
         model = out / "peace+piece.winnow.model"
@@ -276,6 +294,24 @@ class TestClassify:
         assert rc == 1
         assert err.startswith(f"error: {model}: ") and err.count("\n") == 1
         assert field in err
+
+    def test_other_betas_one_line_error(self, workspace, capsys, tmp_path):
+        # The header's betas and every classifier's, edited alike.
+        out = self.train_first(workspace, capsys, system="winnow")
+        model = out / "peace+piece.winnow.model"
+        body = model.read_text()
+        assert "\nbetas\t0.5\t0.6\t0.7\t0.8\t0.9\n" in body
+        model.write_text(body.replace("\nbetas\t0.5\t", "\nbetas\t0.55\t")
+                         .replace("\tbeta=0.5\t", "\tbeta=0.55\t"))
+        text = tmp_path / "input.txt"
+        text.write_text("a piece of cake\n")
+        rc = run(["classify", "--out", out, "--system", "winnow",
+                  "--tagdict", workspace / "tags.tsv", text])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (f"error: {model}: malformed model file header:"
+                                " betas must be 0.5 0.6 0.7 0.8 0.9\n")
 
     @pytest.mark.parametrize("weight", ["-5", "nan", "inf", "-0.5", "0.0"])
     def test_weight_outside_filter_range_one_line_error(self, workspace, capsys, tmp_path,

@@ -22,7 +22,7 @@ from winspell.evaluation import (
     two_proportion_test,
 )
 from winspell.features import ExtractionParams, FeatureStats
-from winspell.winnow import WinnowNetwork, WinnowParams, network_from_text, network_to_text
+from winspell.winnow import CYCLES, WinnowNetwork, network_from_text, network_to_text
 
 from helpers import (
     MCNEMAR_ORACLE,
@@ -188,9 +188,9 @@ class TestEvaluateSystems:
         train, _, cset = separable_corpus(seed=1, train_counts=(30, 20), test_counts=(6, 6))
         training = TrainingSet(find_occurrences(train, cset), cset, ExtractionParams(k=3),
                                EMPTY_TAGS, "unpruned")
-        assert train_system_model("simplified-bayes", training, WinnowParams()) is training.bayes
+        assert train_system_model("simplified-bayes", training, CYCLES) is training.bayes
         for name in ("simplified-winnow", "winnow-1layer", "winnow-2layer", "winnow-bayes-init"):
-            train_system_model(name, training, WinnowParams())
+            train_system_model(name, training, CYCLES)
         # The Bayesian initializations read every row of the shared log table.
         assert None not in training.bayes.log_likelihoods
 
@@ -218,7 +218,7 @@ class TestModelPrefixes:
                                tags, "unpruned")
         cuts = 0
         for name in SYSTEMS[1:]:
-            model = train_system_model(name, training, WinnowParams())
+            model = train_system_model(name, training, CYCLES)
             if isinstance(model, WinnowNetwork):
                 to_text, from_text = network_to_text, network_from_text
             else:

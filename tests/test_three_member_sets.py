@@ -22,9 +22,9 @@ from winspell.features import (
     UNPRUNED,
     prune,
 )
-from winspell.winnow import WinnowParams
+from winspell.winnow import ALPHA, BETAS, THETA, WinnowNetwork
 
-from helpers import context_word
+from helpers import context_word, index_of
 
 EMPTY_TAGS = TagDictionary()
 CSET = confusion_set_from_text("cite, sight, site")
@@ -114,14 +114,11 @@ class TestParamValidation:
             ExtractionParams(l=3)
 
     def test_winnow_params(self):
-        with pytest.raises(ValueError):
-            WinnowParams(alpha=1.0)
-        with pytest.raises(ValueError):
-            WinnowParams(betas=(0.5, 1.0))
-        with pytest.raises(ValueError):
-            WinnowParams(theta=0.0)
-        with pytest.raises(ValueError):
-            WinnowParams(cycles=0)
+        # The fixed parameters are a Winnow setting: a positive threshold,
+        # promotion above 1, demotions strictly between 0 and 1.
+        assert THETA > 0 and ALPHA > 1 and BETAS and all(0 < b < 1 for b in BETAS)
+        with pytest.raises(ValueError, match="^cycles must be >= 1$"):
+            WinnowNetwork(CSET, index_of(()), cycles=0)
 
     def test_unknown_pruning_mode(self):
         with pytest.raises(ValueError):

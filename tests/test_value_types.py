@@ -8,7 +8,6 @@ from winspell.bayes import Decision
 from winspell.corpus import ConfusionSet, CorruptionEntry, Occurrence, Sentence
 from winspell.evaluation import EvalReport, ExperimentConfig, SetResult, SplitSpec
 from winspell.features import ExtractionParams
-from winspell.winnow import GammaSchedule, WinnowParams
 
 
 def sentence():
@@ -31,10 +30,6 @@ CASES = {
     "ExtractionParams": (lambda: ExtractionParams(5, 1), True,
                          (10, 3), "collocation length l must be 1 or 2"),
     "Decision": (lambda: Decision((-1.5, -2.0), 0), True, None, None),
-    "WinnowParams": (lambda: WinnowParams(cycles=2), True,
-                     (1.0, 1.5, (0.5, 1.0)), r"demotion parameters must lie in \(0, 1\)"),
-    "GammaSchedule": (lambda: GammaSchedule(horizon=10), True,
-                      (1.0, 0.5, 0), "schedule horizon must be >= 1"),
     "SplitSpec": (lambda: SplitSpec(0.6, 4), True,
                   (0.0, 1), "split fraction must be strictly between 0 and 1"),
     "SetResult": (set_result, False, None, None),

@@ -19,16 +19,20 @@ from winspell.features import (
     prune,
 )
 from winspell.winnow import (
+    ALPHA,
+    BETAS,
     BIAS_ID,
+    CYCLES,
+    DEFAULT_WEIGHT,
     FULL,
     ONE_LAYER,
     SPARSE,
+    THETA,
     TWO_LAYER,
+    UNTRAINED_HORIZON,
     Cloud,
-    GammaSchedule,
     WinnowClassifier,
     WinnowNetwork,
-    WinnowParams,
     classify_winnow,
     cloud_activation,
     gamma_at,
@@ -52,7 +56,6 @@ from helpers import (
 )
 
 EMPTY_TAGS = TagDictionary()
-PARAMS = WinnowParams()
 
 F1, F2, F3 = context_word("f1"), context_word("f2"), context_word("f3")
 # Their feature ids in a network over them: positions in sorted order.
@@ -75,7 +78,7 @@ def weights_of(cloud, k=0):
 
 
 def predict(cloud, active):
-    return winnow_predict(cloud.classifiers[0], cloud.connected(active), theta=1.0)
+    return winnow_predict(cloud.classifiers[0], cloud.connected(active))
 
 
 class TestPredict:
@@ -119,69 +122,67 @@ def nudged(x, ulps):
 
 
 class TestFilteredThreshold:
-    """The threshold test sums plainly and calls math.fsum only near theta;
+    """The threshold test sums plainly and calls math.fsum only near THETA;
     it must decide as the exactly rounded sum does. Python 3.12 made sum()
     compensated, so the CI matrix (3.10-3.13) checks both summation rules."""
 
     @given(WEIGHTS, st.data())
     @settings(max_examples=500, deadline=None)
     def test_decides_as_fsum_does(self, weights, data):
+        # Scale the weights so that their sum lands on, near or far from THETA.
         center = data.draw(st.sampled_from([math.fsum(weights), sum(weights)]))
-        theta = data.draw(st.one_of(
-            st.integers(-4, 4).map(lambda ulps: nudged(center, ulps)),
-            st.floats(0.01, 100.0).map(lambda factor: center * factor),
+        assume(center > 0)
+        scale = data.draw(st.one_of(
+            st.integers(-4, 4).map(lambda ulps: nudged(THETA / center, ulps)),
+            st.floats(0.01, 100.0).map(lambda factor: THETA / center * factor),
             st.floats(1e-300, 1e3),
         ))
-        assume(theta > 0)
-        want = math.fsum(weights) > theta
+        assume(math.isfinite(scale))
+        weights = [w * scale for w in weights]
+        want = math.fsum(weights) > THETA
         cloud = unit(dict(enumerate(weights)))
         active = tuple(range(len(weights)))
-        assert predict_at(cloud, active, theta) == want
+        assert predict(cloud, active) == want
         # A negative example is a mistake exactly when the weights exceed
-        # theta; training decides by its own inlined copy of the test.
-        winnow_train_example(cloud, active, 0, WinnowParams(theta=theta))
+        # THETA; training decides by its own inlined copy of the test.
+        winnow_train_example(cloud, active, 0)
         assert cloud.classifiers[0].mistakes == want
 
     def test_plain_sum_an_ulp_short_is_resummed(self):
-        # Before Python 3.12, sum() of ten 0.1s is the float just below 1.0,
-        # theta here; their exactly rounded sum is 1.0, above it.
-        weights = [0.1] * 10
-        theta = nudged(1.0, -1)
-        assert predict_at(unit(dict(enumerate(weights))), tuple(range(10)), theta) == 1
-
-
-def predict_at(cloud, active, theta):
-    return winnow_predict(cloud.classifiers[0], cloud.connected(active), theta)
+        # Before Python 3.12, sum() of these weights is 1.0, THETA, as each
+        # 2**-53 is rounded away; their exactly rounded sum is above it.
+        weights = [1.0, 2**-53, 2**-53]
+        assert predict(unit(dict(enumerate(weights))), (0, 1, 2)) == 1
 
 
 class TestTrainExample:
     def test_positive_example_connects_then_promotes(self):
         cloud = unit()
-        winnow_train_example(cloud, (I1, I2), 1, PARAMS)
+        winnow_train_example(cloud, (I1, I2), 1)
         assert weights_of(cloud)[I1] == pytest.approx(0.15)
         assert weights_of(cloud)[I2] == pytest.approx(0.15)
         assert cloud.classifiers[0].mistakes == 1
 
     def test_correct_negative_changes_nothing(self):
         cloud = unit({I1: 0.8})
-        winnow_train_example(cloud, (I1,), 0, PARAMS)
+        winnow_train_example(cloud, (I1,), 0)
         assert weights_of(cloud) == {I1: 0.8}
         assert cloud.classifiers[0].mistakes == 0
 
     def test_false_positive_demotes(self):
         cloud = unit({I1: 1.2})
-        winnow_train_example(cloud, (I1,), 0, PARAMS)
+        winnow_train_example(cloud, (I1,), 0)
         assert weights_of(cloud)[I1] == pytest.approx(0.6)
         assert cloud.classifiers[0].mistakes == 1
 
     def test_negative_example_never_connects(self):
         cloud = unit()
-        winnow_train_example(cloud, (I1, I2), 0, PARAMS)
+        winnow_train_example(cloud, (I1, I2), 0)
         assert weights_of(cloud) == {}
 
     def test_inactive_weights_untouched(self):
         cloud = unit({I1: 0.4, I3: 2.0})
-        winnow_train_example(cloud, (I1,), 1, PARAMS)
+        winnow_train_example(cloud, (I1,), 1)
         assert weights_of(cloud)[I3] == 2.0
 
     def test_each_classifier_decides_for_itself(self):
@@ -190,7 +191,7 @@ class TestTrainExample:
         cloud = Cloud(0, [WinnowClassifier(0.5), WinnowClassifier(0.9)])
         cloud.connect(I1, 0.4)
         cloud.classifiers[1].weights[cloud.slots[I1]] = 2.0
-        winnow_train_example(cloud, (I1, I2), 0, PARAMS)
+        winnow_train_example(cloud, (I1, I2), 0)
         assert weights_of(cloud, 0) == {I1: 0.4}
         assert weights_of(cloud, 1) == {I1: pytest.approx(1.8)}
         assert [c.mistakes for c in cloud.classifiers] == [0, 1]
@@ -202,7 +203,7 @@ class TestTrainExample:
     def test_weights_stay_non_negative(self, stream):
         cloud = unit()
         for active, label in stream:
-            winnow_train_example(cloud, tuple(sorted(active)), label, PARAMS)
+            winnow_train_example(cloud, tuple(sorted(active)), label)
         assert all(w >= 0 for w in cloud.classifiers[0].weights)
 
     @given(st.lists(st.tuples(st.sets(st.sampled_from([I1, I2, I3])),
@@ -214,37 +215,30 @@ class TestTrainExample:
             active = tuple(sorted(active))
             predicted = predict(cloud, active)
             before = (weights_of(cloud), cloud.classifiers[0].mistakes)
-            winnow_train_example(cloud, active, label, PARAMS)
+            winnow_train_example(cloud, active, label)
             if predicted == label and label == 0:
                 assert (weights_of(cloud), cloud.classifiers[0].mistakes) == before
 
 
 class TestGamma:
     def test_endpoints(self):
-        schedule = GammaSchedule(horizon=100)
-        assert gamma_at(schedule, 0) == 1.0
-        assert gamma_at(schedule, 100) == 0.67
-        assert gamma_at(schedule, 5000) == 0.67
+        assert gamma_at(100, 0) == 1.0
+        assert gamma_at(100, 100) == 0.67
+        assert gamma_at(100, 5000) == 0.67
 
     def test_halfway(self):
-        schedule = GammaSchedule(horizon=100)
-        assert gamma_at(schedule, 50) == pytest.approx(0.7525)
+        assert gamma_at(100, 50) == pytest.approx(0.7525)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            gamma_at(GammaSchedule(), -1)
-
-    def test_zero_horizon_rejected(self):
-        with pytest.raises(ValueError, match="horizon"):
-            GammaSchedule(horizon=0)
+            gamma_at(UNTRAINED_HORIZON, -1)
 
     @given(st.integers(0, 2000), st.integers(0, 2000))
     @settings(max_examples=100, deadline=None)
     def test_non_increasing(self, t1, t2):
-        schedule = GammaSchedule(horizon=500)
         lo, hi = sorted((t1, t2))
-        assert gamma_at(schedule, hi) <= gamma_at(schedule, lo)
-        assert 0.67 <= gamma_at(schedule, t1) <= 1.0
+        assert gamma_at(500, hi) <= gamma_at(500, lo)
+        assert 0.67 <= gamma_at(500, t1) <= 1.0
 
 
 def cloud_with(mistakes, votes, member_index=0):
@@ -259,30 +253,28 @@ def cloud_with(mistakes, votes, member_index=0):
 
 class TestCloudActivation:
     def test_unanimous(self):
-        schedule = GammaSchedule(horizon=10)
         cloud = cloud_with([1, 2, 3, 4, 5], [1, 1, 1, 1, 1])
         cloud.examples_seen = 10
-        assert cloud_activation(cloud, (I1,), PARAMS, schedule) == 1.0
+        assert cloud_activation(cloud, (I1,), 10) == 1.0
         cloud = cloud_with([1, 2, 3, 4, 5], [0, 0, 0, 0, 0])
-        assert cloud_activation(cloud, (I1,), PARAMS, schedule) == 0.0
+        assert cloud_activation(cloud, (I1,), 10) == 0.0
 
     def test_mistake_weighted_vote(self):
-        # gamma fixed at 0.9 by a schedule evaluated mid-course:
+        # gamma fixed at 0.9 by a horizon T reached mid-course:
         # 0.67 + 0.33 * (1 - t/T)^2 = 0.9 at 1 - t/T = sqrt(23/33).
         cloud = cloud_with([0, 0, 10, 10, 10], [1, 1, 0, 0, 0])
-        schedule = GammaSchedule(horizon=10**9)
         t = round((1 - math.sqrt(23 / 33)) * 10**9)
         cloud.examples_seen = t
-        gamma = gamma_at(schedule, t)
+        gamma = gamma_at(10**9, t)
         assert gamma == pytest.approx(0.9, abs=1e-9)
-        activation = cloud_activation(cloud, (I1,), PARAMS, schedule)
+        activation = cloud_activation(cloud, (I1,), 10**9)
         assert activation == pytest.approx(2 / (2 + 3 * 0.9**10), abs=1e-6)
         assert activation == pytest.approx(0.6565926, abs=1e-4)
 
     def test_equal_mistakes_is_plain_fraction(self):
         cloud = cloud_with([7, 7, 7, 7], [1, 0, 1, 0])
         cloud.examples_seen = 3
-        assert cloud_activation(cloud, (I1,), PARAMS, GammaSchedule()) == pytest.approx(0.5)
+        assert cloud_activation(cloud, (I1,), UNTRAINED_HORIZON) == pytest.approx(0.5)
 
     def test_all_vote_weights_underflow_to_plain_fraction(self):
         # Past the horizon gamma is 0.67, and 0.67**m is 0.0 from m = 1,861.
@@ -292,8 +284,8 @@ class TestCloudActivation:
         assert 0.67**1860 == 5e-324 and 0.67**1861 == 0.0
         cloud = cloud_with([1900, 1900, 2500], [1, 0, 0])
         cloud.examples_seen = 10**6
-        assert gamma_at(GammaSchedule(), cloud.examples_seen) == 0.67
-        assert cloud_activation(cloud, (I1,), PARAMS, GammaSchedule()) == 1 / 3
+        assert gamma_at(UNTRAINED_HORIZON, cloud.examples_seen) == 0.67
+        assert cloud_activation(cloud, (I1,), UNTRAINED_HORIZON) == 1 / 3
 
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 1)),
                     min_size=1, max_size=8),
@@ -302,14 +294,14 @@ class TestCloudActivation:
     def test_bounded(self, spec, seen):
         cloud = cloud_with([m for m, _ in spec], [v for _, v in spec])
         cloud.examples_seen = seen
-        activation = cloud_activation(cloud, (I1,), PARAMS, GammaSchedule())
+        activation = cloud_activation(cloud, (I1,), UNTRAINED_HORIZON)
         assert 0.0 <= activation <= 1.0
 
 
-def toy_network(params=PARAMS, **kwargs):
+def toy_network(cycles=CYCLES, **kwargs):
     cset = confusion_set_from_text("dax, fep")
     universe = index_of((F1, F2, F3))
-    return WinnowNetwork(cset, universe, params, ExtractionParams(), **kwargs)
+    return WinnowNetwork(cset, universe, cycles, ExtractionParams(), **kwargs)
 
 
 class TestClassify:
@@ -337,17 +329,17 @@ class TestTrainNetwork:
         stream = [((I1,), 0)] * 10
         train_network(network, stream)
         assert all(cloud.examples_seen == 50 for cloud in network.clouds)
-        assert network.schedule.horizon == 50
+        assert network.horizon == 50
 
     def test_positive_for_correct_member_only(self):
-        network = toy_network(WinnowParams(cycles=1))
+        network = toy_network(1)
         train_network(network, [((I1,), 0)])
         # Member 0's cloud connected the active features; member 1's did not.
         assert I1 in network.clouds[0].slots
         assert I1 not in network.clouds[1].slots
 
     def test_wrongly_firing_negative_cloud_demoted(self):
-        network = toy_network(WinnowParams(cycles=1))
+        network = toy_network(1)
         cloud = network.clouds[1]
         cloud.connect(I1, 2.0)
         train_network(network, [((I1,), 0)])
@@ -380,7 +372,7 @@ class TestTrainNetwork:
         features = [context_word(f"g{i}") for i in range(n)]
         relevant = range(r)  # feature ids
         cset = confusion_set_from_text("dax, fep")
-        network = WinnowNetwork(cset, index_of(features), WinnowParams(cycles=1),
+        network = WinnowNetwork(cset, index_of(features), 1,
                                 ExtractionParams())
         stream = []
         for _ in range(400):
@@ -406,11 +398,8 @@ def reference_train(network, stream):
     examples = [((BIAS_ID, *active), member) for active, member in stream]
     if not examples:
         return
-    params = network.params
-    network.schedule = GammaSchedule(
-        network.schedule.start, network.schedule.end, params.cycles * len(examples)
-    )
-    for _ in range(params.cycles):
+    network.horizon = network.cycles * len(examples)
+    for _ in range(network.cycles):
         for active, member in examples:
             for cloud in network.clouds:
                 label = 1 if cloud.member_index == member else 0
@@ -419,12 +408,12 @@ def reference_train(network, stream):
                         if f not in cloud.slots:
                             cloud.slots[f] = len(cloud.slots)
                             for clf in cloud.classifiers:
-                                clf.weights.append(params.default_weight)
+                                clf.weights.append(DEFAULT_WEIGHT)
                 slots = [cloud.slots[f] for f in active if f in cloud.slots]
                 for clf in cloud.classifiers:
                     total = math.fsum(clf.weights[i] for i in slots)
-                    if (1 if total > params.theta else 0) != label:
-                        factor = params.alpha if label else clf.beta
+                    if (1 if total > THETA else 0) != label:
+                        factor = ALPHA if label else clf.beta
                         for i in slots:
                             clf.weights[i] *= factor
                         clf.mistakes += 1
@@ -433,7 +422,7 @@ def reference_train(network, stream):
 
 def network_state(network):
     return (
-        network.schedule,
+        network.horizon,
         [
             (cloud.slots, cloud.examples_seen,
              [(clf.beta, clf.weights, clf.mistakes) for clf in cloud.classifiers])
@@ -466,7 +455,7 @@ class TestTrainNetworkMatchesReference:
         features = [context_word(f"f{i}") for i in range(n)]
 
         def build():
-            network = WinnowNetwork(cset, index_of(features), WinnowParams(cycles=cycles),
+            network = WinnowNetwork(cset, index_of(features), cycles,
                                     ExtractionParams(), layer_mode=layer_mode)
             if start != "uniform":
                 stats = FeatureStats(cset, ExtractionParams())
@@ -483,7 +472,7 @@ class TestTrainNetworkMatchesReference:
         assert network_state(trained) == network_state(reference)
 
     def test_underflowed_weight_stays_connected(self):
-        network = toy_network(WinnowParams(betas=(0.5,), cycles=1))
+        network = toy_network(1)
         cloud = network.clouds[1]
         cloud.connect(I1, 2.0)
         cloud.connect(I2, 5e-324)  # the smallest subnormal
@@ -505,7 +494,7 @@ class TestInitBayesian:
         stats.counts = {context_word(k).key(): list(v) for k, v in counts.items()}
         model = train_bayes(stats, prune(stats, UNPRUNED), dependency_resolution=False)
         network = WinnowNetwork(
-            cset, model.feature_ids, PARAMS, ExtractionParams(), layer_mode=ONE_LAYER
+            cset, model.feature_ids, CYCLES, ExtractionParams(), layer_mode=ONE_LAYER
         )
         return model, network
 
@@ -556,7 +545,7 @@ class TestInitBayesian:
     def test_requires_matching_features(self):
         model, _ = self.build_pair({"f": [1, 0]}, [2, 2])
         other = WinnowNetwork(
-            model.confusion_set, index_of([context_word("g")]), PARAMS, ExtractionParams(),
+            model.confusion_set, index_of([context_word("g")]), CYCLES, ExtractionParams(),
             layer_mode=ONE_LAYER,
         )
         with pytest.raises(ValueError, match="feature sets"):
@@ -570,7 +559,7 @@ class TestInitBayesian:
             stats = collect_stats(train, cset, params, EMPTY_TAGS)
             retained = prune(stats, UNPRUNED)
             model = train_bayes(stats, retained, dependency_resolution=False)
-            network = WinnowNetwork(cset, retained, PARAMS, params, layer_mode=ONE_LAYER)
+            network = WinnowNetwork(cset, retained, CYCLES, params, layer_mode=ONE_LAYER)
             init_bayesian(network, model)
             for occ in find_occurrences(test, cset):
                 active = extract_active(occ, network.feature_ids, params, EMPTY_TAGS)
@@ -585,7 +574,7 @@ class TestSparsify:
         stats.occurrences = [2, 2]
         stats.counts = {F1.key(): [2, 0], F2.key(): [1, 2]}
         model = train_bayes(stats, prune(stats, UNPRUNED), dependency_resolution=False)
-        network = WinnowNetwork(cset, model.feature_ids, PARAMS, ExtractionParams())
+        network = WinnowNetwork(cset, model.feature_ids, CYCLES, ExtractionParams())
         init_bayesian(network, model)
         full = [[weights_of(cloud, k) for k in range(len(cloud.classifiers))]
                 for cloud in network.clouds]
@@ -609,7 +598,7 @@ class TestConnectionTable:
     @settings(max_examples=100, deadline=None)
     def test_table_survives_training_and_reload(self, stream, start, layer_mode):
         cset = confusion_set_from_text("dax, fep")
-        network = WinnowNetwork(cset, index_of((F1, F2, F3)), WinnowParams(cycles=2),
+        network = WinnowNetwork(cset, index_of((F1, F2, F3)), 2,
                                 ExtractionParams(), layer_mode=layer_mode)
         if start != "uniform":
             stats = FeatureStats(cset, ExtractionParams())
@@ -640,7 +629,7 @@ class TestSerialization:
         params = ExtractionParams(k=3)
         training = TrainingSet(find_occurrences(corpus, cset), cset, params,
                                EMPTY_TAGS, UNPRUNED)
-        network = WinnowNetwork(cset, training.retained, PARAMS, params,
+        network = WinnowNetwork(cset, training.retained, CYCLES, params,
                                 priors=(0.5, 0.5))
         train_network(network, training.stream)
         return network, params, network.feature_ids, corpus, cset
@@ -650,7 +639,7 @@ class TestSerialization:
         network, params, _, corpus, cset = self.trained_network()
         training = TrainingSet(find_occurrences(corpus, cset), cset, params,
                                EMPTY_TAGS, UNPRUNED)
-        network = train_system_model("winnow-1layer", training, PARAMS)
+        network = train_system_model("winnow-1layer", training, CYCLES)
         assert network.architecture == FULL
         assert [len(cloud.classifiers) for cloud in network.clouds] == [1, 1]
         return network
@@ -678,7 +667,7 @@ class TestSerialization:
         stats.occurrences = [2, 2]
         stats.counts = {F1.key(): [2, 0], F2.key(): [1, 2]}
         model = train_bayes(stats, prune(stats, UNPRUNED), dependency_resolution=False)
-        network = WinnowNetwork(cset, index_of((F1, F2)), PARAMS, ExtractionParams(),
+        network = WinnowNetwork(cset, index_of((F1, F2)), CYCLES, ExtractionParams(),
                                 layer_mode=ONE_LAYER)
         init_bayesian(network, model)
         text = network_to_text(network)
@@ -696,7 +685,7 @@ class TestSerialization:
         # reordered list would apply each row to another feature.
         network = WinnowNetwork(confusion_set_from_text("dax, fep"),
                                 index_of((context_word("aaa"), context_word("bbb"))),
-                                WinnowParams(cycles=1), ExtractionParams())
+                                1, ExtractionParams())
         train_network(network, [((1,), 0), ((0,), 1)])
         assert set(network.clouds[0].slots) == {BIAS_ID, 1}  # cloud 0 knows CW bbb only
         lines = network_to_text(network).splitlines()
@@ -874,12 +863,9 @@ class TestSerialization:
             network_from_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize(
-    "betas", [(0.5,), (0.9, 0.5, 0.7), (0.5, 0.6, 0.7, 0.8), (0.8, 0.55, 0.6, 0.3, 0.9, 0.65)]
-)
-def test_one_layer_classifier_takes_the_median_beta(betas):
+def test_one_layer_classifier_takes_the_median_beta():
     network = WinnowNetwork(confusion_set_from_text("dax, fep"), index_of(()),
-                            WinnowParams(betas=betas), layer_mode=ONE_LAYER)
+                            layer_mode=ONE_LAYER)
     assert [c.beta for cloud in network.clouds for c in cloud.classifiers] == (
-        [statistics.median(betas)] * 2
+        [statistics.median(BETAS)] * 2
     )
