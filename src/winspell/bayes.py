@@ -8,14 +8,13 @@ import warnings
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import ConfusionSet
+from .corpus import ConfusionSet, read_text
 from .features import (
     COLLOCATION,
     ExtractionParams,
     FeatureIndex,
     FeatureStats,
-    association_table,
-    chi_square_2x2,
+    chance_probabilities,
     index_features,
     model_lines,
     parse_model_head,
@@ -86,7 +85,7 @@ class BayesModel:
         row = self.log_likelihoods[feature]
         if row is None:
             row = self.log_likelihoods[feature] = tuple(
-                _log(smoothed_likelihood(self, feature, i)) for i in range(self.n_members)
+                map(_log, smoothed_likelihoods(self, feature))
             )
         return row
 
@@ -126,20 +125,16 @@ def with_dependency_resolution(model: BayesModel) -> BayesModel:
     return clone
 
 
-def mixing_weight(model: BayesModel, feature: int, member_index: int) -> float:
-    """lambda: the chi-square probability that the association of feature id
-    ``feature`` with member ``member_index`` is due to chance."""
-    table = association_table(model.counts[feature], model.occurrences, member_index)
-    return chi_square_2x2(*table)[1]
-
-
-def smoothed_likelihood(model: BayesModel, feature: int, member_index: int) -> float:
-    """(1 - lambda) * P_ML(f|Wi) + lambda * P_ML(f) for feature id ``feature``,
-    from its count row, where lambda is :func:`mixing_weight`."""
-    row, n = model.counts[feature], model.occurrences[member_index]
-    ml = row[member_index] / n if n else 0.0
-    lam = mixing_weight(model, feature, member_index)
-    return (1.0 - lam) * ml + lam * (sum(row) / model.total)
+def smoothed_likelihoods(model: BayesModel, feature: int) -> list[float]:
+    """(1 - lambda) * P_ML(f|Wi) + lambda * P_ML(f) per member Wi for feature
+    id ``feature``, from its count row, where lambda is the member's
+    :func:`~winspell.features.chance_probabilities`."""
+    row, occurrences = model.counts[feature], model.occurrences
+    marginal = sum(row) / model.total
+    return [
+        (1.0 - lam) * (c / n if n else 0.0) + lam * marginal
+        for c, n, lam in zip(row, occurrences, chance_probabilities(row, occurrences))
+    ]
 
 
 def resolve_dependencies(model: BayesModel, active_set: Iterable[int]) -> tuple[int, ...]:
@@ -163,8 +158,8 @@ def resolve_dependencies(model: BayesModel, active_set: Iterable[int]) -> tuple[
         feature = features[f]
         if feature.kind == COLLOCATION:
             if mean_lambda[f] is None:
-                n = len(model.occurrences)
-                mean_lambda[f] = sum([mixing_weight(model, f, i) for i in range(n)]) / n
+                lams = chance_probabilities(model.counts[f], model.occurrences)
+                mean_lambda[f] = sum(lams) / len(lams)
             best = strongest.get(feature.offsets)
             if best is None or mean_lambda[f] < mean_lambda[best]:
                 strongest[feature.offsets] = f
@@ -290,4 +285,4 @@ def save_model(model: BayesModel, path: str | Path):
 
 
 def load_model(path: str | Path) -> BayesModel:
-    return model_from_text(Path(path).read_text(encoding="utf-8"))
+    return model_from_text(read_text(path))

@@ -11,6 +11,7 @@ import gc
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from .corpus import (
@@ -320,7 +321,10 @@ def _run(argv) -> int:
         parser.error("unrecognized arguments: " + " ".join(args.refused))
     try:
         _resolve_flags(args)
-        code = args.func(args)
+        # A warning (a member without training occurrences) is one stderr line.
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda text, *_: print(f"warning: {text}", file=sys.stderr)
+            code = args.func(args)
         sys.stdout.flush()
         return code
     except UsageError as exc:

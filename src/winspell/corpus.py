@@ -8,7 +8,7 @@ import re
 import sys
 from collections import namedtuple
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 UNKNOWN_TAG = "UNK"
 
@@ -30,10 +30,6 @@ class Sentence(NamedTuple):
         return len(self.surfaces)
 
 
-def sentence_from_surfaces(surfaces: Iterable[str], source_line: int = 0) -> Sentence:
-    return Sentence(tuple(surfaces), source_line)
-
-
 def tokenize(text: str, source_line: int = 0) -> Sentence:
     """Lowercase ``text`` and split it into tokens.
 
@@ -43,7 +39,7 @@ def tokenize(text: str, source_line: int = 0) -> Sentence:
     a corpus holds one string per distinct word however often it occurs.
     """
     tokens = _TOKEN_RE.findall(text.lower())
-    return sentence_from_surfaces(map(sys.intern, tokens), source_line)
+    return Sentence(tuple(map(sys.intern, tokens)), source_line)
 
 
 class ConfusionSet(namedtuple("ConfusionSet", "members")):
@@ -291,7 +287,7 @@ def corrupt(
                 new_surfaces.extend(confusion_set.members[mi])
             cursor = start + length
         new_surfaces.extend(sent.surfaces[cursor:])
-        corrupted.append(sentence_from_surfaces(new_surfaces, sent.source_line))
+        corrupted.append(Sentence(tuple(new_surfaces), sent.source_line))
     return corrupted, log
 
 
@@ -314,5 +310,5 @@ def restore(
                 f"{entry.sentence_index}, token {entry.span_start}"
             )
         surfaces[entry.span_start : entry.span_start + len(new_member)] = old_member
-        result[entry.sentence_index] = sentence_from_surfaces(surfaces, sent.source_line)
+        result[entry.sentence_index] = Sentence(tuple(surfaces), sent.source_line)
     return result

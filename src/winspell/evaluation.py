@@ -220,14 +220,14 @@ def save_system_model(model: BayesModel | WinnowNetwork, path: str | Path):
 
 
 def load_system_model(path: str | Path) -> BayesModel | WinnowNetwork:
-    """Load a ``BAYES v1`` or ``WINNOW v1`` file, told apart by its first
-    line. Every ValueError names the file."""
+    """Load a ``BAYES v1`` or ``WINNOW v1`` file, told apart by the bytes of
+    its first line. Every ValueError names the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             header = fh.readline().strip()
-        if header == BAYES_HEADER:
+        if header == BAYES_HEADER.encode():
             return load_model(path)
-        if header == WINNOW_HEADER:
+        if header == WINNOW_HEADER.encode():
             return load_network(path)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -216,26 +216,6 @@ class FeatureStats:
                 row = counts[key] = [0] * n_members
             row[member_index] += 1
 
-    def max_association(self, key: str) -> float:
-        """Largest chi-square statistic over members (for >2-member sets the
-        member with the strongest association decides)."""
-        row = self.counts[key]
-        return max(
-            chi_square_2x2(*association_table(row, self.occurrences, i))[0]
-            for i in range(self.n_members)
-        )
-
-
-def association_table(
-    row: Sequence[int], occurrences: Sequence[int], member_index: int
-) -> tuple[int, int, int, int]:
-    """2x2 table of one feature's count row: feature present/absent x member vs rest."""
-    a = row[member_index]
-    b = sum(row) - a
-    c = occurrences[member_index] - a
-    d = (sum(occurrences) - occurrences[member_index]) - b
-    return a, b, c, d
-
 
 def count_features(
     occurrences: Sequence[Occurrence],
@@ -291,6 +271,17 @@ def chi_square_2x2(a: float, b: float, c: float, d: float) -> tuple[float, float
     return statistic, chi2_sf(statistic)
 
 
+def chance_probabilities(row: Sequence[int], occurrences: Sequence[int]) -> list[float]:
+    """Per member, the chi-square p of the 2x2 table feature present/absent
+    x member/rest for a feature's count ``row``: the probability that the
+    association is chance. Pruning and Bayes smoothing both read it."""
+    present, n = sum(row), sum(occurrences)
+    return [
+        chi_square_2x2(a, present - a, occ - a, (n - occ) - (present - a))[1]
+        for a, occ in zip(row, occurrences)
+    ]
+
+
 # Pruned mode: least count, least count of occurrences without the feature,
 # and the significance level of its strongest member association.
 MIN_OCCURRENCES = 10
@@ -316,9 +307,8 @@ def prune(stats: FeatureStats, mode: str) -> FeatureIndex:
             continue
         if n_total - total < MIN_NONOCCURRENCES:
             continue
-        if chi2_sf(stats.max_association(key)) >= ALPHA:
-            continue
-        retained.append(key)
+        if min(chance_probabilities(row, stats.occurrences)) < ALPHA:
+            retained.append(key)
     return index_features(retained)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .bayes import BayesModel, Decision, choose
-from .corpus import ConfusionSet
+from .corpus import ConfusionSet, read_text
 from .features import (
     ExtractionParams,
     FeatureIndex,
@@ -511,4 +511,4 @@ def save_network(network: WinnowNetwork, path: str | Path):
 
 
 def load_network(path: str | Path) -> WinnowNetwork:
-    return network_from_text(Path(path).read_text(encoding="utf-8"))
+    return network_from_text(read_text(path))

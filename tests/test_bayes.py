@@ -10,12 +10,11 @@ from winspell import bayes
 from winspell.bayes import (
     classify_bayes,
     load_model,
-    mixing_weight,
     model_from_text,
     model_to_text,
     resolve_dependencies,
     save_model,
-    smoothed_likelihood,
+    smoothed_likelihoods,
     train_bayes,
 )
 from winspell.cli import main
@@ -25,8 +24,7 @@ from winspell.features import (
     ExtractionParams,
     FeatureStats,
     UNPRUNED,
-    association_table,
-    chi_square_2x2,
+    chance_probabilities,
     extract_active,
     prune,
 )
@@ -79,9 +77,9 @@ class TestTrainBayes:
         stats = stats_from_counts({"f": [1, 47]}, [105, 98])
         model = train_bayes(stats, prune(stats, UNPRUNED))
         (f,) = ids_of(model, [context_word("f")])
-        monkeypatch.setattr(bayes, "mixing_weight", lambda model, f, i: 0.0)
-        assert smoothed_likelihood(model, f, 1) == pytest.approx(47 / 98)
-        assert smoothed_likelihood(model, f, 0) == pytest.approx(1 / 105)
+        monkeypatch.setattr(bayes, "chance_probabilities", lambda row, occ: [0.0] * len(row))
+        assert smoothed_likelihoods(model, f)[1] == pytest.approx(47 / 98)
+        assert smoothed_likelihoods(model, f)[0] == pytest.approx(1 / 105)
 
     def test_lambda_one_for_independent_feature(self):
         # Proportional counts: the feature appears with each member at the
@@ -89,7 +87,7 @@ class TestTrainBayes:
         stats = stats_from_counts({"f": [30, 20]}, [60, 40])
         model = train_bayes(stats, prune(stats, UNPRUNED))
         (f,) = ids_of(model, [context_word("f")])
-        assert [mixing_weight(model, f, i) for i in range(2)] == [1.0, 1.0]
+        assert chance_probabilities(model.counts[f], model.occurrences) == [1.0, 1.0]
 
     def test_zero_occurrence_member_warns_and_never_wins(self):
         stats = stats_from_counts({"f": [5, 0]}, [10, 0])
@@ -106,7 +104,7 @@ class TestSmoothedLikelihood:
         stats = stats_from_counts({"f": [30, 20]}, [60, 40])
         model = train_bayes(stats, prune(stats, UNPRUNED))
         (f,) = ids_of(model, [context_word("f")])
-        assert smoothed_likelihood(model, f, 0) == pytest.approx(0.5)
+        assert smoothed_likelihoods(model, f)[0] == pytest.approx(0.5)
 
     def test_interpolation_arithmetic(self, monkeypatch):
         # MLE likelihood 20/100 = 0.2 and unigram 100/200 = 0.5; pinned
@@ -114,23 +112,23 @@ class TestSmoothedLikelihood:
         stats = stats_from_counts({"f": [20, 80]}, [100, 100])
         model = train_bayes(stats, prune(stats, UNPRUNED))
         (f,) = ids_of(model, [context_word("f")])
-        monkeypatch.setattr(bayes, "mixing_weight", lambda model, f, i: 0.25)
-        assert smoothed_likelihood(model, f, 0) == pytest.approx(0.275)
+        monkeypatch.setattr(bayes, "chance_probabilities", lambda row, occ: [0.25] * len(row))
+        assert smoothed_likelihoods(model, f)[0] == pytest.approx(0.275)
         # Mixing-weight endpoints: 0 is pure MLE, 1 is full backoff.
-        monkeypatch.setattr(bayes, "mixing_weight", lambda model, f, i: 0.0)
-        assert smoothed_likelihood(model, f, 0) == 0.2
-        monkeypatch.setattr(bayes, "mixing_weight", lambda model, f, i: 1.0)
-        assert smoothed_likelihood(model, f, 0) == 0.5
+        monkeypatch.setattr(bayes, "chance_probabilities", lambda row, occ: [0.0] * len(row))
+        assert smoothed_likelihoods(model, f)[0] == 0.2
+        monkeypatch.setattr(bayes, "chance_probabilities", lambda row, occ: [1.0] * len(row))
+        assert smoothed_likelihoods(model, f)[0] == 0.5
 
     def test_matches_formula_on_real_tables(self):
         model, _ = toy_model(dependency_resolution=False)
         occurrences = model.occurrences
         for f, row in enumerate(model.counts):
             for i in range(2):
-                lam = mixing_weight(model, f, i)
+                lam = chance_probabilities(row, occurrences)[i]
                 ml = row[i] / occurrences[i]
                 expected = (1 - lam) * ml + lam * sum(row) / sum(occurrences)
-                assert smoothed_likelihood(model, f, i) == pytest.approx(expected)
+                assert smoothed_likelihoods(model, f)[i] == pytest.approx(expected)
 
 
 class TestLogLikelihoods:
@@ -152,7 +150,7 @@ class TestLogLikelihoods:
             row = model.log_likelihood_row(f)
             assert table[f] is row
             for i in range(model.n_members):
-                likelihood = smoothed_likelihood(model, f, i)
+                likelihood = smoothed_likelihoods(model, f)[i]
                 want = math.log(likelihood) if likelihood > 0 else -math.inf
                 assert row[i] == want
         assert None not in table
@@ -168,13 +166,19 @@ class TestPerFeatureDerivation:
         model, _ = toy_model()
         assert model.mean_lambda == model.log_likelihoods == [None] * len(model.features)
         occurrences = model.occurrences
+        n = sum(occurrences)
         resolve_dependencies(model, range(len(model.features)))
         for f, row in enumerate(model.counts):
-            lam = [
-                chi_square_2x2(*association_table(row, occurrences, i))[1]
-                for i in range(len(occurrences))
-            ]
-            assert [mixing_weight(model, f, i) for i in range(len(occurrences))] == lam
+            lam = []
+            for a, occ in zip(row, occurrences):
+                # Pearson chi-square of feature present/absent x this
+                # member/the rest, 1 dof; a zero marginal gives p = 1.
+                b, c = sum(row) - a, occ - a
+                d = n - occ - b
+                denominator = (a + b) * (c + d) * (a + c) * (b + d)
+                statistic = n * (a * d - b * c) ** 2 / denominator if denominator else 0.0
+                lam.append(math.erfc(math.sqrt(statistic / 2.0)))
+            assert chance_probabilities(row, occurrences) == lam
             if model.features[f].kind == COLLOCATION:
                 assert model.mean_lambda[f] == sum(lam) / len(lam)
             else:

@@ -153,6 +153,18 @@ class TestTrain:
         assert rc == 1
         assert "no occurrences" in capsys.readouterr().err
 
+    def test_member_without_occurrences_warns_in_one_line(self, workspace, capsys):
+        (workspace / "sets.txt").write_text("peace, piece\n")
+        (workspace / "corpus.txt").write_text("a piece of cake\nanother piece of pie\n")
+        rc = run(["train", "--corpus", workspace / "corpus.txt",
+                  "--confusion-sets", workspace / "sets.txt",
+                  "--tagdict", workspace / "tags.tsv",
+                  "--mode", "unpruned", "--system", "bayes", "--out", workspace / "m"])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "warning: no training occurrences of 'peace'; its prior is 0\n"
+        )
+
     @pytest.mark.parametrize("system", ["bayes", "winnow"])
     def test_sets_sharing_tokens_train_as_if_alone(self, tmp_path, system):
         corpus = tmp_path / "corpus.txt"
@@ -375,6 +387,26 @@ class TestClassify:
         assert captured.out == ""
         name = text if source == "file" else "<stdin>"
         assert captured.err == f"error: {name}: invalid UTF-8 on line 2\n"
+
+    @pytest.mark.parametrize("system", ["bayes", "winnow"])
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_invalid_utf8_model_names_its_line(self, workspace, capsys, tmp_path, system,
+                                               where):
+        out = self.train_first(workspace, capsys, system=system)
+        model = out / f"peace+piece.{system}.model"
+        lines = model.read_bytes().splitlines(keepends=True)
+        # The members line, or the last line.
+        number = 2 if where == "header" else len(lines)
+        lines[number - 1] = lines[number - 1][:-1] + b"\xff\n"
+        model.write_bytes(b"".join(lines))
+        text = tmp_path / "input.txt"
+        text.write_text("a piece of cake\n")
+        rc = run(["classify", "--out", out, "--system", system,
+                  "--tagdict", workspace / "tags.tsv", text])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {model}: invalid UTF-8 on line {number}\n"
 
     def test_stdin_input_reads_as_the_file_does(self, workspace, capsys, tmp_path,
                                                 monkeypatch):

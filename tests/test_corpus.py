@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from winspell.corpus import (
     ConfusionSet,
     CorpusError,
+    Sentence,
     TagDictionary,
     confusion_set_from_text,
     corrupt,
@@ -16,7 +17,6 @@ from winspell.corpus import (
     load_tag_dictionary,
     occurrences_by_set,
     restore,
-    sentence_from_surfaces,
     tokenize,
 )
 
@@ -152,14 +152,14 @@ class TestTagDictionary:
 class TestFindOccurrences:
     def test_single_member(self):
         cset = confusion_set_from_text("hear, here")
-        sent = sentence_from_surfaces(["i", "hear", "you"])
+        sent = Sentence(("i", "hear", "you"))
         occs = find_occurrences([sent], cset)
         assert len(occs) == 1
         assert (occs[0].span_start, occs[0].span_len, occs[0].member_index) == (1, 1, 0)
 
     def test_longest_member_preferred(self):
         cset = confusion_set_from_text("maybe, may be")
-        sent = sentence_from_surfaces(["maybe", "it", "may", "be", "so"])
+        sent = Sentence(("maybe", "it", "may", "be", "so"))
         occs = find_occurrences([sent], cset)
         assert [(o.span_start, o.span_len, o.member_index) for o in occs] == [
             (0, 1, 0),
@@ -174,7 +174,7 @@ class TestFindOccurrences:
     @settings(max_examples=200, deadline=None)
     def test_spans_non_overlapping_and_sorted(self, tokens):
         cset = confusion_set_from_text("maybe, may be")
-        occs = find_occurrences([sentence_from_surfaces(tokens)], cset)
+        occs = find_occurrences([Sentence(tuple(tokens))], cset)
         previous_end = 0
         for occ in occs:
             assert occ.span_start >= previous_end
@@ -209,7 +209,7 @@ class TestSharedFirstToken:
 
     def test_longest_member_with_shared_first_token(self):
         cset = confusion_set_from_text("may, may be")
-        sent = sentence_from_surfaces(["may", "be", "may", "it", "may"])
+        sent = Sentence(("may", "be", "may", "it", "may"))
         occs = find_occurrences([sent], cset)
         assert [(o.span_start, o.span_len, o.member_index) for o in occs] == [
             (0, 2, 1),
@@ -227,7 +227,7 @@ class TestSharedFirstToken:
     @settings(max_examples=300, deadline=None)
     def test_matches_brute_force_reference(self, set_text, token_lists):
         cset = confusion_set_from_text(set_text)
-        corpus = [sentence_from_surfaces(tokens) for tokens in token_lists]
+        corpus = [Sentence(tuple(tokens)) for tokens in token_lists]
         got = [
             (id(o.sentence), o.span_start, o.span_len, o.member_index)
             for o in find_occurrences(corpus, cset)
@@ -245,7 +245,7 @@ class TestSharedFirstToken:
         rng = random.Random(seed)
         cset = confusion_set_from_text("may, may be")
         corpus = [
-            sentence_from_surfaces(rng.choices(["may", "be", "it", "x"], k=rng.randint(0, 8)))
+            Sentence(tuple(rng.choices(["may", "be", "it", "x"], k=rng.randint(0, 8))))
             for _ in range(rng.randint(1, 6))
         ]
         corrupted, log = corrupt(corpus, cset, pct, seed)
@@ -270,7 +270,7 @@ class TestOccurrencesBySet:
 
     def test_overlapping_sets_scan_independently(self):
         sets = [confusion_set_from_text(t) for t in ("may, may be", "be, bee", "maybe, may be")]
-        sent = sentence_from_surfaces(["may", "be", "maybe", "bee", "may"])
+        sent = Sentence(("may", "be", "maybe", "bee", "may"))
         got = [
             [(o.span_start, o.span_len, o.member_index) for o in occs]
             for occs in occurrences_by_set([sent], sets)
@@ -292,7 +292,7 @@ class TestOccurrencesBySet:
     @settings(max_examples=300, deadline=None)
     def test_matches_brute_force_reference_per_set(self, set_texts, token_lists):
         sets = [confusion_set_from_text(text) for text in set_texts]
-        corpus = [sentence_from_surfaces(tokens) for tokens in token_lists]
+        corpus = [Sentence(tuple(tokens)) for tokens in token_lists]
         got = occurrences_by_set(corpus, sets)
         assert len(got) == len(sets)
         for cset, occurrences in zip(sets, got):
@@ -356,7 +356,7 @@ class TestCorrupt:
         rng = random.Random(seed)
         words = ["maybe", "may", "be", "it", "so", "x"]
         corpus = [
-            sentence_from_surfaces(rng.choices(words, k=rng.randint(0, 8)))
+            Sentence(tuple(rng.choices(words, k=rng.randint(0, 8))))
             for _ in range(rng.randint(1, 6))
         ]
         cset = confusion_set_from_text("maybe, may be")

@@ -8,19 +8,23 @@ from hypothesis import strategies as st
 from winspell.bayes import train_bayes
 from winspell.corpus import (
     Occurrence,
+    Sentence,
     TagDictionary,
     confusion_set_from_text,
     find_occurrences,
-    sentence_from_surfaces,
 )
 from winspell.evaluation import TrainingSet
 from winspell.features import (
+    ALPHA,
     COLLOCATION,
     CONTEXT_WORD,
     PRUNED,
     UNPRUNED,
     ExtractionParams,
+    MIN_NONOCCURRENCES,
+    MIN_OCCURRENCES,
     FeatureStats,
+    chance_probabilities,
     chi2_sf,
     chi_square_2x2,
     collect_stats,
@@ -205,7 +209,7 @@ class TestGenerateFeaturesMatchesReference:
     @settings(max_examples=300, deadline=None)
     def test_same_set_as_reference(self, tokens, k, l):
         check_generator_against_reference(
-            sentence_from_surfaces(tokens), ExtractionParams(k=k, l=l)
+            Sentence(tuple(tokens)), ExtractionParams(k=k, l=l)
         )
 
     @pytest.mark.parametrize("l", [1, 2])
@@ -431,6 +435,58 @@ class TestPrune:
         assert pruned <= unpruned
 
 
+@st.composite
+def count_tables(draw):
+    """Occurrence counts of 2 to 4 members, zeros allowed, and count rows
+    within them, always with an all-zero row and a row present in every
+    occurrence (a zero marginal in each member's table)."""
+    occurrences = draw(st.lists(st.integers(0, 80), min_size=2, max_size=4))
+    rows = draw(st.lists(
+        st.tuples(*[st.integers(0, n) for n in occurrences]), min_size=1, max_size=12
+    ))
+    return occurrences, [list(row) for row in rows] + [[0] * len(occurrences), list(occurrences)]
+
+
+def largest_statistic(row, occurrences):
+    """The largest chi-square statistic of the per-member 2x2 tables
+    feature present/absent x member/rest."""
+    present, n = sum(row), sum(occurrences)
+    return max(
+        chi_square_2x2(a, present - a, occ - a, (n - occ) - (present - a))[0]
+        for a, occ in zip(row, occurrences)
+    )
+
+
+def reference_keeps(row, occurrences):
+    """The pruned-mode rule stated through the statistic: enough
+    occurrences with and without the feature, and chi2_sf of the largest
+    statistic below ALPHA."""
+    present = sum(row)
+    if present < MIN_OCCURRENCES or sum(occurrences) - present < MIN_NONOCCURRENCES:
+        return False
+    return not chi2_sf(largest_statistic(row, occurrences)) >= ALPHA
+
+
+class TestPruneMatchesStatisticRule:
+    """Pruning by the least chance probability decides as the largest
+    per-member statistic does, since chi2_sf is decreasing."""
+
+    @given(count_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_same_decisions(self, table):
+        occurrences, rows = table
+        members = ", ".join(f"w{i}" for i in range(len(occurrences)))
+        stats = FeatureStats(confusion_set_from_text(members), ExtractionParams())
+        stats.occurrences = list(occurrences)
+        stats.counts = {context_word(f"f{i}").key(): row for i, row in enumerate(rows)}
+        want = [key for key, row in stats.counts.items() if reference_keeps(row, occurrences)]
+        assert list(prune(stats, PRUNED)) == sorted(want)
+        # The significance test alone, also on the rows the counts drop.
+        for row in rows:
+            significant = min(chance_probabilities(row, occurrences)) < ALPHA
+            assert significant == (chi2_sf(largest_statistic(row, occurrences)) < ALPHA)
+
+
 class TestExtractActive:
     def setup_method(self):
         self.cset = confusion_set_from_text("peace, piece")
@@ -521,7 +577,7 @@ class TestOneFeaturePass:
     @settings(max_examples=100, deadline=None)
     def test_random_corpora_match_separate_passes(self, sentences, k, l, mode):
         # Both members occur, one of them two tokens long.
-        corpus = [sentence_from_surfaces(tokens)
+        corpus = [Sentence(tuple(tokens))
                   for tokens in [["a", "maybe", "x"], ["to", "may", "be"], *sentences]]
         self.check_matches_separate_passes(
             corpus, confusion_set_from_text("maybe, may be"), ExtractionParams(k=k, l=l),
