@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 import warnings
@@ -22,7 +21,7 @@ from .corpus import (
     load_tag_dictionary,
     occurrences_by_set,
     read_text,
-    tokenize,
+    sentences_of,
 )
 from .evaluation import (
     ABLATION_LADDER,
@@ -95,7 +94,9 @@ def _option(dest: str) -> str:
     return "--system" if dest == "systems" else "--" + dest.replace("_", "-")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the flags of ``command`` only;
+    of all of them if ``command`` names none."""
     parser = argparse.ArgumentParser(
         prog="winspell",
         description="Context-sensitive spelling correction toolkit",
@@ -122,6 +123,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("corrupt", cmd_corrupt, {"help": "write a corrupted corpus plus change log"}),
     ):
         p = sub.add_parser(name, **texts)
+        p.set_defaults(func=func, refused=None)
+        if command in COMMANDS and name != command:
+            continue
         required, optional = COMMANDS[name]
         for dest in ("config", *required, *optional):
             kind, default, choices, text = FLAGS[dest]
@@ -137,10 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
         for option in sorted({_option(dest) for dest in FLAGS} - taken):
             p.add_argument(option, dest="refused", action="append", help=argparse.SUPPRESS,
                            type=lambda value, option=option: f"{option} {value}")
-        p.set_defaults(func=func, refused=None)
-    sub.choices["classify"].add_argument(
-        "input", nargs="?", default="-", help="input text file, '-' for stdin"
-    )
+        if name == "classify":
+            p.add_argument("input", nargs="?", default="-", help="input text file, '-' for stdin")
     return parser
 
 
@@ -152,6 +154,7 @@ def _resolve_flags(args: argparse.Namespace):
     required, optional = COMMANDS[args.command]
     dests = (*required, *optional)
     if args.config:
+        import json
         try:
             overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
@@ -220,8 +223,7 @@ def cmd_classify(args) -> int:
         text = read_text("<stdin>", sys.stdin.buffer.read())
     else:
         text = read_text(args.input)
-    sentences = [tokenize(line, i) for i, line in enumerate(text.splitlines(), start=1)
-                 if line.strip()]
+    sentences = sentences_of(text)
     rows = []
     occurrence_lists = occurrences_by_set(sentences, [m.confusion_set for m in models])
     for model, occurrences in zip(models, occurrence_lists):
@@ -315,7 +317,8 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if args.refused:
         parser.error("unrecognized arguments: " + " ".join(args.refused))

@@ -8,9 +8,10 @@ import re
 import sys
 from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 UNKNOWN_TAG = "UNK"
+_UNKNOWN_TAGS = (UNKNOWN_TAG,)
 
 # Words (with internal apostrophes, so contractions stay whole) or single
 # non-space punctuation characters.
@@ -40,6 +41,28 @@ def tokenize(text: str, source_line: int = 0) -> Sentence:
     """
     tokens = _TOKEN_RE.findall(text.lower())
     return Sentence(tuple(map(sys.intern, tokens)), source_line)
+
+
+def sentences_of(text: str) -> list[Sentence]:
+    """Each non-blank line of a presplit text tokenized as by :func:`tokenize`,
+    with its line number. The text is lowercased once and each distinct
+    whitespace chunk tokenized once, which gives the same tokens: ``\\s`` and
+    ``str.split`` share one whitespace test, so no token spans two chunks, and
+    a chunk that ``str.isalnum`` accepts holds only characters ``\\w``
+    matches, so it is one token."""
+    tokens_of: dict[str, tuple[str, ...]] = {}
+    sentences = []
+    for lineno, line in enumerate(text.lower().splitlines(), start=1):
+        surfaces: list[str] = []
+        for chunk in line.split():
+            tokens = tokens_of.get(chunk)
+            if tokens is None:
+                found = [chunk] if chunk.isalnum() else _TOKEN_RE.findall(chunk)
+                tokens = tokens_of[chunk] = tuple(map(sys.intern, found))
+            surfaces += tokens
+        if surfaces:
+            sentences.append(Sentence(tuple(surfaces), lineno))
+    return sentences
 
 
 class ConfusionSet(namedtuple("ConfusionSet", "members")):
@@ -112,38 +135,40 @@ def load_confusion_sets(path: str | Path) -> list[ConfusionSet]:
 
 
 class TagDictionary:
-    """Map from word surface to its set of part-of-speech tags.
+    """Map from word surface to its part-of-speech tags, a sorted tuple.
 
-    Unknown words fall back to the singleton {UNK}.
+    Unknown words fall back to the one shared (UNK,).
     """
 
-    def __init__(self, entries: dict[str, frozenset[str]] | None = None):
-        self._entries: dict[str, frozenset[str]] = {}
+    def __init__(self, entries: Mapping[str, Iterable[str]] | None = None):
+        self._entries: dict[str, tuple[str, ...]] = {}
         for word, tags in (entries or {}).items():
-            tagset = frozenset(tags)
-            if not tagset:
+            tags = tuple(sorted(set(tags)))
+            if not tags:
                 raise ValueError(f"tag dictionary entry for {word!r} has no tags")
-            self._entries[word] = tagset
+            self._entries[word] = tags
 
-    def lookup(self, word: str) -> frozenset[str]:
-        return self._entries.get(word, frozenset({UNKNOWN_TAG}))
+    def lookup(self, word: str) -> tuple[str, ...]:
+        return self._entries.get(word, _UNKNOWN_TAGS)
 
 
 def load_tag_dictionary(path: str | Path) -> TagDictionary:
     """One entry per line: ``word<TAB>tag1,tag2,...``. A word on two lines is
     refused."""
-    entries: dict[str, frozenset[str]] = {}
+    tagdict = TagDictionary()
+    # Filled in place: each tag tuple is built once, as its line is checked.
+    entries = tagdict._entries
     first_line: dict[str, int] = {}
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         try:
-            word, tags = line.split("\t")
-            tagset = frozenset(t.strip() for t in tags.split(",") if t.strip())
-            if not tagset:
+            word, text = line.split("\t")
+            tags = tuple(sorted({t.strip() for t in text.split(",") if t.strip()}))
+            if not tags:
                 raise ValueError("entry has no tags")
             # A tag is written into feature keys, which split on whitespace.
-            for tag in sorted(tagset):
+            for tag in tags:
                 if any(c.isspace() for c in tag):
                     raise ValueError(f"tag {tag!r} contains whitespace")
         except ValueError as exc:
@@ -153,8 +178,8 @@ def load_tag_dictionary(path: str | Path) -> TagDictionary:
                 f"{path}: line {lineno}: tag entry {word!r} first listed on line {first_line[word]}"
             )
         first_line[word] = lineno
-        entries[word] = tagset
-    return TagDictionary(entries)
+        entries[word] = tags
+    return tagdict
 
 
 def read_text(path: str | Path, data: bytes | None = None) -> str:
@@ -172,11 +197,7 @@ def read_text(path: str | Path, data: bytes | None = None) -> str:
 
 def load_corpus(path: str | Path) -> list[Sentence]:
     """Load a presplit plain-text corpus: each non-blank line is one sentence."""
-    sentences = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        if line.strip():
-            sentences.append(tokenize(line, lineno))
-    return sentences
+    return sentences_of(read_text(path))
 
 
 class Occurrence(NamedTuple):

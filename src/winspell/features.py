@@ -178,8 +178,7 @@ def generate_features(
         position = start + offset if offset < 0 else end + offset - 1
         if 0 <= position < len(surfaces):
             word = surfaces[position]
-            parts[offset] = [word_prefix + word]
-            parts[offset].extend(tag_prefix + tag for tag in sorted(tagdict.lookup(word)))
+            parts[offset] = [word_prefix + word] + [tag_prefix + t for t in tagdict.lookup(word)]
     before, after = parts.get(-1, ()), parts.get(1, ())
     keys.update([f"COLL {p} _" for p in before])
     keys.update([f"COLL _ {p}" for p in after])

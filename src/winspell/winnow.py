@@ -280,7 +280,12 @@ def train_network(network: WinnowNetwork, stream: Iterable[tuple[Sequence[int], 
             _presentation(_connect_positive(cloud, active, label), label)
             for active, label in labelled
         ]
-        later = [_presentation(cloud.connected(active), label) for active, label in labelled]
+        # A presentation whose slots did not grow after the first cycle is
+        # shown again as it was.
+        later = []
+        for (active, label), shown in zip(labelled, first):
+            slots = cloud.connected(active)
+            later.append(shown if slots == shown[2] else _presentation(slots, label))
         presentations = first + later * (network.cycles - 1)
         for classifier in cloud.classifiers:
             _learn(classifier, presentations)

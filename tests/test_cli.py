@@ -746,11 +746,12 @@ def write(path, text):
 
 def test_cli_import_skips_dataclasses_and_statistics():
     """Generating dataclass code and importing ``statistics`` (with
-    ``fractions`` and ``decimal``) cost every command ~20 ms at start-up."""
+    ``fractions`` and ``decimal``) cost every command ~20 ms at start-up;
+    ``json``, which only a ``--config`` file needs, ~1.7 ms more."""
     package_root = str(Path(winspell.__file__).resolve().parent.parent)
     probe = (
         "import sys; before = set(sys.modules); import winspell.cli; "
-        "print(sorted({'dataclasses', 'statistics'} & (set(sys.modules) - before)))"
+        "print(sorted({'dataclasses', 'json', 'statistics'} & (set(sys.modules) - before)))"
     )
     env = dict(os.environ, PYTHONPATH=package_root)
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
@@ -903,7 +904,7 @@ def test_readme_command_lines_parse():
                 if line.startswith("winspell ")]
     assert sorted({argv[0] for argv in commands}) == sorted(COMMANDS)
     for argv in commands:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0]).parse_args(argv)
         assert args.command == argv[0]
 
 
@@ -921,6 +922,32 @@ def test_readme_lists_each_subcommands_flags():
         for name, (required, optional) in COMMANDS.items()
     }
     assert listed == expected
+
+
+# SHA-256 of each help text, whitespace runs collapsed to one space, so that
+# argparse's column layout, which differs between Python versions, does not
+# count; the words and their order do. A parser gets only the invoked
+# subcommand's flags, so this pins that each text is the full one.
+HELP_DIGESTS = {
+    "winspell": "520b0d588d101e2b52f08a0bf3fe1dcffcc55a6f1857042c0cda16523151a6e7",
+    "train": "24c8783d86cec6ec3f76b030742d6a5fc0084125000219a98f1ae9c4983d2eff",
+    "classify": "a855dc5399a102fddb0a14a46d928e719371ad48fa23c4e7df85274498f208b2",
+    "eval": "41e4d1d846df5aaf52d73fb1a96fe1512585009331e3434cf9f2dac021b871d3",
+    "ablate": "cfd2ec9fa2184198d01b187df3fac9f6cb4f229532bc5a3b7c22cce8fe8e1b38",
+    "corrupt": "8145c401984e14602e11ea7878807c955c2bdfc263d48d7a09a5dc2ac085825c",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_help_text_unchanged(command, capsys, monkeypatch):
+    # Wide enough that no help line wraps.
+    monkeypatch.setenv("COLUMNS", "1000")
+    argv = ["--help"] if command == "winspell" else [command, "--help"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == HELP_DIGESTS[command]
 
 
 # SHA-256 of every file and stdout the commands in TestGoldenBytes produce.

@@ -1,4 +1,5 @@
 import random
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from winspell.corpus import (
     load_tag_dictionary,
     occurrences_by_set,
     restore,
+    sentences_of,
     tokenize,
 )
 
@@ -46,6 +48,32 @@ class TestTokenize:
         once = tokenize(text).surfaces
         again = tokenize(" ".join(once)).surfaces
         assert again == once
+
+
+# What a reader's text is drawn from: word characters (ASCII, Arabic-Indic
+# digits, sigmas whose lowercase depends on their neighbours, and İ, whose
+# lowercase is two characters), apostrophes, punctuation and a combining dot;
+# then whitespace that is not a line break, and every line boundary of
+# str.splitlines.
+READER_CHARACTERS = [*string.ascii_letters, *string.digits, *"٠١٢٣٤٥٦٧٨٩", *"Σσςİ",
+                     "_", "'", "’", "\u0307", *string.punctuation]
+READER_SPACES = [" ", "\t", "\u00a0", "\u3000", "\n", "\r", "\r\n", "\v", "\f", "\x1c",
+                 "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestSentencesOf:
+    @given(st.lists(st.one_of(st.sampled_from(READER_CHARACTERS),
+                              st.sampled_from(READER_SPACES)), max_size=60).map("".join))
+    @settings(max_examples=500, deadline=None)
+    def test_tokenizes_each_line_as_tokenize_does(self, text):
+        expected = [tokenize(line, i) for i, line in enumerate(text.splitlines(), 1)
+                    if line.strip()]
+        assert sentences_of(text) == expected
+
+    def test_blank_lines_keep_the_numbering(self):
+        sentences = sentences_of("Peace, piece.\n\n \t\r\nA PIECE of it's cake\n")
+        assert sentences == [Sentence(("peace", ",", "piece", "."), 1),
+                             Sentence(("a", "piece", "of", "it's", "cake"), 4)]
 
 
 class TestLoadCorpus:
@@ -115,11 +143,12 @@ class TestTagDictionary:
         path = tmp_path / "tags.tsv"
         path.write_text("to\tPREP,TO\ncake\tNOUN_sing\n")
         tagdict = load_tag_dictionary(path)
-        assert tagdict.lookup("to") == {"PREP", "TO"}
-        assert tagdict.lookup("cake") == {"NOUN_sing"}
+        assert tagdict.lookup("to") == ("PREP", "TO")
+        assert tagdict.lookup("cake") == ("NOUN_sing",)
+        assert TagDictionary({"to": ["TO", "PREP", "TO"]}).lookup("to") == ("PREP", "TO")
 
     def test_lookup_unknown_falls_back(self):
-        assert TagDictionary().lookup("zzxq") == {"UNK"}
+        assert TagDictionary().lookup("zzxq") == ("UNK",)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "tags.tsv"
@@ -135,7 +164,7 @@ class TestTagDictionary:
         with pytest.raises(CorpusError, match="line 3: malformed tag entry: .*whitespace"):
             load_tag_dictionary(path)
         path.write_text("to\tPREP, TO\nhis\tPRP$\n")
-        assert load_tag_dictionary(path).lookup("his") == {"PRP$"}
+        assert load_tag_dictionary(path).lookup("his") == ("PRP$",)
 
     def test_repeated_word_refused(self, tmp_path):
         path = tmp_path / "tags.tsv"

@@ -471,6 +471,20 @@ class TestTrainNetworkMatchesReference:
         reference_train(reference, stream)
         assert network_state(trained) == network_state(reference)
 
+    def test_negative_before_the_positive_that_connects_its_feature(self):
+        # Cloud 0 first meets I1 in a negative example, unconnected; the
+        # positive after it connects I1, so from the second cycle on that
+        # negative reaches I1 too, and in the fifth it fires and is demoted.
+        stream = [((I1,), 1), ((I1,), 0)]
+        trained, oracle = toy_network(), toy_network()
+        train_network(trained, stream)
+        oracle.horizon = CYCLES * len(stream)
+        for _ in range(CYCLES):
+            for active, member in stream:
+                for cloud in oracle.clouds:
+                    winnow_train_example(cloud, active, int(member == cloud.member_index))
+        assert network_state(trained) == network_state(oracle)
+
     def test_underflowed_weight_stays_connected(self):
         network = toy_network(1)
         cloud = network.clouds[1]
