@@ -15,8 +15,9 @@ from .features import (
     FeatureIndex,
     FeatureStats,
     chance_probabilities,
-    index_features,
+    model_head,
     model_lines,
+    parse_feature_list,
     parse_model_head,
 )
 
@@ -88,10 +89,6 @@ class BayesModel:
                 map(_log, smoothed_likelihoods(self, feature))
             )
         return row
-
-    @property
-    def n_members(self) -> int:
-        return len(self.confusion_set.members)
 
 
 def train_bayes(
@@ -208,18 +205,13 @@ HEADER = "BAYES v1"
 
 
 def model_to_text(model: BayesModel) -> str:
-    lines = [HEADER]
-    lines.append("members\t" + "\t".join(
-        model.confusion_set.member_text(i) for i in range(model.n_members)
-    ))
-    lines.append(f"extraction\tk={model.extraction.k}\tl={model.extraction.l}")
-    lines.append(f"smoothing\t{INTERPOLATIVE}")
-    lines.append(
-        "dependency_resolution\t" + ("on" if model.dependency_resolution else "off")
-    )
-    lines.append("occurrences\t" + "\t".join(str(n) for n in model.occurrences))
-    lines.append("priors\t" + "\t".join(repr(p) for p in model.priors))
-    lines.append(f"features\t{len(model.features)}")
+    lines = model_head(HEADER, model.confusion_set, model.extraction) + [
+        f"smoothing\t{INTERPOLATIVE}",
+        "dependency_resolution\t" + ("on" if model.dependency_resolution else "off"),
+        "occurrences\t" + "\t".join(str(n) for n in model.occurrences),
+        "priors\t" + "\t".join(repr(p) for p in model.priors),
+        f"features\t{len(model.features)}",
+    ]
     for key, row in zip(model.feature_ids, model.counts):
         lines.append(key + "\t" + "\t".join(str(c) for c in row))
     return "\n".join(lines) + "\n"
@@ -260,9 +252,7 @@ def model_from_text(text: str) -> BayesModel:
             )
         keys.append(key)
         rows.append(counts)
-    retained = index_features(keys, 9)
-    if len(retained) != n_features:
-        raise ValueError("model file truncated or has duplicate features")
+    retained = parse_feature_list(keys, n_features, 9)
     if len(lines) > 8 + n_features:
         raise ValueError(f"line {9 + n_features}: text after the last count row")
     model = BayesModel(

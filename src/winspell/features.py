@@ -323,10 +323,7 @@ def extract_active(
 
 
 def active_ids(generated: set[str], feature_ids: Mapping[str, int]) -> tuple[int, ...]:
-    """The sorted ids of the ``generated`` keys that ``feature_ids`` holds,
-    looked up from the smaller side."""
-    if len(feature_ids) < len(generated):
-        return tuple(sorted([i for f, i in feature_ids.items() if f in generated]))
+    """The sorted ids of the ``generated`` keys that ``feature_ids`` holds."""
     return tuple(sorted([i for i in map(feature_ids.get, generated) if i is not None]))
 
 
@@ -352,6 +349,14 @@ def model_lines(text: str, header: str) -> list[str]:
     return lines
 
 
+def model_head(header: str, confusion_set: ConfusionSet, params: ExtractionParams) -> list[str]:
+    """The first lines of a model file: ``header``, then the ``members`` and
+    ``extraction`` lines every model format declares, as
+    :func:`parse_model_head` reads them."""
+    members = "\t".join(map(confusion_set.member_text, range(len(confusion_set.members))))
+    return [header, f"members\t{members}", f"extraction\tk={params.k}\tl={params.l}"]
+
+
 def parse_model_head(
     lines: Sequence[str], names: Sequence[str]
 ) -> tuple[dict[str, list[str]], ConfusionSet, ExtractionParams]:
@@ -372,3 +377,15 @@ def parse_model_head(
         return fields, confusion_set, ExtractionParams(k, l)
     except ValueError as exc:
         raise ValueError(f"malformed model file header: {exc}") from exc
+
+
+def parse_feature_list(keys: list[str], count: int, first_line: int) -> FeatureIndex:
+    """The index of a model file's feature list, ``keys`` from line
+    ``first_line`` on. ValueError unless they are ``count`` distinct canonical
+    keys in canonical order, as saving writes them: line ``i`` is id ``i``."""
+    retained = index_features(keys, first_line)
+    if len(retained) != count:
+        raise ValueError("model file truncated or has duplicate features")
+    if list(retained) != keys:
+        raise ValueError("feature list is not in canonical order")
+    return retained

@@ -17,9 +17,10 @@ from .corpus import ConfusionSet, read_text
 from .features import (
     ExtractionParams,
     FeatureIndex,
-    index_features,
+    model_head,
     model_lines,
     parse_assignments,
+    parse_feature_list,
     parse_model_head,
 )
 
@@ -83,17 +84,6 @@ class WinnowClassifier:
         self.mistakes = mistakes
 
 
-def winnow_predict(classifier: WinnowClassifier, slots: Iterable[int]) -> int:
-    """1 iff the exactly rounded sum of the weights in the given slots (the
-    connected active features) is above THETA, summing exactly only when the
-    plain sum is too near THETA to decide."""
-    weights = [classifier.weights[i] for i in slots]
-    total = sum(weights)
-    if abs(total - THETA) <= len(weights) * SLOT_MARGIN * total:
-        total = math.fsum(weights)
-    return 1 if total > THETA else 0
-
-
 class Cloud:
     """The ensemble of classifiers representing one confusion-set member.
 
@@ -139,14 +129,26 @@ def _connect_positive(cloud: Cloud, active_set: Sequence[int], label: int) -> li
     return cloud.connected(active_set)
 
 
-def _presentation(slots: list[int], label: int) -> tuple:
+def _presentation(slots: list[int], label: int | None = None) -> tuple:
     """What a classifier is shown: a reader of the weights in ``slots``, the
     slots of the connected active features; the threshold filter's margin
-    for that many weights; the slots; the label."""
+    for that many weights; the slots; the label (None for a decision)."""
     # itemgetter of one index returns the bare weight, so one slot or none
     # gets a reader that still returns a sequence.
     read = itemgetter(*slots) if len(slots) > 1 else lambda weights: [weights[i] for i in slots]
     return read, len(slots) * SLOT_MARGIN, slots, label
+
+
+def winnow_predict(classifier: WinnowClassifier, presentation: tuple) -> int:
+    """1 iff the exactly rounded sum of the weights that ``presentation``
+    reads (the connected active features) is above THETA, summing exactly
+    only when the plain sum is too near THETA to decide."""
+    read, margin = presentation[:2]
+    chosen = read(classifier.weights)
+    total = sum(chosen)
+    if abs(total - THETA) <= margin * total:
+        total = math.fsum(chosen)
+    return 1 if total > THETA else 0
 
 
 def _learn(classifier: WinnowClassifier, presentations: Iterable[tuple]):
@@ -157,7 +159,7 @@ def _learn(classifier: WinnowClassifier, presentations: Iterable[tuple]):
     theta, alpha, beta = THETA, ALPHA, classifier.beta
     mistakes = 0
     for read, margin, slots, label in presentations:
-        # The filtered test of winnow_predict, inlined on the hot path.
+        # The one copy of winnow_predict's test, inlined on the hot path.
         chosen = read(weights)
         total = sum(chosen)
         if abs(total - theta) <= margin * total:
@@ -173,17 +175,18 @@ def _learn(classifier: WinnowClassifier, presentations: Iterable[tuple]):
 def cloud_activation(cloud: Cloud, active_set: Iterable[int], horizon: int) -> float:
     """Weighted-majority activation: votes weighted by gamma**mistakes and
     normalized, so the result lies in [0, 1]."""
-    slots = cloud.connected(active_set)
+    shown = _presentation(cloud.connected(active_set))
+    votes = [winnow_predict(c, shown) for c in cloud.classifiers]
     gamma = gamma_at(horizon, cloud.examples_seen)
+    # Sequential +=, not sum(), which is compensated from Python 3.12 on.
     numerator = 0.0
     denominator = 0.0
-    for classifier in cloud.classifiers:
+    for classifier, vote in zip(cloud.classifiers, votes):
         weight = gamma**classifier.mistakes
-        numerator += weight * winnow_predict(classifier, slots)
+        numerator += weight * vote
         denominator += weight
     if denominator == 0.0:
         # All gamma**m underflowed; fall back to the plain vote fraction.
-        votes = [winnow_predict(c, slots) for c in cloud.classifiers]
         return sum(votes) / len(votes)
     return numerator / denominator
 
@@ -240,10 +243,10 @@ def classify_winnow(network: WinnowNetwork, active_set: Sequence[int]) -> Decisi
     weighted sum in one-layer mode, its weighted-majority activation in
     two-layer mode. The bias is active on every example."""
     if network.layer_mode == ONE_LAYER:
-        # Exactly rounded sum: clouds holding permutations of the same weights
-        # produce bit-identical totals, so comparator ties are real ties.
+        # Exactly rounded sum of what the presentation reads: clouds holding
+        # permutations of the same weights tie bit for bit, as the comparator needs.
         scores = tuple(
-            math.fsum(map(cloud.classifiers[0].weights.__getitem__, cloud.connected(active_set)))
+            math.fsum(_presentation(cloud.connected(active_set))[0](cloud.classifiers[0].weights))
             for cloud in network.clouds
         )
     else:
@@ -351,25 +354,18 @@ HEADER = "WINNOW v1"
 
 
 def network_to_text(network: WinnowNetwork) -> str:
-    lines = [HEADER]
-    lines.append("members\t" + "\t".join(
-        network.confusion_set.member_text(i) for i in range(network.n_members)
-    ))
-    lines.append(f"extraction\tk={network.extraction.k}\tl={network.extraction.l}")
-    lines.append(
+    lines = model_head(HEADER, network.confusion_set, network.extraction) + [
         f"winnow\ttheta={THETA!r}\talpha={ALPHA!r}"
-        f"\tdefault_weight={DEFAULT_WEIGHT!r}\tcycles={network.cycles}"
-    )
-    lines.append("betas\t" + "\t".join(repr(b) for b in BETAS))
-    lines.append(f"layer\t{network.layer_mode}")
-    lines.append(f"architecture\t{network.architecture}")
-    lines.append(f"init\t{network.init_mode}")
-    lines.append(
-        f"schedule\tstart={GAMMA_START!r}\tend={GAMMA_END!r}\thorizon={network.horizon}"
-    )
-    lines.append("priors\t" + "\t".join(repr(pr) for pr in network.priors))
-    lines.append(f"features\t{len(network.features)}")
-    lines.extend(network.feature_ids)
+        f"\tdefault_weight={DEFAULT_WEIGHT!r}\tcycles={network.cycles}",
+        "betas\t" + "\t".join(repr(b) for b in BETAS),
+        f"layer\t{network.layer_mode}",
+        f"architecture\t{network.architecture}",
+        f"init\t{network.init_mode}",
+        f"schedule\tstart={GAMMA_START!r}\tend={GAMMA_END!r}\thorizon={network.horizon}",
+        "priors\t" + "\t".join(repr(pr) for pr in network.priors),
+        f"features\t{len(network.features)}",
+        *network.feature_ids,
+    ]
     for cloud in network.clouds:
         lines.append(f"cloud\t{cloud.member_index}\texamples_seen={cloud.examples_seen}")
         rows = sorted(cloud.slots.items())
@@ -420,12 +416,7 @@ def network_from_text(text: str) -> WinnowNetwork:
             raise ValueError(f"architecture must be {SPARSE} or {FULL}")
     except ValueError as exc:
         raise ValueError(f"malformed model file header: {exc}") from exc
-    feature_lines = lines[11 : 11 + n_features]
-    retained = index_features(feature_lines, 12)
-    if len(retained) != n_features:
-        raise ValueError("model file truncated or has duplicate features")
-    if list(retained) != feature_lines:
-        raise ValueError("feature list is not in canonical order")
+    retained = parse_feature_list(lines[11 : 11 + n_features], n_features, 12)
     network = WinnowNetwork(
         confusion_set, retained, cycles, extraction,
         layer_mode=head["layer"][0], priors=[float(pr) for pr in head["priors"]],

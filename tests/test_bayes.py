@@ -149,7 +149,7 @@ class TestLogLikelihoods:
         for f in ids_of(model, model.features):
             row = model.log_likelihood_row(f)
             assert table[f] is row
-            for i in range(model.n_members):
+            for i in range(len(model.confusion_set.members)):
                 likelihood = smoothed_likelihoods(model, f)[i]
                 want = math.log(likelihood) if likelihood > 0 else -math.inf
                 assert row[i] == want
@@ -422,6 +422,21 @@ class TestSerialization:
             "^malformed model file header: smoothing must be interpolative$"
         )):
             model_from_text(text.replace("\nsmoothing\tinterpolative\n", "\nsmoothing\tmle\n"))
+
+    def test_feature_list_out_of_canonical_order_rejected(self):
+        # Row i is feature id i, as in WINNOW v1: a reordered list is refused,
+        # not sorted again into a model that saves back other bytes.
+        lines = model_to_text(toy_model()[0]).splitlines()
+        assert lines[7].startswith("features\t") and int(lines[7].split("\t")[1]) >= 2
+        lines[8], lines[9] = lines[9], lines[8]
+        with pytest.raises(ValueError, match="^feature list is not in canonical order$"):
+            model_from_text("\n".join(lines) + "\n")
+
+    def test_repeated_feature_row_rejected(self):
+        lines = model_to_text(toy_model()[0]).splitlines()
+        lines[9] = lines[8]
+        with pytest.raises(ValueError, match="^model file truncated or has duplicate features$"):
+            model_from_text("\n".join(lines) + "\n")
 
     def test_rejects_foreign_text(self):
         with pytest.raises(ValueError):

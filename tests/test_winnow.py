@@ -4,7 +4,7 @@ import re
 import statistics
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from winspell.bayes import classify_bayes, train_bayes
@@ -33,6 +33,7 @@ from winspell.winnow import (
     Cloud,
     WinnowClassifier,
     WinnowNetwork,
+    _presentation,
     classify_winnow,
     cloud_activation,
     gamma_at,
@@ -78,7 +79,7 @@ def weights_of(cloud, k=0):
 
 
 def predict(cloud, active):
-    return winnow_predict(cloud.classifiers[0], cloud.connected(active))
+    return winnow_predict(cloud.classifiers[0], _presentation(cloud.connected(active)))
 
 
 class TestPredict:
@@ -296,6 +297,40 @@ class TestCloudActivation:
         cloud.examples_seen = seen
         activation = cloud_activation(cloud, (I1,), UNTRAINED_HORIZON)
         assert 0.0 <= activation <= 1.0
+
+
+def reference_activation(cloud, votes, horizon):
+    """The weighted-majority vote as defined: gamma**m * vote and gamma**m
+    accumulated with sequential +=, the plain vote fraction if every
+    gamma**m underflows."""
+    gamma = gamma_at(horizon, cloud.examples_seen)
+    numerator = denominator = 0.0
+    for classifier, vote in zip(cloud.classifiers, votes):
+        numerator += gamma**classifier.mistakes * vote
+        denominator += gamma**classifier.mistakes
+    if denominator == 0.0:
+        return sum(votes) / len(votes)
+    return numerator / denominator
+
+
+class TestActivationBits:
+    """cloud_activation gives the reference's bits. Python 3.12 made sum()
+    compensated, so the CI matrix (3.10-3.13) checks both summation rules."""
+
+    # Few mistakes, any count, or counts near and past 1,860, from which
+    # 0.67**m underflows to 0.0.
+    MISTAKES = st.one_of(st.integers(0, 40), st.integers(0, 2500), st.integers(1850, 2500))
+
+    @given(st.lists(st.tuples(MISTAKES, st.integers(0, 1)), min_size=1, max_size=8),
+           st.one_of(st.integers(0, 2 * UNTRAINED_HORIZON), st.just(10**6)))
+    @example([(1900, 1), (1900, 0), (2500, 0)], 10**6)
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_reference(self, spec, seen):
+        votes = [v for _, v in spec]
+        cloud = cloud_with([m for m, _ in spec], votes)
+        cloud.examples_seen = seen
+        got = cloud_activation(cloud, (I1,), UNTRAINED_HORIZON)
+        assert got.hex() == reference_activation(cloud, votes, UNTRAINED_HORIZON).hex()
 
 
 def toy_network(cycles=CYCLES, **kwargs):
