@@ -381,11 +381,23 @@ def parse_model_head(
 
 def parse_feature_list(keys: list[str], count: int, first_line: int) -> FeatureIndex:
     """The index of a model file's feature list, ``keys`` from line
-    ``first_line`` on. ValueError unless they are ``count`` distinct canonical
-    keys in canonical order, as saving writes them: line ``i`` is id ``i``."""
+    ``first_line`` on. ValueError naming the first line at fault unless they
+    are ``count`` distinct canonical keys in canonical order, as saving
+    writes them: line ``first_line + i`` is id ``i``."""
     retained = index_features(keys, first_line)
-    if len(retained) != count:
-        raise ValueError("model file truncated or has duplicate features")
-    if list(retained) != keys:
-        raise ValueError("feature list is not in canonical order")
+    in_order = list(retained)  # the distinct keys, in canonical order
+    seen = set()
+    for i, key in enumerate(keys):
+        if key in seen:
+            raise ValueError(
+                f"line {first_line + i}: model file truncated or has duplicate features"
+            )
+        # Lines before this one hold in_order[:i], so a new key belongs here.
+        if key != in_order[i]:
+            raise ValueError(f"line {first_line + i}: feature list is not in canonical order")
+        seen.add(key)
+    if len(keys) != count:
+        raise ValueError(
+            f"line {first_line + len(keys)}: model file truncated or has duplicate features"
+        )
     return retained

@@ -33,20 +33,20 @@ BAYESIAN = "bayesian"
 
 # Feature id of the bias, a pseudo-feature active on every example; it
 # carries the prior under Bayesian initialization and otherwise trains like
-# any connected feature. Every other feature's id is its position in the
+# any linked feature. Every other feature's id is its position in the
 # network's sorted feature tuple, so ids are also WINNOW v1 row indexes.
 BIAS_ID = -1
 
 # Stand-in for log(0) when mapping likelihoods to weights.
 ZERO_LIKELIHOOD_LOG = -500.0
 
-# Per-slot relative margin of the filtered threshold test. Every weight is
+# Per-weight relative margin of the filtered threshold test. Every weight is
 # non-negative, so a plain float sum of n weights is off by at most
 # (n - 1) * 2**-53 times the total (recursive summation, Higham 2002, sec.
 # 4.2); a total farther than n * 2**-50 of itself from theta is therefore on
 # the same side of theta as the exactly rounded sum, and only totals inside
 # that margin are summed again with math.fsum (a Shewchuk-style filter).
-SLOT_MARGIN = 2.0**-50
+WEIGHT_MARGIN = 2.0**-50
 
 # The one Winnow setting: threshold, promotion, one classifier per demotion
 # beta (a one-layer cloud keeps the middle one), the weight of a new link, and
@@ -74,13 +74,14 @@ def gamma_at(horizon: int, t: int) -> float:
 class WinnowClassifier:
     """One Winnow unit: demotion parameter, weights, mistake count.
 
-    ``weights[i]`` is the weight of the feature in slot ``i`` of the owning
-    cloud's connection table; unconnected features contribute 0.
+    ``weights[f + 1]`` is the weight of feature id ``f``, the bias (id -1) at
+    0, over the ``n_features`` features of the network; a feature that the
+    owning cloud has not linked weighs 0.0, so it adds nothing.
     """
 
-    def __init__(self, beta: float, mistakes: int = 0):
+    def __init__(self, beta: float, n_features: int, mistakes: int = 0):
         self.beta = beta
-        self.weights: list[float] = []
+        self.weights = [0.0] * (n_features + 1)
         self.mistakes = mistakes
 
 
@@ -88,11 +89,9 @@ class Cloud:
     """The ensemble of classifiers representing one confusion-set member.
 
     Every classifier of a cloud sees the same examples with the same label,
-    so all are connected to the same features: the cloud keeps one
-    connection table, ``slots``, mapping each connected feature id to its
-    index in every classifier's ``weights``. A feature stays connected even if
-    its weights underflow to 0.0. Once connected, the bias (id -1) counts as
-    active on every example.
+    so all are linked to the same features: ``linked``, the set of linked
+    feature ids, the bias (id -1) among them once linked. A feature stays
+    linked even if its weights underflow to 0.0.
     """
 
     def __init__(self, member_index: int, classifiers: Sequence[WinnowClassifier]):
@@ -100,48 +99,26 @@ class Cloud:
             raise ValueError("cloud needs at least one classifier")
         self.member_index = member_index
         self.classifiers = list(classifiers)
-        self.slots: dict[int, int] = {}
+        self.linked: set[int] = set()
         self.examples_seen = 0
 
-    def connect(self, feature: int, weight: float):
-        """Connect ``feature`` at ``weight`` in every classifier."""
-        self.slots[feature] = len(self.slots)
-        for classifier in self.classifiers:
-            classifier.weights.append(weight)
 
-    def connected(self, active_set: Iterable[int]) -> list[int]:
-        """The slots of the connected features among ``active_set``, then the
-        bias's slot if the bias is connected."""
-        slots = self.slots
-        found = [slots[f] for f in active_set if f in slots]
-        if BIAS_ID in slots:
-            found.append(slots[BIAS_ID])
-        return found
-
-
-def _connect_positive(cloud: Cloud, active_set: Sequence[int], label: int) -> list[int]:
-    """Connect the unconnected active features of a positive example at the
-    default weight; return the slots of the connected active features."""
-    if label == 1:
-        for f in active_set:
-            if f not in cloud.slots:
-                cloud.connect(f, DEFAULT_WEIGHT)
-    return cloud.connected(active_set)
-
-
-def _presentation(slots: list[int], label: int | None = None) -> tuple:
-    """What a classifier is shown: a reader of the weights in ``slots``, the
-    slots of the connected active features; the threshold filter's margin
-    for that many weights; the slots; the label (None for a decision)."""
-    # itemgetter of one index returns the bare weight, so one slot or none
+def _presentation(active: Sequence[int]) -> tuple:
+    """What every classifier of a network is shown for one example: a reader
+    of the weights of the active feature ids, then of the bias, which is
+    active on every example; the threshold filter's margin for that many
+    weights; their weight indexes."""
+    indexes = [f + 1 for f in active]
+    indexes.append(BIAS_ID + 1)
+    # itemgetter of one index returns the bare weight, so the bias alone
     # gets a reader that still returns a sequence.
-    read = itemgetter(*slots) if len(slots) > 1 else lambda weights: [weights[i] for i in slots]
-    return read, len(slots) * SLOT_MARGIN, slots, label
+    read = itemgetter(*indexes) if len(indexes) > 1 else lambda weights: [weights[0]]
+    return read, len(indexes) * WEIGHT_MARGIN, indexes
 
 
 def winnow_predict(classifier: WinnowClassifier, presentation: tuple) -> int:
     """1 iff the exactly rounded sum of the weights that ``presentation``
-    reads (the connected active features) is above THETA, summing exactly
+    reads (the active features and the bias) is above THETA, summing exactly
     only when the plain sum is too near THETA to decide."""
     read, margin = presentation[:2]
     chosen = read(classifier.weights)
@@ -151,14 +128,17 @@ def winnow_predict(classifier: WinnowClassifier, presentation: tuple) -> int:
     return 1 if total > THETA else 0
 
 
-def _learn(classifier: WinnowClassifier, presentations: Iterable[tuple]):
-    """Mistake-driven updates of one classifier over presentations, in
-    order: a missed positive promotes, a false positive demotes, the weights
-    in the presented slots."""
+def _learn(classifier: WinnowClassifier, lessons: Iterable[tuple]):
+    """Mistake-driven updates of one classifier over (presentation, label,
+    weight indexes linked first here) lessons, in order: the new links take
+    DEFAULT_WEIGHT, then a missed positive promotes, a false positive
+    demotes, the presented weights."""
     weights = classifier.weights
     theta, alpha, beta = THETA, ALPHA, classifier.beta
     mistakes = 0
-    for read, margin, slots, label in presentations:
+    for (read, margin, indexes), label, links in lessons:
+        for i in links:
+            weights[i] = DEFAULT_WEIGHT
         # The one copy of winnow_predict's test, inlined on the hot path.
         chosen = read(weights)
         total = sum(chosen)
@@ -166,16 +146,15 @@ def _learn(classifier: WinnowClassifier, presentations: Iterable[tuple]):
             total = math.fsum(chosen)
         if (total > theta) != label:
             factor = alpha if label == 1 else beta
-            for i in slots:
+            for i in indexes:
                 weights[i] *= factor
             mistakes += 1
     classifier.mistakes += mistakes
 
 
-def cloud_activation(cloud: Cloud, active_set: Iterable[int], horizon: int) -> float:
-    """Weighted-majority activation: votes weighted by gamma**mistakes and
-    normalized, so the result lies in [0, 1]."""
-    shown = _presentation(cloud.connected(active_set))
+def cloud_activation(cloud: Cloud, shown: tuple, horizon: int) -> float:
+    """Weighted-majority activation on the presentation ``shown``: votes
+    weighted by gamma**mistakes and normalized, so the result lies in [0, 1]."""
     votes = [winnow_predict(c, shown) for c in cloud.classifiers]
     gamma = gamma_at(horizon, cloud.examples_seen)
     # Sequential +=, not sum(), which is compensated from Python 3.12 on.
@@ -193,7 +172,7 @@ def cloud_activation(cloud: Cloud, active_set: Iterable[int], horizon: int) -> f
 
 class WinnowNetwork:
     """Clouds for every confusion-set member plus the comparator state. A new
-    network is sparse, connected to the bias only.
+    network is sparse, linked to the bias only.
 
     ``feature_ids`` is the index of the retained features and ``features``
     its Feature tuples, as in a ``BayesModel``; ``train_network`` makes
@@ -228,9 +207,13 @@ class WinnowNetwork:
             raise ValueError("priors do not match the confusion set")
         self.priors = tuple(priors)
         betas = (BETAS[len(BETAS) // 2],) if layer_mode == ONE_LAYER else BETAS
-        self.clouds = [Cloud(i, [WinnowClassifier(b) for b in betas]) for i in range(n)]
+        n_features = len(self.features)
+        self.clouds = [Cloud(i, [WinnowClassifier(b, n_features) for b in betas])
+                       for i in range(n)]
         for cloud in self.clouds:
-            cloud.connect(BIAS_ID, DEFAULT_WEIGHT)
+            cloud.linked.add(BIAS_ID)
+            for classifier in cloud.classifiers:
+                classifier.weights[BIAS_ID + 1] = DEFAULT_WEIGHT
 
     @property
     def n_members(self) -> int:
@@ -242,15 +225,14 @@ def classify_winnow(network: WinnowNetwork, active_set: Sequence[int]) -> Decisi
     one by :func:`~winspell.bayes.choose`. A cloud's score is its raw
     weighted sum in one-layer mode, its weighted-majority activation in
     two-layer mode. The bias is active on every example."""
+    shown = _presentation(active_set)
     if network.layer_mode == ONE_LAYER:
         # Exactly rounded sum of what the presentation reads: clouds holding
         # permutations of the same weights tie bit for bit, as the comparator needs.
-        scores = tuple(
-            math.fsum(_presentation(cloud.connected(active_set))[0](cloud.classifiers[0].weights))
-            for cloud in network.clouds
-        )
+        read = shown[0]
+        scores = tuple(math.fsum(read(cloud.classifiers[0].weights)) for cloud in network.clouds)
     else:
-        scores = tuple(cloud_activation(c, active_set, network.horizon) for c in network.clouds)
+        scores = tuple(cloud_activation(c, shown, network.horizon) for c in network.clouds)
     return Decision(scores, choose(scores, network.priors))
 
 
@@ -262,41 +244,38 @@ def train_network(network: WinnowNetwork, stream: Iterable[tuple[Sequence[int], 
     replayed in order for the network's number of cycles, and the vote
     horizon is fixed at the total number of presentations.
 
-    Clouds share no state, so each is trained on its own. Its connections
-    depend on the labels alone, and every positive example comes in the
-    first cycle, so the slots each presentation touches are all known after
-    one pass over the stream: the first cycle's as the cloud connects, then
-    one fixed list for every later cycle. A weight is read only once its
-    feature is connected, so connecting ahead of learning changes nothing,
-    and the classifiers, which share nothing but the connections, then
-    learn one after another.
+    Every cloud, classifier and cycle is shown one presentation per example.
+    Clouds share no state, so each is trained on its own. Its links depend on
+    the labels alone, and every positive example comes in the first cycle,
+    so one pass over the stream finds the ids each first-cycle positive
+    links first; ``_learn`` links them just before it reads their weights,
+    so a negative example shown earlier still reads them as 0.0. The
+    classifiers, which share nothing but the links, then learn one after
+    another.
     """
     examples = list(stream)
     if not examples:
         return
     network.horizon = network.cycles * len(examples)
+    presentations = [_presentation(active) for active, _ in examples]
     for cloud in network.clouds:
-        labelled = [
-            (active, 1 if member == cloud.member_index else 0) for active, member in examples
-        ]
-        first = [
-            _presentation(_connect_positive(cloud, active, label), label)
-            for active, label in labelled
-        ]
-        # A presentation whose slots did not grow after the first cycle is
-        # shown again as it was.
-        later = []
-        for (active, label), shown in zip(labelled, first):
-            slots = cloud.connected(active)
-            later.append(shown if slots == shown[2] else _presentation(slots, label))
-        presentations = first + later * (network.cycles - 1)
+        first, later = [], []
+        for (active, member), shown in zip(examples, presentations):
+            label = 1 if member == cloud.member_index else 0
+            links = ()
+            if label:
+                links = [f + 1 for f in active if f not in cloud.linked]
+                cloud.linked.update(active)
+            first.append((shown, label, links))
+            later.append((shown, label, ()))
+        lessons = first + later * (network.cycles - 1)
         for classifier in cloud.classifiers:
-            _learn(classifier, presentations)
-        cloud.examples_seen += len(presentations)
+            _learn(classifier, lessons)
+        cloud.examples_seen += len(lessons)
 
 
 def init_bayesian(network: WinnowNetwork, model: BayesModel):
-    """Connect every cloud to every feature (a full network) with
+    """Link every cloud to every feature (a full network) with
     log-likelihood weights.
 
     Cloud i's weight for feature f is log(smoothed likelihood) plus one
@@ -313,8 +292,7 @@ def init_bayesian(network: WinnowNetwork, model: BayesModel):
     ]
     shift = -min(w for weights in raw for w in weights)
     for cloud in network.clouds:
-        # Slot k holds feature id k - 1: the bias first, then every feature.
-        cloud.slots = {f: f + 1 for f in range(BIAS_ID, len(network.features))}
+        cloud.linked = set(range(BIAS_ID, len(network.features)))
         for classifier in cloud.classifiers:
             classifier.weights = [w + shift for w in raw[cloud.member_index]]
     network.priors = model.priors
@@ -330,17 +308,15 @@ def _floored(log_value: float) -> float:
 def sparsify(network: WinnowNetwork, counts: Sequence[Sequence[int]]):
     """Switch to the sparse architecture, dropping every link whose feature
     never co-occurred with the cloud's member in ``counts``, the training
-    count rows by feature id of a ``BayesModel``."""
+    count rows by feature id of a ``BayesModel``: it is unlinked and weighs
+    0.0 again."""
     for cloud in network.clouds:
         member = cloud.member_index
-        kept = [
-            (f, slot)
-            for f, slot in cloud.slots.items()
-            if f == BIAS_ID or counts[f][member] > 0
-        ]
-        cloud.slots = {f: i for i, (f, _) in enumerate(kept)}
+        dropped = {f for f in cloud.linked if f != BIAS_ID and counts[f][member] == 0}
+        cloud.linked -= dropped
         for classifier in cloud.classifiers:
-            classifier.weights = [classifier.weights[slot] for _, slot in kept]
+            for f in dropped:
+                classifier.weights[f + 1] = 0.0
     network.architecture = SPARSE
 
 
@@ -368,13 +344,14 @@ def network_to_text(network: WinnowNetwork) -> str:
     ]
     for cloud in network.clouds:
         lines.append(f"cloud\t{cloud.member_index}\texamples_seen={cloud.examples_seen}")
-        rows = sorted(cloud.slots.items())
+        rows = sorted(cloud.linked)
         for classifier in cloud.classifiers:
             lines.append(
                 f"classifier\tbeta={classifier.beta!r}\tmistakes={classifier.mistakes}"
             )
-            for fi, slot in rows:
-                lines.append(f"{fi}\t{classifier.weights[slot]!r}")
+            weights = classifier.weights
+            for f in rows:
+                lines.append(f"{f}\t{weights[f + 1]!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -449,7 +426,9 @@ def network_from_text(text: str) -> WinnowNetwork:
                 if cloud is None:
                     raise ValueError("classifier outside any cloud")
                 beta, mistakes = parse_assignments(fields[1:], ("beta", "mistakes"))
-                classifier = WinnowClassifier(float(beta), _count(mistakes, "mistakes"))
+                classifier = WinnowClassifier(
+                    float(beta), n_features, _count(mistakes, "mistakes")
+                )
                 cloud.classifiers.append(classifier)
                 names: list[int] = []
                 rows[cloud.member_index].append(names)
@@ -467,15 +446,15 @@ def network_from_text(text: str) -> WinnowNetwork:
                 if not 0.0 <= weight < math.inf:
                     raise ValueError(f"weight {fields[1]} is negative or not finite")
                 names.append(feature)
-                classifier.weights.append(weight)
+                classifier.weights[feature + 1] = weight
     except ValueError as exc:
         raise ValueError(f"line {number}: {exc}") from None
     if len(rows) != network.n_members or not all(c.classifiers for c in network.clouds):
         raise ValueError("model file truncated: a cloud or its classifiers are missing")
     for cloud in network.clouds:
         first, *others = rows[cloud.member_index]
-        cloud.slots = {f: i for i, f in enumerate(first)}
-        if len(cloud.slots) != len(first) or any(other != first for other in others):
+        cloud.linked = set(first)
+        if len(cloud.linked) != len(first) or any(other != first for other in others):
             raise ValueError(
                 f"model file truncated or damaged: cloud {cloud.member_index} weight"
                 " rows repeat a feature or differ from the first classifier's"

@@ -13,7 +13,7 @@ from winspell.features import (
     FeatureStats,
     index_features,
 )
-from winspell.winnow import _connect_positive, _learn, _presentation
+from winspell.winnow import _learn, _presentation
 
 CONTEXT_POOL = (
     "the", "on", "by", "it", "was", "went", "every", "time", "day", "road",
@@ -257,13 +257,18 @@ def collocation(offsets, slots) -> Feature:
 
 def winnow_train_example(cloud, active_set, label):
     """One online step for every classifier of the cloud, as training takes
-    it: a positive example first connects any unconnected active features at
-    the default weight; each classifier whose prediction is mistaken then
-    promotes (missed positive) or demotes (false positive) every connected
-    active weight. Negative examples never create connections."""
-    presentation = [_presentation(_connect_positive(cloud, active_set, label), label)]
+    it: a positive example first links any unlinked active features at the
+    default weight; each classifier whose prediction is mistaken then
+    promotes (missed positive) or demotes (false positive) every active
+    weight, the bias's among them, where an unlinked one stays 0.0. Negative
+    examples never create links."""
+    links = []
+    if label == 1:
+        links = [f + 1 for f in active_set if f not in cloud.linked]
+        cloud.linked.update(active_set)
+    lesson = [(_presentation(active_set), label, links)]
     for classifier in cloud.classifiers:
-        _learn(classifier, presentation)
+        _learn(classifier, lesson)
     cloud.examples_seen += 1
 
 

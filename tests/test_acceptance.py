@@ -57,7 +57,6 @@ from helpers import (
     CHI2_ORACLE,
     MCNEMAR_ORACLE,
     TWO_PROPORTION_ORACLE,
-    context_word,
     corpus_of,
     mcnemar_outcome_pair,
     oracle_argmax,
@@ -152,9 +151,9 @@ def test_c02_simplified_winnow_equals_simplified_bayes(tiny_corpora):
 
 def _disjunction_mistakes(r, n, seed, n_examples=400, background=8):
     rng = random.Random(seed)
-    pool = [context_word(f"f{i}") for i in range(n)]
+    pool = list(range(n))  # the feature ids of n words
     relevant = pool[:r]
-    cloud = Cloud(0, [WinnowClassifier(beta=0.5)])
+    cloud = Cloud(0, [WinnowClassifier(beta=0.5, n_features=n)])
     for _ in range(n_examples):
         active = set()
         if rng.random() < 0.5:

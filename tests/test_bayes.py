@@ -429,14 +429,24 @@ class TestSerialization:
         lines = model_to_text(toy_model()[0]).splitlines()
         assert lines[7].startswith("features\t") and int(lines[7].split("\t")[1]) >= 2
         lines[8], lines[9] = lines[9], lines[8]
-        with pytest.raises(ValueError, match="^feature list is not in canonical order$"):
+        # File line 9 holds the key that canonical order puts on line 10.
+        with pytest.raises(ValueError, match="^line 9: feature list is not in canonical order$"):
             model_from_text("\n".join(lines) + "\n")
 
     def test_repeated_feature_row_rejected(self):
         lines = model_to_text(toy_model()[0]).splitlines()
         lines[9] = lines[8]
-        with pytest.raises(ValueError, match="^model file truncated or has duplicate features$"):
+        with pytest.raises(ValueError,
+                           match="^line 10: model file truncated or has duplicate features$"):
             model_from_text("\n".join(lines) + "\n")
+
+    def test_short_feature_list_names_the_line_after_it(self):
+        lines = model_to_text(toy_model()[0]).splitlines()
+        assert int(lines[7].split("\t")[1]) > 2
+        # File lines 9 and 10 are the list's first two rows; line 11 is missing.
+        with pytest.raises(ValueError,
+                           match="^line 11: model file truncated or has duplicate features$"):
+            model_from_text("\n".join(lines[:10]) + "\n")
 
     def test_rejects_foreign_text(self):
         with pytest.raises(ValueError):

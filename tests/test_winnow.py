@@ -63,23 +63,45 @@ F1, F2, F3 = context_word("f1"), context_word("f2"), context_word("f3")
 I1, I2, I3 = 0, 1, 2
 
 
-def unit(weights=None):
-    """A cloud of one classifier (beta 0.5) connected to ``weights``
-    (feature id -> weight)."""
-    cloud = Cloud(0, [WinnowClassifier(0.5)])
-    for f, w in (weights or {}).items():
-        cloud.connect(f, w)
+def link(cloud, f, weight):
+    """Link feature id ``f`` at ``weight`` in every classifier of ``cloud``."""
+    cloud.linked.add(f)
+    for classifier in cloud.classifiers:
+        classifier.weights[f + 1] = weight
+
+
+def unit(weights=None, n_features=3):
+    """A cloud of one classifier (beta 0.5) over ``n_features`` feature ids,
+    or as many as ``weights`` needs, linked to ``weights`` (feature id ->
+    weight)."""
+    weights = weights or {}
+    n_features = max([n_features, *(f + 1 for f in weights)])
+    cloud = Cloud(0, [WinnowClassifier(0.5, n_features)])
+    for f, w in weights.items():
+        link(cloud, f, w)
     return cloud
 
 
 def weights_of(cloud, k=0):
-    """Classifier k's weights, keyed by feature id through the cloud's slots."""
+    """Classifier k's weights of the cloud's linked features, by feature id."""
     weights = cloud.classifiers[k].weights
-    return {f: weights[slot] for f, slot in cloud.slots.items()}
+    return {f: weights[f + 1] for f in cloud.linked}
+
+
+def unlinked_weights(network):
+    """The weight of every feature id, the bias's included, that its cloud
+    has not linked, in every classifier."""
+    return [
+        classifier.weights[f + 1]
+        for cloud in network.clouds
+        for classifier in cloud.classifiers
+        for f in range(BIAS_ID, len(network.features))
+        if f not in cloud.linked
+    ]
 
 
 def predict(cloud, active):
-    return winnow_predict(cloud.classifiers[0], _presentation(cloud.connected(active)))
+    return winnow_predict(cloud.classifiers[0], _presentation(active))
 
 
 class TestPredict:
@@ -91,7 +113,8 @@ class TestPredict:
 
     def test_unconnected_contributes_zero(self):
         cloud = unit({I1: 0.6})
-        assert cloud.connected((I1, I3)) == [cloud.slots[I1]]
+        assert cloud.linked == {I1}
+        assert cloud.classifiers[0].weights[I3 + 1] == 0.0
         assert predict(cloud, (I1, I3)) == 0
 
     def test_sum_equal_to_threshold_is_negative(self):
@@ -99,7 +122,8 @@ class TestPredict:
 
     def test_connected_bias_is_active_on_every_example(self):
         cloud = unit({I1: 0.6, BIAS_ID: 0.5})
-        assert cloud.connected(()) == [cloud.slots[BIAS_ID]]
+        assert _presentation(())[2] == [BIAS_ID + 1]
+        assert predict(unit({BIAS_ID: 1.5}), ()) == 1
         assert predict(cloud, (I1,)) == 1
 
 
@@ -189,9 +213,9 @@ class TestTrainExample:
     def test_each_classifier_decides_for_itself(self):
         # One shared table, two classifiers: only the one whose sum exceeds
         # theta on a negative example is demoted, by its own beta.
-        cloud = Cloud(0, [WinnowClassifier(0.5), WinnowClassifier(0.9)])
-        cloud.connect(I1, 0.4)
-        cloud.classifiers[1].weights[cloud.slots[I1]] = 2.0
+        cloud = Cloud(0, [WinnowClassifier(0.5, 3), WinnowClassifier(0.9, 3)])
+        link(cloud, I1, 0.4)
+        cloud.classifiers[1].weights[I1 + 1] = 2.0
         winnow_train_example(cloud, (I1, I2), 0)
         assert weights_of(cloud, 0) == {I1: 0.4}
         assert weights_of(cloud, 1) == {I1: pytest.approx(1.8)}
@@ -245,10 +269,10 @@ class TestGamma:
 def cloud_with(mistakes, votes, member_index=0):
     """Cloud whose classifiers have the given mistake counts and whose votes
     are forced via a single feature weight."""
-    cloud = Cloud(member_index, [WinnowClassifier(0.5, mistakes=m) for m in mistakes])
-    cloud.connect(I1, 0.0)
+    cloud = Cloud(member_index, [WinnowClassifier(0.5, 3, mistakes=m) for m in mistakes])
+    link(cloud, I1, 0.0)
     for classifier, vote in zip(cloud.classifiers, votes):
-        classifier.weights[cloud.slots[I1]] = 2.0 if vote else 0.0
+        classifier.weights[I1 + 1] = 2.0 if vote else 0.0
     return cloud
 
 
@@ -256,9 +280,9 @@ class TestCloudActivation:
     def test_unanimous(self):
         cloud = cloud_with([1, 2, 3, 4, 5], [1, 1, 1, 1, 1])
         cloud.examples_seen = 10
-        assert cloud_activation(cloud, (I1,), 10) == 1.0
+        assert cloud_activation(cloud, _presentation((I1,)), 10) == 1.0
         cloud = cloud_with([1, 2, 3, 4, 5], [0, 0, 0, 0, 0])
-        assert cloud_activation(cloud, (I1,), 10) == 0.0
+        assert cloud_activation(cloud, _presentation((I1,)), 10) == 0.0
 
     def test_mistake_weighted_vote(self):
         # gamma fixed at 0.9 by a horizon T reached mid-course:
@@ -268,14 +292,14 @@ class TestCloudActivation:
         cloud.examples_seen = t
         gamma = gamma_at(10**9, t)
         assert gamma == pytest.approx(0.9, abs=1e-9)
-        activation = cloud_activation(cloud, (I1,), 10**9)
+        activation = cloud_activation(cloud, _presentation((I1,)), 10**9)
         assert activation == pytest.approx(2 / (2 + 3 * 0.9**10), abs=1e-6)
         assert activation == pytest.approx(0.6565926, abs=1e-4)
 
     def test_equal_mistakes_is_plain_fraction(self):
         cloud = cloud_with([7, 7, 7, 7], [1, 0, 1, 0])
         cloud.examples_seen = 3
-        assert cloud_activation(cloud, (I1,), UNTRAINED_HORIZON) == pytest.approx(0.5)
+        assert cloud_activation(cloud, _presentation((I1,)), UNTRAINED_HORIZON) == pytest.approx(0.5)
 
     def test_all_vote_weights_underflow_to_plain_fraction(self):
         # Past the horizon gamma is 0.67, and 0.67**m is 0.0 from m = 1,861.
@@ -286,7 +310,7 @@ class TestCloudActivation:
         cloud = cloud_with([1900, 1900, 2500], [1, 0, 0])
         cloud.examples_seen = 10**6
         assert gamma_at(UNTRAINED_HORIZON, cloud.examples_seen) == 0.67
-        assert cloud_activation(cloud, (I1,), UNTRAINED_HORIZON) == 1 / 3
+        assert cloud_activation(cloud, _presentation((I1,)), UNTRAINED_HORIZON) == 1 / 3
 
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 1)),
                     min_size=1, max_size=8),
@@ -295,7 +319,7 @@ class TestCloudActivation:
     def test_bounded(self, spec, seen):
         cloud = cloud_with([m for m, _ in spec], [v for _, v in spec])
         cloud.examples_seen = seen
-        activation = cloud_activation(cloud, (I1,), UNTRAINED_HORIZON)
+        activation = cloud_activation(cloud, _presentation((I1,)), UNTRAINED_HORIZON)
         assert 0.0 <= activation <= 1.0
 
 
@@ -329,7 +353,7 @@ class TestActivationBits:
         votes = [v for _, v in spec]
         cloud = cloud_with([m for m, _ in spec], votes)
         cloud.examples_seen = seen
-        got = cloud_activation(cloud, (I1,), UNTRAINED_HORIZON)
+        got = cloud_activation(cloud, _presentation((I1,)), UNTRAINED_HORIZON)
         assert got.hex() == reference_activation(cloud, votes, UNTRAINED_HORIZON).hex()
 
 
@@ -369,14 +393,14 @@ class TestTrainNetwork:
     def test_positive_for_correct_member_only(self):
         network = toy_network(1)
         train_network(network, [((I1,), 0)])
-        # Member 0's cloud connected the active features; member 1's did not.
-        assert I1 in network.clouds[0].slots
-        assert I1 not in network.clouds[1].slots
+        # Member 0's cloud linked the active features; member 1's did not.
+        assert I1 in network.clouds[0].linked
+        assert I1 not in network.clouds[1].linked
 
     def test_wrongly_firing_negative_cloud_demoted(self):
         network = toy_network(1)
         cloud = network.clouds[1]
-        cloud.connect(I1, 2.0)
+        link(cloud, I1, 2.0)
         train_network(network, [((I1,), 0)])
         for k, clf in enumerate(cloud.classifiers):
             assert weights_of(cloud, k)[I1] == pytest.approx(2.0 * clf.beta)
@@ -397,7 +421,7 @@ class TestTrainNetwork:
         train_network(network, stream)
         for cloud in network.clouds:
             positives = {I1, I2} if cloud.member_index == 0 else {I2, I3}
-            assert set(cloud.slots) - {BIAS_ID} <= positives
+            assert cloud.linked - {BIAS_ID} <= positives
 
     def test_disjunction_mistakes_scale_with_relevant_features(self):
         # Planted 3-of-1000 disjunction: the concept cloud's classifiers stay
@@ -428,39 +452,55 @@ class TestTrainNetwork:
 
 
 def reference_train(network, stream):
-    """Plain example-major training: every presentation connects, then looks
-    up, the active features of each cloud, the bias (id -1) among them."""
+    """Plain example-major training in the reference's own per-cloud table,
+    feature id -> weight per classifier: every presentation links, then
+    looks up, the active features of each cloud, the bias (id -1) among
+    them. The network keeps its weights; the table is returned in
+    ``network_state``'s form."""
+    tables = [
+        {f: [clf.weights[f + 1] for clf in cloud.classifiers] for f in cloud.linked}
+        for cloud in network.clouds
+    ]
     examples = [((BIAS_ID, *active), member) for active, member in stream]
-    if not examples:
-        return
-    network.horizon = network.cycles * len(examples)
+    if examples:
+        network.horizon = network.cycles * len(examples)
     for _ in range(network.cycles):
         for active, member in examples:
-            for cloud in network.clouds:
+            for cloud, table in zip(network.clouds, tables):
                 label = 1 if cloud.member_index == member else 0
                 if label:
                     for f in active:
-                        if f not in cloud.slots:
-                            cloud.slots[f] = len(cloud.slots)
-                            for clf in cloud.classifiers:
-                                clf.weights.append(DEFAULT_WEIGHT)
-                slots = [cloud.slots[f] for f in active if f in cloud.slots]
-                for clf in cloud.classifiers:
-                    total = math.fsum(clf.weights[i] for i in slots)
+                        if f not in table:
+                            table[f] = [DEFAULT_WEIGHT] * len(cloud.classifiers)
+                present = [f for f in active if f in table]
+                for k, clf in enumerate(cloud.classifiers):
+                    total = math.fsum(table[f][k] for f in present)
                     if (1 if total > THETA else 0) != label:
                         factor = ALPHA if label else clf.beta
-                        for i in slots:
-                            clf.weights[i] *= factor
+                        for f in present:
+                            table[f][k] *= factor
                         clf.mistakes += 1
                 cloud.examples_seen += 1
-
-
-def network_state(network):
     return (
         network.horizon,
         [
-            (cloud.slots, cloud.examples_seen,
-             [(clf.beta, clf.weights, clf.mistakes) for clf in cloud.classifiers])
+            (set(table), cloud.examples_seen,
+             [(clf.beta, {f: row[k] for f, row in table.items()}, clf.mistakes)
+              for k, clf in enumerate(cloud.classifiers)])
+            for cloud, table in zip(network.clouds, tables)
+        ],
+    )
+
+
+def network_state(network):
+    """The horizon, and per cloud its link set, examples seen and each
+    classifier's beta, weights of linked features by id, and mistakes."""
+    return (
+        network.horizon,
+        [
+            (cloud.linked, cloud.examples_seen,
+             [(clf.beta, weights_of(cloud, k), clf.mistakes)
+              for k, clf in enumerate(cloud.classifiers)])
             for cloud in network.clouds
         ],
     )
@@ -472,7 +512,7 @@ class TestTrainNetworkMatchesReference:
         st.integers(2, 3),
         st.data(),
         st.sampled_from([ONE_LAYER, TWO_LAYER]),
-        st.sampled_from(["uniform", "bayesian+sparsify"]),
+        st.sampled_from(["uniform", "bayesian", "bayesian+sparsify"]),
         st.integers(1, 3),
     )
     @settings(max_examples=150, deadline=None)
@@ -498,17 +538,18 @@ class TestTrainNetworkMatchesReference:
                 stats.counts = dict(zip((f.key() for f in features), counts))
                 model = train_bayes(stats, index_of(features), dependency_resolution=False)
                 init_bayesian(network, model)
-                sparsify(network, model.counts)
+                if start == "bayesian+sparsify":
+                    sparsify(network, model.counts)
             return network
 
-        trained, reference = build(), build()
+        trained = build()
         train_network(trained, stream)
-        reference_train(reference, stream)
-        assert network_state(trained) == network_state(reference)
+        assert network_state(trained) == reference_train(build(), stream)
+        assert not any(unlinked_weights(trained))
 
     def test_negative_before_the_positive_that_connects_its_feature(self):
-        # Cloud 0 first meets I1 in a negative example, unconnected; the
-        # positive after it connects I1, so from the second cycle on that
+        # Cloud 0 first meets I1 in a negative example, unlinked; the
+        # positive after it links I1, so from the second cycle on that
         # negative reaches I1 too, and in the fifth it fires and is demoted.
         stream = [((I1,), 1), ((I1,), 0)]
         trained, oracle = toy_network(), toy_network()
@@ -520,14 +561,28 @@ class TestTrainNetworkMatchesReference:
                     winnow_train_example(cloud, active, int(member == cloud.member_index))
         assert network_state(trained) == network_state(oracle)
 
+    def test_negative_reads_a_feature_linked_later_as_zero(self):
+        # Cloud 0's first example is negative: I1 at 0.85 and the bias at 0.1
+        # sum to 0.95, below THETA, while I2, which only the positive after it
+        # links, adds 0.0; read at the default weight it would fire.
+        network = toy_network(1)
+        cloud = network.clouds[0]
+        link(cloud, I1, 0.85)
+        train_network(network, [((I1, I2), 1), ((I2,), 0)])
+        for k, clf in enumerate(cloud.classifiers):
+            assert clf.mistakes == 1  # the missed positive only
+            assert weights_of(cloud, k) == {
+                BIAS_ID: DEFAULT_WEIGHT * ALPHA, I1: 0.85, I2: DEFAULT_WEIGHT * ALPHA
+            }
+
     def test_underflowed_weight_stays_connected(self):
         network = toy_network(1)
         cloud = network.clouds[1]
-        cloud.connect(I1, 2.0)
-        cloud.connect(I2, 5e-324)  # the smallest subnormal
+        link(cloud, I1, 2.0)
+        link(cloud, I2, 5e-324)  # the smallest subnormal
         # The first example is negative for cloud 1, which fires: demoting by
         # 0.5 rounds the smallest subnormal to 0.0. The second, positive
-        # example is missed and promotes that 0.0; I2 is not reconnected at
+        # example is missed and promotes that 0.0; I2 is not linked again at
         # the default weight.
         train_network(network, [((I1, I2), 0), ((I2,), 1)])
         assert weights_of(cloud)[I2] == 0.0
@@ -550,12 +605,12 @@ class TestInitBayesian:
     def test_connects_every_feature_and_makes_network_full(self):
         model, network = self.build_pair({"f": [2, 1], "g": [0, 1]}, [3, 1])
         assert network.architecture == SPARSE
-        assert all(set(cloud.slots) == {BIAS_ID} for cloud in network.clouds)
+        assert all(cloud.linked == {BIAS_ID} for cloud in network.clouds)
         init_bayesian(network, model)
         assert network.architecture == FULL
         for cloud in network.clouds:
-            assert set(cloud.slots) == {BIAS_ID, *range(len(model.features))}
-            assert all(len(c.weights) == len(cloud.slots) for c in cloud.classifiers)
+            assert cloud.linked == {BIAS_ID, *range(len(model.features))}
+            assert all(len(c.weights) == len(cloud.linked) for c in cloud.classifiers)
 
     def test_zero_likelihood_floor_and_shift(self):
         # An all-zero count row has unigram 0, so its smoothed likelihood is
@@ -629,11 +684,12 @@ class TestSparsify:
                 for cloud in network.clouds]
         sparsify(network, model.counts)
         assert network.architecture == SPARSE
-        assert set(network.clouds[0].slots) == {BIAS_ID, I1, I2}
-        assert set(network.clouds[1].slots) == {BIAS_ID, I2}
+        assert network.clouds[0].linked == {BIAS_ID, I1, I2}
+        assert network.clouds[1].linked == {BIAS_ID, I2}
+        assert unlinked_weights(network) == [0.0] * len(BETAS)
         for cloud, before in zip(network.clouds, full):
             for k, clf in enumerate(cloud.classifiers):
-                assert len(clf.weights) == len(cloud.slots)
+                assert len(clf.weights) == len(network.features) + 1
                 assert weights_of(cloud, k).items() <= before[k].items()
 
 
@@ -658,13 +714,17 @@ class TestConnectionTable:
             init_bayesian(network, model)
             if start == "bayesian+sparsify":
                 sparsify(network, model.counts)
+        assert not any(unlinked_weights(network))
         examples = [(ids_of(network, active), member) for active, member in stream]
         train_network(network, examples)
         for cloud in network.clouds:
-            assert all(len(c.weights) == len(cloud.slots) for c in cloud.classifiers)
+            assert all(len(c.weights) == len(network.features) + 1 for c in cloud.classifiers)
+        assert not any(unlinked_weights(network))
         text = network_to_text(network)
         loaded = network_from_text(text)
         assert network_to_text(loaded) == text
+        assert network_state(loaded) == network_state(network)
+        assert not any(unlinked_weights(loaded))
         for active, _ in examples + [((), 0)]:
             assert classify_winnow(loaded, active) == classify_winnow(network, active)
 
@@ -736,13 +796,25 @@ class TestSerialization:
                                 index_of((context_word("aaa"), context_word("bbb"))),
                                 1, ExtractionParams())
         train_network(network, [((1,), 0), ((0,), 1)])
-        assert set(network.clouds[0].slots) == {BIAS_ID, 1}  # cloud 0 knows CW bbb only
+        assert network.clouds[0].linked == {BIAS_ID, 1}  # cloud 0 knows CW bbb only
         lines = network_to_text(network).splitlines()
         first = lines.index("CW aaa")
         assert lines[first + 1] == "CW bbb"
         lines[first], lines[first + 1] = lines[first + 1], lines[first]
-        with pytest.raises(ValueError, match="not in canonical order"):
+        # Line first + 1 holds CW bbb, which canonical order puts after CW aaa.
+        with pytest.raises(ValueError,
+                           match=rf"^line {first + 1}: feature list is not in canonical order$"):
             network_from_text("\n".join(lines) + "\n")
+
+    def test_short_feature_list_names_the_line_after_it(self):
+        network, *_ = self.trained_network()
+        lines = network_to_text(network).splitlines(keepends=True)
+        assert lines[11 : 11 + len(network.features)] == [f"{key}\n" for key in network.feature_ids]
+        assert len(network.features) > 2
+        # File lines 12 and 13 are the list's first two lines; line 14 is missing.
+        with pytest.raises(ValueError,
+                           match="^line 14: model file truncated or has duplicate features$"):
+            network_from_text("".join(lines[:13]))
 
     def test_every_prefix_cut_in_header_or_features_rejected(self):
         network, *_ = self.trained_network()
