@@ -228,6 +228,8 @@ def model_from_text(text: str) -> BayesModel:
     head, confusion_set, extraction = parse_model_head(lines[1:8], _HEAD_FIELDS)
     try:
         occurrences = [int(n) for n in head["occurrences"]]
+        if any(n < 0 for n in occurrences):
+            raise ValueError("occurrences must be non-negative")
         (n_features,) = (int(n) for n in head["features"])
         if head["smoothing"] != [INTERPOLATIVE]:
             raise ValueError(f"smoothing must be {INTERPOLATIVE}")

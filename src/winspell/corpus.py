@@ -134,19 +134,26 @@ def load_confusion_sets(path: str | Path) -> list[ConfusionSet]:
     return sets
 
 
-class TagDictionary:
-    """Map from word surface to its part-of-speech tags, a sorted tuple.
+def entry_tags(tags: Iterable[str]) -> tuple[str, ...]:
+    """A word's tags as a tag dictionary keeps them: stripped, empties
+    dropped, distinct and sorted. ValueError if none is left, or if a tag
+    holds whitespace: tags are written into feature keys, which split on it."""
+    kept = tuple(sorted({t.strip() for t in tags if t.strip()}))
+    if not kept:
+        raise ValueError("entry has no tags")
+    for tag in kept:
+        if len(tag.split()) > 1:  # a stripped tag splits only at inner whitespace
+            raise ValueError(f"tag {tag!r} contains whitespace")
+    return kept
 
-    Unknown words fall back to the one shared (UNK,).
+
+class TagDictionary:
+    """Map from word surface to its part-of-speech tags, a sorted tuple
+    by :func:`entry_tags`. Unknown words fall back to the one shared (UNK,).
     """
 
     def __init__(self, entries: Mapping[str, Iterable[str]] | None = None):
-        self._entries: dict[str, tuple[str, ...]] = {}
-        for word, tags in (entries or {}).items():
-            tags = tuple(sorted(set(tags)))
-            if not tags:
-                raise ValueError(f"tag dictionary entry for {word!r} has no tags")
-            self._entries[word] = tags
+        self._entries = {word: entry_tags(tags) for word, tags in (entries or {}).items()}
 
     def lookup(self, word: str) -> tuple[str, ...]:
         return self._entries.get(word, _UNKNOWN_TAGS)
@@ -164,13 +171,7 @@ def load_tag_dictionary(path: str | Path) -> TagDictionary:
             continue
         try:
             word, text = line.split("\t")
-            tags = tuple(sorted({t.strip() for t in text.split(",") if t.strip()}))
-            if not tags:
-                raise ValueError("entry has no tags")
-            # A tag is written into feature keys, which split on whitespace.
-            for tag in tags:
-                if any(c.isspace() for c in tag):
-                    raise ValueError(f"tag {tag!r} contains whitespace")
+            tags = entry_tags(text.split(","))
         except ValueError as exc:
             raise CorpusError(f"{path}: line {lineno}: malformed tag entry: {exc}") from exc
         if word in first_line:

@@ -115,7 +115,7 @@ def split_corpus(
 
 def baseline_classify(stats: FeatureStats) -> Callable[[Iterable], int]:
     """Constant predictor: the most common training member, ties as in :func:`choose`."""
-    majority = choose([0.0] * stats.n_members, stats.occurrences)
+    majority = choose([0.0] * len(stats.occurrences), stats.occurrences)
     return lambda active_set: majority
 
 
@@ -189,10 +189,11 @@ def train_system_model(name: str, training: TrainingSet, cycles: int):
     if name == "simplified-bayes":
         return training.bayes
     stats = training.stats
+    total = sum(stats.occurrences)
     network = WinnowNetwork(
         stats.confusion_set, training.retained, cycles, stats.params,
         layer_mode=ONE_LAYER if name in ("simplified-winnow", "winnow-1layer") else TWO_LAYER,
-        priors=[n / stats.total_occurrences for n in stats.occurrences],
+        priors=[n / total for n in stats.occurrences],
     )
     # The other variants start from Bayesian weights derived from the
     # dependency-resolution-free model.

@@ -198,17 +198,9 @@ class FeatureStats:
         self.counts: dict[str, list[int]] = {}  # by canonical key
         self.occurrences = [0] * len(confusion_set.members)
 
-    @property
-    def n_members(self) -> int:
-        return len(self.confusion_set.members)
-
-    @property
-    def total_occurrences(self) -> int:
-        return sum(self.occurrences)
-
     def add(self, keys: Iterable[str], member_index: int):
         self.occurrences[member_index] += 1
-        counts, n_members = self.counts, self.n_members
+        counts, n_members = self.counts, len(self.occurrences)
         for key in keys:
             row = counts.get(key)
             if row is None:
@@ -231,7 +223,7 @@ def count_features(
         keys = generate_features(occ, params, tagdict)
         stats.add(keys, occ.member_index)
         generated.append((keys, occ.member_index))
-    if stats.total_occurrences == 0:
+    if sum(stats.occurrences) == 0:
         raise ValueError(
             f"no occurrences of {{{confusion_set.label}}} in corpus; cannot train"
         )
@@ -295,7 +287,7 @@ def prune(stats: FeatureStats, mode: str) -> FeatureIndex:
     if mode not in MODES:
         raise ValueError(f"unknown pruning mode: {mode!r}")
     retained = []
-    n_total = stats.total_occurrences
+    n_total = sum(stats.occurrences)
     for key, row in stats.counts.items():
         total = sum(row)
         if mode == UNPRUNED:

@@ -154,19 +154,17 @@ def _learn(classifier: WinnowClassifier, lessons: Iterable[tuple]):
 
 def cloud_activation(cloud: Cloud, shown: tuple, horizon: int) -> float:
     """Weighted-majority activation on the presentation ``shown``: votes
-    weighted by gamma**mistakes and normalized, so the result lies in [0, 1]."""
-    votes = [winnow_predict(c, shown) for c in cloud.classifiers]
+    weighted by gamma**mistakes and normalized, so the result lies in [0, 1].
+    Each weight is taken relative to the least-mistaken classifier's, which
+    weighs exactly 1.0, so the ratios stay and the total cannot underflow."""
     gamma = gamma_at(horizon, cloud.examples_seen)
+    least = min(c.mistakes for c in cloud.classifiers)
     # Sequential +=, not sum(), which is compensated from Python 3.12 on.
-    numerator = 0.0
-    denominator = 0.0
-    for classifier, vote in zip(cloud.classifiers, votes):
-        weight = gamma**classifier.mistakes
-        numerator += weight * vote
+    numerator = denominator = 0.0
+    for classifier in cloud.classifiers:
+        weight = gamma ** (classifier.mistakes - least)
+        numerator += weight * winnow_predict(classifier, shown)
         denominator += weight
-    if denominator == 0.0:
-        # All gamma**m underflowed; fall back to the plain vote fraction.
-        return sum(votes) / len(votes)
     return numerator / denominator
 
 
@@ -214,10 +212,6 @@ class WinnowNetwork:
             cloud.linked.add(BIAS_ID)
             for classifier in cloud.classifiers:
                 classifier.weights[BIAS_ID + 1] = DEFAULT_WEIGHT
-
-    @property
-    def n_members(self) -> int:
-        return len(self.confusion_set.members)
 
 
 def classify_winnow(network: WinnowNetwork, active_set: Sequence[int]) -> Decision:
@@ -288,7 +282,7 @@ def init_bayesian(network: WinnowNetwork, model: BayesModel):
     rows = [model.log_likelihood_row(f) for f in range(len(network.features))]
     raw = [
         [_floored(model.log_priors[i])] + [_floored(row[i]) for row in rows]
-        for i in range(network.n_members)
+        for i in range(len(network.clouds))
     ]
     shift = -min(w for weights in raw for w in weights)
     for cloud in network.clouds:
@@ -387,16 +381,21 @@ def network_from_text(text: str) -> WinnowNetwork:
         if horizon < 1:
             raise ValueError("schedule horizon must be >= 1")
         (n_features,) = (int(n) for n in head["features"])
-        if head["init"] not in ([UNIFORM], [BAYESIAN]):
-            raise ValueError(f"init must be {UNIFORM} or {BAYESIAN}")
-        if head["architecture"] not in ([SPARSE], [FULL]):
-            raise ValueError(f"architecture must be {SPARSE} or {FULL}")
+        for name, one, other in (
+            ("layer", ONE_LAYER, TWO_LAYER), ("architecture", SPARSE, FULL),
+            ("init", UNIFORM, BAYESIAN),
+        ):
+            if head[name] not in ([one], [other]):
+                raise ValueError(f"{name} must be {one} or {other}")
+        # The priors settle exact ties, so each must be a usable weight.
+        priors = [float(pr) for pr in head["priors"]]
+        if not all(0.0 <= pr < math.inf for pr in priors):
+            raise ValueError("priors must be finite and non-negative")
     except ValueError as exc:
         raise ValueError(f"malformed model file header: {exc}") from exc
     retained = parse_feature_list(lines[11 : 11 + n_features], n_features, 12)
     network = WinnowNetwork(
-        confusion_set, retained, cycles, extraction,
-        layer_mode=head["layer"][0], priors=[float(pr) for pr in head["priors"]],
+        confusion_set, retained, cycles, extraction, layer_mode=head["layer"][0], priors=priors
     )
     network.horizon = horizon
     network.architecture = head["architecture"][0]
@@ -412,7 +411,7 @@ def network_from_text(text: str) -> WinnowNetwork:
             if fields[0] == "cloud":
                 (examples_seen,) = parse_assignments(fields[2:], ("examples_seen",))
                 member_index = int(fields[1])
-                if not 0 <= member_index < network.n_members:
+                if not 0 <= member_index < len(network.clouds):
                     raise ValueError(f"cloud {member_index} is out of range")
                 if member_index in rows:
                     raise ValueError(f"cloud {member_index} is repeated")
@@ -449,7 +448,7 @@ def network_from_text(text: str) -> WinnowNetwork:
                 classifier.weights[feature + 1] = weight
     except ValueError as exc:
         raise ValueError(f"line {number}: {exc}") from None
-    if len(rows) != network.n_members or not all(c.classifiers for c in network.clouds):
+    if len(rows) != len(network.clouds) or not all(c.classifiers for c in network.clouds):
         raise ValueError("model file truncated: a cloud or its classifiers are missing")
     for cloud in network.clouds:
         first, *others = rows[cloud.member_index]
@@ -465,6 +464,11 @@ def network_from_text(text: str) -> WinnowNetwork:
                 f"line {cloud_lines[cloud.member_index]}: model file truncated or damaged:"
                 f" cloud {cloud.member_index} of a full network has {len(first)} weight"
                 f" rows per classifier, not {n_features + 1}"
+            )
+        if BIAS_ID not in cloud.linked:
+            raise ValueError(
+                f"line {cloud_lines[cloud.member_index]}: model file truncated or damaged:"
+                f" cloud {cloud.member_index} has no bias row"
             )
         if [c.beta for c in cloud.classifiers] != betas:
             raise ValueError(

@@ -218,7 +218,7 @@ def oracle_bayes_scores(
     """
     from scipy.stats import chi2
 
-    total = stats.total_occurrences
+    total = sum(stats.occurrences)
     scores = []
     for i in range(member_count):
         n_i = stats.occurrences[i]

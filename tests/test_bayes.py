@@ -423,6 +423,39 @@ class TestSerialization:
         )):
             model_from_text(text.replace("\nsmoothing\tinterpolative\n", "\nsmoothing\tmle\n"))
 
+    @staticmethod
+    def head_without_features(occurrences, priors):
+        """The toy model's header with the given occurrences and priors
+        lines and no features."""
+        lines = model_to_text(toy_model()[0]).splitlines()[:8]
+        assert lines[5].startswith("occurrences\t") and lines[6].startswith("priors\t")
+        lines[5:] = [f"occurrences\t{occurrences}", f"priors\t{priors}", "features\t0"]
+        return "\n".join(lines) + "\n"
+
+    def test_negative_occurrences_refused(self):
+        # The priors line is what saving these counts' priors would write.
+        with pytest.raises(ValueError, match=(
+            "^malformed model file header: occurrences must be non-negative$"
+        )):
+            model_from_text(self.head_without_features("-5\t10", "-1.0\t2.0"))
+
+    @pytest.mark.parametrize("occurrences, message", [
+        ("3\t4\t5", "occurrence counts do not match the confusion set"),
+        ("0\t0", "model needs at least one training occurrence"),
+    ])
+    def test_occurrences_not_one_positive_total_per_member_refused(self, occurrences, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            model_from_text(self.head_without_features(occurrences, "0.5\t0.5"))
+
+    def test_other_dependency_resolution_refused(self):
+        text = model_to_text(toy_model()[0])
+        assert "\ndependency_resolution\ton\n" in text
+        with pytest.raises(ValueError, match=(
+            "^malformed model file header: dependency_resolution must be on or off$"
+        )):
+            model_from_text(text.replace("\ndependency_resolution\ton\n",
+                                         "\ndependency_resolution\tyes\n"))
+
     def test_feature_list_out_of_canonical_order_rejected(self):
         # Row i is feature id i, as in WINNOW v1: a reordered list is refused,
         # not sorted again into a model that saves back other bytes.

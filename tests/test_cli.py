@@ -782,6 +782,14 @@ class TestConfigFile:
         assert rc == 2
         assert "usage error" in capsys.readouterr().err
 
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "absent.json"
+        rc = run(["train", "--config", config])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cannot read config file: ") and err.count("\n") == 1
+        assert str(config) in err
+
     @pytest.mark.parametrize("command,entry", [
         ("train", {"k": "3"}),
         ("train", {"k": True}),

@@ -132,6 +132,13 @@ class TestConfusionSets:
         label = ", ".join(part.strip() for part in repeat.split(","))
         assert str(exc.value) == f"{path}: line 4: confusion set {{{label}}} repeats line 1"
 
+    def test_one_member_set_refused(self, tmp_path):
+        path = tmp_path / "sets.txt"
+        path.write_text("peace, piece\n\nhear\n")
+        with pytest.raises(CorpusError) as exc:
+            load_confusion_sets(path)
+        assert str(exc.value) == f"{path}: line 3: confusion set needs at least 2 members"
+
     def test_overlapping_sets_are_distinct(self, tmp_path):
         path = tmp_path / "sets.txt"
         path.write_text("peace, piece\npeace, piece, pieces\n")
@@ -176,6 +183,26 @@ class TestTagDictionary:
     def test_empty_tagset_rejected(self):
         with pytest.raises(ValueError):
             TagDictionary({"to": frozenset()})
+
+    def test_line_without_tags_refused(self, tmp_path):
+        path = tmp_path / "tags.tsv"
+        path.write_text("to\tPREP\nof\t , ,\n")
+        with pytest.raises(CorpusError) as exc:
+            load_tag_dictionary(path)
+        assert str(exc.value) == f"{path}: line 2: malformed tag entry: entry has no tags"
+
+    def test_constructor_keeps_the_loaders_tag_rule(self, tmp_path):
+        # Stripped, empties dropped, distinct and sorted, as a loaded line.
+        path = tmp_path / "tags.tsv"
+        path.write_text("to\t TO,PREP,, TO \n")
+        entries = {"to": [" TO", "PREP", "", "TO "]}
+        assert TagDictionary(entries).lookup("to") == load_tag_dictionary(path).lookup("to")
+        assert TagDictionary(entries).lookup("to") == ("PREP", "TO")
+        # Feature keys split on whitespace, so a tag holding it is refused.
+        with pytest.raises(ValueError, match="^tag 'PREP X' contains whitespace$"):
+            TagDictionary({"of": ["PREP X"]})
+        with pytest.raises(ValueError, match="^entry has no tags$"):
+            TagDictionary({"of": [" ", ""]})
 
 
 class TestFindOccurrences:
@@ -391,6 +418,13 @@ class TestCorrupt:
         cset = confusion_set_from_text("maybe, may be")
         corrupted, log = corrupt(corpus, cset, pct, seed)
         assert restore(corrupted, cset, log) == corpus
+
+    def test_restore_refuses_a_log_of_another_corpus(self):
+        corrupted, log = corrupt(self.corpus, self.cset, 100, seed=3)
+        assert log[0].sentence_index == 0 and log[0].span_start == 1
+        with pytest.raises(ValueError,
+                           match="^change log does not match corpus at sentence 0, token 1$"):
+            restore(self.corpus, self.cset, log[:1])
 
     def test_pct_out_of_range(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from winspell.evaluation import (
     TrainingSet,
     baseline_classify,
     evaluate_systems,
+    load_system_model,
     mcnemar_test,
     run_experiment,
     split_corpus,
@@ -201,6 +204,13 @@ class TestEvaluateSystems:
             ["simplified-bayes", "simplified-winnow"], mode="unpruned",
         )
         assert result.outcomes["simplified-bayes"] == result.outcomes["simplified-winnow"]
+
+
+def test_load_system_model_refuses_a_file_of_neither_format(tmp_path):
+    path = tmp_path / "peace+piece.bayes.model"
+    path.write_text("BAYES v2\nmembers\tpeace\tpiece\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unrecognized model format$"):
+        load_system_model(path)
 
 
 class TestModelPrefixes:

@@ -301,16 +301,16 @@ class TestCloudActivation:
         cloud.examples_seen = 3
         assert cloud_activation(cloud, _presentation((I1,)), UNTRAINED_HORIZON) == pytest.approx(0.5)
 
-    def test_all_vote_weights_underflow_to_plain_fraction(self):
+    def test_vote_weights_past_underflow_stay_weighted_majority(self):
         # Past the horizon gamma is 0.67, and 0.67**m is 0.0 from m = 1,861.
-        # With every classifier past that, all vote weights underflow and the
-        # activation falls back to the plain vote fraction: 1/3 here, where
-        # weights rescaled by the least mistakes (1, 1, 0.67**600) give 1/2.
+        # With every classifier past that, weights relative to the least
+        # mistakes (1, 1, 0.67**600) still give the weighted majority, 1/2,
+        # not the plain vote fraction 1/3.
         assert 0.67**1860 == 5e-324 and 0.67**1861 == 0.0
         cloud = cloud_with([1900, 1900, 2500], [1, 0, 0])
         cloud.examples_seen = 10**6
         assert gamma_at(UNTRAINED_HORIZON, cloud.examples_seen) == 0.67
-        assert cloud_activation(cloud, _presentation((I1,)), UNTRAINED_HORIZON) == 1 / 3
+        assert cloud_activation(cloud, _presentation((I1,)), UNTRAINED_HORIZON) == 1 / 2
 
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 1)),
                     min_size=1, max_size=8),
@@ -324,16 +324,15 @@ class TestCloudActivation:
 
 
 def reference_activation(cloud, votes, horizon):
-    """The weighted-majority vote as defined: gamma**m * vote and gamma**m
-    accumulated with sequential +=, the plain vote fraction if every
-    gamma**m underflows."""
+    """The weighted-majority vote as defined, with each weight relative to
+    the least-mistaken classifier's: gamma**(m - least) * vote and
+    gamma**(m - least) accumulated with sequential +=."""
     gamma = gamma_at(horizon, cloud.examples_seen)
+    least = min(classifier.mistakes for classifier in cloud.classifiers)
     numerator = denominator = 0.0
     for classifier, vote in zip(cloud.classifiers, votes):
-        numerator += gamma**classifier.mistakes * vote
-        denominator += gamma**classifier.mistakes
-    if denominator == 0.0:
-        return sum(votes) / len(votes)
+        numerator += gamma ** (classifier.mistakes - least) * vote
+        denominator += gamma ** (classifier.mistakes - least)
     return numerator / denominator
 
 
@@ -855,6 +854,62 @@ class TestSerialization:
         with pytest.raises(ValueError, match="header: architecture must be"):
             network_from_text(text.replace("\narchitecture\tsparse\n",
                                            "\narchitecture\tdense\n"))
+
+    @pytest.mark.parametrize("priors", ["nan\t0.5", "inf\t0.5", "-1.0\t2.0"])
+    def test_priors_not_finite_and_non_negative_rejected(self, priors):
+        # The priors settle exact ties between clouds.
+        network, *_ = self.trained_network()
+        text = network_to_text(network)
+        assert "\npriors\t0.5\t0.5\n" in text
+        with pytest.raises(ValueError, match=(
+            "^malformed model file header: priors must be finite and non-negative$"
+        )):
+            network_from_text(text.replace("\npriors\t0.5\t0.5\n", f"\npriors\t{priors}\n"))
+
+    def test_priors_not_one_per_member_rejected(self):
+        network, *_ = self.trained_network()
+        text = network_to_text(network)
+        with pytest.raises(ValueError, match="^priors do not match the confusion set$"):
+            network_from_text(text.replace("\npriors\t0.5\t0.5\n",
+                                           "\npriors\t0.5\t0.25\t0.25\n"))
+
+    @pytest.mark.parametrize("layer", ["two_layer\tjunk", "three_layer"])
+    def test_layer_other_than_one_or_two_layer_rejected(self, layer):
+        network, *_ = self.trained_network()
+        text = network_to_text(network)
+        assert "\nlayer\ttwo_layer\n" in text
+        with pytest.raises(ValueError, match=(
+            "^malformed model file header: layer must be one_layer or two_layer$"
+        )):
+            network_from_text(text.replace("\nlayer\ttwo_layer\n", f"\nlayer\t{layer}\n"))
+
+    def test_cycles_below_one_rejected(self):
+        network, *_ = self.trained_network()
+        text = network_to_text(network)
+        assert f"\tcycles={CYCLES}\n" in text
+        with pytest.raises(ValueError, match="^malformed model file header: cycles must be >= 1$"):
+            network_from_text(text.replace(f"\tcycles={CYCLES}\n", "\tcycles=0\n"))
+
+    def test_cloud_without_bias_row_rejected(self):
+        # Every network the package builds links the bias in every cloud; a
+        # cloud without its row would load with a bias weight of 0.0.
+        network, *_ = self.trained_network()
+        lines = network_to_text(network).splitlines()
+        clouds = [n for n, l in enumerate(lines, 1) if l.startswith("cloud\t")]
+        kept = [l for n, l in enumerate(lines, 1) if not (n < clouds[1] and l.startswith("-1\t"))]
+        assert len(kept) == len(lines) - len(BETAS)
+        with pytest.raises(ValueError, match=(
+            rf"^line {clouds[0]}: model file truncated or damaged: cloud 0 has no bias row$"
+        )):
+            network_from_text("\n".join(kept) + "\n")
+
+    def test_classifier_outside_any_cloud_rejected(self):
+        network, *_ = self.trained_network()
+        lines = network_to_text(network).splitlines()
+        number = next(n for n, l in enumerate(lines, 1) if l.startswith("cloud\t"))
+        del lines[number - 1]
+        with pytest.raises(ValueError, match=rf"^line {number}: classifier outside any cloud$"):
+            network_from_text("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize("repeated", ["cloud-block", "first-classifier-row",
                                           "later-classifier-row"])
