@@ -147,13 +147,21 @@ def entry_tags(tags: Iterable[str]) -> tuple[str, ...]:
     return kept
 
 
+def entry_word(word: str) -> str:
+    """``word``, if a token can equal it. ValueError if it is empty, not
+    lowercase or holds whitespace: tokens are none of these."""
+    if word.split() != [word.lower()]:
+        raise ValueError(f"word {word!r} is empty, not lowercase or holds whitespace")
+    return word
+
+
 class TagDictionary:
-    """Map from word surface to its part-of-speech tags, a sorted tuple
-    by :func:`entry_tags`. Unknown words fall back to the one shared (UNK,).
+    """Map from word surface (:func:`entry_word`) to its part-of-speech tags,
+    a sorted tuple by :func:`entry_tags`. Unknown words share one (UNK,).
     """
 
     def __init__(self, entries: Mapping[str, Iterable[str]] | None = None):
-        self._entries = {word: entry_tags(tags) for word, tags in (entries or {}).items()}
+        self._entries = {entry_word(w): entry_tags(tags) for w, tags in (entries or {}).items()}
 
     def lookup(self, word: str) -> tuple[str, ...]:
         return self._entries.get(word, _UNKNOWN_TAGS)
@@ -171,7 +179,7 @@ def load_tag_dictionary(path: str | Path) -> TagDictionary:
             continue
         try:
             word, text = line.split("\t")
-            tags = entry_tags(text.split(","))
+            word, tags = entry_word(word), entry_tags(text.split(","))
         except ValueError as exc:
             raise CorpusError(f"{path}: line {lineno}: malformed tag entry: {exc}") from exc
         if word in first_line:

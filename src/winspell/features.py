@@ -113,19 +113,10 @@ class FeatureIndex(dict):
         self.features = tuple([feature for feature, _ in pairs])
 
 
-def index_features(keys: Iterable[str], first_line: int = 1) -> FeatureIndex:
+def index_features(keys: Iterable[str]) -> FeatureIndex:
     """The index of the features with these canonical keys, each parsed
-    once. ValueError for a key that is not canonical, naming its line when
-    the first key is line ``first_line``: a model loader passes the file
-    line of its first feature line."""
-    pairs = []
-    for number, key in enumerate(keys, first_line):
-        try:
-            pairs.append((parse_feature_key(key), key))
-        except ValueError as exc:
-            raise ValueError(f"line {number}: {exc}") from None
-    pairs.sort()
-    return FeatureIndex(pairs)
+    once. ValueError for a key that is not canonical."""
+    return FeatureIndex(sorted([(parse_feature_key(key), key) for key in keys]))
 
 
 class ExtractionParams(namedtuple("ExtractionParams", "k l")):
@@ -352,17 +343,17 @@ def model_head(header: str, confusion_set: ConfusionSet, params: ExtractionParam
 def parse_model_head(
     lines: Sequence[str], names: Sequence[str]
 ) -> tuple[dict[str, list[str]], ConfusionSet, ExtractionParams]:
-    """The values of each model file header line ``name<TAB>value...`` by
-    name (exactly ``names``, any order), and the ``members`` and ``extraction``
-    every model format declares. ValueError for anything else."""
+    """The values by name of the header lines ``name<TAB>value...`` from file
+    line 2 on, which hold ``names`` in the order saving writes them, and the
+    ``members`` and ``extraction`` every format declares; ValueError otherwise."""
     fields: dict[str, list[str]] = {}
-    for line in lines[: len(names)]:
-        name, *values = line.split("\t")
-        if name not in names or name in fields or not values:
-            raise ValueError(f"malformed model file header line: {line!r}")
+    for number, (name, line) in enumerate(zip(names, lines), 2):
+        got, *values = line.split("\t")
+        if got != name or not values:
+            raise ValueError(f"line {number}: malformed model file header line: {line!r}")
         fields[name] = values
     if len(fields) != len(names):
-        raise ValueError("truncated model file header")
+        raise ValueError(f"line {len(fields) + 2}: truncated model file header")
     try:
         confusion_set = confusion_set_from_text(", ".join(fields["members"]))
         k, l = (int(v) for v in parse_assignments(fields["extraction"], ("k", "l")))
@@ -373,23 +364,23 @@ def parse_model_head(
 
 def parse_feature_list(keys: list[str], count: int, first_line: int) -> FeatureIndex:
     """The index of a model file's feature list, ``keys`` from line
-    ``first_line`` on. ValueError naming the first line at fault unless they
-    are ``count`` distinct canonical keys in canonical order, as saving
-    writes them: line ``first_line + i`` is id ``i``."""
-    retained = index_features(keys, first_line)
-    in_order = list(retained)  # the distinct keys, in canonical order
-    seen = set()
-    for i, key in enumerate(keys):
-        if key in seen:
-            raise ValueError(
-                f"line {first_line + i}: model file truncated or has duplicate features"
-            )
-        # Lines before this one hold in_order[:i], so a new key belongs here.
-        if key != in_order[i]:
-            raise ValueError(f"line {first_line + i}: feature list is not in canonical order")
-        seen.add(key)
+    ``first_line`` on, read in one pass. ValueError naming the first line at
+    fault unless they are ``count`` distinct canonical keys in canonical
+    order, as saving writes them: line ``first_line + i`` is id ``i``."""
+    pairs: list[tuple[Feature, str]] = []
+    for number, key in enumerate(keys, first_line):
+        try:
+            feature = parse_feature_key(key)
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+        # A feature not above the last one repeats it or sorts before its line.
+        if pairs and not feature > pairs[-1][0]:
+            if feature == pairs[-1][0]:
+                raise ValueError(f"line {number}: model file truncated or has duplicate features")
+            raise ValueError(f"line {number - 1}: feature list is not in canonical order")
+        pairs.append((feature, key))
     if len(keys) != count:
         raise ValueError(
             f"line {first_line + len(keys)}: model file truncated or has duplicate features"
         )
-    return retained
+    return FeatureIndex(pairs)

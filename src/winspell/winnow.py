@@ -34,7 +34,7 @@ BAYESIAN = "bayesian"
 # Feature id of the bias, a pseudo-feature active on every example; it
 # carries the prior under Bayesian initialization and otherwise trains like
 # any linked feature. Every other feature's id is its position in the
-# network's sorted feature tuple, so ids are also WINNOW v1 row indexes.
+# network's sorted feature tuple. Ids index weights and WINNOW v1 rows.
 BIAS_ID = -1
 
 # Stand-in for log(0) when mapping likelihoods to weights.
@@ -74,9 +74,9 @@ def gamma_at(horizon: int, t: int) -> float:
 class WinnowClassifier:
     """One Winnow unit: demotion parameter, weights, mistake count.
 
-    ``weights[f + 1]`` is the weight of feature id ``f``, the bias (id -1) at
-    0, over the ``n_features`` features of the network; a feature that the
-    owning cloud has not linked weighs 0.0, so it adds nothing.
+    ``weights[f]`` is the weight of feature id ``f``, the bias (id -1) the
+    last entry, over the ``n_features`` features of the network; a feature
+    that the owning cloud has not linked weighs 0.0, so it adds nothing.
     """
 
     def __init__(self, beta: float, n_features: int, mistakes: int = 0):
@@ -107,13 +107,12 @@ def _presentation(active: Sequence[int]) -> tuple:
     """What every classifier of a network is shown for one example: a reader
     of the weights of the active feature ids, then of the bias, which is
     active on every example; the threshold filter's margin for that many
-    weights; their weight indexes."""
-    indexes = [f + 1 for f in active]
-    indexes.append(BIAS_ID + 1)
+    weights; their ids."""
+    ids = (*active, BIAS_ID)
     # itemgetter of one index returns the bare weight, so the bias alone
     # gets a reader that still returns a sequence.
-    read = itemgetter(*indexes) if len(indexes) > 1 else lambda weights: [weights[0]]
-    return read, len(indexes) * WEIGHT_MARGIN, indexes
+    read = itemgetter(*ids) if len(ids) > 1 else lambda weights: (weights[BIAS_ID],)
+    return read, len(ids) * WEIGHT_MARGIN, ids
 
 
 def winnow_predict(classifier: WinnowClassifier, presentation: tuple) -> int:
@@ -130,15 +129,15 @@ def winnow_predict(classifier: WinnowClassifier, presentation: tuple) -> int:
 
 def _learn(classifier: WinnowClassifier, lessons: Iterable[tuple]):
     """Mistake-driven updates of one classifier over (presentation, label,
-    weight indexes linked first here) lessons, in order: the new links take
+    feature ids linked first here) lessons, in order: the new links take
     DEFAULT_WEIGHT, then a missed positive promotes, a false positive
     demotes, the presented weights."""
     weights = classifier.weights
     theta, alpha, beta = THETA, ALPHA, classifier.beta
     mistakes = 0
-    for (read, margin, indexes), label, links in lessons:
-        for i in links:
-            weights[i] = DEFAULT_WEIGHT
+    for (read, margin, ids), label, links in lessons:
+        for f in links:
+            weights[f] = DEFAULT_WEIGHT
         # The one copy of winnow_predict's test, inlined on the hot path.
         chosen = read(weights)
         total = sum(chosen)
@@ -146,8 +145,8 @@ def _learn(classifier: WinnowClassifier, lessons: Iterable[tuple]):
             total = math.fsum(chosen)
         if (total > theta) != label:
             factor = alpha if label == 1 else beta
-            for i in indexes:
-                weights[i] *= factor
+            for f in ids:
+                weights[f] *= factor
             mistakes += 1
     classifier.mistakes += mistakes
 
@@ -211,7 +210,7 @@ class WinnowNetwork:
         for cloud in self.clouds:
             cloud.linked.add(BIAS_ID)
             for classifier in cloud.classifiers:
-                classifier.weights[BIAS_ID + 1] = DEFAULT_WEIGHT
+                classifier.weights[BIAS_ID] = DEFAULT_WEIGHT
 
 
 def classify_winnow(network: WinnowNetwork, active_set: Sequence[int]) -> Decision:
@@ -258,7 +257,7 @@ def train_network(network: WinnowNetwork, stream: Iterable[tuple[Sequence[int], 
             label = 1 if member == cloud.member_index else 0
             links = ()
             if label:
-                links = [f + 1 for f in active if f not in cloud.linked]
+                links = [f for f in active if f not in cloud.linked]
                 cloud.linked.update(active)
             first.append((shown, label, links))
             later.append((shown, label, ()))
@@ -281,7 +280,7 @@ def init_bayesian(network: WinnowNetwork, model: BayesModel):
         raise ValueError("network and model feature sets differ")
     rows = [model.log_likelihood_row(f) for f in range(len(network.features))]
     raw = [
-        [_floored(model.log_priors[i])] + [_floored(row[i]) for row in rows]
+        [_floored(row[i]) for row in rows] + [_floored(model.log_priors[i])]
         for i in range(len(network.clouds))
     ]
     shift = -min(w for weights in raw for w in weights)
@@ -310,7 +309,7 @@ def sparsify(network: WinnowNetwork, counts: Sequence[Sequence[int]]):
         cloud.linked -= dropped
         for classifier in cloud.classifiers:
             for f in dropped:
-                classifier.weights[f + 1] = 0.0
+                classifier.weights[f] = 0.0
     network.architecture = SPARSE
 
 
@@ -345,7 +344,7 @@ def network_to_text(network: WinnowNetwork) -> str:
             )
             weights = classifier.weights
             for f in rows:
-                lines.append(f"{f}\t{weights[f + 1]!r}")
+                lines.append(f"{f}\t{weights[f]!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -445,7 +444,7 @@ def network_from_text(text: str) -> WinnowNetwork:
                 if not 0.0 <= weight < math.inf:
                     raise ValueError(f"weight {fields[1]} is negative or not finite")
                 names.append(feature)
-                classifier.weights[feature + 1] = weight
+                classifier.weights[feature] = weight
     except ValueError as exc:
         raise ValueError(f"line {number}: {exc}") from None
     if len(rows) != len(network.clouds) or not all(c.classifiers for c in network.clouds):

@@ -264,7 +264,7 @@ def winnow_train_example(cloud, active_set, label):
     examples never create links."""
     links = []
     if label == 1:
-        links = [f + 1 for f in active_set if f not in cloud.linked]
+        links = [f for f in active_set if f not in cloud.linked]
         cloud.linked.update(active_set)
     lesson = [(_presentation(active_set), label, links)]
     for classifier in cloud.classifiers:

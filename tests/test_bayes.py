@@ -466,6 +466,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="^line 9: feature list is not in canonical order$"):
             model_from_text("\n".join(lines) + "\n")
 
+    def test_head_lines_swapped_rejected(self):
+        # Head lines are read in the order saving writes them.
+        lines = model_to_text(toy_model()[0]).splitlines()
+        assert lines[3] == "smoothing\tinterpolative"
+        lines[3], lines[4] = lines[4], lines[3]
+        with pytest.raises(ValueError, match=(
+            r"^line 4: malformed model file header line: 'dependency_resolution\\ton'$"
+        )):
+            model_from_text("\n".join(lines) + "\n")
+
+    def test_cut_head_names_the_first_missing_line(self):
+        lines = model_to_text(toy_model()[0]).splitlines()
+        with pytest.raises(ValueError, match="^line 5: truncated model file header$"):
+            model_from_text("\n".join(lines[:4]) + "\n")
+
     def test_repeated_feature_row_rejected(self):
         lines = model_to_text(toy_model()[0]).splitlines()
         lines[9] = lines[8]

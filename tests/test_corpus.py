@@ -1,4 +1,5 @@
 import random
+import re
 import string
 
 import pytest
@@ -203,6 +204,26 @@ class TestTagDictionary:
             TagDictionary({"of": ["PREP X"]})
         with pytest.raises(ValueError, match="^entry has no tags$"):
             TagDictionary({"of": [" ", ""]})
+
+
+    # Tokens are lowercased and hold no whitespace, so no token could equal
+    # these words: an entry for one would never be looked up.
+    @pytest.mark.parametrize("word", ["Of", " of", "", "a b"])
+    def test_word_no_token_can_equal_refused_by_loader(self, tmp_path, word):
+        path = tmp_path / "tags.tsv"
+        path.write_text(f"to\tTO\n{word}\tPREP\n")
+        with pytest.raises(CorpusError) as exc:
+            load_tag_dictionary(path)
+        assert str(exc.value) == (f"{path}: line 2: malformed tag entry: word {word!r}"
+                                  " is empty, not lowercase or holds whitespace")
+
+    @pytest.mark.parametrize("word", ["Of", " of", "", "a b"])
+    def test_word_no_token_can_equal_refused_by_constructor(self, word):
+        with pytest.raises(ValueError, match=(
+            f"^word {re.escape(repr(word))} is empty, not lowercase or holds whitespace$"
+        )):
+            TagDictionary({"to": ["TO"], word: ["PREP"]})
+        assert TagDictionary({"to": ["TO"], "of": ["PREP"]}).lookup("of") == ("PREP",)
 
 
 class TestFindOccurrences:

@@ -67,7 +67,7 @@ def link(cloud, f, weight):
     """Link feature id ``f`` at ``weight`` in every classifier of ``cloud``."""
     cloud.linked.add(f)
     for classifier in cloud.classifiers:
-        classifier.weights[f + 1] = weight
+        classifier.weights[f] = weight
 
 
 def unit(weights=None, n_features=3):
@@ -85,14 +85,14 @@ def unit(weights=None, n_features=3):
 def weights_of(cloud, k=0):
     """Classifier k's weights of the cloud's linked features, by feature id."""
     weights = cloud.classifiers[k].weights
-    return {f: weights[f + 1] for f in cloud.linked}
+    return {f: weights[f] for f in cloud.linked}
 
 
 def unlinked_weights(network):
     """The weight of every feature id, the bias's included, that its cloud
     has not linked, in every classifier."""
     return [
-        classifier.weights[f + 1]
+        classifier.weights[f]
         for cloud in network.clouds
         for classifier in cloud.classifiers
         for f in range(BIAS_ID, len(network.features))
@@ -114,7 +114,7 @@ class TestPredict:
     def test_unconnected_contributes_zero(self):
         cloud = unit({I1: 0.6})
         assert cloud.linked == {I1}
-        assert cloud.classifiers[0].weights[I3 + 1] == 0.0
+        assert cloud.classifiers[0].weights[I3] == 0.0
         assert predict(cloud, (I1, I3)) == 0
 
     def test_sum_equal_to_threshold_is_negative(self):
@@ -122,7 +122,7 @@ class TestPredict:
 
     def test_connected_bias_is_active_on_every_example(self):
         cloud = unit({I1: 0.6, BIAS_ID: 0.5})
-        assert _presentation(())[2] == [BIAS_ID + 1]
+        assert _presentation(())[2] == (BIAS_ID,)
         assert predict(unit({BIAS_ID: 1.5}), ()) == 1
         assert predict(cloud, (I1,)) == 1
 
@@ -215,7 +215,7 @@ class TestTrainExample:
         # theta on a negative example is demoted, by its own beta.
         cloud = Cloud(0, [WinnowClassifier(0.5, 3), WinnowClassifier(0.9, 3)])
         link(cloud, I1, 0.4)
-        cloud.classifiers[1].weights[I1 + 1] = 2.0
+        cloud.classifiers[1].weights[I1] = 2.0
         winnow_train_example(cloud, (I1, I2), 0)
         assert weights_of(cloud, 0) == {I1: 0.4}
         assert weights_of(cloud, 1) == {I1: pytest.approx(1.8)}
@@ -272,7 +272,7 @@ def cloud_with(mistakes, votes, member_index=0):
     cloud = Cloud(member_index, [WinnowClassifier(0.5, 3, mistakes=m) for m in mistakes])
     link(cloud, I1, 0.0)
     for classifier, vote in zip(cloud.classifiers, votes):
-        classifier.weights[I1 + 1] = 2.0 if vote else 0.0
+        classifier.weights[I1] = 2.0 if vote else 0.0
     return cloud
 
 
@@ -457,7 +457,7 @@ def reference_train(network, stream):
     them. The network keeps its weights; the table is returned in
     ``network_state``'s form."""
     tables = [
-        {f: [clf.weights[f + 1] for clf in cloud.classifiers] for f in cloud.linked}
+        {f: [clf.weights[f] for clf in cloud.classifiers] for f in cloud.linked}
         for cloud in network.clouds
     ]
     examples = [((BIAS_ID, *active), member) for active, member in stream]
@@ -804,6 +804,52 @@ class TestSerialization:
         with pytest.raises(ValueError,
                            match=rf"^line {first + 1}: feature list is not in canonical order$"):
             network_from_text("\n".join(lines) + "\n")
+
+    def test_head_lines_swapped_rejected(self):
+        # Head lines are read in the order saving writes them.
+        network, *_ = self.trained_network()
+        lines = network_to_text(network).splitlines()
+        assert lines[5:7] == ["layer\ttwo_layer", "architecture\tsparse"]
+        lines[5], lines[6] = lines[6], lines[5]
+        with pytest.raises(ValueError, match=(
+            r"^line 6: malformed model file header line: 'architecture\\tsparse'$"
+        )):
+            network_from_text("\n".join(lines) + "\n")
+
+    def test_cut_head_names_the_first_missing_line(self):
+        network, *_ = self.trained_network()
+        lines = network_to_text(network).splitlines()
+        with pytest.raises(ValueError, match="^line 9: truncated model file header$"):
+            network_from_text("\n".join(lines[:8]) + "\n")
+
+    @pytest.mark.parametrize("init", ["trained", "bayesian"])
+    def test_weight_row_f_is_weights_f(self, init):
+        # Weights are indexed by feature id, the bias (id -1) the last entry.
+        network, params, _, corpus, cset = self.trained_network()
+        if init == "bayesian":
+            training = TrainingSet(find_occurrences(corpus, cset), cset, params,
+                                   EMPTY_TAGS, UNPRUNED)
+            network = WinnowNetwork(cset, training.retained, CYCLES, params)
+            init_bayesian(network, training.bayes)
+        n_features = len(network.features)
+        classifiers = iter([c for cloud in network.clouds for c in cloud.classifiers])
+        rows = 0
+        for line in network_to_text(network).splitlines()[11 + n_features :]:
+            name, *values = line.split("\t")
+            if name == "classifier":
+                weights = next(classifiers).weights
+                assert len(weights) == n_features + 1
+            elif name != "cloud":
+                f = int(name)
+                assert values == [repr(weights[f])]
+                if f == BIAS_ID:
+                    assert values == [repr(weights[-1])]
+                rows += 1
+        assert next(classifiers, None) is None
+        linked = sum(len(cloud.linked) * len(cloud.classifiers) for cloud in network.clouds)
+        assert rows == linked
+        if init == "bayesian":
+            assert rows == (n_features + 1) * len(BETAS) * len(network.clouds)
 
     def test_short_feature_list_names_the_line_after_it(self):
         network, *_ = self.trained_network()
