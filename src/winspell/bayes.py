@@ -16,7 +16,7 @@ from .features import (
     FeatureStats,
     chance_probabilities,
     model_head,
-    model_lines,
+    one_of,
     parse_feature_list,
     parse_model_head,
 )
@@ -47,7 +47,8 @@ class BayesModel:
     counts, so a serialized model reloads exactly. ``feature_ids`` is the
     index of the retained features and ``features`` its Feature tuples;
     ``counts`` gives each retained key's count row, and the two per-feature
-    tables are lists indexed by feature id, filled per feature on first read.
+    tables are lists indexed by feature id, both filled for a feature the
+    first time either is read.
     """
 
     def __init__(
@@ -59,36 +60,45 @@ class BayesModel:
         occurrences: Sequence[int],
         dependency_resolution: bool = True,
     ):
-        if len(occurrences) != len(confusion_set.members):
-            raise ValueError("occurrence counts do not match the confusion set")
+        self.priors = priors_of(occurrences, confusion_set)
         self.confusion_set = confusion_set
         self.extraction = extraction
         self.features, self.feature_ids = retained.features, retained
         self.counts = [tuple(counts[key]) for key in retained]
         self.occurrences = tuple(occurrences)
         self.total = sum(occurrences)
-        if self.total <= 0:
-            raise ValueError("model needs at least one training occurrence")
         self.dependency_resolution = dependency_resolution
-
-        self.priors = tuple(n / self.total for n in self.occurrences)
         self.log_priors = tuple(_log(p) for p in self.priors)
-        # Per-feature tables by feature id, None until first read: filled by
-        # resolve_dependencies (mean_lambda) and log_likelihood_row.
+        # Per-feature tables by feature id, None until log_likelihood_row fills both.
         n_features = len(self.features)
         self.mean_lambda: list[float | None] = [None] * n_features
         self.log_likelihoods: list[tuple[float, ...] | None] = [None] * n_features
 
     def log_likelihood_row(self, feature: int) -> tuple[float, ...]:
         """log(smoothed likelihood) of feature id ``feature`` per member,
-        -inf for 0: the terms classification sums. A row is computed the
-        first time it is read and kept in ``log_likelihoods``."""
+        -inf for 0: the terms classification sums. The first read fills this
+        row and ``mean_lambda``'s from one chance_probabilities row."""
         row = self.log_likelihoods[feature]
         if row is None:
+            lams = chance_probabilities(self.counts[feature], self.occurrences)
+            self.mean_lambda[feature] = sum(lams) / len(lams)
             row = self.log_likelihoods[feature] = tuple(
-                map(_log, smoothed_likelihoods(self, feature))
+                map(_log, smoothed_likelihoods(self, feature, lams))
             )
         return row
+
+
+def priors_of(occurrences: Sequence[int], confusion_set: ConfusionSet) -> tuple[float, ...]:
+    """Each member's share of the training occurrences: ValueError unless they
+    are one count per member of ``confusion_set``, non-negative, not all 0."""
+    if len(occurrences) != len(confusion_set.members):
+        raise ValueError("occurrence counts do not match the confusion set")
+    if any(n < 0 for n in occurrences):
+        raise ValueError("occurrences must be non-negative")
+    total = sum(occurrences)
+    if total <= 0:
+        raise ValueError("model needs at least one training occurrence")
+    return tuple(n / total for n in occurrences)
 
 
 def train_bayes(
@@ -122,15 +132,15 @@ def with_dependency_resolution(model: BayesModel) -> BayesModel:
     return clone
 
 
-def smoothed_likelihoods(model: BayesModel, feature: int) -> list[float]:
+def smoothed_likelihoods(model: BayesModel, feature: int, lams: Sequence[float]) -> list[float]:
     """(1 - lambda) * P_ML(f|Wi) + lambda * P_ML(f) per member Wi for feature
-    id ``feature``, from its count row, where lambda is the member's
-    :func:`~winspell.features.chance_probabilities`."""
+    id ``feature``, from its count row, where lambda is the member's entry of
+    ``lams``, the feature's :func:`~winspell.features.chance_probabilities`."""
     row, occurrences = model.counts[feature], model.occurrences
     marginal = sum(row) / model.total
     return [
         (1.0 - lam) * (c / n if n else 0.0) + lam * marginal
-        for c, n, lam in zip(row, occurrences, chance_probabilities(row, occurrences))
+        for c, n, lam in zip(row, occurrences, lams)
     ]
 
 
@@ -142,7 +152,7 @@ def resolve_dependencies(model: BayesModel, active_set: Iterable[int]) -> tuple[
     lowest mean mixing weight (the strongest association) survives, ties
     going to the lower id. Context-word features are never deleted. With
     dependency resolution off, the active set is returned in id order. A
-    collocation's mean mixing weight is computed the first time it is read.
+    collocation's mean mixing weight is derived the first time it is read.
     """
     active = tuple(sorted(active_set))
     if not model.dependency_resolution:
@@ -155,8 +165,7 @@ def resolve_dependencies(model: BayesModel, active_set: Iterable[int]) -> tuple[
         feature = features[f]
         if feature.kind == COLLOCATION:
             if mean_lambda[f] is None:
-                lams = chance_probabilities(model.counts[f], model.occurrences)
-                mean_lambda[f] = sum(lams) / len(lams)
+                model.log_likelihood_row(f)  # which fills mean_lambda[f]
             best = strongest.get(feature.offsets)
             if best is None or mean_lambda[f] < mean_lambda[best]:
                 strongest[feature.offsets] = f
@@ -217,27 +226,30 @@ def model_to_text(model: BayesModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-_HEAD_FIELDS = (
-    "members", "extraction", "smoothing", "dependency_resolution", "occurrences",
-    "priors", "features",
+def _occurrences(values: list[str], head: dict) -> list[int]:
+    occurrences = [int(n) for n in values]
+    priors_of(occurrences, head["members"])
+    return occurrences
+
+
+def _priors(values: list[str], head: dict):
+    # The line must be what saving the priors recomputed from occurrences writes.
+    if values != [repr(p) for p in priors_of(head["occurrences"], head["members"])]:
+        raise ValueError("priors line does not match the occurrence counts")
+
+
+_HEAD = (
+    one_of("smoothing", INTERPOLATIVE),
+    one_of("dependency_resolution", "on", "off"),
+    ("occurrences", _occurrences),
+    ("priors", _priors),
 )
 
 
 def model_from_text(text: str) -> BayesModel:
-    lines = model_lines(text, HEADER)
-    head, confusion_set, extraction = parse_model_head(lines[1:8], _HEAD_FIELDS)
-    try:
-        occurrences = [int(n) for n in head["occurrences"]]
-        if any(n < 0 for n in occurrences):
-            raise ValueError("occurrences must be non-negative")
-        (n_features,) = (int(n) for n in head["features"])
-        if head["smoothing"] != [INTERPOLATIVE]:
-            raise ValueError(f"smoothing must be {INTERPOLATIVE}")
-        if head["dependency_resolution"] not in (["on"], ["off"]):
-            raise ValueError("dependency_resolution must be on or off")
-    except ValueError as exc:
-        raise ValueError(f"malformed model file header: {exc}") from exc
-    n_members = len(confusion_set.members)
+    lines, head = parse_model_head(text, HEADER, _HEAD)
+    occurrences, n_features = head["occurrences"], head["features"]
+    n_members = len(occurrences)
     keys, rows = [], []
     for number, line in enumerate(lines[8 : 8 + n_features], 9):
         key, *row = line.split("\t")
@@ -257,19 +269,8 @@ def model_from_text(text: str) -> BayesModel:
     retained = parse_feature_list(keys, n_features, 9)
     if len(lines) > 8 + n_features:
         raise ValueError(f"line {9 + n_features}: text after the last count row")
-    model = BayesModel(
-        confusion_set,
-        extraction,
-        retained,
-        dict(zip(keys, rows)),
-        occurrences,
-        dependency_resolution=head["dependency_resolution"] == ["on"],
-    )
-    # Priors are recomputed from the occurrence counts; the stored line must
-    # be what saving them writes.
-    if head["priors"] != [repr(p) for p in model.priors]:
-        raise ValueError("priors line does not match the occurrence counts")
-    return model
+    return BayesModel(head["members"], head["extraction"], retained, dict(zip(keys, rows)),
+                      occurrences, head["dependency_resolution"] == "on")
 
 
 def save_model(model: BayesModel, path: str | Path):

@@ -17,6 +17,7 @@ from .bayes import (
     choose,
     classify_bayes,
     load_model,
+    priors_of,
     save_model,
     train_bayes,
     with_dependency_resolution,
@@ -189,11 +190,10 @@ def train_system_model(name: str, training: TrainingSet, cycles: int):
     if name == "simplified-bayes":
         return training.bayes
     stats = training.stats
-    total = sum(stats.occurrences)
     network = WinnowNetwork(
         stats.confusion_set, training.retained, cycles, stats.params,
         layer_mode=ONE_LAYER if name in ("simplified-winnow", "winnow-1layer") else TWO_LAYER,
-        priors=[n / total for n in stats.occurrences],
+        priors=priors_of(stats.occurrences, stats.confusion_set),
     )
     # The other variants start from Bayesian weights derived from the
     # dependency-resolution-free model.
@@ -232,7 +232,7 @@ def load_system_model(path: str | Path) -> BayesModel | WinnowNetwork:
             return load_network(path)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    raise ValueError(f"{path}: unrecognized model format")
+    raise ValueError(f"{path}: line 1: unrecognized model format")
 
 
 class SetResult(NamedTuple):

@@ -320,18 +320,6 @@ def parse_assignments(values: Sequence[str], names: Sequence[str]) -> list[str]:
     return [v[len(name) + 1 :] for v, name in zip(values, names)]
 
 
-def model_lines(text: str, header: str) -> list[str]:
-    """The lines of a model file whose first line is ``header``. ValueError
-    for another format, and for a text that does not end in a newline, as
-    every saved model does: such a file was cut short."""
-    lines = text.splitlines()
-    if not lines or lines[0] != header:
-        raise ValueError(f"not a {header} model file")
-    if not text.endswith("\n"):
-        raise ValueError(f"line {len(lines)}: model file truncated: no newline at its end")
-    return lines
-
-
 def model_head(header: str, confusion_set: ConfusionSet, params: ExtractionParams) -> list[str]:
     """The first lines of a model file: ``header``, then the ``members`` and
     ``extraction`` lines every model format declares, as
@@ -340,26 +328,50 @@ def model_head(header: str, confusion_set: ConfusionSet, params: ExtractionParam
     return [header, f"members\t{members}", f"extraction\tk={params.k}\tl={params.l}"]
 
 
-def parse_model_head(
-    lines: Sequence[str], names: Sequence[str]
-) -> tuple[dict[str, list[str]], ConfusionSet, ExtractionParams]:
-    """The values by name of the header lines ``name<TAB>value...`` from file
-    line 2 on, which hold ``names`` in the order saving writes them, and the
-    ``members`` and ``extraction`` every format declares; ValueError otherwise."""
-    fields: dict[str, list[str]] = {}
-    for number, (name, line) in enumerate(zip(names, lines), 2):
+def count_of(text: str, name: str) -> int:
+    """The count ``text`` of field ``name``: ValueError unless a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{name}={value} is negative")
+    return value
+
+
+def one_of(name: str, *choices: str) -> tuple:
+    """The head field ``name`` and its reader: its values, the words of one of ``choices``."""
+    def read(values: list[str], head: dict) -> str:
+        if values not in [choice.split(" ") for choice in choices]:
+            raise ValueError(f"{name} must be {' or '.join(choices)}")
+        return " ".join(values)
+    return name, read
+
+
+def parse_model_head(text: str, header: str, fields: Sequence[tuple]) -> tuple[list[str], dict]:
+    """The lines of a model file whose first line is ``header``, and the values
+    by name of its head lines ``name<TAB>value...`` in the order saving writes
+    them: ``members``, ``extraction``, the format's ``fields``, each with its
+    reader (a function of the values and the head read so far), and the feature
+    count. ValueError naming the line at fault otherwise, or for a cut text."""
+    lines = text.splitlines()
+    if not lines or lines[0] != header:
+        raise ValueError(f"line 1: not a {header} model file")
+    if not text.endswith("\n"):
+        raise ValueError(f"line {len(lines)}: model file truncated: no newline at its end")
+    fields = (("members", lambda values, head: confusion_set_from_text(", ".join(values))),
+              ("extraction", lambda values, head: ExtractionParams(
+                  *map(int, parse_assignments(values, ("k", "l"))))),
+              *fields, ("features", lambda values, head: count_of("\t".join(values), "features")))
+    head: dict = {}
+    for number, ((name, read), line) in enumerate(zip(fields, lines[1 : 1 + len(fields)]), 2):
         got, *values = line.split("\t")
         if got != name or not values:
             raise ValueError(f"line {number}: malformed model file header line: {line!r}")
-        fields[name] = values
-    if len(fields) != len(names):
-        raise ValueError(f"line {len(fields) + 2}: truncated model file header")
-    try:
-        confusion_set = confusion_set_from_text(", ".join(fields["members"]))
-        k, l = (int(v) for v in parse_assignments(fields["extraction"], ("k", "l")))
-        return fields, confusion_set, ExtractionParams(k, l)
-    except ValueError as exc:
-        raise ValueError(f"malformed model file header: {exc}") from exc
+        try:
+            head[name] = read(values, head)
+        except ValueError as exc:
+            raise ValueError(f"line {number}: malformed model file header: {exc}") from None
+    if len(head) != len(fields):
+        raise ValueError(f"line {len(head) + 2}: truncated model file header")
+    return lines, head
 
 
 def parse_feature_list(keys: list[str], count: int, first_line: int) -> FeatureIndex:

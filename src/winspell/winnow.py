@@ -17,8 +17,9 @@ from .corpus import ConfusionSet, read_text
 from .features import (
     ExtractionParams,
     FeatureIndex,
+    count_of,
     model_head,
-    model_lines,
+    one_of,
     parse_assignments,
     parse_feature_list,
     parse_model_head,
@@ -348,140 +349,126 @@ def network_to_text(network: WinnowNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
-_HEAD_FIELDS = (
-    "members", "extraction", "winnow", "betas", "layer", "architecture", "init",
-    "schedule", "priors", "features",
+def _settings(fixed: dict[str, float], last: str, label: str):
+    # A file records the one parameter set: ``fixed`` holds its constants.
+    def read(values: list[str], head: dict) -> int:
+        *texts, count = parse_assignments(values, [*fixed, last])
+        for (name, value), text in zip(fixed.items(), texts):
+            if float(text) != value:
+                raise ValueError(f"{name} must be {value!r}")
+        if int(count) < 1:
+            raise ValueError(f"{label} must be >= 1")
+        return int(count)
+    return read
+
+
+def _priors(values: list[str], head: dict) -> list[float]:
+    # The priors settle exact ties, so each must be a usable weight.
+    priors = [float(pr) for pr in values]
+    if not all(0.0 <= pr < math.inf for pr in priors):
+        raise ValueError("priors must be finite and non-negative")
+    if len(priors) != len(head["members"].members):
+        raise ValueError("priors do not match the confusion set")
+    return priors
+
+
+_HEAD = (
+    ("winnow", _settings({"theta": THETA, "alpha": ALPHA, "default_weight": DEFAULT_WEIGHT},
+                         "cycles", "cycles")),
+    one_of("betas", " ".join(map(repr, BETAS))),
+    one_of("layer", ONE_LAYER, TWO_LAYER),
+    one_of("architecture", SPARSE, FULL),
+    one_of("init", UNIFORM, BAYESIAN),
+    ("schedule", _settings({"start": GAMMA_START, "end": GAMMA_END},
+                           "horizon", "schedule horizon")),
+    ("priors", _priors),
 )
 
 
 def network_from_text(text: str) -> WinnowNetwork:
-    lines = model_lines(text, HEADER)
-    head, confusion_set, extraction = parse_model_head(lines[1:11], _HEAD_FIELDS)
-    try:
-        theta, alpha, default_weight, cycles = parse_assignments(
-            head["winnow"], ("theta", "alpha", "default_weight", "cycles")
-        )
-        start, end, horizon = parse_assignments(
-            head["schedule"], ("start", "end", "horizon")
-        )
-        # A file records the one parameter set; it may not name another.
-        for name, text, value in (
-            ("theta", theta, THETA), ("alpha", alpha, ALPHA),
-            ("default_weight", default_weight, DEFAULT_WEIGHT),
-            ("start", start, GAMMA_START), ("end", end, GAMMA_END),
-        ):
-            if float(text) != value:
-                raise ValueError(f"{name} must be {value!r}")
-        if tuple(float(b) for b in head["betas"]) != BETAS:
-            raise ValueError("betas must be " + " ".join(map(repr, BETAS)))
-        cycles, horizon = int(cycles), int(horizon)
-        if cycles < 1:
-            raise ValueError("cycles must be >= 1")
-        if horizon < 1:
-            raise ValueError("schedule horizon must be >= 1")
-        (n_features,) = (int(n) for n in head["features"])
-        for name, one, other in (
-            ("layer", ONE_LAYER, TWO_LAYER), ("architecture", SPARSE, FULL),
-            ("init", UNIFORM, BAYESIAN),
-        ):
-            if head[name] not in ([one], [other]):
-                raise ValueError(f"{name} must be {one} or {other}")
-        # The priors settle exact ties, so each must be a usable weight.
-        priors = [float(pr) for pr in head["priors"]]
-        if not all(0.0 <= pr < math.inf for pr in priors):
-            raise ValueError("priors must be finite and non-negative")
-    except ValueError as exc:
-        raise ValueError(f"malformed model file header: {exc}") from exc
+    lines, head = parse_model_head(text, HEADER, _HEAD)
+    n_features = head["features"]
     retained = parse_feature_list(lines[11 : 11 + n_features], n_features, 12)
-    network = WinnowNetwork(
-        confusion_set, retained, cycles, extraction, layer_mode=head["layer"][0], priors=priors
-    )
-    network.horizon = horizon
-    network.architecture = head["architecture"][0]
-    network.init_mode = head["init"][0]
+    network = WinnowNetwork(head["members"], retained, head["winnow"], head["extraction"],
+                            head["layer"], head["priors"])
+    network.horizon = head["schedule"]
+    network.architecture, network.init_mode = head["architecture"], head["init"]
     betas = [c.beta for c in network.clouds[0].classifiers]
-    cloud = None
-    classifier = None
-    rows: dict[int, list[list[int]]] = {}  # cloud -> feature ids of each classifier
-    cloud_lines: dict[int, int] = {}
-    try:
-        for number, line in enumerate(lines[11 + n_features :], 12 + n_features):
+    full, n_clouds = network.architecture == FULL, len(network.clouds)
+    # The body in the order network_to_text writes it: cloud i is the i-th cloud
+    # line, its classifiers follow in beta order, the first one's rows ascend from
+    # the bias (over every id if full), and every later one's repeat them.
+    cloud = classifier = None
+    first = ids = []  # the first classifier's row ids, then n_features; what the last reads
+    try:  # "\n", which no line holds, marks the end of the file
+        for number, line in enumerate([*lines[11 + n_features :], "\n"], 12 + n_features):
             fields = line.split("\t")
-            if fields[0] == "cloud":
-                (examples_seen,) = parse_assignments(fields[2:], ("examples_seen",))
-                member_index = int(fields[1])
-                if not 0 <= member_index < len(network.clouds):
-                    raise ValueError(f"cloud {member_index} is out of range")
-                if member_index in rows:
-                    raise ValueError(f"cloud {member_index} is repeated")
-                cloud = network.clouds[member_index]
-                cloud.examples_seen = _count(examples_seen, "examples_seen")
-                cloud.classifiers = []
-                classifier = None
-                rows[member_index] = []
-                cloud_lines[member_index] = number
-            elif fields[0] == "classifier":
-                if cloud is None:
-                    raise ValueError("classifier outside any cloud")
-                beta, mistakes = parse_assignments(fields[1:], ("beta", "mistakes"))
-                classifier = WinnowClassifier(
-                    float(beta), n_features, _count(mistakes, "mistakes")
-                )
-                cloud.classifiers.append(classifier)
-                names: list[int] = []
-                rows[cloud.member_index].append(names)
-            else:
+            kind = fields[0]
+            if kind not in ("cloud", "classifier", "\n"):  # a weight row
                 if classifier is None:
                     raise ValueError("weight row outside any classifier")
                 if len(fields) != 2:
                     raise ValueError(f"malformed weight row: {line!r}")
-                feature = int(fields[0])
+                feature = int(kind)
                 if not BIAS_ID <= feature < n_features:
-                    raise ValueError(f"weight row for feature {fields[0]} is out of range")
+                    raise ValueError(f"weight row for feature {kind} is out of range")
                 weight = float(fields[1])
                 # The threshold test's error bound holds for finite non-negative
                 # weights only; init_bayesian's shift writes 0.0 for the smallest.
                 if not 0.0 <= weight < math.inf:
                     raise ValueError(f"weight {fields[1]} is negative or not finite")
-                names.append(feature)
-                classifier.weights[feature] = weight
+            else:
+                # Any other line closes the classifier read last, as a row for
+                # id n_features would; the end closes the last cloud too.
+                feature, member_index = n_features, n_clouds
+                if kind == "cloud":
+                    (examples_seen,) = parse_assignments(fields[2:], ("examples_seen",))
+                    member_index = int(fields[1])
+                    if not 0 <= member_index < n_clouds:
+                        raise ValueError(f"cloud {member_index} is out of range")
+                elif kind == "classifier":
+                    if cloud is None:
+                        raise ValueError("classifier outside any cloud")
+                    beta, mistakes = parse_assignments(fields[1:], ("beta", "mistakes"))
+            if classifier is not None:
+                if ids is first:
+                    if feature <= first[-1] if first else feature != BIAS_ID:
+                        raise ValueError(f"{damaged} weight rows repeat a feature or do not"
+                                         " ascend" if first else f"{damaged} has no bias row")
+                    if feature == n_features and full and len(first) != n_features + 1:
+                        raise ValueError(f"{damaged} of a full network has {len(first)} weight"
+                                         f" rows per classifier, not {n_features + 1}")
+                    first.append(feature)
+                elif feature != next(ids):
+                    raise ValueError(f"{damaged} weight rows repeat a feature or differ from"
+                                     " the first classifier's")
+                if feature < n_features:
+                    classifier.weights[feature] = weight
+                    continue
+            if kind == "classifier":
+                j = len(cloud.classifiers)
+                if j == len(betas) or float(beta) != betas[j]:
+                    raise ValueError(f"{damaged} classifier betas differ from the header's")
+                classifier = WinnowClassifier(betas[j], n_features, count_of(mistakes, "mistakes"))
+                cloud.classifiers.append(classifier)
+                ids = first if j == 0 else iter(first)
+                continue
+            read = 0 if cloud is None else cloud.member_index + 1
+            if member_index < read:
+                raise ValueError(f"cloud {member_index} is repeated")
+            if member_index > read or cloud and len(cloud.classifiers) != len(betas):
+                raise ValueError("model file truncated: a cloud or its classifiers are missing")
+            if cloud is not None:
+                cloud.linked = set(first[:-1])
+            if kind == "cloud":
+                cloud = network.clouds[member_index]
+                cloud.examples_seen = count_of(examples_seen, "examples_seen")
+                cloud.classifiers, classifier, first = [], None, []
+                ids = first
+                damaged = f"model file truncated or damaged: cloud {member_index}"
     except ValueError as exc:
         raise ValueError(f"line {number}: {exc}") from None
-    if len(rows) != len(network.clouds) or not all(c.classifiers for c in network.clouds):
-        raise ValueError("model file truncated: a cloud or its classifiers are missing")
-    for cloud in network.clouds:
-        first, *others = rows[cloud.member_index]
-        cloud.linked = set(first)
-        if len(cloud.linked) != len(first) or any(other != first for other in others):
-            raise ValueError(
-                f"model file truncated or damaged: cloud {cloud.member_index} weight"
-                " rows repeat a feature or differ from the first classifier's"
-            )
-        # A full network links every feature and the bias to every classifier.
-        if network.architecture == FULL and len(first) != n_features + 1:
-            raise ValueError(
-                f"line {cloud_lines[cloud.member_index]}: model file truncated or damaged:"
-                f" cloud {cloud.member_index} of a full network has {len(first)} weight"
-                f" rows per classifier, not {n_features + 1}"
-            )
-        if BIAS_ID not in cloud.linked:
-            raise ValueError(
-                f"line {cloud_lines[cloud.member_index]}: model file truncated or damaged:"
-                f" cloud {cloud.member_index} has no bias row"
-            )
-        if [c.beta for c in cloud.classifiers] != betas:
-            raise ValueError(
-                f"model file truncated or damaged: cloud {cloud.member_index}"
-                " classifier betas differ from the header's"
-            )
     return network
-
-
-def _count(text: str, name: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"{name}={value} is negative")
-    return value
 
 
 def save_network(network: WinnowNetwork, path: str | Path):

@@ -72,14 +72,13 @@ class TestTrainBayes:
         assert model.priors == (0.6, 0.4)
         assert sum(model.priors) == pytest.approx(1.0, abs=1e-12)
 
-    def test_mle_likelihood_is_cooccurrence_ratio(self, monkeypatch):
+    def test_mle_likelihood_is_cooccurrence_ratio(self):
         # At mixing weight 0 the smoothed likelihood is the MLE one.
         stats = stats_from_counts({"f": [1, 47]}, [105, 98])
         model = train_bayes(stats, prune(stats, UNPRUNED))
         (f,) = ids_of(model, [context_word("f")])
-        monkeypatch.setattr(bayes, "chance_probabilities", lambda row, occ: [0.0] * len(row))
-        assert smoothed_likelihoods(model, f)[1] == pytest.approx(47 / 98)
-        assert smoothed_likelihoods(model, f)[0] == pytest.approx(1 / 105)
+        assert smoothed_likelihoods(model, f, [0.0, 0.0])[1] == pytest.approx(47 / 98)
+        assert smoothed_likelihoods(model, f, [0.0, 0.0])[0] == pytest.approx(1 / 105)
 
     def test_lambda_one_for_independent_feature(self):
         # Proportional counts: the feature appears with each member at the
@@ -104,31 +103,30 @@ class TestSmoothedLikelihood:
         stats = stats_from_counts({"f": [30, 20]}, [60, 40])
         model = train_bayes(stats, prune(stats, UNPRUNED))
         (f,) = ids_of(model, [context_word("f")])
-        assert smoothed_likelihoods(model, f)[0] == pytest.approx(0.5)
+        lams = chance_probabilities(model.counts[f], model.occurrences)
+        assert smoothed_likelihoods(model, f, lams)[0] == pytest.approx(0.5)
 
-    def test_interpolation_arithmetic(self, monkeypatch):
+    def test_interpolation_arithmetic(self):
         # MLE likelihood 20/100 = 0.2 and unigram 100/200 = 0.5; pinned
         # mixture: 0.75 * 0.2 + 0.25 * 0.5 = 0.275.
         stats = stats_from_counts({"f": [20, 80]}, [100, 100])
         model = train_bayes(stats, prune(stats, UNPRUNED))
         (f,) = ids_of(model, [context_word("f")])
-        monkeypatch.setattr(bayes, "chance_probabilities", lambda row, occ: [0.25] * len(row))
-        assert smoothed_likelihoods(model, f)[0] == pytest.approx(0.275)
+        assert smoothed_likelihoods(model, f, [0.25, 0.25])[0] == pytest.approx(0.275)
         # Mixing-weight endpoints: 0 is pure MLE, 1 is full backoff.
-        monkeypatch.setattr(bayes, "chance_probabilities", lambda row, occ: [0.0] * len(row))
-        assert smoothed_likelihoods(model, f)[0] == 0.2
-        monkeypatch.setattr(bayes, "chance_probabilities", lambda row, occ: [1.0] * len(row))
-        assert smoothed_likelihoods(model, f)[0] == 0.5
+        assert smoothed_likelihoods(model, f, [0.0, 0.0])[0] == 0.2
+        assert smoothed_likelihoods(model, f, [1.0, 1.0])[0] == 0.5
 
     def test_matches_formula_on_real_tables(self):
         model, _ = toy_model(dependency_resolution=False)
         occurrences = model.occurrences
         for f, row in enumerate(model.counts):
+            lams = chance_probabilities(row, occurrences)
             for i in range(2):
-                lam = chance_probabilities(row, occurrences)[i]
+                lam = lams[i]
                 ml = row[i] / occurrences[i]
                 expected = (1 - lam) * ml + lam * sum(row) / sum(occurrences)
-                assert smoothed_likelihoods(model, f)[i] == pytest.approx(expected)
+                assert smoothed_likelihoods(model, f, lams)[i] == pytest.approx(expected)
 
 
 class TestLogLikelihoods:
@@ -149,8 +147,9 @@ class TestLogLikelihoods:
         for f in ids_of(model, model.features):
             row = model.log_likelihood_row(f)
             assert table[f] is row
+            lams = chance_probabilities(model.counts[f], model.occurrences)
             for i in range(len(model.confusion_set.members)):
-                likelihood = smoothed_likelihoods(model, f)[i]
+                likelihood = smoothed_likelihoods(model, f, lams)[i]
                 want = math.log(likelihood) if likelihood > 0 else -math.inf
                 assert row[i] == want
         assert None not in table
@@ -159,8 +158,9 @@ class TestLogLikelihoods:
 
 
 class TestPerFeatureDerivation:
-    """A feature's mixing weights come from its count row; its mean mixing
-    weight is filled the first time dependency resolution reads it."""
+    """A feature's mixing weights come from its count row, computed once: its
+    mean mixing weight and its log row are both filled the first time
+    dependency resolution or scoring reads either."""
 
     def test_derived_rows_equal_eager_formula(self):
         model, _ = toy_model()
@@ -194,12 +194,30 @@ class TestPerFeatureDerivation:
                         "CW y": [9, 1]}
         model = train_bayes(stats, prune(stats, UNPRUNED))
         classify_bayes(model, ids_of(model, [strong, weak]))
-        # Dependency resolution reads both collocations; only the survivor's
-        # log row is read.
+        # Dependency resolution reads both collocations, so both tables hold
+        # both; the context words, which nothing read, stay underived.
         assert {f for f, lam in enumerate(model.mean_lambda) if lam is not None} == \
             set(ids_of(model, [strong, weak]))
         assert [f for f, row in enumerate(model.log_likelihoods) if row is not None] == \
-            list(ids_of(model, [strong]))
+            sorted(ids_of(model, [strong, weak]))
+
+    def test_mixing_weights_computed_once_per_feature(self, monkeypatch):
+        # Dependency resolution reads a collocation's mean mixing weight and
+        # scoring its log row: one chance_probabilities call serves both.
+        model, _ = toy_model()
+        calls = []
+        compute = bayes.chance_probabilities
+        monkeypatch.setattr(bayes, "chance_probabilities",
+                            lambda row, occ: calls.append(row) or compute(row, occ))
+        cset = model.confusion_set
+        for text in ("a peace of cake", "one piece of pie", "peace talks now",
+                     "a piece of cake is nice", "another piece of pie"):
+            for occ in find_occurrences(corpus_of(text), cset):
+                classify_bayes(model, extract_active(occ, model.feature_ids, model.extraction,
+                                                     EMPTY_TAGS))
+        derived = [f for f, row in enumerate(model.log_likelihoods) if row is not None]
+        assert any(model.features[f].kind == COLLOCATION for f in derived)
+        assert len(calls) == len(derived)
 
 
 class TestResolveDependencies:
@@ -419,7 +437,7 @@ class TestSerialization:
         text = model_to_text(toy_model()[0])
         assert "\nsmoothing\tinterpolative\n" in text
         with pytest.raises(ValueError, match=(
-            "^malformed model file header: smoothing must be interpolative$"
+            "^line 4: malformed model file header: smoothing must be interpolative$"
         )):
             model_from_text(text.replace("\nsmoothing\tinterpolative\n", "\nsmoothing\tmle\n"))
 
@@ -435,7 +453,7 @@ class TestSerialization:
     def test_negative_occurrences_refused(self):
         # The priors line is what saving these counts' priors would write.
         with pytest.raises(ValueError, match=(
-            "^malformed model file header: occurrences must be non-negative$"
+            "^line 6: malformed model file header: occurrences must be non-negative$"
         )):
             model_from_text(self.head_without_features("-5\t10", "-1.0\t2.0"))
 
@@ -444,14 +462,14 @@ class TestSerialization:
         ("0\t0", "model needs at least one training occurrence"),
     ])
     def test_occurrences_not_one_positive_total_per_member_refused(self, occurrences, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^line 6: malformed model file header: {message}$"):
             model_from_text(self.head_without_features(occurrences, "0.5\t0.5"))
 
     def test_other_dependency_resolution_refused(self):
         text = model_to_text(toy_model()[0])
         assert "\ndependency_resolution\ton\n" in text
         with pytest.raises(ValueError, match=(
-            "^malformed model file header: dependency_resolution must be on or off$"
+            "^line 5: malformed model file header: dependency_resolution must be on or off$"
         )):
             model_from_text(text.replace("\ndependency_resolution\ton\n",
                                          "\ndependency_resolution\tyes\n"))
@@ -521,13 +539,14 @@ class TestSerialization:
         assert lines[2].startswith("extraction\t") and lines[7].startswith("features\t")
         assert lines[6].startswith("priors\t") and lines[6] != "priors\t0.9\t0.1"
         count_row = lines[8]
-        index, new_line = {
-            "extraction-field": (2, "extraction\tk10\tl=2"),
-            "bare-features-line": (7, "features"),
-            "short-count-row": (8, count_row.rsplit("\t", 1)[0]),
-            "long-count-row": (8, count_row + "\t0"),
-            "edited-priors": (6, "priors\t0.9\t0.1"),
-            "row-after-last": (len(lines) - 1, lines[-1] + "\nCW zzz\t9\t9"),
+        # The edited line's index, its new text, and the file line at fault.
+        index, new_line, number = {
+            "extraction-field": (2, "extraction\tk10\tl=2", 3),
+            "bare-features-line": (7, "features", 8),
+            "short-count-row": (8, count_row.rsplit("\t", 1)[0], 9),
+            "long-count-row": (8, count_row + "\t0", 9),
+            "edited-priors": (6, "priors\t0.9\t0.1", 7),
+            "row-after-last": (len(lines) - 1, lines[-1] + "\nCW zzz\t9\t9", len(lines) + 1),
         }[case]
         lines[index] = new_line
         path = tmp_path / "models" / f"{model.confusion_set.slug}.bayes.model"
@@ -540,7 +559,8 @@ class TestSerialization:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {path}: line {number}: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestOracleEquivalenceSample:

@@ -322,7 +322,7 @@ class TestClassify:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert captured.err == (f"error: {model}: malformed model file header:"
+        assert captured.err == (f"error: {model}: line 5: malformed model file header:"
                                 " betas must be 0.5 0.6 0.7 0.8 0.9\n")
 
     @pytest.mark.parametrize("weight", ["-5", "nan", "inf", "-0.5", "0.0"])

@@ -209,30 +209,36 @@ class TestEvaluateSystems:
 def test_load_system_model_refuses_a_file_of_neither_format(tmp_path):
     path = tmp_path / "peace+piece.bayes.model"
     path.write_text("BAYES v2\nmembers\tpeace\tpiece\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unrecognized model format$"):
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}: line 1: unrecognized model format$"):
         load_system_model(path)
+
+
+def smoke_model(name):
+    """System ``name`` trained on the toy peace/piece corpus of the stdlib CI
+    smoke, and the writer and loader of its model format."""
+    corpus = corpus_of(
+        "a piece of cake is easy", "another piece of cake for you",
+        "they cut a piece of bread", "peace talks began today", "world peace is the goal",
+        "the peace treaty was signed",
+    )
+    cset = confusion_set_from_text("peace, piece")
+    tags = TagDictionary({"of": {"PREP"}, "cake": {"NOUN"}})
+    training = TrainingSet(find_occurrences(corpus, cset), cset, ExtractionParams(),
+                           tags, "unpruned")
+    model = train_system_model(name, training, CYCLES)
+    if isinstance(model, WinnowNetwork):
+        return model, network_to_text, network_from_text
+    return model, model_to_text, model_from_text
 
 
 class TestModelPrefixes:
     def test_every_proper_prefix_of_every_systems_model_refused(self):
-        # The toy peace/piece corpus of the stdlib CI smoke, every trainable
-        # system: a file cut after any line or any byte fails to load.
-        corpus = corpus_of(
-            "a piece of cake is easy", "another piece of cake for you",
-            "they cut a piece of bread", "peace talks began today", "world peace is the goal",
-            "the peace treaty was signed",
-        )
-        cset = confusion_set_from_text("peace, piece")
-        tags = TagDictionary({"of": {"PREP"}, "cake": {"NOUN"}})
-        training = TrainingSet(find_occurrences(corpus, cset), cset, ExtractionParams(),
-                               tags, "unpruned")
+        # Every trainable system: a file cut after any line or any byte fails
+        # to load.
         cuts = 0
         for name in SYSTEMS[1:]:
-            model = train_system_model(name, training, CYCLES)
-            if isinstance(model, WinnowNetwork):
-                to_text, from_text = network_to_text, network_from_text
-            else:
-                to_text, from_text = model_to_text, model_from_text
+            model, to_text, from_text = smoke_model(name)
             text = to_text(model)
             assert text.isascii() and to_text(from_text(text)) == text
             lines = text.splitlines(keepends=True)
@@ -243,6 +249,29 @@ class TestModelPrefixes:
                     from_text(prefix)
             cuts += len(prefixes)
         assert cuts > 10_000
+
+
+class TestModelEdits:
+    @pytest.mark.parametrize("name", ["bayes", "winnow", "winnow-1layer"])
+    def test_every_line_deletion_or_adjacent_swap_reloads_or_names_a_line(self, name):
+        # Each edited file either holds a model that saves back to its own
+        # bytes or is refused naming a line: a Bayes model, a trained sparse
+        # two-layer network, and a full one-layer one.
+        model, to_text, from_text = smoke_model(name)
+        lines = to_text(model).splitlines(keepends=True)
+        edits = [lines[:i] + lines[i + 1 :] for i in range(len(lines))]
+        edits += [lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2 :]
+                  for i in range(len(lines) - 1) if lines[i] != lines[i + 1]]
+        refused = 0
+        for edited in map("".join, edits):
+            try:
+                loaded = from_text(edited)
+            except ValueError as exc:
+                assert re.match(r"line [1-9]\d*: ", str(exc)), str(exc)
+                refused += 1
+            else:
+                assert to_text(loaded) == edited
+        assert len(lines) > 20 and refused
 
 
 class TestEvalReport:

@@ -908,14 +908,16 @@ class TestSerialization:
         text = network_to_text(network)
         assert "\npriors\t0.5\t0.5\n" in text
         with pytest.raises(ValueError, match=(
-            "^malformed model file header: priors must be finite and non-negative$"
+            "^line 10: malformed model file header: priors must be finite and non-negative$"
         )):
             network_from_text(text.replace("\npriors\t0.5\t0.5\n", f"\npriors\t{priors}\n"))
 
     def test_priors_not_one_per_member_rejected(self):
         network, *_ = self.trained_network()
         text = network_to_text(network)
-        with pytest.raises(ValueError, match="^priors do not match the confusion set$"):
+        with pytest.raises(ValueError, match=(
+            "^line 10: malformed model file header: priors do not match the confusion set$"
+        )):
             network_from_text(text.replace("\npriors\t0.5\t0.5\n",
                                            "\npriors\t0.5\t0.25\t0.25\n"))
 
@@ -925,7 +927,7 @@ class TestSerialization:
         text = network_to_text(network)
         assert "\nlayer\ttwo_layer\n" in text
         with pytest.raises(ValueError, match=(
-            "^malformed model file header: layer must be one_layer or two_layer$"
+            "^line 6: malformed model file header: layer must be one_layer or two_layer$"
         )):
             network_from_text(text.replace("\nlayer\ttwo_layer\n", f"\nlayer\t{layer}\n"))
 
@@ -933,7 +935,8 @@ class TestSerialization:
         network, *_ = self.trained_network()
         text = network_to_text(network)
         assert f"\tcycles={CYCLES}\n" in text
-        with pytest.raises(ValueError, match="^malformed model file header: cycles must be >= 1$"):
+        with pytest.raises(ValueError,
+                           match="^line 4: malformed model file header: cycles must be >= 1$"):
             network_from_text(text.replace(f"\tcycles={CYCLES}\n", "\tcycles=0\n"))
 
     def test_cloud_without_bias_row_rejected(self):
@@ -944,8 +947,10 @@ class TestSerialization:
         clouds = [n for n, l in enumerate(lines, 1) if l.startswith("cloud\t")]
         kept = [l for n, l in enumerate(lines, 1) if not (n < clouds[1] and l.startswith("-1\t"))]
         assert len(kept) == len(lines) - len(BETAS)
+        # Cloud 0's first classifier opens with feature 0's row, not the bias's.
+        assert kept[clouds[0]].startswith("classifier\t") and kept[clouds[0] + 1].startswith("0\t")
         with pytest.raises(ValueError, match=(
-            rf"^line {clouds[0]}: model file truncated or damaged: cloud 0 has no bias row$"
+            rf"^line {clouds[0] + 2}: model file truncated or damaged: cloud 0 has no bias row$"
         )):
             network_from_text("\n".join(kept) + "\n")
 
@@ -985,7 +990,11 @@ class TestSerialization:
         lines = network_to_text(network).splitlines()
         second = [i for i, l in enumerate(lines) if l.startswith("classifier\t")][1]
         lines[second + 2], lines[second + 3] = lines[second + 3], lines[second + 2]
-        with pytest.raises(ValueError, match="differ from the first classifier's"):
+        # The second classifier's second row, file line second + 3, is the first to differ.
+        with pytest.raises(ValueError, match=(
+            rf"^line {second + 3}: model file truncated or damaged: cloud 0 weight rows"
+            " repeat a feature or differ from the first classifier's$"
+        )):
             network_from_text("\n".join(lines) + "\n")
 
     def test_cut_between_weight_rows_rejected(self):
@@ -1019,8 +1028,9 @@ class TestSerialization:
         lines = network_to_text(network).splitlines(keepends=True)
         last_cloud = max(i for i, l in enumerate(lines) if l.startswith("cloud\t"))
         rows = len(network.features) + 1
+        # The missing last row is the first line at fault.
         with pytest.raises(ValueError, match=(
-            rf"^line {last_cloud + 1}: model file truncated or damaged: cloud 1 of a full"
+            rf"^line {len(lines)}: model file truncated or damaged: cloud 1 of a full"
             rf" network has {rows - 1} weight rows per classifier, not {rows}$"
         )):
             network_from_text("".join(lines[:-1]))
@@ -1058,9 +1068,58 @@ class TestSerialization:
         network, *_ = self.trained_network()
         text = network_to_text(network)
         assert "\nclassifier\tbeta=0.6\t" in text
-        with pytest.raises(ValueError, match="betas differ from the header's"):
+        number = next(n for n, l in enumerate(text.splitlines(), 1)
+                      if l.startswith("classifier\tbeta=0.6\t"))
+        with pytest.raises(ValueError, match=(
+            rf"^line {number}: model file truncated or damaged: cloud 0 classifier betas"
+            " differ from the header's$"
+        )):
             network_from_text(text.replace("\nclassifier\tbeta=0.6\t",
                                            "\nclassifier\tbeta=0.65\t", 1))
+
+    def test_clouds_out_of_member_order_rejected(self):
+        # Cloud i is the i-th cloud line, as saving writes them.
+        network, *_ = self.trained_network()
+        lines = network_to_text(network).splitlines()
+        clouds = [i for i, l in enumerate(lines) if l.startswith("cloud\t")]
+        assert len(clouds) == 2
+        lines[clouds[0]:] = lines[clouds[1]:] + lines[clouds[0] : clouds[1]]
+        with pytest.raises(ValueError, match=(
+            rf"^line {clouds[0] + 1}: model file truncated: a cloud or its classifiers are missing$"
+        )):
+            network_from_text("\n".join(lines) + "\n")
+
+    def test_repeated_cloud_names_its_line(self):
+        network, *_ = self.trained_network()
+        lines = network_to_text(network).splitlines()
+        clouds = [i for i, l in enumerate(lines) if l.startswith("cloud\t")]
+        number = len(lines) + 1
+        lines += lines[clouds[0] : clouds[1]]
+        with pytest.raises(ValueError, match=rf"^line {number}: cloud 0 is repeated$"):
+            network_from_text("\n".join(lines) + "\n")
+
+    def test_missing_last_cloud_names_the_line_after_the_file(self):
+        network, *_ = self.trained_network()
+        lines = network_to_text(network).splitlines()
+        last_cloud = max(i for i, l in enumerate(lines) if l.startswith("cloud\t"))
+        with pytest.raises(ValueError, match=(
+            rf"^line {last_cloud + 1}: model file truncated: a cloud or its classifiers are missing$"
+        )):
+            network_from_text("\n".join(lines[:last_cloud]) + "\n")
+
+    def test_first_classifier_rows_not_ascending_rejected(self):
+        # With one classifier per cloud no later classifier shows the swap;
+        # the first classifier's rows must ascend, as saving writes them.
+        network = self.one_layer_full_network()
+        lines = network_to_text(network).splitlines()
+        row = next(i for i, l in enumerate(lines) if l.startswith("-1\t")) + 1
+        assert lines[row].startswith("0\t") and lines[row + 1].startswith("1\t")
+        lines[row], lines[row + 1] = lines[row + 1], lines[row]
+        with pytest.raises(ValueError, match=(
+            rf"^line {row + 2}: model file truncated or damaged: cloud 0 weight rows repeat a"
+            " feature or do not ascend$"
+        )):
+            network_from_text("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize(
         "prefix, bad_row",
