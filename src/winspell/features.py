@@ -349,8 +349,8 @@ def parse_model_head(text: str, header: str, fields: Sequence[tuple]) -> tuple[l
     """The lines of a model file whose first line is ``header``, and the values
     by name of its head lines ``name<TAB>value...`` in the order saving writes
     them: ``members``, ``extraction``, the format's ``fields``, each with its
-    reader (a function of the values and the head read so far), and the feature
-    count. ValueError naming the line at fault otherwise, or for a cut text."""
+    reader of the values and the head read so far (None keeps the values), and
+    the feature count. ValueError naming the line at fault, or for a cut text."""
     lines = text.splitlines()
     if not lines or lines[0] != header:
         raise ValueError(f"line 1: not a {header} model file")
@@ -366,12 +366,24 @@ def parse_model_head(text: str, header: str, fields: Sequence[tuple]) -> tuple[l
         if got != name or not values:
             raise ValueError(f"line {number}: malformed model file header line: {line!r}")
         try:
-            head[name] = read(values, head)
+            head[name] = read(values, head) if read else values
         except ValueError as exc:
             raise ValueError(f"line {number}: malformed model file header: {exc}") from None
     if len(head) != len(fields):
         raise ValueError(f"line {len(head) + 2}: truncated model file header")
     return lines, head
+
+
+def check_round_trip(text: str, saved: str):
+    """A model file loads only if ``saved``, what saving its model writes, is
+    its ``text``: ValueError naming the first line where they differ otherwise."""
+    if saved != text:
+        got, want = text.split("\n"), saved.split("\n")
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)) - 1)
+        here = "the end of the file" if i == len(want) - 1 else repr(want[i])
+        raise ValueError(f"line {i + 1}: model file truncated or damaged:"
+                         f" saving it writes {here} here")
 
 
 def parse_feature_list(keys: list[str], count: int, first_line: int) -> FeatureIndex:

@@ -17,6 +17,7 @@ from .corpus import ConfusionSet, read_text
 from .features import (
     ExtractionParams,
     FeatureIndex,
+    check_round_trip,
     count_of,
     model_head,
     one_of,
@@ -315,9 +316,9 @@ def sparsify(network: WinnowNetwork, counts: Sequence[Sequence[int]]):
 
 
 # ---------------------------------------------------------------------------
-# Serialization: "WINNOW v1", line-based, tab-separated. Weight rows refer to
-# the feature list by index (-1 is the bias pseudo-feature) and print weights
-# as shortest round-trip decimals; save -> load -> save is byte-identical.
+# Serialization: "WINNOW v1", line-based, tab-separated. Weight rows refer to the
+# feature list by index (-1 is the bias) and print weights as shortest round-trip
+# decimals; a file loads only if saving its network writes its bytes.
 # ---------------------------------------------------------------------------
 
 HEADER = "WINNOW v1"
@@ -349,16 +350,12 @@ def network_to_text(network: WinnowNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _settings(fixed: dict[str, float], last: str, label: str):
-    # A file records the one parameter set: ``fixed`` holds its constants.
-    def read(values: list[str], head: dict) -> int:
-        *texts, count = parse_assignments(values, [*fixed, last])
-        for (name, value), text in zip(fixed.items(), texts):
-            if float(text) != value:
-                raise ValueError(f"{name} must be {value!r}")
-        if int(count) < 1:
+def _count(names: Sequence[str], label: str):
+    def read(values: list[str], head: dict) -> int:  # the last field, a count >= 1
+        count = int(parse_assignments(values, names)[-1])
+        if count < 1:
             raise ValueError(f"{label} must be >= 1")
-        return int(count)
+        return count
     return read
 
 
@@ -373,14 +370,12 @@ def _priors(values: list[str], head: dict) -> list[float]:
 
 
 _HEAD = (
-    ("winnow", _settings({"theta": THETA, "alpha": ALPHA, "default_weight": DEFAULT_WEIGHT},
-                         "cycles", "cycles")),
-    one_of("betas", " ".join(map(repr, BETAS))),
+    ("winnow", _count(("theta", "alpha", "default_weight", "cycles"), "cycles")),
+    ("betas", None),
     one_of("layer", ONE_LAYER, TWO_LAYER),
     one_of("architecture", SPARSE, FULL),
     one_of("init", UNIFORM, BAYESIAN),
-    ("schedule", _settings({"start": GAMMA_START, "end": GAMMA_END},
-                           "horizon", "schedule horizon")),
+    ("schedule", _count(("start", "end", "horizon"), "schedule horizon")),
     ("priors", _priors),
 )
 
@@ -393,18 +388,32 @@ def network_from_text(text: str) -> WinnowNetwork:
                             head["layer"], head["priors"])
     network.horizon = head["schedule"]
     network.architecture, network.init_mode = head["architecture"], head["init"]
-    betas = [c.beta for c in network.clouds[0].classifiers]
-    full, n_clouds = network.architecture == FULL, len(network.clouds)
-    # The body in the order network_to_text writes it: cloud i is the i-th cloud
-    # line, its classifiers follow in beta order, the first one's rows ascend from
-    # the bias (over every id if full), and every later one's repeat them.
+    # A cloud starts with the links all networks of its architecture have; rows add the rest.
+    links = range(BIAS_ID, n_features) if network.architecture == FULL else (BIAS_ID,)
     cloud = classifier = None
-    first = ids = []  # the first classifier's row ids, then n_features; what the last reads
-    try:  # "\n", which no line holds, marks the end of the file
-        for number, line in enumerate([*lines[11 + n_features :], "\n"], 12 + n_features):
+    try:
+        for number, line in enumerate(lines[11 + n_features :], 12 + n_features):
             fields = line.split("\t")
             kind = fields[0]
-            if kind not in ("cloud", "classifier", "\n"):  # a weight row
+            if kind == "cloud":
+                (examples_seen,) = parse_assignments(fields[2:], ("examples_seen",))
+                member_index = int(fields[1])
+                if not 0 <= member_index < len(network.clouds):
+                    raise ValueError(f"cloud {member_index} is out of range")
+                cloud, classifier = network.clouds[member_index], None
+                cloud.examples_seen = count_of(examples_seen, "examples_seen")
+                cloud.linked = linked = set(links)
+                unread = iter(cloud.classifiers)
+            elif kind == "classifier":
+                if cloud is None:
+                    raise ValueError("classifier outside any cloud")
+                _, mistakes = parse_assignments(fields[1:], ("beta", "mistakes"))
+                classifier = next(unread, None)
+                if classifier is None:
+                    raise ValueError(f"cloud {cloud.member_index} has more classifiers than betas")
+                classifier.mistakes = count_of(mistakes, "mistakes")
+                weights = classifier.weights
+            else:  # a weight row
                 if classifier is None:
                     raise ValueError("weight row outside any classifier")
                 if len(fields) != 2:
@@ -417,57 +426,11 @@ def network_from_text(text: str) -> WinnowNetwork:
                 # weights only; init_bayesian's shift writes 0.0 for the smallest.
                 if not 0.0 <= weight < math.inf:
                     raise ValueError(f"weight {fields[1]} is negative or not finite")
-            else:
-                # Any other line closes the classifier read last, as a row for
-                # id n_features would; the end closes the last cloud too.
-                feature, member_index = n_features, n_clouds
-                if kind == "cloud":
-                    (examples_seen,) = parse_assignments(fields[2:], ("examples_seen",))
-                    member_index = int(fields[1])
-                    if not 0 <= member_index < n_clouds:
-                        raise ValueError(f"cloud {member_index} is out of range")
-                elif kind == "classifier":
-                    if cloud is None:
-                        raise ValueError("classifier outside any cloud")
-                    beta, mistakes = parse_assignments(fields[1:], ("beta", "mistakes"))
-            if classifier is not None:
-                if ids is first:
-                    if feature <= first[-1] if first else feature != BIAS_ID:
-                        raise ValueError(f"{damaged} weight rows repeat a feature or do not"
-                                         " ascend" if first else f"{damaged} has no bias row")
-                    if feature == n_features and full and len(first) != n_features + 1:
-                        raise ValueError(f"{damaged} of a full network has {len(first)} weight"
-                                         f" rows per classifier, not {n_features + 1}")
-                    first.append(feature)
-                elif feature != next(ids):
-                    raise ValueError(f"{damaged} weight rows repeat a feature or differ from"
-                                     " the first classifier's")
-                if feature < n_features:
-                    classifier.weights[feature] = weight
-                    continue
-            if kind == "classifier":
-                j = len(cloud.classifiers)
-                if j == len(betas) or float(beta) != betas[j]:
-                    raise ValueError(f"{damaged} classifier betas differ from the header's")
-                classifier = WinnowClassifier(betas[j], n_features, count_of(mistakes, "mistakes"))
-                cloud.classifiers.append(classifier)
-                ids = first if j == 0 else iter(first)
-                continue
-            read = 0 if cloud is None else cloud.member_index + 1
-            if member_index < read:
-                raise ValueError(f"cloud {member_index} is repeated")
-            if member_index > read or cloud and len(cloud.classifiers) != len(betas):
-                raise ValueError("model file truncated: a cloud or its classifiers are missing")
-            if cloud is not None:
-                cloud.linked = set(first[:-1])
-            if kind == "cloud":
-                cloud = network.clouds[member_index]
-                cloud.examples_seen = count_of(examples_seen, "examples_seen")
-                cloud.classifiers, classifier, first = [], None, []
-                ids = first
-                damaged = f"model file truncated or damaged: cloud {member_index}"
+                weights[feature] = weight
+                linked.add(feature)
     except ValueError as exc:
         raise ValueError(f"line {number}: {exc}") from None
+    check_round_trip(text, network_to_text(network))
     return network
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 from winspell.corpus import ConfusionSet, Sentence, corrupt, tokenize
 from winspell.features import (
@@ -285,3 +286,12 @@ def index_of(features):
 
 def oracle_argmax(scores, priors) -> int:
     return max(range(len(scores)), key=lambda i: (scores[i], priors[i], -i))
+
+
+def saved_here(number: int, saved: str | None) -> str:
+    """The pattern matching exactly a model loader's refusal of a file whose
+    line ``number`` is not ``saved``, what saving its model writes there
+    (None: the end of the file)."""
+    here = "the end of the file" if saved is None else repr(saved)
+    message = f"line {number}: model file truncated or damaged: saving it writes {here} here"
+    return f"^{re.escape(message)}$"

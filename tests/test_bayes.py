@@ -38,6 +38,7 @@ from helpers import (
     oracle_argmax,
     oracle_bayes_scores,
     random_tiny_corpus,
+    saved_here,
 )
 
 EMPTY_TAGS = TagDictionary()
@@ -436,9 +437,7 @@ class TestSerialization:
     def test_other_smoothing_refused(self):
         text = model_to_text(toy_model()[0])
         assert "\nsmoothing\tinterpolative\n" in text
-        with pytest.raises(ValueError, match=(
-            "^line 4: malformed model file header: smoothing must be interpolative$"
-        )):
+        with pytest.raises(ValueError, match=saved_here(4, "smoothing\tinterpolative")):
             model_from_text(text.replace("\nsmoothing\tinterpolative\n", "\nsmoothing\tmle\n"))
 
     @staticmethod

@@ -312,7 +312,8 @@ class TestClassify:
         out = self.train_first(workspace, capsys, system="winnow")
         model = out / "peace+piece.winnow.model"
         body = model.read_text()
-        assert "\nbetas\t0.5\t0.6\t0.7\t0.8\t0.9\n" in body
+        betas = "betas\t0.5\t0.6\t0.7\t0.8\t0.9"
+        assert f"\n{betas}\n" in body
         model.write_text(body.replace("\nbetas\t0.5\t", "\nbetas\t0.55\t")
                          .replace("\tbeta=0.5\t", "\tbeta=0.55\t"))
         text = tmp_path / "input.txt"
@@ -322,8 +323,8 @@ class TestClassify:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert captured.err == (f"error: {model}: line 5: malformed model file header:"
-                                " betas must be 0.5 0.6 0.7 0.8 0.9\n")
+        assert captured.err == (f"error: {model}: line 5: model file truncated or damaged:"
+                                f" saving it writes {betas!r} here\n")
 
     @pytest.mark.parametrize("weight", ["-5", "nan", "inf", "-0.5", "0.0"])
     def test_weight_outside_filter_range_one_line_error(self, workspace, capsys, tmp_path,

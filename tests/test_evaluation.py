@@ -32,6 +32,7 @@ from helpers import (
     TWO_PROPORTION_ORACLE,
     corpus_of,
     mcnemar_outcome_pair,
+    saved_here,
     separable_corpus,
     two_domain_pair,
 )
@@ -272,6 +273,38 @@ class TestModelEdits:
             else:
                 assert to_text(loaded) == edited
         assert len(lines) > 20 and refused
+
+    @pytest.mark.parametrize("name", ["bayes", "winnow", "winnow-1layer"])
+    def test_every_respelled_number_or_crlf_copy_refused_at_its_line(self, name):
+        # Each edit spells a value another way that int() or float() reads as
+        # the same value, or ends every line in CRLF: only the writer's
+        # spelling loads, so each is refused where saving writes otherwise.
+        model, to_text, from_text = smoke_model(name)
+        text = to_text(model)
+        lines = text.splitlines()
+
+        def respelled(number, old, new):
+            edited = list(lines)
+            assert old in edited[number - 1]
+            edited[number - 1] = edited[number - 1].replace(old, new, 1)
+            return number, "\n".join(edited) + "\n"
+
+        edits = [(1, text.replace("\n", "\r\n"))]
+        if name == "bayes":
+            edits.append(respelled(6, "occurrences\t", "occurrences\t+"))
+        else:
+            assert lines[3].endswith(f"\tcycles={CYCLES}")
+            edits += [respelled(4, "cycles=", "cycles=0"), respelled(4, "cycles=", "cycles=+")]
+            bias, classifier, weight = (
+                next(n for n, line in enumerate(lines, 1) if re.fullmatch(pattern, line))
+                for pattern in (r"-1\t.*", r"classifier\t.*", r"-?\d+\t\d+\.\d+")
+            )
+            edits += [respelled(bias, "-1\t", "-0_1\t"),
+                      respelled(classifier, "mistakes=", "mistakes=0_"),
+                      respelled(weight, lines[weight - 1], lines[weight - 1] + "0")]
+        for number, edited in edits:
+            with pytest.raises(ValueError, match=saved_here(number, lines[number - 1])):
+                from_text(edited)
 
 
 class TestEvalReport:

@@ -53,6 +53,7 @@ from helpers import (
     ids_of,
     index_of,
     random_tiny_corpus,
+    saved_here,
     winnow_train_example,
 )
 
@@ -940,8 +941,8 @@ class TestSerialization:
             network_from_text(text.replace(f"\tcycles={CYCLES}\n", "\tcycles=0\n"))
 
     def test_cloud_without_bias_row_rejected(self):
-        # Every network the package builds links the bias in every cloud; a
-        # cloud without its row would load with a bias weight of 0.0.
+        # Every network the package builds links the bias in every cloud, so
+        # the loader does too; saving writes the missing row where it belongs.
         network, *_ = self.trained_network()
         lines = network_to_text(network).splitlines()
         clouds = [n for n, l in enumerate(lines, 1) if l.startswith("cloud\t")]
@@ -949,9 +950,8 @@ class TestSerialization:
         assert len(kept) == len(lines) - len(BETAS)
         # Cloud 0's first classifier opens with feature 0's row, not the bias's.
         assert kept[clouds[0]].startswith("classifier\t") and kept[clouds[0] + 1].startswith("0\t")
-        with pytest.raises(ValueError, match=(
-            rf"^line {clouds[0] + 2}: model file truncated or damaged: cloud 0 has no bias row$"
-        )):
+        bias_row = f"{BIAS_ID}\t{DEFAULT_WEIGHT!r}"  # as a new network links it
+        with pytest.raises(ValueError, match=saved_here(clouds[0] + 2, bias_row)):
             network_from_text("\n".join(kept) + "\n")
 
     def test_classifier_outside_any_cloud_rejected(self):
@@ -969,12 +969,17 @@ class TestSerialization:
         lines = network_to_text(network).splitlines()
         clouds = [i for i, l in enumerate(lines) if l.startswith("cloud\t")]
         classifiers = [i for i, l in enumerate(lines) if l.startswith("classifier\t")]
+        saved = list(lines)
         if repeated == "cloud-block":
             lines += lines[clouds[0] : clouds[1]]
+            # The repeat starts on the line after the last one saving writes.
+            number, here = len(saved) + 1, None
         else:
             row = classifiers[0 if repeated == "first-classifier-row" else 1] + 2
             lines.insert(row + 1, lines[row])
-        with pytest.raises(ValueError, match="repeat"):
+            # File line row + 2 holds the repeat, where saving writes the next row.
+            number, here = row + 2, saved[row + 1]
+        with pytest.raises(ValueError, match=saved_here(number, here)):
             network_from_text("\n".join(lines) + "\n")
 
     def test_weight_row_before_first_classifier_rejected(self):
@@ -989,12 +994,10 @@ class TestSerialization:
         network, *_ = self.trained_network()
         lines = network_to_text(network).splitlines()
         second = [i for i, l in enumerate(lines) if l.startswith("classifier\t")][1]
+        saved = list(lines)
         lines[second + 2], lines[second + 3] = lines[second + 3], lines[second + 2]
         # The second classifier's second row, file line second + 3, is the first to differ.
-        with pytest.raises(ValueError, match=(
-            rf"^line {second + 3}: model file truncated or damaged: cloud 0 weight rows"
-            " repeat a feature or differ from the first classifier's$"
-        )):
+        with pytest.raises(ValueError, match=saved_here(second + 3, saved[second + 2])):
             network_from_text("\n".join(lines) + "\n")
 
     def test_cut_between_weight_rows_rejected(self):
@@ -1026,13 +1029,10 @@ class TestSerialization:
     def test_short_cloud_of_full_network_names_its_line(self):
         network = self.one_layer_full_network()
         lines = network_to_text(network).splitlines(keepends=True)
-        last_cloud = max(i for i, l in enumerate(lines) if l.startswith("cloud\t"))
-        rows = len(network.features) + 1
-        # The missing last row is the first line at fault.
-        with pytest.raises(ValueError, match=(
-            rf"^line {len(lines)}: model file truncated or damaged: cloud 1 of a full"
-            rf" network has {rows - 1} weight rows per classifier, not {rows}$"
-        )):
+        # The missing last row is the first line at fault: a full network links
+        # every feature, so saving writes the row, unread and so 0.0.
+        last_row = f"{len(network.features) - 1}\t0.0"
+        with pytest.raises(ValueError, match=saved_here(len(lines), last_row)):
             network_from_text("".join(lines[:-1]))
 
     @pytest.mark.parametrize("layer", ["two-layer", "one-layer"])
@@ -1068,12 +1068,9 @@ class TestSerialization:
         network, *_ = self.trained_network()
         text = network_to_text(network)
         assert "\nclassifier\tbeta=0.6\t" in text
-        number = next(n for n, l in enumerate(text.splitlines(), 1)
-                      if l.startswith("classifier\tbeta=0.6\t"))
-        with pytest.raises(ValueError, match=(
-            rf"^line {number}: model file truncated or damaged: cloud 0 classifier betas"
-            " differ from the header's$"
-        )):
+        number, saved = next((n, l) for n, l in enumerate(text.splitlines(), 1)
+                             if l.startswith("classifier\tbeta=0.6\t"))
+        with pytest.raises(ValueError, match=saved_here(number, saved)):
             network_from_text(text.replace("\nclassifier\tbeta=0.6\t",
                                            "\nclassifier\tbeta=0.65\t", 1))
 
@@ -1083,9 +1080,19 @@ class TestSerialization:
         lines = network_to_text(network).splitlines()
         clouds = [i for i, l in enumerate(lines) if l.startswith("cloud\t")]
         assert len(clouds) == 2
+        cloud_0 = lines[clouds[0]]
         lines[clouds[0]:] = lines[clouds[1]:] + lines[clouds[0] : clouds[1]]
+        with pytest.raises(ValueError, match=saved_here(clouds[0] + 1, cloud_0)):
+            network_from_text("\n".join(lines) + "\n")
+
+    def test_cloud_with_more_classifiers_than_betas_names_its_line(self):
+        # A one-layer cloud holds one classifier: a second has no beta to take.
+        network = self.one_layer_full_network()
+        lines = network_to_text(network).splitlines()
+        number = next(n for n, l in enumerate(lines, 1) if l.startswith("classifier\t"))
+        lines.insert(number, lines[number - 1])
         with pytest.raises(ValueError, match=(
-            rf"^line {clouds[0] + 1}: model file truncated: a cloud or its classifiers are missing$"
+            rf"^line {number + 1}: cloud 0 has more classifiers than betas$"
         )):
             network_from_text("\n".join(lines) + "\n")
 
@@ -1095,30 +1102,29 @@ class TestSerialization:
         clouds = [i for i, l in enumerate(lines) if l.startswith("cloud\t")]
         number = len(lines) + 1
         lines += lines[clouds[0] : clouds[1]]
-        with pytest.raises(ValueError, match=rf"^line {number}: cloud 0 is repeated$"):
+        with pytest.raises(ValueError, match=saved_here(number, None)):
             network_from_text("\n".join(lines) + "\n")
 
     def test_missing_last_cloud_names_the_line_after_the_file(self):
         network, *_ = self.trained_network()
         lines = network_to_text(network).splitlines()
         last_cloud = max(i for i, l in enumerate(lines) if l.startswith("cloud\t"))
-        with pytest.raises(ValueError, match=(
-            rf"^line {last_cloud + 1}: model file truncated: a cloud or its classifiers are missing$"
-        )):
+        # Saving writes the cloud the file lacks, as a new network holds it.
+        new_cloud = "cloud\t1\texamples_seen=0"
+        with pytest.raises(ValueError, match=saved_here(last_cloud + 1, new_cloud)):
             network_from_text("\n".join(lines[:last_cloud]) + "\n")
 
     def test_first_classifier_rows_not_ascending_rejected(self):
         # With one classifier per cloud no later classifier shows the swap;
-        # the first classifier's rows must ascend, as saving writes them.
+        # the rows must ascend, as saving writes them: the first of the pair,
+        # file line row + 1, is at fault, as for a swapped feature pair.
         network = self.one_layer_full_network()
         lines = network_to_text(network).splitlines()
         row = next(i for i, l in enumerate(lines) if l.startswith("-1\t")) + 1
         assert lines[row].startswith("0\t") and lines[row + 1].startswith("1\t")
+        saved = lines[row]
         lines[row], lines[row + 1] = lines[row + 1], lines[row]
-        with pytest.raises(ValueError, match=(
-            rf"^line {row + 2}: model file truncated or damaged: cloud 0 weight rows repeat a"
-            " feature or do not ascend$"
-        )):
+        with pytest.raises(ValueError, match=saved_here(row + 1, saved)):
             network_from_text("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize(
