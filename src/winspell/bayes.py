@@ -49,7 +49,7 @@ class BayesModel:
     index of the retained features and ``features`` its Feature tuples;
     ``counts`` gives each retained key's count row, and the two per-feature
     tables are lists indexed by feature id, both filled for a feature the
-    first time either is read.
+    first time either is read, from what is derived once per distinct row.
     """
 
     def __init__(
@@ -74,18 +74,22 @@ class BayesModel:
         n_features = len(self.features)
         self.mean_lambda: list[float | None] = [None] * n_features
         self.log_likelihoods: list[tuple[float, ...] | None] = [None] * n_features
+        self.derived: dict = {}  # (mean lambda, log row) by count row
 
     def log_likelihood_row(self, feature: int) -> tuple[float, ...]:
         """log(smoothed likelihood) of feature id ``feature`` per member,
         -inf for 0: the terms classification sums. The first read fills this
-        row and ``mean_lambda``'s from one chance_probabilities row."""
+        row and ``mean_lambda``'s from one chance_probabilities row per
+        distinct count row, as both depend on nothing else."""
         row = self.log_likelihoods[feature]
         if row is None:
-            lams = chance_probabilities(self.counts[feature], self.occurrences)
-            self.mean_lambda[feature] = sum(lams) / len(lams)
-            row = self.log_likelihoods[feature] = tuple(
-                map(_log, smoothed_likelihoods(self, feature, lams))
-            )
+            counts = self.counts[feature]
+            if counts not in self.derived:
+                lams = chance_probabilities(counts, self.occurrences)
+                logs = tuple(map(_log, smoothed_likelihoods(self, feature, lams)))
+                self.derived[counts] = (sum(lams) / len(lams), logs)
+            self.mean_lambda[feature], row = self.derived[counts]
+            self.log_likelihoods[feature] = row
         return row
 
 
@@ -222,8 +226,11 @@ def model_to_text(model: BayesModel) -> str:
         "priors\t" + "\t".join(repr(p) for p in model.priors),
         f"features\t{len(model.features)}",
     ]
+    spelled: dict[tuple[int, ...], str] = {}  # each distinct count row spelled once
     for key, row in zip(model.feature_ids, model.counts):
-        lines.append(key + "\t" + "\t".join(str(c) for c in row))
+        if row not in spelled:
+            spelled[row] = "\t".join(map(str, row))
+        lines.append(key + "\t" + spelled[row])
     return "\n".join(lines) + "\n"
 
 
@@ -246,19 +253,21 @@ def model_from_text(text: str) -> BayesModel:
     occurrences, n_features = head["occurrences"], head["features"]
     n_members = len(occurrences)
     keys, rows = [], []
+    checked: dict[str, tuple[int, ...]] = {}  # each distinct count row read and checked once
     for number, line in enumerate(lines[8 : 8 + n_features], 9):
-        key, *row = line.split("\t")
-        if len(row) != n_members:
-            raise ValueError(
-                f"line {number}: count row for {key!r} has {len(row)} counts, not {n_members}"
-            )
-        # A count that is not a plain decimal reads as -1, out of range.
-        counts = [int(c) if c.isdecimal() else -1 for c in row]
-        if not all(0 <= c <= n for c, n in zip(counts, occurrences)):
-            raise ValueError(
-                f"line {number}: count row for {key!r} holds a count that is not an "
-                "integer from 0 to its member's occurrences"
-            )
+        key, tab, spelled = line.partition("\t")
+        counts = checked.get(spelled)
+        if counts is None:
+            row = spelled.split("\t") if tab else []
+            if len(row) != n_members:
+                raise ValueError(f"line {number}: count row for {key!r} has {len(row)} counts,"
+                                 f" not {n_members}")
+            # A count that is not a plain decimal reads as -1, out of range.
+            counts = tuple(int(c) if c.isdecimal() else -1 for c in row)
+            if not all(0 <= c <= n for c, n in zip(counts, occurrences)):
+                raise ValueError(f"line {number}: count row for {key!r} holds a count that is"
+                                 " not an integer from 0 to its member's occurrences")
+            checked[spelled] = counts
         keys.append(key)
         rows.append(counts)
     retained = parse_feature_list(keys, n_features, 9)

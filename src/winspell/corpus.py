@@ -174,12 +174,15 @@ def load_tag_dictionary(path: str | Path) -> TagDictionary:
     # Filled in place: each tag tuple is built once, as its line is checked.
     entries = tagdict._entries
     first_line: dict[str, int] = {}
+    checked: dict[str, tuple[str, ...]] = {}  # each distinct tag text checked once
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         try:
             word, text = line.split("\t")
-            word, tags = entry_word(word), entry_tags(text.split(","))
+            word, tags = entry_word(word), checked.get(text)
+            if tags is None:
+                tags = checked[text] = entry_tags(text.split(","))
         except ValueError as exc:
             raise CorpusError(f"{path}: line {lineno}: malformed tag entry: {exc}") from exc
         if word in first_line:

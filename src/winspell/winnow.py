@@ -337,16 +337,20 @@ def network_to_text(network: WinnowNetwork) -> str:
         f"features\t{len(network.features)}",
         *network.feature_ids,
     ]
+    spelled: dict[float, str] = {}  # repr by weight; zeros left out, as 0.0 == -0.0
     for cloud in network.clouds:
         lines.append(f"cloud\t{cloud.member_index}\texamples_seen={cloud.examples_seen}")
         rows = sorted(cloud.linked)
+        prefixes = [f"{f}\t" for f in rows]
         for classifier in cloud.classifiers:
             lines.append(
                 f"classifier\tbeta={classifier.beta!r}\tmistakes={classifier.mistakes}"
             )
-            weights = classifier.weights
-            for f in rows:
-                lines.append(f"{f}\t{weights[f]!r}")
+            for prefix, w in zip(prefixes, map(classifier.weights.__getitem__, rows)):
+                text = spelled.get(w) if w else repr(w)
+                if text is None:
+                    text = spelled[w] = repr(w)
+                lines.append(prefix + text)
     return "\n".join(lines) + "\n"
 
 
@@ -391,6 +395,7 @@ def network_from_text(text: str) -> WinnowNetwork:
     # A cloud starts with the links all networks of its architecture have; rows add the rest.
     links = range(BIAS_ID, n_features) if network.architecture == FULL else (BIAS_ID,)
     cloud = classifier = None
+    ids, values = {}, {}  # row ids and weights by their text, each read and checked once
     try:
         for number, line in enumerate(lines[11 + n_features :], 12 + n_features):
             fields = line.split("\t")
@@ -418,14 +423,20 @@ def network_from_text(text: str) -> WinnowNetwork:
                     raise ValueError("weight row outside any classifier")
                 if len(fields) != 2:
                     raise ValueError(f"malformed weight row: {line!r}")
-                feature = int(kind)
-                if not BIAS_ID <= feature < n_features:
-                    raise ValueError(f"weight row for feature {kind} is out of range")
-                weight = float(fields[1])
-                # The threshold test's error bound holds for finite non-negative
-                # weights only; init_bayesian's shift writes 0.0 for the smallest.
-                if not 0.0 <= weight < math.inf:
-                    raise ValueError(f"weight {fields[1]} is negative or not finite")
+                feature = ids.get(kind)
+                if feature is None:
+                    feature = int(kind)
+                    if not BIAS_ID <= feature < n_features:
+                        raise ValueError(f"weight row for feature {kind} is out of range")
+                    ids[kind] = feature
+                weight = values.get(fields[1])
+                if weight is None:
+                    weight = float(fields[1])
+                    # The threshold test's error bound holds for finite non-negative
+                    # weights only; init_bayesian's shift writes 0.0 for the smallest.
+                    if not 0.0 <= weight < math.inf:
+                        raise ValueError(f"weight {fields[1]} is negative or not finite")
+                    values[fields[1]] = weight
                 weights[feature] = weight
                 linked.add(feature)
     except ValueError as exc:

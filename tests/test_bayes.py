@@ -159,9 +159,9 @@ class TestLogLikelihoods:
 
 
 class TestPerFeatureDerivation:
-    """A feature's mixing weights come from its count row, computed once: its
-    mean mixing weight and its log row are both filled the first time
-    dependency resolution or scoring reads either."""
+    """A feature's mixing weights come from its count row, computed once per
+    distinct row: its mean mixing weight and its log row are both filled the
+    first time dependency resolution or scoring reads either."""
 
     def test_derived_rows_equal_eager_formula(self):
         model, _ = toy_model()
@@ -204,7 +204,8 @@ class TestPerFeatureDerivation:
 
     def test_mixing_weights_computed_once_per_feature(self, monkeypatch):
         # Dependency resolution reads a collocation's mean mixing weight and
-        # scoring its log row: one chance_probabilities call serves both.
+        # scoring its log row: one chance_probabilities call serves both, and
+        # every derived feature with the same count row.
         model, _ = toy_model()
         calls = []
         compute = bayes.chance_probabilities
@@ -218,7 +219,45 @@ class TestPerFeatureDerivation:
                                                      EMPTY_TAGS))
         derived = [f for f, row in enumerate(model.log_likelihoods) if row is not None]
         assert any(model.features[f].kind == COLLOCATION for f in derived)
-        assert len(calls) == len(derived)
+        distinct_rows = {model.counts[f] for f in derived}
+        assert len(distinct_rows) < len(derived)
+        assert sorted(calls) == sorted(distinct_rows)
+
+    def test_dependency_resolution_clone_shares_every_table(self, monkeypatch):
+        # What either model derives, the other reads without deriving it again.
+        model, _ = toy_model(dependency_resolution=False)
+        clone = bayes.with_dependency_resolution(model)
+        calls = []
+        compute = bayes.chance_probabilities
+        monkeypatch.setattr(bayes, "chance_probabilities",
+                            lambda row, occ: calls.append(row) or compute(row, occ))
+        n = len(model.features)
+        for f in range(n):
+            deriving, reading = (model, clone) if f % 2 else (clone, model)
+            row = deriving.log_likelihood_row(f)
+            assert reading.log_likelihood_row(f) is row
+            assert reading.mean_lambda[f] == deriving.mean_lambda[f] is not None
+        assert len(calls) == len(set(model.counts)) < n
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_equal_count_rows_derive_what_each_feature_alone_does(self, first):
+        # A context word and a collocation share a count row, and so what is
+        # derived from it: whichever is read first, each gets bit for bit the
+        # log row and mean mixing weight of a model holding it alone.
+        features = (context_word("x"), collocation((-1,), (("w", "s"),)))
+
+        def model_of(counts):
+            stats = FeatureStats(confusion_set_from_text("w0, w1"), ExtractionParams())
+            stats.occurrences, stats.counts = [50, 50], counts
+            return train_bayes(stats, prune(stats, UNPRUNED))
+
+        shared = model_of({f.key(): [7, 2] for f in features} | {"CW y": [1, 9]})
+        for feature in features[first:] + features[:first]:
+            (f,) = ids_of(shared, [feature])
+            alone = model_of({feature.key(): [7, 2]})
+            assert [x.hex() for x in shared.log_likelihood_row(f)] == \
+                [x.hex() for x in alone.log_likelihood_row(0)]
+            assert shared.mean_lambda[f].hex() == alone.mean_lambda[0].hex()
 
 
 class TestResolveDependencies:
@@ -396,6 +435,32 @@ class TestClassifyBayes:
 
 
 class TestSerialization:
+    def repeated_rows_model(self):
+        stats = stats_from_counts({"a": [1, 2], "b": [0, 0], "c": [1, 2], "d": [2, 1],
+                                   "e": [1, 2], "f": [0, 0]}, [3, 3])
+        return train_bayes(stats, prune(stats, UNPRUNED))
+
+    def test_writer_spells_each_count_row_on_its_own(self):
+        model = self.repeated_rows_model()
+        text = model_to_text(model)
+        rows = [key + "\t" + "\t".join(map(str, row))
+                for key, row in zip(model.feature_ids, model.counts)]
+        assert text == "\n".join(text.split("\n")[:8] + rows) + "\n"
+        assert model_to_text(model_from_text(text)) == text
+
+    def test_repeated_count_row_respelled_refused_at_its_first_line(self):
+        # Each distinct count row is read once: "+1\t2" on three lines is
+        # refused at the first of them.
+        lines = model_to_text(self.repeated_rows_model()).splitlines()
+        edited = [line.replace("\t1\t2", "\t+1\t2") for line in lines]
+        first = next(n for n, line in enumerate(edited, 1) if "+1" in line)
+        assert sum("+1" in line for line in edited) == 3
+        with pytest.raises(ValueError, match=(
+            f"^line {first}: count row for 'CW a' holds a count that is not an integer"
+            " from 0 to its member's occurrences$"
+        )):
+            model_from_text("\n".join(edited) + "\n")
+
     def test_save_load_save_byte_identical(self, tmp_path):
         model, _ = toy_model()
         path = tmp_path / "m.model"

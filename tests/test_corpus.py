@@ -174,6 +174,23 @@ class TestTagDictionary:
         path.write_text("to\tPREP, TO\nhis\tPRP$\n")
         assert load_tag_dictionary(path).lookup("his") == ("PRP$",)
 
+    def test_bad_tag_list_on_two_lines_refused_at_the_first(self, tmp_path):
+        # Each distinct tag list is checked once, and a bad one is refused
+        # where it first appears.
+        path = tmp_path / "tags.tsv"
+        path.write_text("cake\tNOUN\nof\tPREP X\nto\tPREP X\n")
+        with pytest.raises(CorpusError) as exc:
+            load_tag_dictionary(path)
+        assert str(exc.value) == \
+            f"{path}: line 2: malformed tag entry: tag 'PREP X' contains whitespace"
+
+    def test_tag_list_on_many_lines_kept_for_each_word(self, tmp_path):
+        path = tmp_path / "tags.tsv"
+        path.write_text("to\tTO,PREP\nof\tTO,PREP\ncake\tNOUN\nin\t PREP,TO\n")
+        tagdict = load_tag_dictionary(path)
+        assert [tagdict.lookup(w) for w in ("to", "of", "cake", "in")] == \
+            [("PREP", "TO"), ("PREP", "TO"), ("NOUN",), ("PREP", "TO")]
+
     def test_repeated_word_refused(self, tmp_path):
         path = tmp_path / "tags.tsv"
         path.write_text("to\tPREP\ncake\tNOUN_sing\n\nto\tTO\n")

@@ -307,6 +307,25 @@ class TestModelEdits:
                 from_text(edited)
 
 
+class TestRepeatedValueEdits:
+    """A value respelled on every line that holds it is refused at the first
+    of them: the loaders read and check each distinct value once, and the
+    round trip names the first line that saving writes otherwise."""
+
+    @pytest.mark.parametrize("old, new", [
+        (re.compile(r"(\t0\.1)$"), r"\g<1>0"),  # weight 0.1 as 0.10
+        (re.compile(r"^(3\t)"), r"0\g<1>"),      # row id 3 as 03
+    ])
+    def test_winnow_value_respelled_on_every_row(self, old, new):
+        model, to_text, from_text = smoke_model("winnow")
+        lines = to_text(model).splitlines()
+        edited = [old.sub(new, line) for line in lines]
+        changed = [n for n, (a, b) in enumerate(zip(lines, edited), 1) if a != b]
+        assert len(changed) > 1
+        with pytest.raises(ValueError, match=saved_here(changed[0], lines[changed[0] - 1])):
+            from_text("\n".join(edited) + "\n")
+
+
 class TestEvalReport:
     def build_report(self):
         results = [

@@ -785,6 +785,56 @@ class TestSerialization:
         assert network_from_text(text).layer_mode == ONE_LAYER
         assert network_from_text(text).architecture == FULL
 
+    @staticmethod
+    def row_by_row_text(network):
+        """network_to_text's head, then every cloud with each weight row
+        spelled on its own as f"{f}\\t{w!r}"."""
+        text = network_to_text(network)
+        lines = [text[: text.index("\ncloud\t")]]
+        for cloud in network.clouds:
+            lines.append(f"cloud\t{cloud.member_index}\texamples_seen={cloud.examples_seen}")
+            for c in cloud.classifiers:
+                lines.append(f"classifier\tbeta={c.beta!r}\tmistakes={c.mistakes}")
+                lines += [f"{f}\t{c.weights[f]!r}" for f in sorted(cloud.linked)]
+        return "\n".join(lines) + "\n"
+
+    def test_writer_spells_each_row_as_its_own_weight(self):
+        # One weight in many rows, 0.0 and -0.0 in both orders, and the least
+        # and a large finite weight: each row is the repr of its own weight.
+        cws = [context_word(w) for w in ("a", "b", "c", "d")]
+        network = WinnowNetwork(confusion_set_from_text("dax, fep"), index_of(cws), CYCLES,
+                                ExtractionParams())
+        weights = [[0.1, 0.1, 0.1, 0.1, 0.1],
+                   [0.0, -0.0, 5e-324, 1e308, 0.1],
+                   [-0.0, 0.0, 1e308, 5e-324, 0.0],
+                   [-0.0, -0.0, 0.0, 0.0, -0.0],
+                   [0.1, 0.0, 0.1, -0.0, 5e-324]]
+        for cloud in network.clouds:
+            cloud.linked = set(range(BIAS_ID, len(cws)))
+            for classifier, row in zip(cloud.classifiers, weights):
+                classifier.weights = list(row)
+            weights.reverse()
+        text = network_to_text(network)
+        assert text == self.row_by_row_text(network)
+        assert all(f"\t{w}\n" in text for w in ("0.0", "-0.0", "5e-324", "1e+308"))
+        assert network_to_text(network_from_text(text)) == text
+
+    def test_writer_matches_row_by_row_on_trained_networks(self):
+        network, *_ = self.trained_network()
+        assert network_to_text(network) == self.row_by_row_text(network)
+        network = self.one_layer_full_network()
+        assert network_to_text(network) == self.row_by_row_text(network)
+
+    @pytest.mark.parametrize("zeros", [("0.0", "-0.0"), ("-0.0", "0.0")])
+    def test_both_zeros_reload_to_their_own_bytes(self, zeros):
+        network, *_ = self.trained_network()
+        lines = network_to_text(network).splitlines()
+        rows = [n for n, line in enumerate(lines) if re.fullmatch(r"-?\d+\t[\d.e+-]+", line)]
+        for n, zero in zip((rows[0], rows[-1]), zeros):
+            lines[n] = lines[n].split("\t")[0] + "\t" + zero
+        edited = "\n".join(lines) + "\n"
+        assert network_to_text(network_from_text(edited)) == edited
+
     def test_rejects_foreign_text(self):
         with pytest.raises(ValueError):
             network_from_text("BAYES v1\n")
