@@ -16,9 +16,9 @@ from .features import (
     FeatureStats,
     chance_probabilities,
     check_round_trip,
+    index_features,
     model_head,
     one_of,
-    parse_feature_list,
     parse_model_head,
 )
 
@@ -270,7 +270,7 @@ def model_from_text(text: str) -> BayesModel:
             checked[spelled] = counts
         keys.append(key)
         rows.append(counts)
-    retained = parse_feature_list(keys, n_features, 9)
+    retained = index_features(keys, 9)
     model = BayesModel(head["members"], head["extraction"], retained, dict(zip(keys, rows)),
                        occurrences, head["dependency_resolution"] == "on")
     check_round_trip(text, model_to_text(model))

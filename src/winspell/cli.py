@@ -199,14 +199,19 @@ def cmd_train(args) -> int:
     corpus = load_corpus(args.corpus)
     tagdict = load_tag_dictionary(args.tagdict)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     confusion_sets = load_confusion_sets(args.confusion_sets)
+    paths = [outdir / f"{cset.slug}.{args.system}.model" for cset in confusion_sets]
+    for cset, path in zip(confusion_sets, paths):
+        if path.parent != outdir:  # as for a member token "/"
+            raise ValueError(f"confusion set {{{cset.label}}}:"
+                             f" model file {path} is not in {outdir}")
+    outdir.mkdir(parents=True, exist_ok=True)
     # One corpus scan finds every set's occurrences; the sets are then
     # prepared and trained one at a time.
-    for cset, occurrences in zip(confusion_sets, occurrences_by_set(corpus, confusion_sets)):
+    occurrence_lists = occurrences_by_set(corpus, confusion_sets)
+    for cset, occurrences, path in zip(confusion_sets, occurrence_lists, paths):
         training = TrainingSet(occurrences, cset, extraction, tagdict, args.mode)
         model = train_system_model(args.system, training, args.cycles)
-        path = outdir / f"{cset.slug}.{args.system}.model"
         save_system_model(model, path)
         print(f"wrote {path}")
     return 0

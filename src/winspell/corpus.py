@@ -169,7 +169,8 @@ class TagDictionary:
 
 def load_tag_dictionary(path: str | Path) -> TagDictionary:
     """One entry per line: ``word<TAB>tag1,tag2,...``. A word on two lines is
-    refused."""
+    refused. Blank lines and lines starting with ``#`` are skipped, so no
+    entry can give tags to a word that starts with ``#``, the token ``#`` too."""
     tagdict = TagDictionary()
     # Filled in place: each tag tuple is built once, as its line is checked.
     entries = tagdict._entries

@@ -113,10 +113,18 @@ class FeatureIndex(dict):
         self.features = tuple([feature for feature, _ in pairs])
 
 
-def index_features(keys: Iterable[str]) -> FeatureIndex:
-    """The index of the features with these canonical keys, each parsed
-    once. ValueError for a key that is not canonical."""
-    return FeatureIndex(sorted([(parse_feature_key(key), key) for key in keys]))
+def index_features(keys: Iterable[str], first_line: int = 1) -> FeatureIndex:
+    """The index of the features with these keys, each parsed once: the one
+    rule that numbers trained and loaded lists alike. ValueError naming the
+    line of the first key that is not canonical, the first being line
+    ``first_line``. A repeated key keeps one id, leaving fewer than ``features``."""
+    pairs = []
+    for number, key in enumerate(keys, first_line):
+        try:
+            pairs.append((parse_feature_key(key), key))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+    return FeatureIndex(sorted(pairs))
 
 
 class ExtractionParams(namedtuple("ExtractionParams", "k l")):
@@ -371,6 +379,9 @@ def parse_model_head(text: str, header: str, fields: Sequence[tuple]) -> tuple[l
             raise ValueError(f"line {number}: malformed model file header: {exc}") from None
     if len(head) != len(fields):
         raise ValueError(f"line {len(head) + 2}: truncated model file header")
+    # Else the round trip would name the features line of a list cut short.
+    if len(lines) < 1 + len(fields) + head["features"]:
+        raise ValueError(f"line {len(lines) + 1}: model file truncated inside its feature list")
     return lines, head
 
 
@@ -384,27 +395,3 @@ def check_round_trip(text: str, saved: str):
         here = "the end of the file" if i == len(want) - 1 else repr(want[i])
         raise ValueError(f"line {i + 1}: model file truncated or damaged:"
                          f" saving it writes {here} here")
-
-
-def parse_feature_list(keys: list[str], count: int, first_line: int) -> FeatureIndex:
-    """The index of a model file's feature list, ``keys`` from line
-    ``first_line`` on, read in one pass. ValueError naming the first line at
-    fault unless they are ``count`` distinct canonical keys in canonical
-    order, as saving writes them: line ``first_line + i`` is id ``i``."""
-    pairs: list[tuple[Feature, str]] = []
-    for number, key in enumerate(keys, first_line):
-        try:
-            feature = parse_feature_key(key)
-        except ValueError as exc:
-            raise ValueError(f"line {number}: {exc}") from None
-        # A feature not above the last one repeats it or sorts before its line.
-        if pairs and not feature > pairs[-1][0]:
-            if feature == pairs[-1][0]:
-                raise ValueError(f"line {number}: model file truncated or has duplicate features")
-            raise ValueError(f"line {number - 1}: feature list is not in canonical order")
-        pairs.append((feature, key))
-    if len(keys) != count:
-        raise ValueError(
-            f"line {first_line + len(keys)}: model file truncated or has duplicate features"
-        )
-    return FeatureIndex(pairs)

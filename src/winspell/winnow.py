@@ -19,10 +19,10 @@ from .features import (
     FeatureIndex,
     check_round_trip,
     count_of,
+    index_features,
     model_head,
     one_of,
     parse_assignments,
-    parse_feature_list,
     parse_model_head,
 )
 
@@ -387,7 +387,7 @@ _HEAD = (
 def network_from_text(text: str) -> WinnowNetwork:
     lines, head = parse_model_head(text, HEADER, _HEAD)
     n_features = head["features"]
-    retained = parse_feature_list(lines[11 : 11 + n_features], n_features, 12)
+    retained = index_features(lines[11 : 11 + n_features], 12)
     network = WinnowNetwork(head["members"], retained, head["winnow"], head["extraction"],
                             head["layer"], head["priors"])
     network.horizon = head["schedule"]

@@ -539,13 +539,37 @@ class TestSerialization:
                                          "\ndependency_resolution\tyes\n"))
 
     def test_feature_list_out_of_canonical_order_rejected(self):
-        # Row i is feature id i, as in WINNOW v1: a reordered list is refused,
-        # not sorted again into a model that saves back other bytes.
-        lines = model_to_text(toy_model()[0]).splitlines()
-        assert lines[7].startswith("features\t") and int(lines[7].split("\t")[1]) >= 2
+        # Row i is feature id i, as in WINNOW v1: the loaded list is sorted like
+        # a trained one, so a reordered list saves back in canonical order and
+        # is refused at the first line that differs.
+        saved = model_to_text(toy_model()[0]).splitlines()
+        assert saved[7].startswith("features\t") and int(saved[7].split("\t")[1]) >= 2
+        lines = list(saved)
         lines[8], lines[9] = lines[9], lines[8]
         # File line 9 holds the key that canonical order puts on line 10.
-        with pytest.raises(ValueError, match="^line 9: feature list is not in canonical order$"):
+        with pytest.raises(ValueError, match=saved_here(9, saved[8])):
+            model_from_text("\n".join(lines) + "\n")
+
+    def four_feature_text(self):
+        # CW a, CW b, CW c and CW d on lines 9-12.
+        stats = stats_from_counts({"a": [1, 1], "b": [2, 0], "c": [0, 2], "d": [1, 2]}, [5, 5])
+        lines = model_to_text(train_bayes(stats, prune(stats, UNPRUNED))).splitlines()
+        assert [line.split("\t")[0] for line in lines[7:]] == [
+            "features", "CW a", "CW b", "CW c", "CW d"]
+        return lines
+
+    def test_feature_list_a_c_d_b_refused_where_sorting_moves_a_line(self):
+        saved = self.four_feature_text()
+        lines = saved[:9] + [saved[10], saved[11], saved[9]]  # A, C, D, B
+        with pytest.raises(ValueError, match=saved_here(10, saved[9])):
+            model_from_text("\n".join(lines) + "\n")
+
+    def test_feature_list_a_b_a_refused_at_the_repeat(self):
+        # A, B, A under a count of 3: the index holds A and B, so saving
+        # writes two rows and ends where the file's third row is.
+        saved = self.four_feature_text()
+        lines = saved[:7] + ["features\t3", saved[8], saved[9], saved[8]]
+        with pytest.raises(ValueError, match=saved_here(11, None)):
             model_from_text("\n".join(lines) + "\n")
 
     def test_head_lines_swapped_rejected(self):
@@ -564,10 +588,12 @@ class TestSerialization:
             model_from_text("\n".join(lines[:4]) + "\n")
 
     def test_repeated_feature_row_rejected(self):
-        lines = model_to_text(toy_model()[0]).splitlines()
+        # The index keeps one id for the repeated key, so saving writes line
+        # 11's row on line 10.
+        saved = model_to_text(toy_model()[0]).splitlines()
+        lines = list(saved)
         lines[9] = lines[8]
-        with pytest.raises(ValueError,
-                           match="^line 10: model file truncated or has duplicate features$"):
+        with pytest.raises(ValueError, match=saved_here(10, saved[10])):
             model_from_text("\n".join(lines) + "\n")
 
     def test_short_feature_list_names_the_line_after_it(self):
@@ -575,7 +601,7 @@ class TestSerialization:
         assert int(lines[7].split("\t")[1]) > 2
         # File lines 9 and 10 are the list's first two rows; line 11 is missing.
         with pytest.raises(ValueError,
-                           match="^line 11: model file truncated or has duplicate features$"):
+                           match="^line 11: model file truncated inside its feature list$"):
             model_from_text("\n".join(lines[:10]) + "\n")
 
     def test_rejects_foreign_text(self):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import winspell
-from winspell import bayes
+from winspell import bayes, cli
 from winspell.cli import COMMANDS, TRAINABLE_SYSTEMS, _build_parser, _option, main
 from winspell.evaluation import TrainingSet
 from winspell.winnow import load_network
@@ -152,6 +152,24 @@ class TestTrain:
                   "--system", "bayes", "--out", workspace / "m"])
         assert rc == 1
         assert "no occurrences" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("members, model", [
+        ("or, /", "{out}/or+/.bayes.model"),  # the slug or+/ names a directory
+        ("/, or", "/+or.bayes.model"),  # --out joined with an absolute name is that name
+    ])
+    def test_set_whose_model_leaves_out_refused_before_any_model(self, workspace, capsys,
+                                                                monkeypatch, members, model):
+        monkeypatch.setattr(cli, "save_system_model", lambda *_: pytest.fail("model written"))
+        (workspace / "sets.txt").write_text(f"peace, piece\n{members}\n")
+        out = workspace / "m"
+        rc = run(["train", "--corpus", workspace / "corpus.txt",
+                  "--confusion-sets", workspace / "sets.txt",
+                  "--tagdict", workspace / "tags.tsv",
+                  "--system", "bayes", "--out", out])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: confusion set {{{members}}}: model file"
+                                           f" {model.format(out=out)} is not in {out}\n")
+        assert not out.exists()
 
     def test_member_without_occurrences_warns_in_one_line(self, workspace, capsys):
         (workspace / "sets.txt").write_text("peace, piece\n")

@@ -191,6 +191,15 @@ class TestTagDictionary:
         assert [tagdict.lookup(w) for w in ("to", "of", "cake", "in")] == \
             [("PREP", "TO"), ("PREP", "TO"), ("NOUN",), ("PREP", "TO")]
 
+    def test_comment_lines_skipped(self, tmp_path):
+        # A line starting with "#" is a comment, an entry for the token "#"
+        # among them: that token keeps the unknown-word tags.
+        path = tmp_path / "tags.tsv"
+        path.write_text("# word<TAB>tags\n#\tSYM\n#tag\tNOUN\nto\tTO\n")
+        tagdict = load_tag_dictionary(path)
+        assert tagdict._entries == {"to": ("TO",)}
+        assert tagdict.lookup("#") == ("UNK",)
+
     def test_repeated_word_refused(self, tmp_path):
         path = tmp_path / "tags.tsv"
         path.write_text("to\tPREP\ncake\tNOUN_sing\n\nto\tTO\n")

@@ -257,12 +257,18 @@ class TestModelEdits:
     def test_every_line_deletion_or_adjacent_swap_reloads_or_names_a_line(self, name):
         # Each edited file either holds a model that saves back to its own
         # bytes or is refused naming a line: a Bayes model, a trained sparse
-        # two-layer network, and a full one-layer one.
+        # two-layer network, and a full one-layer one. Edits delete, repeat
+        # or swap lines, or put a line in its neighbour's place; a repeated
+        # feature key leaves the sorted index one id short of its features.
         model, to_text, from_text = smoke_model(name)
         lines = to_text(model).splitlines(keepends=True)
         edits = [lines[:i] + lines[i + 1 :] for i in range(len(lines))]
+        edits += [lines[: i + 1] + lines[i:] for i in range(len(lines))]
         edits += [lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2 :]
                   for i in range(len(lines) - 1) if lines[i] != lines[i + 1]]
+        edits += [lines[:i] + [lines[j]] + lines[i + 1 :]
+                  for i in range(len(lines)) for j in (i - 1, i + 1)
+                  if 0 <= j < len(lines) and lines[i] != lines[j]]
         refused = 0
         for edited in map("".join, edits):
             try:

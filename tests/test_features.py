@@ -33,7 +33,6 @@ from winspell.features import (
     generate_features,
     index_features,
     parse_feature_key,
-    parse_feature_list,
     prune,
 )
 from winspell.winnow import WinnowNetwork
@@ -268,24 +267,25 @@ class TestFeatureKeys:
     ])
     def test_model_line_other_than_canonical_key_refused(self, line, canonical):
         with pytest.raises(ValueError) as excinfo:
-            parse_feature_list(["CW a", line], 2, 12)
+            index_features(["CW a", line], 12)
         assert str(excinfo.value) == (
             f"line 13: feature {line!r} is not in canonical form; expected {canonical!r}"
         )
 
     def test_model_line_malformed_key_names_line(self):
         with pytest.raises(ValueError, match=r"^line 9: malformed feature key: 'BIAS'$"):
-            parse_feature_list(["BIAS"], 1, 9)
+            index_features(["BIAS"], 9)
 
-    def test_model_feature_list_out_of_order_names_the_line_before_the_early_key(self):
-        # A, C, D, B on lines 9-12: B sorts before D, so D's line is named.
-        with pytest.raises(ValueError, match="^line 11: feature list is not in canonical order$"):
-            parse_feature_list(["CW a", "CW c", "CW d", "CW b"], 4, 9)
+    def test_keys_without_a_first_line_are_numbered_from_line_1(self):
+        with pytest.raises(ValueError, match=r"^line 2: malformed feature key: 'BIAS'$"):
+            index_features(["CW a", "BIAS"])
 
-    def test_model_feature_list_non_adjacent_repeat_refused(self):
-        # A, B, A on lines 9-11: the second A sorts before B on line 10.
-        with pytest.raises(ValueError, match="^line 10: feature list is not in canonical order$"):
-            parse_feature_list(["CW a", "CW b", "CW a"], 3, 9)
+    def test_repeated_key_keeps_one_id(self):
+        # A, B, A: sorted A, A, B; the index is one short of its features,
+        # which a loader's round trip then refuses.
+        index = index_features(["CW a", "CW b", "CW a"], 9)
+        assert index.features == (context_word("a"), context_word("a"), context_word("b"))
+        assert dict(index) == {"CW a": 1, "CW b": 2}
 
     def test_keys_indexed_in_canonical_order(self):
         keys = ["CW b", "COLL _ +1:w=x", "CW a", "COLL -1:w=x _"]

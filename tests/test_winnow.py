@@ -851,9 +851,21 @@ class TestSerialization:
         first = lines.index("CW aaa")
         assert lines[first + 1] == "CW bbb"
         lines[first], lines[first + 1] = lines[first + 1], lines[first]
-        # Line first + 1 holds CW bbb, which canonical order puts after CW aaa.
-        with pytest.raises(ValueError,
-                           match=rf"^line {first + 1}: feature list is not in canonical order$"):
+        # Line first + 1 holds CW bbb, which canonical order puts after CW aaa:
+        # the list is sorted on load, so saving writes CW aaa there.
+        with pytest.raises(ValueError, match=saved_here(first + 1, "CW aaa")):
+            network_from_text("\n".join(lines) + "\n")
+
+    def test_inserted_duplicate_key_refused_at_the_first_body_line(self):
+        # The count reads one key fewer than the list holds, so the list's
+        # last key is read as the body's first line.
+        network, *_ = self.trained_network()
+        lines = network_to_text(network).splitlines()
+        n_features = len(network.features)
+        lines.insert(12, lines[11])
+        with pytest.raises(ValueError, match=(
+            rf"^line {12 + n_features}: weight row outside any classifier$"
+        )):
             network_from_text("\n".join(lines) + "\n")
 
     def test_head_lines_swapped_rejected(self):
@@ -909,7 +921,7 @@ class TestSerialization:
         assert len(network.features) > 2
         # File lines 12 and 13 are the list's first two lines; line 14 is missing.
         with pytest.raises(ValueError,
-                           match="^line 14: model file truncated or has duplicate features$"):
+                           match="^line 14: model file truncated inside its feature list$"):
             network_from_text("".join(lines[:13]))
 
     def test_every_prefix_cut_in_header_or_features_rejected(self):
