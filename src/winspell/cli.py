@@ -27,6 +27,7 @@ from .evaluation import (
     ABLATION_LADDER,
     PROTOCOLS,
     SYSTEMS,
+    TRAINABLE_SYSTEMS,
     ExperimentConfig,
     TrainingSet,
     decide,
@@ -35,10 +36,12 @@ from .evaluation import (
     save_system_model,
     train_system_model,
 )
-from .features import MODES, PRUNED, ExtractionParams, extract_active
-from .winnow import CYCLES
+from .features import MODES, ExtractionParams, extract_active
 
-TRAINABLE_SYSTEMS = tuple(s for s in SYSTEMS if s != "baseline")
+# The experiment's defaults, ExperimentConfig's and its ExtractionParams', by
+# field name: every default a flag has is one of these.
+_DEFAULTS = {**ExperimentConfig._field_defaults, **ExtractionParams()._asdict()}
+_DEFAULT_SYSTEMS = _DEFAULTS["systems"]
 
 # Every flag, by the attribute it sets: (type, default, choices, help). The
 # type parses the command line and checks a config value; a list flag
@@ -51,15 +54,15 @@ FLAGS = {
     "tagdict": (str, None, (), "tag dictionary file (word<TAB>tags)"),
     "out": (str, None, (), "output/model directory"),
     "system": (str, None, TRAINABLE_SYSTEMS, "system to train, or whose models to load"),
-    "systems": (list, None, SYSTEMS,
-                "system to evaluate (repeatable; default baseline, bayes and winnow)"),
-    "mode": (str, PRUNED, MODES, "feature regime"),
-    "protocol": (str, "within", PROTOCOLS, "experiment protocol"),
-    "seed": (int, 0, (), "PRNG seed"),
-    "cycles": (int, CYCLES, (), "training passes"),
-    "corrupt_pct": (float, 5.0, (), "corruption percentage"),
-    "k": (int, 10, (), "context window half-width"),
-    "l": (int, 2, (), "max collocation length"),
+    "systems": (list, None, SYSTEMS, "system to evaluate (repeatable; default "
+                + ", ".join(_DEFAULT_SYSTEMS[:-1]) + f" and {_DEFAULT_SYSTEMS[-1]})"),
+    "mode": (str, _DEFAULTS["mode"], MODES, "feature regime"),
+    "protocol": (str, _DEFAULTS["protocol"], PROTOCOLS, "experiment protocol"),
+    "seed": (int, _DEFAULTS["seed"], (), "PRNG seed"),
+    "cycles": (int, _DEFAULTS["cycles"], (), "training passes"),
+    "corrupt_pct": (float, _DEFAULTS["corrupt_pct"], (), "corruption percentage"),
+    "k": (int, _DEFAULTS["k"], (), "context window half-width"),
+    "l": (int, _DEFAULTS["l"], (), "max collocation length"),
 }
 
 _EXPERIMENT = ("mode", "protocol", "test_corpus", "seed", "corrupt_pct", "cycles", "k", "l")
@@ -201,10 +204,20 @@ def cmd_train(args) -> int:
     outdir = Path(args.out)
     confusion_sets = load_confusion_sets(args.confusion_sets)
     paths = [outdir / f"{cset.slug}.{args.system}.model" for cset in confusion_sets]
+    # The longest file name --out's file system takes, asked of --out or its
+    # nearest existing parent; 255 bytes where the system cannot say.
+    try:
+        existing = next((p for p in (outdir, *outdir.parents) if p.exists()), outdir)
+        name_max = os.pathconf(existing, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):
+        name_max = -1
+    name_max = name_max if name_max > 0 else 255
     for cset, path in zip(confusion_sets, paths):
+        where = f"confusion set {{{cset.label}}}: model file {path}"
         if path.parent != outdir:  # as for a member token "/"
-            raise ValueError(f"confusion set {{{cset.label}}}:"
-                             f" model file {path} is not in {outdir}")
+            raise ValueError(f"{where} is not in {outdir}")
+        if len(os.fsencode(path.name)) > name_max:
+            raise ValueError(f"{where} has a name longer than {name_max} bytes")
     outdir.mkdir(parents=True, exist_ok=True)
     # One corpus scan finds every set's occurrences; the sets are then
     # prepared and trained one at a time.
@@ -277,7 +290,7 @@ def _run_report(args, systems, stem: str) -> int:
 
 
 def cmd_eval(args) -> int:
-    return _run_report(args, args.systems or ["baseline", "bayes", "winnow"], "report")
+    return _run_report(args, args.systems or _DEFAULT_SYSTEMS, "report")
 
 
 def cmd_ablate(args) -> int:

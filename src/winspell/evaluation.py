@@ -8,7 +8,7 @@ import random
 from collections import namedtuple
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .bayes import (
     HEADER as BAYES_HEADER,
@@ -37,7 +37,6 @@ from .corpus import (
 from .features import (
     PRUNED,
     ExtractionParams,
-    FeatureStats,
     active_ids,
     chi2_sf,
     count_features,
@@ -67,8 +66,8 @@ PROTOCOLS = (WITHIN, ACROSS, SUPUNSUP)
 TRAIN_FRACTION = 0.8
 UNSUP_FRACTION = 0.6
 
-SYSTEMS = (
-    "baseline",
+# The systems that train a model; SYSTEMS adds the majority baseline.
+TRAINABLE_SYSTEMS = (
     "bayes",
     "simplified-bayes",
     "winnow",
@@ -77,6 +76,7 @@ SYSTEMS = (
     "winnow-2layer",
     "winnow-bayes-init",
 )
+SYSTEMS = ("baseline", *TRAINABLE_SYSTEMS)
 
 # Column order of the ablation ladder, from the Bayesian end to the full
 # sparse Winnow system.
@@ -92,7 +92,7 @@ ABLATION_LADDER = (
 class SplitSpec(namedtuple("SplitSpec", "fraction seed")):
     __slots__ = ()
 
-    def __new__(cls, fraction: float = 0.8, seed: int = 0):
+    def __new__(cls, fraction: float, seed: int):
         if not 0 < fraction < 1:
             raise ValueError("split fraction must be strictly between 0 and 1")
         return super().__new__(cls, fraction, seed)
@@ -112,12 +112,6 @@ def split_corpus(
     first = [s for i, s in enumerate(sentences) if i in chosen]
     second = [s for i, s in enumerate(sentences) if i not in chosen]
     return first, second
-
-
-def baseline_classify(stats: FeatureStats) -> Callable[[Iterable], int]:
-    """Constant predictor: the most common training member, ties as in :func:`choose`."""
-    majority = choose([0.0] * len(stats.occurrences), stats.occurrences)
-    return lambda active_set: majority
 
 
 def mcnemar_test(
@@ -183,7 +177,7 @@ def train_system_model(name: str, training: TrainingSet, cycles: int):
     BayesModel or WinnowNetwork that extracts features with the parameters
     the set's features were generated with. A Winnow network trains for
     ``cycles`` passes."""
-    if name not in SYSTEMS or name == "baseline":
+    if name not in TRAINABLE_SYSTEMS:
         raise ValueError(f"unknown system: {name!r}")
     if name == "bayes":
         return with_dependency_resolution(training.bayes)
@@ -254,12 +248,13 @@ def evaluate_systems(
     confusion_set: ConfusionSet,
     tagdict: TagDictionary,
     systems: Sequence[str],
-    mode: str = PRUNED,
+    mode: str,
     extraction: ExtractionParams | None = None,
     cycles: int = CYCLES,
 ) -> SetResult:
     """Train every requested system on one confusion set's training
-    occurrences and score it on its test occurrences."""
+    occurrences and score it on its test occurrences. The baseline chooses
+    the most common training member for every case, ties as in :func:`choose`."""
     extraction = extraction or ExtractionParams()
     training = TrainingSet(train_occurrences, confusion_set, extraction, tagdict, mode)
     test_cases = [
@@ -269,8 +264,8 @@ def evaluate_systems(
     outcomes = {}
     for name in systems:
         if name == "baseline":
-            predict = baseline_classify(training.stats)
-            chosen = [predict(active) for active, _ in test_cases]
+            counts = training.stats.occurrences
+            chosen = [choose([0.0] * len(counts), counts)] * len(test_cases)
         else:
             model = train_system_model(name, training, cycles)
             chosen = [decide(model, active).chosen for active, _ in test_cases]
@@ -290,9 +285,6 @@ class EvalReport(NamedTuple):
             s: [o for r in self.results for o in r.outcomes[s]] for s in self.systems
         }
         return SetResult("OVERALL", sum(r.cases for r in self.results), outcomes)
-
-    def overall_percent(self, system: str) -> float:
-        return self.pooled().percent(system)
 
     def adjacent_pairs(self) -> list[tuple[str, str]]:
         return list(zip(self.systems, self.systems[1:]))

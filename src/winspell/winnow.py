@@ -81,10 +81,10 @@ class WinnowClassifier:
     that the owning cloud has not linked weighs 0.0, so it adds nothing.
     """
 
-    def __init__(self, beta: float, n_features: int, mistakes: int = 0):
+    def __init__(self, beta: float, n_features: int):
         self.beta = beta
         self.weights = [0.0] * (n_features + 1)
-        self.mistakes = mistakes
+        self.mistakes = 0
 
 
 class Cloud:
@@ -419,8 +419,9 @@ def network_from_text(text: str) -> WinnowNetwork:
                 classifier.mistakes = count_of(mistakes, "mistakes")
                 weights = classifier.weights
             else:  # a weight row
-                if classifier is None:
-                    raise ValueError("weight row outside any classifier")
+                if classifier is None:  # before the first cloud line: a key past the count
+                    raise ValueError(f"feature list is longer than its features count {n_features}"
+                                     if cloud is None else "weight row outside any classifier")
                 if len(fields) != 2:
                     raise ValueError(f"malformed weight row: {line!r}")
                 feature = ids.get(kind)

@@ -443,7 +443,7 @@ def test_c10_optional_corpus_mode(tmp_path):
         report_obj = run_experiment(config)
         print(f"\n=== mode: {mode} ===")
         print(report_obj.to_table())
-        overall[mode] = {s: report_obj.overall_percent(s)
+        overall[mode] = {s: report_obj.pooled().percent(s)
                          for s in ("baseline", "bayes", "winnow")}
     assert overall[UNPRUNED]["winnow"] > overall[UNPRUNED]["bayes"]
     report("corpus-mode", str(overall))

@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import io
@@ -13,8 +14,9 @@ import pytest
 
 import winspell
 from winspell import bayes, cli
-from winspell.cli import COMMANDS, TRAINABLE_SYSTEMS, _build_parser, _option, main
-from winspell.evaluation import TrainingSet
+from winspell.cli import COMMANDS, FLAGS, _build_parser, _option, main
+from winspell.evaluation import TRAINABLE_SYSTEMS, ExperimentConfig, TrainingSet
+from winspell.features import ExtractionParams
 from winspell.winnow import load_network
 
 from helpers import noisy_disjunct_corpus, separable_corpus, two_domain_pair
@@ -170,6 +172,60 @@ class TestTrain:
         assert capsys.readouterr() == ("", f"error: confusion set {{{members}}}: model file"
                                            f" {model.format(out=out)} is not in {out}\n")
         assert not out.exists()
+
+    def test_model_file_name_too_long_refused_before_any_model(self, workspace, capsys,
+                                                                monkeypatch):
+        monkeypatch.setattr(cli, "save_system_model", lambda *_: pytest.fail("model written"))
+        long = "x" * 300
+        (workspace / "sets.txt").write_text(f"peace, piece\n{long}, or\n")
+        out = workspace / "m"
+        rc = run(["train", "--corpus", workspace / "corpus.txt",
+                  "--confusion-sets", workspace / "sets.txt",
+                  "--tagdict", workspace / "tags.tsv",
+                  "--system", "bayes", "--out", out])
+        assert rc == 1
+        name_max = os.pathconf(workspace, "PC_NAME_MAX")
+        assert capsys.readouterr() == ("", f"error: confusion set {{{long}, or}}: model file"
+                                           f" {out}/{long}+or.bayes.model has a name longer"
+                                           f" than {name_max} bytes\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("letters, rc", [(7, 0), (8, 1)])
+    def test_model_file_name_length_counts_bytes(self, workspace, capsys, monkeypatch,
+                                                 letters, rc):
+        # A name of 2 * letters + 15 bytes (é is two in UTF-8) against a
+        # limit of 30, asked of the nearest existing parent of --out.
+        asked = []
+        monkeypatch.setattr(os, "pathconf", lambda path, name: asked.append(path) or 30)
+        with open(workspace / "corpus.txt", "a") as fh:
+            fh.write(f"one {'é' * letters} or two\n")
+        (workspace / "sets.txt").write_text(f"{'é' * letters}, or\n")
+        out = workspace / "a" / "b"
+        assert run(["train", "--corpus", workspace / "corpus.txt",
+                    "--confusion-sets", workspace / "sets.txt",
+                    "--tagdict", workspace / "tags.tsv",
+                    "--system", "bayes", "--out", out]) == rc
+        assert asked == [workspace]
+        assert out.exists() == (rc == 0)
+        err = capsys.readouterr().err
+        assert err == "" if rc == 0 else err.endswith("has a name longer than 30 bytes\n")
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_model_file_name_limit_is_255_where_unavailable(self, workspace, capsys,
+                                                             monkeypatch, raises):
+        def pathconf(path, name):  # no limit given, or none to be had
+            if raises:
+                raise OSError(22, "Invalid argument")
+            return -1
+
+        monkeypatch.setattr(os, "pathconf", pathconf)
+        (workspace / "sets.txt").write_text(f"{'x' * 241}, or\n")  # 256 bytes
+        rc = run(["train", "--corpus", workspace / "corpus.txt",
+                  "--confusion-sets", workspace / "sets.txt",
+                  "--tagdict", workspace / "tags.tsv",
+                  "--system", "bayes", "--out", workspace / "m"])
+        assert rc == 1
+        assert capsys.readouterr().err.endswith("has a name longer than 255 bytes\n")
 
     def test_member_without_occurrences_warns_in_one_line(self, workspace, capsys):
         (workspace / "sets.txt").write_text("peace, piece\n")
@@ -963,6 +1019,36 @@ HELP_DIGESTS = {
     "ablate": "cfd2ec9fa2184198d01b187df3fac9f6cb4f229532bc5a3b7c22cce8fe8e1b38",
     "corrupt": "8145c401984e14602e11ea7878807c955c2bdfc263d48d7a09a5dc2ac085825c",
 }
+
+
+def test_help_defaults_are_the_experiments(capsys, monkeypatch):
+    # Each default --help shows is ExperimentConfig's or its ExtractionParams',
+    # and cli.FLAGS spells none of them again.
+    monkeypatch.setenv("COLUMNS", "1000")
+    expected = {**ExperimentConfig._field_defaults, **ExtractionParams()._asdict()}
+    shown = {}
+    for command in COMMANDS:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        for option, default in re.findall(r"^ +--([\w-]+) [A-Z_]+\s+[^\n]*?default ([^)]*)\)",
+                                          text, re.M):
+            shown["systems" if option == "system" else option.replace("-", "_")] = default
+        if command in ("train", "classify"):
+            assert re.search(r"--system SYSTEM\s+.*: " + re.escape("|".join(TRAINABLE_SYSTEMS))
+                             + "$", text, re.M)
+    systems = shown.pop("systems")
+    assert re.split(r", | and ", systems) == list(expected["systems"])
+    assert shown == {dest: str(expected[dest]) for dest in shown}
+    assert sorted(shown) == ["corrupt_pct", "cycles", "k", "l", "mode", "protocol", "seed"]
+    assert FLAGS["system"][2] == TRAINABLE_SYSTEMS
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    (flags,) = [node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "FLAGS"]
+    spelled = [ast.unparse(entry) for entry in flags.values
+               if isinstance(entry.elts[1], ast.Constant) and entry.elts[1].value is not None]
+    assert spelled == []
 
 
 @pytest.mark.parametrize("command", sorted(HELP_DIGESTS))

@@ -15,7 +15,6 @@ from winspell.evaluation import (
     SetResult,
     SplitSpec,
     TrainingSet,
-    baseline_classify,
     evaluate_systems,
     load_system_model,
     mcnemar_test,
@@ -24,7 +23,7 @@ from winspell.evaluation import (
     train_system_model,
     two_proportion_test,
 )
-from winspell.features import ExtractionParams, FeatureStats
+from winspell.features import ExtractionParams
 from winspell.winnow import CYCLES, WinnowNetwork, network_from_text, network_to_text
 
 from helpers import (
@@ -40,11 +39,21 @@ from helpers import (
 EMPTY_TAGS = TagDictionary()
 
 
-def stats_with(occurrences):
-    members = ", ".join(f"w{i}" for i in range(len(occurrences)))
-    stats = FeatureStats(confusion_set_from_text(members), ExtractionParams())
-    stats.occurrences = list(occurrences)
-    return stats
+def baseline_outcomes(train_counts, test_counts):
+    """The baseline's outcomes on a set of members w0, w1, ... trained on
+    ``train_counts[i]`` occurrences of member i and tested on
+    ``test_counts[i]``, each test case in a context of its own."""
+    members = [f"w{i}" for i in range(len(train_counts))]
+    cset = confusion_set_from_text(", ".join(members))
+
+    def occurrences(counts, context):
+        texts = [f"{context(n)} {m}" for m, count in zip(members, counts) for n in range(count)]
+        return find_occurrences(corpus_of(*texts), cset)
+
+    result = evaluate_systems(occurrences(train_counts, lambda n: "the"),
+                              occurrences(test_counts, lambda n: f"ctx{n}"),
+                              cset, EMPTY_TAGS, ["baseline"], mode="unpruned")
+    return result.outcomes["baseline"]
 
 
 class TestSplitCorpus:
@@ -86,19 +95,17 @@ class TestSplitCorpus:
 
 class TestBaseline:
     def test_majority_member(self):
-        predict = baseline_classify(stats_with([70, 30]))
-        assert predict(()) == 0
-        assert predict(("anything",)) == 0
+        # Every case is given the majority member w0, whatever its context.
+        assert baseline_outcomes([70, 30], [2, 2]) == [True, True, False, False]
 
     @pytest.mark.parametrize("occurrences,majority", [([50, 50], 0), ([30, 50, 50], 1)])
     def test_tie_prefers_lower_index(self, occurrences, majority):
-        assert baseline_classify(stats_with(occurrences))(()) == majority
+        outcomes = baseline_outcomes(occurrences, [1] * len(occurrences))
+        assert outcomes == [i == majority for i in range(len(occurrences))]
 
     def test_score_equals_majority_frequency(self):
-        predict = baseline_classify(stats_with([70, 30]))
-        labels = [0] * 7 + [1] * 3
-        correct = sum(predict(()) == label for label in labels)
-        assert correct / len(labels) == 0.7
+        outcomes = baseline_outcomes([70, 30], [7, 3])
+        assert sum(outcomes) / len(outcomes) == 0.7
 
 
 class TestMcNemar:
@@ -343,8 +350,8 @@ class TestEvalReport:
     def test_overall_pools_cases_not_percentages(self):
         report = self.build_report()
         # Pooled: s1 4/5 = 80%; the mean of per-set percentages would be 50%.
-        assert report.overall_percent("s1") == pytest.approx(80.0)
-        assert report.overall_percent("s2") == pytest.approx(60.0)
+        assert report.pooled().percent("s1") == pytest.approx(80.0)
+        assert report.pooled().percent("s2") == pytest.approx(60.0)
 
     def test_tsv_shape(self):
         report = self.build_report()
@@ -392,7 +399,7 @@ class TestRunExperiment:
         )
         report = run_experiment(config)
         assert report.results[0].cases > 0
-        assert report.overall_percent("winnow") > report.overall_percent("baseline")
+        assert report.pooled().percent("winnow") > report.pooled().percent("baseline")
 
     def test_reports_deterministic(self, tmp_path):
         train, test, _ = separable_corpus(seed=3)
@@ -449,5 +456,5 @@ class TestRunExperiment:
                 test_corpus=test_path, corrupt_pct=5.0,
                 extraction=ExtractionParams(k=3),
             )
-            scores[protocol] = run_experiment(config).overall_percent("winnow")
+            scores[protocol] = run_experiment(config).pooled().percent("winnow")
         assert scores["supunsup"] > scores["across"]

@@ -270,9 +270,10 @@ class TestGamma:
 def cloud_with(mistakes, votes, member_index=0):
     """Cloud whose classifiers have the given mistake counts and whose votes
     are forced via a single feature weight."""
-    cloud = Cloud(member_index, [WinnowClassifier(0.5, 3, mistakes=m) for m in mistakes])
+    cloud = Cloud(member_index, [WinnowClassifier(0.5, 3) for _ in mistakes])
     link(cloud, I1, 0.0)
-    for classifier, vote in zip(cloud.classifiers, votes):
+    for classifier, m, vote in zip(cloud.classifiers, mistakes, votes):
+        classifier.mistakes = m
         classifier.weights[I1] = 2.0 if vote else 0.0
     return cloud
 
@@ -856,15 +857,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match=saved_here(first + 1, "CW aaa")):
             network_from_text("\n".join(lines) + "\n")
 
-    def test_inserted_duplicate_key_refused_at_the_first_body_line(self):
+    @pytest.mark.parametrize("key", [None, "CW zzz"])
+    def test_inserted_duplicate_key_refused_at_the_first_body_line(self, key):
         # The count reads one key fewer than the list holds, so the list's
-        # last key is read as the body's first line.
+        # last key stands where the first cloud line belongs. A repeated key
+        # (None: the first one again) and a new key are refused alike.
         network, *_ = self.trained_network()
         lines = network_to_text(network).splitlines()
         n_features = len(network.features)
-        lines.insert(12, lines[11])
+        lines.insert(12, key or lines[11])
         with pytest.raises(ValueError, match=(
-            rf"^line {12 + n_features}: weight row outside any classifier$"
+            rf"^line {12 + n_features}: feature list is longer than its features count"
+            rf" {n_features}$"
         )):
             network_from_text("\n".join(lines) + "\n")
 
