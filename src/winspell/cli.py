@@ -45,7 +45,8 @@ _DEFAULT_SYSTEMS = _DEFAULTS["systems"]
 
 # Every flag, by the attribute it sets: (type, default, choices, help). The
 # type parses the command line and checks a config value; a list flag
-# repeats, each value a string. ``systems`` is eval's repeatable --system.
+# repeats, each value a string, and its help says its default. ``systems``
+# is eval's repeatable --system.
 FLAGS = {
     "config": (str, None, (), "JSON config file; flags override it"),
     "corpus": (str, None, (), "training corpus (presplit text)"),
@@ -54,7 +55,7 @@ FLAGS = {
     "tagdict": (str, None, (), "tag dictionary file (word<TAB>tags)"),
     "out": (str, None, (), "output/model directory"),
     "system": (str, None, TRAINABLE_SYSTEMS, "system to train, or whose models to load"),
-    "systems": (list, None, SYSTEMS, "system to evaluate (repeatable; default "
+    "systems": (list, _DEFAULT_SYSTEMS, SYSTEMS, "system to evaluate (repeatable; default "
                 + ", ".join(_DEFAULT_SYSTEMS[:-1]) + f" and {_DEFAULT_SYSTEMS[-1]})"),
     "mode": (str, _DEFAULTS["mode"], MODES, "feature regime"),
     "protocol": (str, _DEFAULTS["protocol"], PROTOCOLS, "experiment protocol"),
@@ -134,7 +135,7 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
             kind, default, choices, text = FLAGS[dest]
             if choices:
                 text += ": " + "|".join(choices)
-            if default is not None:
+            if default is not None and kind is not list:
                 text += f" (default {default})"
             parse = {"action": "append"} if kind is list else {"type": kind}
             p.add_argument(_option(dest), dest=dest, help=text, **parse)
@@ -182,11 +183,15 @@ def _resolve_flags(args: argparse.Namespace):
     for dest in dests:
         kind, _, choices, _ = FLAGS[dest]
         value = getattr(args, dest)
+        name = _option(dest)[2:]
+        if kind is list and not value:
+            raise UsageError(f"empty {name} list")
         if choices and value is not None:
-            for v in value if kind is list else [value]:
+            for i, v in enumerate(value if kind is list else [value]):
                 if v not in choices:
-                    raise UsageError(f"unknown {_option(dest)[2:]}: {v!r}"
-                                     f" (choose from {', '.join(choices)})")
+                    raise UsageError(f"unknown {name}: {v!r} (choose from {', '.join(choices)})")
+                if kind is list and v in value[:i]:
+                    raise UsageError(f"{name} {v!r} is listed twice")
 
 
 def _extraction(args) -> ExtractionParams:
@@ -290,7 +295,7 @@ def _run_report(args, systems, stem: str) -> int:
 
 
 def cmd_eval(args) -> int:
-    return _run_report(args, args.systems or _DEFAULT_SYSTEMS, "report")
+    return _run_report(args, args.systems, "report")
 
 
 def cmd_ablate(args) -> int:

@@ -17,7 +17,6 @@ from winspell.bayes import (
     smoothed_likelihoods,
     train_bayes,
 )
-from winspell.cli import main
 from winspell.corpus import TagDictionary, confusion_set_from_text, find_occurrences
 from winspell.features import (
     COLLOCATION,
@@ -617,40 +616,6 @@ class TestSerialization:
             rf"^line {len(text.splitlines())}: model file truncated: no newline at its end$"
         )):
             model_from_text(text[:-cut])
-
-    @pytest.mark.parametrize(
-        "case",
-        ["extraction-field", "bare-features-line", "short-count-row", "long-count-row",
-         "edited-priors", "row-after-last"],
-    )
-    def test_malformed_file_one_line_error(self, case, tmp_path, capsys):
-        model, _ = toy_model()
-        lines = model_to_text(model).splitlines()
-        assert lines[2].startswith("extraction\t") and lines[7].startswith("features\t")
-        assert lines[6].startswith("priors\t") and lines[6] != "priors\t0.9\t0.1"
-        count_row = lines[8]
-        # The edited line's index, its new text, and the file line at fault.
-        index, new_line, number = {
-            "extraction-field": (2, "extraction\tk10\tl=2", 3),
-            "bare-features-line": (7, "features", 8),
-            "short-count-row": (8, count_row.rsplit("\t", 1)[0], 9),
-            "long-count-row": (8, count_row + "\t0", 9),
-            "edited-priors": (6, "priors\t0.9\t0.1", 7),
-            "row-after-last": (len(lines) - 1, lines[-1] + "\nCW zzz\t9\t9", len(lines) + 1),
-        }[case]
-        lines[index] = new_line
-        path = tmp_path / "models" / f"{model.confusion_set.slug}.bayes.model"
-        path.parent.mkdir()
-        path.write_text("\n".join(lines) + "\n")
-        (tmp_path / "tags.tsv").write_text("of\tPREP\n")
-        (tmp_path / "draft.txt").write_text("a peace of cake\n")
-        rc = main(["classify", "--out", str(path.parent), "--system", "bayes",
-                   "--tagdict", str(tmp_path / "tags.tsv"), str(tmp_path / "draft.txt")])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {path}: line {number}: ")
-        assert captured.err.count("\n") == 1
 
 
 class TestOracleEquivalenceSample:

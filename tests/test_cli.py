@@ -114,47 +114,6 @@ class TestTrain:
         empty = [None] * len(model.features)
         assert model.features and model.log_likelihoods == model.mean_lambda == empty
 
-    @pytest.mark.parametrize("command", [["train", "--system", "bayes"],
-                                         ["train", "--system", "winnow"], ["eval"], ["ablate"]])
-    @pytest.mark.parametrize("corpus", ["corpus.txt", "missing.txt"])
-    def test_zero_cycles_refused_before_any_input(self, workspace, capsys, command, corpus):
-        # Every system of train refuses it, Bayes ones too, and so do eval
-        # and ablate; a missing corpus shows the check comes before the load.
-        out = workspace / "out"
-        rc = run([*command, "--corpus", workspace / corpus,
-                  "--confusion-sets", workspace / "sets.txt",
-                  "--tagdict", workspace / "tags.tsv", "--cycles", 0, "--out", out])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.err == "error: cycles must be >= 1\n"
-        assert captured.out == ""
-        assert not out.exists()
-
-    def test_unknown_system_is_usage_error(self, workspace, capsys):
-        rc = run(["train", "--corpus", workspace / "corpus.txt",
-                  "--confusion-sets", workspace / "sets.txt",
-                  "--tagdict", workspace / "tags.tsv",
-                  "--system", "psychic", "--out", workspace / "m"])
-        assert rc == 2
-        assert "unknown system" in capsys.readouterr().err
-
-    def test_missing_corpus_is_runtime_error(self, workspace, capsys):
-        rc = run(["train", "--corpus", workspace / "nope.txt",
-                  "--confusion-sets", workspace / "sets.txt",
-                  "--tagdict", workspace / "tags.tsv",
-                  "--system", "bayes", "--out", workspace / "m"])
-        assert rc == 1
-        assert "error" in capsys.readouterr().err
-
-    def test_absent_confusion_set_is_runtime_error(self, workspace, capsys):
-        (workspace / "sets.txt").write_text("hear, here\n")
-        rc = run(["train", "--corpus", workspace / "corpus.txt",
-                  "--confusion-sets", workspace / "sets.txt",
-                  "--tagdict", workspace / "tags.tsv",
-                  "--system", "bayes", "--out", workspace / "m"])
-        assert rc == 1
-        assert "no occurrences" in capsys.readouterr().err
-
     @pytest.mark.parametrize("members, model", [
         ("or, /", "{out}/or+/.bayes.model"),  # the slug or+/ names a directory
         ("/, or", "/+or.bayes.model"),  # --out joined with an absolute name is that name
@@ -226,18 +185,6 @@ class TestTrain:
                   "--system", "bayes", "--out", workspace / "m"])
         assert rc == 1
         assert capsys.readouterr().err.endswith("has a name longer than 255 bytes\n")
-
-    def test_member_without_occurrences_warns_in_one_line(self, workspace, capsys):
-        (workspace / "sets.txt").write_text("peace, piece\n")
-        (workspace / "corpus.txt").write_text("a piece of cake\nanother piece of pie\n")
-        rc = run(["train", "--corpus", workspace / "corpus.txt",
-                  "--confusion-sets", workspace / "sets.txt",
-                  "--tagdict", workspace / "tags.tsv",
-                  "--mode", "unpruned", "--system", "bayes", "--out", workspace / "m"])
-        assert rc == 0
-        assert capsys.readouterr().err == (
-            "warning: no training occurrences of 'peace'; its prior is 0\n"
-        )
 
     @pytest.mark.parametrize("system", ["bayes", "winnow"])
     def test_sets_sharing_tokens_train_as_if_alone(self, tmp_path, system):
@@ -316,173 +263,6 @@ class TestClassify:
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[0].split("\t")[3] == "piece"
 
-    def test_missing_models_exit_1(self, workspace, capsys, tmp_path):
-        text = tmp_path / "input.txt"
-        text.write_text("whatever\n")
-        rc = run(["classify", "--out", workspace / "empty", "--system", "bayes",
-                  "--tagdict", workspace / "tags.tsv", text])
-        assert rc == 1
-        assert "no bayes models" in capsys.readouterr().err
-
-    def test_truncated_model_one_line_error(self, workspace, capsys, tmp_path):
-        out = self.train_first(workspace, capsys, system="winnow")
-        model = out / "peace+piece.winnow.model"
-        model.write_text("".join(model.read_text().splitlines(keepends=True)[:5]))
-        text = tmp_path / "input.txt"
-        text.write_text("a piece of cake\n")
-        rc = run(["classify", "--out", out, "--system", "winnow",
-                  "--tagdict", workspace / "tags.tsv", text])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith(f"error: {model}: ") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("system", ["bayes", "winnow"])
-    def test_non_canonical_feature_line_one_line_error(self, workspace, capsys, tmp_path,
-                                                       system):
-        # Another spelling of a feature's key parses to the same feature, but
-        # no generated key would ever match it: the loader refuses the line.
-        out = self.train_first(workspace, capsys, system=system)
-        model = out / f"peace+piece.{system}.model"
-        lines = model.read_text().splitlines(keepends=True)
-        canonical, other = "COLL -1:t=UNK _", "COLL _ -1:t=UNK"
-        number = next(n for n, line in enumerate(lines, 1)
-                      if line.split("\t")[0].rstrip("\n") == canonical)
-        lines[number - 1] = lines[number - 1].replace(canonical, other)
-        model.write_text("".join(lines))
-        text = tmp_path / "input.txt"
-        text.write_text("a piece of cake\n")
-        rc = run(["classify", "--out", out, "--system", system,
-                  "--tagdict", workspace / "tags.tsv", text])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: {model}: line {number}: feature {other!r} is not in canonical"
-            f" form; expected {canonical!r}\n"
-        )
-
-    @pytest.mark.parametrize("field, bad", [
-        ("mistakes", "-3000"), ("examples_seen", "-5"), ("horizon", "0"),
-        # The one parameter set: a file naming another is refused.
-        ("theta", "2"), ("alpha", "2"), ("default_weight", "5"), ("start", "2"), ("end", "1"),
-    ])
-    def test_bad_count_one_line_error(self, workspace, capsys, tmp_path, field, bad):
-        out = self.train_first(workspace, capsys, system="winnow")
-        model = out / "peace+piece.winnow.model"
-        edited, edits = re.subn(rf"\b{field}=\d+", f"{field}={bad}", model.read_text(), 1)
-        assert edits == 1
-        model.write_text(edited)
-        text = tmp_path / "input.txt"
-        text.write_text("a piece of cake\n")
-        rc = run(["classify", "--out", out, "--system", "winnow",
-                  "--tagdict", workspace / "tags.tsv", text])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith(f"error: {model}: ") and err.count("\n") == 1
-        assert field in err
-
-    def test_other_betas_one_line_error(self, workspace, capsys, tmp_path):
-        # The header's betas and every classifier's, edited alike.
-        out = self.train_first(workspace, capsys, system="winnow")
-        model = out / "peace+piece.winnow.model"
-        body = model.read_text()
-        betas = "betas\t0.5\t0.6\t0.7\t0.8\t0.9"
-        assert f"\n{betas}\n" in body
-        model.write_text(body.replace("\nbetas\t0.5\t", "\nbetas\t0.55\t")
-                         .replace("\tbeta=0.5\t", "\tbeta=0.55\t"))
-        text = tmp_path / "input.txt"
-        text.write_text("a piece of cake\n")
-        rc = run(["classify", "--out", out, "--system", "winnow",
-                  "--tagdict", workspace / "tags.tsv", text])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.out == ""
-        assert captured.err == (f"error: {model}: line 5: model file truncated or damaged:"
-                                f" saving it writes {betas!r} here\n")
-
-    @pytest.mark.parametrize("weight", ["-5", "nan", "inf", "-0.5", "0.0"])
-    def test_weight_outside_filter_range_one_line_error(self, workspace, capsys, tmp_path,
-                                                        weight):
-        # The threshold test's error bound needs finite non-negative weights;
-        # 0.0, the shifted minimum of a Bayesian initialization, still loads.
-        out = self.train_first(workspace, capsys, system="winnow")
-        model = out / "peace+piece.winnow.model"
-        lines = model.read_text().splitlines(keepends=True)
-        number = next(n for n, line in enumerate(lines, 1) if line.startswith("-1\t"))
-        lines[number - 1] = f"-1\t{weight}\n"
-        model.write_text("".join(lines))
-        text = tmp_path / "input.txt"
-        text.write_text("a piece of cake\n")
-        rc = run(["classify", "--out", out, "--system", "winnow",
-                  "--tagdict", workspace / "tags.tsv", text])
-        captured = capsys.readouterr()
-        if weight == "0.0":
-            assert rc == 0 and captured.err == ""
-            return
-        assert rc == 1
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: {model}: line {number}: weight {weight} is negative or not finite\n"
-        )
-
-    @pytest.mark.parametrize("row, message", [
-        ("-1\tabc", "could not convert string to float: 'abc'"),
-        ("x\t0.1", "invalid literal for int() with base 10: 'x'"),
-        ("3\t0.1\t7", "malformed weight row: '3\\t0.1\\t7'"),
-    ])
-    def test_bad_weight_row_names_its_line(self, workspace, capsys, tmp_path, row, message):
-        out = self.train_first(workspace, capsys, system="winnow")
-        model = out / "peace+piece.winnow.model"
-        lines = model.read_text().splitlines(keepends=True)
-        number = next(n for n, line in enumerate(lines, 1) if line.startswith("-1\t"))
-        lines[number - 1] = row + "\n"
-        model.write_text("".join(lines))
-        text = tmp_path / "input.txt"
-        text.write_text("a piece of cake\n")
-        rc = run(["classify", "--out", out, "--system", "winnow",
-                  "--tagdict", workspace / "tags.tsv", text])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.out == ""
-        assert captured.err == f"error: {model}: line {number}: {message}\n"
-
-    @pytest.mark.parametrize("source", ["file", "stdin"])
-    def test_invalid_utf8_input_names_source_and_line(self, workspace, capsys, tmp_path,
-                                                      monkeypatch, source):
-        out = self.train_first(workspace, capsys)
-        data = b"a piece of cake\nworld \xff piece\n"
-        text = tmp_path / "input.txt"
-        text.write_bytes(data)
-        if source == "stdin":
-            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
-        rc = run(["classify", "--out", out, "--system", "bayes",
-                  "--tagdict", workspace / "tags.tsv", text if source == "file" else "-"])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.out == ""
-        name = text if source == "file" else "<stdin>"
-        assert captured.err == f"error: {name}: invalid UTF-8 on line 2\n"
-
-    @pytest.mark.parametrize("system", ["bayes", "winnow"])
-    @pytest.mark.parametrize("where", ["header", "body"])
-    def test_invalid_utf8_model_names_its_line(self, workspace, capsys, tmp_path, system,
-                                               where):
-        out = self.train_first(workspace, capsys, system=system)
-        model = out / f"peace+piece.{system}.model"
-        lines = model.read_bytes().splitlines(keepends=True)
-        # The members line, or the last line.
-        number = 2 if where == "header" else len(lines)
-        lines[number - 1] = lines[number - 1][:-1] + b"\xff\n"
-        model.write_bytes(b"".join(lines))
-        text = tmp_path / "input.txt"
-        text.write_text("a piece of cake\n")
-        rc = run(["classify", "--out", out, "--system", system,
-                  "--tagdict", workspace / "tags.tsv", text])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.out == ""
-        assert captured.err == f"error: {model}: invalid UTF-8 on line {number}\n"
-
     def test_stdin_input_reads_as_the_file_does(self, workspace, capsys, tmp_path,
                                                 monkeypatch):
         out = self.train_first(workspace, capsys)
@@ -496,29 +276,6 @@ class TestClassify:
         assert run(args) == 0
         assert capsys.readouterr().out == from_file
         assert from_file.count("\n") == 2
-
-    @pytest.mark.parametrize("bad", ["-4", "40", "x"])
-    def test_count_outside_occurrences_one_line_error(self, workspace, capsys, tmp_path, bad):
-        # Each member occurs 4 times in the workspace corpus; a count row
-        # holds integers from 0 to its member's occurrences.
-        out = self.train_first(workspace, capsys)
-        model = out / "peace+piece.bayes.model"
-        lines = model.read_text().splitlines(keepends=True)
-        assert lines[5] == "occurrences\t4\t4\n"
-        key, first, _ = lines[8].split("\t")
-        lines[8] = f"{key}\t{first}\t{bad}\n"
-        model.write_text("".join(lines))
-        text = tmp_path / "input.txt"
-        text.write_text("a piece of cake\n")
-        rc = run(["classify", "--out", out, "--system", "bayes",
-                  "--tagdict", workspace / "tags.tsv", text])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: {model}: line 9: count row for {key!r} holds a count that is not an"
-            " integer from 0 to its member's occurrences\n"
-        )
 
     def test_closed_stdout_exits_quietly(self, workspace, capsys, tmp_path):
         out = self.train_first(workspace, capsys)
@@ -684,60 +441,6 @@ class TestCorrupt:
         assert (out1 / "changes.tsv").read_bytes() == (out2 / "changes.tsv").read_bytes()
 
 
-class TestEmptyConfusionSets:
-    """A confusion-set file without a set is an error, not an empty run."""
-
-    @pytest.mark.parametrize("command", ["train", "eval", "ablate", "corrupt"])
-    def test_one_line_error(self, workspace, capsys, command):
-        (workspace / "sets.txt").write_text("# no sets here\n\n")
-        out = workspace / "out"
-        args = [command, "--corpus", workspace / "corpus.txt",
-                "--confusion-sets", workspace / "sets.txt", "--out", out]
-        if command != "corrupt":
-            args += ["--tagdict", workspace / "tags.tsv"]
-        if command == "train":
-            args += ["--system", "bayes"]
-        rc = run(args)
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err == f"error: {workspace / 'sets.txt'}: no confusion sets\n"
-        assert not out.exists() or not any(out.iterdir())
-
-
-class TestRepeatedInputs:
-    """A set or a tag-dictionary word listed twice is an error. A repeated
-    set would give classify two lines with opposite verdicts for one span; a
-    repeated word would drop one line's tags without a word."""
-
-    @pytest.mark.parametrize("command", ["train", "eval", "ablate", "corrupt"])
-    def test_repeated_set_one_line_error(self, workspace, capsys, command):
-        (workspace / "sets.txt").write_text("peace, piece\npiece, peace\n")
-        out = workspace / "out"
-        args = [command, "--corpus", workspace / "corpus.txt",
-                "--confusion-sets", workspace / "sets.txt", "--out", out]
-        if command != "corrupt":
-            args += ["--tagdict", workspace / "tags.tsv"]
-        if command == "train":
-            args += ["--system", "bayes"]
-        rc = run(args)
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err == (f"error: {workspace / 'sets.txt'}: line 2: "
-                       "confusion set {piece, peace} repeats line 1\n")
-        assert not out.exists() or not any(out.iterdir())
-
-    def test_repeated_tag_word_one_line_error(self, workspace, capsys):
-        (workspace / "tags.tsv").write_text("of\tPREP\ncake\tNOUN_sing\nof\tADP\n")
-        rc = run(["train", "--corpus", workspace / "corpus.txt",
-                  "--confusion-sets", workspace / "sets.txt",
-                  "--tagdict", workspace / "tags.tsv",
-                  "--system", "bayes", "--out", workspace / "out"])
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            f"error: {workspace / 'tags.tsv'}: line 3: tag entry 'of' first listed on line 1\n"
-        )
-
-
 class TestCollector:
     """``main`` runs a command with the cyclic collector off and leaves it as
     it found it. That is safe because a command builds no reference cycles:
@@ -850,46 +553,6 @@ class TestConfigFile:
         assert rc == 0
         assert (tmp_path / "from_config" / "peace+piece.bayes.model").exists()
 
-    def test_bad_config_is_usage_error(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text("[1, 2]")
-        rc = run(["train", "--config", config])
-        assert rc == 2
-        assert "usage error" in capsys.readouterr().err
-
-    def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
-        config = tmp_path / "absent.json"
-        rc = run(["train", "--config", config])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage error: cannot read config file: ") and err.count("\n") == 1
-        assert str(config) in err
-
-    @pytest.mark.parametrize("command,entry", [
-        ("train", {"k": "3"}),
-        ("train", {"k": True}),
-        ("train", {"cycles": 2.5}),
-        ("train", {"modes": "unpruned"}),
-        ("train", {"mode": None}),
-        ("eval", {"corrupt_pct": "5"}),
-        ("eval", {"systems": "bayes"}),
-        ("eval", {"systems": [1]}),
-    ])
-    def test_bad_entry_is_usage_error_naming_key(self, workspace, tmp_path, capsys,
-                                                 command, entry):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(entry))
-        rc = run([command, "--config", config, "--corpus", workspace / "corpus.txt",
-                  "--confusion-sets", workspace / "sets.txt",
-                  "--tagdict", workspace / "tags.tsv", "--system", "winnow",
-                  "--out", tmp_path / "out"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("usage error: ") and err.count("\n") == 1
-        (key,) = entry
-        assert repr(key) in err
-        assert not (tmp_path / "out").exists()
-
     def test_other_subcommands_keys_ignored(self, workspace, tmp_path):
         config = tmp_path / "config.json"
         # systems is eval's flag; corrupt_pct takes any number.
@@ -900,74 +563,6 @@ class TestConfigFile:
                   "--out", tmp_path / "out"])
         assert rc == 0
         assert (tmp_path / "out" / "peace+piece.bayes.model").exists()
-
-    def test_missing_required_flag_reported(self, workspace, capsys):
-        rc = run(["train", "--corpus", workspace / "corpus.txt"])
-        assert rc == 2
-        assert "--confusion-sets" in capsys.readouterr().err
-
-
-# The 20 (subcommand, flag) pairs of flags a subcommand does not read and
-# does not take. train takes --seed without reading it (see cli.COMMANDS).
-UNREAD_FLAGS = [
-    *(("train", f) for f in ("--test-corpus", "--corrupt-pct", "--protocol")),
-    *(("classify", f) for f in ("--corpus", "--test-corpus", "--confusion-sets", "--mode",
-                                "--seed", "--cycles", "--corrupt-pct", "--protocol", "--k",
-                                "--l")),
-    *(("corrupt", f) for f in ("--test-corpus", "--tagdict", "--mode", "--cycles",
-                               "--protocol", "--k", "--l")),
-]
-
-
-class TestUsage:
-    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
-    def test_flag_the_subcommand_does_not_read_is_refused(self, workspace, capsys,
-                                                          command, flag):
-        # Accepted and ignored, the flag would record a run other than the
-        # one asked for.
-        args = {
-            "train": ["train", "--corpus", workspace / "corpus.txt",
-                      "--confusion-sets", workspace / "sets.txt",
-                      "--tagdict", workspace / "tags.tsv", "--system", "bayes"],
-            "classify": ["classify", "--system", "bayes", "--tagdict", workspace / "tags.tsv",
-                         workspace / "corpus.txt"],
-            "corrupt": ["corrupt", "--corpus", workspace / "corpus.txt",
-                        "--confusion-sets", workspace / "sets.txt"],
-        }[command] + ["--out", workspace / "out", flag, "1"]
-        with pytest.raises(SystemExit) as exc:
-            run(args)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: winspell ") and err.count("\n") == 2
-        assert err.endswith(f"error: unrecognized arguments: {flag} 1\n")
-        assert not (workspace / "out").exists()
-
-    @pytest.mark.parametrize("flag", [f for command, f in UNREAD_FLAGS if command == "classify"])
-    def test_refused_flag_before_the_input_is_named_with_its_value(self, workspace, capsys,
-                                                                   flag):
-        # classify's input is optional, yet the refused flag's value must not
-        # be taken for it.
-        with pytest.raises(SystemExit) as exc:
-            run(["classify", flag, "pruned", "--system", "bayes", "--out", workspace / "out",
-                 "--tagdict", workspace / "tags.tsv", "-"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: winspell ") and err.count("\n") == 2
-        assert err.endswith(f"error: unrecognized arguments: {flag} pruned\n")
-
-    def test_unknown_subcommand_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["transmogrify"])
-        assert exc.value.code == 2
-
-    def test_bad_mode_rejected(self, workspace, capsys):
-        rc = run(["train", "--corpus", workspace / "corpus.txt",
-                  "--confusion-sets", workspace / "sets.txt",
-                  "--tagdict", workspace / "tags.tsv",
-                  "--system", "bayes", "--mode", "medium",
-                  "--out", workspace / "m"])
-        assert rc == 2
-        assert "unknown mode" in capsys.readouterr().err
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
