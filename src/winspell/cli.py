@@ -157,10 +157,11 @@ def _resolve_flags(args: argparse.Namespace):
     take is checked and then ignored."""
     required, optional = COMMANDS[args.command]
     dests = (*required, *optional)
-    if args.config:
+    if args.config is not None:  # "" too: an empty path is unreadable
         import json
         try:
-            overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            with open(args.config, encoding="utf-8") as fh:
+                overrides = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
         if not isinstance(overrides, dict):
@@ -223,13 +224,13 @@ def cmd_train(args) -> int:
             raise ValueError(f"{where} is not in {outdir}")
         if len(os.fsencode(path.name)) > name_max:
             raise ValueError(f"{where} has a name longer than {name_max} bytes")
-    outdir.mkdir(parents=True, exist_ok=True)
     # One corpus scan finds every set's occurrences; the sets are then
-    # prepared and trained one at a time.
+    # prepared and trained one at a time, --out made for the first model.
     occurrence_lists = occurrences_by_set(corpus, confusion_sets)
     for cset, occurrences, path in zip(confusion_sets, occurrence_lists, paths):
         training = TrainingSet(occurrences, cset, extraction, tagdict, args.mode)
         model = train_system_model(args.system, training, args.cycles)
+        outdir.mkdir(parents=True, exist_ok=True)
         save_system_model(model, path)
         print(f"wrote {path}")
     return 0
@@ -304,8 +305,6 @@ def cmd_ablate(args) -> int:
 
 def cmd_corrupt(args) -> int:
     sentences = load_corpus(args.corpus)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     log_lines = ["set\tsentence\tspan_start\told_member\tnew_member"]
     # Sets are corrupted one after another, each with its own derived seed.
     for i, cset in enumerate(load_confusion_sets(args.confusion_sets)):
@@ -316,6 +315,8 @@ def cmd_corrupt(args) -> int:
                 f"\t{entry.old_member}\t{entry.new_member}"
             )
     corpus_text = "\n".join(" ".join(s.surfaces) for s in sentences) + "\n"
+    outdir = Path(args.out)  # made once the sets are read, so a refused run leaves none
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "corrupted.txt").write_text(corpus_text, encoding="utf-8")
     (outdir / "changes.tsv").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     print(f"wrote {outdir / 'corrupted.txt'} and {outdir / 'changes.tsv'}")

@@ -356,16 +356,17 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     for name in config.systems:
         if name not in SYSTEMS:
             raise ValueError(f"unknown system: {name!r}")
+    # A test corpus is given exactly when the protocol tests on one.
+    needs_test_corpus = config.protocol != WITHIN
+    if (config.test_corpus is not None) != needs_test_corpus:
+        need = "needs a" if needs_test_corpus else "takes no"
+        raise ValueError(f"protocol {config.protocol!r} {need} test corpus")
     corpus = load_corpus(config.corpus)
     confusion_sets = load_confusion_sets(config.confusion_sets)
     tagdict = load_tag_dictionary(config.tagdict)
-    if config.protocol == WITHIN:
-        train, test = split_corpus(corpus, SplitSpec(TRAIN_FRACTION, config.seed))
-    else:
-        if config.test_corpus is None:
-            raise ValueError(f"protocol {config.protocol!r} needs a test corpus")
+    train, test = split_corpus(corpus, SplitSpec(TRAIN_FRACTION, config.seed))
+    if needs_test_corpus:
         test_corpus = load_corpus(config.test_corpus)
-        train, _ = split_corpus(corpus, SplitSpec(TRAIN_FRACTION, config.seed))
         unsup, test = split_corpus(test_corpus, SplitSpec(UNSUP_FRACTION, config.seed))
     train_occurrences = occurrences_by_set(train, confusion_sets)
     test_occurrences = occurrences_by_set(test, confusion_sets)

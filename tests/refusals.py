@@ -60,8 +60,9 @@ def line_of(pattern: bytes):
 def apply(step: tuple, data: bytes) -> bytes:
     """One edit step: ("sub", pattern, replacement[, n]) substitutes every
     match, or the first n, and fails unless it made one, or n; ("swap", N)
-    swaps lines N and N + 1, ("drop", N) drops line N and ("repeat", N)
-    repeats it; ("cut", n) drops the last n bytes; ("append", bytes)."""
+    swaps lines N and N + 1, ("drop", N) drops line N, ("repeat", N) repeats
+    it and ("keep", N) keeps lines 1 to N only; ("cut", n) drops the last n
+    bytes; ("append", bytes)."""
     kind, *args = step
     if kind == "sub":
         pattern, repl, *count = args
@@ -79,6 +80,8 @@ def apply(step: tuple, data: bytes) -> bytes:
         lines[n], lines[n + 1] = lines[n + 1], lines[n]
     elif kind == "drop":
         del lines[n]
+    elif kind == "keep":
+        del lines[n + 1 :]
     else:
         lines.insert(n, lines[n])
     return b"".join(lines)
@@ -122,8 +125,13 @@ def model_row(name, system, edit, err, line=None) -> Row:
 
 
 SAVED = r"line {}: model file truncated or damaged: saving it writes '{}' here$".format
+END = "line {}: model file truncated or damaged: saving it writes the end of the file here$".format
 DAMAGED = SAVED("{line}", ".*")
+HEAD = "line {}: malformed model file header: {}$".format
+COUNTS = ("line {}: count row for '{}' holds a count that is not an integer from 0 to its"
+          " member's occurrences$").format
 COUNT_ROW = rb"(?m)^(COLL -1:t=UNK _\t\d+)\t(\d+)$"  # line 9 of the toy Bayes model
+CLOUDS = rb"(?s)(cloud\t0\t.*?)(cloud\t1\t.*)"  # the toy Winnow models' two clouds
 CORRUPT = "corrupt --corpus {ws}/corpus.txt --confusion-sets {ws}/sets.txt --out {ws}/out"
 # A run of train, classify and corrupt, and the flags it does not read and
 # does not take. train takes --seed without reading it (see cli.COMMANDS).
@@ -133,48 +141,131 @@ UNREAD_FLAGS = {
     "--mode --seed --cycles --corrupt-pct --protocol --k --l",
     CORRUPT: "--test-corpus --tagdict --mode --cycles --protocol --k --l",
 }
-# Each command that reads the sets, and what its refusal of them leaves no
-# trace of: corrupt makes --out before it reads them.
-SET_COMMANDS = {"train": (TRAIN, ("out",)),
-                "eval": (f"eval {FILES} --out {{ws}}/out", ("out",)),
-                "ablate": (f"ablate {FILES} --out {{ws}}/out", ("out",)),
-                "corrupt": (CORRUPT, ("out/corrupted.txt", "out/changes.tsv"))}
+# Each command that reads the sets.
+SET_COMMANDS = {"train": TRAIN, "eval": f"eval {FILES} --out {{ws}}/out",
+                "ablate": f"ablate {FILES} --out {{ws}}/out", "corrupt": CORRUPT}
 
 ROWS = [
     # Model files: each refusal names the file and, where it has one, the line.
-    model_row("cut-after-a-line", "winnow-1layer", [("sub", rb"[^\n]*\n\Z", b"")], DAMAGED,
-              len),
-    model_row("cut-inside-last-line", "winnow-1layer", [("cut", 3)],
-              "line {line}: model file truncated: no newline at its end$", len),
+    # The rules every format shares (features.parse_model_head and
+    # check_round_trip), one row per format.
+    *(model_row("head-lines-swapped", system, [("swap", line)],
+                f"line {line}: malformed model file header line: {got}$")
+      for system, line, got in [("bayes", 4, r"'dependency_resolution\\ton'"),
+                                ("winnow", 6, r"'architecture\\tsparse'")]),
+    model_row("cut-head", "bayes", [("keep", 4)], "line 5: truncated model file header$"),
+    model_row("cut-after-betas", "winnow", [("keep", 5)], "line 6: truncated model file header$"),
+    # Two lines of the feature list kept, of 20.
+    *(model_row("feature-list-cut", system, [("keep", line - 1)],
+                f"line {line}: model file truncated inside its feature list$")
+      for system, line in [("bayes", 11), ("winnow", 14)]),
+    *(model_row(name, system, [("cut", n)],
+                "line {line}: model file truncated: no newline at its end$", len)
+      for system, name, n in [("bayes", "no-final-newline", 1),
+                              ("winnow", "no-final-newline", 1),
+                              ("winnow-1layer", "no-final-newline", 1),
+                              ("bayes", "cut-inside-last-line", 2),
+                              ("winnow", "cut-inside-last-line", 3),
+                              ("winnow-1layer", "cut-inside-last-line", 3)]),
+    # A loaded feature list is sorted like a trained one and saves back so.
+    *(model_row("feature-keys-swapped", system, [("swap", line)], SAVED(line, saved))
+      for system, line, saved in [("bayes", 9, r"COLL -1:t=UNK _\\t2\\t3"),
+                                  ("winnow", 12, "COLL -1:t=UNK _")]),
+    # The head: Winnow's constants, then the values a field's reader refuses.
     model_row("foreign-theta", "winnow-1layer", [("sub", rb"\btheta=1\.0\b", b"theta=2.0")],
               SAVED(4, r"winnow\\ttheta=1\.0\\t.*")),
     model_row("cycles-respelled", "winnow-1layer",
               [("sub", rb"\tcycles=5\n", b"\tcycles=05\n")], DAMAGED, 4),
-    model_row("cut-after-betas", "winnow", [("sub", rb"(?s)\nlayer\t.*", b"\n")],
-              "line 6: truncated model file header$"),
-    model_row("head-lines-swapped", "winnow", [("swap", 6)],
-              r"line 6: malformed model file header line: 'architecture\\tsparse'$"),
     model_row("other-betas", "winnow", [("sub", rb"(betas\t|beta=)0\.5\t", rb"\g<1>0.55\t")],
               SAVED(5, r"betas\\t0\.5\\t0\.6\\t0\.7\\t0\.8\\t0\.9")),
-    model_row("nan-prior", "winnow", [("sub", rb"\npriors\t[^\t]*", b"\npriors\tnan")],
-              "line 10: malformed model file header: priors must be finite and non-negative$"),
+    *(model_row(name, system, [("sub", rf"\n{field}\t.*".encode(), f"\n{field}\t{bad}".encode())],
+                HEAD(line, message))
+      for system, name, field, bad, line, message in [
+          ("winnow", "layer-junk", "layer", "two_layer\tjunk", 6,
+           "layer must be one_layer or two_layer"),
+          ("winnow", "three-layers", "layer", "three_layer", 6,
+           "layer must be one_layer or two_layer"),
+          ("winnow", "dense", "architecture", "dense", 7, "architecture must be sparse or full"),
+          ("winnow", "init-bogus", "init", "bogus", 8, "init must be uniform or bayesian"),
+          ("winnow", "schedule-fields-missing", "schedule", "start=1.0", 9,
+           r"expected start=\.\.\. end=\.\.\. horizon=\.\.\., got 'start=1\.0'"),
+          *(("winnow", f"{name}-prior", "priors", bad, 10, "priors must be finite and non-negative")
+            for name, bad in [("nan", "nan\t0.5"), ("inf", "inf\t0.5"), ("negative", "-1.0\t2.0")]),
+          ("winnow", "three-priors", "priors", "0.5\t0.25\t0.25", 10,
+           "priors do not match the confusion set"),
+          ("bayes", "dependency-resolution-yes", "dependency_resolution", "yes", 5,
+           "dependency_resolution must be on or off"),
+          ("bayes", "negative-occurrences", "occurrences", "-5\t10", 6,
+           "occurrences must be non-negative"),
+          ("bayes", "three-occurrences", "occurrences", "3\t4\t5", 6,
+           "occurrence counts do not match the confusion set"),
+          ("bayes", "no-occurrences", "occurrences", "0\t0", 6,
+           "model needs at least one training occurrence"),
+      ]),
     *(model_row(f"{field}-{bad}", "winnow",
                 [("sub", rf"\b{field}=\d+".encode(), f"{field}={bad}".encode(), 1)], message)
       for field, bad, message in [
           ("mistakes", "-3000", "line 33: mistakes=-3000 is negative$"),
           ("examples_seen", "-5", "line 32: examples_seen=-5 is negative$"),
-          ("horizon", "0", "line 9: malformed model file header: schedule horizon must be >= 1$"),
+          ("cycles", "0", HEAD(4, "cycles must be >= 1")),
+          ("horizon", "0", HEAD(9, "schedule horizon must be >= 1")),
           ("theta", "2", SAVED(4, r"winnow\\ttheta=1\.0\\talpha=1\.5\\t.*")),
           ("alpha", "2", SAVED(4, r"winnow\\ttheta=1\.0\\talpha=1\.5\\t.*")),
           ("default_weight", "5", SAVED(4, r".*\\tdefault_weight=0\.1\\tcycles=5")),
           ("start", "2", SAVED(9, r"schedule\\tstart=1\.0\\tend=0\.67\\thorizon=30")),
           ("end", "1", SAVED(9, r"schedule\\tstart=1\.0\\tend=0\.67\\thorizon=30")),
       ]),
-    model_row("feature-key-repeated", "winnow", [("repeat", 12)],
-              "line {line}: feature list is longer than its features count 20$",
-              line_of(rb"^cloud\t")),
+    # Winnow: the body. The feature count reads one key fewer than the list
+    # holds, so the list's last key stands where the first cloud line belongs.
+    *(model_row(f"feature-key-{name}", "winnow", [edit],
+                "line {line}: feature list is longer than its features count 20$",
+                line_of(rb"^cloud\t"))
+      for name, edit in [("repeated", ("repeat", 12)),
+                         ("inserted", ("sub", rb"\nfeatures\t20\n", b"\nfeatures\t20\nCW zzz\n"))]),
+    # The winnow model's cloud 0 (lines 32-72) has five classifiers of seven
+    # rows, bias first; cloud 1 (lines 73-163) five of eighteen.
+    model_row("cloud-line-dropped", "winnow", [("drop", 32)],
+              "line 32: classifier outside any cloud$"),
+    model_row("clouds-swapped", "winnow", [("sub", CLOUDS, rb"\2\1")],
+              SAVED(32, r"cloud\\t0\\texamples_seen=30")),
+    model_row("cloud-0-repeated", "winnow", [("sub", CLOUDS, rb"\1\2\1")], END(164)),
+    model_row("last-cloud-missing", "winnow", [("keep", 72)],
+              SAVED(73, r"cloud\\t1\\texamples_seen=0")),  # as a new network holds it
+    *(model_row(f"{kind}-line-{name}", "winnow",
+                [("sub", rf"(?m)^{kind}\t.*".encode(), row, 1)],
+                f"line {line}: expected {fields}, got '{got}'$")
+      for kind, name, row, line, fields, got in [
+          ("cloud", "short", b"cloud\t0", 32, r"examples_seen=\.\.\.", ""),
+          ("classifier", "short", b"classifier\tbeta=0.5", 33, r"beta=\.\.\. mistakes=\.\.\.",
+           r"beta=0\.5"),
+          ("classifier", "unnamed-beta", b"classifier\t0.5\tmistakes=0", 33,
+           r"beta=\.\.\. mistakes=\.\.\.", r"0\.5 mistakes=0"),
+      ]),
+    model_row("classifier-beta-respelled", "winnow",
+              [("sub", rb"\nclassifier\tbeta=0\.6\t", b"\nclassifier\tbeta=0.65\t", 1)],
+              SAVED(41, r"classifier\\tbeta=0\.6\\tmistakes=3")),
+    model_row("classifier-repeated", "winnow-1layer", [("repeat", 33)],
+              "line 34: cloud 0 has more classifiers than betas$"),
+    # Every cloud links the bias, so saving writes the missing row.
+    model_row("cloud-without-bias-row", "winnow", [("sub", rb"(?m)^-1\t.*\n", b"", 5)],
+              SAVED(34, r"-1\\t0\.1")),
+    model_row("weight-row-outside-classifier", "winnow",
+              [("sub", rb"(?m)^(cloud\t1\t.*\n)", rb"\g<1>0\t0.5\n")],
+              "line 74: weight row outside any classifier$"),
     # Line 42 is the first weight row of the second classifier.
     model_row("weight-row-dropped", "winnow", [("drop", 42)], DAMAGED, 42),
+    *(model_row(f"weight-row-repeated-in-classifier-{k}", "winnow", [("repeat", line)],
+                SAVED(line + 1, r"3\\t0\.15000000000000002"))
+      for k, line in [(1, 35), (2, 43)]),
+    # The rows ascend, as saving writes them; with one classifier per cloud
+    # no later classifier shows the swap.
+    *(model_row("weight-rows-swapped", system, [("swap", line)], SAVED(line, saved))
+      for system, line, saved in [("winnow", 43, r"0\\t0\.15000000000000002"),
+                                  ("winnow-1layer", 35, r"0\\t0\.0909741121761848")]),
+    # A full network links every feature, so saving writes the missing last
+    # row, unread and so 0.0.
+    model_row("cut-after-a-line", "winnow-1layer", [("sub", rb"[^\n]*\n\Z", b"")],
+              SAVED("{line}", r"19\\t0\.0"), len),
     model_row("0.1-respelled-twice", "winnow", [("sub", rb"\t0\.1\n", b"\t0.10\n", 2)], DAMAGED,
               line_of(rb"\t0\.1\n")),
     *(model_row(f"weight-row-{name}", "winnow", [("sub", rb"(?m)^-1\t.*", row, 1)],
@@ -185,6 +276,12 @@ ROWS = [
           ("abc", b"-1\tabc", "could not convert string to float: 'abc'"),
           ("x", b"x\t0.1", r"invalid literal for int\(\) with base 10: 'x'"),
           ("three-fields", b"3\t0.1\t7", r"malformed weight row: '3\\t0\.1\\t7'"),
+          ("one-field", b"0", "malformed weight row: '0'"),
+          *((str(f), f"{f}\t0.5".encode(), f"weight row for feature {f} is out of range")
+            for f in (20, -2)),
+          ("cloud-5", b"cloud\t5\texamples_seen=0", "cloud 5 is out of range"),
+          ("classifier", b"classifier\tbeta=0.5",
+           r"expected beta=\.\.\. mistakes=\.\.\., got 'beta=0\.5'"),
       ]),
     *(model_row("feature-not-canonical", system,
                 [("sub", rb"(?m)^COLL -1:t=UNK _(?=[\t\n])", b"COLL _ -1:t=UNK", 1)],
@@ -198,10 +295,25 @@ ROWS = [
                                    ("last-line", rb"\n\Z", len)]),
     model_row("invalid-utf8-row-appended", "bayes", [("append", b"\xff\n")],
               "invalid UTF-8 on line 29$"),
+    # Bayes. Lines 24-28 hold CW a, CW cake, CW is, CW of and CW the.
+    model_row("smoothing-mle", "bayes", [("sub", rb"\tinterpolative\n", b"\tmle\n")],
+              SAVED(4, r"smoothing\\tinterpolative")),
+    model_row("feature-key-moved", "bayes",
+              [("sub", rb"(CW cake\t.*\n)(CW is\t.*\n)(CW of\t.*\n)", rb"\2\3\1")],
+              SAVED(25, r"CW cake\\t0\\t2")),
+    # The index keeps one id for a repeated key, so saving writes one row fewer.
+    model_row("feature-key-repeated", "bayes", [("repeat", 9), ("drop", 11)],
+              SAVED(10, r"COLL -1:t=UNK _ \+1:t=PREP\\t0\\t3")),
+    model_row("feature-keys-a-b-a", "bayes",
+              [("sub", rb"(?s)features\t20\n([^\n]*\n)([^\n]*\n).*", rb"features\t3\n\1\2\1")],
+              END(11)),
     model_row("count-rows-swapped", "bayes", [("swap", 9)], DAMAGED, 9),
     *(model_row(f"count-{bad}", "bayes", [("sub", COUNT_ROW, rb"\g<1>\t" + bad.encode())],
-                "line 9: count row for 'COLL -1:t=UNK _' holds a count that is not an integer"
-                " from 0 to its member's occurrences$") for bad in ("-4", "40", "x")),
+                COUNTS(9, "COLL -1:t=UNK _")) for bad in ("-4", "40", "x")),
+    # Each distinct count row is read and checked once: "+0\t2" on three
+    # lines is refused at the first.
+    model_row("count-row-respelled-thrice", "bayes", [("sub", rb"\t0\t2\n", b"\t+0\t2\n", 3)],
+              COUNTS(10, "COLL -1:w=a _")),
     model_row("extraction-field", "bayes", [("sub", rb"\tk=10\t", b"\tk10\t")],
               "line 3: malformed model file header: expected k=... l=..., got 'k10 l=2'$"),
     model_row("bare-features-line", "bayes", [("sub", rb"\nfeatures\t20\n", b"\nfeatures\n")],
@@ -211,9 +323,7 @@ ROWS = [
       for name, row, n in [("short", rb"\1", 1), ("long", rb"\1\t\2\t0", 3)]),
     model_row("edited-priors", "bayes", [("sub", rb"\npriors\t.*", b"\npriors\t0.9\t0.1")],
               SAVED(7, r"priors\\t0\.5\\t0\.5")),
-    model_row("row-after-last", "bayes", [("append", b"CW zzz\t9\t9\n")],
-              "line 29: model file truncated or damaged: saving it writes the end of the file"
-              " here$"),
+    model_row("row-after-last", "bayes", [("append", b"CW zzz\t9\t9\n")], END(29)),
     Row("classify-no-models", classify("bayes", "empty"), 1,
         "^error: no bayes models under {ws}/empty$"),
     Row("classify-invalid-utf8-file", classify("bayes", source="{ws}/corpus.txt"), 1,
@@ -241,13 +351,19 @@ ROWS = [
         " of 'peace'; its prior is 0$", "corpus.txt", [("sub", rb"(?m)^.*peace.*\n", b"")],
         absent=()),
     Row("train-set-without-occurrences", TRAIN, 1, r"^error: no occurrences of \{hear, here\} "
-        "in corpus; cannot train$", "sets.txt", [("sub", rb"peace, piece", b"hear, here")],
-        absent=()),
+        "in corpus; cannot train$", "sets.txt", [("sub", rb"peace, piece", b"hear, here")]),
     Row("train-missing-corpus", TRAIN.replace("corpus.txt", "nope.txt"), 1,
         r"^error: \[Errno 2\] No such file or directory: '{ws}/nope\.txt'$"),
-    *(Row(f"{command}-{name}", argv, 1, r"^error: {ws}/sets\.txt: " + message, "sets.txt", [edit],
-          absent=absent)
-      for command, (argv, absent) in SET_COMMANDS.items()
+    # A test corpus is given exactly when the protocol tests on one.
+    *(Row(f"{command}-{name}", f"{command} {FILES} {flags} --out {{ws}}/out", 1,
+          f"^error: protocol {message} test corpus$")
+      for command, name, flags, message in [
+          ("eval", "within-test-corpus", "--test-corpus {ws}/missing.txt", "'within' takes no"),
+          ("ablate", "within-test-corpus", "--test-corpus {ws}/missing.txt", "'within' takes no"),
+          ("eval", "across-without-test-corpus", "--protocol across", "'across' needs a"),
+      ]),
+    *(Row(f"{command}-{name}", argv, 1, r"^error: {ws}/sets\.txt: " + message, "sets.txt", [edit])
+      for command, argv in SET_COMMANDS.items()
       for name, edit, message in [
           ("no-sets", ("sub", rb"peace, piece", b"# no sets here\n"), "no confusion sets$"),
           ("repeated-set", ("append", b"piece, peace\n"),
@@ -281,6 +397,8 @@ ROWS = [
         [("append", b"[1, 2]")]),
     Row("config-unreadable", "train --config {ws}/absent.json", 2, r"^usage error: cannot read "
         r"config file: \[Errno 2\] No such file or directory: '{ws}/absent\.json'$"),
+    Row("config-empty-path", f"train --config= {FILES} --system bayes --out {{ws}}/out", 2,
+        r"^usage error: cannot read config file: \[Errno 2\] No such file or directory: ''$"),
     *(Row(f"{command}-config-{name}", f"{command} --config {{ws}}/config.json {FILES} --system"
           " winnow --out {ws}/out", 2, f"^usage error: config file: {message}$", "config.json",
           [("append", entry)])

@@ -37,7 +37,6 @@ from helpers import (
     oracle_argmax,
     oracle_bayes_scores,
     random_tiny_corpus,
-    saved_here,
 )
 
 EMPTY_TAGS = TagDictionary()
@@ -447,19 +446,6 @@ class TestSerialization:
         assert text == "\n".join(text.split("\n")[:8] + rows) + "\n"
         assert model_to_text(model_from_text(text)) == text
 
-    def test_repeated_count_row_respelled_refused_at_its_first_line(self):
-        # Each distinct count row is read once: "+1\t2" on three lines is
-        # refused at the first of them.
-        lines = model_to_text(self.repeated_rows_model()).splitlines()
-        edited = [line.replace("\t1\t2", "\t+1\t2") for line in lines]
-        first = next(n for n, line in enumerate(edited, 1) if "+1" in line)
-        assert sum("+1" in line for line in edited) == 3
-        with pytest.raises(ValueError, match=(
-            f"^line {first}: count row for 'CW a' holds a count that is not an integer"
-            " from 0 to its member's occurrences$"
-        )):
-            model_from_text("\n".join(edited) + "\n")
-
     def test_save_load_save_byte_identical(self, tmp_path):
         model, _ = toy_model()
         path = tmp_path / "m.model"
@@ -498,124 +484,9 @@ class TestSerialization:
         assert loaded.mean_lambda == model.mean_lambda
         assert loaded.dependency_resolution == model.dependency_resolution
 
-    def test_other_smoothing_refused(self):
-        text = model_to_text(toy_model()[0])
-        assert "\nsmoothing\tinterpolative\n" in text
-        with pytest.raises(ValueError, match=saved_here(4, "smoothing\tinterpolative")):
-            model_from_text(text.replace("\nsmoothing\tinterpolative\n", "\nsmoothing\tmle\n"))
-
-    @staticmethod
-    def head_without_features(occurrences, priors):
-        """The toy model's header with the given occurrences and priors
-        lines and no features."""
-        lines = model_to_text(toy_model()[0]).splitlines()[:8]
-        assert lines[5].startswith("occurrences\t") and lines[6].startswith("priors\t")
-        lines[5:] = [f"occurrences\t{occurrences}", f"priors\t{priors}", "features\t0"]
-        return "\n".join(lines) + "\n"
-
-    def test_negative_occurrences_refused(self):
-        # The priors line is what saving these counts' priors would write.
-        with pytest.raises(ValueError, match=(
-            "^line 6: malformed model file header: occurrences must be non-negative$"
-        )):
-            model_from_text(self.head_without_features("-5\t10", "-1.0\t2.0"))
-
-    @pytest.mark.parametrize("occurrences, message", [
-        ("3\t4\t5", "occurrence counts do not match the confusion set"),
-        ("0\t0", "model needs at least one training occurrence"),
-    ])
-    def test_occurrences_not_one_positive_total_per_member_refused(self, occurrences, message):
-        with pytest.raises(ValueError, match=f"^line 6: malformed model file header: {message}$"):
-            model_from_text(self.head_without_features(occurrences, "0.5\t0.5"))
-
-    def test_other_dependency_resolution_refused(self):
-        text = model_to_text(toy_model()[0])
-        assert "\ndependency_resolution\ton\n" in text
-        with pytest.raises(ValueError, match=(
-            "^line 5: malformed model file header: dependency_resolution must be on or off$"
-        )):
-            model_from_text(text.replace("\ndependency_resolution\ton\n",
-                                         "\ndependency_resolution\tyes\n"))
-
-    def test_feature_list_out_of_canonical_order_rejected(self):
-        # Row i is feature id i, as in WINNOW v1: the loaded list is sorted like
-        # a trained one, so a reordered list saves back in canonical order and
-        # is refused at the first line that differs.
-        saved = model_to_text(toy_model()[0]).splitlines()
-        assert saved[7].startswith("features\t") and int(saved[7].split("\t")[1]) >= 2
-        lines = list(saved)
-        lines[8], lines[9] = lines[9], lines[8]
-        # File line 9 holds the key that canonical order puts on line 10.
-        with pytest.raises(ValueError, match=saved_here(9, saved[8])):
-            model_from_text("\n".join(lines) + "\n")
-
-    def four_feature_text(self):
-        # CW a, CW b, CW c and CW d on lines 9-12.
-        stats = stats_from_counts({"a": [1, 1], "b": [2, 0], "c": [0, 2], "d": [1, 2]}, [5, 5])
-        lines = model_to_text(train_bayes(stats, prune(stats, UNPRUNED))).splitlines()
-        assert [line.split("\t")[0] for line in lines[7:]] == [
-            "features", "CW a", "CW b", "CW c", "CW d"]
-        return lines
-
-    def test_feature_list_a_c_d_b_refused_where_sorting_moves_a_line(self):
-        saved = self.four_feature_text()
-        lines = saved[:9] + [saved[10], saved[11], saved[9]]  # A, C, D, B
-        with pytest.raises(ValueError, match=saved_here(10, saved[9])):
-            model_from_text("\n".join(lines) + "\n")
-
-    def test_feature_list_a_b_a_refused_at_the_repeat(self):
-        # A, B, A under a count of 3: the index holds A and B, so saving
-        # writes two rows and ends where the file's third row is.
-        saved = self.four_feature_text()
-        lines = saved[:7] + ["features\t3", saved[8], saved[9], saved[8]]
-        with pytest.raises(ValueError, match=saved_here(11, None)):
-            model_from_text("\n".join(lines) + "\n")
-
-    def test_head_lines_swapped_rejected(self):
-        # Head lines are read in the order saving writes them.
-        lines = model_to_text(toy_model()[0]).splitlines()
-        assert lines[3] == "smoothing\tinterpolative"
-        lines[3], lines[4] = lines[4], lines[3]
-        with pytest.raises(ValueError, match=(
-            r"^line 4: malformed model file header line: 'dependency_resolution\\ton'$"
-        )):
-            model_from_text("\n".join(lines) + "\n")
-
-    def test_cut_head_names_the_first_missing_line(self):
-        lines = model_to_text(toy_model()[0]).splitlines()
-        with pytest.raises(ValueError, match="^line 5: truncated model file header$"):
-            model_from_text("\n".join(lines[:4]) + "\n")
-
-    def test_repeated_feature_row_rejected(self):
-        # The index keeps one id for the repeated key, so saving writes line
-        # 11's row on line 10.
-        saved = model_to_text(toy_model()[0]).splitlines()
-        lines = list(saved)
-        lines[9] = lines[8]
-        with pytest.raises(ValueError, match=saved_here(10, saved[10])):
-            model_from_text("\n".join(lines) + "\n")
-
-    def test_short_feature_list_names_the_line_after_it(self):
-        lines = model_to_text(toy_model()[0]).splitlines()
-        assert int(lines[7].split("\t")[1]) > 2
-        # File lines 9 and 10 are the list's first two rows; line 11 is missing.
-        with pytest.raises(ValueError,
-                           match="^line 11: model file truncated inside its feature list$"):
-            model_from_text("\n".join(lines[:10]) + "\n")
-
     def test_rejects_foreign_text(self):
         with pytest.raises(ValueError):
             model_from_text("WINNOW v1\n")
-
-    @pytest.mark.parametrize("cut", [1, 2], ids=["final-newline", "mid-line"])
-    def test_text_without_final_newline_rejected(self, cut):
-        # The writer ends the file in a newline; a text without one was cut,
-        # perhaps inside a count that still parses.
-        text = model_to_text(toy_model()[0])
-        with pytest.raises(ValueError, match=(
-            rf"^line {len(text.splitlines())}: model file truncated: no newline at its end$"
-        )):
-            model_from_text(text[:-cut])
 
 
 class TestOracleEquivalenceSample:

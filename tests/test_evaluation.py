@@ -242,21 +242,26 @@ def smoke_model(name):
 
 class TestModelPrefixes:
     def test_every_proper_prefix_of_every_systems_model_refused(self):
-        # Every trainable system: a file cut after any line or any byte fails
-        # to load.
+        # Every trainable system: a file cut after any line or any byte is
+        # refused as truncated, naming a line; one cut inside line 1 is no
+        # model file of its format.
         cuts = 0
         for name in SYSTEMS[1:]:
             model, to_text, from_text = smoke_model(name)
             text = to_text(model)
             assert text.isascii() and to_text(from_text(text)) == text
             lines = text.splitlines(keepends=True)
+            foreign = f"line 1: not a {lines[0].strip()} model file"
             prefixes = ["".join(lines[:n]) for n in range(len(lines))]
             prefixes += [text[:n] for n in range(len(text))]
             for prefix in prefixes:
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match=r"^line \d+: ") as refused:
                     from_text(prefix)
+                message = str(refused.value)
+                assert "truncated" in message or (message == foreign and "\n" not in prefix), (
+                    prefix, message)
             cuts += len(prefixes)
-        assert cuts > 10_000
+        assert cuts == 15_435
 
 
 class TestModelEdits:

@@ -49,6 +49,9 @@ def test_each_row_expects_one_anchored_line():
     for row in ROWS:
         assert row.err.startswith("^") and row.err.endswith("$") and "\n" not in row.err, row.name
         assert ("{line}" in row.err) == (row.line is not None), row.name
+        # A refusal leaves no --out, not even an empty one.
+        if row.code and "--out {ws}/out" in row.argv:
+            assert "out" in row.absent, row.name
 
 
 def test_smoke_runner_runs_a_row(toy, tmp_path):

@@ -53,7 +53,6 @@ from helpers import (
     ids_of,
     index_of,
     random_tiny_corpus,
-    saved_here,
     winnow_train_example,
 )
 
@@ -840,55 +839,6 @@ class TestSerialization:
         with pytest.raises(ValueError):
             network_from_text("BAYES v1\n")
 
-    def test_feature_list_out_of_canonical_order_rejected(self):
-        # Weight rows name features by their position in the list, so a
-        # reordered list would apply each row to another feature.
-        network = WinnowNetwork(confusion_set_from_text("dax, fep"),
-                                index_of((context_word("aaa"), context_word("bbb"))),
-                                1, ExtractionParams())
-        train_network(network, [((1,), 0), ((0,), 1)])
-        assert network.clouds[0].linked == {BIAS_ID, 1}  # cloud 0 knows CW bbb only
-        lines = network_to_text(network).splitlines()
-        first = lines.index("CW aaa")
-        assert lines[first + 1] == "CW bbb"
-        lines[first], lines[first + 1] = lines[first + 1], lines[first]
-        # Line first + 1 holds CW bbb, which canonical order puts after CW aaa:
-        # the list is sorted on load, so saving writes CW aaa there.
-        with pytest.raises(ValueError, match=saved_here(first + 1, "CW aaa")):
-            network_from_text("\n".join(lines) + "\n")
-
-    @pytest.mark.parametrize("key", [None, "CW zzz"])
-    def test_inserted_duplicate_key_refused_at_the_first_body_line(self, key):
-        # The count reads one key fewer than the list holds, so the list's
-        # last key stands where the first cloud line belongs. A repeated key
-        # (None: the first one again) and a new key are refused alike.
-        network, *_ = self.trained_network()
-        lines = network_to_text(network).splitlines()
-        n_features = len(network.features)
-        lines.insert(12, key or lines[11])
-        with pytest.raises(ValueError, match=(
-            rf"^line {12 + n_features}: feature list is longer than its features count"
-            rf" {n_features}$"
-        )):
-            network_from_text("\n".join(lines) + "\n")
-
-    def test_head_lines_swapped_rejected(self):
-        # Head lines are read in the order saving writes them.
-        network, *_ = self.trained_network()
-        lines = network_to_text(network).splitlines()
-        assert lines[5:7] == ["layer\ttwo_layer", "architecture\tsparse"]
-        lines[5], lines[6] = lines[6], lines[5]
-        with pytest.raises(ValueError, match=(
-            r"^line 6: malformed model file header line: 'architecture\\tsparse'$"
-        )):
-            network_from_text("\n".join(lines) + "\n")
-
-    def test_cut_head_names_the_first_missing_line(self):
-        network, *_ = self.trained_network()
-        lines = network_to_text(network).splitlines()
-        with pytest.raises(ValueError, match="^line 9: truncated model file header$"):
-            network_from_text("\n".join(lines[:8]) + "\n")
-
     @pytest.mark.parametrize("init", ["trained", "bayesian"])
     def test_weight_row_f_is_weights_f(self, init):
         # Weights are indexed by feature id, the bias (id -1) the last entry.
@@ -917,303 +867,6 @@ class TestSerialization:
         assert rows == linked
         if init == "bayesian":
             assert rows == (n_features + 1) * len(BETAS) * len(network.clouds)
-
-    def test_short_feature_list_names_the_line_after_it(self):
-        network, *_ = self.trained_network()
-        lines = network_to_text(network).splitlines(keepends=True)
-        assert lines[11 : 11 + len(network.features)] == [f"{key}\n" for key in network.feature_ids]
-        assert len(network.features) > 2
-        # File lines 12 and 13 are the list's first two lines; line 14 is missing.
-        with pytest.raises(ValueError,
-                           match="^line 14: model file truncated inside its feature list$"):
-            network_from_text("".join(lines[:13]))
-
-    def test_every_prefix_cut_in_header_or_features_rejected(self):
-        network, *_ = self.trained_network()
-        lines = network_to_text(network).splitlines(keepends=True)
-        # Header line, ten header fields, the feature list, then the first
-        # cloud line: every prefix that stops before that line is truncated.
-        first_cloud = 11 + len(network.features)
-        assert lines[first_cloud].startswith("cloud\t")
-        for n in range(1, first_cloud + 1):
-            with pytest.raises(ValueError):
-                network_from_text("".join(lines[:n]))
-
-    def test_cut_after_cloud_line_rejected(self):
-        network, *_ = self.trained_network()
-        lines = network_to_text(network).splitlines(keepends=True)
-        last_cloud = max(i for i, line in enumerate(lines) if line.startswith("cloud\t"))
-        with pytest.raises(ValueError, match="truncated"):
-            network_from_text("".join(lines[: last_cloud + 1]))
-
-    def test_missing_header_field_rejected(self):
-        network, *_ = self.trained_network()
-        text = network_to_text(network)
-        schedule_line = next(l for l in text.splitlines() if l.startswith("schedule\t"))
-        with pytest.raises(ValueError, match="header"):
-            network_from_text(text.replace(schedule_line, "schedule\tstart=1.0"))
-
-    def test_unknown_init_rejected(self):
-        network, *_ = self.trained_network()
-        text = network_to_text(network)
-        assert "\ninit\tuniform\n" in text
-        with pytest.raises(ValueError, match="header: init must be"):
-            network_from_text(text.replace("\ninit\tuniform\n", "\ninit\tbogus\n"))
-
-    def test_unknown_architecture_rejected(self):
-        network, *_ = self.trained_network()
-        text = network_to_text(network)
-        assert "\narchitecture\tsparse\n" in text
-        with pytest.raises(ValueError, match="header: architecture must be"):
-            network_from_text(text.replace("\narchitecture\tsparse\n",
-                                           "\narchitecture\tdense\n"))
-
-    @pytest.mark.parametrize("priors", ["nan\t0.5", "inf\t0.5", "-1.0\t2.0"])
-    def test_priors_not_finite_and_non_negative_rejected(self, priors):
-        # The priors settle exact ties between clouds.
-        network, *_ = self.trained_network()
-        text = network_to_text(network)
-        assert "\npriors\t0.5\t0.5\n" in text
-        with pytest.raises(ValueError, match=(
-            "^line 10: malformed model file header: priors must be finite and non-negative$"
-        )):
-            network_from_text(text.replace("\npriors\t0.5\t0.5\n", f"\npriors\t{priors}\n"))
-
-    def test_priors_not_one_per_member_rejected(self):
-        network, *_ = self.trained_network()
-        text = network_to_text(network)
-        with pytest.raises(ValueError, match=(
-            "^line 10: malformed model file header: priors do not match the confusion set$"
-        )):
-            network_from_text(text.replace("\npriors\t0.5\t0.5\n",
-                                           "\npriors\t0.5\t0.25\t0.25\n"))
-
-    @pytest.mark.parametrize("layer", ["two_layer\tjunk", "three_layer"])
-    def test_layer_other_than_one_or_two_layer_rejected(self, layer):
-        network, *_ = self.trained_network()
-        text = network_to_text(network)
-        assert "\nlayer\ttwo_layer\n" in text
-        with pytest.raises(ValueError, match=(
-            "^line 6: malformed model file header: layer must be one_layer or two_layer$"
-        )):
-            network_from_text(text.replace("\nlayer\ttwo_layer\n", f"\nlayer\t{layer}\n"))
-
-    def test_cycles_below_one_rejected(self):
-        network, *_ = self.trained_network()
-        text = network_to_text(network)
-        assert f"\tcycles={CYCLES}\n" in text
-        with pytest.raises(ValueError,
-                           match="^line 4: malformed model file header: cycles must be >= 1$"):
-            network_from_text(text.replace(f"\tcycles={CYCLES}\n", "\tcycles=0\n"))
-
-    def test_cloud_without_bias_row_rejected(self):
-        # Every network the package builds links the bias in every cloud, so
-        # the loader does too; saving writes the missing row where it belongs.
-        network, *_ = self.trained_network()
-        lines = network_to_text(network).splitlines()
-        clouds = [n for n, l in enumerate(lines, 1) if l.startswith("cloud\t")]
-        kept = [l for n, l in enumerate(lines, 1) if not (n < clouds[1] and l.startswith("-1\t"))]
-        assert len(kept) == len(lines) - len(BETAS)
-        # Cloud 0's first classifier opens with feature 0's row, not the bias's.
-        assert kept[clouds[0]].startswith("classifier\t") and kept[clouds[0] + 1].startswith("0\t")
-        bias_row = f"{BIAS_ID}\t{DEFAULT_WEIGHT!r}"  # as a new network links it
-        with pytest.raises(ValueError, match=saved_here(clouds[0] + 2, bias_row)):
-            network_from_text("\n".join(kept) + "\n")
-
-    def test_classifier_outside_any_cloud_rejected(self):
-        network, *_ = self.trained_network()
-        lines = network_to_text(network).splitlines()
-        number = next(n for n, l in enumerate(lines, 1) if l.startswith("cloud\t"))
-        del lines[number - 1]
-        with pytest.raises(ValueError, match=rf"^line {number}: classifier outside any cloud$"):
-            network_from_text("\n".join(lines) + "\n")
-
-    @pytest.mark.parametrize("repeated", ["cloud-block", "first-classifier-row",
-                                          "later-classifier-row"])
-    def test_repeated_cloud_or_weight_row_rejected(self, repeated):
-        network, *_ = self.trained_network()
-        lines = network_to_text(network).splitlines()
-        clouds = [i for i, l in enumerate(lines) if l.startswith("cloud\t")]
-        classifiers = [i for i, l in enumerate(lines) if l.startswith("classifier\t")]
-        saved = list(lines)
-        if repeated == "cloud-block":
-            lines += lines[clouds[0] : clouds[1]]
-            # The repeat starts on the line after the last one saving writes.
-            number, here = len(saved) + 1, None
-        else:
-            row = classifiers[0 if repeated == "first-classifier-row" else 1] + 2
-            lines.insert(row + 1, lines[row])
-            # File line row + 2 holds the repeat, where saving writes the next row.
-            number, here = row + 2, saved[row + 1]
-        with pytest.raises(ValueError, match=saved_here(number, here)):
-            network_from_text("\n".join(lines) + "\n")
-
-    def test_weight_row_before_first_classifier_rejected(self):
-        network, *_ = self.trained_network()
-        lines = network_to_text(network).splitlines()
-        last_cloud = max(i for i, l in enumerate(lines) if l.startswith("cloud\t"))
-        lines.insert(last_cloud + 1, "0\t0.5")
-        with pytest.raises(ValueError, match="outside any classifier"):
-            network_from_text("\n".join(lines) + "\n")
-
-    def test_weight_rows_out_of_first_classifiers_order_rejected(self):
-        network, *_ = self.trained_network()
-        lines = network_to_text(network).splitlines()
-        second = [i for i, l in enumerate(lines) if l.startswith("classifier\t")][1]
-        saved = list(lines)
-        lines[second + 2], lines[second + 3] = lines[second + 3], lines[second + 2]
-        # The second classifier's second row, file line second + 3, is the first to differ.
-        with pytest.raises(ValueError, match=saved_here(second + 3, saved[second + 2])):
-            network_from_text("\n".join(lines) + "\n")
-
-    def test_cut_between_weight_rows_rejected(self):
-        network, *_ = self.trained_network()
-        lines = network_to_text(network).splitlines(keepends=True)
-        assert not lines[-4].startswith(("cloud\t", "classifier\t"))
-        with pytest.raises(ValueError, match="truncated"):
-            network_from_text("".join(lines[:-3]))
-
-    def test_cut_after_first_classifier_of_last_cloud_rejected(self):
-        network, *_ = self.trained_network()
-        lines = network_to_text(network).splitlines(keepends=True)
-        last_cloud = max(i for i, l in enumerate(lines) if l.startswith("cloud\t"))
-        second = [i for i, l in enumerate(lines)
-                  if i > last_cloud and l.startswith("classifier\t")][1]
-        with pytest.raises(ValueError, match="truncated"):
-            network_from_text("".join(lines[:second]))
-
-    def test_every_cut_inside_last_cloud_of_full_network_rejected(self):
-        # One classifier per cloud: no other classifier's rows show the cut.
-        network = self.one_layer_full_network()
-        lines = network_to_text(network).splitlines(keepends=True)
-        last_cloud = max(i for i, l in enumerate(lines) if l.startswith("cloud\t"))
-        assert len(lines) - last_cloud - 2 == len(network.features) + 1
-        for n in range(last_cloud, len(lines)):
-            with pytest.raises(ValueError, match="truncated"):
-                network_from_text("".join(lines[:n]))
-
-    def test_short_cloud_of_full_network_names_its_line(self):
-        network = self.one_layer_full_network()
-        lines = network_to_text(network).splitlines(keepends=True)
-        # The missing last row is the first line at fault: a full network links
-        # every feature, so saving writes the row, unread and so 0.0.
-        last_row = f"{len(network.features) - 1}\t0.0"
-        with pytest.raises(ValueError, match=saved_here(len(lines), last_row)):
-            network_from_text("".join(lines[:-1]))
-
-    @pytest.mark.parametrize("layer", ["two-layer", "one-layer"])
-    @pytest.mark.parametrize("cut", [1, 3], ids=["final-newline", "mid-line"])
-    def test_text_without_final_newline_rejected(self, layer, cut):
-        # Both writers end the file in a newline; a text without one was cut,
-        # perhaps inside a weight that still parses.
-        if layer == "two-layer":
-            network, *_ = self.trained_network()
-        else:
-            network = self.one_layer_full_network()
-        text = network_to_text(network)
-        assert "\t" not in text[-4:]  # the cut stays inside the last weight
-        with pytest.raises(ValueError, match=(
-            rf"^line {len(text.splitlines())}: model file truncated: no newline at its end$"
-        )):
-            network_from_text(text[:-cut])
-
-    # Bad weight rows: tests/test_cli.py TestClassify::test_bad_weight_row_names_its_line.
-    @pytest.mark.parametrize("row, message", [
-        ("cloud\t5\texamples_seen=0", "cloud 5 is out of range"),
-        ("classifier\tbeta=0.5", "expected beta=... mistakes=..."),
-    ])
-    def test_bad_cloud_or_classifier_row_names_its_line(self, row, message):
-        network, *_ = self.trained_network()
-        lines = network_to_text(network).splitlines()
-        number = next(n for n, l in enumerate(lines, 1) if l.startswith("-1\t"))
-        lines[number - 1] = row
-        with pytest.raises(ValueError, match=rf"^line {number}: {re.escape(message)}"):
-            network_from_text("\n".join(lines) + "\n")
-
-    def test_classifier_beta_other_than_header_rejected(self):
-        network, *_ = self.trained_network()
-        text = network_to_text(network)
-        assert "\nclassifier\tbeta=0.6\t" in text
-        number, saved = next((n, l) for n, l in enumerate(text.splitlines(), 1)
-                             if l.startswith("classifier\tbeta=0.6\t"))
-        with pytest.raises(ValueError, match=saved_here(number, saved)):
-            network_from_text(text.replace("\nclassifier\tbeta=0.6\t",
-                                           "\nclassifier\tbeta=0.65\t", 1))
-
-    def test_clouds_out_of_member_order_rejected(self):
-        # Cloud i is the i-th cloud line, as saving writes them.
-        network, *_ = self.trained_network()
-        lines = network_to_text(network).splitlines()
-        clouds = [i for i, l in enumerate(lines) if l.startswith("cloud\t")]
-        assert len(clouds) == 2
-        cloud_0 = lines[clouds[0]]
-        lines[clouds[0]:] = lines[clouds[1]:] + lines[clouds[0] : clouds[1]]
-        with pytest.raises(ValueError, match=saved_here(clouds[0] + 1, cloud_0)):
-            network_from_text("\n".join(lines) + "\n")
-
-    def test_cloud_with_more_classifiers_than_betas_names_its_line(self):
-        # A one-layer cloud holds one classifier: a second has no beta to take.
-        network = self.one_layer_full_network()
-        lines = network_to_text(network).splitlines()
-        number = next(n for n, l in enumerate(lines, 1) if l.startswith("classifier\t"))
-        lines.insert(number, lines[number - 1])
-        with pytest.raises(ValueError, match=(
-            rf"^line {number + 1}: cloud 0 has more classifiers than betas$"
-        )):
-            network_from_text("\n".join(lines) + "\n")
-
-    def test_repeated_cloud_names_its_line(self):
-        network, *_ = self.trained_network()
-        lines = network_to_text(network).splitlines()
-        clouds = [i for i, l in enumerate(lines) if l.startswith("cloud\t")]
-        number = len(lines) + 1
-        lines += lines[clouds[0] : clouds[1]]
-        with pytest.raises(ValueError, match=saved_here(number, None)):
-            network_from_text("\n".join(lines) + "\n")
-
-    def test_missing_last_cloud_names_the_line_after_the_file(self):
-        network, *_ = self.trained_network()
-        lines = network_to_text(network).splitlines()
-        last_cloud = max(i for i, l in enumerate(lines) if l.startswith("cloud\t"))
-        # Saving writes the cloud the file lacks, as a new network holds it.
-        new_cloud = "cloud\t1\texamples_seen=0"
-        with pytest.raises(ValueError, match=saved_here(last_cloud + 1, new_cloud)):
-            network_from_text("\n".join(lines[:last_cloud]) + "\n")
-
-    def test_first_classifier_rows_not_ascending_rejected(self):
-        # With one classifier per cloud no later classifier shows the swap;
-        # the rows must ascend, as saving writes them: the first of the pair,
-        # file line row + 1, is at fault, as for a swapped feature pair.
-        network = self.one_layer_full_network()
-        lines = network_to_text(network).splitlines()
-        row = next(i for i, l in enumerate(lines) if l.startswith("-1\t")) + 1
-        assert lines[row].startswith("0\t") and lines[row + 1].startswith("1\t")
-        saved = lines[row]
-        lines[row], lines[row + 1] = lines[row + 1], lines[row]
-        with pytest.raises(ValueError, match=saved_here(row + 1, saved)):
-            network_from_text("\n".join(lines) + "\n")
-
-    @pytest.mark.parametrize(
-        "prefix, bad_row",
-        [("cloud\t", "cloud\t0"), ("classifier\t", "classifier\tbeta=0.5"),
-         ("classifier\t", "classifier\t0.5\tmistakes=0")],
-    )
-    def test_bad_cloud_or_classifier_row_rejected(self, prefix, bad_row):
-        network, *_ = self.trained_network()
-        lines = network_to_text(network).splitlines()
-        row = next(i for i, l in enumerate(lines) if l.startswith(prefix))
-        lines[row] = bad_row
-        with pytest.raises(ValueError, match="expected"):
-            network_from_text("\n".join(lines) + "\n")
-
-    @pytest.mark.parametrize("bad_row", ["{n_features}\t0.5", "-2\t0.5", "0"])
-    def test_bad_weight_row_rejected(self, bad_row):
-        network, *_ = self.trained_network()
-        lines = network_to_text(network).splitlines()
-        row = next(i for i, l in enumerate(lines) if l.startswith("0\t"))
-        lines[row] = bad_row.format(n_features=len(network.features))
-        with pytest.raises(ValueError, match="weight row"):
-            network_from_text("\n".join(lines) + "\n")
 
 
 def test_one_layer_classifier_takes_the_median_beta():
