@@ -171,6 +171,25 @@ ROWS = [
     *(model_row("feature-keys-swapped", system, [("swap", line)], SAVED(line, saved))
       for system, line, saved in [("bayes", 9, r"COLL -1:t=UNK _\\t2\\t3"),
                                   ("winnow", 12, "COLL -1:t=UNK _")]),
+    # The head lines every format opens with: the members, the extraction
+    # parameters and the feature count (line 8 of the Bayes model, 11 of the
+    # Winnow one).
+    *(model_row(name, system, [("sub", pattern, repl)], message)
+      for system, features in [("bayes", 8), ("winnow", 11)]
+      for name, pattern, repl, message in [
+          ("one-member", rb"\nmembers\t.*", b"\nmembers\tpeace",
+           HEAD(2, "confusion set needs at least 2 members")),
+          ("repeated-member", rb"\nmembers\t.*", b"\nmembers\tpeace\tpeace",
+           HEAD(2, "confusion-set members must be distinct")),
+          ("extraction-field", rb"\tk=10\t", b"\tk10\t",
+           HEAD(3, r"expected k=\.\.\. l=\.\.\., got 'k10 l=2'")),
+          ("k-0", rb"\tk=10\t", b"\tk=0\t", HEAD(3, "context window k must be >= 1")),
+          ("l-3", rb"\tl=2\n", b"\tl=3\n", HEAD(3, "collocation length l must be 1 or 2")),
+          ("bare-features-line", rb"\nfeatures\t20\n", b"\nfeatures\n",
+           f"line {features}: malformed model file header line: 'features'$"),
+          ("negative-features", rb"\nfeatures\t20\n", b"\nfeatures\t-1\n",
+           HEAD(features, "features=-1 is negative")),
+      ]),
     # The head: Winnow's constants, then the values a field's reader refuses.
     model_row("foreign-theta", "winnow-1layer", [("sub", rb"\btheta=1\.0\b", b"theta=2.0")],
               SAVED(4, r"winnow\\ttheta=1\.0\\t.*")),
@@ -314,10 +333,6 @@ ROWS = [
     # lines is refused at the first.
     model_row("count-row-respelled-thrice", "bayes", [("sub", rb"\t0\t2\n", b"\t+0\t2\n", 3)],
               COUNTS(10, "COLL -1:w=a _")),
-    model_row("extraction-field", "bayes", [("sub", rb"\tk=10\t", b"\tk10\t")],
-              "line 3: malformed model file header: expected k=... l=..., got 'k10 l=2'$"),
-    model_row("bare-features-line", "bayes", [("sub", rb"\nfeatures\t20\n", b"\nfeatures\n")],
-              "line 8: malformed model file header line: 'features'$"),
     *(model_row(f"{name}-count-row", "bayes", [("sub", COUNT_ROW, row)],
                 f"line 9: count row for 'COLL -1:t=UNK _' has {n} counts, not 2$")
       for name, row, n in [("short", rb"\1", 1), ("long", rb"\1\t\2\t0", 3)]),
