@@ -4,7 +4,6 @@ mixing weight, plus heuristic dependency resolution."""
 from __future__ import annotations
 
 import math
-import warnings
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -112,13 +111,6 @@ def train_bayes(
     dependency_resolution: bool = True,
 ) -> BayesModel:
     """Build a model over the ``retained`` features from corpus statistics."""
-    for i, n in enumerate(stats.occurrences):
-        if n == 0:
-            warnings.warn(
-                f"no training occurrences of "
-                f"{stats.confusion_set.member_text(i)!r}; its prior is 0",
-                stacklevel=2,
-            )
     return BayesModel(
         stats.confusion_set,
         stats.params,

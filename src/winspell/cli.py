@@ -36,7 +36,7 @@ from .evaluation import (
     save_system_model,
     train_system_model,
 )
-from .features import MODES, ExtractionParams, extract_active
+from .features import MODES, ExtractionParams, extract_active, require_occurrences
 
 # The experiment's defaults, ExperimentConfig's and its ExtractionParams', by
 # field name: every default a flag has is one of these.
@@ -218,15 +218,17 @@ def cmd_train(args) -> int:
     except (AttributeError, OSError, ValueError):
         name_max = -1
     name_max = name_max if name_max > 0 else 255
-    for cset, path in zip(confusion_sets, paths):
+    # One corpus scan finds every set's occurrences. Every set is checked
+    # before --out is made for the first model, so a refused run writes none;
+    # the sets are then prepared and trained one at a time.
+    occurrence_lists = occurrences_by_set(corpus, confusion_sets)
+    for cset, occurrences, path in zip(confusion_sets, occurrence_lists, paths):
         where = f"confusion set {{{cset.label}}}: model file {path}"
         if path.parent != outdir:  # as for a member token "/"
             raise ValueError(f"{where} is not in {outdir}")
         if len(os.fsencode(path.name)) > name_max:
             raise ValueError(f"{where} has a name longer than {name_max} bytes")
-    # One corpus scan finds every set's occurrences; the sets are then
-    # prepared and trained one at a time, --out made for the first model.
-    occurrence_lists = occurrences_by_set(corpus, confusion_sets)
+        require_occurrences(occurrences, cset)
     for cset, occurrences, path in zip(confusion_sets, occurrence_lists, paths):
         training = TrainingSet(occurrences, cset, extraction, tagdict, args.mode)
         model = train_system_model(args.system, training, args.cycles)

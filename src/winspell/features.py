@@ -4,6 +4,7 @@ association, and pruning."""
 from __future__ import annotations
 
 import math
+import warnings
 from collections import namedtuple
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -215,18 +216,27 @@ def count_features(
 ) -> tuple[FeatureStats, list[tuple[set[str], int]]]:
     """One feature pass over a set's training occurrences: the counts, and
     each occurrence's (generated keys, member) pair, whose ``active_ids`` in
-    an index are what ``extract_active`` gives the occurrence."""
+    an index are what ``extract_active`` gives the occurrence. Every system
+    trains from this pass, so it warns of each member without occurrences."""
+    require_occurrences(occurrences, confusion_set)
     stats = FeatureStats(confusion_set, params)
     generated = []
     for occ in occurrences:
         keys = generate_features(occ, params, tagdict)
         stats.add(keys, occ.member_index)
         generated.append((keys, occ.member_index))
-    if sum(stats.occurrences) == 0:
-        raise ValueError(
-            f"no occurrences of {{{confusion_set.label}}} in corpus; cannot train"
-        )
+    for i, n in enumerate(stats.occurrences):
+        if n == 0:
+            # The text names the set: the default filter shows one text from one line once.
+            warnings.warn(f"confusion set {{{confusion_set.label}}}: no training occurrences"
+                          f" of {confusion_set.member_text(i)!r}; its prior is 0", stacklevel=2)
     return stats, generated
+
+
+def require_occurrences(occurrences: Sequence[Occurrence], confusion_set: ConfusionSet):
+    """ValueError unless ``confusion_set`` has training ``occurrences``."""
+    if not occurrences:
+        raise ValueError(f"no occurrences of {{{confusion_set.label}}} in corpus; cannot train")
 
 
 def collect_stats(

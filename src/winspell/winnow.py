@@ -387,7 +387,18 @@ _HEAD = (
 def network_from_text(text: str) -> WinnowNetwork:
     lines, head = parse_model_head(text, HEADER, _HEAD)
     n_features = head["features"]
-    retained = index_features(lines[11 : 11 + n_features], 12)
+    keys = lines[11 : 11 + n_features]
+    try:
+        retained = index_features(keys, 12)
+    except ValueError:
+        # A list shorter than its count holds its first cloud line among the
+        # keys: refused there, unless a key before it is malformed.
+        cut = next((i for i, key in enumerate(keys) if key.startswith("cloud\t")), None)
+        if cut is None:
+            raise
+        index_features(keys[:cut], 12)
+        raise ValueError(f"line {12 + cut}: feature list is shorter than its features count"
+                         f" {n_features}") from None
     network = WinnowNetwork(head["members"], retained, head["winnow"], head["extraction"],
                             head["layer"], head["priors"])
     network.horizon = head["schedule"]

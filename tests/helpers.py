@@ -6,15 +6,25 @@ import math
 import random
 import re
 
-from winspell.corpus import ConfusionSet, Sentence, corrupt, tokenize
+from winspell.corpus import (
+    ConfusionSet,
+    Sentence,
+    TagDictionary,
+    confusion_set_from_text,
+    corrupt,
+    tokenize,
+)
 from winspell.features import (
     COLLOCATION,
     CONTEXT_WORD,
+    ExtractionParams,
     Feature,
     FeatureStats,
     index_features,
 )
 from winspell.winnow import _learn, _presentation
+
+EMPTY_TAGS = TagDictionary()
 
 CONTEXT_POOL = (
     "the", "on", "by", "it", "was", "went", "every", "time", "day", "road",
@@ -254,6 +264,15 @@ def context_word(word: str) -> Feature:
 
 def collocation(offsets, slots) -> Feature:
     return Feature(COLLOCATION, offsets=tuple(offsets), slots=tuple(slots))
+
+
+def stats_from_counts(counts, occurrences) -> FeatureStats:
+    """The stats of the set {w0, w1} with these member occurrences and, for
+    each word of ``counts``, its context word's count row."""
+    stats = FeatureStats(confusion_set_from_text("w0, w1"), ExtractionParams())
+    stats.occurrences = list(occurrences)
+    stats.counts = {context_word(name).key(): list(row) for name, row in counts.items()}
+    return stats
 
 
 def winnow_train_example(cloud, active_set, label):

@@ -1,9 +1,10 @@
 """Every command-line refusal as data, one ``Row`` each: a file of the toy
 workspace (every system's model among them) and an edit of it, the argv and
 stdin of one ``winspell`` run, its exit code, the one stderr line it writes
-as an anchored pattern, and the paths it must not leave. ``test_refusals``
-runs the rows in-process, ``smoke.py`` as ``python -S -m winspell``. A new
-refusal is one more row. Standard library only.
+(a run that warns, one per warning) as an anchored pattern, and the paths it
+must not leave. ``test_refusals`` runs the rows in-process, ``smoke.py`` as
+``python -S -m winspell``. A new refusal is one more row. Standard library
+only.
 """
 
 import re
@@ -44,7 +45,9 @@ class Row(NamedTuple):
     name: str
     argv: str  # split on spaces; "{ws}" is the workspace
     code: int
-    err: str  # the one stderr line, after argparse's usage line for its own errors
+    # The stderr line, after argparse's usage line for its own errors; for a
+    # run that warns, one per warning, joined by "\n".
+    err: str
     file: str = ""  # the workspace file that ``edit`` changes; "{file}" in ``err``
     edit: tuple = ()  # steps, applied in order: see ``apply``
     line: object = None  # "{line}" in ``err``: a number, or a helper of the file's lines
@@ -104,11 +107,11 @@ def run_row(row: Row, base: Path, ws: Path, run) -> list[str]:
         path.write_bytes(data)
     code, out, text = run(argv_of(row.argv, ws), row.stdin)
     wrong = [] if code == row.code else [f"exit {code}, not {row.code}"]
-    one_line = f"(?:{err[1:-1]})\n"  # "." matches no newline
+    lines = "".join(f"(?:{line[1:-1]})\n" for line in err.split("\n"))  # "." matches no newline
     if err.startswith("^winspell: error: "):  # argparse writes its usage line first
-        one_line = "usage: winspell .*\n" + one_line
-    if not re.fullmatch(one_line, text):
-        wrong.append(f"stderr {text!r} is not the one line {err!r}")
+        lines = "usage: winspell .*\n" + lines
+    if not re.fullmatch(lines, text):
+        wrong.append(f"stderr {text!r} is not the lines {err!r}")
     if code and out:
         wrong.append(f"stdout {out!r}: a refusal writes nothing there")
     return wrong + [f"{left} exists" for left in row.absent if (ws / left).exists()]
@@ -128,6 +131,7 @@ SAVED = r"line {}: model file truncated or damaged: saving it writes '{}' here$"
 END = "line {}: model file truncated or damaged: saving it writes the end of the file here$".format
 DAMAGED = SAVED("{line}", ".*")
 HEAD = "line {}: malformed model file header: {}$".format
+WARNS = r"^warning: confusion set \{{{}\}}: no training occurrences of '{}'; its prior is 0$".format
 COUNTS = ("line {}: count row for '{}' holds a count that is not an integer from 0 to its"
           " member's occurrences$").format
 COUNT_ROW = rb"(?m)^(COLL -1:t=UNK _\t\d+)\t(\d+)$"  # line 9 of the toy Bayes model
@@ -241,6 +245,15 @@ ROWS = [
                 line_of(rb"^cloud\t"))
       for name, edit in [("repeated", ("repeat", 12)),
                          ("inserted", ("sub", rb"\nfeatures\t20\n", b"\nfeatures\t20\nCW zzz\n"))]),
+    # And one key more than the list holds: the first cloud line stands where
+    # the list's last key belongs, unless a key before it is malformed.
+    model_row("feature-list-shorter-than-count", "winnow",
+              [("sub", rb"\nfeatures\t20\n", b"\nfeatures\t21\n")],
+              "line {line}: feature list is shorter than its features count 21$",
+              line_of(rb"^cloud\t")),
+    model_row("malformed-key-in-list-shorter-than-count", "winnow",
+              [("sub", rb"\nfeatures\t20\nCOLL -1:t=UNK _\n", b"\nfeatures\t21\nCOLL zzz\n")],
+              "line 12: malformed feature key: 'COLL zzz'$"),
     # The winnow model's cloud 0 (lines 32-72) has five classifiers of seven
     # rows, bias first; cloud 1 (lines 73-163) five of eighteen.
     model_row("cloud-line-dropped", "winnow", [("drop", 32)],
@@ -360,13 +373,27 @@ ROWS = [
     Row("train-model-name-too-long", TRAIN, 1, r"^error: confusion set \{x{300}, or\}: model "
         r"file {ws}/out/x{300}\+or\.bayes\.model has a name longer than \d+ bytes$", "sets.txt",
         [("append", b"x" * 300 + b", or\n")]),
-    Row("train-absent-member-warns", TRAIN, 0, "^warning: no training occurrences of 'pease'; "
-        "its prior is 0$", "sets.txt", [("sub", rb"piece", b"pease")], absent=()),
-    Row("train-member-without-occurrences-warns", TRAIN, 0, "^warning: no training occurrences"
-        " of 'peace'; its prior is 0$", "corpus.txt", [("sub", rb"(?m)^.*peace.*\n", b"")],
-        absent=()),
-    Row("train-set-without-occurrences", TRAIN, 1, r"^error: no occurrences of \{hear, here\} "
-        "in corpus; cannot train$", "sets.txt", [("sub", rb"peace, piece", b"hear, here")]),
+    # A member without training occurrences: one warning per set and member,
+    # whichever systems train.
+    Row("train-absent-member-warns", TRAIN, 0, WARNS("peace, pease", "pease"), "sets.txt",
+        [("sub", rb"piece", b"pease")], absent=()),
+    *(Row(f"{name}-member-without-occurrences-warns", argv, 0, WARNS("peace, piece", "peace"),
+          "corpus.txt", [("sub", rb"(?m)^.*peace.*\n", b"")], absent=())
+      for name, argv in [("train", TRAIN), ("train-winnow", TRAIN.replace("bayes", "winnow")),
+                         ("eval", f"eval {FILES} --system baseline --system winnow"
+                                  " --out {ws}/out"),
+                         ("ablate", SET_COMMANDS["ablate"])]),
+    Row("train-two-sets-warn", TRAIN, 0, WARNS("peace, pease", "pease") + "\n"
+        + WARNS("piece, pease", "pease"), "sets.txt",
+        [("append", b"peace, pease\npiece, pease\n")], absent=()),
+    # No model is written before every set is checked, each in order, so the
+    # first refused set is the one named.
+    *(Row(f"train-{name}", TRAIN, 1,
+          r"^error: no occurrences of \{hear, here\} in corpus; cannot train$", "sets.txt", [edit])
+      for name, edit in [("set-without-occurrences", ("sub", rb"peace, piece", b"hear, here")),
+                         ("second-set-without-occurrences", ("append", b"hear, here\n")),
+                         ("set-without-occurrences-before-model-outside-out",
+                          ("sub", rb"peace, piece\n", b"hear, here\nor, /\n"))]),
     Row("train-missing-corpus", TRAIN.replace("corpus.txt", "nope.txt"), 1,
         r"^error: \[Errno 2\] No such file or directory: '{ws}/nope\.txt'$"),
     # A test corpus is given exactly when the protocol tests on one.

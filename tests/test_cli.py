@@ -52,24 +52,32 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def train(workspace, *flags):
+    """``train`` on the workspace's corpus.txt, sets.txt and tags.tsv."""
+    return run(["train", "--corpus", workspace / "corpus.txt",
+                "--confusion-sets", workspace / "sets.txt",
+                "--tagdict", workspace / "tags.tsv", *flags])
+
+
+def child_env() -> dict:
+    """The environment of a child ``python`` that imports this winspell."""
+    package_root = str(Path(winspell.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
 class TestTrain:
     def test_writes_loadable_model(self, workspace, capsys):
         out = workspace / "models"
-        rc = run(["train", "--corpus", workspace / "corpus.txt",
-                  "--confusion-sets", workspace / "sets.txt",
-                  "--tagdict", workspace / "tags.tsv",
-                  "--mode", "unpruned", "--system", "bayes", "--out", out])
+        rc = train(workspace, "--mode", "unpruned", "--system", "bayes", "--out", out)
         assert rc == 0
         assert (out / "peace+piece.bayes.model").exists()
         assert "wrote" in capsys.readouterr().out
 
     def test_winnow_cycles_reflected(self, workspace):
         out = workspace / "models"
-        rc = run(["train", "--corpus", workspace / "corpus.txt",
-                  "--confusion-sets", workspace / "sets.txt",
-                  "--tagdict", workspace / "tags.tsv",
-                  "--mode", "unpruned", "--system", "winnow",
-                  "--cycles", 5, "--out", out])
+        rc = train(workspace, "--mode", "unpruned", "--system", "winnow", "--cycles", 5,
+                   "--out", out)
         assert rc == 0
         network = load_network(out / "peace+piece.winnow.model")
         # 8 occurrences x 5 cycles.
@@ -92,10 +100,7 @@ class TestTrain:
 
         monkeypatch.setattr(TrainingSet.stream, "func", counting_stream)
         monkeypatch.setattr(bayes.BayesModel, "__init__", counting_model)
-        rc = run(["train", "--corpus", workspace / "corpus.txt",
-                  "--confusion-sets", workspace / "sets.txt",
-                  "--tagdict", workspace / "tags.tsv",
-                  "--mode", "unpruned", "--system", system, "--out", workspace / "m"])
+        rc = train(workspace, "--mode", "unpruned", "--system", system, "--out", workspace / "m")
         assert rc == 0
         assert (built.count("stream"), built.count("bayes")) == (streams, bayes_models)
 
@@ -105,10 +110,7 @@ class TestTrain:
         saved = []
         monkeypatch.setattr(winspell.cli, "save_system_model",
                             lambda model, path: saved.append(model))
-        rc = run(["train", "--corpus", workspace / "corpus.txt",
-                  "--confusion-sets", workspace / "sets.txt",
-                  "--tagdict", workspace / "tags.tsv",
-                  "--mode", "unpruned", "--system", "bayes", "--out", workspace / "m"])
+        rc = train(workspace, "--mode", "unpruned", "--system", "bayes", "--out", workspace / "m")
         assert rc == 0
         (model,) = saved
         empty = [None] * len(model.features)
@@ -123,10 +125,7 @@ class TestTrain:
         monkeypatch.setattr(cli, "save_system_model", lambda *_: pytest.fail("model written"))
         (workspace / "sets.txt").write_text(f"peace, piece\n{members}\n")
         out = workspace / "m"
-        rc = run(["train", "--corpus", workspace / "corpus.txt",
-                  "--confusion-sets", workspace / "sets.txt",
-                  "--tagdict", workspace / "tags.tsv",
-                  "--system", "bayes", "--out", out])
+        rc = train(workspace, "--system", "bayes", "--out", out)
         assert rc == 1
         assert capsys.readouterr() == ("", f"error: confusion set {{{members}}}: model file"
                                            f" {model.format(out=out)} is not in {out}\n")
@@ -138,10 +137,7 @@ class TestTrain:
         long = "x" * 300
         (workspace / "sets.txt").write_text(f"peace, piece\n{long}, or\n")
         out = workspace / "m"
-        rc = run(["train", "--corpus", workspace / "corpus.txt",
-                  "--confusion-sets", workspace / "sets.txt",
-                  "--tagdict", workspace / "tags.tsv",
-                  "--system", "bayes", "--out", out])
+        rc = train(workspace, "--system", "bayes", "--out", out)
         assert rc == 1
         name_max = os.pathconf(workspace, "PC_NAME_MAX")
         assert capsys.readouterr() == ("", f"error: confusion set {{{long}, or}}: model file"
@@ -160,10 +156,7 @@ class TestTrain:
             fh.write(f"one {'é' * letters} or two\n")
         (workspace / "sets.txt").write_text(f"{'é' * letters}, or\n")
         out = workspace / "a" / "b"
-        assert run(["train", "--corpus", workspace / "corpus.txt",
-                    "--confusion-sets", workspace / "sets.txt",
-                    "--tagdict", workspace / "tags.tsv",
-                    "--system", "bayes", "--out", out]) == rc
+        assert train(workspace, "--system", "bayes", "--out", out) == rc
         assert asked == [workspace]
         assert out.exists() == (rc == 0)
         err = capsys.readouterr().err
@@ -179,34 +172,28 @@ class TestTrain:
 
         monkeypatch.setattr(os, "pathconf", pathconf)
         (workspace / "sets.txt").write_text(f"{'x' * 241}, or\n")  # 256 bytes
-        rc = run(["train", "--corpus", workspace / "corpus.txt",
-                  "--confusion-sets", workspace / "sets.txt",
-                  "--tagdict", workspace / "tags.tsv",
-                  "--system", "bayes", "--out", workspace / "m"])
+        rc = train(workspace, "--system", "bayes", "--out", workspace / "m")
         assert rc == 1
         assert capsys.readouterr().err.endswith("has a name longer than 255 bytes\n")
 
     @pytest.mark.parametrize("system", ["bayes", "winnow"])
     def test_sets_sharing_tokens_train_as_if_alone(self, tmp_path, system):
-        corpus = tmp_path / "corpus.txt"
-        corpus.write_text(
+        (tmp_path / "corpus.txt").write_text(
             "it may be a bee\nmaybe the bee may fly\nto be or not to be\n"
             "may be later , maybe not\nthe bee may be here\nlet it be may\n"
         )
         sets = ["may, may be", "be, bee", "maybe, may be"]
-        (tmp_path / "all.txt").write_text("\n".join(sets) + "\n")
         (tmp_path / "tags.tsv").write_text("bee\tNOUN\nmay\tMD,NOUN\n")
 
-        def train(sets_file, out):
-            assert run(["train", "--corpus", corpus, "--confusion-sets", sets_file,
-                        "--tagdict", tmp_path / "tags.tsv", "--mode", "unpruned",
-                        "--system", system, "--k", 3, "--out", out]) == 0
+        def train_sets(texts, out):
+            (tmp_path / "sets.txt").write_text("\n".join(texts) + "\n")
+            assert train(tmp_path, "--mode", "unpruned", "--system", system, "--k", 3,
+                         "--out", out) == 0
 
-        train(tmp_path / "all.txt", tmp_path / "together")
+        train_sets(sets, tmp_path / "together")
         for i, text in enumerate(sets):
             alone = tmp_path / f"alone{i}"
-            (tmp_path / f"set{i}.txt").write_text(text + "\n")
-            train(tmp_path / f"set{i}.txt", alone)
+            train_sets([text], alone)
             (path,) = alone.iterdir()
             assert (tmp_path / "together" / path.name).read_bytes() == path.read_bytes()
         assert len(list((tmp_path / "together").iterdir())) == len(sets)
@@ -215,10 +202,7 @@ class TestTrain:
 class TestClassify:
     def train_first(self, workspace, capsys, system="bayes"):
         out = workspace / "models"
-        assert run(["train", "--corpus", workspace / "corpus.txt",
-                    "--confusion-sets", workspace / "sets.txt",
-                    "--tagdict", workspace / "tags.tsv",
-                    "--mode", "unpruned", "--system", system, "--out", out]) == 0
+        assert train(workspace, "--mode", "unpruned", "--system", system, "--out", out) == 0
         capsys.readouterr()  # drop the training chatter
         return out
 
@@ -283,15 +267,10 @@ class TestClassify:
         # Far more output than a pipe buffers, so writes fail once the reader
         # has gone.
         text.write_text("a piece of cake\n" * 5000)
-        package_root = str(Path(winspell.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])
-        )
         proc = subprocess.Popen(
             [sys.executable, "-m", "winspell", "classify", "--out", str(out),
              "--system", "bayes", "--tagdict", str(workspace / "tags.tsv"), str(text)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
         )
         first = proc.stdout.readline()
         proc.stdout.close()
@@ -303,21 +282,17 @@ class TestClassify:
 
     @pytest.mark.parametrize("system", ["bayes", "winnow"])
     def test_rows_ordered_by_line_then_model_then_span(self, tmp_path, capsys, system):
-        corpus = tmp_path / "corpus.txt"
-        corpus.write_text(
+        (tmp_path / "corpus.txt").write_text(
             "a piece of cake is easy\nanother piece of cake for you\n"
             "world peace is the goal\nthe peace treaty was signed\n"
             "their house is big\ntheir dog barks\n"
             "over there it is\nput it there now\n"
         )
-        sets = tmp_path / "sets.txt"
-        sets.write_text("their, there\npeace, piece\n")
+        (tmp_path / "sets.txt").write_text("their, there\npeace, piece\n")
         tags = tmp_path / "tags.tsv"
         tags.write_text("of\tPREP\n")
         out = tmp_path / "models"
-        assert run(["train", "--corpus", corpus, "--confusion-sets", sets,
-                    "--tagdict", tags, "--mode", "unpruned", "--system", system,
-                    "--out", out]) == 0
+        assert train(tmp_path, "--mode", "unpruned", "--system", system, "--out", out) == 0
         capsys.readouterr()
         draft = tmp_path / "draft.txt"
         draft.write_text(
@@ -431,15 +406,6 @@ class TestCorrupt:
         assert changes[0] == "set\tsentence\tspan_start\told_member\tnew_member"
         assert len(changes) > 1
 
-    def test_deterministic_across_runs(self, tmp_path):
-        corpus, sets, _ = write_eval_workspace(tmp_path)
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        for out in (out1, out2):
-            run(["corrupt", "--corpus", corpus, "--confusion-sets", sets,
-                 "--corrupt-pct", 30, "--seed", 9, "--out", out])
-        assert (out1 / "corrupted.txt").read_bytes() == (out2 / "corrupted.txt").read_bytes()
-        assert (out1 / "changes.tsv").read_bytes() == (out2 / "changes.tsv").read_bytes()
-
 
 class TestCollector:
     """``main`` runs a command with the cyclic collector off and leaves it as
@@ -526,14 +492,12 @@ def test_cli_import_skips_dataclasses_and_statistics():
     """Generating dataclass code and importing ``statistics`` (with
     ``fractions`` and ``decimal``) cost every command ~20 ms at start-up;
     ``json``, which only a ``--config`` file needs, ~1.7 ms more."""
-    package_root = str(Path(winspell.__file__).resolve().parent.parent)
     probe = (
         "import sys; before = set(sys.modules); import winspell.cli; "
         "print(sorted({'dataclasses', 'json', 'statistics'} & (set(sys.modules) - before)))"
     )
-    env = dict(os.environ, PYTHONPATH=package_root)
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                            text=True, env=env, check=True)
+                            text=True, env=child_env(), check=True)
     assert result.stdout == "[]\n"
 
 
@@ -557,10 +521,7 @@ class TestConfigFile:
         config = tmp_path / "config.json"
         # systems is eval's flag; corrupt_pct takes any number.
         config.write_text(json.dumps({"systems": ["baseline"], "corrupt_pct": 5}))
-        rc = run(["train", "--config", config, "--corpus", workspace / "corpus.txt",
-                  "--confusion-sets", workspace / "sets.txt",
-                  "--tagdict", workspace / "tags.tsv", "--system", "bayes",
-                  "--out", tmp_path / "out"])
+        rc = train(workspace, "--config", config, "--system", "bayes", "--out", tmp_path / "out")
         assert rc == 0
         assert (tmp_path / "out" / "peace+piece.bayes.model").exists()
 

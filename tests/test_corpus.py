@@ -273,22 +273,11 @@ class TestFindOccurrences:
         cset = confusion_set_from_text("hear, here")
         assert find_occurrences(corpus_of("nothing matches"), cset) == []
 
-    @given(st.lists(st.sampled_from(["may", "be", "maybe", "x", "y"]), max_size=12))
-    @settings(max_examples=200, deadline=None)
-    def test_spans_non_overlapping_and_sorted(self, tokens):
-        cset = confusion_set_from_text("maybe, may be")
-        occs = find_occurrences([Sentence(tuple(tokens))], cset)
-        previous_end = 0
-        for occ in occs:
-            assert occ.span_start >= previous_end
-            previous_end = occ.span_start + occ.span_len
-            member = cset.members[occ.member_index]
-            assert tuple(tokens[occ.span_start : previous_end]) == member
-
 
 def reference_matches(tokens, cset):
     """Brute-force scan: at each position try every member, longest first
-    (ties in member order); on a match take it and jump past it."""
+    (ties in member order); on a match take it and jump past it. So its spans
+    are sorted, do not overlap, and each holds its member's tokens."""
     by_length = sorted(range(len(cset.members)), key=lambda i: -len(cset.members[i]))
     out = []
     i = 0
@@ -304,9 +293,6 @@ def reference_matches(tokens, cset):
     return out
 
 
-SHARED_FIRST_TOKEN_SETS = ("may, may be", "may be, may", "may, may be, may not be")
-
-
 class TestSharedFirstToken:
     """Members that start with the same token: the longest must win."""
 
@@ -320,40 +306,6 @@ class TestSharedFirstToken:
             (4, 1, 0),
         ]
 
-    @given(
-        st.sampled_from(SHARED_FIRST_TOKEN_SETS),
-        st.lists(
-            st.lists(st.sampled_from(["may", "be", "not", "maybe", "x"]), max_size=10),
-            max_size=4,
-        ),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_matches_brute_force_reference(self, set_text, token_lists):
-        cset = confusion_set_from_text(set_text)
-        corpus = [Sentence(tuple(tokens)) for tokens in token_lists]
-        got = [
-            (id(o.sentence), o.span_start, o.span_len, o.member_index)
-            for o in find_occurrences(corpus, cset)
-        ]
-        want = [
-            (id(sent), *match)
-            for sent in corpus
-            for match in reference_matches(sent.surfaces, cset)
-        ]
-        assert got == want
-
-    @given(st.integers(0, 2**32), st.integers(0, 100))
-    @settings(max_examples=50, deadline=None)
-    def test_corrupt_restore_round_trip(self, seed, pct):
-        rng = random.Random(seed)
-        cset = confusion_set_from_text("may, may be")
-        corpus = [
-            Sentence(tuple(rng.choices(["may", "be", "it", "x"], k=rng.randint(0, 8))))
-            for _ in range(rng.randint(1, 6))
-        ]
-        corrupted, log = corrupt(corpus, cset, pct, seed)
-        assert restore(corrupted, cset, log) == corpus
-
 
 # Sets that share first tokens (may, be, maybe) and members (may be) with
 # one another.
@@ -366,6 +318,8 @@ OVERLAPPING_SET_POOL = (
     "bee, be, b",
     "not, knot",
 )
+# Their tokens, and one token of none of them.
+OVERLAPPING_WORDS = ("may", "be", "bee", "b", "not", "knot", "maybe", "x")
 
 
 class TestOccurrencesBySet:
@@ -386,11 +340,7 @@ class TestOccurrencesBySet:
 
     @given(
         st.lists(st.sampled_from(OVERLAPPING_SET_POOL), min_size=1, max_size=5),
-        st.lists(
-            st.lists(st.sampled_from(["may", "be", "bee", "b", "not", "knot", "maybe", "x"]),
-                     max_size=10),
-            max_size=4,
-        ),
+        st.lists(st.lists(st.sampled_from(OVERLAPPING_WORDS), max_size=10), max_size=4),
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_brute_force_reference_per_set(self, set_texts, token_lists):
@@ -417,11 +367,6 @@ class TestCorrupt:
             "i hear you", "come here now", "you hear it here", "no match at all"
         )
 
-    def test_p_zero_is_identity(self):
-        corrupted, log = corrupt(self.corpus, self.cset, 0, seed=1)
-        assert corrupted == self.corpus
-        assert log == []
-
     def test_p_hundred_two_members_flips_all(self):
         corrupted, log = corrupt(self.corpus, self.cset, 100, seed=1)
         occs = find_occurrences(self.corpus, self.cset)
@@ -442,10 +387,6 @@ class TestCorrupt:
         _, log = corrupt(corpus, self.cset, 5, seed=0)
         assert 29 <= len(log) <= 74
 
-    def test_restore_round_trip(self):
-        corrupted, log = corrupt(self.corpus, self.cset, 100, seed=3)
-        assert restore(corrupted, self.cset, log) == self.corpus
-
     def test_restore_multi_token_length_change(self):
         cset = confusion_set_from_text("maybe, may be")
         corpus = corpus_of("maybe it may be so maybe", "may be may be")
@@ -453,16 +394,15 @@ class TestCorrupt:
         assert corrupted != corpus
         assert restore(corrupted, cset, log) == corpus
 
-    @given(st.integers(0, 2**32), st.integers(0, 100))
-    @settings(max_examples=50, deadline=None)
-    def test_restore_inverts_corrupt(self, seed, pct):
+    @given(st.sampled_from(OVERLAPPING_SET_POOL), st.integers(0, 2**32), st.integers(0, 100))
+    @settings(max_examples=200, deadline=None)
+    def test_restore_inverts_corrupt(self, set_text, seed, pct):
         rng = random.Random(seed)
-        words = ["maybe", "may", "be", "it", "so", "x"]
         corpus = [
-            Sentence(tuple(rng.choices(words, k=rng.randint(0, 8))))
+            Sentence(tuple(rng.choices(OVERLAPPING_WORDS, k=rng.randint(0, 8))))
             for _ in range(rng.randint(1, 6))
         ]
-        cset = confusion_set_from_text("maybe, may be")
+        cset = confusion_set_from_text(set_text)
         corrupted, log = corrupt(corpus, cset, pct, seed)
         assert restore(corrupted, cset, log) == corpus
 

@@ -27,6 +27,7 @@ from winspell.features import ExtractionParams
 from winspell.winnow import CYCLES, WinnowNetwork, network_from_text, network_to_text
 
 from helpers import (
+    EMPTY_TAGS,
     MCNEMAR_ORACLE,
     TWO_PROPORTION_ORACLE,
     corpus_of,
@@ -36,7 +37,6 @@ from helpers import (
     two_domain_pair,
 )
 
-EMPTY_TAGS = TagDictionary()
 
 
 def baseline_outcomes(train_counts, test_counts):

@@ -39,6 +39,7 @@ from winspell.winnow import WinnowNetwork
 
 from helpers import (
     CHI2_ORACLE,
+    EMPTY_TAGS,
     collocation,
     context_word,
     corpus_of,
@@ -46,10 +47,9 @@ from helpers import (
     random_tiny_corpus,
     separable_corpus,
     small_disjunct_corpus,
+    stats_from_counts,
     two_domain_pair,
 )
-
-EMPTY_TAGS = TagDictionary()
 
 
 def one_occurrence(text, cset):
@@ -307,16 +307,22 @@ class TestCollectStats:
         self.cset = confusion_set_from_text("peace, piece")
         self.params = ExtractionParams()
 
+    # A member without occurrences is warned of, naming its set.
+    WARNING = (r"^confusion set \{peace, piece\}: no training occurrences of 'piece';"
+               " its prior is 0$")
+
     def test_single_occurrence_counts_one(self):
         corpus = corpus_of("a peace of cake")
-        stats = collect_stats(corpus, self.cset, self.params, EMPTY_TAGS)
+        with pytest.warns(UserWarning, match=self.WARNING):
+            stats = collect_stats(corpus, self.cset, self.params, EMPTY_TAGS)
         assert stats.occurrences == [1, 0]
         assert all(row == [1, 0] for row in stats.counts.values())
 
     def test_duplicated_corpus_doubles_counts(self):
         corpus = corpus_of("a peace of cake")
-        once = collect_stats(corpus, self.cset, self.params, EMPTY_TAGS)
-        twice = collect_stats(corpus * 2, self.cset, self.params, EMPTY_TAGS)
+        with pytest.warns(UserWarning, match=self.WARNING):
+            once = collect_stats(corpus, self.cset, self.params, EMPTY_TAGS)
+            twice = collect_stats(corpus * 2, self.cset, self.params, EMPTY_TAGS)
         assert twice.occurrences == [2, 0]
         for f, row in once.counts.items():
             assert twice.counts[f] == [2 * c for c in row]
@@ -384,40 +390,32 @@ class TestChiSquare:
         assert chi_square_2x2(b, a, d, c) == base
 
 
-def make_stats(counts, occurrences):
-    cset = confusion_set_from_text("w0, w1")
-    stats = FeatureStats(cset, ExtractionParams())
-    stats.occurrences = list(occurrences)
-    stats.counts = {context_word(name).key(): list(row) for name, row in counts.items()}
-    return stats
-
-
 class TestPrune:
     def test_rare_feature_removed_in_pruned(self):
-        stats = make_stats({"rare": [9, 0], "ok": [400, 100]}, [500, 500])
+        stats = stats_from_counts({"rare": [9, 0], "ok": [400, 100]}, [500, 500])
         retained = prune(stats, PRUNED)
         assert context_word("rare") not in retained.features
         assert context_word("ok") in retained.features
 
     def test_near_universal_feature_removed(self):
-        stats = make_stats({"everywhere": [500, 495], "ok": [400, 100]}, [500, 500])
+        stats = stats_from_counts({"everywhere": [500, 495], "ok": [400, 100]}, [500, 500])
         retained = prune(stats, PRUNED)
         assert context_word("everywhere") not in retained.features
 
     def test_uncorrelated_feature_removed(self):
         # Table (20, 20, 80, 80) has chi-square p = 1.0.
-        stats = make_stats({"flat": [20, 20], "ok": [80, 10]}, [100, 100])
+        stats = stats_from_counts({"flat": [20, 20], "ok": [80, 10]}, [100, 100])
         retained = prune(stats, PRUNED)
         assert context_word("flat") not in retained.features
         assert context_word("ok") in retained.features
 
     def test_singleton_removed_in_both_modes(self):
-        stats = make_stats({"once": [1, 0], "ok": [80, 10]}, [100, 100])
+        stats = stats_from_counts({"once": [1, 0], "ok": [80, 10]}, [100, 100])
         for mode in (PRUNED, UNPRUNED):
             assert context_word("once") not in prune(stats, mode).features
 
     def test_unpruned_keeps_rare_but_repeated(self):
-        stats = make_stats({"rare": [2, 0]}, [100, 100])
+        stats = stats_from_counts({"rare": [2, 0]}, [100, 100])
         assert context_word("rare") in prune(stats, UNPRUNED).features
 
     @pytest.mark.parametrize("mode", [PRUNED, UNPRUNED])
@@ -425,7 +423,7 @@ class TestPrune:
         rng = random.Random(7)
         counts = {f"f{i}": [rng.randint(0, 40), rng.randint(0, 40)] for i in range(60)}
         counts = {name: row for name, row in counts.items() if sum(row) > 0}
-        stats = make_stats(counts, [60, 60])
+        stats = stats_from_counts(counts, [60, 60])
         want = prune(stats, mode)
         assert want and list(want) == sorted(want)
         items = list(stats.counts.items())
@@ -440,7 +438,7 @@ class TestPrune:
         n0 = max(r[0] for r in rows) + 5
         n1 = max(r[1] for r in rows) + 5
         counts = {f"f{i}": list(row) for i, row in enumerate(rows) if sum(row) > 0}
-        stats = make_stats(counts, [n0, n1])
+        stats = stats_from_counts(counts, [n0, n1])
         pruned = set(prune(stats, PRUNED))
         unpruned = set(prune(stats, UNPRUNED))
         assert pruned <= unpruned

@@ -47,7 +47,10 @@ def test_cases_are_the_rows(request):
 
 def test_each_row_expects_one_anchored_line():
     for row in ROWS:
-        assert row.err.startswith("^") and row.err.endswith("$") and "\n" not in row.err, row.name
+        lines = row.err.split("\n")
+        assert all(line.startswith("^") and line.endswith("$") for line in lines), row.name
+        # A refusal is one line; only a run that warns writes more.
+        assert row.code == 0 or len(lines) == 1, row.name
         assert ("{line}" in row.err) == (row.line is not None), row.name
         # A refusal leaves no --out, not even an empty one.
         if row.code and "--out {ws}/out" in row.argv:

@@ -7,7 +7,6 @@ import pytest
 
 from winspell.bayes import classify_bayes, train_bayes
 from winspell.corpus import (
-    TagDictionary,
     confusion_set_from_text,
     corrupt,
     find_occurrences,
@@ -24,9 +23,8 @@ from winspell.features import (
 )
 from winspell.winnow import ALPHA, BETAS, THETA, WinnowNetwork
 
-from helpers import context_word, index_of
+from helpers import EMPTY_TAGS, context_word, index_of
 
-EMPTY_TAGS = TagDictionary()
 CSET = confusion_set_from_text("cite, sight, site")
 MARKERS = ("mema", "memb", "memc")
 

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from winspell.bayes import classify_bayes, train_bayes
-from winspell.corpus import TagDictionary, confusion_set_from_text, find_occurrences
+from winspell.bayes import train_bayes
+from winspell.corpus import confusion_set_from_text, find_occurrences
 from winspell.evaluation import TrainingSet, train_system_model
 from winspell.features import (
     ExtractionParams,
     FeatureStats,
     UNPRUNED,
-    collect_stats,
     extract_active,
     prune,
 )
@@ -48,15 +47,14 @@ from winspell.winnow import (
 )
 
 from helpers import (
+    EMPTY_TAGS,
     context_word,
     corpus_of,
     ids_of,
     index_of,
-    random_tiny_corpus,
+    stats_from_counts,
     winnow_train_example,
 )
-
-EMPTY_TAGS = TagDictionary()
 
 F1, F2, F3 = context_word("f1"), context_word("f2"), context_word("f3")
 # Their feature ids in a network over them: positions in sorted order.
@@ -592,13 +590,11 @@ class TestTrainNetworkMatchesReference:
 
 class TestInitBayesian:
     def build_pair(self, counts, occurrences):
-        cset = confusion_set_from_text("dax, fep")
-        stats = FeatureStats(cset, ExtractionParams())
-        stats.occurrences = list(occurrences)
-        stats.counts = {context_word(k).key(): list(v) for k, v in counts.items()}
+        stats = stats_from_counts(counts, occurrences)
         model = train_bayes(stats, prune(stats, UNPRUNED), dependency_resolution=False)
         network = WinnowNetwork(
-            cset, model.feature_ids, CYCLES, ExtractionParams(), layer_mode=ONE_LAYER
+            stats.confusion_set, model.feature_ids, CYCLES, ExtractionParams(),
+            layer_mode=ONE_LAYER,
         )
         return model, network
 
@@ -655,30 +651,13 @@ class TestInitBayesian:
         with pytest.raises(ValueError, match="feature sets"):
             init_bayesian(other, model)
 
-    def test_simplified_network_matches_bayes_decisions(self):
-        params = ExtractionParams(k=1, l=1)
-        rng = random.Random(99)
-        for _ in range(20):
-            train, test, cset = random_tiny_corpus(rng)
-            stats = collect_stats(train, cset, params, EMPTY_TAGS)
-            retained = prune(stats, UNPRUNED)
-            model = train_bayes(stats, retained, dependency_resolution=False)
-            network = WinnowNetwork(cset, retained, CYCLES, params, layer_mode=ONE_LAYER)
-            init_bayesian(network, model)
-            for occ in find_occurrences(test, cset):
-                active = extract_active(occ, network.feature_ids, params, EMPTY_TAGS)
-                assert classify_winnow(network, active).chosen == \
-                    classify_bayes(model, active).chosen
-
 
 class TestSparsify:
     def test_drops_undemonstrated_links_keeps_bias(self):
-        cset = confusion_set_from_text("dax, fep")
-        stats = FeatureStats(cset, ExtractionParams())
-        stats.occurrences = [2, 2]
-        stats.counts = {F1.key(): [2, 0], F2.key(): [1, 2]}
+        stats = stats_from_counts({"f1": [2, 0], "f2": [1, 2]}, [2, 2])
         model = train_bayes(stats, prune(stats, UNPRUNED), dependency_resolution=False)
-        network = WinnowNetwork(cset, model.feature_ids, CYCLES, ExtractionParams())
+        network = WinnowNetwork(stats.confusion_set, model.feature_ids, CYCLES,
+                                ExtractionParams())
         init_bayesian(network, model)
         full = [[weights_of(cloud, k) for k in range(len(cloud.classifiers))]
                 for cloud in network.clouds]
@@ -702,13 +681,10 @@ class TestConnectionTable:
     )
     @settings(max_examples=100, deadline=None)
     def test_table_survives_training_and_reload(self, stream, start, layer_mode):
-        cset = confusion_set_from_text("dax, fep")
-        network = WinnowNetwork(cset, index_of((F1, F2, F3)), 2,
+        stats = stats_from_counts({"f1": [2, 0], "f2": [1, 2], "f3": [1, 1]}, [2, 2])
+        network = WinnowNetwork(stats.confusion_set, index_of((F1, F2, F3)), 2,
                                 ExtractionParams(), layer_mode=layer_mode)
         if start != "uniform":
-            stats = FeatureStats(cset, ExtractionParams())
-            stats.occurrences = [2, 2]
-            stats.counts = {F1.key(): [2, 0], F2.key(): [1, 2], F3.key(): [1, 1]}
             model = train_bayes(stats, prune(stats, UNPRUNED),
                                 dependency_resolution=False)
             init_bayesian(network, model)
