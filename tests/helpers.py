@@ -95,6 +95,20 @@ def corpus_of(*texts: str) -> list[Sentence]:
     return [tokenize(t, i + 1) for i, t in enumerate(texts)]
 
 
+def corpus_text(sentences) -> str:
+    """The text of a corpus file holding ``sentences``, one a line."""
+    return "\n".join(" ".join(s.surfaces) for s in sentences) + "\n"
+
+
+def write_inputs(directory, sentences):
+    """corpus.txt holding ``sentences``, sets.txt holding {dax, fep} and
+    tags.tsv tagging rix and zor, written to ``directory``: their paths."""
+    paths = directory / "corpus.txt", directory / "sets.txt", directory / "tags.tsv"
+    for path, text in zip(paths, (corpus_text(sentences), "dax, fep\n", "rix\tMARK\nzor\tMARK\n")):
+        path.write_text(text)
+    return paths
+
+
 def _pattern_sentence(
     rng: random.Random, member: str, pre: str | None, post: str | None
 ) -> Sentence:

@@ -3,15 +3,23 @@ workspace (every system's model among them) and an edit of it, the argv and
 stdin of one ``winspell`` run, its exit code, the one stderr line it writes
 (a run that warns, one per warning) as an anchored pattern, and the paths it
 must not leave. ``test_refusals`` runs the rows in-process, ``smoke.py`` as
-``python -S -m winspell``. A new refusal is one more row. Standard library
-only.
+``python -S -m winspell``. A new refusal is one more row. The toy's writer,
+the in-process runner and a child ``python``'s environment are here too, for
+``conftest.py`` and ``smoke.py``. Standard library only.
 """
 
+import io
+import os
 import re
 import shutil
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
+import winspell
+from winspell.cli import main
 from winspell.evaluation import TRAINABLE_SYSTEMS
 
 TOY = {
@@ -26,6 +34,24 @@ TRAIN = f"train {FILES} --mode unpruned --system bayes --out {{ws}}/out"
 
 def argv_of(template: str, ws: Path) -> list[str]:
     return [arg.replace("{ws}", str(ws)) for arg in template.split()]
+
+
+def run_in_process(argv, stdin=b""):
+    """``main(argv)`` with ``stdin`` on sys.stdin: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), \
+            mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin))):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def child_env() -> dict:
+    """The environment of a child ``python`` that imports this winspell: its
+    PYTHONPATH is the directory holding the package, and nothing else."""
+    return dict(os.environ, PYTHONPATH=str(Path(winspell.__file__).resolve().parent.parent))
 
 
 def build_workspace(ws: Path, run) -> None:

@@ -4,26 +4,29 @@ In the toy workspace of ``refusals.py`` it trains and classifies with every
 trainable system, runs eval of every system under supunsup, ablate and
 corrupt, classifies a CRLF draft as its LF copy and reloads every model to
 its own bytes; then it runs every refusal row as ``python -S -m winspell``.
-It exits 1 naming each check and row that failed. Standard library only.
+It exits 1 naming each check and row that failed; a child that hangs is
+killed and fails its own. Standard library only.
 """
 
-import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-import winspell
-from refusals import FILES, ROWS, argv_of, build_workspace, run_row
+from refusals import FILES, ROWS, argv_of, build_workspace, child_env, run_row
 from winspell.evaluation import SYSTEMS, TRAINABLE_SYSTEMS, load_system_model, save_system_model
 
-PACKAGE_ROOT = str(Path(winspell.__file__).resolve().parent.parent)
+TIMEOUT = 120  # seconds
 
 
 def run(argv, stdin=b""):
-    """``python -S -m winspell *argv``: (exit code, stdout, stderr)."""
-    proc = subprocess.run([sys.executable, "-S", "-m", "winspell", *argv], input=stdin,
-                          capture_output=True, env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT))
+    """``python -S -m winspell *argv``: (exit code, stdout, stderr). A child
+    still running after TIMEOUT seconds is killed, and its exit code is None."""
+    try:
+        proc = subprocess.run([sys.executable, "-S", "-m", "winspell", *argv], input=stdin,
+                              capture_output=True, env=child_env(), timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return None, "", f"killed after {TIMEOUT} s\n"
     return proc.returncode, *(text.decode(errors="replace") for text in (proc.stdout, proc.stderr))
 
 

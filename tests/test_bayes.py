@@ -1,5 +1,4 @@
 import math
-import random
 from types import SimpleNamespace
 
 import pytest
@@ -410,15 +409,6 @@ class TestClassifyBayes:
         posterior = classify_bayes(model, ids_of(model, [context_word("cake")]))
         shifted = [s + 123.456 for s in posterior.scores]
         assert max(range(2), key=lambda i: shifted[i]) == posterior.chosen
-
-    def test_increasing_count_never_decreases_likelihood(self):
-        rng = random.Random(0)
-        for _ in range(50):
-            count = rng.randint(0, 20)
-            n = count + rng.randint(1, 20)
-            before = count / n
-            after = (count + 1) / (n + 1)
-            assert after >= before
 
 
 class TestSerialization:

@@ -19,33 +19,14 @@ from winspell.evaluation import TRAINABLE_SYSTEMS, ExperimentConfig, TrainingSet
 from winspell.features import ExtractionParams
 from winspell.winnow import load_network
 
-from helpers import noisy_disjunct_corpus, separable_corpus, two_domain_pair
-
-
-@pytest.fixture
-def workspace(tmp_path):
-    """Corpus, confusion sets, and tag dictionary on disk."""
-    corpus = tmp_path / "corpus.txt"
-    corpus.write_text(
-        "\n".join(
-            [
-                "a piece of cake is easy",
-                "another piece of cake for you",
-                "one more piece of pie please",
-                "they cut a piece of bread",
-                "peace talks began today",
-                "world peace is the goal",
-                "the peace treaty was signed",
-                "lasting peace takes work",
-            ]
-        )
-        + "\n"
-    )
-    sets = tmp_path / "sets.txt"
-    sets.write_text("# test sets\npeace, piece\n")
-    tags = tmp_path / "tags.tsv"
-    tags.write_text("of\tPREP\ncake\tNOUN_sing\n")
-    return tmp_path
+from helpers import (
+    corpus_text,
+    noisy_disjunct_corpus,
+    separable_corpus,
+    two_domain_pair,
+    write_inputs,
+)
+from refusals import child_env
 
 
 def run(args):
@@ -59,29 +40,22 @@ def train(workspace, *flags):
                 "--tagdict", workspace / "tags.tsv", *flags])
 
 
-def child_env() -> dict:
-    """The environment of a child ``python`` that imports this winspell."""
-    package_root = str(Path(winspell.__file__).resolve().parent.parent)
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-
-
 class TestTrain:
     def test_writes_loadable_model(self, workspace, capsys):
-        out = workspace / "models"
+        out = workspace / "out"
         rc = train(workspace, "--mode", "unpruned", "--system", "bayes", "--out", out)
         assert rc == 0
         assert (out / "peace+piece.bayes.model").exists()
         assert "wrote" in capsys.readouterr().out
 
     def test_winnow_cycles_reflected(self, workspace):
-        out = workspace / "models"
-        rc = train(workspace, "--mode", "unpruned", "--system", "winnow", "--cycles", 5,
+        out = workspace / "out"
+        rc = train(workspace, "--mode", "unpruned", "--system", "winnow", "--cycles", 2,
                    "--out", out)
         assert rc == 0
         network = load_network(out / "peace+piece.winnow.model")
-        # 8 occurrences x 5 cycles.
-        assert all(c.examples_seen == 40 for c in network.clouds)
+        # 6 occurrences x 2 cycles.
+        assert all(c.examples_seen == 12 for c in network.clouds)
 
     @pytest.mark.parametrize("system, streams, bayes_models", [("bayes", 0, 1), ("winnow", 1, 0)])
     def test_builds_only_what_the_system_reads(self, workspace, monkeypatch, system, streams,
@@ -200,60 +174,26 @@ class TestTrain:
 
 
 class TestClassify:
-    def train_first(self, workspace, capsys, system="bayes"):
-        out = workspace / "models"
-        assert train(workspace, "--mode", "unpruned", "--system", system, "--out", out) == 0
-        capsys.readouterr()  # drop the training chatter
-        return out
-
-    def test_suggests_planted_association(self, workspace, capsys, tmp_path):
-        out = self.train_first(workspace, capsys)
+    # classify's rows for one draft line, less their score column, from the toy's models.
+    @pytest.mark.parametrize("system, draft, rows", [
+        ("bayes", "i'd like a peace of cake", ["1\t3:1\tpeace\tpiece\tfix"]),
+        ("winnow", "i'd like a peace of cake", ["1\t3:1\tpeace\tpiece\tfix"]),
+        ("bayes", "a piece of cake", ["1\t1:1\tpiece\tpiece\tok"]),
+        ("bayes", "nothing relevant here", []),
+    ], ids=["bayes-fix", "winnow-fix", "bayes-ok", "no-occurrences"])
+    def test_rows_but_the_score(self, toy, capsys, tmp_path, system, draft, rows):
         text = tmp_path / "input.txt"
-        text.write_text("i'd like a peace of cake\n")
-        rc = run(["classify", "--out", out, "--system", "bayes",
-                  "--tagdict", workspace / "tags.tsv", text])
-        assert rc == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 1
-        fields = lines[0].split("\t")
-        assert fields[2] == "peace"
-        assert fields[3] == "piece"
-        assert fields[4] == "fix"
+        text.write_text(draft + "\n")
+        assert run(["classify", "--out", toy / "models", "--system", system,
+                    "--tagdict", toy / "tags.tsv", text]) == 0
+        assert [line.rsplit("\t", 1)[0] for line in capsys.readouterr().out.splitlines()] == rows
 
-    def test_agreeing_occurrence_flagged_ok(self, workspace, capsys, tmp_path):
-        out = self.train_first(workspace, capsys)
-        text = tmp_path / "input.txt"
-        text.write_text("a piece of cake\n")
-        run(["classify", "--out", out, "--system", "bayes",
-             "--tagdict", workspace / "tags.tsv", text])
-        line = capsys.readouterr().out.splitlines()[0]
-        assert line.split("\t")[4] == "ok"
-
-    def test_no_occurrences_empty_output(self, workspace, capsys, tmp_path):
-        out = self.train_first(workspace, capsys)
-        text = tmp_path / "input.txt"
-        text.write_text("nothing relevant here\n")
-        rc = run(["classify", "--out", out, "--system", "bayes",
-                  "--tagdict", workspace / "tags.tsv", text])
-        assert rc == 0
-        assert capsys.readouterr().out == ""
-
-    def test_winnow_model_round_trip(self, workspace, capsys, tmp_path):
-        out = self.train_first(workspace, capsys, system="winnow")
-        text = tmp_path / "input.txt"
-        text.write_text("i'd like a peace of cake\n")
-        rc = run(["classify", "--out", out, "--system", "winnow",
-                  "--tagdict", workspace / "tags.tsv", text])
-        assert rc == 0
-        assert capsys.readouterr().out.splitlines()[0].split("\t")[3] == "piece"
-
-    def test_stdin_input_reads_as_the_file_does(self, workspace, capsys, tmp_path,
-                                                monkeypatch):
-        out = self.train_first(workspace, capsys)
+    def test_stdin_input_reads_as_the_file_does(self, toy, capsys, tmp_path, monkeypatch):
         data = "a peace of cake\r\nworld piece is near\n\nno match here\n".encode()
         text = tmp_path / "input.txt"
         text.write_bytes(data)
-        args = ["classify", "--out", out, "--system", "bayes", "--tagdict", workspace / "tags.tsv"]
+        args = ["classify", "--out", toy / "models", "--system", "bayes",
+                "--tagdict", toy / "tags.tsv"]
         assert run([*args, text]) == 0
         from_file = capsys.readouterr().out
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
@@ -261,15 +201,14 @@ class TestClassify:
         assert capsys.readouterr().out == from_file
         assert from_file.count("\n") == 2
 
-    def test_closed_stdout_exits_quietly(self, workspace, capsys, tmp_path):
-        out = self.train_first(workspace, capsys)
+    def test_closed_stdout_exits_quietly(self, toy, tmp_path):
         text = tmp_path / "input.txt"
         # Far more output than a pipe buffers, so writes fail once the reader
         # has gone.
         text.write_text("a piece of cake\n" * 5000)
         proc = subprocess.Popen(
-            [sys.executable, "-m", "winspell", "classify", "--out", str(out),
-             "--system", "bayes", "--tagdict", str(workspace / "tags.tsv"), str(text)],
+            [sys.executable, "-m", "winspell", "classify", "--out", str(toy / "models"),
+             "--system", "bayes", "--tagdict", str(toy / "tags.tsv"), str(text)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
         )
         first = proc.stdout.readline()
@@ -318,15 +257,9 @@ class TestClassify:
         ]
 
 
-def write_eval_workspace(tmp_path, seed=0):
-    train, test, _ = separable_corpus(seed=seed)
-    corpus = tmp_path / "corpus.txt"
-    corpus.write_text("\n".join(" ".join(s.surfaces) for s in train + test) + "\n")
-    sets = tmp_path / "sets.txt"
-    sets.write_text("dax, fep\n")
-    tags = tmp_path / "tags.tsv"
-    tags.write_text("rix\tMARK\nzor\tMARK\n")
-    return corpus, sets, tags
+def write_eval_workspace(tmp_path):
+    train, test, _ = separable_corpus(seed=0)
+    return write_inputs(tmp_path, train + test)
 
 
 class TestEvalAndAblate:
@@ -357,14 +290,9 @@ class TestEvalAndAblate:
 
     def test_eval_supunsup_protocol(self, tmp_path):
         corpus_a, corpus_b, _ = two_domain_pair(seed=0)
-        corpus = tmp_path / "a.txt"
-        corpus.write_text("\n".join(" ".join(s.surfaces) for s in corpus_a) + "\n")
+        corpus, sets, tags = write_inputs(tmp_path, corpus_a)
         test_corpus = tmp_path / "b.txt"
-        test_corpus.write_text("\n".join(" ".join(s.surfaces) for s in corpus_b) + "\n")
-        sets = tmp_path / "sets.txt"
-        sets.write_text("dax, fep\n")
-        tags = tmp_path / "tags.tsv"
-        tags.write_text("brix\tMARK\n")
+        test_corpus.write_text(corpus_text(corpus_b))
         out = tmp_path / "out"
         rc = run(["eval", "--corpus", corpus, "--test-corpus", test_corpus,
                   "--confusion-sets", sets, "--tagdict", tags,
@@ -477,10 +405,6 @@ class TestCollector:
                 (gc.enable if was_enabled else gc.disable)()
             capsys.readouterr()
         assert unreachable[0] == unreachable[1]
-
-
-def corpus_text(sentences) -> str:
-    return "\n".join(" ".join(s.surfaces) for s in sentences) + "\n"
 
 
 def write(path, text):
@@ -651,6 +575,14 @@ GOLDEN_DIGESTS = {
         "914d6c94c0d086ac488b9ec615cdff5881390a94a75d63a1366a813e3cf8a96c",
     "<stdout of classify winnow-bayes-init>":
         "f1119621eedc519229ac1a546fcdff2eedb79556b824a598fabaa3b51a875ac5",
+    "<stdout of eval supunsup>":
+        "86fdad46943fad46e990067f7d677c0ca9210e9d46930dd363e20248a027b30b",
+    "<stdout of corrupt>":
+        "2c52b19805045f1291da50b2fd46cbd510031e810f47c6ae78e40e2fb9c1b28a",
+    "corrupt/changes.tsv":
+        "ac8011a73acf531bddd86260007f8d61c1ae16b99f0ab4ce3bf8517567d4e087",
+    "corrupt/corrupted.txt":
+        "3762a6dcb1521e94e607e600f35eda3419da99209a5ed69a3f2b4a033a85b16e",
     "out/dax+fep.bayes.model":
         "62b180a7e65475646e2ce9158ebc229fb7f7ea4b877507ec3fa1792b879e462a",
     "out/dax+fep.simplified-bayes.model":
@@ -669,18 +601,25 @@ GOLDEN_DIGESTS = {
         "7c0f1cfa0948179d28b53a6c652b3969a3cf2ab34a3bb28cd4a3bafd4476421f",
     "report/ablation.txt":
         "c80a694ddd623bfc428efbb22b0ff5afdba3f35a0b1d9ec1d082bacb18d281e9",
+    "report/report.tsv":
+        "3a3daf53a2bc02a56c484cf60a263f14d3958b05aa45b87d325117befc71df23",
+    "report/report.txt":
+        "86fdad46943fad46e990067f7d677c0ca9210e9d46930dd363e20248a027b30b",
 }
 
 
 class TestGoldenBytes:
     def test_outputs_match_recorded_digests(self, tmp_path, capsys, monkeypatch):
-        """Every trainable system's model file, the ablation report and every
-        system's classify output keep their recorded bytes. The corpus has
-        flipped labels, so each trained Winnow variant promotes and demotes."""
+        """Every trainable system's model file, the ablation report, every
+        system's classify output, a supunsup report and a corruption of two
+        sets keep their recorded bytes. The corpus has flipped labels, so each
+        trained Winnow variant promotes and demotes. Each value eval is given
+        apart from --k and --mode changes its report from the default's, and
+        the second set makes 45 of the 87 changes corrupt logs."""
         sentences, _ = noisy_disjunct_corpus(seed=0)
-        text = "\n".join(" ".join(s.surfaces) for s in sentences) + "\n"
-        (tmp_path / "corpus.txt").write_text(text)
+        (tmp_path / "corpus.txt").write_text(corpus_text(sentences))
         (tmp_path / "sets.txt").write_text("dax, fep\n")
+        (tmp_path / "two-sets.txt").write_text("dax, fep\nrix, zor\n")
         (tmp_path / "tags.tsv").write_text("rix\tMARK\nzor\tMARK\nquom\tMARK\n")
         monkeypatch.chdir(tmp_path)
         common = ["--corpus", "corpus.txt", "--confusion-sets", "sets.txt",
@@ -693,13 +632,16 @@ class TestGoldenBytes:
                                "--tagdict", "tags.tsv", "corpus.txt"])
             for s in TRAINABLE_SYSTEMS
         )
+        commands["eval supunsup"] = ["eval", *common, *(
+            "--protocol supunsup --test-corpus corpus.txt --system bayes --system winnow"
+            " --seed 3 --corrupt-pct 30 --cycles 2 --l 1 --out report").split()]
+        commands["corrupt"] = ("corrupt --corpus corpus.txt --confusion-sets two-sets.txt"
+                               " --corrupt-pct 30 --seed 3 --out corrupt").split()
         digests = {}
         for name, args in commands.items():
             assert main(args) == 0, name
             digests[f"<stdout of {name}>"] = capsys.readouterr().out.encode()
-        for path in sorted((tmp_path / "out").iterdir()) + sorted(
-            (tmp_path / "report").iterdir()
-        ):
+        for path in tmp_path.glob("*/*"):
             digests[path.relative_to(tmp_path).as_posix()] = path.read_bytes()
         digests = {k: hashlib.sha256(v).hexdigest() for k, v in digests.items()}
         assert digests == GOLDEN_DIGESTS

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from winspell import bayes
 from winspell.bayes import model_from_text, model_to_text
-from winspell.corpus import TagDictionary, confusion_set_from_text, find_occurrences
+from winspell.corpus import confusion_set_from_text, find_occurrences
 from winspell.evaluation import (
     ABLATION_LADDER,
     SYSTEMS,
@@ -31,10 +31,12 @@ from helpers import (
     MCNEMAR_ORACLE,
     TWO_PROPORTION_ORACLE,
     corpus_of,
+    corpus_text,
     mcnemar_outcome_pair,
     saved_here,
     separable_corpus,
     two_domain_pair,
+    write_inputs,
 )
 
 
@@ -222,32 +224,23 @@ def test_load_system_model_refuses_a_file_of_neither_format(tmp_path):
         load_system_model(path)
 
 
-def smoke_model(name):
-    """System ``name`` trained on the toy peace/piece corpus of the stdlib CI
-    smoke, and the writer and loader of its model format."""
-    corpus = corpus_of(
-        "a piece of cake is easy", "another piece of cake for you",
-        "they cut a piece of bread", "peace talks began today", "world peace is the goal",
-        "the peace treaty was signed",
-    )
-    cset = confusion_set_from_text("peace, piece")
-    tags = TagDictionary({"of": {"PREP"}, "cake": {"NOUN"}})
-    training = TrainingSet(find_occurrences(corpus, cset), cset, ExtractionParams(),
-                           tags, "unpruned")
-    model = train_system_model(name, training, CYCLES)
+def smoke_model(toy, name):
+    """System ``name``'s model of the toy workspace, and the writer and loader
+    of its format."""
+    model = load_system_model(toy / f"models/peace+piece.{name}.model")
     if isinstance(model, WinnowNetwork):
         return model, network_to_text, network_from_text
     return model, model_to_text, model_from_text
 
 
 class TestModelPrefixes:
-    def test_every_proper_prefix_of_every_systems_model_refused(self):
+    def test_every_proper_prefix_of_every_systems_model_refused(self, toy):
         # Every trainable system: a file cut after any line or any byte is
         # refused as truncated, naming a line; one cut inside line 1 is no
         # model file of its format.
         cuts = 0
         for name in SYSTEMS[1:]:
-            model, to_text, from_text = smoke_model(name)
+            model, to_text, from_text = smoke_model(toy, name)
             text = to_text(model)
             assert text.isascii() and to_text(from_text(text)) == text
             lines = text.splitlines(keepends=True)
@@ -266,13 +259,13 @@ class TestModelPrefixes:
 
 class TestModelEdits:
     @pytest.mark.parametrize("name", ["bayes", "winnow", "winnow-1layer"])
-    def test_every_line_deletion_or_adjacent_swap_reloads_or_names_a_line(self, name):
+    def test_every_line_deletion_or_adjacent_swap_reloads_or_names_a_line(self, toy, name):
         # Each edited file either holds a model that saves back to its own
         # bytes or is refused naming a line: a Bayes model, a trained sparse
         # two-layer network, and a full one-layer one. Edits delete, repeat
         # or swap lines, or put a line in its neighbour's place; a repeated
         # feature key leaves the sorted index one id short of its features.
-        model, to_text, from_text = smoke_model(name)
+        model, to_text, from_text = smoke_model(toy, name)
         lines = to_text(model).splitlines(keepends=True)
         edits = [lines[:i] + lines[i + 1 :] for i in range(len(lines))]
         edits += [lines[: i + 1] + lines[i:] for i in range(len(lines))]
@@ -293,11 +286,11 @@ class TestModelEdits:
         assert len(lines) > 20 and refused
 
     @pytest.mark.parametrize("name", ["bayes", "winnow", "winnow-1layer"])
-    def test_every_respelled_number_or_crlf_copy_refused_at_its_line(self, name):
+    def test_every_respelled_number_or_crlf_copy_refused_at_its_line(self, toy, name):
         # Each edit spells a value another way that int() or float() reads as
         # the same value, or ends every line in CRLF: only the writer's
         # spelling loads, so each is refused where saving writes otherwise.
-        model, to_text, from_text = smoke_model(name)
+        model, to_text, from_text = smoke_model(toy, name)
         text = to_text(model)
         lines = text.splitlines()
 
@@ -334,8 +327,8 @@ class TestRepeatedValueEdits:
         (re.compile(r"(\t0\.1)$"), r"\g<1>0"),  # weight 0.1 as 0.10
         (re.compile(r"^(3\t)"), r"0\g<1>"),      # row id 3 as 03
     ])
-    def test_winnow_value_respelled_on_every_row(self, old, new):
-        model, to_text, from_text = smoke_model("winnow")
+    def test_winnow_value_respelled_on_every_row(self, toy, old, new):
+        model, to_text, from_text = smoke_model(toy, "winnow")
         lines = to_text(model).splitlines()
         edited = [old.sub(new, line) for line in lines]
         changed = [n for n, (a, b) in enumerate(zip(lines, edited), 1) if a != b]
@@ -385,18 +378,9 @@ class TestEvalReport:
 
 
 class TestRunExperiment:
-    def write_inputs(self, tmp_path, corpus, name="corpus.txt"):
-        corpus_path = tmp_path / name
-        corpus_path.write_text("\n".join(" ".join(s.surfaces) for s in corpus) + "\n")
-        sets_path = tmp_path / "sets.txt"
-        sets_path.write_text("dax, fep\n")
-        tag_path = tmp_path / "tags.tsv"
-        tag_path.write_text("rix\tMARK\nzor\tMARK\n")
-        return corpus_path, sets_path, tag_path
-
     def test_within_protocol(self, tmp_path):
         train, test, cset = separable_corpus(seed=0)
-        corpus_path, sets_path, tag_path = self.write_inputs(tmp_path, train + test)
+        corpus_path, sets_path, tag_path = write_inputs(tmp_path, train + test)
         config = ExperimentConfig(
             corpus=corpus_path, confusion_sets=sets_path, tagdict=tag_path,
             systems=("baseline", "winnow"), mode="unpruned",
@@ -408,7 +392,7 @@ class TestRunExperiment:
 
     def test_reports_deterministic(self, tmp_path):
         train, test, _ = separable_corpus(seed=3)
-        corpus_path, sets_path, tag_path = self.write_inputs(tmp_path, train + test)
+        corpus_path, sets_path, tag_path = write_inputs(tmp_path, train + test)
         config = ExperimentConfig(
             corpus=corpus_path, confusion_sets=sets_path, tagdict=tag_path,
             systems=("baseline", "bayes"), mode="unpruned", seed=11,
@@ -417,7 +401,7 @@ class TestRunExperiment:
 
     def test_across_needs_test_corpus(self, tmp_path):
         train, test, _ = separable_corpus(seed=0)
-        corpus_path, sets_path, tag_path = self.write_inputs(tmp_path, train + test)
+        corpus_path, sets_path, tag_path = write_inputs(tmp_path, train + test)
         config = ExperimentConfig(
             corpus=corpus_path, confusion_sets=sets_path, tagdict=tag_path,
             protocol="across",
@@ -427,7 +411,7 @@ class TestRunExperiment:
 
     def test_unknown_system_rejected(self, tmp_path):
         train, test, _ = separable_corpus(seed=0)
-        corpus_path, sets_path, tag_path = self.write_inputs(tmp_path, train + test)
+        corpus_path, sets_path, tag_path = write_inputs(tmp_path, train + test)
         config = ExperimentConfig(
             corpus=corpus_path, confusion_sets=sets_path, tagdict=tag_path,
             systems=("oracle",),
@@ -437,7 +421,7 @@ class TestRunExperiment:
 
     def test_unknown_protocol_rejected(self, tmp_path):
         train, test, _ = separable_corpus(seed=0)
-        corpus_path, sets_path, tag_path = self.write_inputs(tmp_path, train + test)
+        corpus_path, sets_path, tag_path = write_inputs(tmp_path, train + test)
         config = ExperimentConfig(
             corpus=corpus_path, confusion_sets=sets_path, tagdict=tag_path,
             protocol="zigzag",
@@ -450,9 +434,9 @@ class TestRunExperiment:
 
     def test_supunsup_beats_across_on_shifted_domain(self, tmp_path):
         corpus_a, corpus_b, _ = two_domain_pair(seed=0)
-        corpus_path, sets_path, tag_path = self.write_inputs(tmp_path, corpus_a)
+        corpus_path, sets_path, tag_path = write_inputs(tmp_path, corpus_a)
         test_path = tmp_path / "test_corpus.txt"
-        test_path.write_text("\n".join(" ".join(s.surfaces) for s in corpus_b) + "\n")
+        test_path.write_text(corpus_text(corpus_b))
         scores = {}
         for protocol in ("across", "supunsup"):
             config = ExperimentConfig(

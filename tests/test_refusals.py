@@ -1,36 +1,11 @@
 """Every row of ``refusals.ROWS``, run in-process through ``cli.main``."""
 
-import io
-import sys
-from contextlib import redirect_stderr, redirect_stdout
-from unittest import mock
-
 import pytest
 
 import smoke
-from refusals import ROWS, build_workspace, run_row
-from winspell.cli import main
+from refusals import ROWS, run_in_process, run_row
 
 ROW = {row.name: row for row in ROWS}
-
-
-def run_in_process(argv, stdin=b""):
-    """``main(argv)`` with ``stdin`` on sys.stdin: (exit code, stdout, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err), \
-            mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin))):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
-@pytest.fixture(scope="module")
-def toy(tmp_path_factory):
-    ws = tmp_path_factory.mktemp("refusals") / "toy"
-    build_workspace(ws, run_in_process)
-    return ws
 
 
 @pytest.mark.parametrize("row", ROWS, ids=list(ROW))
@@ -57,10 +32,13 @@ def test_each_row_expects_one_anchored_line():
             assert "out" in row.absent, row.name
 
 
-def test_smoke_runner_runs_a_row(toy, tmp_path):
+def test_smoke_runner_runs_a_row(toy, tmp_path, monkeypatch):
     row = ROW["classify-mode-pruned"]
     assert run_row(row, toy, tmp_path / "ok", smoke.run) == []
-    # A row that does not hold is reported, not passed.
+    # A row that does not hold is reported, not passed; so is a child that
+    # outlives the timeout, which no python starts within.
     wrong = run_row(row._replace(code=1, err=row.err.replace("--mode", "--k")), toy,
                     tmp_path / "wrong", smoke.run)
     assert [what.split()[0] for what in wrong] == ["exit", "stderr"]
+    monkeypatch.setattr(smoke, "TIMEOUT", 0.001)
+    assert run_row(row, toy, tmp_path / "hung", smoke.run)[0] == "exit None, not 2"
