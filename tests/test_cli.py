@@ -179,8 +179,9 @@ class TestClassify:
         ("bayes", "i'd like a peace of cake", ["1\t3:1\tpeace\tpiece\tfix"]),
         ("winnow", "i'd like a peace of cake", ["1\t3:1\tpeace\tpiece\tfix"]),
         ("bayes", "a piece of cake", ["1\t1:1\tpiece\tpiece\tok"]),
+        ("winnow", "a piece of cake", ["1\t1:1\tpiece\tpiece\tok"]),
         ("bayes", "nothing relevant here", []),
-    ], ids=["bayes-fix", "winnow-fix", "bayes-ok", "no-occurrences"])
+    ], ids=["bayes-fix", "winnow-fix", "bayes-ok", "winnow-ok", "no-occurrences"])
     def test_rows_but_the_score(self, toy, capsys, tmp_path, system, draft, rows):
         text = tmp_path / "input.txt"
         text.write_text(draft + "\n")
