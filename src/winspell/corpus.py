@@ -180,7 +180,10 @@ def load_tag_dictionary(path: str | Path) -> TagDictionary:
         if not line.strip() or line.startswith("#"):
             continue
         try:
-            word, text = line.split("\t")
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ValueError("expected word<TAB>tags")
+            word, text = fields
             word, tags = entry_word(word), checked.get(text)
             if tags is None:
                 tags = checked[text] = entry_tags(text.split(","))
@@ -198,13 +201,13 @@ def load_tag_dictionary(path: str | Path) -> TagDictionary:
 def read_text(path: str | Path, data: bytes | None = None) -> str:
     """The UTF-8 text of the file at ``path``, or of ``data`` if given (then
     ``path`` only names the source). CorpusError naming ``path`` and the
-    line of the first invalid byte."""
+    line of the first invalid byte, counted as ``str.splitlines`` counts."""
     if data is None:
         data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = data[: exc.start].count(b"\n") + 1
+        lineno = len((data[: exc.start].decode("utf-8") + "_").splitlines())
         raise CorpusError(f"{path}: invalid UTF-8 on line {lineno}") from exc
 
 

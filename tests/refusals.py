@@ -384,18 +384,36 @@ ROWS = [
         "^error: {file}: invalid UTF-8 on line 7$", "corpus.txt", [("append", b"world \xff\n")]),
     Row("classify-invalid-utf8-stdin", classify("bayes"), 1,
         "^error: <stdin>: invalid UTF-8 on line 2$", stdin=b"a piece of cake\nworld \xff piece\n"),
+    # Lines are counted as str.splitlines counts them, which breaks at \f too.
+    Row("classify-invalid-utf8-after-form-feed", classify("bayes"), 1,
+        "^error: <stdin>: invalid UTF-8 on line 3$", stdin=b"a piece\x0cof cake\n\xff\n"),
     # The input files of train, eval, ablate and corrupt.
-    Row("train-uppercase-tag-word", TRAIN, 1, "^error: {file}: line 1: malformed tag entry: "
-        "word 'Of' is empty, not lowercase or holds whitespace$", "tags.tsv",
-        [("sub", rb"\Aof", b"Of")]),
-    Row("train-bad-tag-list-on-two-lines", TRAIN, 1, "^error: {file}: line 3: malformed tag "
-        "entry: tag 'PREP X' contains whitespace$", "tags.tsv",
-        [("append", b"in\tPREP X\nto\tPREP X\n")]),
+    Row("train-invalid-utf8-corpus", TRAIN, 1, "^error: {file}: invalid UTF-8 on line 7$",
+        "corpus.txt", [("append", b"bad \xff line\n")]),
+    # Tokens are lowercased and hold no whitespace, so no token could equal
+    # these words: an entry for one would never be looked up.
+    *(Row(f"train-{name}-tag-word", TRAIN, 1, "^error: {file}: line 1: malformed tag entry: "
+          f"word {word!r} is empty, not lowercase or holds whitespace$", "tags.tsv",
+          [("sub", rb"\Aof", word.encode())])
+      for name, word in [("uppercase", "Of"), ("space-led", " of"), ("empty", ""),
+                         ("spaced", "a b")]),
+    *(Row(f"train-{name}", TRAIN, 1, "^error: {file}: line 3: malformed tag entry: " + message,
+          "tags.tsv", [("append", entries)])
+      for name, entries, message in [
+          ("bad-tag-list-on-two-lines", b"in\tPREP X\nto\tPREP X\n",
+           "tag 'PREP X' contains whitespace$"),
+          ("tag-entry-without-tags", b"in\t , ,\n", "entry has no tags$"),
+          ("tag-entry-without-tab", b"to PREP\n", "expected word<TAB>tags$"),
+          ("tag-entry-with-two-tabs", b"to\tPREP\tX\n", "expected word<TAB>tags$")]),
     Row("train-repeated-tag-word", TRAIN, 1, "^error: {file}: line 3: tag entry 'of' first "
         "listed on line 1$", "tags.tsv", [("append", b"of\tADP\n")]),
+    # The slug or+/ names a directory; --out joined with the absolute name
+    # /+or is that name.
     Row("train-model-outside-out", TRAIN, 1, r"^error: confusion set \{or, /\}: model file "
         r"{ws}/out/or\+/\.bayes\.model is not in {ws}/out$", "sets.txt",
         [("append", b"or, /\n")]),
+    Row("train-absolute-model-name", TRAIN, 1, r"^error: confusion set \{/, or\}: model file "
+        r"/\+or\.bayes\.model is not in {ws}/out$", "sets.txt", [("append", b"/, or\n")]),
     Row("train-model-name-too-long", TRAIN, 1, r"^error: confusion set \{x{300}, or\}: model "
         r"file {ws}/out/x{300}\+or\.bayes\.model has a name longer than \d+ bytes$", "sets.txt",
         [("append", b"x" * 300 + b", or\n")]),
@@ -436,6 +454,13 @@ ROWS = [
           ("no-sets", ("sub", rb"peace, piece", b"# no sets here\n"), "no confusion sets$"),
           ("repeated-set", ("append", b"piece, peace\n"),
            r"line 2: confusion set \{piece, peace\} repeats line 1$")]),
+    *(Row(f"train-{name}", TRAIN, 1, r"^error: {ws}/sets\.txt: " + message, "sets.txt", [edit])
+      for name, edit, message in [
+          ("empty-sets-file", ("sub", rb"peace, piece\n", b""), "no confusion sets$"),
+          ("set-repeated-after-comment", ("append", b"# again\npeace, piece\n"),
+           r"line 3: confusion set \{peace, piece\} repeats line 1$"),
+          ("one-member-set", ("append", b"\nhear\n"),
+           "line 3: confusion set needs at least 2 members$")]),
     *(Row(f"{command}-zero-cycles{name}".replace(" --system ", "-"),
           f"{command} {FILES} --cycles 0 --out {{ws}}/out".replace("corpus.txt", corpus), 1,
           "^error: cycles must be >= 1$")

@@ -4,8 +4,10 @@ In the toy workspace of ``refusals.py`` it trains and classifies with every
 trainable system, runs eval of every system under supunsup, ablate and
 corrupt, classifies a CRLF draft as its LF copy and reloads every model to
 its own bytes; then it runs every refusal row as ``python -S -m winspell``.
-It exits 1 naming each check and row that failed; a child that hangs is
-killed and fails its own. Standard library only.
+Each child runs in dev mode with ResourceWarning and DeprecationWarning as
+errors, the warning flags of the pytest run, so a file left open fails its
+command. It exits 1 naming each check and row that failed; a child that
+hangs is killed and fails its own. Standard library only.
 """
 
 import subprocess
@@ -17,13 +19,16 @@ from refusals import FILES, ROWS, argv_of, build_workspace, child_env, run_row
 from winspell.evaluation import SYSTEMS, TRAINABLE_SYSTEMS, load_system_model, save_system_model
 
 TIMEOUT = 120  # seconds
+PYTHON = [sys.executable, "-S", "-X", "dev", "-W", "error::ResourceWarning",
+          "-W", "error::DeprecationWarning"]
 
 
 def run(argv, stdin=b""):
-    """``python -S -m winspell *argv``: (exit code, stdout, stderr). A child
-    still running after TIMEOUT seconds is killed, and its exit code is None."""
+    """``python -S -m winspell *argv`` under PYTHON's flags: (exit code,
+    stdout, stderr). A child still running after TIMEOUT seconds is killed,
+    and its exit code is None."""
     try:
-        proc = subprocess.run([sys.executable, "-S", "-m", "winspell", *argv], input=stdin,
+        proc = subprocess.run([*PYTHON, "-m", "winspell", *argv], input=stdin,
                               capture_output=True, env=child_env(), timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return None, "", f"killed after {TIMEOUT} s\n"

@@ -41,13 +41,6 @@ def train(workspace, *flags):
 
 
 class TestTrain:
-    def test_writes_loadable_model(self, workspace, capsys):
-        out = workspace / "out"
-        rc = train(workspace, "--mode", "unpruned", "--system", "bayes", "--out", out)
-        assert rc == 0
-        assert (out / "peace+piece.bayes.model").exists()
-        assert "wrote" in capsys.readouterr().out
-
     def test_winnow_cycles_reflected(self, workspace):
         out = workspace / "out"
         rc = train(workspace, "--mode", "unpruned", "--system", "winnow", "--cycles", 2,
@@ -89,35 +82,6 @@ class TestTrain:
         (model,) = saved
         empty = [None] * len(model.features)
         assert model.features and model.log_likelihoods == model.mean_lambda == empty
-
-    @pytest.mark.parametrize("members, model", [
-        ("or, /", "{out}/or+/.bayes.model"),  # the slug or+/ names a directory
-        ("/, or", "/+or.bayes.model"),  # --out joined with an absolute name is that name
-    ])
-    def test_set_whose_model_leaves_out_refused_before_any_model(self, workspace, capsys,
-                                                                monkeypatch, members, model):
-        monkeypatch.setattr(cli, "save_system_model", lambda *_: pytest.fail("model written"))
-        (workspace / "sets.txt").write_text(f"peace, piece\n{members}\n")
-        out = workspace / "m"
-        rc = train(workspace, "--system", "bayes", "--out", out)
-        assert rc == 1
-        assert capsys.readouterr() == ("", f"error: confusion set {{{members}}}: model file"
-                                           f" {model.format(out=out)} is not in {out}\n")
-        assert not out.exists()
-
-    def test_model_file_name_too_long_refused_before_any_model(self, workspace, capsys,
-                                                                monkeypatch):
-        monkeypatch.setattr(cli, "save_system_model", lambda *_: pytest.fail("model written"))
-        long = "x" * 300
-        (workspace / "sets.txt").write_text(f"peace, piece\n{long}, or\n")
-        out = workspace / "m"
-        rc = train(workspace, "--system", "bayes", "--out", out)
-        assert rc == 1
-        name_max = os.pathconf(workspace, "PC_NAME_MAX")
-        assert capsys.readouterr() == ("", f"error: confusion set {{{long}, or}}: model file"
-                                           f" {out}/{long}+or.bayes.model has a name longer"
-                                           f" than {name_max} bytes\n")
-        assert not out.exists()
 
     @pytest.mark.parametrize("letters, rc", [(7, 0), (8, 1)])
     def test_model_file_name_length_counts_bytes(self, workspace, capsys, monkeypatch,
@@ -258,64 +222,10 @@ class TestClassify:
         ]
 
 
-def write_eval_workspace(tmp_path):
-    train, test, _ = separable_corpus(seed=0)
-    return write_inputs(tmp_path, train + test)
-
-
-class TestEvalAndAblate:
-    def test_eval_writes_reports(self, tmp_path, capsys):
-        corpus, sets, tags = write_eval_workspace(tmp_path)
-        out = tmp_path / "out"
-        rc = run(["eval", "--corpus", corpus, "--confusion-sets", sets,
-                  "--tagdict", tags, "--mode", "unpruned",
-                  "--system", "baseline", "--system", "winnow",
-                  "--k", 3, "--out", out])
-        assert rc == 0
-        tsv = (out / "report.tsv").read_text()
-        header = tsv.splitlines()[0].split("\t")
-        assert header == ["confusion_set", "cases", "baseline", "winnow",
-                          "p_baseline_vs_winnow"]
-        assert (out / "report.txt").exists()
-        assert "OVERALL" in capsys.readouterr().out
-
-    def test_ablate_emits_ladder_columns_in_order(self, tmp_path, capsys):
-        corpus, sets, tags = write_eval_workspace(tmp_path)
-        out = tmp_path / "out"
-        rc = run(["ablate", "--corpus", corpus, "--confusion-sets", sets,
-                  "--tagdict", tags, "--mode", "unpruned", "--k", 3, "--out", out])
-        assert rc == 0
-        header = (out / "ablation.tsv").read_text().splitlines()[0].split("\t")
-        assert header[2:7] == ["bayes", "simplified-bayes", "winnow-1layer",
-                               "winnow-2layer", "winnow-bayes-init"]
-
-    def test_eval_supunsup_protocol(self, tmp_path):
-        corpus_a, corpus_b, _ = two_domain_pair(seed=0)
-        corpus, sets, tags = write_inputs(tmp_path, corpus_a)
-        test_corpus = tmp_path / "b.txt"
-        test_corpus.write_text(corpus_text(corpus_b))
-        out = tmp_path / "out"
-        rc = run(["eval", "--corpus", corpus, "--test-corpus", test_corpus,
-                  "--confusion-sets", sets, "--tagdict", tags,
-                  "--mode", "unpruned", "--protocol", "supunsup",
-                  "--corrupt-pct", 5, "--system", "winnow", "--k", 3,
-                  "--out", out])
-        assert rc == 0
-        assert (out / "report.tsv").exists()
-
-    def test_eval_includes_mcnemar_column(self, tmp_path):
-        corpus, sets, tags = write_eval_workspace(tmp_path)
-        out = tmp_path / "out"
-        run(["eval", "--corpus", corpus, "--confusion-sets", sets,
-             "--tagdict", tags, "--mode", "unpruned",
-             "--system", "bayes", "--system", "winnow", "--k", 3, "--out", out])
-        header = (out / "report.tsv").read_text().splitlines()[0]
-        assert "p_bayes_vs_winnow" in header
-
-
 class TestCorrupt:
     def test_p_zero_identity(self, tmp_path, capsys):
-        corpus, sets, _ = write_eval_workspace(tmp_path)
+        train, test, _ = separable_corpus(seed=0)
+        corpus, sets, _ = write_inputs(tmp_path, train + test)
         out = tmp_path / "out"
         rc = run(["corrupt", "--corpus", corpus, "--confusion-sets", sets,
                   "--corrupt-pct", 0, "--out", out])
@@ -323,17 +233,6 @@ class TestCorrupt:
         assert (out / "corrupted.txt").read_bytes() == corpus.read_bytes()
         changes = (out / "changes.tsv").read_text().splitlines()
         assert len(changes) == 1  # header only
-
-    def test_corruption_logged(self, tmp_path):
-        corpus, sets, _ = write_eval_workspace(tmp_path)
-        out = tmp_path / "out"
-        rc = run(["corrupt", "--corpus", corpus, "--confusion-sets", sets,
-                  "--corrupt-pct", 50, "--seed", 0, "--out", out])
-        assert rc == 0
-        assert (out / "corrupted.txt").read_bytes() != corpus.read_bytes()
-        changes = (out / "changes.tsv").read_text().splitlines()
-        assert changes[0] == "set\tsentence\tspan_start\told_member\tnew_member"
-        assert len(changes) > 1
 
 
 class TestCollector:
@@ -578,6 +477,8 @@ GOLDEN_DIGESTS = {
         "f1119621eedc519229ac1a546fcdff2eedb79556b824a598fabaa3b51a875ac5",
     "<stdout of eval supunsup>":
         "86fdad46943fad46e990067f7d677c0ca9210e9d46930dd363e20248a027b30b",
+    "<stdout of eval within>":
+        "fa560022e9896548af91aaabf12d43d38756671bbd1bc5979904d67a1f2693de",
     "<stdout of corrupt>":
         "2c52b19805045f1291da50b2fd46cbd510031e810f47c6ae78e40e2fb9c1b28a",
     "corrupt/changes.tsv":
@@ -606,14 +507,19 @@ GOLDEN_DIGESTS = {
         "3a3daf53a2bc02a56c484cf60a263f14d3958b05aa45b87d325117befc71df23",
     "report/report.txt":
         "86fdad46943fad46e990067f7d677c0ca9210e9d46930dd363e20248a027b30b",
+    "within/report.tsv":
+        "0fc8db7f6879b49a89d35ce77daeaf977db15a666cde7d3fcb1851b021b502aa",
+    "within/report.txt":
+        "fa560022e9896548af91aaabf12d43d38756671bbd1bc5979904d67a1f2693de",
 }
 
 
 class TestGoldenBytes:
     def test_outputs_match_recorded_digests(self, tmp_path, capsys, monkeypatch):
         """Every trainable system's model file, the ablation report, every
-        system's classify output, a supunsup report and a corruption of two
-        sets keep their recorded bytes. The corpus has flipped labels, so each
+        system's classify output, a report of the default systems under
+        within, a supunsup report and a corruption of two sets keep their
+        recorded bytes. The corpus has flipped labels, so each
         trained Winnow variant promotes and demotes. Each value eval is given
         apart from --k and --mode changes its report from the default's, and
         the second set makes 45 of the 87 changes corrupt logs."""
@@ -636,6 +542,7 @@ class TestGoldenBytes:
         commands["eval supunsup"] = ["eval", *common, *(
             "--protocol supunsup --test-corpus corpus.txt --system bayes --system winnow"
             " --seed 3 --corrupt-pct 30 --cycles 2 --l 1 --out report").split()]
+        commands["eval within"] = ["eval", *common, "--out", "within"]
         commands["corrupt"] = ("corrupt --corpus corpus.txt --confusion-sets two-sets.txt"
                                " --corrupt-pct 30 --seed 3 --out corrupt").split()
         digests = {}

@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from winspell.corpus import (
-    ConfusionSet,
-    CorpusError,
     Sentence,
     TagDictionary,
     confusion_set_from_text,
@@ -90,12 +88,6 @@ class TestLoadCorpus:
         path.write_text("")
         assert load_corpus(path) == []
 
-    def test_invalid_utf8_reports_line(self, tmp_path):
-        path = tmp_path / "c.txt"
-        path.write_bytes(b"good line\nbad \xff line\n")
-        with pytest.raises(CorpusError, match="line 2"):
-            load_corpus(path)
-
 
 class TestConfusionSets:
     def test_parse_multi_token_members(self):
@@ -103,42 +95,11 @@ class TestConfusionSets:
         assert cset.members == (("maybe",), ("may", "be"))
         assert cset.member_text(1) == "may be"
 
-    def test_needs_two_members(self):
-        with pytest.raises(ValueError):
-            ConfusionSet((("hear",),))
-
-    def test_distinct_members(self):
-        with pytest.raises(ValueError):
-            ConfusionSet((("hear",), ("hear",)))
-
     def test_load_with_comments(self, tmp_path):
         path = tmp_path / "sets.txt"
         path.write_text("# homophones\npeace, piece\n\nmaybe, may be\n")
         sets = load_confusion_sets(path)
         assert [cs.label for cs in sets] == ["peace, piece", "maybe, may be"]
-
-    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"], ids=["empty", "comment-only"])
-    def test_file_without_sets_refused(self, tmp_path, text):
-        path = tmp_path / "sets.txt"
-        path.write_text(text)
-        with pytest.raises(CorpusError, match="no confusion sets"):
-            load_confusion_sets(path)
-
-    @pytest.mark.parametrize("repeat", ["peace, piece", "piece ,peace"], ids=["same-order", "reordered"])
-    def test_repeated_set_refused(self, tmp_path, repeat):
-        path = tmp_path / "sets.txt"
-        path.write_text(f"peace, piece\nmaybe, may be\n# again\n{repeat}\n")
-        with pytest.raises(CorpusError) as exc:
-            load_confusion_sets(path)
-        label = ", ".join(part.strip() for part in repeat.split(","))
-        assert str(exc.value) == f"{path}: line 4: confusion set {{{label}}} repeats line 1"
-
-    def test_one_member_set_refused(self, tmp_path):
-        path = tmp_path / "sets.txt"
-        path.write_text("peace, piece\n\nhear\n")
-        with pytest.raises(CorpusError) as exc:
-            load_confusion_sets(path)
-        assert str(exc.value) == f"{path}: line 3: confusion set needs at least 2 members"
 
     def test_overlapping_sets_are_distinct(self, tmp_path):
         path = tmp_path / "sets.txt"
@@ -148,41 +109,18 @@ class TestConfusionSets:
 
 class TestTagDictionary:
     def test_lookup_known(self, tmp_path):
+        # A tag lands in collocation keys, which split on spaces; any other
+        # character, as in NOUN_sing or PRP$, reads back.
         path = tmp_path / "tags.tsv"
-        path.write_text("to\tPREP,TO\ncake\tNOUN_sing\n")
+        path.write_text("to\tPREP,TO\ncake\tNOUN_sing\nhis\tPRP$\n")
         tagdict = load_tag_dictionary(path)
         assert tagdict.lookup("to") == ("PREP", "TO")
         assert tagdict.lookup("cake") == ("NOUN_sing",)
+        assert tagdict.lookup("his") == ("PRP$",)
         assert TagDictionary({"to": ["TO", "PREP", "TO"]}).lookup("to") == ("PREP", "TO")
 
     def test_lookup_unknown_falls_back(self):
         assert TagDictionary().lookup("zzxq") == ("UNK",)
-
-    def test_malformed_line(self, tmp_path):
-        path = tmp_path / "tags.tsv"
-        path.write_text("to PREP\n")
-        with pytest.raises(CorpusError, match="line 1"):
-            load_tag_dictionary(path)
-
-    def test_whitespace_in_tag_rejected(self, tmp_path):
-        # A tag lands in collocation keys, which split on spaces; any other
-        # character, as in NOUN_sing or PRP$, reads back.
-        path = tmp_path / "tags.tsv"
-        path.write_text("to\tPREP, TO\nhis\tPRP$\nof\tPR EP\n")
-        with pytest.raises(CorpusError, match="line 3: malformed tag entry: .*whitespace"):
-            load_tag_dictionary(path)
-        path.write_text("to\tPREP, TO\nhis\tPRP$\n")
-        assert load_tag_dictionary(path).lookup("his") == ("PRP$",)
-
-    def test_bad_tag_list_on_two_lines_refused_at_the_first(self, tmp_path):
-        # Each distinct tag list is checked once, and a bad one is refused
-        # where it first appears.
-        path = tmp_path / "tags.tsv"
-        path.write_text("cake\tNOUN\nof\tPREP X\nto\tPREP X\n")
-        with pytest.raises(CorpusError) as exc:
-            load_tag_dictionary(path)
-        assert str(exc.value) == \
-            f"{path}: line 2: malformed tag entry: tag 'PREP X' contains whitespace"
 
     def test_tag_list_on_many_lines_kept_for_each_word(self, tmp_path):
         path = tmp_path / "tags.tsv"
@@ -200,23 +138,9 @@ class TestTagDictionary:
         assert tagdict._entries == {"to": ("TO",)}
         assert tagdict.lookup("#") == ("UNK",)
 
-    def test_repeated_word_refused(self, tmp_path):
-        path = tmp_path / "tags.tsv"
-        path.write_text("to\tPREP\ncake\tNOUN_sing\n\nto\tTO\n")
-        with pytest.raises(CorpusError) as exc:
-            load_tag_dictionary(path)
-        assert str(exc.value) == f"{path}: line 4: tag entry 'to' first listed on line 1"
-
     def test_empty_tagset_rejected(self):
         with pytest.raises(ValueError):
             TagDictionary({"to": frozenset()})
-
-    def test_line_without_tags_refused(self, tmp_path):
-        path = tmp_path / "tags.tsv"
-        path.write_text("to\tPREP\nof\t , ,\n")
-        with pytest.raises(CorpusError) as exc:
-            load_tag_dictionary(path)
-        assert str(exc.value) == f"{path}: line 2: malformed tag entry: entry has no tags"
 
     def test_constructor_keeps_the_loaders_tag_rule(self, tmp_path):
         # Stripped, empties dropped, distinct and sorted, as a loaded line.
@@ -230,18 +154,6 @@ class TestTagDictionary:
             TagDictionary({"of": ["PREP X"]})
         with pytest.raises(ValueError, match="^entry has no tags$"):
             TagDictionary({"of": [" ", ""]})
-
-
-    # Tokens are lowercased and hold no whitespace, so no token could equal
-    # these words: an entry for one would never be looked up.
-    @pytest.mark.parametrize("word", ["Of", " of", "", "a b"])
-    def test_word_no_token_can_equal_refused_by_loader(self, tmp_path, word):
-        path = tmp_path / "tags.tsv"
-        path.write_text(f"to\tTO\n{word}\tPREP\n")
-        with pytest.raises(CorpusError) as exc:
-            load_tag_dictionary(path)
-        assert str(exc.value) == (f"{path}: line 2: malformed tag entry: word {word!r}"
-                                  " is empty, not lowercase or holds whitespace")
 
     @pytest.mark.parametrize("word", ["Of", " of", "", "a b"])
     def test_word_no_token_can_equal_refused_by_constructor(self, word):

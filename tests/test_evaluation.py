@@ -399,16 +399,6 @@ class TestRunExperiment:
         )
         assert run_experiment(config).to_tsv() == run_experiment(config).to_tsv()
 
-    def test_across_needs_test_corpus(self, tmp_path):
-        train, test, _ = separable_corpus(seed=0)
-        corpus_path, sets_path, tag_path = write_inputs(tmp_path, train + test)
-        config = ExperimentConfig(
-            corpus=corpus_path, confusion_sets=sets_path, tagdict=tag_path,
-            protocol="across",
-        )
-        with pytest.raises(ValueError, match="test corpus"):
-            run_experiment(config)
-
     def test_unknown_system_rejected(self, tmp_path):
         train, test, _ = separable_corpus(seed=0)
         corpus_path, sets_path, tag_path = write_inputs(tmp_path, train + test)
