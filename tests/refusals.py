@@ -378,18 +378,34 @@ ROWS = [
     model_row("edited-priors", "bayes", [("sub", rb"\npriors\t.*", b"\npriors\t0.9\t0.1")],
               SAVED(7, r"priors\\t0\.5\\t0\.5")),
     model_row("row-after-last", "bayes", [("append", b"CW zzz\t9\t9\n")], END(29)),
+    # The first line names the format; an empty file has neither header.
+    model_row("foreign-header", "bayes", [("sub", rb"\ABAYES v1\n", b"WINSPELL v0\n")],
+              "line 1: unrecognized model format$"),
+    model_row("empty-file", "winnow", [("sub", rb"(?s)\A.+", b"")],
+              "line 1: unrecognized model format$"),
     Row("classify-no-models", classify("bayes", "empty"), 1,
         "^error: no bayes models under {ws}/empty$"),
     Row("classify-invalid-utf8-file", classify("bayes", source="{ws}/corpus.txt"), 1,
         "^error: {file}: invalid UTF-8 on line 7$", "corpus.txt", [("append", b"world \xff\n")]),
     Row("classify-invalid-utf8-stdin", classify("bayes"), 1,
         "^error: <stdin>: invalid UTF-8 on line 2$", stdin=b"a piece of cake\nworld \xff piece\n"),
-    # Lines are counted as str.splitlines counts them, which breaks at \f too.
-    Row("classify-invalid-utf8-after-form-feed", classify("bayes"), 1,
-        "^error: <stdin>: invalid UTF-8 on line 3$", stdin=b"a piece\x0cof cake\n\xff\n"),
+    # Lines are counted as str.splitlines counts them: it breaks at \f, \r,
+    # \x1c, U+0085 and U+2028 too, and \r\n is one break, not two.
+    *(Row(f"classify-invalid-utf8-after-{name}", classify("bayes"), 1,
+          "^error: <stdin>: invalid UTF-8 on line 3$",
+          stdin=b"a piece" + end.encode() + b"of cake\n\xff\n")
+      for name, end in [("form-feed", "\f"), ("crlf", "\r\n"), ("carriage-return", "\r"),
+                        ("file-separator", "\x1c"), ("next-line", "\x85"),
+                        ("line-separator", "\u2028")]),
     # The input files of train, eval, ablate and corrupt.
-    Row("train-invalid-utf8-corpus", TRAIN, 1, "^error: {file}: invalid UTF-8 on line 7$",
-        "corpus.txt", [("append", b"bad \xff line\n")]),
+    *(Row(f"{command}-invalid-utf8-{name}", argv, 1,
+          "^error: {file}: invalid UTF-8 on line {line}$", file, [("append", b"bad \xff line\n")],
+          lambda lines: len(lines) + 1)
+      for command, argv, name, file in [
+          ("train", TRAIN, "corpus", "corpus.txt"), ("train", TRAIN, "sets", "sets.txt"),
+          ("train", TRAIN, "tags", "tags.tsv"),
+          ("eval", f"eval {FILES} --protocol across --test-corpus {{ws}}/test.txt --out {{ws}}/out",
+           "test-corpus", "test.txt")]),
     # Tokens are lowercased and hold no whitespace, so no token could equal
     # these words: an entry for one would never be looked up.
     *(Row(f"train-{name}-tag-word", TRAIN, 1, "^error: {file}: line 1: malformed tag entry: "
@@ -448,6 +464,8 @@ ROWS = [
           ("ablate", "within-test-corpus", "--test-corpus {ws}/missing.txt", "'within' takes no"),
           ("eval", "across-without-test-corpus", "--protocol across", "'across' needs a"),
       ]),
+    Row("eval-one-sentence-corpus", SET_COMMANDS["eval"], 1,
+        "^error: cannot split a corpus of fewer than 2 sentences$", "corpus.txt", [("keep", 1)]),
     *(Row(f"{command}-{name}", argv, 1, r"^error: {ws}/sets\.txt: " + message, "sets.txt", [edit])
       for command, argv in SET_COMMANDS.items()
       for name, edit, message in [
@@ -466,6 +484,16 @@ ROWS = [
           "^error: cycles must be >= 1$")
       for command in ("train --system bayes", "train --system winnow", "eval", "ablate")
       for name, corpus in [("", "corpus.txt"), ("-missing-corpus", "missing.txt")]),
+    # The corruption percentage is checked where it is read: by corrupt, and
+    # by eval and ablate under supunsup. NaN is out of range too.
+    *(Row(f"{name}-corrupt-pct-{value}", f"{argv} --corrupt-pct {pct}", 1,
+          rf"^error: corruption percentage out of range: {shown}$")
+      for name, argv, value, pct, shown in [
+          ("corrupt", CORRUPT, "above-100", "150", r"150\.0"),
+          ("corrupt", CORRUPT, "negative", "-1", r"-1\.0"),
+          ("corrupt", CORRUPT, "nan", "nan", "nan"),
+          ("eval-supunsup", f"eval {FILES} --protocol supunsup --test-corpus {{ws}}/corpus.txt"
+                            " --out {ws}/out", "above-100", "150", r"150\.0")]),
     # Usage errors: exit 2.
     Row("classify-mode-pruned", "classify --mode pruned --system bayes --out {ws}/models "
         "--tagdict {ws}/tags.tsv -", 2,
