@@ -243,7 +243,7 @@ def cmd_classify(args) -> int:
     if not paths:
         print(f"error: no {args.system} models under {args.out}", file=sys.stderr)
         return 1
-    models = [load_system_model(p) for p in paths]
+    models = [load_system_model(p, args.system) for p in paths]
     tagdict = load_tag_dictionary(args.tagdict)
     if args.input == "-":
         text = read_text("<stdin>", sys.stdin.buffer.read())

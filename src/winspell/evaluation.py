@@ -11,7 +11,6 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .bayes import (
-    HEADER as BAYES_HEADER,
     BayesModel,
     Decision,
     choose,
@@ -44,10 +43,13 @@ from .features import (
     prune,
 )
 from .winnow import (
+    BAYESIAN,
     CYCLES,
-    HEADER as WINNOW_HEADER,
+    FULL,
     ONE_LAYER,
+    SPARSE,
     TWO_LAYER,
+    UNIFORM,
     WinnowNetwork,
     classify_winnow,
     init_bayesian,
@@ -66,16 +68,18 @@ PROTOCOLS = (WITHIN, ACROSS, SUPUNSUP)
 TRAIN_FRACTION = 0.8
 UNSUP_FRACTION = 0.6
 
-# The systems that train a model; SYSTEMS adds the majority baseline.
-TRAINABLE_SYSTEMS = (
-    "bayes",
-    "simplified-bayes",
-    "winnow",
-    "simplified-winnow",
-    "winnow-1layer",
-    "winnow-2layer",
-    "winnow-bayes-init",
-)
+# The systems that train a model, each with the shape of the model it trains:
+# (dependency_resolution,) of a BayesModel, (layer, architecture, init,
+# trained) of a WinnowNetwork. SYSTEMS adds the majority baseline.
+TRAINABLE_SYSTEMS = {
+    "bayes": (True,),
+    "simplified-bayes": (False,),
+    "winnow": (TWO_LAYER, SPARSE, UNIFORM, True),
+    "simplified-winnow": (ONE_LAYER, FULL, BAYESIAN, False),
+    "winnow-1layer": (ONE_LAYER, FULL, BAYESIAN, True),
+    "winnow-2layer": (TWO_LAYER, FULL, BAYESIAN, True),
+    "winnow-bayes-init": (TWO_LAYER, SPARSE, BAYESIAN, True),
+}
 SYSTEMS = ("baseline", *TRAINABLE_SYSTEMS)
 
 # Column order of the ablation ladder, from the Bayesian end to the full
@@ -173,29 +177,25 @@ class TrainingSet:
 
 
 def train_system_model(name: str, training: TrainingSet, cycles: int):
-    """Train one persistable system on one confusion set; returns a
-    BayesModel or WinnowNetwork that extracts features with the parameters
-    the set's features were generated with. A Winnow network trains for
-    ``cycles`` passes."""
-    if name not in TRAINABLE_SYSTEMS:
+    """Train one persistable system on one confusion set; returns the
+    BayesModel or WinnowNetwork of the shape TRAINABLE_SYSTEMS gives it, which
+    extracts features with the parameters the set's features were generated
+    with. A Winnow network trains for ``cycles`` passes."""
+    shape = TRAINABLE_SYSTEMS.get(name)
+    if shape is None:
         raise ValueError(f"unknown system: {name!r}")
-    if name == "bayes":
-        return with_dependency_resolution(training.bayes)
-    if name == "simplified-bayes":
-        return training.bayes
+    if len(shape) == 1:  # (dependency_resolution,)
+        return with_dependency_resolution(training.bayes) if shape[0] else training.bayes
+    layer, architecture, init, trained = shape
     stats = training.stats
-    network = WinnowNetwork(
-        stats.confusion_set, training.retained, cycles, stats.params,
-        layer_mode=ONE_LAYER if name in ("simplified-winnow", "winnow-1layer") else TWO_LAYER,
-        priors=priors_of(stats.occurrences, stats.confusion_set),
-    )
-    # The other variants start from Bayesian weights derived from the
-    # dependency-resolution-free model.
-    if name != "winnow":
+    network = WinnowNetwork(stats.confusion_set, training.retained, cycles, stats.params, layer,
+                            priors_of(stats.occurrences, stats.confusion_set))
+    # A Bayesian network starts from the weights of the dependency-free model.
+    if init == BAYESIAN:
         init_bayesian(network, training.bayes)
-    if name == "winnow-bayes-init":
-        sparsify(network, training.bayes.counts)
-    if name != "simplified-winnow":
+        if architecture == SPARSE:
+            sparsify(network, training.bayes.counts)
+    if trained:
         train_network(network, training.stream)
     return network
 
@@ -214,19 +214,26 @@ def save_system_model(model: BayesModel | WinnowNetwork, path: str | Path):
         save_model(model, path)
 
 
-def load_system_model(path: str | Path) -> BayesModel | WinnowNetwork:
-    """Load a ``BAYES v1`` or ``WINNOW v1`` file, told apart by the bytes of
-    its first line. Every ValueError names the file."""
+def load_system_model(path: str | Path, system: str) -> BayesModel | WinnowNetwork:
+    """Load ``system``'s model with the loader of its format, refused unless
+    it has the shape TRAINABLE_SYSTEMS gives ``system``. Every ValueError
+    names the file."""
+    expected = TRAINABLE_SYSTEMS[system]
     try:
-        with open(path, "rb") as fh:
-            header = fh.readline().strip()
-        if header == BAYES_HEADER.encode():
-            return load_model(path)
-        if header == WINNOW_HEADER.encode():
-            return load_network(path)
+        model = load_model(path) if len(expected) == 1 else load_network(path)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    raise ValueError(f"{path}: line 1: unrecognized model format")
+    if isinstance(model, WinnowNetwork):
+        # train refuses a set without occurrences, so a trained cloud has seen some.
+        shape = (model.layer_mode, model.architecture, model.init_mode,
+                 model.clouds[0].examples_seen > 0)
+    else:
+        shape = (model.dependency_resolution,)
+    if shape != expected:
+        held = [name for name, entry in TRAINABLE_SYSTEMS.items() if entry == shape]
+        what = f"a {held[0]} model" if held else "a model no system trains"
+        raise ValueError(f"{path}: holds {what}, not a {system} model")
+    return model
 
 
 class SetResult(NamedTuple):
@@ -361,13 +368,22 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     if (config.test_corpus is not None) != needs_test_corpus:
         need = "needs a" if needs_test_corpus else "takes no"
         raise ValueError(f"protocol {config.protocol!r} {need} test corpus")
+    # corrupt's range, checked under every protocol, though only supunsup corrupts.
+    if not 0 <= config.corrupt_pct <= 100:
+        raise ValueError(f"corruption percentage out of range: {config.corrupt_pct}")
+
+    def split(sentences: Sequence[Sentence], path, fraction: float):
+        try:
+            return split_corpus(sentences, SplitSpec(fraction, config.seed))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
     corpus = load_corpus(config.corpus)
     confusion_sets = load_confusion_sets(config.confusion_sets)
     tagdict = load_tag_dictionary(config.tagdict)
-    train, test = split_corpus(corpus, SplitSpec(TRAIN_FRACTION, config.seed))
+    train, test = split(corpus, config.corpus, TRAIN_FRACTION)
     if needs_test_corpus:
-        test_corpus = load_corpus(config.test_corpus)
-        unsup, test = split_corpus(test_corpus, SplitSpec(UNSUP_FRACTION, config.seed))
+        unsup, test = split(load_corpus(config.test_corpus), config.test_corpus, UNSUP_FRACTION)
     train_occurrences = occurrences_by_set(train, confusion_sets)
     test_occurrences = occurrences_by_set(test, confusion_sets)
     if config.protocol == SUPUNSUP:

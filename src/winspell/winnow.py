@@ -97,8 +97,6 @@ class Cloud:
     """
 
     def __init__(self, member_index: int, classifiers: Sequence[WinnowClassifier]):
-        if not classifiers:
-            raise ValueError("cloud needs at least one classifier")
         self.member_index = member_index
         self.classifiers = list(classifiers)
         self.linked: set[int] = set()
@@ -189,8 +187,6 @@ class WinnowNetwork:
     ):
         if cycles < 1:
             raise ValueError("cycles must be >= 1")
-        if layer_mode not in (ONE_LAYER, TWO_LAYER):
-            raise ValueError(f"unknown layer mode: {layer_mode!r}")
         self.confusion_set = confusion_set
         self.features, self.feature_ids = retained.features, retained
         self.cycles = cycles
@@ -200,11 +196,7 @@ class WinnowNetwork:
         self.init_mode = UNIFORM
         self.horizon = UNTRAINED_HORIZON
         n = len(confusion_set.members)
-        if priors is None:
-            priors = [1.0 / n] * n
-        if len(priors) != n:
-            raise ValueError("priors do not match the confusion set")
-        self.priors = tuple(priors)
+        self.priors = tuple(priors) if priors is not None else (1.0 / n,) * n
         betas = (BETAS[len(BETAS) // 2],) if layer_mode == ONE_LAYER else BETAS
         n_features = len(self.features)
         self.clouds = [Cloud(i, [WinnowClassifier(b, n_features) for b in betas])

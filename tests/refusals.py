@@ -86,13 +86,16 @@ def line_of(pattern: bytes):
     return lambda lines: next(n for n, line in enumerate(lines, 1) if re.search(pattern, line))
 
 
-def apply(step: tuple, data: bytes) -> bytes:
+def apply(step: tuple, data: bytes, ws: Path) -> bytes:
     """One edit step: ("sub", pattern, replacement[, n]) substitutes every
     match, or the first n, and fails unless it made one, or n; ("swap", N)
     swaps lines N and N + 1, ("drop", N) drops line N, ("repeat", N) repeats
     it and ("keep", N) keeps lines 1 to N only; ("cut", n) drops the last n
-    bytes; ("append", bytes)."""
+    bytes; ("append", bytes); ("copy", file) takes the bytes of that file of
+    the workspace ``ws``."""
     kind, *args = step
+    if kind == "copy":
+        return (ws / args[0]).read_bytes()
     if kind == "sub":
         pattern, repl, *count = args
         n = count[0] if count else 0  # 0: every match
@@ -129,7 +132,7 @@ def run_row(row: Row, base: Path, ws: Path, run) -> list[str]:
             err = err.replace("{line}", str(line))
         err = err.replace("{file}", re.escape(str(path)))
         for step in row.edit:
-            data = apply(step, data)
+            data = apply(step, data, ws)
         path.write_bytes(data)
     code, out, text = run(argv_of(row.argv, ws), row.stdin)
     wrong = [] if code == row.code else [f"exit {code}, not {row.code}"]
@@ -378,11 +381,26 @@ ROWS = [
     model_row("edited-priors", "bayes", [("sub", rb"\npriors\t.*", b"\npriors\t0.9\t0.1")],
               SAVED(7, r"priors\\t0\.5\\t0\.5")),
     model_row("row-after-last", "bayes", [("append", b"CW zzz\t9\t9\n")], END(29)),
-    # The first line names the format; an empty file has neither header.
+    # The first line names the format; an empty file has no header.
     model_row("foreign-header", "bayes", [("sub", rb"\ABAYES v1\n", b"WINSPELL v0\n")],
-              "line 1: unrecognized model format$"),
+              "line 1: not a BAYES v1 model file$"),
     model_row("empty-file", "winnow", [("sub", rb"(?s)\A.+", b"")],
-              "line 1: unrecognized model format$"),
+              "line 1: not a WINNOW v1 model file$"),
+    # A file loads as the system it is classified with, or as none: one row
+    # per part of the shape evaluation.TRAINABLE_SYSTEMS gives each system.
+    model_row("holds-winnow", "bayes", [("copy", "models/peace+piece.winnow.model")],
+              "line 1: not a BAYES v1 model file$"),
+    *(model_row(f"holds-{held}", system, [("copy", f"models/peace+piece.{held}.model")],
+                f"holds a {held} model, not a {system} model$")
+      for held, system in [("simplified-bayes", "bayes"),  # dependency resolution
+                           ("winnow-2layer", "winnow-bayes-init"),  # layer, architecture, init
+                           ("winnow-1layer", "simplified-winnow")]),  # trained or not
+    # A sparse network cut after a weight row saves back to its own bytes,
+    # the rows cut being links it never had; no system trains it one-layer.
+    model_row("sparse-cut-inside-last-cloud", "winnow-1layer",
+              [("sub", rb"\narchitecture\tfull\n", b"\narchitecture\tsparse\n"),
+               ("sub", rb"(?:[^\n]*\n){3}\Z", b"")],
+              "holds a model no system trains, not a winnow-1layer model$"),
     Row("classify-no-models", classify("bayes", "empty"), 1,
         "^error: no bayes models under {ws}/empty$"),
     Row("classify-invalid-utf8-file", classify("bayes", source="{ws}/corpus.txt"), 1,
@@ -465,7 +483,12 @@ ROWS = [
           ("eval", "across-without-test-corpus", "--protocol across", "'across' needs a"),
       ]),
     Row("eval-one-sentence-corpus", SET_COMMANDS["eval"], 1,
-        "^error: cannot split a corpus of fewer than 2 sentences$", "corpus.txt", [("keep", 1)]),
+        "^error: {file}: cannot split a corpus of fewer than 2 sentences$", "corpus.txt",
+        [("keep", 1)]),
+    Row("eval-one-sentence-test-corpus",
+        f"eval {FILES} --protocol across --test-corpus {{ws}}/test.txt --out {{ws}}/out", 1,
+        "^error: {file}: cannot split a corpus of fewer than 2 sentences$", "test.txt",
+        [("append", b"world peace is the goal\n")]),
     *(Row(f"{command}-{name}", argv, 1, r"^error: {ws}/sets\.txt: " + message, "sets.txt", [edit])
       for command, argv in SET_COMMANDS.items()
       for name, edit, message in [
@@ -484,8 +507,8 @@ ROWS = [
           "^error: cycles must be >= 1$")
       for command in ("train --system bayes", "train --system winnow", "eval", "ablate")
       for name, corpus in [("", "corpus.txt"), ("-missing-corpus", "missing.txt")]),
-    # The corruption percentage is checked where it is read: by corrupt, and
-    # by eval and ablate under supunsup. NaN is out of range too.
+    # The corruption percentage is checked by corrupt, and by eval and ablate
+    # under every protocol before any input is read. NaN is out of range too.
     *(Row(f"{name}-corrupt-pct-{value}", f"{argv} --corrupt-pct {pct}", 1,
           rf"^error: corruption percentage out of range: {shown}$")
       for name, argv, value, pct, shown in [
@@ -493,7 +516,10 @@ ROWS = [
           ("corrupt", CORRUPT, "negative", "-1", r"-1\.0"),
           ("corrupt", CORRUPT, "nan", "nan", "nan"),
           ("eval-supunsup", f"eval {FILES} --protocol supunsup --test-corpus {{ws}}/corpus.txt"
-                            " --out {ws}/out", "above-100", "150", r"150\.0")]),
+                            " --out {ws}/out", "above-100", "150", r"150\.0"),
+          ("eval-within", SET_COMMANDS["eval"], "above-100", "150", r"150\.0"),
+          ("eval-across", f"eval {FILES} --protocol across --test-corpus {{ws}}/missing.txt"
+                          " --out {ws}/out", "nan-missing-test-corpus", "nan", "nan")]),
     # Usage errors: exit 2.
     Row("classify-mode-pruned", "classify --mode pruned --system bayes --out {ws}/models "
         "--tagdict {ws}/tags.tsv -", 2,

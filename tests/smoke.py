@@ -2,12 +2,13 @@
 
 In the toy workspace of ``refusals.py`` it trains and classifies with every
 trainable system, runs eval of every system under supunsup, ablate and
-corrupt, classifies a CRLF draft as its LF copy and reloads every model to
-its own bytes; then it runs every refusal row as ``python -S -m winspell``.
-Each child runs in dev mode with ResourceWarning and DeprecationWarning as
-errors, the warning flags of the pytest run, so a file left open fails its
-command. It exits 1 naming each check and row that failed; a child that
-hangs is killed and fails its own. Standard library only.
+corrupt, classifies a CRLF draft as its LF copy and reloads every model, as
+its own system, to its own bytes; then it runs every refusal row as
+``python -S -m winspell``. Each child runs in dev mode with ResourceWarning
+and DeprecationWarning as errors, the warning flags of the pytest run, so a
+file left open fails its command. It exits 1 naming each check and row that
+failed; a child that hangs is killed and fails its own. Standard library
+only.
 """
 
 import subprocess
@@ -64,7 +65,7 @@ def smoke(tmp: Path) -> list[str]:
                                                 == sorted(TRAINABLE_SYSTEMS))
     for path in paths:
         saved = tmp / path.name
-        save_system_model(load_system_model(path), saved)
+        save_system_model(load_system_model(path, path.name.split(".")[1]), saved)
         checks[f"{path.name} reloads to its own bytes"] = saved.read_bytes() == path.read_bytes()
     failed = [name for name, ok in checks.items() if not ok]
     for row in ROWS:

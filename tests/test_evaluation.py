@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from winspell import bayes
+from winspell import bayes, winnow
 from winspell.bayes import model_from_text, model_to_text
 from winspell.corpus import confusion_set_from_text, find_occurrences
 from winspell.evaluation import (
     ABLATION_LADDER,
     SYSTEMS,
+    TRAINABLE_SYSTEMS,
     EvalReport,
     ExperimentConfig,
     SetResult,
@@ -216,18 +217,26 @@ class TestEvaluateSystems:
         assert result.outcomes["simplified-bayes"] == result.outcomes["simplified-winnow"]
 
 
-def test_load_system_model_refuses_a_file_of_neither_format(tmp_path):
-    path = tmp_path / "peace+piece.bayes.model"
-    path.write_text("BAYES v2\nmembers\tpeace\tpiece\n")
-    with pytest.raises(ValueError,
-                       match=f"^{re.escape(str(path))}: line 1: unrecognized model format$"):
-        load_system_model(path)
+@pytest.mark.parametrize("system", TRAINABLE_SYSTEMS)
+@pytest.mark.parametrize("held", TRAINABLE_SYSTEMS)
+def test_a_model_file_loads_as_its_own_system_only(toy, held, system):
+    path = toy / f"models/peace+piece.{held}.model"
+    header = path.read_text().split("\n")[0]
+    expected = bayes.HEADER if len(TRAINABLE_SYSTEMS[system]) == 1 else winnow.HEADER
+    if held == system:
+        model = load_system_model(path, system)
+        assert isinstance(model, WinnowNetwork) == (header == winnow.HEADER)
+        return
+    refusal = (f"holds a {held} model, not a {system} model" if header == expected
+               else f"line 1: not a {expected} model file")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {refusal}')}$"):
+        load_system_model(path, system)
 
 
 def smoke_model(toy, name):
     """System ``name``'s model of the toy workspace, and the writer and loader
     of its format."""
-    model = load_system_model(toy / f"models/peace+piece.{name}.model")
+    model = load_system_model(toy / f"models/peace+piece.{name}.model", name)
     if isinstance(model, WinnowNetwork):
         return model, network_to_text, network_from_text
     return model, model_to_text, model_from_text
