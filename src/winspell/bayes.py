@@ -47,8 +47,9 @@ class BayesModel:
     counts, so a serialized model reloads exactly. ``feature_ids`` is the
     index of the retained features and ``features`` its Feature tuples;
     ``counts`` gives each retained key's count row, and the two per-feature
-    tables are lists indexed by feature id, both filled for a feature the
-    first time either is read, from what is derived once per distinct row.
+    tables, ``mean_lambda`` and ``log_likelihoods`` (log smoothed likelihood
+    per member, -inf for 0: the terms classification sums), are lists indexed
+    by feature id, derived here once per distinct count row.
     """
 
     def __init__(
@@ -69,27 +70,14 @@ class BayesModel:
         self.total = sum(occurrences)
         self.dependency_resolution = dependency_resolution
         self.log_priors = tuple(_log(p) for p in self.priors)
-        # Per-feature tables by feature id, None until log_likelihood_row fills both.
-        n_features = len(self.features)
-        self.mean_lambda: list[float | None] = [None] * n_features
-        self.log_likelihoods: list[tuple[float, ...] | None] = [None] * n_features
-        self.derived: dict = {}  # (mean lambda, log row) by count row
-
-    def log_likelihood_row(self, feature: int) -> tuple[float, ...]:
-        """log(smoothed likelihood) of feature id ``feature`` per member,
-        -inf for 0: the terms classification sums. The first read fills this
-        row and ``mean_lambda``'s from one chance_probabilities row per
-        distinct count row, as both depend on nothing else."""
-        row = self.log_likelihoods[feature]
-        if row is None:
-            counts = self.counts[feature]
-            if counts not in self.derived:
-                lams = chance_probabilities(counts, self.occurrences)
-                logs = tuple(map(_log, smoothed_likelihoods(self, feature, lams)))
-                self.derived[counts] = (sum(lams) / len(lams), logs)
-            self.mean_lambda[feature], row = self.derived[counts]
-            self.log_likelihoods[feature] = row
-        return row
+        # Both tables depend only on the count row and the occurrences.
+        derived = {}
+        for row in set(self.counts):
+            lams = chance_probabilities(row, self.occurrences)
+            logs = tuple(map(_log, smoothed_likelihoods(self, row, lams)))
+            derived[row] = (sum(lams) / len(lams), logs)
+        self.mean_lambda = [derived[row][0] for row in self.counts]
+        self.log_likelihoods = [derived[row][1] for row in self.counts]
 
 
 def priors_of(occurrences: Sequence[int], confusion_set: ConfusionSet) -> tuple[float, ...]:
@@ -122,22 +110,22 @@ def train_bayes(
 
 
 def with_dependency_resolution(model: BayesModel) -> BayesModel:
-    """``model`` with dependency resolution on. The two share every table,
-    the log rows either of them fills included."""
+    """``model`` with dependency resolution on. The two share every table."""
     clone = object.__new__(BayesModel)
     clone.__dict__.update(model.__dict__, dependency_resolution=True)
     return clone
 
 
-def smoothed_likelihoods(model: BayesModel, feature: int, lams: Sequence[float]) -> list[float]:
-    """(1 - lambda) * P_ML(f|Wi) + lambda * P_ML(f) per member Wi for feature
-    id ``feature``, from its count row, where lambda is the member's entry of
-    ``lams``, the feature's :func:`~winspell.features.chance_probabilities`."""
-    row, occurrences = model.counts[feature], model.occurrences
+def smoothed_likelihoods(
+    model: BayesModel, row: Sequence[int], lams: Sequence[float]
+) -> list[float]:
+    """(1 - lambda) * P_ML(f|Wi) + lambda * P_ML(f) per member Wi for a
+    feature with count row ``row``, where lambda is the member's entry of
+    ``lams``, the row's :func:`~winspell.features.chance_probabilities`."""
     marginal = sum(row) / model.total
     return [
         (1.0 - lam) * (c / n if n else 0.0) + lam * marginal
-        for c, n, lam in zip(row, occurrences, lams)
+        for c, n, lam in zip(row, model.occurrences, lams)
     ]
 
 
@@ -148,8 +136,7 @@ def resolve_dependencies(model: BayesModel, active_set: Iterable[int]) -> tuple[
     dependent; within each overlap-connected group only the feature with the
     lowest mean mixing weight (the strongest association) survives, ties
     going to the lower id. Context-word features are never deleted. With
-    dependency resolution off, the active set is returned in id order. A
-    collocation's mean mixing weight is derived the first time it is read.
+    dependency resolution off, the active set is returned in id order.
     """
     active = tuple(sorted(active_set))
     if not model.dependency_resolution:
@@ -161,8 +148,6 @@ def resolve_dependencies(model: BayesModel, active_set: Iterable[int]) -> tuple[
     for f in active:
         feature = features[f]
         if feature.kind == COLLOCATION:
-            if mean_lambda[f] is None:
-                model.log_likelihood_row(f)  # which fills mean_lambda[f]
             best = strongest.get(feature.offsets)
             if best is None or mean_lambda[f] < mean_lambda[best]:
                 strongest[feature.offsets] = f
@@ -187,7 +172,7 @@ def classify_bayes(model: BayesModel, active_set: Iterable[int]) -> Decision:
     (as for a feature whose count row is all zero, whose smoothed likelihood
     is 0), the equal scores leave the prior to decide.
     """
-    rows = [model.log_likelihood_row(f) for f in resolve_dependencies(model, active_set)]
+    rows = [model.log_likelihoods[f] for f in resolve_dependencies(model, active_set)]
     # fsum is exactly rounded, so members with identical term multisets tie
     # exactly and fall through to the prior rule.
     scores = tuple(

@@ -272,9 +272,8 @@ def init_bayesian(network: WinnowNetwork, model: BayesModel):
     """
     if network.features != model.features:
         raise ValueError("network and model feature sets differ")
-    rows = [model.log_likelihood_row(f) for f in range(len(network.features))]
     raw = [
-        [_floored(row[i]) for row in rows] + [_floored(model.log_priors[i])]
+        [_floored(row[i]) for row in model.log_likelihoods] + [_floored(model.log_priors[i])]
         for i in range(len(network.clouds))
     ]
     shift = -min(w for weights in raw for w in weights)

@@ -359,6 +359,10 @@ ROWS = [
     # Bayes. Lines 24-28 hold CW a, CW cake, CW is, CW of and CW the.
     model_row("smoothing-mle", "bayes", [("sub", rb"\tinterpolative\n", b"\tmle\n")],
               SAVED(4, r"smoothing\\tinterpolative")),
+    # Saving writes each key as it was read, so only parsing sees a foreign kind.
+    model_row("feature-key-foreign-kind", "bayes",
+              [("sub", rb"(?m)^COLL (?=-1:t=UNK _\t)", b"XX ", 1)],
+              "line 9: malformed feature key: 'XX -1:t=UNK _'$"),
     model_row("feature-key-moved", "bayes",
               [("sub", rb"(CW cake\t.*\n)(CW is\t.*\n)(CW of\t.*\n)", rb"\2\3\1")],
               SAVED(25, r"CW cake\\t0\\t2")),

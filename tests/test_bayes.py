@@ -19,6 +19,7 @@ from winspell.bayes import (
 from winspell.corpus import confusion_set_from_text, find_occurrences
 from winspell.features import (
     COLLOCATION,
+    CONTEXT_WORD,
     ExtractionParams,
     FeatureStats,
     UNPRUNED,
@@ -65,8 +66,8 @@ class TestTrainBayes:
         stats = stats_from_counts({"f": [1, 47]}, [105, 98])
         model = train_bayes(stats, prune(stats, UNPRUNED))
         (f,) = ids_of(model, [context_word("f")])
-        assert smoothed_likelihoods(model, f, [0.0, 0.0])[1] == pytest.approx(47 / 98)
-        assert smoothed_likelihoods(model, f, [0.0, 0.0])[0] == pytest.approx(1 / 105)
+        assert smoothed_likelihoods(model, model.counts[f], [0.0, 0.0])[1] == pytest.approx(47 / 98)
+        assert smoothed_likelihoods(model, model.counts[f], [0.0, 0.0])[0] == pytest.approx(1 / 105)
 
     def test_lambda_one_for_independent_feature(self):
         # Proportional counts: the feature appears with each member at the
@@ -91,7 +92,7 @@ class TestSmoothedLikelihood:
         model = train_bayes(stats, prune(stats, UNPRUNED))
         (f,) = ids_of(model, [context_word("f")])
         lams = chance_probabilities(model.counts[f], model.occurrences)
-        assert smoothed_likelihoods(model, f, lams)[0] == pytest.approx(0.5)
+        assert smoothed_likelihoods(model, model.counts[f], lams)[0] == pytest.approx(0.5)
 
     def test_interpolation_arithmetic(self):
         # MLE likelihood 20/100 = 0.2 and unigram 100/200 = 0.5; pinned
@@ -99,62 +100,54 @@ class TestSmoothedLikelihood:
         stats = stats_from_counts({"f": [20, 80]}, [100, 100])
         model = train_bayes(stats, prune(stats, UNPRUNED))
         (f,) = ids_of(model, [context_word("f")])
-        assert smoothed_likelihoods(model, f, [0.25, 0.25])[0] == pytest.approx(0.275)
+        assert smoothed_likelihoods(model, model.counts[f], [0.25, 0.25])[0] == pytest.approx(0.275)
         # Mixing-weight endpoints: 0 is pure MLE, 1 is full backoff.
-        assert smoothed_likelihoods(model, f, [0.0, 0.0])[0] == 0.2
-        assert smoothed_likelihoods(model, f, [1.0, 1.0])[0] == 0.5
+        assert smoothed_likelihoods(model, model.counts[f], [0.0, 0.0])[0] == 0.2
+        assert smoothed_likelihoods(model, model.counts[f], [1.0, 1.0])[0] == 0.5
 
     def test_matches_formula_on_real_tables(self):
         model, _ = toy_model(dependency_resolution=False)
         occurrences = model.occurrences
-        for f, row in enumerate(model.counts):
+        for row in model.counts:
             lams = chance_probabilities(row, occurrences)
             for i in range(2):
                 lam = lams[i]
                 ml = row[i] / occurrences[i]
                 expected = (1 - lam) * ml + lam * sum(row) / sum(occurrences)
-                assert smoothed_likelihoods(model, f, lams)[i] == pytest.approx(expected)
+                assert smoothed_likelihoods(model, row, lams)[i] == pytest.approx(expected)
 
 
 class TestLogLikelihoods:
-    """The per-model table of log smoothed likelihoods fills a feature's row
-    the first time it is read."""
+    """The per-model table of log smoothed likelihoods is complete once the
+    model is built."""
 
-    def test_lazy_rows_equal_log_of_smoothed_likelihood(self):
+    def test_rows_equal_log_of_smoothed_likelihood(self):
         # z's all-zero count row has unigram, and so smoothed likelihood, 0.
         stats = stats_from_counts(
             {"f": [5, 0], "g": [3, 4], "h": [0, 7], "z": [0, 0]}, [10, 10]
         )
         model = train_bayes(stats, prune(stats, UNPRUNED))
         table = model.log_likelihoods
-        assert table == [None] * len(model.features)
-        (read,) = ids_of(model, model.features[:1])
-        classify_bayes(model, (read,))
-        assert [f for f, row in enumerate(table) if row is not None] == [read]
+        assert len(table) == len(model.features) and None not in table
         for f in ids_of(model, model.features):
-            row = model.log_likelihood_row(f)
-            assert table[f] is row
             lams = chance_probabilities(model.counts[f], model.occurrences)
-            for i in range(len(model.confusion_set.members)):
-                likelihood = smoothed_likelihoods(model, f, lams)[i]
-                want = math.log(likelihood) if likelihood > 0 else -math.inf
-                assert row[i] == want
-        assert None not in table
+            likelihoods = smoothed_likelihoods(model, model.counts[f], lams)
+            want = [math.log(x) if x > 0 else -math.inf for x in likelihoods]
+            assert list(table[f]) == want
         (z,) = ids_of(model, [context_word("z")])
         assert table[z] == (-math.inf, -math.inf)
 
 
 class TestPerFeatureDerivation:
     """A feature's mixing weights come from its count row, computed once per
-    distinct row: its mean mixing weight and its log row are both filled the
-    first time dependency resolution or scoring reads either."""
+    distinct row while the model is built: its mean mixing weight and its log
+    row, for context words and collocations alike."""
 
     def test_derived_rows_equal_eager_formula(self):
         model, _ = toy_model()
-        assert model.mean_lambda == model.log_likelihoods == [None] * len(model.features)
         occurrences = model.occurrences
         n = sum(occurrences)
-        resolve_dependencies(model, range(len(model.features)))
+        assert len(model.mean_lambda) == len(model.features)
         for f, row in enumerate(model.counts):
             lam = []
             for a, occ in zip(row, occurrences):
@@ -166,13 +159,12 @@ class TestPerFeatureDerivation:
                 statistic = n * (a * d - b * c) ** 2 / denominator if denominator else 0.0
                 lam.append(math.erfc(math.sqrt(statistic / 2.0)))
             assert chance_probabilities(row, occurrences) == lam
-            if model.features[f].kind == COLLOCATION:
-                assert model.mean_lambda[f] == sum(lam) / len(lam)
-            else:
-                assert model.mean_lambda[f] is None
-        assert any(m is not None for m in model.mean_lambda)
+            assert model.mean_lambda[f] == sum(lam) / len(lam)
+        assert {feature.kind for feature in model.features} == {COLLOCATION, CONTEXT_WORD}
 
-    def test_classify_derives_only_the_features_it_reads(self):
+    def test_classify_never_derives(self, monkeypatch):
+        # Dependency resolution reads the mean mixing weights and scoring the
+        # log rows, all of them derived when the model was built.
         stats = FeatureStats(confusion_set_from_text("w0, w1"), ExtractionParams())
         stats.occurrences = [50, 50]
         strong = collocation((-1,), (("w", "s"),))
@@ -180,56 +172,44 @@ class TestPerFeatureDerivation:
         stats.counts = {strong.key(): [40, 2], weak.key(): [20, 15], "CW x": [5, 5],
                         "CW y": [9, 1]}
         model = train_bayes(stats, prune(stats, UNPRUNED))
-        classify_bayes(model, ids_of(model, [strong, weak]))
-        # Dependency resolution reads both collocations, so both tables hold
-        # both; the context words, which nothing read, stay underived.
-        assert {f for f, lam in enumerate(model.mean_lambda) if lam is not None} == \
-            set(ids_of(model, [strong, weak]))
-        assert [f for f, row in enumerate(model.log_likelihoods) if row is not None] == \
-            sorted(ids_of(model, [strong, weak]))
+        calls = []
+        monkeypatch.setattr(bayes, "chance_probabilities", lambda *args: calls.append(args))
+        for features in ([strong, weak], model.features):
+            classify_bayes(model, ids_of(model, features))
+        assert calls == []
 
-    def test_mixing_weights_computed_once_per_feature(self, monkeypatch):
-        # Dependency resolution reads a collocation's mean mixing weight and
-        # scoring its log row: one chance_probabilities call serves both, and
-        # every derived feature with the same count row.
-        model, _ = toy_model()
+    def test_mixing_weights_computed_once_per_distinct_row(self, monkeypatch):
+        # Building the model calls chance_probabilities exactly once for
+        # each distinct count row, however many features share it.
+        _, stats = toy_model()
         calls = []
         compute = bayes.chance_probabilities
         monkeypatch.setattr(bayes, "chance_probabilities",
                             lambda row, occ: calls.append(row) or compute(row, occ))
-        cset = model.confusion_set
-        for text in ("a peace of cake", "one piece of pie", "peace talks now",
-                     "a piece of cake is nice", "another piece of pie"):
-            for occ in find_occurrences(corpus_of(text), cset):
-                classify_bayes(model, extract_active(occ, model.feature_ids, model.extraction,
-                                                     EMPTY_TAGS))
-        derived = [f for f, row in enumerate(model.log_likelihoods) if row is not None]
-        assert any(model.features[f].kind == COLLOCATION for f in derived)
-        distinct_rows = {model.counts[f] for f in derived}
-        assert len(distinct_rows) < len(derived)
+        model = train_bayes(stats, prune(stats, UNPRUNED))
+        distinct_rows = set(model.counts)
+        assert len(distinct_rows) < len(model.features)
         assert sorted(calls) == sorted(distinct_rows)
 
     def test_dependency_resolution_clone_shares_every_table(self, monkeypatch):
-        # What either model derives, the other reads without deriving it again.
+        # The clone holds the very lists of its model, complete, and derives
+        # nothing of its own.
         model, _ = toy_model(dependency_resolution=False)
-        clone = bayes.with_dependency_resolution(model)
         calls = []
-        compute = bayes.chance_probabilities
-        monkeypatch.setattr(bayes, "chance_probabilities",
-                            lambda row, occ: calls.append(row) or compute(row, occ))
-        n = len(model.features)
-        for f in range(n):
-            deriving, reading = (model, clone) if f % 2 else (clone, model)
-            row = deriving.log_likelihood_row(f)
-            assert reading.log_likelihood_row(f) is row
-            assert reading.mean_lambda[f] == deriving.mean_lambda[f] is not None
-        assert len(calls) == len(set(model.counts)) < n
+        monkeypatch.setattr(bayes, "chance_probabilities", lambda *args: calls.append(args))
+        clone = bayes.with_dependency_resolution(model)
+        classify_bayes(clone, range(len(clone.features)))
+        assert calls == []
+        assert clone.dependency_resolution and not model.dependency_resolution
+        assert clone.log_likelihoods is model.log_likelihoods
+        assert clone.mean_lambda is model.mean_lambda
+        assert None not in model.log_likelihoods and None not in model.mean_lambda
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_equal_count_rows_derive_what_each_feature_alone_does(self, first):
         # A context word and a collocation share a count row, and so what is
-        # derived from it: whichever is read first, each gets bit for bit the
-        # log row and mean mixing weight of a model holding it alone.
+        # derived from it: in either order, each gets bit for bit the log row
+        # and mean mixing weight of a model holding it alone.
         features = (context_word("x"), collocation((-1,), (("w", "s"),)))
 
         def model_of(counts):
@@ -241,8 +221,8 @@ class TestPerFeatureDerivation:
         for feature in features[first:] + features[:first]:
             (f,) = ids_of(shared, [feature])
             alone = model_of({feature.key(): [7, 2]})
-            assert [x.hex() for x in shared.log_likelihood_row(f)] == \
-                [x.hex() for x in alone.log_likelihood_row(0)]
+            assert [x.hex() for x in shared.log_likelihoods[f]] == \
+                [x.hex() for x in alone.log_likelihoods[0]]
             assert shared.mean_lambda[f].hex() == alone.mean_lambda[0].hex()
 
 
@@ -448,14 +428,9 @@ class TestSerialization:
     def test_round_trip_preserves_tables(self):
         model, _ = toy_model()
         loaded = model_from_text(model_to_text(model))
-        # Compare filled tables: two tables of None would compare equal.
-        for derived in (model, loaded):
-            every = range(len(derived.features))
-            resolve_dependencies(derived, every)
-            for f in every:
-                derived.log_likelihood_row(f)
-            assert None not in derived.log_likelihoods
-            assert any(m is not None for m in derived.mean_lambda)
+        # Compare complete tables: two tables of None would compare equal.
+        for built in (model, loaded):
+            assert None not in built.log_likelihoods and None not in built.mean_lambda
         assert loaded.features == model.features
         assert loaded.priors == model.priors
         assert loaded.counts == model.counts

@@ -71,17 +71,17 @@ class TestTrain:
         assert rc == 0
         assert (built.count("stream"), built.count("bayes")) == (streams, bayes_models)
 
-    def test_bayes_train_derives_no_feature(self, workspace, monkeypatch):
-        # Training a Bayes model only counts: no feature's tables are derived
-        # before the model is saved.
+    def test_bayes_train_saves_complete_tables(self, workspace, monkeypatch):
+        # The model handed to saving holds every feature's derived tables.
         saved = []
         monkeypatch.setattr(winspell.cli, "save_system_model",
                             lambda model, path: saved.append(model))
         rc = train(workspace, "--mode", "unpruned", "--system", "bayes", "--out", workspace / "m")
         assert rc == 0
         (model,) = saved
-        empty = [None] * len(model.features)
-        assert model.features and model.log_likelihoods == model.mean_lambda == empty
+        n = len(model.features)
+        assert n and len(model.log_likelihoods) == len(model.mean_lambda) == n
+        assert None not in model.log_likelihoods and None not in model.mean_lambda
 
     @pytest.mark.parametrize("letters, rc", [(7, 0), (8, 1)])
     def test_model_file_name_length_counts_bytes(self, workspace, capsys, monkeypatch,

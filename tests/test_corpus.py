@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from winspell.corpus import (
+    ConfusionSet,
     Sentence,
     TagDictionary,
     confusion_set_from_text,
@@ -100,6 +101,10 @@ class TestConfusionSets:
         path.write_text("# homophones\npeace, piece\n\nmaybe, may be\n")
         sets = load_confusion_sets(path)
         assert [cs.label for cs in sets] == ["peace, piece", "maybe, may be"]
+
+    def test_empty_member_refused(self):
+        with pytest.raises(ValueError, match="^confusion-set members must be non-empty$"):
+            ConfusionSet((("a",), ()))
 
     def test_overlapping_sets_are_distinct(self, tmp_path):
         path = tmp_path / "sets.txt"

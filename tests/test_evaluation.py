@@ -208,6 +208,13 @@ class TestEvaluateSystems:
         # The Bayesian initializations read every row of the shared log table.
         assert None not in training.bayes.log_likelihoods
 
+    def test_unknown_system_not_trained(self):
+        train, _, cset = separable_corpus(seed=1, train_counts=(30, 20), test_counts=(6, 6))
+        training = TrainingSet(find_occurrences(train, cset), cset, ExtractionParams(k=3),
+                               EMPTY_TAGS, "unpruned")
+        with pytest.raises(ValueError, match="^unknown system: 'nope'$"):
+            train_system_model("nope", training, CYCLES)
+
     def test_simplified_pair_agree(self):
         train, test, cset = separable_corpus(seed=2)
         result = evaluate_systems(
@@ -416,6 +423,14 @@ class TestRunExperiment:
             systems=("oracle",),
         )
         with pytest.raises(ValueError, match="unknown system"):
+            run_experiment(config)
+
+    def test_unknown_system_rejected_before_any_input_is_read(self, tmp_path):
+        config = ExperimentConfig(
+            corpus=tmp_path / "missing.txt", confusion_sets=tmp_path / "missing-sets.txt",
+            tagdict=tmp_path / "missing.tsv", systems=("nope",),
+        )
+        with pytest.raises(ValueError, match="^unknown system: 'nope'$"):
             run_experiment(config)
 
     def test_unknown_protocol_rejected(self, tmp_path):

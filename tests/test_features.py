@@ -242,7 +242,9 @@ class TestFeatureKeys:
     def test_key_round_trip(self, feature):
         assert parse_feature_key(feature.key()) == feature
 
-    @pytest.mark.parametrize("key", ["BIAS", "XX y", "COLL _ +1:q=a", "COLL x:w=a _", "COLL _ +1:w"])
+    # "XX -1:w=a _" spells a canonical collocation past its kind.
+    @pytest.mark.parametrize("key", ["BIAS", "XX y", "XX -1:w=a _", "COLL _ +1:q=a",
+                                     "COLL x:w=a _", "COLL _ +1:w"])
     def test_malformed_key_rejected(self, key):
         with pytest.raises(ValueError, match="malformed feature key"):
             parse_feature_key(key)
