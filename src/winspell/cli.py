@@ -244,6 +244,13 @@ def cmd_classify(args) -> int:
         print(f"error: no {args.system} models under {args.out}", file=sys.stderr)
         return 1
     models = [load_system_model(p, args.system) for p in paths]
+    # One model per set, in any member order, as a sets file holds one line per set.
+    first_path: dict[frozenset[tuple[str, ...]], Path] = {}
+    for path, model in zip(paths, models):
+        first = first_path.setdefault(frozenset(model.confusion_set.members), path)
+        if first != path:
+            raise ValueError(f"{path}: confusion set {{{model.confusion_set.label}}}"
+                             f" repeats {first}")
     tagdict = load_tag_dictionary(args.tagdict)
     if args.input == "-":
         text = read_text("<stdin>", sys.stdin.buffer.read())

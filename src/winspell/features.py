@@ -198,15 +198,6 @@ class FeatureStats:
         self.counts: dict[str, list[int]] = {}  # by canonical key
         self.occurrences = [0] * len(confusion_set.members)
 
-    def add(self, keys: Iterable[str], member_index: int):
-        self.occurrences[member_index] += 1
-        counts, n_members = self.counts, len(self.occurrences)
-        for key in keys:
-            row = counts.get(key)
-            if row is None:
-                row = counts[key] = [0] * n_members
-            row[member_index] += 1
-
 
 def count_features(
     occurrences: Sequence[Occurrence],
@@ -220,11 +211,17 @@ def count_features(
     trains from this pass, so it warns of each member without occurrences."""
     require_occurrences(occurrences, confusion_set)
     stats = FeatureStats(confusion_set, params)
+    counts, n_members = stats.counts, len(stats.occurrences)
     generated = []
     for occ in occurrences:
-        keys = generate_features(occ, params, tagdict)
-        stats.add(keys, occ.member_index)
-        generated.append((keys, occ.member_index))
+        keys, member = generate_features(occ, params, tagdict), occ.member_index
+        stats.occurrences[member] += 1
+        for key in keys:
+            row = counts.get(key)
+            if row is None:
+                row = counts[key] = [0] * n_members
+            row[member] += 1
+        generated.append((keys, member))
     for i, n in enumerate(stats.occurrences):
         if n == 0:
             # The text names the set: the default filter shows one text from one line once.

@@ -109,9 +109,9 @@ def _presentation(active: Sequence[int]) -> tuple:
     active on every example; the threshold filter's margin for that many
     weights; their ids."""
     ids = (*active, BIAS_ID)
-    # itemgetter of one index returns the bare weight, so the bias alone
-    # gets a reader that still returns a sequence.
-    read = itemgetter(*ids) if len(ids) > 1 else lambda weights: (weights[BIAS_ID],)
+    # itemgetter of one index returns the bare weight, so the bias alone is
+    # read as a one-element slice, the last entry.
+    read = itemgetter(*ids) if active else itemgetter(slice(BIAS_ID, None))
     return read, len(ids) * WEIGHT_MARGIN, ids
 
 
@@ -379,17 +379,13 @@ def network_from_text(text: str) -> WinnowNetwork:
     lines, head = parse_model_head(text, HEADER, _HEAD)
     n_features = head["features"]
     keys = lines[11 : 11 + n_features]
-    try:
-        retained = index_features(keys, 12)
-    except ValueError:
-        # A list shorter than its count holds its first cloud line among the
-        # keys: refused there, unless a key before it is malformed.
-        cut = next((i for i, key in enumerate(keys) if key.startswith("cloud\t")), None)
-        if cut is None:
-            raise
-        index_features(keys[:cut], 12)
+    # A list shorter than its count holds its first cloud line among the keys:
+    # refused there, unless a key before it is malformed.
+    cut = next((i for i, key in enumerate(keys) if key.startswith("cloud\t")), None)
+    retained = index_features(keys[:cut], 12)
+    if cut is not None:
         raise ValueError(f"line {12 + cut}: feature list is shorter than its features count"
-                         f" {n_features}") from None
+                         f" {n_features}")
     network = WinnowNetwork(head["members"], retained, head["winnow"], head["extraction"],
                             head["layer"], head["priors"])
     network.horizon = head["schedule"]

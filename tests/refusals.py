@@ -405,6 +405,17 @@ ROWS = [
               [("sub", rb"\narchitecture\tfull\n", b"\narchitecture\tsparse\n"),
                ("sub", rb"(?:[^\n]*\n){3}\Z", b"")],
               "holds a model no system trains, not a winnow-1layer model$"),
+    # Two models of one set, in either member order and whichever sorts first:
+    # the later file is refused, naming the earlier.
+    Row("classify-set-copied", classify("bayes"), 1, r"^error: {ws}/models/peace\+piece\.bayes"
+        r"\.model: confusion set \{peace, piece\} repeats {file}$", "models/copy.bayes.model",
+        [("copy", "models/peace+piece.bayes.model")], stdin=b"a peace of cake\n"),
+    Row("classify-set-members-swapped", classify("bayes"), 1, r"^error: {file}: confusion set "
+        r"\{piece, peace\} repeats {ws}/models/peace\+piece\.bayes\.model$",
+        "models/piece+peace.bayes.model", [("copy", "models/peace+piece.bayes.model"),
+                                           ("sub", rb"\nmembers\tpeace\tpiece\n",
+                                            b"\nmembers\tpiece\tpeace\n")],
+        stdin=b"a peace of cake\n"),
     Row("classify-no-models", classify("bayes", "empty"), 1,
         "^error: no bayes models under {ws}/empty$"),
     Row("classify-invalid-utf8-file", classify("bayes", source="{ws}/corpus.txt"), 1,

@@ -379,6 +379,19 @@ class TestClassify:
         network = toy_network(priors=(0.5, 0.5))
         assert classify_winnow(network, ()).chosen == 0
 
+    def test_one_layer_example_without_features_reads_the_bias_alone(self):
+        # Every feature weighs 2.0, so reading more than the bias would show.
+        network = toy_network(1, layer_mode=ONE_LAYER)
+        for cloud, bias in zip(network.clouds, (0.3, 1.7)):
+            for f in (I1, I2, I3):
+                link(cloud, f, 2.0)
+            link(cloud, BIAS_ID, bias)
+        assert classify_winnow(network, ()).scores == (0.3, 1.7)
+        train_network(network, [((), 0)])
+        weights = [cloud.classifiers[0].weights for cloud in network.clouds]
+        assert [w[:BIAS_ID] for w in weights] == [[2.0] * 3] * 2
+        assert [w[BIAS_ID] for w in weights] == [0.3 * ALPHA, 1.7 * BETAS[len(BETAS) // 2]]
+
 
 class TestTrainNetwork:
     def test_examples_seen_counts_cycles(self):
